@@ -330,70 +330,20 @@ class Tensor:
             out._backward = backward
         return out
 
-    def pick(self, index: int) -> "Tensor":
-        """Scalar entry of a 1-D tensor."""
-        if self.data.ndim != 1:
-            raise ValueError(f"pick needs a 1-D tensor, got shape {self.data.shape}")
-        out = Tensor(self.data[index], requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            def backward(g):
-                full = np.zeros_like(self.data)
-                full[index] = g
-                self._accumulate(full)
-            out._backward = backward
-        return out
 
-
-def hconcat(tensors: list) -> Tensor:
-    """Concatenate 2-D tensors along axis 1."""
+def concat(tensors: list, axis: int) -> Tensor:
+    """Join tensors along ``axis``; backward splits the gradient back."""
     datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=1),
+    out = Tensor(np.concatenate(datas, axis=axis),
                  requires_grad=any(t.requires_grad for t in tensors),
                  parents=tuple(tensors))
     if out.requires_grad:
-        widths = [d.shape[1] for d in datas]
+        bounds = np.cumsum([d.shape[axis] for d in datas])[:-1]
         def backward(g):
-            offset = 0
-            for t, w in zip(tensors, widths):
+            for t, part in zip(tensors, np.split(g, bounds, axis=axis)):
                 if t.requires_grad:
-                    t._accumulate(g[:, offset:offset + w])
-                offset += w
+                    t._accumulate(part)
         out._backward = backward
-    return out
-
-
-def concat(tensors: list) -> Tensor:
-    """Concatenate 1-D tensors end to end."""
-    datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas),
-                 requires_grad=any(t.requires_grad for t in tensors),
-                 parents=tuple(tensors))
-    if out.requires_grad:
-        sizes = [d.shape[0] for d in datas]
-        def backward(g):
-            offset = 0
-            for t, n in zip(tensors, sizes):
-                if t.requires_grad:
-                    t._accumulate(g[offset:offset + n])
-                offset += n
-        out._backward = backward
-    return out
-
-
-def softmax(v: Tensor) -> Tensor:
-    """Probability distribution over a 1-D tensor, max-subtracted for stability.
-
-    Backward uses the closed form s * (g - g.s) of the softmax Jacobian.
-    """
-    if v.data.ndim != 1:
-        raise ValueError(f"softmax needs a 1-D tensor, got shape {v.data.shape}")
-    if v.data.size == 0:
-        raise ValueError("softmax of an empty vector")
-    e = np.exp(v.data - v.data.max())
-    s = e / e.sum()
-    out = Tensor(s, requires_grad=v.requires_grad, parents=(v,))
-    if out.requires_grad:
-        out._backward = lambda g: v._accumulate(s * (g - float(g @ s)))
     return out
 
 
@@ -409,18 +359,6 @@ def softmax_rows(m: Tensor) -> Tensor:
     if out.requires_grad:
         out._backward = lambda g: m._accumulate(s * (g - (g * s).sum(axis=1, keepdims=True)))
     return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return a.matmul(b)
-
-
-def tensor(data) -> Tensor:
-    """Build a constant tensor from external data, rejecting NaN/Inf."""
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor values must be finite")
-    return Tensor(arr)
 
 
 class ParamSet:
@@ -457,9 +395,6 @@ class ParamSet:
 
     def __len__(self):
         return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def is_trainable(self, name: str) -> bool:
         return self._trainable[name]

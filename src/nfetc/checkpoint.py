@@ -14,7 +14,7 @@ files; the loader rejects truncation, trailing bytes, and non-finite values.
 from __future__ import annotations
 
 import json
-import math
+import os
 
 import numpy as np
 
@@ -28,6 +28,8 @@ class CheckpointError(ValueError):
 
 
 def save(path: str, meta: dict, params: ParamSet) -> None:
+    """Write the snapshot to a temporary file beside ``path``, fsync it, then
+    rename it over ``path``: a failed write leaves any old file intact."""
     if "params" in meta:
         raise CheckpointError("meta key 'params' is reserved")
     doc = dict(meta)
@@ -36,50 +38,54 @@ def save(path: str, meta: dict, params: ParamSet) -> None:
         for n, t in params.items()
     ]
     blob = json.dumps(doc).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(str(len(blob)).encode("ascii") + b"\n")
-        f.write(blob)
-        for _, t in params.items():
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(str(len(blob)).encode("ascii") + b"\n")
+            f.write(blob)
+            for _, t in params.items():
+                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load(path: str) -> tuple[dict, ParamSet]:
+    """Read the snapshot, each tensor straight into its own array."""
     with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(MAGIC):
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    rest = data[len(MAGIC):]
-    nl = rest.find(b"\n")
-    if nl < 0:
-        raise CheckpointError(f"{path}: truncated before meta length")
-    try:
-        meta_len = int(rest[:nl])
-    except ValueError:
-        raise CheckpointError(f"{path}: malformed meta length") from None
-    body = rest[nl + 1:]
-    if len(body) < meta_len:
-        raise CheckpointError(f"{path}: truncated meta block")
-    try:
-        meta = json.loads(body[:meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: corrupt meta block: {e}") from None
-    entries = meta.get("params")
-    if not isinstance(entries, list):
-        raise CheckpointError(f"{path}: meta lacks the parameter list")
-    params = ParamSet()
-    offset = meta_len
-    for e in entries:
-        shape = tuple(e["shape"])
-        nbytes = 8 * math.prod(shape)
-        chunk = body[offset:offset + nbytes]
-        if len(chunk) < nbytes:
-            raise CheckpointError(f"{path}: truncated tensor {e['name']!r}")
-        arr = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: non-finite values in {e['name']!r}")
-        params.add(e["name"], arr, trainable=bool(e["trainable"]))
-        offset += nbytes
-    if offset != len(body):
-        raise CheckpointError(f"{path}: {len(body) - offset} trailing bytes")
+        if f.read(len(MAGIC)) != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise CheckpointError(f"{path}: truncated before meta length")
+        try:
+            meta_len = int(line)
+        except ValueError:
+            raise CheckpointError(f"{path}: malformed meta length") from None
+        blob = f.read(meta_len)
+        if len(blob) < meta_len:
+            raise CheckpointError(f"{path}: truncated meta block")
+        try:
+            meta = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointError(f"{path}: corrupt meta block: {e}") from None
+        entries = meta.get("params")
+        if not isinstance(entries, list):
+            raise CheckpointError(f"{path}: meta lacks the parameter list")
+        params = ParamSet()
+        for e in entries:
+            arr = np.empty(tuple(e["shape"]), dtype="<f8")
+            if f.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"{path}: truncated tensor {e['name']!r}")
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{path}: non-finite values in {e['name']!r}")
+            params.add(e["name"], arr, trainable=bool(e["trainable"]))
+        trailing = os.fstat(f.fileno()).st_size - f.tell()
+    if trailing:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes")
     return meta, params

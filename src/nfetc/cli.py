@@ -18,7 +18,7 @@ from .checkpoint import CheckpointError
 from .corpus import (Corpus, CorpusError, parse_corpus, relabel, stats,
                      split_dev, windowed)
 from .embeddings import EmbeddingError, WordEmbeddings
-from .evaluation import evaluate, per_type_accuracy, predict_indices
+from .evaluation import pairs_for, per_type_accuracy, predict_indices, score_pairs
 from .hierarchy import ForestError, RefinementMap, TypeForest, apply_refinement
 from .loss import inference_adjust
 from .training import (HyperParams, TrainingDiverged, VARIANTS, load_checkpoint,
@@ -253,13 +253,13 @@ def cmd_eval(cfg: dict) -> int:
         _, parse_forest, full_map = _load_forest(cfg, "eval")
     corpus = _parse_with_refinement(path, parse_forest, restored.forest, full_map)
     corpus = windowed(corpus, restored.hyperparams.window)
-    metrics = evaluate(restored.model, corpus, restored.forest, restored.loss_config)
+    predictions = predict_indices(restored.model, corpus, restored.forest,
+                                  restored.loss_config)
+    metrics = score_pairs(pairs_for(corpus, predictions, restored.forest))
     out = metrics.as_text()
     if cfg["json"]:
         out += metrics.as_json() + "\n"
     if cfg["per_type"]:
-        predictions = predict_indices(restored.model, corpus, restored.forest,
-                                      restored.loss_config)
         for tname, acc in per_type_accuracy(corpus, predictions,
                                             restored.forest).items():
             out += f"{tname}\t{acc:.4f}\n"

@@ -114,12 +114,16 @@ def parse_line(line: str, forest: TypeForest, lineno: int,
 
 def parse_corpus(path, forest: TypeForest, tag: str = "raw",
                  allow_unlabeled: bool = False) -> Corpus:
+    """Parse a corpus file; errors name the file and the line."""
     triples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip() == "":
                 continue
-            triples.append(parse_line(line, forest, lineno, allow_unlabeled))
+            try:
+                triples.append(parse_line(line, forest, lineno, allow_unlabeled))
+            except CorpusError as e:
+                raise CorpusError(f"{path}: {e}") from None
     return Corpus(triples, tag=tag)
 
 

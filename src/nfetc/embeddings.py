@@ -108,7 +108,3 @@ class PositionTable:
         if -self.c <= d <= self.c:
             return d + self.c
         return 2 * self.c + 1
-
-    def indices_for(self, positions, start: int, end: int) -> np.ndarray:
-        return np.array([self.index_for(i, start, end) for i in positions],
-                        dtype=np.intp)

@@ -96,15 +96,12 @@ def score_pairs(pairs: list[EvalPair]) -> Metrics:
 
 def predict_indices(model, corpus: Corpus, forest: TypeForest,
                     config: LossConfig | None = None) -> list[int]:
-    """Predicted type index per mention. ``model`` is either something with
-    batched ``predict_probs`` or a plain callable triple -> index."""
-    triples = list(corpus)
-    if hasattr(model, "predict_probs"):
-        probs = model.predict_probs(triples)
-        if config is not None:
-            probs = inference_adjust(probs, forest, config)
-        return [int(i) for i in np.argmax(probs, axis=1)]
-    return [int(model(t)) for t in triples]
+    """Predicted type index per mention, the argmax of the model's batched
+    ``predict_probs`` rows (adjusted when the config asks for it)."""
+    probs = model.predict_probs(list(corpus))
+    if config is not None:
+        probs = inference_adjust(probs, forest, config)
+    return [int(i) for i in np.argmax(probs, axis=1)]
 
 
 def pairs_for(corpus: Corpus, predictions: list[int], forest: TypeForest) -> list[EvalPair]:

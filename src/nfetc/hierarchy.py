@@ -19,13 +19,14 @@ class ForestError(ValueError):
     pass
 
 
-def _parse_path(path: str) -> list[str]:
+def _parse_path(path: str, where: str = "") -> list[str]:
+    """Segments of a slash-path; ``where`` prefixes the error message."""
     if not path.startswith("/") or path == "/":
-        raise ForestError(f"malformed type path: {path!r}")
+        raise ForestError(f"{where}malformed type path: {path!r}")
     segments = path[1:].split("/")
     for seg in segments:
         if not _SEGMENT.match(seg):
-            raise ForestError(f"malformed type path: {path!r}")
+            raise ForestError(f"{where}malformed type path: {path!r}")
     return segments
 
 
@@ -66,6 +67,7 @@ class TypeForest:
                     continue
                 if body in seen:
                     raise ForestError(f"{path}:{lineno}: duplicate type {body!r}")
+                _parse_path(body, f"{path}:{lineno}: ")
                 seen.add(body)
                 types.append(body)
         return cls(types)
@@ -94,12 +96,6 @@ class TypeForest:
     def depth(self, path: str) -> int:
         self.index(path)
         return path.count("/")
-
-    def max_depth(self) -> int:
-        return max(p.count("/") for p in self._paths)
-
-    def roots(self) -> list[str]:
-        return [p for p in self._paths if parent_path(p) is None]
 
     def ancestors(self, path: str) -> set[str]:
         """Proper ancestors along the type-path; excludes the type itself

@@ -53,6 +53,11 @@ def hierarchical_adjust_rows(p_rows: Tensor, forest: TypeForest, beta: float) ->
     """Row-wise adjustment of (B, K) probability rows: each type gains beta
     times the summed probability of its proper ancestors, then every row is
     renormalized back to a distribution."""
+    if p_rows.data.ndim != 2:
+        raise ValueError(f"expected 2-D probability rows, got shape {p_rows.data.shape}")
+    if p_rows.data.shape[1] != len(forest):
+        raise ValueError(f"row width {p_rows.data.shape[1]} does not match "
+                         f"forest of {len(forest)} types")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     if beta == 0.0:
@@ -60,16 +65,6 @@ def hierarchical_adjust_rows(p_rows: Tensor, forest: TypeForest, beta: float) ->
     anc_t = Tensor.constant(forest.ancestor_matrix().T)
     q = p_rows + p_rows.matmul(anc_t) * beta
     return q / q.row_sums()
-
-
-def hierarchical_adjust(p: Tensor, forest: TypeForest, beta: float) -> Tensor:
-    """Single-distribution form of the adjustment (1-D in, 1-D out)."""
-    if p.data.ndim != 1:
-        raise ValueError(f"expected a 1-D distribution, got shape {p.data.shape}")
-    if len(p.data) != len(forest):
-        raise ValueError(f"distribution of {len(p.data)} entries does not match "
-                         f"forest of {len(forest)} types")
-    return hierarchical_adjust_rows(p.reshape(1, -1), forest, beta).reshape(-1)
 
 
 def l2_penalty(params: ParamSet, lam: float) -> Tensor:
@@ -87,13 +82,6 @@ def l2_penalty(params: ParamSet, lam: float) -> Tensor:
     return total * lam
 
 
-def cross_entropy(p: Tensor, gold: int, params: ParamSet, lam: float) -> Tensor:
-    """-log p(gold) plus the L2 term; expects a 1-D distribution."""
-    if p.data.ndim != 1:
-        raise ValueError(f"expected a 1-D distribution, got shape {p.data.shape}")
-    return -(p.pick(gold).clip_min(PROB_FLOOR).log()) + l2_penalty(params, lam)
-
-
 def select_candidate(p_values: np.ndarray, candidates) -> int:
     """Most probable candidate index, lowest index on ties. The selection is
     a constant of the current step: no gradient flows through the choice."""
@@ -101,17 +89,6 @@ def select_candidate(p_values: np.ndarray, candidates) -> int:
     if not cand:
         raise ValueError("empty candidate set")
     return cand[int(np.argmax(p_values[cand]))]
-
-
-def variant_cross_entropy(p: Tensor, candidates, params: ParamSet, lam: float) -> Tensor:
-    """Cross-entropy against whichever candidate type the model currently
-    rates highest. With a singleton candidate set this is exactly
-    ``cross_entropy``."""
-    return cross_entropy(p, select_candidate(p.data, candidates), params, lam)
-
-
-def _candidate_indices(triple: MentionTriple, forest: TypeForest) -> list[int]:
-    return sorted(forest.index(t) for t in triple.terminals)
 
 
 def mean_nll(probs: Tensor, triples: list[MentionTriple], config: LossConfig,
@@ -131,7 +108,7 @@ def mean_nll(probs: Tensor, triples: list[MentionTriple], config: LossConfig,
     selection_source = rows.data if config.select_on_adjusted else probs.data
     gold = []
     for b, triple in enumerate(triples):
-        cand = _candidate_indices(triple, forest)
+        cand = sorted(forest.index(t) for t in triple.terminals)
         if config.mode == "standard":
             if len(cand) != 1:
                 raise ValueError(
@@ -142,12 +119,6 @@ def mean_nll(probs: Tensor, triples: list[MentionTriple], config: LossConfig,
             gold.append(select_candidate(selection_source[b], cand))
     picked = rows.pick_rows(gold)
     return (-(picked.clip_min(PROB_FLOOR).log())).mean()
-
-
-def batch_loss(probs: Tensor, triples: list[MentionTriple], config: LossConfig,
-               forest: TypeForest, params: ParamSet) -> Tensor:
-    """Mean per-mention loss plus a single L2 term for the whole batch."""
-    return mean_nll(probs, triples, config, forest) + l2_penalty(params, config.lam)
 
 
 def inference_adjust(probs: np.ndarray, forest: TypeForest, config: LossConfig) -> np.ndarray:

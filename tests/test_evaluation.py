@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nfetc.corpus import Corpus, MentionTriple, parse_corpus
-from nfetc.evaluation import (EvalPair, Metrics, evaluate, loose_macro_f1,
+from nfetc.evaluation import (EvalPair, Metrics, loose_macro_f1,
                               loose_micro_f1, pairs_for, per_type_accuracy,
                               predict_indices, score_pairs, strict_accuracy)
 from nfetc.hierarchy import TypeForest
@@ -127,7 +127,7 @@ def test_pairs_for_guards(corpus, forest):
 
 def test_stub_predictor_matches_manifest(corpus, forest, manifest):
     athlete = forest.index("/person/athlete")
-    m = evaluate(lambda t: athlete, corpus, forest)
+    m = score_pairs(pairs_for(corpus, [athlete] * len(corpus), forest))
     want = manifest["majority_stub"]
     assert want["predicts"] == "/person/athlete"
     for key in ("strict", "macro_p", "macro_r", "macro_f1",
@@ -156,7 +156,8 @@ class RowStub:
 
 def test_predict_indices_callable_and_batched(corpus, forest):
     coach = forest.index("/person/coach")
-    assert predict_indices(lambda t: coach, corpus, forest) == [coach] * len(corpus)
+    one_hot = RowStub(np.tile(np.eye(len(forest))[coach], (len(corpus), 1)))
+    assert predict_indices(one_hot, corpus, forest) == [coach] * len(corpus)
 
     stub = RowStub(np.tile([0.1, 0.2, 0.05, 0.3, 0.2, 0.15], (len(corpus), 1)))
     assert predict_indices(stub, corpus, forest) == [3] * len(corpus)

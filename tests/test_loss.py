@@ -7,10 +7,9 @@ from gradcheck import STEP, TOLERANCE, fd_gradient, max_rel_error
 from nfetc.autodiff import ParamSet, Tensor, gradients, softmax_rows
 from nfetc.corpus import MentionTriple
 from nfetc.hierarchy import TypeForest
-from nfetc.loss import (LossConfig, PROB_FLOOR, batch_loss, cross_entropy,
-                        hierarchical_adjust, hierarchical_adjust_rows,
+from nfetc.loss import (LossConfig, PROB_FLOOR, hierarchical_adjust_rows,
                         inference_adjust, l2_penalty, mean_nll,
-                        select_candidate, variant_cross_entropy)
+                        select_candidate)
 from nfetc.optim import make_rng
 from oracles import brute_ancestors, random_forest_paths
 
@@ -31,15 +30,27 @@ def mention(labels, forest, tokens=("x",), start=0, end=1):
 PERSON = TypeForest(["/organization", "/person", "/person/athlete"])
 
 
+def flat_forest(k):
+    """k root types; index i is /t<i> for k <= 10."""
+    return TypeForest([f"/t{i}" for i in range(k)])
+
+
+def one_row_loss(p, labels, forest, mode="standard", params=None, lam=0.0):
+    """The batched objective on a batch of one: mean NLL plus the L2 term."""
+    nll = mean_nll(Tensor.constant([p]), [mention(labels, forest)],
+                   LossConfig(mode=mode), forest)
+    return nll + l2_penalty(params if params is not None else ParamSet(), lam)
+
+
 # -- hierarchical adjustment ----------------------------------------------------
 
 
 def test_adjust_hand_example():
     # indices sorted: 0=/organization, 1=/person, 2=/person/athlete
-    p = Tensor.constant(np.array([0.2, 0.5, 0.3]))
-    q = hierarchical_adjust(p, PERSON, beta=0.4)
+    p = Tensor.constant(np.array([[0.2, 0.5, 0.3]]))
+    q = hierarchical_adjust_rows(p, PERSON, beta=0.4)
     # athlete gains 0.4 * p(person); row renormalizes by 1.2
-    assert np.allclose(q.data, [0.2 / 1.2, 0.5 / 1.2, 0.5 / 1.2], atol=1e-15)
+    assert np.allclose(q.data, [[0.2 / 1.2, 0.5 / 1.2, 0.5 / 1.2]], atol=1e-15)
 
 
 def test_adjust_beta_zero_is_identity():
@@ -49,8 +60,8 @@ def test_adjust_beta_zero_is_identity():
 
 def test_adjust_flat_forest_is_identity():
     flat = TypeForest(["/a", "/b", "/c"])
-    p = Tensor.constant(np.array([0.1, 0.6, 0.3]))
-    q = hierarchical_adjust(p, flat, beta=0.7)
+    p = Tensor.constant(np.array([[0.1, 0.6, 0.3]]))
+    q = hierarchical_adjust_rows(p, flat, beta=0.7)
     assert np.allclose(q.data, p.data, atol=1e-15)
 
 
@@ -63,8 +74,8 @@ def test_adjust_matches_prefix_oracle():
         p = rng.uniform(0.0, 1.0, size=len(paths))
         p /= p.sum()
         beta = float(rng.uniform(0.0, 1.0))
-        got = hierarchical_adjust(Tensor.constant(p), forest, beta)
-        assert np.allclose(got.data, brute_adjust(paths, p, beta), atol=1e-12)
+        got = hierarchical_adjust_rows(Tensor.constant([p]), forest, beta)
+        assert np.allclose(got.data[0], brute_adjust(paths, p, beta), atol=1e-12)
 
 
 def test_adjust_outputs_are_distributions():
@@ -89,12 +100,12 @@ def test_adjust_only_descendants_gain():
 
 
 def test_adjust_shape_guards():
-    with pytest.raises(ValueError, match="1-D"):
-        hierarchical_adjust(Tensor.constant(np.ones((2, 3))), PERSON, 0.4)
+    with pytest.raises(ValueError, match="2-D"):
+        hierarchical_adjust_rows(Tensor.constant(np.ones(3) / 3), PERSON, 0.4)
     with pytest.raises(ValueError, match="does not match"):
-        hierarchical_adjust(Tensor.constant(np.ones(4) / 4), PERSON, 0.4)
+        hierarchical_adjust_rows(Tensor.constant(np.ones((1, 4)) / 4), PERSON, 0.4)
     with pytest.raises(ValueError, match=">= 0"):
-        hierarchical_adjust(Tensor.constant(np.ones(3) / 3), PERSON, -0.1)
+        hierarchical_adjust_rows(Tensor.constant(np.ones((1, 3)) / 3), PERSON, -0.1)
 
 
 # -- penalties and plain cross-entropy ------------------------------------------
@@ -127,33 +138,32 @@ def test_l2_rejects_negative():
 
 
 def test_cross_entropy_certain_prediction_is_zero():
-    p = Tensor.constant(np.array([0.0, 1.0, 0.0]))
-    loss = cross_entropy(p, 1, ParamSet(), lam=0.0)
+    loss = one_row_loss([0.0, 1.0, 0.0], ["/person"], PERSON)  # gold index 1
     assert loss.data.item() == 0.0
 
 
 def test_cross_entropy_half_is_log_two():
-    p = Tensor.constant(np.array([0.5, 0.25, 0.25]))
-    loss = cross_entropy(p, 0, ParamSet(), lam=0.0)
+    loss = one_row_loss([0.5, 0.25, 0.25], ["/organization"], PERSON)  # gold 0
     assert loss.data.item() == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_cross_entropy_floors_zero_probability():
-    p = Tensor.constant(np.array([1.0, 0.0]))
-    loss = cross_entropy(p, 1, ParamSet(), lam=0.0)
+    loss = one_row_loss([1.0, 0.0], ["/t1"], flat_forest(2))
     assert loss.data.item() == pytest.approx(-math.log(PROB_FLOOR), abs=1e-9)
     assert math.isfinite(loss.data.item())
 
 
 def test_cross_entropy_adds_l2():
     params = make_params([[2.0]])
-    loss = cross_entropy(Tensor.constant(np.array([0.5, 0.5])), 0, params, lam=0.1)
+    loss = one_row_loss([0.5, 0.5], ["/t0"], flat_forest(2), params=params, lam=0.1)
     assert loss.data.item() == pytest.approx(math.log(2.0) + 0.4, abs=1e-12)
 
 
 def test_cross_entropy_rejects_rows():
-    with pytest.raises(ValueError, match="1-D"):
-        cross_entropy(Tensor.constant(np.ones((2, 2)) / 2), 0, ParamSet(), 0.0)
+    forest = flat_forest(2)
+    with pytest.raises(ValueError, match="do not match"):
+        mean_nll(Tensor.constant(np.ones((2, 2)) / 2), [mention(["/t0"], forest)],
+                 LossConfig(), forest)
 
 
 # -- candidate selection and the variant objective -------------------------------
@@ -182,15 +192,16 @@ def test_variant_equals_standard_on_singleton():
     for _ in range(50):
         p = rng.uniform(0.01, 1.0, size=5)
         p /= p.sum()
-        gold = int(rng.integers(5))
-        a = variant_cross_entropy(Tensor.constant(p), [gold], ParamSet(), 0.0)
-        b = cross_entropy(Tensor.constant(p), gold, ParamSet(), 0.0)
+        gold = [f"/t{int(rng.integers(5))}"]
+        a = one_row_loss(p, gold, flat_forest(5), mode="variant")
+        b = one_row_loss(p, gold, flat_forest(5), mode="standard")
         assert abs(a.data.item() - b.data.item()) <= 1e-12
 
 
 def test_variant_worked_example():
-    p = Tensor.constant(np.array([0.7, 0.2, 0.1]))
-    loss = variant_cross_entropy(p, [0, 1], ParamSet(), 0.0)
+    # candidates /organization (0) and /person (1)
+    loss = one_row_loss([0.7, 0.2, 0.1], ["/organization", "/person"], PERSON,
+                        mode="variant")
     assert loss.data.item() == pytest.approx(-math.log(0.7), abs=1e-15)
 
 
@@ -201,7 +212,8 @@ def test_variant_is_minimum_over_candidates():
         p /= p.sum()
         k = int(rng.integers(1, 7))
         cand = sorted(rng.choice(6, size=k, replace=False).tolist())
-        got = variant_cross_entropy(Tensor.constant(p), cand, ParamSet(), 0.0)
+        got = one_row_loss(p, [f"/t{c}" for c in cand], flat_forest(6),
+                           mode="variant")
         best = min(-math.log(p[c]) for c in cand)
         assert got.data.item() == pytest.approx(best, abs=1e-12)
 
@@ -217,9 +229,8 @@ def test_mean_nll_single_row_matches_cross_entropy():
     config = LossConfig(mode="standard")
     m = mention(["/person"], PERSON)
     got = mean_nll(rows_for([0.2, 0.5, 0.3]), [m], config, PERSON)
-    want = cross_entropy(Tensor.constant(np.array([0.2, 0.5, 0.3])),
-                         PERSON.index("/person"), ParamSet(), 0.0)
-    assert got.data.item() == pytest.approx(want.data.item(), abs=1e-15)
+    assert PERSON.index("/person") == 1
+    assert got.data.item() == pytest.approx(-math.log(0.5), abs=1e-15)
 
 
 def test_mean_nll_duplicated_row_unchanged():
@@ -303,7 +314,7 @@ def test_batch_loss_adds_one_l2_term():
     config = LossConfig(mode="standard", lam=0.01)
     m = mention(["/person"], PERSON)
     probs = rows_for([0.2, 0.5, 0.3], [0.2, 0.5, 0.3])
-    got = batch_loss(probs, [m, m], config, PERSON, params)
+    got = mean_nll(probs, [m, m], config, PERSON) + l2_penalty(params, config.lam)
     assert got.data.item() == pytest.approx(-math.log(0.5) + 0.09, abs=1e-14)
 
 
@@ -343,7 +354,7 @@ def test_loss_config_validation(kwargs, message):
 
 def logits_loss(params, batch, config, forest):
     probs = softmax_rows(params["logits"])
-    return batch_loss(probs, batch, config, forest, params)
+    return mean_nll(probs, batch, config, forest) + l2_penalty(params, config.lam)
 
 
 @pytest.mark.parametrize("config", [

@@ -8,6 +8,7 @@ from nfetc.autodiff import Tensor, gradients
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
+from nfetc.loss import LossConfig, l2_penalty, mean_nll
 from nfetc.model import (ModelConfig, NfetcModel, bucket_indices, init_params)
 from nfetc.optim import make_rng
 
@@ -51,7 +52,7 @@ T4 = triple(["the", "cat", "sat", "on"], 1, 2)
 
 def test_init_param_order_is_fixed():
     model = make_model()
-    assert model.params.names() == [
+    assert list(model.params) == [
         "word_emb", "pos_table",
         "ctx_fw.w_in", "ctx_fw.w_rec", "ctx_fw.bias",
         "ctx_bw.w_in", "ctx_bw.w_rec", "ctx_bw.bias",
@@ -59,7 +60,7 @@ def test_init_param_order_is_fixed():
         "attn_w", "cls_w", "cls_b",
     ]
     assert not model.params.is_trainable("word_emb")
-    assert all(model.params.is_trainable(n) for n in model.params.names()
+    assert all(model.params.is_trainable(n) for n in model.params
                if n != "word_emb")
 
 
@@ -308,9 +309,49 @@ def test_position_rows_affect_output():
 
 def test_predictor_callable_matches_forward(mini_batch):
     model = make_model()
-    predict = model.predictor()
-    assert [predict(t) for t in mini_batch] == \
-        [model.forward(t).predicted for t in mini_batch]
+    predicted = np.argmax(model.predict_probs(mini_batch), axis=1).tolist()
+    assert predicted == [model.forward(t).predicted for t in mini_batch]
+
+
+def test_forward_batch_of_nothing_is_zero_rows():
+    model = make_model()
+    assert model.forward_batch([]).shape == (0, 3)
+    assert model.predict_probs([]).shape == (0, 3)
+
+
+def bucket_sum_objective(model, batch, config, rng):
+    """Oracle: the training objective as a weighted sum of per-bucket mean
+    NLLs (weight = bucket share of the batch) plus one L2 term."""
+    total = None
+    for bucket in bucket_indices(batch):
+        sub = [batch[i] for i in bucket]
+        probs, _ = model.forward_bucket(sub, train=True, rng=rng)
+        part = mean_nll(probs, sub, config, model.forest) * (len(sub) / len(batch))
+        total = part if total is None else total + part
+    return total + l2_penalty(model.params, config.lam)
+
+
+def test_forward_batch_objective_matches_bucket_sum():
+    model = make_model(seed=13, p_in=0.7, p_out=0.9)
+    config = LossConfig(lam=0.01, beta=0.4, mode="variant", hier=True)
+    batch = [triple(["the", "cat", "sat", "on"], 1, 2, ("/a/b", "/c")),
+             triple(["dog", "ran"], 0, 1, ("/c",)),
+             triple(["big", "red", "fox", "ran"], 2, 3, ("/a",)),
+             triple(["mat"], 0, 1, ("/a", "/a/b")),
+             triple(["the", "dog", "sat", "on"], 1, 3, ("/a", "/c")),
+             triple(["red", "mat"], 1, 2, ("/c",))]
+    assert len(bucket_indices(batch)) == 4  # mixed lengths, shared shapes
+
+    want = bucket_sum_objective(model, batch, config, make_rng(5))
+    want_grads = gradients(want, model.params)
+    probs = model.forward_batch(batch, train=True, rng=make_rng(5))
+    got = mean_nll(probs, batch, config, model.forest) + l2_penalty(model.params, config.lam)
+    got_grads = gradients(got, model.params)
+
+    assert abs(got.item() - want.item()) <= 1e-12
+    assert set(got_grads) == set(want_grads)
+    for name, grad in want_grads.items():
+        assert np.max(np.abs(got_grads[name] - grad)) <= 1e-12, name
 
 
 # -- dropout -------------------------------------------------------------------

@@ -167,8 +167,8 @@ def test_train_early_stopping_bounds():
                    small_hp(epochs=50, patience=1), config)
     # dev strict over 3 mentions takes one of 4 values, and patience 1 allows
     # no stale epochs, so the run must stop within 5 epochs
-    assert result.epochs_run <= 5
-    assert result.best_epoch <= result.epochs_run
+    assert len(result.epoch_log) <= 5
+    assert result.best_epoch <= len(result.epoch_log)
 
 
 def test_train_never_touches_word_embeddings():
@@ -211,7 +211,7 @@ def test_train_variant_mode_runs_on_raw_corpus():
     choice, config = select_variant("NFETC-hier(r)", beta=0.4)
     corpus = training_corpus(train_c, choice, forest)
     result = train(corpus, dev_c, emb, forest, small_hp(epochs=2), config)
-    assert result.epochs_run == 2
+    assert len(result.epoch_log) == 2
 
 
 def test_train_saves_best_checkpoint(tmp_path):
