@@ -74,10 +74,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
@@ -216,9 +212,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def __matmul__(self, other):
-        return self.matmul(other)
-
     def transpose(self) -> "Tensor":
         if self.data.ndim != 2:
             raise ValueError(f"transpose needs a 2-D tensor, got shape {self.data.shape}")
@@ -240,16 +233,6 @@ class Tensor:
         out = Tensor(y, requires_grad=self.requires_grad, parents=(self,))
         if out.requires_grad:
             out._backward = lambda g: self._accumulate(g * (1.0 - y * y))
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        # stable two-branch logistic, no overflow for large |x|
-        x = self.data
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = Tensor(y, requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * y * (1.0 - y))
         return out
 
     def log(self) -> "Tensor":
@@ -288,20 +271,6 @@ class Tensor:
         return out
 
     # -- structural ops ---------------------------------------------------------------
-
-    def cols(self, start: int, length: int) -> "Tensor":
-        """Column slice [:, start:start+length] of a 2-D tensor."""
-        if self.data.ndim != 2:
-            raise ValueError(f"cols needs a 2-D tensor, got shape {self.data.shape}")
-        out = Tensor(self.data[:, start:start + length],
-                     requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            def backward(g):
-                full = np.zeros_like(self.data)
-                full[:, start:start + length] = g
-                self._accumulate(full)
-            out._backward = backward
-        return out
 
     def take_rows(self, indices) -> "Tensor":
         """Gather rows by integer index; backward scatter-adds (shared rows sum)."""
@@ -361,11 +330,110 @@ def softmax_rows(m: Tensor) -> Tensor:
     return out
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # the tanh form cannot overflow for large |x|
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def lstm_sequence(x: Tensor, w_in: Tensor, w_rec: Tensor, bias: Tensor,
+                  lengths, reverse: bool = False) -> Tensor:
+    """A fused-gate LSTM over a padded, time-major batch, as one tape node.
+
+    Row t*B + b of ``x`` is step t of sequence b. ``lengths`` must be
+    non-increasing, so the sequences running at step t are the prefix [:n_t]
+    and no step touches padding. Gate column blocks are input, forget,
+    output, candidate. ``reverse`` runs each sequence from its own last step
+    back to step 0. Returns the (T*B, d_s) states, zero on padded rows.
+
+    Only h·W_rec runs per step: x·W_in, dW_in and dW_rec are one GEMM each
+    over all real rows (Appleyard, Kočiský & Blunsom, arXiv 1604.01946).
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    b = lengths.size
+    rows = x.data.shape[0]
+    if x.data.ndim != 2 or b == 0 or rows % b:
+        raise ValueError(f"lstm_sequence: {x.data.shape} input rows do not split "
+                         f"into {b} sequences")
+    steps = rows // b
+    if np.any(np.diff(lengths) > 0) or lengths[-1] < 1 or lengths[0] > steps:
+        raise ValueError(f"lstm_sequence: lengths must be non-increasing in "
+                         f"[1, {steps}], got {lengths.tolist()}")
+    d = w_rec.data.shape[0]
+    live = (lengths[None, :] > np.arange(steps)[:, None])
+    real = np.flatnonzero(live)             # time-major order: step t's prefix
+    n_at = live.sum(axis=1)
+    offset = np.concatenate([[0], np.cumsum(n_at)])
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    record = _GRAD_ENABLED and any(t.requires_grad for t in (x, w_in, w_rec, bias))
+
+    gates = x.data[real] @ w_in.data   # biased and activated in place below
+    gates += bias.data
+    if record:
+        h_prev = np.zeros((real.size, d))
+        c_prev = np.zeros((real.size, d))
+        tanh_c = np.empty((real.size, d))
+    h = np.zeros((b, d))
+    c = np.zeros((b, d))
+    out = np.zeros((rows, d))
+    for t in order:
+        n = n_at[t]
+        z = gates[offset[t]:offset[t] + n]
+        z += h[:n] @ w_rec.data
+        z[:, :3 * d] = _sigmoid(z[:, :3 * d])
+        z[:, 3 * d:] = np.tanh(z[:, 3 * d:])
+        if record:
+            h_prev[offset[t]:offset[t] + n] = h[:n]
+            c_prev[offset[t]:offset[t] + n] = c[:n]
+        c[:n] = z[:, d:2 * d] * c[:n] + z[:, :d] * z[:, 3 * d:]
+        tc = np.tanh(c[:n])
+        if record:
+            tanh_c[offset[t]:offset[t] + n] = tc
+        h[:n] = z[:, 2 * d:3 * d] * tc
+        out[t * b:t * b + n] = h[:n]
+
+    result = Tensor(out, requires_grad=record, parents=(x, w_in, w_rec, bias))
+    if not record:
+        return result
+
+    def backward(g):
+        dz = np.empty_like(gates)
+        dh = np.zeros((b, d))
+        dc = np.zeros((b, d))
+        w_rec_t = w_rec.data.T
+        for t in reversed(order):
+            n = n_at[t]
+            s = slice(offset[t], offset[t] + n)
+            i, f, o, cand = (gates[s, k * d:(k + 1) * d] for k in range(4))
+            tc = tanh_c[s]
+            dh_t = g[t * b:t * b + n] + dh[:n]
+            dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
+            dz[s, :d] = dc_t * cand * i * (1.0 - i)
+            dz[s, d:2 * d] = dc_t * c_prev[s] * f * (1.0 - f)
+            dz[s, 2 * d:3 * d] = dh_t * tc * o * (1.0 - o)
+            dz[s, 3 * d:] = dc_t * i * (1.0 - cand * cand)
+            dh[:n] = dz[s] @ w_rec_t
+            dc[:n] = dc_t * f
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            dx[real] = dz @ w_in.data.T
+            x._accumulate(dx)
+        if w_in.requires_grad:
+            w_in._accumulate(x.data[real].T @ dz)
+        if w_rec.requires_grad:
+            w_rec._accumulate(h_prev.T @ dz)
+        if bias.requires_grad:
+            bias._accumulate(dz.sum(axis=0))
+
+    result._backward = backward
+    return result
+
+
 class ParamSet:
     """Named parameter tensors, each flagged trainable or frozen.
 
     Frozen entries (pre-trained word embeddings) are visible to the forward
-    pass as constants and are never touched by the optimizer. Iteration
+    pass as constants and are never touched by the optimizer. Their arrays
+    are made read-only, so snapshots share them instead of copying. Iteration
     order is insertion order, which keeps training byte-deterministic.
     """
 
@@ -379,6 +447,8 @@ class ParamSet:
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"parameter {name} has non-finite values")
+        if not trainable:
+            arr.flags.writeable = False
         t = Tensor.parameter(arr) if trainable else Tensor.constant(arr)
         self._params[name] = t
         self._trainable[name] = trainable
@@ -410,14 +480,21 @@ class ParamSet:
             t.grad = None
 
     def copy_values(self) -> dict[str, np.ndarray]:
-        return {n: t.data.copy() for n, t in self._params.items()}
+        """Snapshot of every value: trainable arrays copied, frozen
+        (read-only) arrays by reference."""
+        return {n: t.data.copy() if self._trainable[n] else t.data
+                for n, t in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for n, t in self._params.items():
             src = values[n]
             if src.shape != t.data.shape:
                 raise ValueError(f"shape mismatch loading {n}: {src.shape} vs {t.data.shape}")
+            if src is t.data:
+                continue
             t.data = np.array(src, dtype=np.float64)
+            if not self._trainable[n]:
+                t.data.flags.writeable = False
 
 
 def gradients(loss: Tensor, params: ParamSet) -> dict[str, np.ndarray]:

@@ -40,10 +40,6 @@ class MentionTriple:
             raise CorpusError(f"span [{self.start}, {self.end}) out of bounds "
                               f"for {len(self.tokens)} tokens")
 
-    @property
-    def mention_tokens(self) -> tuple[str, ...]:
-        return self.tokens[self.start:self.end]
-
     def to_line(self) -> str:
         head = f"{self.start} {self.end}\t{' '.join(self.tokens)}"
         if self.labels:

@@ -31,7 +31,6 @@ class WordEmbeddings:
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self._index = {w: i for i, w in enumerate(self.words)}
         self.dim = self.matrix.shape[1]
-        self._oov = np.zeros(self.dim, dtype=np.float64)
 
     @classmethod
     def from_file(cls, path) -> "WordEmbeddings":
@@ -71,13 +70,17 @@ class WordEmbeddings:
     def __contains__(self, word: str) -> bool:
         return word in self._index
 
-    def lookup(self, word: str) -> np.ndarray:
-        """Stored vector for in-vocabulary words, the zero vector otherwise."""
-        idx = self._index.get(word)
-        return self.matrix[idx] if idx is not None else self._oov
+    def indices(self, tokens) -> np.ndarray:
+        """Matrix row of each token; -1 marks an out-of-vocabulary word."""
+        return np.array([self._index.get(t, -1) for t in tokens], dtype=np.intp)
 
-    def lookup_many(self, tokens) -> np.ndarray:
-        return np.stack([self.lookup(t) for t in tokens])
+    def vectors(self, indices) -> np.ndarray:
+        """Word vectors for an index array of any shape, the zero vector
+        where the index is -1."""
+        idx = np.asarray(indices, dtype=np.intp)
+        out = self.matrix[np.maximum(idx, 0)]
+        out[idx < 0] = 0.0
+        return out
 
 
 class PositionTable:
@@ -95,16 +98,14 @@ class PositionTable:
         self.size = 2 * c + 2
         self.initial = rng.uniform(-0.25, 0.25, size=(self.size, dim))
 
-    def index_for(self, i: int, start: int, end: int) -> int:
-        """Table row for token ``i`` against mention span [start, end)."""
-        if not 0 <= start < end:
-            raise EmbeddingError(f"invalid mention span [{start}, {end})")
-        if start <= i < end:
-            d = 0
-        elif i >= end:
-            d = i - (end - 1)
-        else:
-            d = i - start
-        if -self.c <= d <= self.c:
-            return d + self.c
-        return 2 * self.c + 1
+    def indices(self, positions, start, end) -> np.ndarray:
+        """Table row of token ``positions`` against mention spans
+        [start, end); the three arrays broadcast together."""
+        i, start, end = np.broadcast_arrays(*(np.asarray(a, dtype=np.intp)
+                                              for a in (positions, start, end)))
+        bad = (start < 0) | (start >= end)
+        if np.any(bad):
+            k = np.flatnonzero(bad)[0]
+            raise EmbeddingError(f"invalid mention span [{start.flat[k]}, {end.flat[k]})")
+        d = np.where(i >= end, i - (end - 1), np.where(i < start, i - start, 0))
+        return np.where(np.abs(d) <= self.c, d + self.c, 2 * self.c + 1)

@@ -24,7 +24,7 @@ VARIANTS = ("NFETC(f)", "NFETC-hier(f)", "NFETC(r)", "NFETC-hier(r)")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss goes non-finite."""
+    """Raised when the training loss or a gradient goes non-finite."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,13 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch starting at "
                     f"mention {lo} (lr={hp.lr}, seed={hp.seed})")
-            adam_step(model.params, gradients(loss, model.params), adam, hp.lr)
+            grads = gradients(loss, model.params)
+            for name, grad in grads.items():
+                if not np.all(np.isfinite(grad)):
+                    raise TrainingDiverged(
+                        f"non-finite gradient for {name} at epoch {epoch}, batch "
+                        f"starting at mention {lo} (lr={hp.lr}, seed={hp.seed})")
+            adam_step(model.params, grads, adam, hp.lr)
             loss_total += value * len(chunk)
         dev = evaluate(model, dev_w, forest, config)
         stats = EpochStats(epoch=epoch, train_loss=loss_total / n,

@@ -1,11 +1,16 @@
-"""Brute-force oracles, implemented on raw strings and sets only.
+"""Brute-force oracles, implemented on raw strings and sets only, plus the
+per-step tape LSTM.
 
-These deliberately avoid the package's own algebra: ancestors are computed
-by string-prefix enumeration, terminal sets by pairwise prefix tests, and
-metrics by direct set arithmetic, so they can arbitrate the real code.
+The set oracles deliberately avoid the package's own algebra: ancestors are
+computed by string-prefix enumeration, terminal sets by pairwise prefix
+tests, and metrics by direct set arithmetic, so they can arbitrate the real
+code. The LSTM oracle composes only the basic tape ops, each gradchecked on
+its own, so it can arbitrate the fused ``lstm_sequence`` op.
 """
 
 import numpy as np
+
+from nfetc.autodiff import Tensor
 
 
 def brute_ancestors(path: str) -> set:
@@ -66,3 +71,34 @@ def brute_pair_metrics(pairs):
         return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
     return strict, mp, mr, f1(mp, mr), up, ur, f1(up, ur)
+
+
+def tape_sigmoid(x):
+    """Logistic sigmoid composed from tape ops: 0.5 * (1 + tanh(x / 2))."""
+    return (x * 0.5).tanh() * 0.5 + 0.5
+
+
+def tape_cols(m, start: int, length: int):
+    """Column slice [:, start:start + length] composed from tape ops."""
+    return m.transpose().take_rows(np.arange(start, start + length)).transpose()
+
+
+def tape_lstm(xs, w_in, w_rec, bias, reverse=False):
+    """The per-step LSTM the fused ``lstm_sequence`` op replaced, recorded
+    node by node on the tape: ``xs`` is one (B, d_in) tensor per step of
+    equal-length sequences; returns the emitted (B, d_s) state per step."""
+    d_s = w_rec.shape[0]
+    b = xs[0].shape[0]
+    h = Tensor.constant(np.zeros((b, d_s)))
+    c = Tensor.constant(np.zeros((b, d_s)))
+    outputs = [None] * len(xs)
+    for t in (range(len(xs) - 1, -1, -1) if reverse else range(len(xs))):
+        z = xs[t].matmul(w_in) + h.matmul(w_rec) + bias
+        gate_i = tape_sigmoid(tape_cols(z, 0, d_s))
+        gate_f = tape_sigmoid(tape_cols(z, d_s, d_s))
+        gate_o = tape_sigmoid(tape_cols(z, 2 * d_s, d_s))
+        cand = tape_cols(z, 3 * d_s, d_s).tanh()
+        c = gate_f * c + gate_i * cand
+        h = gate_o * c.tanh()
+        outputs[t] = h
+    return outputs

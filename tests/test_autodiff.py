@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nfetc.autodiff import (ParamSet, Tensor, concat, gradients, no_grad,
-                            softmax_rows)
+from nfetc.autodiff import (ParamSet, Tensor, concat, gradients, lstm_sequence,
+                            no_grad, softmax_rows)
 from gradcheck import fd_gradient, max_rel_error
+from oracles import tape_cols, tape_lstm, tape_sigmoid
 
 
 def naive_matmul(a, b):
@@ -197,21 +198,34 @@ def test_negation_gradient():
 
 # -- nonlinearities -----------------------------------------------------------
 
+ACTIVATIONS = {"tanh": Tensor.tanh, "sigmoid": tape_sigmoid}
+
+
 @pytest.mark.parametrize("fn", ["tanh", "sigmoid"])
 def test_activation_gradients_match_fd(fn):
+    act = ACTIVATIONS[fn]
     x = Tensor.parameter(rng().standard_normal((2, 5)) * 2)
 
     def run():
-        return float(getattr(x, fn)().sum().data)
+        return float(act(x).sum().data)
 
-    getattr(x, fn)().sum().backward()
+    act(x).sum().backward()
     assert max_rel_error(x.grad, fd_gradient(run, x.data)) < 1e-4
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
-    out = Tensor.constant([1000.0, -1000.0]).sigmoid().data
+    out = tape_sigmoid(Tensor.constant([1000.0, -1000.0])).data
     assert out == pytest.approx([1.0, 0.0])
     assert np.all(np.isfinite(out))
+    # the fused LSTM's gates saturate to exactly 0 or 1 without overflow:
+    # +1000 opens every gate (c = 1, h = tanh 1), -1000 closes them (h = 0)
+    x = Tensor.parameter(np.array([[1000.0], [-1000.0]]))
+    w_in = Tensor.parameter(np.ones((1, 4)))
+    h = lstm_sequence(x, w_in, Tensor.parameter(np.zeros((1, 4))),
+                      Tensor.parameter(np.zeros(4)), [1, 1])
+    assert h.data[:, 0] == pytest.approx([math.tanh(1.0), 0.0])
+    h.sum().backward()
+    assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w_in.grad))
 
 
 def test_log_gradient_matches_fd():
@@ -270,10 +284,11 @@ def test_transpose_reshape_cols_gradients_match_fd():
     w = rng().standard_normal((2, 3))
 
     def run():
-        y = x.transpose().reshape(2, 6).cols(1, 3)
+        y = tape_cols(x.transpose().reshape(2, 6), 1, 3)
         return float((y * Tensor.constant(w[:, :3])).sum().data)
 
-    y = x.transpose().reshape(2, 6).cols(1, 3)
+    y = tape_cols(x.transpose().reshape(2, 6), 1, 3)
+    assert np.array_equal(y.data, x.data.T.reshape(2, 6)[:, 1:4])
     (y * Tensor.constant(w[:, :3])).sum().backward()
     assert max_rel_error(x.grad, fd_gradient(run, x.data)) < 1e-4
 
@@ -335,6 +350,98 @@ def test_concat_gradients_match_fd(axis):
     for p in parts[:2]:
         assert max_rel_error(p.grad, fd_gradient(run, p.data)) < 1e-4
     assert parts[2].grad is None
+
+
+# -- fused LSTM ---------------------------------------------------------------
+
+D_IN, D_S = 3, 2
+
+
+def lstm_case(lengths, seed=3, d_in=D_IN, d_s=D_S):
+    """Time-major inputs for ``lengths`` plus weights and a fixed loss weighting."""
+    r = np.random.default_rng(seed)
+    rows = max(lengths) * len(lengths)
+    x = Tensor.parameter(r.standard_normal((rows, d_in)))
+    w_in = Tensor.parameter(r.standard_normal((d_in, 4 * d_s)) * 0.6)
+    w_rec = Tensor.parameter(r.standard_normal((d_s, 4 * d_s)) * 0.6)
+    bias = Tensor.parameter(r.standard_normal(4 * d_s) * 0.3)
+    return x, w_in, w_rec, bias, r.standard_normal((rows, d_s))
+
+
+@pytest.mark.parametrize("lengths", [[3, 2, 2, 1], [3, 3, 3]], ids=["ragged", "equal"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lstm_sequence_gradients_match_fd(lengths, reverse):
+    x, w_in, w_rec, bias, weight = lstm_case(lengths)
+
+    def loss():
+        out = lstm_sequence(x, w_in, w_rec, bias, lengths, reverse)
+        return (out * Tensor.constant(weight)).sum()
+
+    loss().backward()
+    for p in (x, w_in, w_rec, bias):
+        numeric = fd_gradient(lambda: float(loss().data), p.data)
+        assert max_rel_error(p.grad, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lstm_sequence_matches_tape_lstm(reverse):
+    # each sequence alone through the per-step tape LSTM is the oracle
+    lengths = [5, 4, 4, 2, 1]
+    b = len(lengths)
+    x, w_in, w_rec, bias, weight = lstm_case(lengths, seed=9, d_in=4, d_s=3)
+    params = (x, w_in, w_rec, bias)
+    out = lstm_sequence(x, w_in, w_rec, bias, lengths, reverse)
+    (out * Tensor.constant(weight)).sum().backward()
+    fused = [p.grad for p in params]
+
+    for p in params:
+        p.grad = None
+    want = np.zeros_like(out.data)
+    total = None
+    for k, n in enumerate(lengths):
+        steps = [x.take_rows([t * b + k]) for t in range(n)]
+        for t, h in enumerate(tape_lstm(steps, w_in, w_rec, bias, reverse)):
+            want[t * b + k] = h.data[0]
+            part = (h * Tensor.constant(weight[t * b + k:t * b + k + 1])).sum()
+            total = part if total is None else total + part
+    total.backward()
+
+    assert np.max(np.abs(out.data - want)) <= 1e-12
+    for p, grad in zip(params, fused):
+        assert np.max(np.abs(grad - p.grad)) <= 1e-12
+
+
+def test_lstm_sequence_padding_is_zero_and_inert():
+    lengths = [3, 1]
+    x, w_in, w_rec, bias, weight = lstm_case(lengths)
+    out = lstm_sequence(x, w_in, w_rec, bias, lengths, reverse=True)
+    padded = [3, 5]  # steps 1 and 2 of the second sequence
+    assert np.array_equal(out.data[padded], np.zeros((2, D_S)))
+    assert np.all(out.data[[0, 1, 2, 4]] != 0.0)
+    (out * Tensor.constant(weight)).sum().backward()
+    assert np.array_equal(x.grad[padded], np.zeros((2, D_IN)))
+
+
+def test_lstm_sequence_keeps_no_tape_under_no_grad():
+    x, w_in, w_rec, bias, _ = lstm_case([2, 1])
+    with no_grad():
+        out = lstm_sequence(x, w_in, w_rec, bias, [2, 1])
+    assert not out.requires_grad
+    assert out._backward is None and out._parents == ()
+
+
+@pytest.mark.parametrize("lengths,rows,message", [
+    ([1, 2], 4, "non-increasing"),
+    ([2, 0], 4, "non-increasing"),
+    ([3, 1], 4, "non-increasing"),
+    ([2, 1], 5, "do not split"),
+    ([], 4, "do not split"),
+])
+def test_lstm_sequence_rejects_bad_layout(lengths, rows, message):
+    _, w_in, w_rec, bias, _ = lstm_case([1])
+    x = Tensor.constant(np.zeros((rows, D_IN)))
+    with pytest.raises(ValueError, match=message):
+        lstm_sequence(x, w_in, w_rec, bias, lengths)
 
 
 # -- tape mechanics -----------------------------------------------------------
@@ -421,6 +528,22 @@ class TestParamSet:
         ps["w"].data[0, 0] = 99.0
         ps.load_values(snapshot)
         assert ps["w"].data[0, 0] == 1.0
+
+    def test_frozen_arrays_are_shared_read_only(self):
+        ps = self.build()
+        frozen = ps["frozen"].data
+        assert not frozen.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0] = 1.0
+        snapshot = ps.copy_values()
+        assert snapshot["frozen"] is frozen
+        assert snapshot["w"] is not ps["w"].data
+        ps.load_values(snapshot)
+        assert ps["frozen"].data is frozen
+        # a different array for a frozen entry is copied in, read-only again
+        ps.load_values({"w": np.ones((2, 2)), "frozen": np.full(3, 2.0)})
+        assert ps["frozen"].data.tolist() == [2.0, 2.0, 2.0]
+        assert not ps["frozen"].data.flags.writeable
 
     def test_load_shape_mismatch(self):
         ps = self.build()

@@ -31,7 +31,7 @@ def test_parse_mini_corpus(corpus):
     assert len(corpus) == 12
     assert corpus.tag == "mini"
     first = corpus[0]
-    assert first.mention_tokens == ("Jordan",)
+    assert first.tokens[first.start:first.end] == ("Jordan",)
     assert first.labels == ("/person", "/person/athlete")
     assert first.terminals == frozenset({"/person/athlete"})
 
@@ -111,7 +111,7 @@ def test_window_plain_arithmetic(forest):
     cut = window(triple, 10)
     assert len(cut.tokens) == 21
     assert cut.start == 10 and cut.end == 11
-    assert cut.mention_tokens == ("t25",)
+    assert cut.tokens[cut.start:cut.end] == ("t25",)
     assert cut.labels == triple.labels
     assert cut.terminals == triple.terminals
 
@@ -122,7 +122,7 @@ def test_window_clips_at_edges():
     assert left.tokens == tokens[:5] and left.start == 1
 
     right = window(MentionTriple(tokens, 6, 8, ("/x",)), 3)
-    assert right.tokens == tokens[3:] and right.mention_tokens == ("t6", "t7")
+    assert right.tokens == tokens[3:] and right.tokens[right.start:right.end] == ("t6", "t7")
 
 
 def test_window_idempotent():
@@ -148,7 +148,8 @@ def test_windowed_maps_all_and_keeps_tag(corpus):
     assert len(cut) == len(corpus)
     assert cut.tag == corpus.tag
     assert all(len(t.tokens) <= (t.end - t.start) + 4 for t in cut)
-    assert [t.mention_tokens for t in cut] == [t.mention_tokens for t in corpus]
+    assert ([t.tokens[t.start:t.end] for t in cut]
+            == [t.tokens[t.start:t.end] for t in corpus])
 
 
 def test_build_filtered_matches_manifest(corpus, forest, manifest):

@@ -15,8 +15,8 @@ def test_from_file_basic(tmp_path):
                         "cat 1.0 2.0\ndog -0.5 0.25\n")
     assert len(emb) == 2
     assert emb.dim == 2
-    assert np.array_equal(emb.lookup("cat"), [1.0, 2.0])
-    assert np.array_equal(emb.lookup("dog"), [-0.5, 0.25])
+    assert np.array_equal(emb.vectors(emb.indices(["cat", "dog"])),
+                          [[1.0, 2.0], [-0.5, 0.25]])
 
 
 def test_from_file_skips_blank_lines(tmp_path):
@@ -26,23 +26,29 @@ def test_from_file_skips_blank_lines(tmp_path):
 
 def test_oov_is_zero_vector(tmp_path):
     emb = write_vectors(tmp_path / "v.txt", "cat 1.0 2.0\n")
-    assert np.array_equal(emb.lookup("unseen"), [0.0, 0.0])
+    assert emb.indices(["unseen"]).tolist() == [-1]
+    assert np.array_equal(emb.vectors([-1]), [[0.0, 0.0]])
     assert "unseen" not in emb
     assert "cat" in emb
 
 
 def test_lookup_is_case_sensitive(tmp_path):
     emb = write_vectors(tmp_path / "v.txt", "Cat 1.0\ncat 2.0\n")
-    assert emb.lookup("Cat")[0] == 1.0
-    assert emb.lookup("cat")[0] == 2.0
-    assert np.array_equal(emb.lookup("CAT"), [0.0])
+    got = emb.vectors(emb.indices(["Cat", "cat", "CAT"]))
+    assert got[0, 0] == 1.0
+    assert got[1, 0] == 2.0
+    assert np.array_equal(got[2], [0.0])
 
 
 def test_lookup_many_stacks_rows(tmp_path):
     emb = write_vectors(tmp_path / "v.txt", "a 1.0 0.0\nb 0.0 1.0\n")
-    got = emb.lookup_many(["b", "zzz", "a"])
+    got = emb.vectors(emb.indices(["b", "zzz", "a"]))
     assert got.shape == (3, 2)
     assert np.array_equal(got, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+    # any index shape: a (2, 2) grid of rows, padding -1 gives zeros
+    grid = emb.vectors(np.array([[1, -1], [0, 1]]))
+    assert grid.shape == (2, 2, 2)
+    assert np.array_equal(grid[0], [[0.0, 1.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("text,message", [
@@ -90,8 +96,7 @@ def test_position_table_rejects_small_window():
 
 def test_index_for_inside_span_is_center():
     table = PositionTable(c=3, dim=1, rng=make_rng(1))
-    for i in (2, 3, 4):
-        assert table.index_for(i, 2, 5) == 3  # d=0 -> c
+    assert table.indices([2, 3, 4], 2, 5).tolist() == [3, 3, 3]  # d=0 -> c
 
 
 @pytest.mark.parametrize("i,expected_d", [
@@ -102,28 +107,33 @@ def test_index_for_inside_span_is_center():
 ])
 def test_index_for_signed_distances(i, expected_d):
     table = PositionTable(c=3, dim=1, rng=make_rng(1))
-    assert table.index_for(i, 2, 5) == expected_d + 3
+    assert table.indices(i, 2, 5) == expected_d + 3
 
 
 def test_index_for_out_of_range_bucket():
     table = PositionTable(c=2, dim=1, rng=make_rng(1))
-    assert table.index_for(7, 2, 5) == 2 * 2 + 1  # d=3 beyond c=2
-    assert table.index_for(30, 2, 5) == 5
+    assert table.indices(7, 2, 5) == 2 * 2 + 1  # d=3 beyond c=2
+    assert table.indices(30, 2, 5) == 5
     # the farthest in-range tokens still map to edge rows
-    assert table.index_for(6, 2, 5) == 4
-    assert table.index_for(0, 2, 5) == 0
+    assert table.indices(6, 2, 5) == 4
+    assert table.indices(0, 2, 5) == 0
 
 
 def test_index_for_rejects_bad_span():
     table = PositionTable(c=2, dim=1, rng=make_rng(1))
+    with pytest.raises(EmbeddingError, match=r"invalid mention span \[3, 3\)"):
+        table.indices(0, 3, 3)
     with pytest.raises(EmbeddingError, match="invalid mention span"):
-        table.index_for(0, 3, 3)
-    with pytest.raises(EmbeddingError, match="invalid mention span"):
-        table.index_for(0, -1, 2)
+        table.indices(0, -1, 2)
+    with pytest.raises(EmbeddingError, match=r"invalid mention span \[4, 2\)"):
+        table.indices([0, 1], [0, 4], [1, 2])
 
 
 def test_indices_for_vectorizes():
     table = PositionTable(c=2, dim=1, rng=make_rng(1))
-    got = np.array([table.index_for(i, 2, 5) for i in range(7)], dtype=np.intp)
+    got = table.indices(np.arange(7), 2, 5)
     assert got.dtype == np.intp
     assert got.tolist() == [0, 1, 2, 2, 2, 3, 4]
+    # (T, B) grid: positions down, one span per column
+    grid = table.indices(np.arange(3)[:, None], np.array([0, 2]), np.array([1, 3]))
+    assert grid.tolist() == [[2, 0], [3, 1], [4, 2]]

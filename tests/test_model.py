@@ -9,7 +9,8 @@ from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig, l2_penalty, mean_nll
-from nfetc.model import (ModelConfig, NfetcModel, bucket_indices, init_params)
+from nfetc import model as model_module
+from nfetc.model import ModelConfig, NfetcModel, init_params
 from nfetc.optim import make_rng
 
 VOCAB = ["the", "cat", "sat", "on", "mat", "dog", "ran", "big", "red", "fox"]
@@ -115,19 +116,18 @@ def test_model_rejects_forest_size_mismatch():
         NfetcModel(config, make_embeddings(), make_forest(), make_rng(1))
 
 
-# -- bucketing -----------------------------------------------------------------
+# -- length sort ---------------------------------------------------------------
 
 
-def test_bucket_indices_groups_by_shape():
+def test_batch_is_sorted_by_context_length_stably():
     ts = [triple(["cat"], 0, 1),
           triple(["cat", "sat"], 0, 1),
           triple(["dog"], 0, 1),
           triple(["dog", "ran"], 0, 2),
           triple(["mat", "the"], 1, 2)]
-    groups = bucket_indices(ts)
-    assert groups == [[0, 2], [1, 4], [3]]
-    flat = sorted(i for g in groups for i in g)
-    assert flat == list(range(len(ts)))
+    _, aux = make_model().forward_bucket(ts)
+    assert aux["order"].tolist() == [1, 3, 4, 0, 2]
+    assert sorted(aux["order"].tolist()) == list(range(len(ts)))
 
 
 # -- structural zero cases -----------------------------------------------------
@@ -151,7 +151,7 @@ def test_zero_weights_keep_mention_average():
     emb = make_embeddings()
     zero_params(model)
     trace = model.forward(triple(["cat", "sat", "dog"], 0, 2))
-    want = (emb.lookup("cat") + emb.lookup("sat")) / 2.0
+    want = emb.vectors(emb.indices(["cat", "sat"])).sum(axis=0) / 2.0
     assert np.allclose(trace.r_a, want, atol=1e-15)
     assert np.allclose(trace.feature[3:3 + D_W], want, atol=1e-15)
 
@@ -200,19 +200,18 @@ def test_zero_attention_vector_averages_context():
 
 
 def test_attention_hand_computed_two_steps():
-    model = make_model(d_s=2)
+    model = make_model(seed=4, d_s=2)
     model.params["attn_w"].data[:] = [1.0, -1.0]
-    h1 = Tensor.constant(np.array([[0.5, -0.5]]))
-    h2 = Tensor.constant(np.array([[1.0, 0.0]]))
-    alpha, r_c = model._attention([h1, h2])
+    trace = model.forward(triple(["cat", "sat"], 0, 1))
+    (h1, h2) = trace.context_outputs
 
-    s1 = math.tanh(0.5) - math.tanh(-0.5)
-    s2 = math.tanh(1.0) - math.tanh(0.0)
+    s1 = math.tanh(h1[0]) - math.tanh(h1[1])
+    s2 = math.tanh(h2[0]) - math.tanh(h2[1])
     e1, e2 = math.exp(s1), math.exp(s2)
     a1, a2 = e1 / (e1 + e2), e2 / (e1 + e2)
-    assert np.allclose(alpha.data, [[a1, a2]], atol=1e-15)
-    want = a1 * np.array([0.5, -0.5]) + a2 * np.array([1.0, 0.0])
-    assert np.allclose(r_c.data, [want], atol=1e-15)
+    assert np.allclose(trace.alpha, [a1, a2], atol=1e-15)
+    want = a1 * h1 + a2 * h2
+    assert np.allclose(trace.r_c, want, atol=1e-15)
 
 
 def test_attention_weights_sum_to_one():
@@ -226,25 +225,37 @@ def test_attention_weights_sum_to_one():
 # -- mention inputs ------------------------------------------------------------
 
 
+def extended_mention(model, m):
+    """Word vectors of the extended mention the mention LSTM reads."""
+    ext = model._indices([m])[-1][0]
+    return model.embeddings.vectors(ext)
+
+
 def test_mention_inputs_pad_with_zero_at_edges():
     model = make_model()
     emb = make_embeddings()
 
     at_start = triple(["cat", "sat", "on"], 0, 1)
-    steps = model._mention_inputs([at_start])
+    steps = extended_mention(model, at_start)
     assert len(steps) == 3  # one either side of the single-token span
-    assert np.array_equal(steps[0].data[0], np.zeros(D_W))
-    assert np.array_equal(steps[1].data[0], emb.lookup("cat"))
-    assert np.array_equal(steps[2].data[0], emb.lookup("sat"))
+    assert np.array_equal(steps[0], np.zeros(D_W))
+    assert np.array_equal(steps[1], emb.vectors(emb.indices(["cat"]))[0])
+    assert np.array_equal(steps[2], emb.vectors(emb.indices(["sat"]))[0])
 
     at_end = triple(["cat", "sat", "on"], 2, 3)
-    steps = model._mention_inputs([at_end])
-    assert np.array_equal(steps[0].data[0], emb.lookup("sat"))
-    assert np.array_equal(steps[2].data[0], np.zeros(D_W))
+    steps = extended_mention(model, at_end)
+    assert np.array_equal(steps[0], emb.vectors(emb.indices(["sat"]))[0])
+    assert np.array_equal(steps[2], np.zeros(D_W))
 
 
 def test_pad_token_is_out_of_vocabulary():
-    assert NfetcModel.PAD not in make_embeddings()
+    # sentence edges take the out-of-vocabulary index, i.e. the zero vector
+    model = make_model()
+    emb = make_embeddings()
+    ext = model._indices([triple(["zzz", "cat"], 0, 2)])[-1][0]
+    assert ext.tolist() == [-1, -1, emb.indices(["cat"])[0], -1]
+    assert emb.indices(["zzz"]).tolist() == [-1]
+    assert np.array_equal(emb.vectors(ext[[0, 1, 3]]), np.zeros((3, D_W)))
 
 
 # -- forward consistency -------------------------------------------------------
@@ -319,39 +330,79 @@ def test_forward_batch_of_nothing_is_zero_rows():
     assert model.predict_probs([]).shape == (0, 3)
 
 
-def bucket_sum_objective(model, batch, config, rng):
-    """Oracle: the training objective as a weighted sum of per-bucket mean
-    NLLs (weight = bucket share of the batch) plus one L2 term."""
-    total = None
-    for bucket in bucket_indices(batch):
-        sub = [batch[i] for i in bucket]
-        probs, _ = model.forward_bucket(sub, train=True, rng=rng)
-        part = mean_nll(probs, sub, config, model.forest) * (len(sub) / len(batch))
-        total = part if total is None else total + part
-    return total + l2_penalty(model.params, config.lam)
-
-
-def test_forward_batch_objective_matches_bucket_sum():
-    model = make_model(seed=13, p_in=0.7, p_out=0.9)
+def test_forward_batch_objective_matches_single_mention_sum():
+    # keep = 1: the padded batch must equal one mention at a time exactly,
+    # in the objective and in every parameter gradient
+    model = make_model(seed=13)
     config = LossConfig(lam=0.01, beta=0.4, mode="variant", hier=True)
-    batch = [triple(["the", "cat", "sat", "on"], 1, 2, ("/a/b", "/c")),
-             triple(["dog", "ran"], 0, 1, ("/c",)),
-             triple(["big", "red", "fox", "ran"], 2, 3, ("/a",)),
+    batch = [triple(["dog", "ran"], 0, 1, ("/c",)),
+             triple(["the", "cat", "sat", "on"], 1, 2, ("/a/b", "/c")),
              triple(["mat"], 0, 1, ("/a", "/a/b")),
+             triple(["big", "red", "fox", "ran", "on"], 2, 4, ("/a",)),
              triple(["the", "dog", "sat", "on"], 1, 3, ("/a", "/c")),
              triple(["red", "mat"], 1, 2, ("/c",))]
-    assert len(bucket_indices(batch)) == 4  # mixed lengths, shared shapes
 
-    want = bucket_sum_objective(model, batch, config, make_rng(5))
+    want = None
+    for m in batch:
+        part = mean_nll(model.forward_batch([m], train=True), [m], config,
+                        model.forest) * (1.0 / len(batch))
+        want = part if want is None else want + part
+    want = want + l2_penalty(model.params, config.lam)
     want_grads = gradients(want, model.params)
-    probs = model.forward_batch(batch, train=True, rng=make_rng(5))
+    probs = model.forward_batch(batch, train=True)
     got = mean_nll(probs, batch, config, model.forest) + l2_penalty(model.params, config.lam)
     got_grads = gradients(got, model.params)
 
+    single = np.concatenate([model.predict_probs([m]) for m in batch])
+    assert np.max(np.abs(probs.data - single)) <= 1e-12
     assert abs(got.item() - want.item()) <= 1e-12
     assert set(got_grads) == set(want_grads)
     for name, grad in want_grads.items():
         assert np.max(np.abs(got_grads[name] - grad)) <= 1e-12, name
+
+
+def count_tape_nodes(monkeypatch, model, batch, config):
+    """requires_grad tensors one training step records."""
+    count = [0]
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        count[0] += self.requires_grad
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    probs = model.forward_batch(batch, train=True, rng=make_rng(2))
+    gradients(mean_nll(probs, batch, config, model.forest), model.params)
+    monkeypatch.setattr(Tensor, "__init__", init)
+    return count[0]
+
+
+def test_tape_size_does_not_grow_with_batch(monkeypatch):
+    model = make_model(p_in=0.7, p_out=0.9)
+    config = LossConfig(mode="variant")
+    words = VOCAB + ["zzz"]
+    rng = make_rng(6)
+    big = []
+    for _ in range(64):
+        n = int(rng.integers(1, 9))
+        start = int(rng.integers(0, n))
+        end = int(rng.integers(start + 1, min(n, start + 3) + 1))
+        big.append(triple([words[int(k)] for k in rng.integers(0, len(words), n)],
+                          start, end, ("/a", "/c")))
+    assert len({(len(m.tokens), m.end - m.start) for m in big}) > 10
+    small = count_tape_nodes(monkeypatch, model, big[:4], config)
+    assert small == count_tape_nodes(monkeypatch, model, big, config)
+
+
+def test_six_dropout_masks_per_batch(monkeypatch):
+    model = make_model(p_in=0.7, p_out=0.9)
+    calls = []
+    draw = model_module.dropout_mask
+    monkeypatch.setattr(model_module, "dropout_mask",
+                        lambda *args: calls.append(args[0]) or draw(*args))
+    batch = [T4, triple(["dog", "ran"], 0, 1), triple(["mat"], 0, 1)]
+    model.forward_batch(batch, train=True, rng=make_rng(1))
+    assert len(calls) == 6
 
 
 # -- dropout -------------------------------------------------------------------
@@ -411,8 +462,8 @@ def nll_for(model, batch, gold_col, train=False, seed=None):
 ])
 def test_gradients_match_finite_differences(name):
     model = make_model(seed=21)
-    batch = [T4, triple(["dog", "ran", "on", "mat"], 0, 1)]
-    gold = [1, 2]
+    batch = [T4, triple(["dog", "ran", "on", "mat"], 0, 1), triple(["red", "fox"], 1, 2)]
+    gold = [1, 2, 0]
 
     loss = nll_for(model, batch, gold)
     grads = gradients(loss, model.params)

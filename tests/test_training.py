@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from nfetc import training as training_module
 from nfetc.corpus import Corpus, MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.evaluation import evaluate
@@ -196,6 +197,27 @@ def test_train_divergence_aborts_with_context():
     _, config = select_variant("NFETC(f)", lam=0.001)
     with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="epoch"):
         train(train_c, dev_c, emb, forest, small_hp(lr=1e300, lam=0.001), config)
+
+
+def test_train_rejects_non_finite_gradient_before_the_update(monkeypatch):
+    train_c, dev_c, emb, forest = make_world()
+    _, config = select_variant("NFETC(f)")
+    seen = {}
+    real = training_module.gradients
+
+    def poisoned(loss, params):
+        seen["params"] = params
+        seen["before"] = {n: t.data.tobytes() for n, t in params.items()}
+        grads = real(loss, params)
+        grads["men.w_rec"] = np.full_like(grads["men.w_rec"], np.inf)
+        return grads
+
+    monkeypatch.setattr(training_module, "gradients", poisoned)
+    with pytest.raises(TrainingDiverged,
+                       match=r"gradient for men\.w_rec at epoch 1, batch starting at mention 0"):
+        train(train_c, dev_c, emb, forest, small_hp(), config)
+    params = seen["params"]
+    assert {n: t.data.tobytes() for n, t in params.items()} == seen["before"]
 
 
 def test_train_writes_epoch_log_stream():
