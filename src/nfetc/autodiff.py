@@ -109,7 +109,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64)
+            self.grad = np.asarray(grad, dtype=np.float64)
         else:
             self.grad = self.grad + grad
 
@@ -335,25 +335,33 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def lstm_sequence(x: Tensor, w_in: Tensor, w_rec: Tensor, bias: Tensor,
-                  lengths, reverse: bool = False) -> Tensor:
+def lstm_sequence(x: Tensor | list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
+                  lengths, reverse: bool = False, mask_in=None, mask_out=None) -> Tensor:
     """A fused-gate LSTM over a padded, time-major batch, as one tape node.
 
-    Row t*B + b of ``x`` is step t of sequence b. ``lengths`` must be
-    non-increasing, so the sequences running at step t are the prefix [:n_t]
-    and no step touches padding. Gate column blocks are input, forget,
+    Row t*B + b of ``x`` is step t of sequence b; ``x`` may be a list of
+    column blocks with the same rows, in ``w_in`` row order. ``lengths`` must
+    be non-increasing, so the sequences running at step t are the prefix
+    [:n_t] and no step touches padding. Gate column blocks are input, forget,
     output, candidate. ``reverse`` runs each sequence from its own last step
     back to step 0. Returns the (T*B, d_s) states, zero on padded rows.
+
+    Dropout masks ``mask_in`` (R, d_in) and ``mask_out`` (R, d_s) cover the
+    R = sum(lengths) real rows in time-major order, step t's prefix after
+    step t-1's. The masked input feeds the gates and the masked output is
+    emitted; the recurrent state stays unmasked (Zaremba et al., 1409.2329).
 
     Only h·W_rec runs per step: x·W_in, dW_in and dW_rec are one GEMM each
     over all real rows (Appleyard, Kočiský & Blunsom, arXiv 1604.01946).
     """
+    blocks = list(x) if isinstance(x, (list, tuple)) else [x]
+    shapes = [blk.data.shape for blk in blocks]
     lengths = np.asarray(lengths, dtype=np.intp)
     b = lengths.size
-    rows = x.data.shape[0]
-    if x.data.ndim != 2 or b == 0 or rows % b:
-        raise ValueError(f"lstm_sequence: {x.data.shape} input rows do not split "
-                         f"into {b} sequences")
+    rows = shapes[0][0]
+    if b == 0 or rows % b or any(len(s) != 2 or s[0] != rows for s in shapes):
+        raise ValueError(f"lstm_sequence: input blocks {shapes} do not split "
+                         f"into {b} sequences of equal rows")
     steps = rows // b
     if np.any(np.diff(lengths) > 0) or lengths[-1] < 1 or lengths[0] > steps:
         raise ValueError(f"lstm_sequence: lengths must be non-increasing in "
@@ -361,12 +369,17 @@ def lstm_sequence(x: Tensor, w_in: Tensor, w_rec: Tensor, bias: Tensor,
     d = w_rec.data.shape[0]
     live = (lengths[None, :] > np.arange(steps)[:, None])
     real = np.flatnonzero(live)             # time-major order: step t's prefix
+    if any(m is not None and len(m) != real.size for m in (mask_in, mask_out)):
+        raise ValueError(f"lstm_sequence: dropout masks need {real.size} rows, one per real step")
     n_at = live.sum(axis=1)
     offset = np.concatenate([[0], np.cumsum(n_at)])
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    record = _GRAD_ENABLED and any(t.requires_grad for t in (x, w_in, w_rec, bias))
+    record = _GRAD_ENABLED and any(t.requires_grad for t in (*blocks, w_in, w_rec, bias))
 
-    gates = x.data[real] @ w_in.data   # biased and activated in place below
+    xr = np.concatenate([blk.data[real] for blk in blocks], axis=1)
+    if mask_in is not None:
+        xr *= mask_in
+    gates = xr @ w_in.data   # biased and activated in place below
     gates += bias.data
     if record:
         h_prev = np.zeros((real.size, d))
@@ -390,12 +403,15 @@ def lstm_sequence(x: Tensor, w_in: Tensor, w_rec: Tensor, bias: Tensor,
             tanh_c[offset[t]:offset[t] + n] = tc
         h[:n] = z[:, 2 * d:3 * d] * tc
         out[t * b:t * b + n] = h[:n]
+    if mask_out is not None:
+        out[real] *= mask_out
 
-    result = Tensor(out, requires_grad=record, parents=(x, w_in, w_rec, bias))
+    result = Tensor(out, requires_grad=record, parents=(*blocks, w_in, w_rec, bias))
     if not record:
         return result
 
     def backward(g):
+        g = g[real] if mask_out is None else g[real] * mask_out
         dz = np.empty_like(gates)
         dh = np.zeros((b, d))
         dc = np.zeros((b, d))
@@ -405,7 +421,7 @@ def lstm_sequence(x: Tensor, w_in: Tensor, w_rec: Tensor, bias: Tensor,
             s = slice(offset[t], offset[t] + n)
             i, f, o, cand = (gates[s, k * d:(k + 1) * d] for k in range(4))
             tc = tanh_c[s]
-            dh_t = g[t * b:t * b + n] + dh[:n]
+            dh_t = g[s] + dh[:n]
             dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
             dz[s, :d] = dc_t * cand * i * (1.0 - i)
             dz[s, d:2 * d] = dc_t * c_prev[s] * f * (1.0 - f)
@@ -413,12 +429,15 @@ def lstm_sequence(x: Tensor, w_in: Tensor, w_rec: Tensor, bias: Tensor,
             dz[s, 3 * d:] = dc_t * i * (1.0 - cand * cand)
             dh[:n] = dz[s] @ w_rec_t
             dc[:n] = dc_t * f
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            dx[real] = dz @ w_in.data.T
-            x._accumulate(dx)
+        bounds = np.cumsum([0] + [s[1] for s in shapes])
+        for blk, lo, hi in zip(blocks, bounds, bounds[1:]):
+            if blk.requires_grad:   # frozen blocks skip their dx GEMM
+                dxr = dz @ w_in.data[lo:hi].T
+                dx = np.zeros_like(blk.data)
+                dx[real] = dxr if mask_in is None else dxr * mask_in[:, lo:hi]
+                blk._accumulate(dx)
         if w_in.requires_grad:
-            w_in._accumulate(x.data[real].T @ dz)
+            w_in._accumulate(xr.T @ dz)
         if w_rec.requires_grad:
             w_rec._accumulate(h_prev.T @ dz)
         if bias.requires_grad:

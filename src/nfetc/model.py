@@ -6,10 +6,11 @@ type classifier.
 the mentions by context length, longest first, and lays the inputs out
 time-major, row t*B + b for token t of mention b, built from index arrays.
 Each LSTM is one ``lstm_sequence`` tape node that touches only the real
-rows, attention masks padded scores to -inf, and the mention LSTM runs in
-its own length order. Rows come back in input order, and a batch gives the
-rows its mentions give one at a time. ``predict_probs`` runs the same pass
-without a tape over length-sorted chunks of ``PREDICT_CHUNK`` mentions.
+rows, dropout masks included; attention masks padded scores to -inf, and
+the mention LSTM runs in its own length order. Rows come back in input
+order, and a batch gives the rows its mentions give one at a time.
+``predict_probs`` runs the same pass without a tape over length-sorted
+chunks of ``PREDICT_CHUNK`` mentions.
 """
 
 from __future__ import annotations
@@ -152,19 +153,19 @@ class NfetcModel:
 
     # -- encoders -------------------------------------------------------------
 
-    def _encode(self, prefix: str, x: Tensor, lengths, reverse: bool,
+    def _encode(self, prefix: str, blocks: list[Tensor], lengths, reverse: bool,
                 keep_in: float, keep_out: float, train: bool, rng) -> Tensor:
-        """One LSTM over a time-major batch. Input/output dropout follows the
-        usual cell-wrapper contract: inputs and emitted outputs are masked,
-        the recurrent state is not."""
-        if train and keep_in < 1.0:
-            x = x * Tensor.constant(dropout_mask(x.shape, keep_in, rng))
+        """One LSTM over a time-major batch of column blocks. Input/output
+        dropout follows the usual cell-wrapper contract: inputs and emitted
+        outputs are masked, the recurrent state is not. The op applies the
+        masks, drawn input first over the real tokens only (sum(lengths) rows)."""
+        n_real = int(np.sum(lengths))
+        widths = (sum(blk.shape[1] for blk in blocks), self.config.d_s)
+        masks = [dropout_mask((n_real, width), keep, rng) if train and keep < 1.0 else None
+                 for width, keep in zip(widths, (keep_in, keep_out))]
         p = self.params
-        h = lstm_sequence(x, p[f"{prefix}.w_in"], p[f"{prefix}.w_rec"],
-                          p[f"{prefix}.bias"], lengths, reverse)
-        if train and keep_out < 1.0:
-            h = h * Tensor.constant(dropout_mask(h.shape, keep_out, rng))
-        return h
+        return lstm_sequence(blocks, p[f"{prefix}.w_in"], p[f"{prefix}.w_rec"],
+                             p[f"{prefix}.bias"], lengths, reverse, *masks)
 
     # -- full forward -----------------------------------------------------------
 
@@ -181,9 +182,9 @@ class NfetcModel:
         ctx_len, span, words, positions, ext = self._indices(batch)
         b, t_len = words.shape
 
-        # context BiLSTM over (T*B, d_w + d_p) rows
-        x = concat([Tensor.constant(self.embeddings.vectors(words.T).reshape(t_len * b, -1)),
-                    self.params["pos_table"].take_rows(positions.reshape(-1))], 1)
+        # context BiLSTM over (T*B, d_w + d_p) rows: frozen words, trained positions
+        x = [Tensor.constant(self.embeddings.vectors(words.T).reshape(t_len * b, -1)),
+             self.params["pos_table"].take_rows(positions.reshape(-1))]
         fw = self._encode("ctx_fw", x, ctx_len, False, cfg.p_in, cfg.p_out, train, rng)
         bw = self._encode("ctx_bw", x, ctx_len, True, cfg.p_in, cfg.p_out, train, rng)
         context = fw + bw
@@ -208,7 +209,7 @@ class NfetcModel:
         xm = Tensor.constant(self.embeddings.vectors(ext[men_order].T).reshape(-1, cfg.d_w))
         keep_in = cfg.p_in if cfg.dropout_mention else 1.0
         keep_out = cfg.p_out if cfg.dropout_mention else 1.0
-        hm = self._encode("men", xm, ext_len[men_order], False, keep_in, keep_out, train, rng)
+        hm = self._encode("men", [xm], ext_len[men_order], False, keep_in, keep_out, train, rng)
         rank = np.empty(b, dtype=np.intp)
         rank[men_order] = np.arange(b)
         r_l = hm.take_rows((ext_len - 1) * b + rank)

@@ -5,6 +5,7 @@ import pytest
 
 from nfetc.autodiff import (ParamSet, Tensor, concat, gradients, lstm_sequence,
                             no_grad, softmax_rows)
+from nfetc.optim import dropout_mask
 from gradcheck import fd_gradient, max_rel_error
 from oracles import tape_cols, tape_lstm, tape_sigmoid
 
@@ -368,39 +369,64 @@ def lstm_case(lengths, seed=3, d_in=D_IN, d_s=D_S):
     return x, w_in, w_rec, bias, r.standard_normal((rows, d_s))
 
 
-@pytest.mark.parametrize("lengths", [[3, 2, 2, 1], [3, 3, 3]], ids=["ragged", "equal"])
+def masked_case(x, lengths, d_s=D_S, seed=5):
+    """``x`` split into a constant first column and a trainable rest, plus
+    input and output dropout masks over the real rows."""
+    r = np.random.default_rng(seed)
+    blocks = [Tensor.constant(x.data[:, :1]), Tensor.parameter(x.data[:, 1:].copy())]
+    masks = [dropout_mask((sum(lengths), width), 0.7, r) for width in (x.shape[1], d_s)]
+    assert all(0 < np.count_nonzero(m) < m.size for m in masks)
+    return blocks, masks
+
+
+@pytest.mark.parametrize("lengths,masked", [([3, 2, 2, 1], False), ([3, 3, 3], False),
+                                            ([3, 2, 2, 1], True)],
+                         ids=["ragged", "equal", "masked"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-def test_lstm_sequence_gradients_match_fd(lengths, reverse):
+def test_lstm_sequence_gradients_match_fd(lengths, masked, reverse):
     x, w_in, w_rec, bias, weight = lstm_case(lengths)
+    blocks, masks = masked_case(x, lengths) if masked else ([x], [None, None])
 
     def loss():
-        out = lstm_sequence(x, w_in, w_rec, bias, lengths, reverse)
+        out = lstm_sequence(blocks, w_in, w_rec, bias, lengths, reverse, *masks)
         return (out * Tensor.constant(weight)).sum()
 
     loss().backward()
-    for p in (x, w_in, w_rec, bias):
+    for p in (blocks[-1], w_in, w_rec, bias):
         numeric = fd_gradient(lambda: float(loss().data), p.data)
         assert max_rel_error(p.grad, numeric) < 1e-4
+    if masked:
+        assert blocks[0].grad is None
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-def test_lstm_sequence_matches_tape_lstm(reverse):
-    # each sequence alone through the per-step tape LSTM is the oracle
+@pytest.mark.parametrize("reverse,masked", [(False, False), (True, False),
+                                            (False, True), (True, True)],
+                         ids=["forward", "reverse", "forward-masked", "reverse-masked"])
+def test_lstm_sequence_matches_tape_lstm(reverse, masked):
+    # each sequence alone through the per-step tape LSTM is the oracle; there
+    # the masks are explicit tape products on each step's input and output
     lengths = [5, 4, 4, 2, 1]
     b = len(lengths)
     x, w_in, w_rec, bias, weight = lstm_case(lengths, seed=9, d_in=4, d_s=3)
-    params = (x, w_in, w_rec, bias)
-    out = lstm_sequence(x, w_in, w_rec, bias, lengths, reverse)
+    blocks, masks = masked_case(x, lengths, d_s=3) if masked else ([x], [None, None])
+    params = (blocks[-1], w_in, w_rec, bias)
+    out = lstm_sequence(blocks, w_in, w_rec, bias, lengths, reverse, *masks)
     (out * Tensor.constant(weight)).sum().backward()
     fused = [p.grad for p in params]
 
+    def mask(tensor, m, row):
+        return tensor if m is None else tensor * Tensor.constant(m[row:row + 1])
+
     for p in params:
         p.grad = None
+    real = [(t, k) for t in range(lengths[0]) for k in range(b) if t < lengths[k]]
     want = np.zeros_like(out.data)
     total = None
     for k, n in enumerate(lengths):
-        steps = [x.take_rows([t * b + k]) for t in range(n)]
+        steps = [mask(concat([blk.take_rows([t * b + k]) for blk in blocks], 1),
+                      masks[0], real.index((t, k))) for t in range(n)]
         for t, h in enumerate(tape_lstm(steps, w_in, w_rec, bias, reverse)):
+            h = mask(h, masks[1], real.index((t, k)))
             want[t * b + k] = h.data[0]
             part = (h * Tensor.constant(weight[t * b + k:t * b + k + 1])).sum()
             total = part if total is None else total + part
@@ -409,6 +435,8 @@ def test_lstm_sequence_matches_tape_lstm(reverse):
     assert np.max(np.abs(out.data - want)) <= 1e-12
     for p, grad in zip(params, fused):
         assert np.max(np.abs(grad - p.grad)) <= 1e-12
+    if masked:
+        assert blocks[0].grad is None
 
 
 def test_lstm_sequence_padding_is_zero_and_inert():
@@ -430,18 +458,28 @@ def test_lstm_sequence_keeps_no_tape_under_no_grad():
     assert out._backward is None and out._parents == ()
 
 
-@pytest.mark.parametrize("lengths,rows,message", [
-    ([1, 2], 4, "non-increasing"),
-    ([2, 0], 4, "non-increasing"),
-    ([3, 1], 4, "non-increasing"),
-    ([2, 1], 5, "do not split"),
-    ([], 4, "do not split"),
-])
-def test_lstm_sequence_rejects_bad_layout(lengths, rows, message):
+@pytest.mark.parametrize("lengths,rows,mask_rows,message", [
+    ([1, 2], 4, None, "non-increasing"),
+    ([2, 0], 4, None, "non-increasing"),
+    ([3, 1], 4, None, "non-increasing"),
+    ([2, 1], 5, None, "do not split"),
+    ([], 4, None, "do not split"),
+    ([2, 1], (4, 6), None, "equal rows"),
+    ([2, 1], 4, (4, 3), "need 3 rows"),
+    ([2, 1], 4, (3, 2), "need 3 rows"),
+], ids=["lengths0-4-non-increasing", "lengths1-4-non-increasing",
+        "lengths2-4-non-increasing", "lengths3-5-do not split", "lengths4-4-do not split",
+        "unequal-blocks", "mask_in-rows", "mask_out-rows"])
+def test_lstm_sequence_rejects_bad_layout(lengths, rows, mask_rows, message):
+    # rows: one block's row count, or a pair for a width-1 and a wider block;
+    # mask_rows: the (mask_in, mask_out) row counts, or no masks
     _, w_in, w_rec, bias, _ = lstm_case([1])
-    x = Tensor.constant(np.zeros((rows, D_IN)))
+    x = ([Tensor.constant(np.zeros((rows, D_IN)))] if isinstance(rows, int) else
+         [Tensor.constant(np.zeros((rows[0], 1))), Tensor.constant(np.zeros((rows[1], D_IN - 1)))])
+    masks = ([None, None] if mask_rows is None else
+             [np.ones((mask_rows[0], D_IN)), np.ones((mask_rows[1], D_S))])
     with pytest.raises(ValueError, match=message):
-        lstm_sequence(x, w_in, w_rec, bias, lengths)
+        lstm_sequence(x, w_in, w_rec, bias, lengths, False, *masks)
 
 
 # -- tape mechanics -----------------------------------------------------------

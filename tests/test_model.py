@@ -400,9 +400,30 @@ def test_six_dropout_masks_per_batch(monkeypatch):
     draw = model_module.dropout_mask
     monkeypatch.setattr(model_module, "dropout_mask",
                         lambda *args: calls.append(args[0]) or draw(*args))
-    batch = [T4, triple(["dog", "ran"], 0, 1), triple(["mat"], 0, 1)]
+    batch = [T4, triple(["dog", "ran"], 0, 1), triple(["mat", "on"], 0, 2)]
     model.forward_batch(batch, train=True, rng=make_rng(1))
-    assert len(calls) == 6
+    # masks cover real tokens only, never a padded row
+    context = sum(len(m.tokens) for m in batch)
+    mention = sum(m.end - m.start + 2 for m in batch)
+    d_in, d_s = D_W + 3, 3
+    assert calls == [(context, d_in), (context, d_s), (context, d_in), (context, d_s),
+                     (mention, D_W), (mention, d_s)]
+    # the batch is ragged: its padded shapes have more rows
+    assert context < len(batch) * len(T4.tokens) and mention < len(batch) * 4
+
+
+def test_gradients_do_not_alias_parameters():
+    # first gradients are kept without a copy; none may share a parameter's memory
+    model = make_model(p_in=0.7, p_out=0.9)
+    batch = [T4, triple(["dog", "ran"], 0, 1), triple(["mat"], 0, 1)]
+    probs = model.forward_batch(batch, train=True, rng=make_rng(5))
+    loss = (mean_nll(probs, batch, LossConfig(mode="variant"), model.forest)
+            + l2_penalty(model.params, 0.01))
+    grads = gradients(loss, model.params)
+    assert set(grads) == {name for name, _ in model.params.trainable_items()}
+    for name, grad in grads.items():
+        for other, tensor in model.params.items():
+            assert not np.shares_memory(grad, tensor.data), (name, other)
 
 
 # -- dropout -------------------------------------------------------------------
