@@ -74,11 +74,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() on tensor of shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -448,7 +443,7 @@ def lstm_sequence(x: Tensor | list[Tensor], w_in: Tensor, w_rec: Tensor, bias: T
 
 
 class ParamSet:
-    """Named parameter tensors, each flagged trainable or frozen.
+    """Named parameter tensors, each trainable or frozen (``requires_grad``).
 
     Frozen entries (pre-trained word embeddings) are visible to the forward
     pass as constants and are never touched by the optimizer. Their arrays
@@ -458,7 +453,6 @@ class ParamSet:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
     def add(self, name: str, data, trainable: bool = True) -> Tensor:
         if name in self._params:
@@ -470,7 +464,6 @@ class ParamSet:
             arr.flags.writeable = False
         t = Tensor.parameter(arr) if trainable else Tensor.constant(arr)
         self._params[name] = t
-        self._trainable[name] = trainable
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -479,17 +472,8 @@ class ParamSet:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __iter__(self):
-        return iter(self._params)
-
-    def __len__(self):
-        return len(self._params)
-
-    def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
-
     def trainable_items(self):
-        return [(n, t) for n, t in self._params.items() if self._trainable[n]]
+        return [(n, t) for n, t in self._params.items() if t.requires_grad]
 
     def items(self):
         return list(self._params.items())
@@ -501,7 +485,7 @@ class ParamSet:
     def copy_values(self) -> dict[str, np.ndarray]:
         """Snapshot of every value: trainable arrays copied, frozen
         (read-only) arrays by reference."""
-        return {n: t.data.copy() if self._trainable[n] else t.data
+        return {n: t.data.copy() if t.requires_grad else t.data
                 for n, t in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
@@ -512,7 +496,7 @@ class ParamSet:
             if src is t.data:
                 continue
             t.data = np.array(src, dtype=np.float64)
-            if not self._trainable[n]:
+            if not t.requires_grad:
                 t.data.flags.writeable = False
 
 

@@ -34,7 +34,7 @@ def save(path: str, meta: dict, params: ParamSet) -> None:
         raise CheckpointError("meta key 'params' is reserved")
     doc = dict(meta)
     doc["params"] = [
-        {"name": n, "trainable": params.is_trainable(n), "shape": list(t.data.shape)}
+        {"name": n, "trainable": t.requires_grad, "shape": list(t.data.shape)}
         for n, t in params.items()
     ]
     blob = json.dumps(doc).encode("utf-8")
@@ -79,6 +79,11 @@ def load(path: str) -> tuple[dict, ParamSet]:
             raise CheckpointError(f"{path}: meta lacks the parameter list")
         params = ParamSet()
         for e in entries:
+            if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                    and isinstance(e.get("trainable"), bool)
+                    and isinstance(e.get("shape"), list)
+                    and all(isinstance(n, int) and n >= 0 for n in e["shape"])):
+                raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
             arr = np.empty(tuple(e["shape"]), dtype="<f8")
             if f.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"{path}: truncated tensor {e['name']!r}")

@@ -8,6 +8,7 @@ repeated ``--set key=value`` flags override everything.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -178,6 +179,16 @@ def _hyperparams(cfg: dict) -> HyperParams:
         seed=cfg["seed"], dropout_mention=cfg["dropout_mention"])
 
 
+def _emit(text: str, path: str, echo: bool = False) -> None:
+    """Write a command's text to ``path``, and to stdout when ``echo`` is
+    set or there is no path."""
+    if echo or not path:
+        sys.stdout.write(text)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _parse_seeds(text: str) -> list[int]:
     if not text.strip():
         return []
@@ -203,8 +214,8 @@ def cmd_train(cfg: dict) -> int:
     corpus = training_corpus(raw_train, choice, forest)
     hp = _hyperparams(cfg)
     seeds = _parse_seeds(cfg["seeds"])
-    log_stream = open(cfg["log"], "w", encoding="utf-8") if cfg["log"] else sys.stdout
-    try:
+    with (open(cfg["log"], "w", encoding="utf-8") if cfg["log"]
+          else contextlib.nullcontext(sys.stdout)) as log_stream:
         if len(seeds) > 1:
             multi = run_multi(seeds, corpus, dev, embeddings, forest, hp,
                               loss_cfg, eval_corpus=held, log=log_stream)
@@ -229,22 +240,12 @@ def cmd_train(cfg: dict) -> int:
             text = (f"best_epoch={result.best_epoch} "
                     f"dev_strict={result.best_dev_strict:.4f}\n"
                     + result.final.as_text())
-    finally:
-        if log_stream is not sys.stdout:
-            log_stream.close()
-    sys.stdout.write(text)
-    if cfg["report"]:
-        with open(cfg["report"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(text, cfg["report"], echo=True)
     return 0
 
 
-def _restore(cfg: dict, command: str):
-    return load_checkpoint(_require_path(cfg, "checkpoint", command))
-
-
 def cmd_eval(cfg: dict) -> int:
-    restored = _restore(cfg, "eval")
+    restored = load_checkpoint(_require_path(cfg, "checkpoint", "eval"))
     key = "input" if cfg["input"] else "test"
     path = _require_path(cfg, key, "eval")
     full_map = None
@@ -263,15 +264,12 @@ def cmd_eval(cfg: dict) -> int:
         for tname, acc in per_type_accuracy(corpus, predictions,
                                             restored.forest).items():
             out += f"{tname}\t{acc:.4f}\n"
-    sys.stdout.write(out)
-    if cfg["report"]:
-        with open(cfg["report"], "w", encoding="utf-8") as fh:
-            fh.write(out)
+    _emit(out, cfg["report"], echo=True)
     return 0
 
 
 def cmd_predict(cfg: dict) -> int:
-    restored = _restore(cfg, "predict")
+    restored = load_checkpoint(_require_path(cfg, "checkpoint", "predict"))
     path = _require_path(cfg, "input", "predict")
     corpus = parse_corpus(path, restored.forest, tag="input", allow_unlabeled=True)
     corpus = windowed(corpus, restored.hyperparams.window)
@@ -287,12 +285,7 @@ def cmd_predict(cfg: dict) -> int:
         top = " ".join(f"{forest.path_of(int(i))}={row[int(i)]:.6f}"
                        for i in order[:5])
         lines.append(f"{terminal}\t{','.join(expanded)}\t{top}\n")
-    text = "".join(lines)
-    if cfg["output"]:
-        with open(cfg["output"], "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("".join(lines), cfg["output"])
     return 0
 
 
@@ -304,27 +297,19 @@ def cmd_stats(cfg: dict) -> int:
     out = report.as_text()
     if cfg["json"]:
         out += report.as_json() + "\n"
-    sys.stdout.write(out)
-    if cfg["report"]:
-        with open(cfg["report"], "w", encoding="utf-8") as fh:
-            fh.write(out)
+    _emit(out, cfg["report"], echo=True)
     return 0
 
 
 def cmd_export_types(cfg: dict) -> int:
-    restored = _restore(cfg, "export-types")
+    restored = load_checkpoint(_require_path(cfg, "checkpoint", "export-types"))
     w = restored.model.params["cls_w"].data
     forest = restored.forest
     lines = []
     for i in range(w.shape[0]):
         values = ",".join(repr(float(v)) for v in w[i])
         lines.append(f"{forest.path_of(i)},{values}\n")
-    text = "".join(lines)
-    if cfg["output"]:
-        with open(cfg["output"], "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("".join(lines), cfg["output"])
     return 0
 
 

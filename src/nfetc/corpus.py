@@ -5,8 +5,7 @@ Corpus file format, one mention per line, UTF-8:
     <start> SP <end> TAB <space-separated tokens> TAB <space-separated labels>
 
 Token indices are 0-based with start inclusive and end exclusive. Labels are
-slash-path types that must exist in the accompanying forest. Parsing then
-serializing reproduces the input byte for byte (modulo trailing whitespace).
+slash-path types that must exist in the accompanying forest.
 """
 
 from __future__ import annotations
@@ -40,12 +39,6 @@ class MentionTriple:
             raise CorpusError(f"span [{self.start}, {self.end}) out of bounds "
                               f"for {len(self.tokens)} tokens")
 
-    def to_line(self) -> str:
-        head = f"{self.start} {self.end}\t{' '.join(self.tokens)}"
-        if self.labels:
-            return head + "\t" + " ".join(self.labels)
-        return head
-
 
 @dataclass
 class Corpus:
@@ -60,11 +53,6 @@ class Corpus:
 
     def __getitem__(self, i) -> MentionTriple:
         return self.triples[i]
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for t in self.triples:
-                fh.write(t.to_line() + "\n")
 
 
 def _derive_terminals(labels, forest: TypeForest) -> frozenset[str]:

@@ -1,4 +1,5 @@
-"""Frozen pre-trained word embeddings and the trainable position table.
+"""Frozen pre-trained word embeddings and the row layout of the position
+table.
 
 Word vectors come from a GloVe-style text file and are never updated during
 training. Lookups are case sensitive; out-of-vocabulary words resolve to the
@@ -6,7 +7,9 @@ zero vector so inference stays deterministic without trainable OOV rows.
 
 Position vectors encode each token's relative distance to the mention span.
 Distances inside [-c, c] index their own row; anything further lands in a
-single shared out-of-range bucket, giving a table of 2c + 2 rows.
+single shared out-of-range bucket, giving a table of 2c + 2 rows. The table
+itself is the model's ``pos_table`` parameter (see ``model.init_params``);
+``position_rows`` maps tokens to its rows.
 """
 
 from __future__ import annotations
@@ -65,10 +68,8 @@ class WordEmbeddings:
         return cls(words, np.array(rows, dtype=np.float64))
 
     def __len__(self) -> int:
+        """Vocabulary size; the perfbench tracer counts loaded words by it."""
         return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._index
 
     def indices(self, tokens) -> np.ndarray:
         """Matrix row of each token; -1 marks an out-of-vocabulary word."""
@@ -83,29 +84,14 @@ class WordEmbeddings:
         return out
 
 
-class PositionTable:
-    """Trainable distance-indexed vectors in R^{d_p}.
-
-    Row layout: index d + c for clipped distance d in [-c, c], plus row
-    2c + 1 for out-of-range distances. Rows start uniform in [-0.25, 0.25].
-    """
-
-    def __init__(self, c: int, dim: int, rng: np.random.Generator):
-        if c < 1:
-            raise EmbeddingError(f"window size must be >= 1, got {c}")
-        self.c = c
-        self.dim = dim
-        self.size = 2 * c + 2
-        self.initial = rng.uniform(-0.25, 0.25, size=(self.size, dim))
-
-    def indices(self, positions, start, end) -> np.ndarray:
-        """Table row of token ``positions`` against mention spans
-        [start, end); the three arrays broadcast together."""
-        i, start, end = np.broadcast_arrays(*(np.asarray(a, dtype=np.intp)
-                                              for a in (positions, start, end)))
-        bad = (start < 0) | (start >= end)
-        if np.any(bad):
-            k = np.flatnonzero(bad)[0]
-            raise EmbeddingError(f"invalid mention span [{start.flat[k]}, {end.flat[k]})")
-        d = np.where(i >= end, i - (end - 1), np.where(i < start, i - start, 0))
-        return np.where(np.abs(d) <= self.c, d + self.c, 2 * self.c + 1)
+def position_rows(c: int, positions, start, end) -> np.ndarray:
+    """Position-table row of token ``positions`` against mention spans
+    [start, end) for window ``c``; the three arrays broadcast together."""
+    i, start, end = np.broadcast_arrays(*(np.asarray(a, dtype=np.intp)
+                                          for a in (positions, start, end)))
+    bad = (start < 0) | (start >= end)
+    if np.any(bad):
+        k = np.flatnonzero(bad)[0]
+        raise EmbeddingError(f"invalid mention span [{start.flat[k]}, {end.flat[k]})")
+    d = np.where(i >= end, i - (end - 1), np.where(i < start, i - start, 0))
+    return np.where(np.abs(d) <= c, d + c, 2 * c + 1)

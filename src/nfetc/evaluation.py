@@ -4,6 +4,7 @@ type-paths versus gold label sets.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -78,13 +79,7 @@ class Metrics:
                 f"micro_f1={self.micro_f1:.4f}\n")
 
     def as_json(self) -> str:
-        return json.dumps({
-            "strict": self.strict,
-            "macro_p": self.macro_p, "macro_r": self.macro_r,
-            "macro_f1": self.macro_f1,
-            "micro_p": self.micro_p, "micro_r": self.micro_r,
-            "micro_f1": self.micro_f1,
-        })
+        return json.dumps(dataclasses.asdict(self))
 
 
 def score_pairs(pairs: list[EvalPair]) -> Metrics:

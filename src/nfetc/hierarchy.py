@@ -78,9 +78,6 @@ class TypeForest:
     def __contains__(self, path: str) -> bool:
         return path in self._index
 
-    def __iter__(self):
-        return iter(self._paths)
-
     def types(self) -> list[str]:
         return list(self._paths)
 

@@ -11,19 +11,27 @@ the mention LSTM runs in its own length order. Rows come back in input
 order, and a batch gives the rows its mentions give one at a time.
 ``predict_probs`` runs the same pass without a tape over length-sorted
 chunks of ``PREDICT_CHUNK`` mentions.
+
+The model stores no sizes: d_w is the word embeddings' width, and d_p, d_s,
+K and the window are read off its parameter shapes. ``HyperParams`` give the
+dropout settings, and the sizes of the fresh weights ``init_params`` draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import ParamSet, Tensor, concat, lstm_sequence, no_grad, softmax_rows
 from .corpus import MentionTriple
-from .embeddings import PositionTable, WordEmbeddings
+from .embeddings import WordEmbeddings, position_rows
 from .hierarchy import TypeForest
 from .optim import dropout_mask
+
+if TYPE_CHECKING:
+    from .training import HyperParams
 
 GATES = 4  # input, forget, output, candidate blocks in the fused layout
 
@@ -33,22 +41,6 @@ GATES = 4  # input, forget, output, candidate blocks in the fused layout
 # pass it replaced on a 100k-word checkpoint, and is still faster than it.
 # 64 mentions were ~20% faster again but peaked ~20 MiB higher.
 PREDICT_CHUNK = 32
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    d_w: int
-    d_p: int
-    d_s: int
-    k: int
-    window: int
-    p_in: float = 1.0
-    p_out: float = 1.0
-    dropout_mention: bool = True
-
-    @property
-    def feature_dim(self) -> int:
-        return 2 * self.d_s + self.d_w
 
 
 @dataclass(frozen=True)
@@ -85,49 +77,40 @@ def _lstm_init(rng: np.random.Generator, d_in: int, d_s: int):
     return w_in, w_rec, bias
 
 
-def init_params(config: ModelConfig, embeddings: WordEmbeddings,
-                rng: np.random.Generator) -> tuple[ParamSet, PositionTable]:
+def init_params(hp: HyperParams, embeddings: WordEmbeddings, k: int,
+                rng: np.random.Generator) -> ParamSet:
     """Fresh trainable parameters plus the frozen word embedding entry.
 
     Creation order is fixed so a seed pins every initial value.
     """
-    if embeddings.dim != config.d_w:
-        raise ValueError(f"embedding dim {embeddings.dim} does not match "
-                         f"configured d_w {config.d_w}")
+    d_w, d_s = embeddings.dim, hp.d_s
     params = ParamSet()
     params.add("word_emb", embeddings.matrix, trainable=False)
-    table = PositionTable(config.window, config.d_p, rng)
-    params.add("pos_table", table.initial)
-    d_ctx = config.d_w + config.d_p
-    for prefix, d_in in (("ctx_fw", d_ctx), ("ctx_bw", d_ctx), ("men", config.d_w)):
-        w_in, w_rec, bias = _lstm_init(rng, d_in, config.d_s)
+    # 2c + 2 position rows (layout in embeddings), uniform in [-0.25, 0.25]
+    params.add("pos_table", rng.uniform(-0.25, 0.25, size=(2 * hp.window + 2, hp.d_p)))
+    d_ctx = d_w + hp.d_p
+    for prefix, d_in in (("ctx_fw", d_ctx), ("ctx_bw", d_ctx), ("men", d_w)):
+        w_in, w_rec, bias = _lstm_init(rng, d_in, d_s)
         params.add(f"{prefix}.w_in", w_in)
         params.add(f"{prefix}.w_rec", w_rec)
         params.add(f"{prefix}.bias", bias)
-    params.add("attn_w", rng.uniform(-0.25, 0.25, size=config.d_s))
-    params.add("cls_w", _glorot(rng, config.feature_dim, config.k,
-                                (config.k, config.feature_dim)))
-    params.add("cls_b", np.zeros(config.k))
-    return params, table
+    params.add("attn_w", rng.uniform(-0.25, 0.25, size=d_s))
+    d_feature = 2 * d_s + d_w
+    params.add("cls_w", _glorot(rng, d_feature, k, (k, d_feature)))
+    params.add("cls_b", np.zeros(k))
+    return params
 
 
 class NfetcModel:
     """Parameters plus the forward pass over windowed mention triples."""
 
-    def __init__(self, config: ModelConfig, embeddings: WordEmbeddings,
-                 forest: TypeForest, rng: np.random.Generator,
+    def __init__(self, hp: HyperParams, embeddings: WordEmbeddings,
+                 forest: TypeForest, rng: np.random.Generator | None = None,
                  params: ParamSet | None = None):
-        if config.k != len(forest):
-            raise ValueError(f"config K={config.k} does not match forest of "
-                             f"{len(forest)} types")
-        self.config = config
+        """Fresh weights drawn from ``rng``, or the given ``params``."""
+        self.hp = hp
         self.embeddings = embeddings
-        self.forest = forest
-        if params is None:
-            self.params, self.pos_table = init_params(config, embeddings, rng)
-        else:
-            self.params = params
-            self.pos_table = PositionTable(config.window, config.d_p, rng)
+        self.params = init_params(hp, embeddings, len(forest), rng) if params is None else params
 
     # -- input assembly -------------------------------------------------------
 
@@ -143,7 +126,8 @@ class NfetcModel:
         words = np.full((b, ctx_len[0]), -1, dtype=np.intp)
         for row, m in zip(words, batch):
             row[:len(m.tokens)] = self.embeddings.indices(m.tokens)
-        positions = self.pos_table.indices(np.arange(ctx_len[0])[:, None], start, end)
+        window = (self.params["pos_table"].shape[0] - 2) // 2
+        positions = position_rows(window, np.arange(ctx_len[0])[:, None], start, end)
         ext_len = end - start + 2
         j = np.arange(ext_len.max())
         at = start[:, None] - 1 + j
@@ -160,10 +144,10 @@ class NfetcModel:
         outputs are masked, the recurrent state is not. The op applies the
         masks, drawn input first over the real tokens only (sum(lengths) rows)."""
         n_real = int(np.sum(lengths))
-        widths = (sum(blk.shape[1] for blk in blocks), self.config.d_s)
+        p = self.params
+        widths = (sum(blk.shape[1] for blk in blocks), p[f"{prefix}.w_rec"].shape[0])
         masks = [dropout_mask((n_real, width), keep, rng) if train and keep < 1.0 else None
                  for width, keep in zip(widths, (keep_in, keep_out))]
-        p = self.params
         return lstm_sequence(blocks, p[f"{prefix}.w_in"], p[f"{prefix}.w_rec"],
                              p[f"{prefix}.bias"], lengths, reverse, *masks)
 
@@ -172,31 +156,34 @@ class NfetcModel:
     def forward_bucket(self, batch: list[MentionTriple], train: bool = False,
                        rng: np.random.Generator | None = None):
         """Probability rows (B, K) in input order from one padded pass over
-        the whole batch, plus the intermediate tensors in length-sorted order
-        (``aux["order"][k]`` is the input index of sorted row k)."""
-        cfg = self.config
-        if train and (cfg.p_in < 1.0 or cfg.p_out < 1.0) and rng is None:
+        the whole batch, as one tape tensor, plus the intermediate tensors in
+        length-sorted order (``aux["order"][k]`` is the input index of sorted
+        row k). Dropout masks are drawn from ``rng`` in a fixed order:
+        forward, backward and mention LSTM, input then output."""
+        hp = self.hp
+        if train and (hp.p_i < 1.0 or hp.p_o < 1.0) and rng is None:
             raise ValueError("training forward with dropout needs an RNG")
         order = np.argsort([-len(m.tokens) for m in batch], kind="stable")
         batch = [batch[i] for i in order]
         ctx_len, span, words, positions, ext = self._indices(batch)
         b, t_len = words.shape
+        d_s = self.params["attn_w"].shape[0]
 
         # context BiLSTM over (T*B, d_w + d_p) rows: frozen words, trained positions
         x = [Tensor.constant(self.embeddings.vectors(words.T).reshape(t_len * b, -1)),
              self.params["pos_table"].take_rows(positions.reshape(-1))]
-        fw = self._encode("ctx_fw", x, ctx_len, False, cfg.p_in, cfg.p_out, train, rng)
-        bw = self._encode("ctx_bw", x, ctx_len, True, cfg.p_in, cfg.p_out, train, rng)
+        fw = self._encode("ctx_fw", x, ctx_len, False, hp.p_i, hp.p_o, train, rng)
+        bw = self._encode("ctx_bw", x, ctx_len, True, hp.p_i, hp.p_o, train, rng)
         context = fw + bw
 
         # attention: alpha (B, T), padded scores masked to -inf
-        w_col = self.params["attn_w"].reshape(cfg.d_s, 1)
+        w_col = self.params["attn_w"].reshape(d_s, 1)
         scores = context.tanh().matmul(w_col).reshape(t_len, b).transpose()
         pad = np.where(np.arange(t_len) < ctx_len[:, None], 0.0, -np.inf)
         alpha = softmax_rows(scores + Tensor.constant(pad))
         weighted = alpha.transpose().reshape(t_len * b, 1) * context
-        r_c = (Tensor.constant(np.ones((1, t_len))).matmul(weighted.reshape(t_len, b * cfg.d_s))
-               .reshape(b, cfg.d_s))
+        r_c = (Tensor.constant(np.ones((1, t_len))).matmul(weighted.reshape(t_len, b * d_s))
+               .reshape(b, d_s))
 
         # mention encoders: the span average, and an LSTM over the extended
         # mention run in its own length order
@@ -206,9 +193,9 @@ class NfetcModel:
                               / span[:, None])
         ext_len = span + 2
         men_order = np.argsort(-ext_len, kind="stable")
-        xm = Tensor.constant(self.embeddings.vectors(ext[men_order].T).reshape(-1, cfg.d_w))
-        keep_in = cfg.p_in if cfg.dropout_mention else 1.0
-        keep_out = cfg.p_out if cfg.dropout_mention else 1.0
+        xm = Tensor.constant(self.embeddings.vectors(ext[men_order].T).reshape(ext.size, -1))
+        keep_in = hp.p_i if hp.dropout_mention else 1.0
+        keep_out = hp.p_o if hp.dropout_mention else 1.0
         hm = self._encode("men", [xm], ext_len[men_order], False, keep_in, keep_out, train, rng)
         rank = np.empty(b, dtype=np.intp)
         rank[men_order] = np.arange(b)
@@ -237,19 +224,10 @@ class NfetcModel:
             predicted=int(np.argmax(p)),
         )
 
-    def forward_batch(self, triples: list[MentionTriple], train: bool = False,
-                      rng: np.random.Generator | None = None) -> Tensor:
-        """(N, K) probability rows in input order, as one tape tensor from
-        one ``forward_bucket`` pass. Dropout masks are drawn from ``rng`` in a
-        fixed order: forward, backward and mention LSTM, input then output."""
-        if not triples:
-            return Tensor.constant(np.zeros((0, self.config.k)))
-        return self.forward_bucket(triples, train=train, rng=rng)[0]
-
     def predict_probs(self, triples: list[MentionTriple]) -> np.ndarray:
         """(N, K) inference-mode probabilities, original order, no tape."""
         order = np.argsort([-len(t.tokens) for t in triples], kind="stable")
-        out = np.empty((len(triples), self.config.k))
+        out = np.empty((len(triples), self.params["cls_b"].shape[0]))
         with no_grad():
             for lo in range(0, len(triples), PREDICT_CHUNK):
                 chunk = order[lo:lo + PREDICT_CHUNK]

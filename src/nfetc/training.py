@@ -17,7 +17,7 @@ from .embeddings import WordEmbeddings
 from .evaluation import Metrics, evaluate
 from .hierarchy import TypeForest
 from .loss import LossConfig, l2_penalty, mean_nll
-from .model import ModelConfig, NfetcModel
+from .model import NfetcModel
 from .optim import AdamState, adam_step, make_rng
 
 VARIANTS = ("NFETC(f)", "NFETC-hier(f)", "NFETC(r)", "NFETC-hier(r)")
@@ -128,11 +128,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
     train_w = list(windowed(train_corpus, hp.window))
     dev_w = windowed(dev_corpus, hp.window)
     rng = make_rng(hp.seed)
-    model_config = ModelConfig(
-        d_w=embeddings.dim, d_p=hp.d_p, d_s=hp.d_s, k=len(forest),
-        window=hp.window, p_in=hp.p_i, p_out=hp.p_o,
-        dropout_mention=hp.dropout_mention)
-    model = NfetcModel(model_config, embeddings, forest, rng)
+    model = NfetcModel(hp, embeddings, forest, rng)
     adam = AdamState(model.params)
 
     epoch_log: list[EpochStats] = []
@@ -146,7 +142,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
         loss_total = 0.0
         for lo in range(0, n, hp.batch):
             chunk = [train_w[i] for i in order[lo:lo + hp.batch]]
-            probs = model.forward_batch(chunk, train=True, rng=rng)
+            probs = model.forward_bucket(chunk, train=True, rng=rng)[0]
             loss = mean_nll(probs, chunk, config, forest) + l2_penalty(model.params, config.lam)
             value = float(loss.data)
             if not np.isfinite(value):
@@ -258,24 +254,37 @@ class Restored:
     hyperparams: HyperParams
     loss_config: LossConfig
     forest: TypeForest
-    embeddings: WordEmbeddings
+
+
+def _settings(cls, meta: dict, key: str):
+    """``cls`` built from ``meta[key]``, which must give each field exactly."""
+    given = meta[key]
+    fields = [f.name for f in dataclasses.fields(cls)]
+    problems = [f"unknown key {k!r}" for k in sorted(set(given) - set(fields))]
+    problems += [f"missing key {k!r}" for k in fields if k not in given]
+    if problems:
+        raise checkpoint.CheckpointError(f"{key}: {', '.join(problems)}")
+    return cls(**given)
 
 
 def load_checkpoint(path: str) -> Restored:
+    """The model and run settings of a checkpoint. Every size comes from the
+    parameter tensors, so restoring draws no random numbers."""
     meta, params = checkpoint.load(path)
-    for key in ("hyperparams", "loss_config", "types", "vocab"):
-        if key not in meta:
-            raise checkpoint.CheckpointError(f"checkpoint meta lacks {key!r}")
-    hp = HyperParams(**meta["hyperparams"])
-    config = LossConfig(**meta["loss_config"])
-    forest = TypeForest(meta["types"])
-    if "word_emb" not in params:
-        raise checkpoint.CheckpointError("checkpoint lacks the word embedding matrix")
-    embeddings = WordEmbeddings(meta["vocab"], params["word_emb"].data)
-    model_config = ModelConfig(
-        d_w=embeddings.dim, d_p=hp.d_p, d_s=hp.d_s, k=len(forest),
-        window=hp.window, p_in=hp.p_i, p_out=hp.p_o,
-        dropout_mention=hp.dropout_mention)
-    model = NfetcModel(model_config, embeddings, forest, make_rng(0), params=params)
-    return Restored(model=model, hyperparams=hp, loss_config=config,
-                    forest=forest, embeddings=embeddings)
+    try:
+        for key in ("hyperparams", "loss_config", "types", "vocab"):
+            if key not in meta:
+                raise checkpoint.CheckpointError(f"checkpoint meta lacks {key!r}")
+        hp = _settings(HyperParams, meta, "hyperparams")
+        config = _settings(LossConfig, meta, "loss_config")
+        forest = TypeForest(meta["types"])
+        if "word_emb" not in params:
+            raise checkpoint.CheckpointError("checkpoint lacks the word embedding matrix")
+        if "cls_b" not in params or params["cls_b"].shape != (len(forest),):
+            raise checkpoint.CheckpointError(
+                f"classifier bias does not have one entry for each of {len(forest)} types")
+        embeddings = WordEmbeddings(meta["vocab"], params["word_emb"].data)
+    except (TypeError, ValueError) as e:
+        raise checkpoint.CheckpointError(f"{path}: {e}") from None
+    model = NfetcModel(hp, embeddings, forest, params=params)
+    return Restored(model=model, hyperparams=hp, loss_config=config, forest=forest)

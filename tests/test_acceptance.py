@@ -28,7 +28,7 @@ from nfetc.embeddings import WordEmbeddings
 from nfetc.evaluation import EvalPair, score_pairs
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig, hierarchical_adjust_rows, l2_penalty, mean_nll
-from nfetc.model import ModelConfig, NfetcModel
+from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import (HyperParams, params_from_values, select_variant,
                             train, training_corpus)
@@ -78,12 +78,12 @@ def test_1_gradient_correctness():
         batch.append(MentionTriple(tokens, 2, 3, tuple(sorted(labels)),
                                    frozenset(forest.terminal_set(labels))))
 
-    config = ModelConfig(d_w=6, d_p=3, d_s=5, k=4, window=2)
-    model = NfetcModel(config, emb, forest, make_rng(9))
+    hp = HyperParams(d_p=3, d_s=5, window=2, p_i=1.0, p_o=1.0)
+    model = NfetcModel(hp, emb, forest, make_rng(9))
     _, loss_cfg = select_variant("NFETC-hier(r)", lam=0.01, beta=0.3)
 
     def objective():
-        probs = model.forward_batch(batch)
+        probs = model.forward_bucket(batch)[0]
         return mean_nll(probs, batch, loss_cfg, forest) + l2_penalty(model.params, loss_cfg.lam)
 
     analytic = gradients(objective(), model.params)
@@ -92,8 +92,8 @@ def test_1_gradient_correctness():
         return float(objective().data)
 
     worst, worst_name = 0.0, ""
-    for name in model.params:
-        if not model.params.is_trainable(name):
+    for name, tensor in model.params.items():
+        if not tensor.requires_grad:
             continue
         numeric = fd_gradient(value, model.params[name].data, step=1e-5)
         err = max_rel_error(analytic[name], numeric)

@@ -1,18 +1,21 @@
 import dataclasses
 import json
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from ckptedit import rewrite_meta
+from nfetc import training as training_module
 from nfetc.autodiff import ParamSet
 from nfetc.checkpoint import MAGIC, CheckpointError, load, save
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig
-from nfetc.model import ModelConfig, NfetcModel
+from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import (HyperParams, load_checkpoint, params_from_values,
                             save_checkpoint)
@@ -34,9 +37,9 @@ def test_round_trip_preserves_everything(tmp_path):
 
     meta, loaded = load(path)
     assert meta["note"] == "hello" and meta["k"] == 3
-    assert list(loaded) == ["word_emb", "w", "b"]
-    assert not loaded.is_trainable("word_emb")
-    assert loaded.is_trainable("w") and loaded.is_trainable("b")
+    assert [n for n, _ in loaded.items()] == ["word_emb", "w", "b"]
+    assert not loaded["word_emb"].requires_grad
+    assert loaded["w"].requires_grad and loaded["b"].requires_grad
     for name, tensor in params.items():
         assert np.array_equal(loaded[name].data, tensor.data)
     # loaded arrays must be private, writable copies
@@ -158,8 +161,7 @@ def small_world():
     rng = make_rng(17)
     embeddings = WordEmbeddings(VOCAB, rng.uniform(-0.4, 0.4, size=(len(VOCAB), 4)))
     forest = TypeForest(["/a", "/a/b", "/c"])
-    config = ModelConfig(d_w=4, d_p=3, d_s=3, k=3, window=2, p_in=0.7, p_out=0.9)
-    model = NfetcModel(config, embeddings, forest, make_rng(5))
+    model = NfetcModel(small_hp(), embeddings, forest, make_rng(5))
     return embeddings, forest, model
 
 
@@ -188,9 +190,9 @@ def test_model_checkpoint_round_trip(tmp_path):
     assert restored.hyperparams == hp
     assert restored.loss_config == loss_config
     assert restored.forest.types() == forest.types()
-    assert restored.embeddings.words == embeddings.words
-    assert np.array_equal(restored.embeddings.matrix, embeddings.matrix)
-    assert not restored.model.params.is_trainable("word_emb")
+    assert restored.model.embeddings.words == embeddings.words
+    assert np.array_equal(restored.model.embeddings.matrix, embeddings.matrix)
+    assert not restored.model.params["word_emb"].requires_grad
 
     batch = some_triples(forest)
     assert np.array_equal(restored.model.predict_probs(batch),
@@ -221,8 +223,63 @@ def test_model_checkpoint_needs_word_embeddings(tmp_path):
 def test_params_from_values_round_trip():
     params = sample_params()
     rebuilt = params_from_values(params.copy_values())
-    assert list(rebuilt) == list(params)
-    assert not rebuilt.is_trainable("word_emb")
-    assert rebuilt.is_trainable("w")
-    assert all(np.array_equal(rebuilt[n].data, params[n].data)
-               for n in params)
+    assert [n for n, _ in rebuilt.items()] == [n for n, _ in params.items()]
+    assert not rebuilt["word_emb"].requires_grad
+    assert rebuilt["w"].requires_grad
+    assert all(np.array_equal(rebuilt[n].data, t.data) for n, t in params.items())
+
+
+def model_checkpoint(tmp_path, hp=None):
+    embeddings, forest, model = small_world()
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, hp or small_hp(), LossConfig(), forest, embeddings, model.params)
+    return path, model
+
+
+@pytest.mark.parametrize("section,edit,message", [
+    ("hyperparams", lambda d: d.update(bogus=1), "hyperparams: unknown key 'bogus'"),
+    ("hyperparams", lambda d: d.pop("lr"), "hyperparams: missing key 'lr'"),
+    ("loss_config", lambda d: d.update(bogus=1), "loss_config: unknown key 'bogus'"),
+    ("loss_config", lambda d: d.pop("beta"), "loss_config: missing key 'beta'"),
+], ids=["hyperparams-unknown", "hyperparams-missing", "loss-unknown", "loss-missing"])
+def test_model_checkpoint_settings_keys_must_match(tmp_path, section, edit, message):
+    path, _ = model_checkpoint(tmp_path)
+    rewrite_meta(path, path, lambda meta: edit(meta[section]))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"name": "w", "trainable": True},
+    {"name": "w", "shape": [1]},
+    {"trainable": True, "shape": [1]},
+    {"name": "w", "trainable": True, "shape": "1"},
+    {"name": "w", "trainable": True, "shape": [-1]},
+    {"name": "w", "trainable": "yes", "shape": [1]},
+    "w",
+], ids=["no-shape", "no-trainable", "no-name", "shape-string", "shape-negative",
+        "trainable-string", "not-a-dict"])
+def test_load_rejects_malformed_descriptor(tmp_path, descriptor):
+    p = write_raw(tmp_path / "x.ckpt",
+                  packed({"params": [descriptor]}, struct.pack("<d", 1.0)))
+    with pytest.raises(CheckpointError, match=re.escape(f"{p}: malformed parameter descriptor")):
+        load(p)
+
+
+def test_model_checkpoint_classifier_must_fit_the_types(tmp_path):
+    path, _ = model_checkpoint(tmp_path)
+    rewrite_meta(path, path, lambda meta: meta["types"].pop())
+    with pytest.raises(CheckpointError, match="one entry for each of 2 types"):
+        load_checkpoint(path)
+
+
+def test_model_sizes_come_from_the_tensors(tmp_path, monkeypatch):
+    # the meta's sizes disagree with the d_p=3, d_s=3, window=2 tensors; the
+    # tensors decide, and restoring draws no random numbers
+    path, model = model_checkpoint(
+        tmp_path, dataclasses.replace(small_hp(), d_p=7, d_s=5, window=4))
+    monkeypatch.setattr(training_module, "make_rng", None)
+    restored = load_checkpoint(path)
+    assert restored.hyperparams.d_s == 5
+    batch = some_triples(restored.forest)
+    assert np.array_equal(restored.model.predict_probs(batch), model.predict_probs(batch))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ckptedit import rewrite_meta
 from nfetc.cli import main
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
@@ -410,3 +411,19 @@ def test_export_types_round_trips_weights(trained, tmp_path):
         values = np.array([float(v) for v in fields[1:]])
         assert values.shape == (w.shape[1],)
         assert np.array_equal(values, w[i])  # repr round-trip is exact
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["hyperparams"].update(bogus=1),
+    lambda meta: meta["loss_config"].pop("beta"),
+    lambda meta: meta["params"][1].pop("shape"),
+    lambda meta: meta["types"].pop(),
+], ids=["extra-hyperparam", "missing-loss-key", "descriptor-without-shape",
+        "types-short-of-classifier"])
+def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit):
+    ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
+    code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
+                              "--set", f"input={trained['test']}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1

@@ -42,10 +42,14 @@ def test_parse_derives_terminals(corpus):
     assert multi.terminals == frozenset({"/person/athlete", "/person/coach"})
 
 
-def test_round_trip_byte_identical(corpus, tmp_path):
-    out = tmp_path / "again.tsv"
-    corpus.dump(out)
-    assert out.read_bytes() == (MINI / "corpus.tsv").read_bytes()
+def test_parse_keeps_every_field(corpus):
+    lines = (MINI / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(corpus)
+    for line, t in zip(lines, corpus):
+        span, tokens, labels = line.split("\t")
+        assert (t.start, t.end) == tuple(int(v) for v in span.split(" "))
+        assert t.tokens == tuple(tokens.split(" "))
+        assert t.labels == tuple(labels.split(" "))
 
 
 def test_blank_lines_skipped(forest, tmp_path):
@@ -90,7 +94,7 @@ def test_unlabeled_lines_need_opt_in(forest):
     triple = parse_line("0 1\tJordan", forest, lineno=1, allow_unlabeled=True)
     assert triple.labels == ()
     assert triple.terminals == frozenset()
-    assert triple.to_line() == "0 1\tJordan"
+    assert triple == MentionTriple(("Jordan",), 0, 1, ())
 
 
 def test_empty_label_field_still_needs_opt_in(forest):
@@ -230,10 +234,9 @@ def test_split_dev_preserves_relative_order(corpus):
 def test_split_dev_deterministic(corpus):
     a = split_dev(corpus, 0.25, seed=9)
     b = split_dev(corpus, 0.25, seed=9)
-    assert [t.to_line() for t in a[0]] == [t.to_line() for t in b[0]]
+    assert a[0].triples == b[0].triples
     c = split_dev(corpus, 0.25, seed=10)
-    assert ([t.to_line() for t in a[0]] != [t.to_line() for t in c[0]]
-            or [t.to_line() for t in a[1]] != [t.to_line() for t in c[1]])
+    assert a[0].triples != c[0].triples or a[1].triples != c[1].triples
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2.0])

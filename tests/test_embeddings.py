@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from nfetc.embeddings import EmbeddingError, PositionTable, WordEmbeddings
+from nfetc.embeddings import EmbeddingError, WordEmbeddings, position_rows
+from nfetc.hierarchy import TypeForest
+from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
+from nfetc.training import HyperParams
 
 
 def write_vectors(path, text):
@@ -28,8 +31,8 @@ def test_oov_is_zero_vector(tmp_path):
     emb = write_vectors(tmp_path / "v.txt", "cat 1.0 2.0\n")
     assert emb.indices(["unseen"]).tolist() == [-1]
     assert np.array_equal(emb.vectors([-1]), [[0.0, 0.0]])
-    assert "unseen" not in emb
-    assert "cat" in emb
+    assert "unseen" not in emb.words
+    assert emb.indices(["cat"]).tolist() == [0]
 
 
 def test_lookup_is_case_sensitive(tmp_path):
@@ -79,24 +82,32 @@ def test_constructor_shape_guards():
         WordEmbeddings(["a", "b"], np.zeros((3, 3)))
 
 
+def position_table(c, dim, seed):
+    """The ``pos_table`` parameter a fresh model draws for window ``c``."""
+    emb = WordEmbeddings(["cat"], np.ones((1, 2)))
+    model = NfetcModel(HyperParams(d_p=dim, d_s=2, window=c), emb,
+                       TypeForest(["/a"]), make_rng(seed))
+    return model.params["pos_table"].data
+
+
 def test_position_table_size_and_init_range():
-    table = PositionTable(c=4, dim=3, rng=make_rng(7))
-    assert table.size == 10
-    assert table.initial.shape == (10, 3)
-    assert np.all(np.abs(table.initial) <= 0.25)
+    table = position_table(c=4, dim=3, seed=7)
+    assert table.shape == (10, 3)
+    assert np.all(np.abs(table) <= 0.25)
+    # the model's first draw from its seed, as the trajectories rely on
+    assert np.array_equal(table, make_rng(7).uniform(-0.25, 0.25, size=(10, 3)))
     # seeded identically twice -> identical rows
-    again = PositionTable(c=4, dim=3, rng=make_rng(7))
-    assert np.array_equal(table.initial, again.initial)
+    again = position_table(c=4, dim=3, seed=7)
+    assert np.array_equal(table, again)
 
 
 def test_position_table_rejects_small_window():
-    with pytest.raises(EmbeddingError, match=">= 1"):
-        PositionTable(c=0, dim=2, rng=make_rng(1))
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        HyperParams(window=0)
 
 
 def test_index_for_inside_span_is_center():
-    table = PositionTable(c=3, dim=1, rng=make_rng(1))
-    assert table.indices([2, 3, 4], 2, 5).tolist() == [3, 3, 3]  # d=0 -> c
+    assert position_rows(3, [2, 3, 4], 2, 5).tolist() == [3, 3, 3]  # d=0 -> c
 
 
 @pytest.mark.parametrize("i,expected_d", [
@@ -106,34 +117,30 @@ def test_index_for_inside_span_is_center():
     (0, -2),
 ])
 def test_index_for_signed_distances(i, expected_d):
-    table = PositionTable(c=3, dim=1, rng=make_rng(1))
-    assert table.indices(i, 2, 5) == expected_d + 3
+    assert position_rows(3, i, 2, 5) == expected_d + 3
 
 
 def test_index_for_out_of_range_bucket():
-    table = PositionTable(c=2, dim=1, rng=make_rng(1))
-    assert table.indices(7, 2, 5) == 2 * 2 + 1  # d=3 beyond c=2
-    assert table.indices(30, 2, 5) == 5
+    assert position_rows(2, 7, 2, 5) == 2 * 2 + 1  # d=3 beyond c=2
+    assert position_rows(2, 30, 2, 5) == 5
     # the farthest in-range tokens still map to edge rows
-    assert table.indices(6, 2, 5) == 4
-    assert table.indices(0, 2, 5) == 0
+    assert position_rows(2, 6, 2, 5) == 4
+    assert position_rows(2, 0, 2, 5) == 0
 
 
 def test_index_for_rejects_bad_span():
-    table = PositionTable(c=2, dim=1, rng=make_rng(1))
     with pytest.raises(EmbeddingError, match=r"invalid mention span \[3, 3\)"):
-        table.indices(0, 3, 3)
+        position_rows(2, 0, 3, 3)
     with pytest.raises(EmbeddingError, match="invalid mention span"):
-        table.indices(0, -1, 2)
+        position_rows(2, 0, -1, 2)
     with pytest.raises(EmbeddingError, match=r"invalid mention span \[4, 2\)"):
-        table.indices([0, 1], [0, 4], [1, 2])
+        position_rows(2, [0, 1], [0, 4], [1, 2])
 
 
 def test_indices_for_vectorizes():
-    table = PositionTable(c=2, dim=1, rng=make_rng(1))
-    got = table.indices(np.arange(7), 2, 5)
+    got = position_rows(2, np.arange(7), 2, 5)
     assert got.dtype == np.intp
     assert got.tolist() == [0, 1, 2, 2, 2, 3, 4]
     # (T, B) grid: positions down, one span per column
-    grid = table.indices(np.arange(3)[:, None], np.array([0, 2]), np.array([1, 3]))
+    grid = position_rows(2, np.arange(3)[:, None], np.array([0, 2]), np.array([1, 3]))
     assert grid.tolist() == [[2, 0], [3, 1], [4, 2]]

@@ -12,8 +12,8 @@ PEOPLE = ["/person", "/person/coach", "/person/athlete", "/organization"]
 def test_parse_two_roots_depth_two():
     forest = TypeForest(PEOPLE)
     assert len(forest) == 4
-    assert [p for p in forest if parent_path(p) is None] == ["/organization", "/person"]
-    assert max(forest.depth(p) for p in forest) == 2
+    assert [p for p in forest.types() if parent_path(p) is None] == ["/organization", "/person"]
+    assert max(forest.depth(p) for p in forest.types()) == 2
 
 
 def test_implied_intermediates_materialized():
@@ -90,7 +90,7 @@ def test_depth_bookkeeping():
     forest = TypeForest(["/a/b/c", "/d"])
     assert forest.depth("/a") == 1
     assert forest.depth("/a/b/c") == 3
-    assert max(forest.depth(p) for p in forest) == 3
+    assert max(forest.depth(p) for p in forest.types()) == 3
 
 
 def test_ancestor_matrix_against_brute_force():

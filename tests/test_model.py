@@ -10,8 +10,9 @@ from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig, l2_penalty, mean_nll
 from nfetc import model as model_module
-from nfetc.model import ModelConfig, NfetcModel, init_params
+from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
+from nfetc.training import HyperParams
 
 VOCAB = ["the", "cat", "sat", "on", "mat", "dog", "ran", "big", "red", "fox"]
 D_W = 4
@@ -27,10 +28,10 @@ def make_forest() -> TypeForest:
 
 
 def make_model(seed: int = 3, **overrides) -> NfetcModel:
-    fields = dict(d_w=D_W, d_p=3, d_s=3, k=3, window=2)
+    fields = dict(d_p=3, d_s=3, window=2, p_i=1.0, p_o=1.0)
     fields.update(overrides)
-    config = ModelConfig(**fields)
-    return NfetcModel(config, make_embeddings(), make_forest(), make_rng(seed))
+    return NfetcModel(HyperParams(**fields), make_embeddings(), make_forest(),
+                      make_rng(seed))
 
 
 def triple(tokens, start, end, labels=("/a",)):
@@ -53,34 +54,32 @@ T4 = triple(["the", "cat", "sat", "on"], 1, 2)
 
 def test_init_param_order_is_fixed():
     model = make_model()
-    assert list(model.params) == [
+    assert [n for n, _ in model.params.items()] == [
         "word_emb", "pos_table",
         "ctx_fw.w_in", "ctx_fw.w_rec", "ctx_fw.bias",
         "ctx_bw.w_in", "ctx_bw.w_rec", "ctx_bw.bias",
         "men.w_in", "men.w_rec", "men.bias",
         "attn_w", "cls_w", "cls_b",
     ]
-    assert not model.params.is_trainable("word_emb")
-    assert all(model.params.is_trainable(n) for n in model.params
-               if n != "word_emb")
+    assert not model.params["word_emb"].requires_grad
+    assert all(t.requires_grad for n, t in model.params.items() if n != "word_emb")
 
 
 def test_init_shapes():
-    model = make_model()
-    cfg = model.config
-    d_ctx = cfg.d_w + cfg.d_p
-    assert model.params["pos_table"].shape == (2 * cfg.window + 2, cfg.d_p)
-    assert model.params["ctx_fw.w_in"].shape == (d_ctx, 4 * cfg.d_s)
-    assert model.params["ctx_fw.w_rec"].shape == (cfg.d_s, 4 * cfg.d_s)
-    assert model.params["men.w_in"].shape == (cfg.d_w, 4 * cfg.d_s)
-    assert model.params["attn_w"].shape == (cfg.d_s,)
-    assert model.params["cls_w"].shape == (cfg.k, 2 * cfg.d_s + cfg.d_w)
-    assert model.params["cls_b"].shape == (cfg.k,)
+    model = make_model(d_p=5, d_s=6, window=4)
+    d_ctx = D_W + 5
+    assert model.params["pos_table"].shape == (2 * 4 + 2, 5)
+    assert model.params["ctx_fw.w_in"].shape == (d_ctx, 4 * 6)
+    assert model.params["ctx_fw.w_rec"].shape == (6, 4 * 6)
+    assert model.params["men.w_in"].shape == (D_W, 4 * 6)
+    assert model.params["attn_w"].shape == (6,)
+    assert model.params["cls_w"].shape == (3, 2 * 6 + D_W)
+    assert model.params["cls_b"].shape == (3,)
 
 
 def test_init_forget_gate_bias_is_one():
     model = make_model()
-    d_s = model.config.d_s
+    d_s = 3
     for prefix in ("ctx_fw", "ctx_bw", "men"):
         bias = model.params[f"{prefix}.bias"].data
         assert np.all(bias[d_s:2 * d_s] == 1.0)
@@ -89,7 +88,7 @@ def test_init_forget_gate_bias_is_one():
 
 def test_init_recurrent_blocks_orthogonal():
     model = make_model()
-    d_s = model.config.d_s
+    d_s = 3
     w = model.params["ctx_fw.w_rec"].data
     for g in range(4):
         block = w[:, g * d_s:(g + 1) * d_s]
@@ -104,16 +103,27 @@ def test_init_deterministic_per_seed():
     assert any(not np.array_equal(a[n], c[n]) for n in a if n != "word_emb")
 
 
-def test_init_rejects_dim_mismatch():
-    config = ModelConfig(d_w=D_W + 1, d_p=3, d_s=3, k=3, window=2)
-    with pytest.raises(ValueError, match="does not match configured d_w"):
-        init_params(config, make_embeddings(), make_rng(1))
+def test_init_shapes_follow_embedding_dim():
+    # d_w is the embedding matrix's width; no setting can disagree with it
+    wide = WordEmbeddings(VOCAB, np.ones((len(VOCAB), D_W + 2)))
+    model = NfetcModel(HyperParams(d_p=3, d_s=3, window=2), wide, make_forest(),
+                       make_rng(1))
+    assert model.params["word_emb"].shape == (len(VOCAB), D_W + 2)
+    assert model.params["ctx_fw.w_in"].shape == (D_W + 2 + 3, 12)
+    assert model.params["men.w_in"].shape == (D_W + 2, 12)
+    assert model.params["cls_w"].shape == (3, 2 * 3 + D_W + 2)
+    assert model.forward(T4).feature.shape == (2 * 3 + D_W + 2,)
 
 
-def test_model_rejects_forest_size_mismatch():
-    config = ModelConfig(d_w=D_W, d_p=3, d_s=3, k=5, window=2)
-    with pytest.raises(ValueError, match="does not match forest"):
-        NfetcModel(config, make_embeddings(), make_forest(), make_rng(1))
+def test_classifier_shapes_follow_forest_size():
+    # K is the forest's size; no setting can disagree with it
+    forest = TypeForest(["/a", "/a/b", "/c", "/c/d", "/e"])
+    model = NfetcModel(HyperParams(d_p=3, d_s=3, window=2), make_embeddings(),
+                       forest, make_rng(1))
+    assert model.params["cls_w"].shape == (len(forest), 2 * 3 + D_W)
+    assert model.params["cls_b"].shape == (len(forest),)
+    assert model.predict_probs([T4]).shape == (1, len(forest))
+    assert model.predict_probs([]).shape == (0, len(forest))
 
 
 # -- length sort ---------------------------------------------------------------
@@ -262,7 +272,7 @@ def test_pad_token_is_out_of_vocabulary():
 
 
 def test_inference_is_deterministic():
-    model = make_model(p_in=0.5, p_out=0.5)
+    model = make_model(p_i=0.5, p_o=0.5)
     a = model.forward(T4)
     b = model.forward(T4)
     assert np.array_equal(a.probs, b.probs)
@@ -280,8 +290,7 @@ def test_probabilities_are_normalized():
 def test_feature_is_concatenation():
     model = make_model()
     trace = model.forward(T4)
-    cfg = model.config
-    assert trace.feature.shape == (cfg.feature_dim,)
+    assert trace.feature.shape == (2 * 3 + D_W,)
     assert np.array_equal(trace.feature,
                           np.concatenate([trace.r_c, trace.r_a, trace.r_l]))
 
@@ -324,16 +333,18 @@ def test_predictor_callable_matches_forward(mini_batch):
     assert predicted == [model.forward(t).predicted for t in mini_batch]
 
 
-def test_forward_batch_of_nothing_is_zero_rows():
+def test_predict_probs_of_nothing_is_zero_rows():
     model = make_model()
-    assert model.forward_batch([]).shape == (0, 3)
-    assert model.predict_probs([]).shape == (0, 3)
+    probs = model.predict_probs([])
+    assert probs.shape == (0, 3)
+    assert probs.dtype == np.float64
 
 
 def test_forward_batch_objective_matches_single_mention_sum():
     # keep = 1: the padded batch must equal one mention at a time exactly,
     # in the objective and in every parameter gradient
     model = make_model(seed=13)
+    forest = make_forest()
     config = LossConfig(lam=0.01, beta=0.4, mode="variant", hier=True)
     batch = [triple(["dog", "ran"], 0, 1, ("/c",)),
              triple(["the", "cat", "sat", "on"], 1, 2, ("/a/b", "/c")),
@@ -344,18 +355,18 @@ def test_forward_batch_objective_matches_single_mention_sum():
 
     want = None
     for m in batch:
-        part = mean_nll(model.forward_batch([m], train=True), [m], config,
-                        model.forest) * (1.0 / len(batch))
+        part = mean_nll(model.forward_bucket([m], train=True)[0], [m], config,
+                        forest) * (1.0 / len(batch))
         want = part if want is None else want + part
     want = want + l2_penalty(model.params, config.lam)
     want_grads = gradients(want, model.params)
-    probs = model.forward_batch(batch, train=True)
-    got = mean_nll(probs, batch, config, model.forest) + l2_penalty(model.params, config.lam)
+    probs = model.forward_bucket(batch, train=True)[0]
+    got = mean_nll(probs, batch, config, forest) + l2_penalty(model.params, config.lam)
     got_grads = gradients(got, model.params)
 
     single = np.concatenate([model.predict_probs([m]) for m in batch])
     assert np.max(np.abs(probs.data - single)) <= 1e-12
-    assert abs(got.item() - want.item()) <= 1e-12
+    assert abs(float(got.data) - float(want.data)) <= 1e-12
     assert set(got_grads) == set(want_grads)
     for name, grad in want_grads.items():
         assert np.max(np.abs(got_grads[name] - grad)) <= 1e-12, name
@@ -371,14 +382,14 @@ def count_tape_nodes(monkeypatch, model, batch, config):
         count[0] += self.requires_grad
 
     monkeypatch.setattr(Tensor, "__init__", counting)
-    probs = model.forward_batch(batch, train=True, rng=make_rng(2))
-    gradients(mean_nll(probs, batch, config, model.forest), model.params)
+    probs = model.forward_bucket(batch, train=True, rng=make_rng(2))[0]
+    gradients(mean_nll(probs, batch, config, make_forest()), model.params)
     monkeypatch.setattr(Tensor, "__init__", init)
     return count[0]
 
 
 def test_tape_size_does_not_grow_with_batch(monkeypatch):
-    model = make_model(p_in=0.7, p_out=0.9)
+    model = make_model(p_i=0.7, p_o=0.9)
     config = LossConfig(mode="variant")
     words = VOCAB + ["zzz"]
     rng = make_rng(6)
@@ -395,13 +406,13 @@ def test_tape_size_does_not_grow_with_batch(monkeypatch):
 
 
 def test_six_dropout_masks_per_batch(monkeypatch):
-    model = make_model(p_in=0.7, p_out=0.9)
+    model = make_model(p_i=0.7, p_o=0.9)
     calls = []
     draw = model_module.dropout_mask
     monkeypatch.setattr(model_module, "dropout_mask",
                         lambda *args: calls.append(args[0]) or draw(*args))
     batch = [T4, triple(["dog", "ran"], 0, 1), triple(["mat", "on"], 0, 2)]
-    model.forward_batch(batch, train=True, rng=make_rng(1))
+    model.forward_bucket(batch, train=True, rng=make_rng(1))
     # masks cover real tokens only, never a padded row
     context = sum(len(m.tokens) for m in batch)
     mention = sum(m.end - m.start + 2 for m in batch)
@@ -414,10 +425,10 @@ def test_six_dropout_masks_per_batch(monkeypatch):
 
 def test_gradients_do_not_alias_parameters():
     # first gradients are kept without a copy; none may share a parameter's memory
-    model = make_model(p_in=0.7, p_out=0.9)
+    model = make_model(p_i=0.7, p_o=0.9)
     batch = [T4, triple(["dog", "ran"], 0, 1), triple(["mat"], 0, 1)]
-    probs = model.forward_batch(batch, train=True, rng=make_rng(5))
-    loss = (mean_nll(probs, batch, LossConfig(mode="variant"), model.forest)
+    probs = model.forward_bucket(batch, train=True, rng=make_rng(5))[0]
+    loss = (mean_nll(probs, batch, LossConfig(mode="variant"), make_forest())
             + l2_penalty(model.params, 0.01))
     grads = gradients(loss, model.params)
     assert set(grads) == {name for name, _ in model.params.trainable_items()}
@@ -430,20 +441,20 @@ def test_gradients_do_not_alias_parameters():
 
 
 def test_training_dropout_needs_rng():
-    model = make_model(p_in=0.5)
+    model = make_model(p_i=0.5)
     with pytest.raises(ValueError, match="needs an RNG"):
         model.forward_bucket([T4], train=True)
 
 
 def test_dropout_perturbs_training_forward():
-    model = make_model(p_in=0.5, p_out=0.5)
+    model = make_model(p_i=0.5, p_o=0.5)
     plain = model.forward(T4).probs
     probs, _ = model.forward_bucket([T4], train=True, rng=make_rng(0))
     assert not np.array_equal(probs.data[0], plain)
 
 
 def test_dropout_reproducible_under_seed():
-    model = make_model(p_in=0.5, p_out=0.5)
+    model = make_model(p_i=0.5, p_o=0.5)
     a, _ = model.forward_bucket([T4], train=True, rng=make_rng(12))
     b, _ = model.forward_bucket([T4], train=True, rng=make_rng(12))
     assert np.array_equal(a.data, b.data)
@@ -456,8 +467,8 @@ def test_keep_prob_one_trains_like_inference():
 
 
 def test_mention_dropout_can_be_disabled():
-    on = make_model(p_in=0.5, p_out=0.5, dropout_mention=True)
-    off = make_model(p_in=0.5, p_out=0.5, dropout_mention=False)
+    on = make_model(p_i=0.5, p_o=0.5, dropout_mention=True)
+    off = make_model(p_i=0.5, p_o=0.5, dropout_mention=False)
     off.params.load_values(on.params.copy_values())
     # identical seeds: the context encoders consume the same mask stream, so
     # any difference comes from the mention encoder skipping its masks
@@ -496,7 +507,7 @@ def test_gradients_match_finite_differences(name):
 
 
 def test_gradients_with_dropout_masks_held_fixed():
-    model = make_model(seed=8, p_in=0.7, p_out=0.9)
+    model = make_model(seed=8, p_i=0.7, p_o=0.9)
     batch = [T4]
 
     loss = nll_for(model, batch, [1], train=True, seed=77)

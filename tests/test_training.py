@@ -9,7 +9,7 @@ from nfetc.embeddings import WordEmbeddings
 from nfetc.evaluation import evaluate
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig
-from nfetc.model import ModelConfig, NfetcModel
+from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import (EpochStats, HyperParams, MultiResult,
                             TrainingDiverged, VARIANTS, load_checkpoint,
@@ -153,10 +153,7 @@ def test_train_keeps_best_snapshot():
 
     # the snapshot really is the parameter set that scored best_dev_strict
     from nfetc.corpus import windowed
-    model = NfetcModel(
-        ModelConfig(d_w=emb.dim, d_p=hp.d_p, d_s=hp.d_s, k=len(forest),
-                    window=hp.window, p_in=hp.p_i, p_out=hp.p_o),
-        emb, forest, make_rng(0), params=params_from_values(result.best_values))
+    model = NfetcModel(hp, emb, forest, params=params_from_values(result.best_values))
     again = evaluate(model, windowed(dev_c, hp.window), forest, config)
     assert again.strict == result.best_dev_strict
 
