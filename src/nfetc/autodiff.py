@@ -1,4 +1,5 @@
-"""Dense float64 tensors with reverse-mode gradient recording.
+"""Dense float64 tensors with reverse-mode gradient recording; only the
+fused ``lstm_sequence`` op may compute in another dtype inside.
 
 Every operation appends a node to an implicit tape (the graph hanging off
 its output tensor) together with a hand-derived backward closure. Calling
@@ -127,30 +128,11 @@ class Tensor:
             out._backward = backward
         return out
 
-    __radd__ = __add__
-
     def __neg__(self):
         out = Tensor(-self.data, requires_grad=self.requires_grad, parents=(self,))
         if out.requires_grad:
             out._backward = lambda g: self._accumulate(-g)
         return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        out = Tensor(self.data - other.data,
-                     requires_grad=self.requires_grad or other.requires_grad,
-                     parents=(self, other))
-        if out.requires_grad:
-            def backward(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(-g, other.data.shape))
-            out._backward = backward
-        return out
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -182,9 +164,6 @@ class Tensor:
                                                    other.data.shape))
             out._backward = backward
         return out
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
 
     # -- linear algebra ---------------------------------------------------------
 
@@ -331,7 +310,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def lstm_sequence(x: Tensor | list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
-                  lengths, reverse: bool = False, mask_in=None, mask_out=None) -> Tensor:
+                  lengths, reverse: bool = False, mask_in=None, mask_out=None,
+                  dtype=np.float64) -> Tensor:
     """A fused-gate LSTM over a padded, time-major batch, as one tape node.
 
     Row t*B + b of ``x`` is step t of sequence b; ``x`` may be a list of
@@ -348,6 +328,9 @@ def lstm_sequence(x: Tensor | list[Tensor], w_in: Tensor, w_rec: Tensor, bias: T
 
     Only h·W_rec runs per step: x·W_in, dW_in and dW_rec are one GEMM each
     over all real rows (Appleyard, Kočiský & Blunsom, arXiv 1604.01946).
+    ``dtype`` holds the input rows, weights, masks, states and BPTT buffers;
+    the output and every gradient are float64, so float32 keeps float64
+    master weights (Micikevicius et al., arXiv 1710.03740).
     """
     blocks = list(x) if isinstance(x, (list, tuple)) else [x]
     shapes = [blk.data.shape for blk in blocks]
@@ -371,22 +354,20 @@ def lstm_sequence(x: Tensor | list[Tensor], w_in: Tensor, w_rec: Tensor, bias: T
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     record = _GRAD_ENABLED and any(t.requires_grad for t in (*blocks, w_in, w_rec, bias))
 
-    xr = np.concatenate([blk.data[real] for blk in blocks], axis=1)
+    xr = np.concatenate([blk.data[real] for blk in blocks], axis=1, dtype=dtype)
     if mask_in is not None:
         xr *= mask_in
-    gates = xr @ w_in.data   # biased and activated in place below
-    gates += bias.data
-    if record:
-        h_prev = np.zeros((real.size, d))
-        c_prev = np.zeros((real.size, d))
-        tanh_c = np.empty((real.size, d))
-    h = np.zeros((b, d))
-    c = np.zeros((b, d))
-    out = np.zeros((rows, d))
+    w_in_c, w_rec_c = w_in.data.astype(dtype, copy=False), w_rec.data.astype(dtype, copy=False)
+    gates = xr @ w_in_c   # biased and activated in place below
+    gates += bias.data.astype(dtype, copy=False)
+    if record:   # the states before each real step, and tanh of its cell state
+        h_prev, c_prev, tanh_c = np.zeros((3, real.size, d), dtype)
+    h, c = np.zeros((2, b, d), dtype)
+    out = np.zeros((rows, d), dtype)
     for t in order:
         n = n_at[t]
         z = gates[offset[t]:offset[t] + n]
-        z += h[:n] @ w_rec.data
+        z += h[:n] @ w_rec_c
         z[:, :3 * d] = _sigmoid(z[:, :3 * d])
         z[:, 3 * d:] = np.tanh(z[:, 3 * d:])
         if record:
@@ -406,11 +387,11 @@ def lstm_sequence(x: Tensor | list[Tensor], w_in: Tensor, w_rec: Tensor, bias: T
         return result
 
     def backward(g):
-        g = g[real] if mask_out is None else g[real] * mask_out
+        g = (g[real] if mask_out is None else g[real] * mask_out).astype(dtype, copy=False)
         dz = np.empty_like(gates)
-        dh = np.zeros((b, d))
-        dc = np.zeros((b, d))
-        w_rec_t = w_rec.data.T
+        dh = np.zeros((b, d), dtype)
+        dc = np.zeros((b, d), dtype)
+        w_rec_t = w_rec_c.T
         for t in reversed(order):
             n = n_at[t]
             s = slice(offset[t], offset[t] + n)
@@ -427,7 +408,7 @@ def lstm_sequence(x: Tensor | list[Tensor], w_in: Tensor, w_rec: Tensor, bias: T
         bounds = np.cumsum([0] + [s[1] for s in shapes])
         for blk, lo, hi in zip(blocks, bounds, bounds[1:]):
             if blk.requires_grad:   # frozen blocks skip their dx GEMM
-                dxr = dz @ w_in.data[lo:hi].T
+                dxr = dz @ w_in_c[lo:hi].T
                 dx = np.zeros_like(blk.data)
                 dx[real] = dxr if mask_in is None else dxr * mask_in[:, lo:hi]
                 blk._accumulate(dx)

@@ -84,6 +84,8 @@ def load(path: str) -> tuple[dict, ParamSet]:
                     and isinstance(e.get("shape"), list)
                     and all(isinstance(n, int) and n >= 0 for n in e["shape"])):
                 raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
+            if e["name"] in params:
+                raise CheckpointError(f"{path}: duplicate parameter name {e['name']!r}")
             arr = np.empty(tuple(e["shape"]), dtype="<f8")
             if f.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"{path}: truncated tensor {e['name']!r}")

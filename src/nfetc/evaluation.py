@@ -72,11 +72,7 @@ class Metrics:
     micro_f1: float
 
     def as_text(self) -> str:
-        return (f"strict={self.strict:.4f} "
-                f"macro_p={self.macro_p:.4f} macro_r={self.macro_r:.4f} "
-                f"macro_f1={self.macro_f1:.4f} "
-                f"micro_p={self.micro_p:.4f} micro_r={self.micro_r:.4f} "
-                f"micro_f1={self.micro_f1:.4f}\n")
+        return " ".join(f"{k}={v:.4f}" for k, v in dataclasses.asdict(self).items()) + "\n"
 
     def as_json(self) -> str:
         return json.dumps(dataclasses.asdict(self))

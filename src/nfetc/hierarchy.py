@@ -98,12 +98,8 @@ class TypeForest:
         """Proper ancestors along the type-path; excludes the type itself
         and the virtual root."""
         self.index(path)
-        out = set()
-        parent = parent_path(path)
-        while parent is not None:
-            out.add(parent)
-            parent = parent_path(parent)
-        return out
+        segments = path.split("/")
+        return {"/".join(segments[:i]) for i in range(2, len(segments))}
 
     def expand_to_path(self, path: str) -> set[str]:
         """The full type-path as a label set: the type plus its ancestors."""
@@ -176,14 +172,9 @@ class RefinementMap:
 
     def rewrite(self, path: str) -> str:
         """Apply the longest matching source prefix, identity otherwise."""
-        best = None
-        for src in self.mapping:
-            if path == src or path.startswith(src + "/"):
-                if best is None or len(src) > len(best):
-                    best = src
-        if best is None:
-            return path
-        return self.mapping[best] + path[len(best):]
+        best = max((src for src in self.mapping if path == src or path.startswith(src + "/")),
+                   key=len, default=None)
+        return path if best is None else self.mapping[best] + path[len(best):]
 
 
 def apply_refinement(forest: TypeForest, refinement: RefinementMap) -> tuple[TypeForest, dict[str, str]]:
@@ -200,12 +191,10 @@ def apply_refinement(forest: TypeForest, refinement: RefinementMap) -> tuple[Typ
             raise ForestError(f"refinement collides on {new!r}")
         full_map[old] = new
     new_paths = set(full_map.values())
-    for path in new_paths:
+    for path in new_paths:   # each path's parent present means every ancestor is
         parent = parent_path(path)
-        while parent is not None:
-            if parent not in new_paths:
-                raise ForestError(f"refinement leaves {path!r} without parent {parent!r}")
-            parent = parent_path(parent)
+        if parent is not None and parent not in new_paths:
+            raise ForestError(f"refinement leaves {path!r} without parent {parent!r}")
     new_forest = TypeForest(new_paths)
     if len(new_forest) != len(forest):
         raise ForestError("refinement changed the type count")

@@ -73,12 +73,9 @@ def l2_penalty(params: ParamSet, lam: float) -> Tensor:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if lam == 0.0:
         return Tensor.constant(0.0)
-    total = None
+    total = Tensor.constant(0.0)
     for _, t in params.trainable_items():
-        sq = (t * t).sum()
-        total = sq if total is None else total + sq
-    if total is None:
-        return Tensor.constant(0.0)
+        total = total + (t * t).sum()
     return total * lam
 
 

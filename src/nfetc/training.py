@@ -17,14 +17,14 @@ from .embeddings import WordEmbeddings
 from .evaluation import Metrics, evaluate
 from .hierarchy import TypeForest
 from .loss import LossConfig, l2_penalty, mean_nll
-from .model import NfetcModel
+from .model import TRAIN_DTYPE, NfetcModel, param_shapes
 from .optim import AdamState, adam_step, make_rng
 
 VARIANTS = ("NFETC(f)", "NFETC-hier(f)", "NFETC(r)", "NFETC-hier(r)")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss or a gradient goes non-finite."""
+    """Raised when the loss or a gradient goes non-finite, or a weight leaves ``TRAIN_DTYPE``."""
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,9 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
     dev_w = windowed(dev_corpus, hp.window)
     rng = make_rng(hp.seed)
     model = NfetcModel(hp, embeddings, forest, rng)
+    limit = np.finfo(TRAIN_DTYPE).max   # the LSTMs cast weights and word vectors to it
+    if not max(embeddings.matrix.max(initial=0), -embeddings.matrix.min(initial=0)) <= limit:
+        raise TrainingDiverged(f"word vectors outside the {limit.dtype} range")
     adam = AdamState(model.params)
 
     epoch_log: list[EpochStats] = []
@@ -141,20 +144,20 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
         order = rng.permutation(n)
         loss_total = 0.0
         for lo in range(0, n, hp.batch):
+            where = f"at epoch {epoch}, batch starting at mention {lo} (lr={hp.lr}, seed={hp.seed})"
+            for name, t in model.params.trainable_items():
+                if not np.abs(t.data).max() <= limit:
+                    raise TrainingDiverged(f"{name} outside the {limit.dtype} range {where}")
             chunk = [train_w[i] for i in order[lo:lo + hp.batch]]
             probs = model.forward_bucket(chunk, train=True, rng=rng)[0]
             loss = mean_nll(probs, chunk, config, forest) + l2_penalty(model.params, config.lam)
             value = float(loss.data)
             if not np.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch starting at "
-                    f"mention {lo} (lr={hp.lr}, seed={hp.seed})")
+                raise TrainingDiverged(f"non-finite loss {where}")
             grads = gradients(loss, model.params)
             for name, grad in grads.items():
                 if not np.all(np.isfinite(grad)):
-                    raise TrainingDiverged(
-                        f"non-finite gradient for {name} at epoch {epoch}, batch "
-                        f"starting at mention {lo} (lr={hp.lr}, seed={hp.seed})")
+                    raise TrainingDiverged(f"non-finite gradient for {name} {where}")
             adam_step(model.params, grads, adam, hp.lr)
             loss_total += value * len(chunk)
         dev = evaluate(model, dev_w, forest, config)
@@ -267,6 +270,22 @@ def _settings(cls, meta: dict, key: str):
     return cls(**given)
 
 
+def _check_tensors(params: ParamSet, k: int) -> None:
+    """Raise ``CheckpointError`` unless ``params`` holds exactly the tensors of
+    ``param_shapes`` for ``k`` types and the sizes read off the others."""
+    got = {name: t.shape for name, t in params.items()}
+    (_, d_w), (rows, d_p), (d_s,) = (   # zeros for a misshapen one, reported below
+        got[n] if len(got.get(n, ())) == ndim else (0,) * ndim
+        for n, ndim in (("word_emb", 2), ("pos_table", 2), ("attn_w", 1)))
+    want = {"word_emb": got["word_emb"], **param_shapes(d_w, d_p, d_s, (rows - 2) // 2, k)}
+    problems = ([f"lacks tensor {n!r}" for n in want if n not in got]
+                + [f"has unexpected tensor {n!r}" for n in got if n not in want])
+    problems = problems or [f"tensor {n!r} has shape {got[n]}, expected {want[n]}"
+                            for n in want if got[n] != want[n]]
+    if problems:
+        raise checkpoint.CheckpointError(f"checkpoint {', '.join(problems)}")
+
+
 def load_checkpoint(path: str) -> Restored:
     """The model and run settings of a checkpoint. Every size comes from the
     parameter tensors, so restoring draws no random numbers."""
@@ -280,9 +299,10 @@ def load_checkpoint(path: str) -> Restored:
         forest = TypeForest(meta["types"])
         if "word_emb" not in params:
             raise checkpoint.CheckpointError("checkpoint lacks the word embedding matrix")
-        if "cls_b" not in params or params["cls_b"].shape != (len(forest),):
+        if "cls_b" in params and params["cls_b"].shape != (len(forest),):
             raise checkpoint.CheckpointError(
                 f"classifier bias does not have one entry for each of {len(forest)} types")
+        _check_tensors(params, len(forest))
         embeddings = WordEmbeddings(meta["vocab"], params["word_emb"].data)
     except (TypeError, ValueError) as e:
         raise checkpoint.CheckpointError(f"{path}: {e}") from None

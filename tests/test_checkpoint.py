@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from ckptedit import rewrite_meta
+from ckptedit import rewrite_meta, rewrite_params
 from nfetc import training as training_module
 from nfetc.autodiff import ParamSet
 from nfetc.checkpoint import MAGIC, CheckpointError, load, save
@@ -264,6 +264,29 @@ def test_load_rejects_malformed_descriptor(tmp_path, descriptor):
                   packed({"params": [descriptor]}, struct.pack("<d", 1.0)))
     with pytest.raises(CheckpointError, match=re.escape(f"{p}: malformed parameter descriptor")):
         load(p)
+
+
+def test_load_rejects_duplicate_descriptor_name(tmp_path):
+    path, _ = model_checkpoint(tmp_path)
+    rewrite_meta(path, path, lambda meta: meta["params"][2].update(name="pos_table"))
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: duplicate parameter name 'pos_table'")):
+        load(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda values: values.update(extra=np.ones(2)), "has unexpected tensor 'extra'"),
+    (lambda values: values.update(attn_w=np.ones(5)),
+     "tensor 'ctx_fw.w_rec' has shape (3, 12), expected (5, 20)"),
+    (lambda values: values.update(pos_table=np.ones((6, 2))),
+     "tensor 'ctx_fw.w_in' has shape (7, 12), expected (6, 12)"),
+], ids=["extra-tensor", "attn_w-wider", "pos_table-narrower"])
+def test_model_checkpoint_tensor_shapes_must_agree(tmp_path, edit, message):
+    path, _ = model_checkpoint(tmp_path)
+    rewrite_params(path, path, edit)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: checkpoint ") + ".*"
+                       + re.escape(message)):
+        load_checkpoint(path)
 
 
 def test_model_checkpoint_classifier_must_fit_the_types(tmp_path):

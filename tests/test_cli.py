@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ckptedit import rewrite_meta
+from ckptedit import rewrite_meta, rewrite_params
 from nfetc.cli import main
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
@@ -418,8 +418,9 @@ def test_export_types_round_trips_weights(trained, tmp_path):
     lambda meta: meta["loss_config"].pop("beta"),
     lambda meta: meta["params"][1].pop("shape"),
     lambda meta: meta["types"].pop(),
+    lambda meta: meta["params"][2].update(name=meta["params"][1]["name"]),
 ], ids=["extra-hyperparam", "missing-loss-key", "descriptor-without-shape",
-        "types-short-of-classifier"])
+        "types-short-of-classifier", "duplicate-descriptor-name"])
 def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit):
     ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
@@ -427,3 +428,18 @@ def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("attn_w", lambda values: values.pop("attn_w")),
+    ("men.w_rec", lambda values: values.pop("men.w_rec")),
+    ("ctx_bw.w_rec", lambda values: values.update({"ctx_bw.w_rec": values["ctx_bw.w_rec"].T})),
+], ids=["without-attn_w", "without-men.w_rec", "ctx_bw.w_rec-transposed"])
+def test_predict_checkpoint_tensor_problems_are_one_error_line(trained, tmp_path, name, edit):
+    ckpt = rewrite_params(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
+    code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
+                              "--set", f"input={trained['test']}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+    assert repr(name) in err

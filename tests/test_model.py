@@ -49,6 +49,14 @@ def zero_params(model: NfetcModel, names=None) -> None:
 T4 = triple(["the", "cat", "sat", "on"], 1, 2)
 
 
+@pytest.fixture
+def float64_training(monkeypatch):
+    """Train-mode LSTMs in float64, for the identities that hold exactly
+    only there: batch = one at a time, train = inference at keep 1, and
+    finite differences through a training forward."""
+    monkeypatch.setattr(model_module, "TRAIN_DTYPE", np.float64)
+
+
 # -- initialization ------------------------------------------------------------
 
 
@@ -340,6 +348,7 @@ def test_predict_probs_of_nothing_is_zero_rows():
     assert probs.dtype == np.float64
 
 
+@pytest.mark.usefixtures("float64_training")
 def test_forward_batch_objective_matches_single_mention_sum():
     # keep = 1: the padded batch must equal one mention at a time exactly,
     # in the objective and in every parameter gradient
@@ -370,6 +379,33 @@ def test_forward_batch_objective_matches_single_mention_sum():
     assert set(got_grads) == set(want_grads)
     for name, grad in want_grads.items():
         assert np.max(np.abs(got_grads[name] - grad)) <= 1e-12, name
+
+
+def test_float32_training_step_tracks_float64(monkeypatch):
+    # the same masks and weights: float32 LSTMs move the objective, the
+    # probabilities and every parameter gradient by float32 rounding only
+    forest = make_forest()
+    config = LossConfig(lam=0.01, beta=0.4, mode="variant", hier=True)
+    batch = [triple(["dog", "ran"], 0, 1, ("/c",)),
+             triple(["the", "cat", "sat", "on", "mat", "big", "red"], 1, 3, ("/a/b", "/c")),
+             triple(["mat"], 0, 1, ("/a", "/a/b")),
+             triple(["big", "red", "fox", "ran", "on"], 2, 4, ("/a",)),
+             triple(["the", "dog", "sat", "on"], 1, 3, ("/a", "/c"))]
+    model = make_model(seed=13, p_i=0.7, p_o=0.9)
+    runs = []
+    for dtype in (np.float64, np.float32):
+        monkeypatch.setattr(model_module, "TRAIN_DTYPE", dtype)
+        probs = model.forward_bucket(batch, train=True, rng=make_rng(6))[0]
+        loss = mean_nll(probs, batch, config, forest) + l2_penalty(model.params, config.lam)
+        runs.append((probs.data, loss.data, gradients(loss, model.params)))
+    (want_probs, want_loss, want_grads), (probs, loss, grads) = runs
+    assert probs.dtype == loss.dtype == np.float64
+    assert np.max(np.abs(probs - want_probs)) <= 1e-4 * np.max(want_probs)
+    assert abs(loss - want_loss) <= 1e-4 * abs(want_loss)
+    assert set(grads) == set(want_grads)
+    for name, want in want_grads.items():
+        assert grads[name].dtype == np.float64, name
+        assert np.max(np.abs(grads[name] - want)) <= 1e-4 * np.max(np.abs(want)), name
 
 
 def count_tape_nodes(monkeypatch, model, batch, config):
@@ -460,6 +496,7 @@ def test_dropout_reproducible_under_seed():
     assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.usefixtures("float64_training")
 def test_keep_prob_one_trains_like_inference():
     model = make_model()
     probs, _ = model.forward_bucket([T4], train=True)
@@ -506,6 +543,7 @@ def test_gradients_match_finite_differences(name):
     assert max_rel_error(grads[name], numeric) < TOLERANCE
 
 
+@pytest.mark.usefixtures("float64_training")
 def test_gradients_with_dropout_masks_held_fixed():
     model = make_model(seed=8, p_i=0.7, p_o=0.9)
     batch = [T4]

@@ -100,6 +100,16 @@ def test_dropout_mask_values_and_mean():
     assert abs(mask.mean() - 1.0) < 0.02
 
 
+@pytest.mark.parametrize("keep", [0.7, 0.9, 1.0])
+def test_dropout_mask_is_float32_zero_or_scaled_one(keep):
+    mask = dropout_mask((64, 9), keep, make_rng(7))
+    assert mask.dtype == np.float32
+    assert set(np.unique(mask).tolist()) <= {0.0, float(np.float32(1.0 / keep))}
+    assert np.count_nonzero(mask) > 0
+    # one float32 uniform per entry decides it
+    assert np.array_equal(mask > 0, make_rng(7).random((64, 9), dtype=np.float32) < keep)
+
+
 @pytest.mark.parametrize("keep", [0.7, 0.9])
 def test_dropout_mask_keep_rate(keep):
     mask = dropout_mask((50000,), keep, make_rng(9))

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from nfetc import model as model_module
 from nfetc import training as training_module
 from nfetc.corpus import Corpus, MentionTriple
 from nfetc.embeddings import WordEmbeddings
@@ -124,6 +125,20 @@ def test_train_is_deterministic():
         assert a.best_values[name].tobytes() == b.best_values[name].tobytes()
 
 
+def test_float32_training_writes_byte_identical_checkpoints(tmp_path, monkeypatch):
+    train_c, dev_c, emb, forest = make_world()
+    _, config = select_variant("NFETC-hier(r)", beta=0.4)
+    hp = small_hp(p_i=0.7, p_o=0.9)
+    paths = [tmp_path / f"{name}.ckpt" for name in ("a", "b", "float64")]
+    for path in paths[:2]:
+        train(train_c, dev_c, emb, forest, hp, config, checkpoint_path=str(path))
+    monkeypatch.setattr(model_module, "TRAIN_DTYPE", np.float64)
+    train(train_c, dev_c, emb, forest, hp, config, checkpoint_path=str(paths[2]))
+    a, b, wide = (path.read_bytes() for path in paths)
+    assert a == b
+    assert a != wide   # the runs above did train in float32
+
+
 def test_train_seed_changes_the_run():
     train_c, dev_c, emb, forest = make_world()
     _, config = select_variant("NFETC(f)")
@@ -194,6 +209,16 @@ def test_train_divergence_aborts_with_context():
     _, config = select_variant("NFETC(f)", lam=0.001)
     with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="epoch"):
         train(train_c, dev_c, emb, forest, small_hp(lr=1e300, lam=0.001), config)
+
+
+def test_train_rejects_word_vectors_beyond_float32():
+    # finite in float64, but the float32 LSTMs would read them as inf
+    train_c, dev_c, emb, forest = make_world()
+    matrix = emb.matrix.copy()
+    matrix[4, 0] = -1e39
+    _, config = select_variant("NFETC(f)")
+    with pytest.raises(TrainingDiverged, match="word vectors outside the float32 range"):
+        train(train_c, dev_c, WordEmbeddings(emb.words, matrix), forest, small_hp(), config)
 
 
 def test_train_rejects_non_finite_gradient_before_the_update(monkeypatch):
