@@ -309,13 +309,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def lstm_sequence(x: Tensor | list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
+def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
                   lengths, reverse: bool = False, mask_in=None, mask_out=None,
                   dtype=np.float64) -> Tensor:
     """A fused-gate LSTM over a padded, time-major batch, as one tape node.
 
-    Row t*B + b of ``x`` is step t of sequence b; ``x`` may be a list of
-    column blocks with the same rows, in ``w_in`` row order. ``lengths`` must
+    ``x`` is a list of column blocks with the same rows, in ``w_in`` row
+    order; row t*B + b is step t of sequence b. ``lengths`` must
     be non-increasing, so the sequences running at step t are the prefix
     [:n_t] and no step touches padding. Gate column blocks are input, forget,
     output, candidate. ``reverse`` runs each sequence from its own last step
@@ -332,7 +332,7 @@ def lstm_sequence(x: Tensor | list[Tensor], w_in: Tensor, w_rec: Tensor, bias: T
     the output and every gradient are float64, so float32 keeps float64
     master weights (Micikevicius et al., arXiv 1710.03740).
     """
-    blocks = list(x) if isinstance(x, (list, tuple)) else [x]
+    blocks = list(x)
     shapes = [blk.data.shape for blk in blocks]
     lengths = np.asarray(lengths, dtype=np.intp)
     b = lengths.size
@@ -424,37 +424,23 @@ def lstm_sequence(x: Tensor | list[Tensor], w_in: Tensor, w_rec: Tensor, bias: T
 
 
 class ParamSet:
-    """Named parameter tensors, each trainable or frozen (``requires_grad``).
-
-    Frozen entries (pre-trained word embeddings) are visible to the forward
-    pass as constants and are never touched by the optimizer. Their arrays
-    are made read-only, so snapshots share them instead of copying. Iteration
-    order is insertion order, which keeps training byte-deterministic.
-    """
+    """Named trained tensors, in insertion order, which keeps training
+    byte-deterministic. The frozen word vectors live in ``WordEmbeddings``."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, data, trainable: bool = True) -> Tensor:
+    def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        t = Tensor.parameter(data)
+        if not np.all(np.isfinite(t.data)):
             raise ValueError(f"parameter {name} has non-finite values")
-        if not trainable:
-            arr.flags.writeable = False
-        t = Tensor.parameter(arr) if trainable else Tensor.constant(arr)
         self._params[name] = t
         return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def trainable_items(self):
-        return [(n, t) for n, t in self._params.items() if t.requires_grad]
 
     def items(self):
         return list(self._params.items())
@@ -464,25 +450,18 @@ class ParamSet:
             t.grad = None
 
     def copy_values(self) -> dict[str, np.ndarray]:
-        """Snapshot of every value: trainable arrays copied, frozen
-        (read-only) arrays by reference."""
-        return {n: t.data.copy() if t.requires_grad else t.data
-                for n, t in self._params.items()}
+        return {n: t.data.copy() for n, t in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for n, t in self._params.items():
             src = values[n]
             if src.shape != t.data.shape:
                 raise ValueError(f"shape mismatch loading {n}: {src.shape} vs {t.data.shape}")
-            if src is t.data:
-                continue
             t.data = np.array(src, dtype=np.float64)
-            if not t.requires_grad:
-                t.data.flags.writeable = False
 
 
 def gradients(loss: Tensor, params: ParamSet) -> dict[str, np.ndarray]:
-    """Reverse-mode gradients of a scalar loss for every trainable parameter.
+    """Reverse-mode gradients of a scalar loss for every parameter.
 
     Parameters the loss does not reach get a zero gradient of matching shape.
     """
@@ -491,6 +470,6 @@ def gradients(loss: Tensor, params: ParamSet) -> dict[str, np.ndarray]:
     params.zero_grads()
     loss.backward()
     out = {}
-    for name, t in params.trainable_items():
+    for name, t in params.items():
         out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
     return out

@@ -1,10 +1,10 @@
-"""Parameter snapshot container.
+"""Named float64 tensors plus a JSON header, in one file.
 
 Layout, all little-endian:
 
     NFETCCKPT 1\n          magic + format version
     <meta_len>\n           ASCII byte length of the JSON block
-    <meta JSON>            run metadata plus ordered parameter descriptors
+    <meta JSON>            run metadata plus ordered tensor descriptors
     <tensor bytes>         float64 C-order arrays, concatenated in meta order
 
 The writer is fully deterministic, so identical runs produce byte-identical
@@ -14,11 +14,10 @@ files; the loader rejects truncation, trailing bytes, and non-finite values.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
-
-from .autodiff import ParamSet
 
 MAGIC = b"NFETCCKPT 1\n"
 
@@ -27,16 +26,15 @@ class CheckpointError(ValueError):
     pass
 
 
-def save(path: str, meta: dict, params: ParamSet) -> None:
-    """Write the snapshot to a temporary file beside ``path``, fsync it, then
-    rename it over ``path``: a failed write leaves any old file intact."""
+def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> None:
+    """Write ``(name, trainable, array)`` tensors in order to a temporary file
+    beside ``path``, fsync it, then rename it over ``path``: a failed write
+    leaves any old file intact."""
     if "params" in meta:
         raise CheckpointError("meta key 'params' is reserved")
     doc = dict(meta)
-    doc["params"] = [
-        {"name": n, "trainable": t.requires_grad, "shape": list(t.data.shape)}
-        for n, t in params.items()
-    ]
+    doc["params"] = [{"name": n, "trainable": trainable, "shape": list(a.shape)}
+                     for n, trainable, a in tensors]
     blob = json.dumps(doc).encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -44,8 +42,8 @@ def save(path: str, meta: dict, params: ParamSet) -> None:
             f.write(MAGIC)
             f.write(str(len(blob)).encode("ascii") + b"\n")
             f.write(blob)
-            for _, t in params.items():
-                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            for _, _, a in tensors:
+                f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -55,8 +53,9 @@ def save(path: str, meta: dict, params: ParamSet) -> None:
         raise
 
 
-def load(path: str) -> tuple[dict, ParamSet]:
-    """Read the snapshot, each tensor straight into its own array."""
+def load(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta block (its ``params`` list holds the descriptors) and each
+    tensor by name in file order, each read straight into its own array."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
@@ -77,22 +76,27 @@ def load(path: str) -> tuple[dict, ParamSet]:
         entries = meta.get("params")
         if not isinstance(entries, list):
             raise CheckpointError(f"{path}: meta lacks the parameter list")
-        params = ParamSet()
+        size = os.fstat(f.fileno()).st_size
+        tensors: dict[str, np.ndarray] = {}
         for e in entries:
             if not (isinstance(e, dict) and isinstance(e.get("name"), str)
                     and isinstance(e.get("trainable"), bool)
                     and isinstance(e.get("shape"), list)
                     and all(isinstance(n, int) and n >= 0 for n in e["shape"])):
                 raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
-            if e["name"] in params:
+            if e["name"] in tensors:
                 raise CheckpointError(f"{path}: duplicate parameter name {e['name']!r}")
+            # checked before allocating, so no shape can ask for more memory
+            # than the file holds
+            if math.prod(e["shape"]) * 8 > size - f.tell():
+                raise CheckpointError(f"{path}: truncated tensor {e['name']!r}")
             arr = np.empty(tuple(e["shape"]), dtype="<f8")
             if f.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"{path}: truncated tensor {e['name']!r}")
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"{path}: non-finite values in {e['name']!r}")
-            params.add(e["name"], arr, trainable=bool(e["trainable"]))
-        trailing = os.fstat(f.fileno()).st_size - f.tell()
+            tensors[e["name"]] = arr
+        trailing = size - f.tell()
     if trailing:
         raise CheckpointError(f"{path}: {trailing} trailing bytes")
-    return meta, params
+    return meta, tensors

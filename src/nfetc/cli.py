@@ -163,9 +163,8 @@ def _load_forest(cfg: dict, command: str):
     return refined, forest, full_map
 
 
-def _parse_with_refinement(path, parse_forest, final_forest, full_map,
-                           tag="raw", allow_unlabeled=False) -> Corpus:
-    corpus = parse_corpus(path, parse_forest, tag=tag, allow_unlabeled=allow_unlabeled)
+def _parse_with_refinement(path, parse_forest, final_forest, full_map) -> Corpus:
+    corpus = parse_corpus(path, parse_forest)
     if full_map is not None:
         corpus = relabel(corpus, full_map, final_forest)
     return corpus
@@ -219,28 +218,25 @@ def cmd_train(cfg: dict) -> int:
         if len(seeds) > 1:
             multi = run_multi(seeds, corpus, dev, embeddings, forest, hp,
                               loss_cfg, eval_corpus=held, log=log_stream)
+            best = max(range(len(seeds)), key=lambda i: multi.runs[i].final.strict)
+            result = multi.runs[best]
             lines = [multi.as_text()]
             for s, run in zip(seeds, multi.runs):
                 lines.append(f"seed={s} {run.final.as_text()}")
             if cfg["checkpoint"]:
-                best = max(range(len(seeds)),
-                           key=lambda i: multi.runs[i].final.strict)
-                save_checkpoint(cfg["checkpoint"], hp, loss_cfg, forest,
-                                embeddings,
-                                params_from_values(multi.runs[best].best_values))
                 lines.append(f"checkpoint={cfg['checkpoint']} (seed {seeds[best]})\n")
-            text = "".join(lines)
         else:
             if seeds:
                 hp = dataclasses.replace(hp, seed=seeds[0])
             result = train(corpus, dev, embeddings, forest, hp, loss_cfg,
-                           eval_corpus=held,
-                           checkpoint_path=cfg["checkpoint"] or None,
-                           log=log_stream)
-            text = (f"best_epoch={result.best_epoch} "
-                    f"dev_strict={result.best_dev_strict:.4f}\n"
-                    + result.final.as_text())
-    _emit(text, cfg["report"], echo=True)
+                           eval_corpus=held, log=log_stream)
+            lines = [f"best_epoch={result.best_epoch} "
+                     f"dev_strict={result.best_dev_strict:.4f}\n",
+                     result.final.as_text()]
+    if cfg["checkpoint"]:
+        save_checkpoint(cfg["checkpoint"], hp, loss_cfg, forest, embeddings,
+                        params_from_values(result.best_values))
+    _emit("".join(lines), cfg["report"], echo=True)
     return 0
 
 
@@ -250,7 +246,10 @@ def cmd_eval(cfg: dict) -> int:
     path = _require_path(cfg, key, "eval")
     full_map = None
     parse_forest = restored.forest
-    if cfg["refinement"] and cfg["types"]:
+    if cfg["refinement"]:
+        if not cfg["types"]:
+            raise CliError(2, "nfetc eval: refinement needs the 'types' config key, "
+                              "the forest the corpus labels are written in")
         _, parse_forest, full_map = _load_forest(cfg, "eval")
     corpus = _parse_with_refinement(path, parse_forest, restored.forest, full_map)
     corpus = windowed(corpus, restored.hyperparams.window)

@@ -22,7 +22,12 @@ class EmbeddingError(ValueError):
 
 
 class WordEmbeddings:
-    """Vocabulary plus a |V| x d_w float64 matrix, frozen."""
+    """Vocabulary plus a |V| x d_w float64 matrix, frozen: the array is made
+    read-only, so nothing can update it and nothing needs to copy it.
+
+    The constructor takes ownership of ``matrix``: a float64 array is kept
+    as it is, not copied, and made read-only, so the caller's own array can
+    no longer be written to. Pass a copy to keep a writable one."""
 
     def __init__(self, words: list[str], matrix: np.ndarray):
         if len(words) != len(set(words)):
@@ -32,6 +37,7 @@ class WordEmbeddings:
                                  f"{len(words)} words")
         self.words = list(words)
         self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.matrix.flags.writeable = False
         self._index = {w: i for i, w in enumerate(self.words)}
         self.dim = self.matrix.shape[1]
 
@@ -40,6 +46,7 @@ class WordEmbeddings:
         """Load ``word v1 .. v_dw`` lines; d_w is fixed by the first line."""
         words: list[str] = []
         rows: list[list[float]] = []
+        linenos: list[int] = []
         seen = set()
         dim = None
         with open(path, encoding="utf-8") as fh:
@@ -63,9 +70,14 @@ class WordEmbeddings:
                 except ValueError:
                     raise EmbeddingError(f"{path}:{lineno}: non-numeric value") from None
                 words.append(word)
+                linenos.append(lineno)
         if not words:
             raise EmbeddingError(f"{path}: empty embedding file")
-        return cls(words, np.array(rows, dtype=np.float64))
+        matrix = np.array(rows, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        if bad.size:
+            raise EmbeddingError(f"{path}:{linenos[bad[0]]}: non-finite value")
+        return cls(words, matrix)
 
     def __len__(self) -> int:
         """Vocabulary size; the perfbench tracer counts loaded words by it."""

@@ -86,12 +86,10 @@ def score_pairs(pairs: list[EvalPair]) -> Metrics:
 
 
 def predict_indices(model, corpus: Corpus, forest: TypeForest,
-                    config: LossConfig | None = None) -> list[int]:
+                    config: LossConfig) -> list[int]:
     """Predicted type index per mention, the argmax of the model's batched
     ``predict_probs`` rows (adjusted when the config asks for it)."""
-    probs = model.predict_probs(list(corpus))
-    if config is not None:
-        probs = inference_adjust(probs, forest, config)
+    probs = inference_adjust(model.predict_probs(list(corpus)), forest, config)
     return [int(i) for i in np.argmax(probs, axis=1)]
 
 
@@ -108,8 +106,7 @@ def pairs_for(corpus: Corpus, predictions: list[int], forest: TypeForest) -> lis
     return out
 
 
-def evaluate(model, corpus: Corpus, forest: TypeForest,
-             config: LossConfig | None = None) -> Metrics:
+def evaluate(model, corpus: Corpus, forest: TypeForest, config: LossConfig) -> Metrics:
     """Forward every mention in infer mode and score all three metrics."""
     predictions = predict_indices(model, corpus, forest, config)
     return score_pairs(pairs_for(corpus, predictions, forest))

@@ -23,7 +23,7 @@ MODES = ("standard", "variant")
 class LossConfig:
     """Objective switches.
 
-    lam scales the L2 penalty over trainable parameters. beta tunes how much
+    lam scales the L2 penalty over the trained parameters. beta tunes how much
     ancestor probability mass is credited to each type before the loss; the
     adjustment is active only when ``hier`` is set. ``mode`` picks between
     plain cross-entropy on a single gold type and the variant that selects
@@ -68,13 +68,13 @@ def hierarchical_adjust_rows(p_rows: Tensor, forest: TypeForest, beta: float) ->
 
 
 def l2_penalty(params: ParamSet, lam: float) -> Tensor:
-    """lam times the summed squares of every trainable parameter."""
+    """lam times the summed squares of every parameter."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if lam == 0.0:
         return Tensor.constant(0.0)
     total = Tensor.constant(0.0)
-    for _, t in params.trainable_items():
+    for _, t in params.items():
         total = total + (t * t).sum()
     return total * lam
 

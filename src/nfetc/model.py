@@ -87,14 +87,13 @@ def param_shapes(d_w: int, d_p: int, d_s: int, window: int, k: int) -> dict[str,
 
 def init_params(hp: HyperParams, embeddings: WordEmbeddings, k: int,
                 rng: np.random.Generator) -> ParamSet:
-    """Fresh trainable parameters plus the frozen word embedding entry:
-    position rows and attention uniform in [-0.25, 0.25], glorot LSTM inputs
-    and classifier, orthogonal recurrence, zero biases except forget-gate
-    bias 1. Creation order is fixed so a seed pins every initial value.
+    """Fresh trained parameters: position rows and attention uniform in
+    [-0.25, 0.25], glorot LSTM inputs and classifier, orthogonal recurrence,
+    zero biases except forget-gate bias 1. Creation order is fixed so a seed
+    pins every initial value.
     """
     d_s = hp.d_s
     params = ParamSet()
-    params.add("word_emb", embeddings.matrix, trainable=False)
     for name, shape in param_shapes(embeddings.dim, hp.d_p, d_s, hp.window, k).items():
         kind = name.rpartition(".")[2]
         if kind == "w_in":

@@ -16,45 +16,43 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+# Adam's decay rates and denominator floor (Kingma & Ba, arXiv 1412.6980)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """Per-parameter first/second moment accumulators plus the step counter."""
 
-    def __init__(self, params: ParamSet, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: ParamSet):
         self.step = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in params.trainable_items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.trainable_items()}
+        self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
+        self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
 
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
               lr: float) -> None:
-    """One bias-corrected Adam update of every trainable parameter, in place.
-
-    Frozen parameters are never touched. Gradient shapes must match.
-    """
+    """One bias-corrected Adam update of every parameter, in place.
+    Gradient shapes must match."""
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for name, tensor in params.trainable_items():
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    for name, tensor in params.items():
         g = grads[name]
         if g.shape != tensor.data.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter "
                              f"{name} of shape {tensor.data.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def dropout_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:

@@ -80,7 +80,6 @@ class RunResult:
     best_dev_strict: float
     best_values: dict[str, np.ndarray]
     final: Metrics | None = None
-    checkpoint_path: str | None = None
 
 
 def select_variant(name: str, lam: float = 0.0, beta: float = 0.0,
@@ -115,8 +114,7 @@ def training_corpus(corpus: Corpus, choice: str, forest: TypeForest) -> Corpus:
 
 def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
           forest: TypeForest, hp: HyperParams, config: LossConfig,
-          eval_corpus: Corpus | None = None, checkpoint_path: str | None = None,
-          log=None) -> RunResult:
+          eval_corpus: Corpus | None = None, log=None) -> RunResult:
     """Mini-batch Adam descent with per-epoch dev evaluation.
 
     Keeps the parameter snapshot of the best dev strict accuracy seen so far
@@ -145,7 +143,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
         loss_total = 0.0
         for lo in range(0, n, hp.batch):
             where = f"at epoch {epoch}, batch starting at mention {lo} (lr={hp.lr}, seed={hp.seed})"
-            for name, t in model.params.trainable_items():
+            for name, t in model.params.items():
                 if not np.abs(t.data).max() <= limit:
                     raise TrainingDiverged(f"{name} outside the {limit.dtype} range {where}")
             chunk = [train_w[i] for i in order[lo:lo + hp.batch]]
@@ -182,9 +180,6 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
                        best_dev_strict=best_strict, best_values=best_values)
     if eval_corpus is not None:
         result.final = evaluate(model, windowed(eval_corpus, hp.window), forest, config)
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, hp, config, forest, embeddings, model.params)
-        result.checkpoint_path = checkpoint_path
     return result
 
 
@@ -227,28 +222,30 @@ def run_multi(seeds: list[int], train_corpus: Corpus, dev_corpus: Corpus,
 
 # -- checkpoint semantics ------------------------------------------------------
 
-def params_from_values(values: dict[str, np.ndarray]):
-    """Rebuild a ParamSet from a value snapshot, preserving order. The word
-    embedding matrix is the model's only frozen parameter."""
+def params_from_values(values: dict[str, np.ndarray]) -> ParamSet:
+    """Rebuild a ParamSet from a value snapshot, preserving order. A word
+    matrix among the values is skipped: the embeddings hold it."""
     params = ParamSet()
     for name, arr in values.items():
-        params.add(name, arr, trainable=(name != "word_emb"))
+        if name != "word_emb":
+            params.add(name, arr)
     return params
 
 
 def save_checkpoint(path: str, hp: HyperParams, config: LossConfig,
                     forest: TypeForest, embeddings: WordEmbeddings,
-                    params) -> None:
+                    params: ParamSet) -> None:
     """Self-contained snapshot: hyperparameters, loss config, type forest,
-    vocabulary, and every parameter tensor (the frozen word embedding matrix
-    rides along as a parameter)."""
+    vocabulary, the frozen word matrix written from ``embeddings`` as the
+    first tensor, then every trained tensor."""
     meta = {
         "hyperparams": dataclasses.asdict(hp),
         "loss_config": dataclasses.asdict(config),
         "types": forest.types(),
         "vocab": embeddings.words,
     }
-    checkpoint.save(path, meta, params)
+    checkpoint.save(path, meta, [("word_emb", False, embeddings.matrix)]
+                    + [(name, True, t.data) for name, t in params.items()])
 
 
 @dataclass
@@ -270,14 +267,15 @@ def _settings(cls, meta: dict, key: str):
     return cls(**given)
 
 
-def _check_tensors(params: ParamSet, k: int) -> None:
+def _check_tensors(params: ParamSet, d_w: int, k: int) -> None:
     """Raise ``CheckpointError`` unless ``params`` holds exactly the tensors of
-    ``param_shapes`` for ``k`` types and the sizes read off the others."""
+    ``param_shapes`` for word width ``d_w``, ``k`` types and the sizes read
+    off the others."""
     got = {name: t.shape for name, t in params.items()}
-    (_, d_w), (rows, d_p), (d_s,) = (   # zeros for a misshapen one, reported below
+    (rows, d_p), (d_s,) = (   # zeros for a misshapen one, reported below
         got[n] if len(got.get(n, ())) == ndim else (0,) * ndim
-        for n, ndim in (("word_emb", 2), ("pos_table", 2), ("attn_w", 1)))
-    want = {"word_emb": got["word_emb"], **param_shapes(d_w, d_p, d_s, (rows - 2) // 2, k)}
+        for n, ndim in (("pos_table", 2), ("attn_w", 1)))
+    want = param_shapes(d_w, d_p, d_s, (rows - 2) // 2, k)
     problems = ([f"lacks tensor {n!r}" for n in want if n not in got]
                 + [f"has unexpected tensor {n!r}" for n in got if n not in want])
     problems = problems or [f"tensor {n!r} has shape {got[n]}, expected {want[n]}"
@@ -289,7 +287,7 @@ def _check_tensors(params: ParamSet, k: int) -> None:
 def load_checkpoint(path: str) -> Restored:
     """The model and run settings of a checkpoint. Every size comes from the
     parameter tensors, so restoring draws no random numbers."""
-    meta, params = checkpoint.load(path)
+    meta, tensors = checkpoint.load(path)
     try:
         for key in ("hyperparams", "loss_config", "types", "vocab"):
             if key not in meta:
@@ -297,13 +295,11 @@ def load_checkpoint(path: str) -> Restored:
         hp = _settings(HyperParams, meta, "hyperparams")
         config = _settings(LossConfig, meta, "loss_config")
         forest = TypeForest(meta["types"])
-        if "word_emb" not in params:
+        if "word_emb" not in tensors:
             raise checkpoint.CheckpointError("checkpoint lacks the word embedding matrix")
-        if "cls_b" in params and params["cls_b"].shape != (len(forest),):
-            raise checkpoint.CheckpointError(
-                f"classifier bias does not have one entry for each of {len(forest)} types")
-        _check_tensors(params, len(forest))
-        embeddings = WordEmbeddings(meta["vocab"], params["word_emb"].data)
+        embeddings = WordEmbeddings(meta["vocab"], tensors["word_emb"])
+        params = params_from_values(tensors)
+        _check_tensors(params, embeddings.dim, len(forest))
     except (TypeError, ValueError) as e:
         raise checkpoint.CheckpointError(f"{path}: {e}") from None
     model = NfetcModel(hp, embeddings, forest, params=params)

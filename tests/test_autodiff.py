@@ -222,7 +222,7 @@ def test_sigmoid_extreme_inputs_stay_finite():
     # +1000 opens every gate (c = 1, h = tanh 1), -1000 closes them (h = 0)
     x = Tensor.parameter(np.array([[1000.0], [-1000.0]]))
     w_in = Tensor.parameter(np.ones((1, 4)))
-    h = lstm_sequence(x, w_in, Tensor.parameter(np.zeros((1, 4))),
+    h = lstm_sequence([x], w_in, Tensor.parameter(np.zeros((1, 4))),
                       Tensor.parameter(np.zeros(4)), [1, 1])
     assert h.data[:, 0] == pytest.approx([math.tanh(1.0), 0.0])
     h.sum().backward()
@@ -464,7 +464,7 @@ def test_lstm_sequence_float32_tracks_float64(reverse, masked):
 def test_lstm_sequence_padding_is_zero_and_inert():
     lengths = [3, 1]
     x, w_in, w_rec, bias, weight = lstm_case(lengths)
-    out = lstm_sequence(x, w_in, w_rec, bias, lengths, reverse=True)
+    out = lstm_sequence([x], w_in, w_rec, bias, lengths, reverse=True)
     padded = [3, 5]  # steps 1 and 2 of the second sequence
     assert np.array_equal(out.data[padded], np.zeros((2, D_S)))
     assert np.all(out.data[[0, 1, 2, 4]] != 0.0)
@@ -472,10 +472,16 @@ def test_lstm_sequence_padding_is_zero_and_inert():
     assert np.array_equal(x.grad[padded], np.zeros((2, D_IN)))
 
 
+def test_lstm_sequence_takes_a_list_of_blocks():
+    x, w_in, w_rec, bias, _ = lstm_case([2, 1])
+    with pytest.raises(TypeError):
+        lstm_sequence(x, w_in, w_rec, bias, [2, 1])
+
+
 def test_lstm_sequence_keeps_no_tape_under_no_grad():
     x, w_in, w_rec, bias, _ = lstm_case([2, 1])
     with no_grad():
-        out = lstm_sequence(x, w_in, w_rec, bias, [2, 1])
+        out = lstm_sequence([x], w_in, w_rec, bias, [2, 1])
     assert not out.requires_grad
     assert out._backward is None and out._parents == ()
 
@@ -556,7 +562,7 @@ class TestParamSet:
     def build(self):
         ps = ParamSet()
         ps.add("w", np.ones((2, 2)))
-        ps.add("frozen", np.full(3, 7.0), trainable=False)
+        ps.add("b", np.full(3, 7.0))
         return ps
 
     def test_duplicate_name_rejected(self):
@@ -570,11 +576,14 @@ class TestParamSet:
             ps.add("bad", [np.nan])
 
     def test_trainable_bookkeeping(self):
+        # every entry is trained, in insertion order, even one added under no_grad
         ps = self.build()
-        assert [n for n, _ in ps.items()] == ["w", "frozen"]
-        assert ps["w"].requires_grad and not ps["frozen"].requires_grad
-        assert [n for n, _ in ps.trainable_items()] == ["w"]
-        assert "frozen" in ps and "missing" not in ps
+        with no_grad():
+            ps.add("late", np.zeros(1))
+        assert [n for n, _ in ps.items()] == ["w", "b", "late"]
+        assert all(t.requires_grad for _, t in ps.items())
+        with pytest.raises(KeyError):
+            ps["missing"]
 
     def test_copy_load_roundtrip(self):
         ps = self.build()
@@ -583,21 +592,15 @@ class TestParamSet:
         ps.load_values(snapshot)
         assert ps["w"].data[0, 0] == 1.0
 
-    def test_frozen_arrays_are_shared_read_only(self):
+    def test_snapshots_are_private_copies(self):
         ps = self.build()
-        frozen = ps["frozen"].data
-        assert not frozen.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            frozen[0] = 1.0
         snapshot = ps.copy_values()
-        assert snapshot["frozen"] is frozen
-        assert snapshot["w"] is not ps["w"].data
+        assert all(snapshot[n] is not t.data for n, t in ps.items())
         ps.load_values(snapshot)
-        assert ps["frozen"].data is frozen
-        # a different array for a frozen entry is copied in, read-only again
-        ps.load_values({"w": np.ones((2, 2)), "frozen": np.full(3, 2.0)})
-        assert ps["frozen"].data.tolist() == [2.0, 2.0, 2.0]
-        assert not ps["frozen"].data.flags.writeable
+        assert all(snapshot[n] is not t.data for n, t in ps.items())
+        snapshot["b"][0] = 1.0
+        assert ps["b"].data.tolist() == [7.0, 7.0, 7.0]
+        assert ps["b"].data.flags.writeable
 
     def test_load_shape_mismatch(self):
         ps = self.build()
@@ -632,10 +635,12 @@ def test_gradients_requires_scalar_loss():
 
 
 def test_gradients_skips_frozen_entries():
+    # a constant input, as the frozen word vectors are, gets no gradient
     ps = ParamSet()
     ps.add("w", np.array([1.0]))
-    ps.add("emb", np.array([5.0]), trainable=False)
-    loss = (ps["w"] * ps["emb"]).sum()
+    emb = Tensor.constant(np.array([5.0]))
+    loss = (ps["w"] * emb).sum()
     grads = gradients(loss, ps)
     assert set(grads) == {"w"}
     assert grads["w"] == pytest.approx([5.0])
+    assert emb.grad is None

@@ -9,77 +9,74 @@ import pytest
 
 from ckptedit import rewrite_meta, rewrite_params
 from nfetc import training as training_module
-from nfetc.autodiff import ParamSet
 from nfetc.checkpoint import MAGIC, CheckpointError, load, save
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig
-from nfetc.model import NfetcModel
+from nfetc.model import NfetcModel, param_shapes
 from nfetc.optim import make_rng
 from nfetc.training import (HyperParams, load_checkpoint, params_from_values,
                             save_checkpoint)
 
 
-def sample_params() -> ParamSet:
-    params = ParamSet()
+def sample_tensors() -> list:
     rng = make_rng(2)
-    params.add("word_emb", rng.normal(size=(4, 3)), trainable=False)
-    params.add("w", rng.normal(size=(3, 5)))
-    params.add("b", np.array([0.0, -1.5, 2.25]))
-    return params
+    return [("word_emb", False, rng.normal(size=(4, 3))),
+            ("w", True, rng.normal(size=(3, 5))),
+            ("b", True, np.array([0.0, -1.5, 2.25]))]
 
 
 def test_round_trip_preserves_everything(tmp_path):
     path = tmp_path / "model.ckpt"
-    params = sample_params()
-    save(path, {"note": "hello", "k": 3}, params)
+    tensors = sample_tensors()
+    save(path, {"note": "hello", "k": 3}, tensors)
 
     meta, loaded = load(path)
     assert meta["note"] == "hello" and meta["k"] == 3
-    assert [n for n, _ in loaded.items()] == ["word_emb", "w", "b"]
-    assert not loaded["word_emb"].requires_grad
-    assert loaded["w"].requires_grad and loaded["b"].requires_grad
-    for name, tensor in params.items():
-        assert np.array_equal(loaded[name].data, tensor.data)
+    assert list(loaded) == ["word_emb", "w", "b"]
+    assert [(e["name"], e["trainable"]) for e in meta["params"]] == [
+        ("word_emb", False), ("w", True), ("b", True)]
+    for name, _, arr in tensors:
+        assert np.array_equal(loaded[name], arr)
     # loaded arrays must be private, writable copies
-    loaded["w"].data[0, 0] += 1.0
-    assert loaded["w"].data[0, 0] != params["w"].data[0, 0]
+    loaded["w"][0, 0] += 1.0
+    assert loaded["w"][0, 0] != tensors[1][2][0, 0]
 
 
 def test_identical_saves_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save(a, {"seed": 1}, sample_params())
-    save(b, {"seed": 1}, sample_params())
+    save(a, {"seed": 1}, sample_tensors())
+    save(b, {"seed": 1}, sample_tensors())
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_save_of_loaded_copy_is_byte_identical(tmp_path):
     first = tmp_path / "first.ckpt"
-    save(first, {"seed": 1}, sample_params())
-    meta, params = load(first)
-    meta.pop("params")
+    save(first, {"seed": 1}, sample_tensors())
+    meta, loaded = load(first)
     second = tmp_path / "second.ckpt"
-    save(second, meta, params)
+    entries = meta.pop("params")
+    save(second, meta, [(e["name"], e["trainable"], loaded[e["name"]]) for e in entries])
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_failed_save_leaves_old_file_intact(tmp_path):
     path = tmp_path / "model.ckpt"
-    save(path, {"seed": 1}, sample_params())
+    save(path, {"seed": 1}, sample_tensors())
     before = path.read_bytes()
-    params = sample_params()
+    tensors = sample_tensors()
     # the last tensor cannot be serialized, so the write stops partway
-    params["b"].data = np.array([1.0, "x"], dtype=object)
+    tensors[2] = ("b", True, np.array([1.0, "x"], dtype=object))
     with pytest.raises(ValueError):
-        save(path, {"seed": 2}, params)
+        save(path, {"seed": 2}, tensors)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 def test_reserved_meta_key_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="reserved"):
-        save(tmp_path / "x.ckpt", {"params": []}, sample_params())
+        save(tmp_path / "x.ckpt", {"params": []}, sample_tensors())
 
 
 def write_raw(path, body: bytes):
@@ -135,6 +132,27 @@ def test_load_rejects_truncated_tensor(tmp_path):
         load(p)
 
 
+@pytest.mark.parametrize("shape", [[10**7, 10**7], [2**40, 2**40]], ids=["728TiB", "2**80"])
+def test_load_rejects_shapes_larger_than_the_file(tmp_path, shape):
+    # rejected before any allocation, so neither a memory error nor numpy's
+    # "array is too big" surfaces
+    meta = {"params": [{"name": "w", "trainable": True, "shape": shape}]}
+    p = write_raw(tmp_path / "x.ckpt", packed(meta, struct.pack("<d", 1.0)))
+    with pytest.raises(CheckpointError, match=re.escape(f"{p}: truncated tensor 'w'")):
+        load(p)
+
+
+def test_load_rejects_a_short_read(tmp_path, monkeypatch):
+    # a file that shrinks after its size was taken: the size check passes, so
+    # the read itself must notice the missing bytes
+    meta = {"params": [{"name": "w", "trainable": True, "shape": [2]}]}
+    p = write_raw(tmp_path / "x.ckpt", packed(meta, struct.pack("<d", 1.0)))
+    size = os.path.getsize(p) + 8
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+    with pytest.raises(CheckpointError, match=re.escape(f"{p}: truncated tensor 'w'")):
+        load(p)
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     meta = {"params": [{"name": "w", "trainable": True, "shape": [1]}]}
     p = write_raw(tmp_path / "x.ckpt",
@@ -179,12 +197,15 @@ def some_triples(forest):
             t(["mat"], 0, 1, ["/c"])]
 
 
-def test_model_checkpoint_round_trip(tmp_path):
+def test_model_checkpoint_round_trip(tmp_path, monkeypatch):
     embeddings, forest, model = small_world()
     hp = small_hp()
     loss_config = LossConfig(lam=0.001, beta=0.3, mode="variant", hier=True)
     path = tmp_path / "run.ckpt"
     save_checkpoint(path, hp, loss_config, forest, embeddings, model.params)
+    read = []
+    monkeypatch.setattr(training_module.checkpoint, "load",
+                        lambda p: read.append(load(p)) or read[-1])
 
     restored = load_checkpoint(path)
     assert restored.hyperparams == hp
@@ -192,7 +213,14 @@ def test_model_checkpoint_round_trip(tmp_path):
     assert restored.forest.types() == forest.types()
     assert restored.model.embeddings.words == embeddings.words
     assert np.array_equal(restored.model.embeddings.matrix, embeddings.matrix)
-    assert not restored.model.params["word_emb"].requires_grad
+    # the word block goes to the embeddings as read, frozen, and nowhere else
+    meta, tensors = read[0]
+    assert restored.model.embeddings.matrix is tensors["word_emb"]
+    assert not restored.model.embeddings.matrix.flags.writeable
+    assert meta["params"][0] == {"name": "word_emb", "trainable": False,
+                                 "shape": list(embeddings.matrix.shape)}
+    assert [n for n, _ in restored.model.params.items()] == [n for n, _ in model.params.items()]
+    assert all(restored.model.params[n].data is tensors[n] for n, _ in model.params.items())
 
     batch = some_triples(forest)
     assert np.array_equal(restored.model.predict_probs(batch),
@@ -203,30 +231,31 @@ def test_model_checkpoint_meta_keys_required(tmp_path):
     embeddings, forest, model = small_world()
     path = tmp_path / "bad.ckpt"
     save(path, {"hyperparams": {}, "loss_config": {}, "types": forest.types()},
-         model.params)
+         [(n, True, t.data) for n, t in model.params.items()])
     with pytest.raises(CheckpointError, match="lacks 'vocab'"):
         load_checkpoint(path)
 
 
 def test_model_checkpoint_needs_word_embeddings(tmp_path):
     _, forest, _ = small_world()
-    params = ParamSet()
-    params.add("w", np.ones((2, 2)))
     path = tmp_path / "bad.ckpt"
     save(path, {"hyperparams": dataclasses.asdict(small_hp()),
                 "loss_config": dataclasses.asdict(LossConfig()),
-                "types": forest.types(), "vocab": VOCAB}, params)
+                "types": forest.types(), "vocab": VOCAB}, [("w", True, np.ones((2, 2)))])
     with pytest.raises(CheckpointError, match="word embedding"):
         load_checkpoint(path)
 
 
 def test_params_from_values_round_trip():
-    params = sample_params()
+    _, _, model = small_world()
+    params = model.params
     rebuilt = params_from_values(params.copy_values())
     assert [n for n, _ in rebuilt.items()] == [n for n, _ in params.items()]
-    assert not rebuilt["word_emb"].requires_grad
-    assert rebuilt["w"].requires_grad
+    assert all(t.requires_grad for _, t in rebuilt.items())
     assert all(np.array_equal(rebuilt[n].data, t.data) for n, t in params.items())
+    # a word matrix among the values is left to the embeddings
+    values = {"word_emb": np.ones((2, 2)), **params.copy_values()}
+    assert [n for n, _ in params_from_values(values).items()] == [n for n, _ in params.items()]
 
 
 def model_checkpoint(tmp_path, hp=None):
@@ -292,7 +321,8 @@ def test_model_checkpoint_tensor_shapes_must_agree(tmp_path, edit, message):
 def test_model_checkpoint_classifier_must_fit_the_types(tmp_path):
     path, _ = model_checkpoint(tmp_path)
     rewrite_meta(path, path, lambda meta: meta["types"].pop())
-    with pytest.raises(CheckpointError, match="one entry for each of 2 types"):
+    with pytest.raises(CheckpointError,
+                       match=re.escape("tensor 'cls_b' has shape (3,), expected (2,)")):
         load_checkpoint(path)
 
 
@@ -306,3 +336,46 @@ def test_model_sizes_come_from_the_tensors(tmp_path, monkeypatch):
     assert restored.hyperparams.d_s == 5
     batch = some_triples(restored.forest)
     assert np.array_equal(restored.model.predict_probs(batch), model.predict_probs(batch))
+
+
+# -- format version 1, pinned --------------------------------------------------
+
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "ckpt_v1", "model.ckpt")
+
+
+def v1_run():
+    """The settings and values ``fixtures/ckpt_v1/model.ckpt`` was written
+    from: 2 words, d_w=2, d_p=1, d_s=1, window 1, 2 types. Every value is a
+    multiple of 1/8 in [-1/2, 1/2], so the bytes do not depend on any
+    arithmetic."""
+    shapes = {"word_emb": (2, 2), **param_shapes(2, 1, 1, 1, 2)}
+    values, k = {}, 0
+    for name, shape in shapes.items():
+        n = int(np.prod(shape))
+        values[name] = ((np.arange(k, k + n) % 9 - 4) / 8.0).reshape(shape)
+        k += n
+    return (HyperParams(d_p=1, d_s=1, window=1), LossConfig(), TypeForest(["/a", "/b"]),
+            WordEmbeddings(["x", "y"], values["word_emb"]), values)
+
+
+def test_version_1_checkpoint_bytes_are_pinned(tmp_path):
+    hp, config, forest, embeddings, values = v1_run()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, hp, config, forest, embeddings, params_from_values(values))
+    with open(V1_FIXTURE, "rb") as fh:
+        pinned = fh.read()
+    assert pinned.startswith(b"NFETCCKPT 1\n") and len(pinned) < 4096
+    assert path.read_bytes() == pinned
+
+
+def test_version_1_checkpoint_restores_its_values():
+    hp, config, forest, embeddings, values = v1_run()
+    restored = load_checkpoint(V1_FIXTURE)
+    assert restored.hyperparams == hp
+    assert restored.loss_config == config
+    assert restored.forest.types() == forest.types()
+    assert restored.model.embeddings.words == embeddings.words
+    assert np.array_equal(restored.model.embeddings.matrix, values["word_emb"])
+    assert [n for n, _ in restored.model.params.items()] == list(values)[1:]
+    for name, t in restored.model.params.items():
+        assert np.array_equal(t.data, values[name]), name

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ckptedit import rewrite_meta, rewrite_params
+from nfetc import cli as cli_module
 from nfetc.cli import main
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
@@ -61,6 +62,29 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_cli_recording(argv, name):
+    """Run the CLI while keeping each value that ``nfetc.cli.<name>`` (``train``
+    or ``run_multi``) returns, so a test can compare the files it wrote."""
+    real, returned = getattr(cli_module, name), []
+
+    def recording(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_module, name, recording)
+        code, out, err = run_cli(argv)
+    return code, out, err, returned
+
+
+def assert_checkpoint_holds(path, values):
+    """The checkpoint's trained tensors are exactly ``values``, in order."""
+    restored = dict(load_checkpoint(path).model.params.items())
+    assert list(restored) == list(values)
+    for name, arr in values.items():
+        assert np.array_equal(restored[name].data, arr), name
+
+
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
     return write_world(tmp_path_factory.mktemp("world"))
@@ -76,10 +100,11 @@ def trained(tmp_path_factory, world):
         "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
         "--set", f"checkpoint={ckpt}", "--set", f"log={log}",
         "--set", f"report={report}"]
-    code, out, err = run_cli(argv)
+    code, out, err, results = run_cli_recording(argv, "train")
     assert code == 0, err
+    assert len(results) == 1
     return {"checkpoint": str(ckpt), "log": str(log), "report": str(report),
-            "stdout": out, **world}
+            "stdout": out, "result": results[0], **world}
 
 
 # -- argument and config handling -------------------------------------------------
@@ -266,6 +291,13 @@ def test_train_reports_and_artifacts(trained):
     assert restored.forest.types() == ["/a", "/a/b", "/c"]
 
 
+def test_train_checkpoint_is_the_best_epoch_snapshot(trained):
+    result = trained["result"]
+    assert f"best_epoch={result.best_epoch} dev_strict={result.best_dev_strict:.4f}\n" \
+        in trained["stdout"]
+    assert_checkpoint_holds(trained["checkpoint"], result.best_values)
+
+
 def test_train_requires_each_input(world):
     base = ["train"] + FAST + ["--set", f"types={world['types']}",
                                "--set", f"train={world['train']}",
@@ -282,16 +314,25 @@ def test_train_multi_seed_aggregate(world, tmp_path):
         "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
         "--set", "epochs=1", "--set", "seeds=3,4",
         "--set", f"checkpoint={ckpt}", "--set", f"log={tmp_path / 'log.txt'}"]
-    code, out, err = run_cli(argv)
+    code, out, err, results = run_cli_recording(argv, "run_multi")
     assert code == 0, err
     lines = out.splitlines()
     assert re.fullmatch(r"strict=\d+\.\d±\d+\.\d macro=\d+\.\d±\d+\.\d "
                         r"micro=\d+\.\d±\d+\.\d", lines[0])
     assert lines[1].startswith("seed=3 strict=")
     assert lines[2].startswith("seed=4 strict=")
-    assert re.fullmatch(r"checkpoint=.* \(seed [34]\)", lines[3])
-    assert ckpt.exists()
-    load_checkpoint(str(ckpt))
+    match = re.fullmatch(r"checkpoint=.* \(seed ([34])\)", lines[3])
+    assert match
+
+    # the checkpoint holds the best-epoch snapshot of the reported seed's run,
+    # the run with the highest final strict accuracy
+    (multi,) = results
+    runs = dict(zip((3, 4), multi.runs))
+    best = int(match.group(1))
+    assert runs[best].final.strict == max(r.final.strict for r in multi.runs)
+    other = runs[7 - best].best_values
+    assert any(not np.array_equal(a, other[n]) for n, a in runs[best].best_values.items())
+    assert_checkpoint_holds(str(ckpt), runs[best].best_values)
 
 
 # -- eval ---------------------------------------------------------------------------
@@ -348,6 +389,19 @@ def test_eval_missing_checkpoint_is_exit_2():
     code, _, err = run_cli(["eval", "--set", "checkpoint=/nonexistent.ckpt"])
     assert code == 2
     assert "/nonexistent.ckpt" in err
+
+
+def test_eval_refinement_needs_types(trained):
+    base = ["eval", "--set", f"checkpoint={trained['checkpoint']}",
+            "--set", f"test={trained['test']}", "--set", "refinement=/nonexistent"]
+    code, out, err = run_cli(base)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "refinement" in err and "'types'" in err
+    # with types given, the refinement file is read
+    code, out, err = run_cli(base + ["--set", f"types={trained['types']}"])
+    assert code == 1 and out == "" and "/nonexistent" in err
 
 
 # -- predict ------------------------------------------------------------------------
@@ -419,8 +473,11 @@ def test_export_types_round_trips_weights(trained, tmp_path):
     lambda meta: meta["params"][1].pop("shape"),
     lambda meta: meta["types"].pop(),
     lambda meta: meta["params"][2].update(name=meta["params"][1]["name"]),
+    lambda meta: meta["params"][1].update(shape=[10**7, 10**7]),
+    lambda meta: meta["params"][1].update(shape=[2**40, 2**40]),
 ], ids=["extra-hyperparam", "missing-loss-key", "descriptor-without-shape",
-        "types-short-of-classifier", "duplicate-descriptor-name"])
+        "types-short-of-classifier", "duplicate-descriptor-name",
+        "shape-of-728TiB", "shape-of-2**80-floats"])
 def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit):
     ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",

@@ -60,6 +60,10 @@ def test_lookup_many_stacks_rows(tmp_path):
     ("cat one\n", "non-numeric value"),
     ("cat\n", "no vector values"),
     ("", "empty embedding file"),
+    # blank lines count: the line is the file's, not the row's
+    ("cat 1.0\n\ndog nan\nfox 0.0\n", r"bad\.txt:3: non-finite value$"),
+    ("cat 1.0\ndog -inf\n", r"bad\.txt:2: non-finite value$"),
+    ("cat 1e999\n", r"bad\.txt:1: non-finite value$"),
 ])
 def test_from_file_rejects(tmp_path, text, message):
     p = tmp_path / "bad.txt"

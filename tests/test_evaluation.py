@@ -157,10 +157,10 @@ class RowStub:
 def test_predict_indices_callable_and_batched(corpus, forest):
     coach = forest.index("/person/coach")
     one_hot = RowStub(np.tile(np.eye(len(forest))[coach], (len(corpus), 1)))
-    assert predict_indices(one_hot, corpus, forest) == [coach] * len(corpus)
+    assert predict_indices(one_hot, corpus, forest, LossConfig()) == [coach] * len(corpus)
 
     stub = RowStub(np.tile([0.1, 0.2, 0.05, 0.3, 0.2, 0.15], (len(corpus), 1)))
-    assert predict_indices(stub, corpus, forest) == [3] * len(corpus)
+    assert predict_indices(stub, corpus, forest, LossConfig()) == [3] * len(corpus)
 
 
 def test_predict_indices_applies_inference_adjustment():
@@ -169,7 +169,7 @@ def test_predict_indices_applies_inference_adjustment():
     corpus = Corpus([m])
     stub = RowStub([[0.38, 0.32, 0.30]])
 
-    assert predict_indices(stub, corpus, forest) == [0]
+    assert predict_indices(stub, corpus, forest, LossConfig()) == [0]
     cfg = LossConfig(beta=1.0, hier=True, hier_at_inference=True)
     # athlete absorbs person's mass: .30 + .32 beats .38
     assert predict_indices(stub, corpus, forest, cfg) == [2]

@@ -6,11 +6,14 @@ import pytest
 from gradcheck import STEP, TOLERANCE, fd_gradient, max_rel_error
 from nfetc.autodiff import ParamSet, Tensor, gradients, softmax_rows
 from nfetc.corpus import MentionTriple
+from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import (LossConfig, PROB_FLOOR, hierarchical_adjust_rows,
                         inference_adjust, l2_penalty, mean_nll,
                         select_candidate)
+from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
+from nfetc.training import HyperParams
 from oracles import brute_ancestors, random_forest_paths
 
 
@@ -111,18 +114,22 @@ def test_adjust_shape_guards():
 # -- penalties and plain cross-entropy ------------------------------------------
 
 
-def make_params(values, frozen=None):
+def make_params(values):
     params = ParamSet()
     for i, v in enumerate(values):
         params.add(f"p{i}", np.asarray(v, dtype=np.float64))
-    if frozen is not None:
-        params.add("frozen", np.asarray(frozen, dtype=np.float64), trainable=False)
     return params
 
 
 def test_l2_sums_squares_of_trainables_only():
-    params = make_params([[1.0, 2.0], [3.0]], frozen=[10.0])
+    params = make_params([[1.0, 2.0], [3.0]])
     assert l2_penalty(params, 0.5).data.item() == pytest.approx(0.5 * 14.0, abs=1e-15)
+    # a model's penalty covers its parameters, not the frozen word vectors
+    model = NfetcModel(HyperParams(d_p=2, d_s=2, window=1),
+                       WordEmbeddings(["a"], np.full((1, 3), 10.0)),
+                       TypeForest(["/a", "/b"]), make_rng(0))
+    want = sum(float((t.data ** 2).sum()) for _, t in model.params.items())
+    assert l2_penalty(model.params, 1.0).data.item() == pytest.approx(want, rel=1e-12)
 
 
 def test_l2_zero_lambda_is_free():

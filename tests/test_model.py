@@ -41,7 +41,7 @@ def triple(tokens, start, end, labels=("/a",)):
 
 
 def zero_params(model: NfetcModel, names=None) -> None:
-    for name, tensor in model.params.trainable_items():
+    for name, tensor in model.params.items():
         if names is None or name in names:
             tensor.data[:] = 0.0
 
@@ -62,15 +62,15 @@ def float64_training(monkeypatch):
 
 def test_init_param_order_is_fixed():
     model = make_model()
+    # the frozen word vectors are the embeddings', not a parameter
     assert [n for n, _ in model.params.items()] == [
-        "word_emb", "pos_table",
+        "pos_table",
         "ctx_fw.w_in", "ctx_fw.w_rec", "ctx_fw.bias",
         "ctx_bw.w_in", "ctx_bw.w_rec", "ctx_bw.bias",
         "men.w_in", "men.w_rec", "men.bias",
         "attn_w", "cls_w", "cls_b",
     ]
-    assert not model.params["word_emb"].requires_grad
-    assert all(t.requires_grad for n, t in model.params.items() if n != "word_emb")
+    assert all(t.requires_grad for n, t in model.params.items())
 
 
 def test_init_shapes():
@@ -108,7 +108,7 @@ def test_init_deterministic_per_seed():
     b = make_model(seed=5).params.copy_values()
     c = make_model(seed=6).params.copy_values()
     assert all(np.array_equal(a[n], b[n]) for n in a)
-    assert any(not np.array_equal(a[n], c[n]) for n in a if n != "word_emb")
+    assert any(not np.array_equal(a[n], c[n]) for n in a)
 
 
 def test_init_shapes_follow_embedding_dim():
@@ -116,7 +116,7 @@ def test_init_shapes_follow_embedding_dim():
     wide = WordEmbeddings(VOCAB, np.ones((len(VOCAB), D_W + 2)))
     model = NfetcModel(HyperParams(d_p=3, d_s=3, window=2), wide, make_forest(),
                        make_rng(1))
-    assert model.params["word_emb"].shape == (len(VOCAB), D_W + 2)
+    assert model.embeddings.matrix.shape == (len(VOCAB), D_W + 2)
     assert model.params["ctx_fw.w_in"].shape == (D_W + 2 + 3, 12)
     assert model.params["men.w_in"].shape == (D_W + 2, 12)
     assert model.params["cls_w"].shape == (3, 2 * 3 + D_W + 2)
@@ -467,7 +467,7 @@ def test_gradients_do_not_alias_parameters():
     loss = (mean_nll(probs, batch, LossConfig(mode="variant"), make_forest())
             + l2_penalty(model.params, 0.01))
     grads = gradients(loss, model.params)
-    assert set(grads) == {name for name, _ in model.params.trainable_items()}
+    assert set(grads) == {name for name, _ in model.params.items()}
     for name, grad in grads.items():
         for other, tensor in model.params.items():
             assert not np.shares_memory(grad, tensor.data), (name, other)
@@ -563,3 +563,22 @@ def test_word_embeddings_get_no_gradient():
     loss = nll_for(model, [T4], [0])
     grads = gradients(loss, model.params)
     assert "word_emb" not in grads
+    assert set(grads) == {name for name, _ in model.params.items()}
+
+
+def test_word_matrix_is_shared_read_only():
+    # one matrix, owned by the embeddings: read-only, never copied into the
+    # model or its snapshots, and untouched by restoring one
+    emb = make_embeddings()
+    matrix = emb.matrix
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 1.0
+    model = NfetcModel(HyperParams(d_p=3, d_s=3, window=2), emb, make_forest(), make_rng(3))
+    assert model.embeddings.matrix is matrix
+    snapshot = model.params.copy_values()
+    assert not any(np.shares_memory(a, matrix) for a in snapshot.values())
+    assert sum(a.nbytes for a in snapshot.values()) == sum(
+        t.data.nbytes for _, t in model.params.items())
+    model.params.load_values(snapshot)
+    assert model.embeddings.matrix is matrix and not matrix.flags.writeable

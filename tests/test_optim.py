@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from nfetc.autodiff import ParamSet
+from nfetc.embeddings import WordEmbeddings
+from nfetc.hierarchy import TypeForest
+from nfetc.model import NfetcModel
 from nfetc.optim import AdamState, adam_step, dropout_mask, make_rng
+from nfetc.training import HyperParams
 
 
 def adam_by_hand(grad_sequence, lr, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
@@ -53,15 +57,19 @@ def test_two_steps_match_hand_oracle():
 
 
 def test_frozen_parameters_are_bit_identical_after_steps():
-    ps = ParamSet()
-    ps.add("w", np.ones(3))
-    frozen = ps.add("emb", np.arange(6.0).reshape(2, 3), trainable=False)
-    before = frozen.data.tobytes()
-    state = AdamState(ps)
-    assert set(state.m) == {"w"}
+    # Adam keeps moments for the model's parameters only; the word matrix
+    # is not among them and keeps its bytes
+    emb = WordEmbeddings(["a", "b"], np.arange(6.0).reshape(2, 3))
+    model = NfetcModel(HyperParams(d_p=2, d_s=2, window=1), emb,
+                       TypeForest(["/a", "/b"]), make_rng(0))
+    before = emb.matrix.tobytes()
+    state = AdamState(model.params)
+    assert set(state.m) == set(state.v) == {n for n, _ in model.params.items()}
     for _ in range(5):
-        adam_step(ps, {"w": np.ones(3)}, state, lr=0.1)
-    assert frozen.data.tobytes() == before
+        adam_step(model.params, {n: np.ones_like(t.data) for n, t in model.params.items()},
+                  state, lr=0.1)
+    assert model.embeddings.matrix is emb.matrix
+    assert emb.matrix.tobytes() == before
 
 
 def test_rejects_nonpositive_lr():

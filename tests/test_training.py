@@ -14,8 +14,8 @@ from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import (EpochStats, HyperParams, MultiResult,
                             TrainingDiverged, VARIANTS, load_checkpoint,
-                            params_from_values, run_multi, select_variant,
-                            train, training_corpus)
+                            params_from_values, run_multi, save_checkpoint,
+                            select_variant, train, training_corpus)
 
 VOCAB = ["the", "a", "big", "red", "cat", "dog", "mat",
          "sat", "ran", "on", "lay", "went"]
@@ -130,10 +130,14 @@ def test_float32_training_writes_byte_identical_checkpoints(tmp_path, monkeypatc
     _, config = select_variant("NFETC-hier(r)", beta=0.4)
     hp = small_hp(p_i=0.7, p_o=0.9)
     paths = [tmp_path / f"{name}.ckpt" for name in ("a", "b", "float64")]
+    def run(path):
+        result = train(train_c, dev_c, emb, forest, hp, config)
+        save_checkpoint(path, hp, config, forest, emb, params_from_values(result.best_values))
+
     for path in paths[:2]:
-        train(train_c, dev_c, emb, forest, hp, config, checkpoint_path=str(path))
+        run(path)
     monkeypatch.setattr(model_module, "TRAIN_DTYPE", np.float64)
-    train(train_c, dev_c, emb, forest, hp, config, checkpoint_path=str(paths[2]))
+    run(paths[2])
     a, b, wide = (path.read_bytes() for path in paths)
     assert a == b
     assert a != wide   # the runs above did train in float32
@@ -145,7 +149,7 @@ def test_train_seed_changes_the_run():
     a = train(train_c, dev_c, emb, forest, small_hp(seed=3), config)
     b = train(train_c, dev_c, emb, forest, small_hp(seed=4), config)
     assert any(a.best_values[n].tobytes() != b.best_values[n].tobytes()
-               for n in a.best_values if n != "word_emb")
+               for n in a.best_values)
 
 
 def test_train_loss_decreases():
@@ -189,8 +193,11 @@ def test_train_never_touches_word_embeddings():
     before = emb.matrix.copy()
     _, config = select_variant("NFETC(f)")
     result = train(train_c, dev_c, emb, forest, small_hp(), config)
-    assert np.array_equal(result.best_values["word_emb"], before)
+    # snapshots hold only the trained tensors; the matrix stays as it was
+    assert "word_emb" not in result.best_values
+    assert not any(np.shares_memory(a, emb.matrix) for a in result.best_values.values())
     assert np.array_equal(emb.matrix, before)
+    assert not emb.matrix.flags.writeable
 
 
 def test_train_rejects_empty_corpora():
@@ -263,10 +270,9 @@ def test_train_saves_best_checkpoint(tmp_path):
     _, config = select_variant("NFETC(f)")
     path = tmp_path / "run.ckpt"
     hp = small_hp()
-    result = train(train_c, dev_c, emb, forest, hp, config,
-                   eval_corpus=dev_c, checkpoint_path=str(path))
-    assert result.checkpoint_path == str(path)
+    result = train(train_c, dev_c, emb, forest, hp, config, eval_corpus=dev_c)
     assert result.final is not None
+    save_checkpoint(path, hp, config, forest, emb, params_from_values(result.best_values))
 
     restored = load_checkpoint(str(path))
     assert restored.hyperparams == hp
@@ -282,7 +288,7 @@ def test_train_final_eval_optional():
     train_c, dev_c, emb, forest = make_world()
     _, config = select_variant("NFETC(f)")
     result = train(train_c, dev_c, emb, forest, small_hp(epochs=2), config)
-    assert result.final is None and result.checkpoint_path is None
+    assert result.final is None
 
 
 # -- multi-seed protocol --------------------------------------------------------------
