@@ -315,16 +315,18 @@ def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
     """A fused-gate LSTM over a padded, time-major batch, as one tape node.
 
     ``x`` is a list of column blocks with the same rows, in ``w_in`` row
-    order; row t*B + b is step t of sequence b. ``lengths`` must
-    be non-increasing, so the sequences running at step t are the prefix
-    [:n_t] and no step touches padding. Gate column blocks are input, forget,
-    output, candidate. ``reverse`` runs each sequence from its own last step
-    back to step 0. Returns the (T*B, d_s) states, zero on padded rows.
+    order; row t*B + b is step t of sequence b. ``lengths`` may come in any
+    order: the op stable-sorts the sequences longest first, so the sequences
+    running at step t are the first n_t of that order and no step touches
+    padding. Gate column blocks are input, forget, output, candidate.
+    ``reverse`` runs each sequence from its own last step back to step 0.
+    Returns the (T*B, d_s) states, zero on padded rows.
 
     Dropout masks ``mask_in`` (R, d_in) and ``mask_out`` (R, d_s) cover the
-    R = sum(lengths) real rows in time-major order, step t's prefix after
-    step t-1's. The masked input feeds the gates and the masked output is
-    emitted; the recurrent state stays unmasked (Zaremba et al., 1409.2329).
+    R = sum(lengths) real rows in time-major order, step t's rows after step
+    t-1's and, within a step, in stable longest-first order. The masked input
+    feeds the gates and the masked output is emitted; the recurrent state
+    stays unmasked (Zaremba et al., 1409.2329).
 
     Only h·W_rec runs per step: x·W_in, dW_in and dW_rec are one GEMM each
     over all real rows (Appleyard, Kočiský & Blunsom, arXiv 1604.01946).
@@ -341,12 +343,12 @@ def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
         raise ValueError(f"lstm_sequence: input blocks {shapes} do not split "
                          f"into {b} sequences of equal rows")
     steps = rows // b
-    if np.any(np.diff(lengths) > 0) or lengths[-1] < 1 or lengths[0] > steps:
-        raise ValueError(f"lstm_sequence: lengths must be non-increasing in "
-                         f"[1, {steps}], got {lengths.tolist()}")
+    if lengths.min() < 1 or lengths.max() > steps:
+        raise ValueError(f"lstm_sequence: lengths must be in [1, {steps}], got {lengths.tolist()}")
     d = w_rec.data.shape[0]
-    live = (lengths[None, :] > np.arange(steps)[:, None])
-    real = np.flatnonzero(live)             # time-major order: step t's prefix
+    perm = np.argsort(-lengths, kind="stable")
+    live = lengths[perm][None, :] > np.arange(steps)[:, None]
+    real = (np.arange(steps)[:, None] * b + perm)[live]   # step t: rows t*B + perm[:n_t]
     if any(m is not None and len(m) != real.size for m in (mask_in, mask_out)):
         raise ValueError(f"lstm_sequence: dropout masks need {real.size} rows, one per real step")
     n_at = live.sum(axis=1)
@@ -362,8 +364,8 @@ def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
     gates += bias.data.astype(dtype, copy=False)
     if record:   # the states before each real step, and tanh of its cell state
         h_prev, c_prev, tanh_c = np.zeros((3, real.size, d), dtype)
-    h, c = np.zeros((2, b, d), dtype)
-    out = np.zeros((rows, d), dtype)
+    h, c = np.zeros((2, b, d), dtype)   # sequence perm[k] in row k
+    hr = np.empty((real.size, d), dtype)   # emitted states in real-row order
     for t in order:
         n = n_at[t]
         z = gates[offset[t]:offset[t] + n]
@@ -378,9 +380,11 @@ def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
         if record:
             tanh_c[offset[t]:offset[t] + n] = tc
         h[:n] = z[:, 2 * d:3 * d] * tc
-        out[t * b:t * b + n] = h[:n]
+        hr[offset[t]:offset[t] + n] = h[:n]
     if mask_out is not None:
-        out[real] *= mask_out
+        hr *= mask_out
+    out = np.zeros((rows, d), dtype)
+    out[real] = hr
 
     result = Tensor(out, requires_grad=record, parents=(*blocks, w_in, w_rec, bias))
     if not record:

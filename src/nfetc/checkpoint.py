@@ -42,8 +42,8 @@ def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> 
             f.write(MAGIC)
             f.write(str(len(blob)).encode("ascii") + b"\n")
             f.write(blob)
-            for _, _, a in tensors:
-                f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            for _, _, a in tensors:   # straight from the array's buffer, no copy
+                f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

@@ -220,6 +220,7 @@ def cmd_train(cfg: dict) -> int:
                               loss_cfg, eval_corpus=held, log=log_stream)
             best = max(range(len(seeds)), key=lambda i: multi.runs[i].final.strict)
             result = multi.runs[best]
+            hp = dataclasses.replace(hp, seed=seeds[best])
             lines = [multi.as_text()]
             for s, run in zip(seeds, multi.runs):
                 lines.append(f"seed={s} {run.final.as_text()}")

@@ -2,13 +2,12 @@
 word-level attention, averaging and LSTM mention encoders, and the softmax
 type classifier.
 
-``forward_bucket`` runs a whole batch as one padded pass. It stable-sorts
-the mentions by context length, longest first, and lays the inputs out
-time-major, row t*B + b for token t of mention b, built from index arrays.
-Each LSTM is one ``lstm_sequence`` tape node that touches only the real
-rows, dropout masks included; attention masks padded scores to -inf, and
-the mention LSTM runs in its own length order. Rows come back in input
-order, and a batch gives the rows its mentions give one at a time.
+``forward_bucket`` runs a whole batch as one padded pass, in input order.
+It lays the inputs out time-major, row t*B + b for token t of mention b,
+built from index arrays. Each LSTM is one ``lstm_sequence`` tape node, which
+orders its sequences by length itself and touches only the real rows,
+dropout masks included; attention masks padded scores to -inf. A batch
+gives the rows its mentions give one at a time.
 ``predict_probs`` runs the same pass without a tape over length-sorted
 chunks of ``PREDICT_CHUNK`` mentions. Training runs the three LSTMs in
 float32 (``TRAIN_DTYPE``) and everything else, inference included, in float64.
@@ -127,24 +126,25 @@ class NfetcModel:
     # -- input assembly -------------------------------------------------------
 
     def _indices(self, batch: list[MentionTriple]):
-        """Arrays of a batch sorted by context length, longest first: context
-        and span lengths (B,), word rows (B, T), position rows (T, B), and
-        the extended mention (B, M), i.e. the span plus one context token
+        """Arrays of a batch in input order, padded to its longest context:
+        context and span lengths (B,), word rows (B, T), position rows (T, B),
+        and the extended mention (B, M), i.e. the span plus one context token
         either side, with -1 (the zero vector) for padding and sentence edges."""
         b = len(batch)
         ctx_len = np.array([len(m.tokens) for m in batch])
         start = np.array([m.start for m in batch])
         end = np.array([m.end for m in batch])
-        words = np.full((b, ctx_len[0]), -1, dtype=np.intp)
+        t_len = ctx_len.max()
+        words = np.full((b, t_len), -1, dtype=np.intp)
         for row, m in zip(words, batch):
             row[:len(m.tokens)] = self.embeddings.indices(m.tokens)
         window = (self.params["pos_table"].shape[0] - 2) // 2
-        positions = position_rows(window, np.arange(ctx_len[0])[:, None], start, end)
+        positions = position_rows(window, np.arange(t_len)[:, None], start, end)
         ext_len = end - start + 2
         j = np.arange(ext_len.max())
         at = start[:, None] - 1 + j
         inside = (j < ext_len[:, None]) & (at >= 0) & (at < ctx_len[:, None])
-        picked = np.take_along_axis(words, np.clip(at, 0, ctx_len[0] - 1), axis=1)
+        picked = np.take_along_axis(words, np.clip(at, 0, t_len - 1), axis=1)
         return ctx_len, end - start, words, positions, np.where(inside, picked, -1)
 
     # -- encoders -------------------------------------------------------------
@@ -168,16 +168,13 @@ class NfetcModel:
 
     def forward_bucket(self, batch: list[MentionTriple], train: bool = False,
                        rng: np.random.Generator | None = None):
-        """Probability rows (B, K) in input order from one padded pass over
-        the whole batch, as one tape tensor, plus the intermediate tensors in
-        length-sorted order (``aux["order"][k]`` is the input index of sorted
-        row k). Dropout masks are drawn from ``rng`` in a fixed order:
-        forward, backward and mention LSTM, input then output."""
+        """Probability rows (B, K) from one padded pass over the whole batch,
+        as one tape tensor, plus the intermediate tensors, all in input order.
+        Dropout masks are drawn from ``rng`` in a fixed order: forward,
+        backward and mention LSTM, input then output."""
         hp = self.hp
         if train and (hp.p_i < 1.0 or hp.p_o < 1.0) and rng is None:
             raise ValueError("training forward with dropout needs an RNG")
-        order = np.argsort([-len(m.tokens) for m in batch], kind="stable")
-        batch = [batch[i] for i in order]
         ctx_len, span, words, positions, ext = self._indices(batch)
         b, t_len = words.shape
         d_s = self.params["attn_w"].shape[0]
@@ -198,28 +195,24 @@ class NfetcModel:
         r_c = (Tensor.constant(np.ones((1, t_len))).matmul(weighted.reshape(t_len, b * d_s))
                .reshape(b, d_s))
 
-        # mention encoders: the span average, and an LSTM over the extended
-        # mention run in its own length order
+        # mention encoders: the span average, and an LSTM over the extended mention
         j = np.arange(ext.shape[1])
         in_span = (j >= 1) & (j <= span[:, None])
         r_a = Tensor.constant(self.embeddings.vectors(np.where(in_span, ext, -1)).sum(axis=1)
                               / span[:, None])
         ext_len = span + 2
-        men_order = np.argsort(-ext_len, kind="stable")
-        xm = Tensor.constant(self.embeddings.vectors(ext[men_order].T).reshape(ext.size, -1))
+        xm = Tensor.constant(self.embeddings.vectors(ext.T).reshape(ext.size, -1))
         keep_in = hp.p_i if hp.dropout_mention else 1.0
         keep_out = hp.p_o if hp.dropout_mention else 1.0
-        hm = self._encode("men", [xm], ext_len[men_order], False, keep_in, keep_out, train, rng)
-        rank = np.empty(b, dtype=np.intp)
-        rank[men_order] = np.arange(b)
-        r_l = hm.take_rows((ext_len - 1) * b + rank)
+        hm = self._encode("men", [xm], ext_len, False, keep_in, keep_out, train, rng)
+        r_l = hm.take_rows((ext_len - 1) * b + np.arange(b))
 
         feature = concat([r_c, r_a, r_l], 1)
         logits = feature.matmul(self.params["cls_w"].transpose()) + self.params["cls_b"]
         probs = softmax_rows(logits)
-        aux = {"order": order, "context": context, "alpha": alpha, "r_c": r_c,
+        aux = {"context": context, "alpha": alpha, "r_c": r_c,
                "r_a": r_a, "r_l": r_l, "feature": feature}
-        return probs.take_rows(np.argsort(order)), aux
+        return probs, aux
 
     def forward(self, triple: MentionTriple, train: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardTrace:

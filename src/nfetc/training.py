@@ -267,26 +267,26 @@ def _settings(cls, meta: dict, key: str):
     return cls(**given)
 
 
-def _check_tensors(params: ParamSet, d_w: int, k: int) -> None:
-    """Raise ``CheckpointError`` unless ``params`` holds exactly the tensors of
-    ``param_shapes`` for word width ``d_w``, ``k`` types and the sizes read
-    off the others."""
-    got = {name: t.shape for name, t in params.items()}
-    (rows, d_p), (d_s,) = (   # zeros for a misshapen one, reported below
-        got[n] if len(got.get(n, ())) == ndim else (0,) * ndim
-        for n, ndim in (("pos_table", 2), ("attn_w", 1)))
-    want = param_shapes(d_w, d_p, d_s, (rows - 2) // 2, k)
+def _check_tensors(entries: list[dict], hp: HyperParams, d_w: int, k: int) -> None:
+    """Raise ``CheckpointError`` unless the descriptors name exactly the
+    tensors of ``param_shapes`` for the stored sizes, word width ``d_w`` and
+    ``k`` types, and flag each trainable except the frozen ``word_emb``."""
+    want = param_shapes(d_w, hp.d_p, hp.d_s, hp.window, k)
+    got = {e["name"]: tuple(e["shape"]) for e in entries if e["name"] != "word_emb"}
     problems = ([f"lacks tensor {n!r}" for n in want if n not in got]
                 + [f"has unexpected tensor {n!r}" for n in got if n not in want])
     problems = problems or [f"tensor {n!r} has shape {got[n]}, expected {want[n]}"
                             for n in want if got[n] != want[n]]
+    problems += [f"marks tensor {e['name']!r} {'trainable' if e['trainable'] else 'frozen'}"
+                 for e in entries if e["trainable"] == (e["name"] == "word_emb")]
     if problems:
         raise checkpoint.CheckpointError(f"checkpoint {', '.join(problems)}")
 
 
 def load_checkpoint(path: str) -> Restored:
-    """The model and run settings of a checkpoint. Every size comes from the
-    parameter tensors, so restoring draws no random numbers."""
+    """The model and run settings of a checkpoint. The tensors must have the
+    shapes the stored hyperparameters give, and restoring draws no random
+    numbers."""
     meta, tensors = checkpoint.load(path)
     try:
         for key in ("hyperparams", "loss_config", "types", "vocab"):
@@ -298,8 +298,8 @@ def load_checkpoint(path: str) -> Restored:
         if "word_emb" not in tensors:
             raise checkpoint.CheckpointError("checkpoint lacks the word embedding matrix")
         embeddings = WordEmbeddings(meta["vocab"], tensors["word_emb"])
+        _check_tensors(meta["params"], hp, embeddings.dim, len(forest))
         params = params_from_values(tensors)
-        _check_tensors(params, embeddings.dim, len(forest))
     except (TypeError, ValueError) as e:
         raise checkpoint.CheckpointError(f"{path}: {e}") from None
     model = NfetcModel(hp, embeddings, forest, params=params)

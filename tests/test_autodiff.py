@@ -380,8 +380,9 @@ def masked_case(x, lengths, d_s=D_S, seed=5):
 
 
 @pytest.mark.parametrize("lengths,masked", [([3, 2, 2, 1], False), ([3, 3, 3], False),
-                                            ([3, 2, 2, 1], True)],
-                         ids=["ragged", "equal", "masked"])
+                                            ([3, 2, 2, 1], True), ([2, 3, 1, 3], False),
+                                            ([2, 3, 1, 3], True)],
+                         ids=["ragged", "equal", "masked", "unsorted", "unsorted-masked"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 def test_lstm_sequence_gradients_match_fd(lengths, masked, reverse):
     x, w_in, w_rec, bias, weight = lstm_case(lengths)
@@ -399,13 +400,16 @@ def test_lstm_sequence_gradients_match_fd(lengths, masked, reverse):
         assert blocks[0].grad is None
 
 
-@pytest.mark.parametrize("reverse,masked", [(False, False), (True, False),
-                                            (False, True), (True, True)],
-                         ids=["forward", "reverse", "forward-masked", "reverse-masked"])
-def test_lstm_sequence_matches_tape_lstm(reverse, masked):
+@pytest.mark.parametrize("reverse,masked,lengths", [
+    (False, False, [5, 4, 4, 2, 1]), (True, False, [5, 4, 4, 2, 1]),
+    (False, True, [5, 4, 4, 2, 1]), (True, True, [5, 4, 4, 2, 1]),
+    (False, False, [2, 3, 1, 3]), (True, False, [2, 3, 1, 3]),
+    (False, True, [2, 3, 1, 3]), (True, True, [2, 3, 1, 3]),
+], ids=["forward", "reverse", "forward-masked", "reverse-masked", "forward-unsorted",
+        "reverse-unsorted", "forward-masked-unsorted", "reverse-masked-unsorted"])
+def test_lstm_sequence_matches_tape_lstm(reverse, masked, lengths):
     # each sequence alone through the per-step tape LSTM is the oracle; there
     # the masks are explicit tape products on each step's input and output
-    lengths = [5, 4, 4, 2, 1]
     b = len(lengths)
     x, w_in, w_rec, bias, weight = lstm_case(lengths, seed=9, d_in=4, d_s=3)
     blocks, masks = masked_case(x, lengths, d_s=3) if masked else ([x], [None, None])
@@ -419,7 +423,8 @@ def test_lstm_sequence_matches_tape_lstm(reverse, masked):
 
     for p in params:
         p.grad = None
-    real = [(t, k) for t in range(lengths[0]) for k in range(b) if t < lengths[k]]
+    ranked = sorted(range(b), key=lambda k: -lengths[k])   # stable: ties keep input order
+    real = [(t, k) for t in range(max(lengths)) for k in ranked if t < lengths[k]]
     want = np.zeros_like(out.data)
     total = None
     for k, n in enumerate(lengths):
@@ -486,17 +491,52 @@ def test_lstm_sequence_keeps_no_tape_under_no_grad():
     assert out._backward is None and out._parents == ()
 
 
+def test_lstm_sequence_accepts_any_length_order():
+    # an unsorted batch gives the rows and gradients of the same sequences
+    # handed over longest first
+    for lengths, rows in (([1, 2], 4), ([3, 1], 6), ([1, 3, 3, 2], 12)):
+        b = len(lengths)
+        x, w_in, w_rec, bias, weight = lstm_case(lengths)
+        ranked = np.argsort([-n for n in lengths], kind="stable")
+        to_sorted = (np.arange(rows // b)[:, None] * b + ranked).reshape(-1)
+        x_sorted = Tensor.parameter(x.data[to_sorted])
+        for reverse in (False, True):
+            x.grad = x_sorted.grad = None
+            out = lstm_sequence([x], w_in, w_rec, bias, lengths, reverse)
+            want = lstm_sequence([x_sorted], w_in, w_rec, bias,
+                                 np.array(lengths)[ranked], reverse)
+            assert np.max(np.abs(out.data[to_sorted] - want.data)) <= 1e-12
+            (out * Tensor.constant(weight)).sum().backward()
+            (want * Tensor.constant(weight[to_sorted])).sum().backward()
+            assert np.max(np.abs(x.grad[to_sorted] - x_sorted.grad)) <= 1e-12
+
+
+def test_lstm_sequence_masks_follow_stable_longest_first_order():
+    # real row k is the k-th (step, sequence) pair in time-major order, each
+    # step's sequences longest first with ties in input order
+    lengths = [1, 2, 1, 2, 2]
+    b = len(lengths)
+    want = [1, 3, 4, 0, 2, b + 1, b + 3, b + 4]
+    x, w_in, w_rec, bias, _ = lstm_case(lengths)
+    bias.data[:] = 0.0   # a zero input row then leaves a zero state
+    for k in range(sum(lengths)):
+        one_hot = np.zeros((sum(lengths), 1))
+        one_hot[k] = 1.0
+        out = lstm_sequence([x], w_in, w_rec, bias, lengths, False, None, one_hot * np.ones(D_S))
+        assert np.flatnonzero(out.data.any(axis=1)).tolist() == [want[k]]
+        out = lstm_sequence([x], w_in, w_rec, bias, lengths, False, one_hot * np.ones(D_IN))
+        assert np.flatnonzero(out.data.any(axis=1))[0] == want[k]
+
+
 @pytest.mark.parametrize("lengths,rows,mask_rows,message", [
-    ([1, 2], 4, None, "non-increasing"),
-    ([2, 0], 4, None, "non-increasing"),
-    ([3, 1], 4, None, "non-increasing"),
+    ([2, 0], 4, None, r"in \[1, 2\]"),
+    ([3, 1], 4, None, r"in \[1, 2\]"),
     ([2, 1], 5, None, "do not split"),
     ([], 4, None, "do not split"),
     ([2, 1], (4, 6), None, "equal rows"),
     ([2, 1], 4, (4, 3), "need 3 rows"),
     ([2, 1], 4, (3, 2), "need 3 rows"),
-], ids=["lengths0-4-non-increasing", "lengths1-4-non-increasing",
-        "lengths2-4-non-increasing", "lengths3-5-do not split", "lengths4-4-do not split",
+], ids=["zero-length", "too-long", "lengths3-5-do not split", "lengths4-4-do not split",
         "unequal-blocks", "mask_in-rows", "mask_out-rows"])
 def test_lstm_sequence_rejects_bad_layout(lengths, rows, mask_rows, message):
     # rows: one block's row count, or a pair for a width-1 and a wider block;

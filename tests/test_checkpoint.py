@@ -3,6 +3,7 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,22 @@ def test_identical_saves_are_byte_identical(tmp_path):
     save(a, {"seed": 1}, sample_tensors())
     save(b, {"seed": 1}, sample_tensors())
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_save_writes_each_tensor_from_its_own_buffer(tmp_path):
+    # numpy reports its buffers to tracemalloc, so a copy of the 16 MiB
+    # matrix on the way to the file would show as a 16 MiB peak
+    big = np.arange(2 * 2**20, dtype=np.float64).reshape(2048, 1024)
+    path = tmp_path / "big.ckpt"
+    tracemalloc.start()
+    try:
+        save(path, {}, [("big", True, big), ("column", True, big[:, :1])])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < big.nbytes // 8
+    _, loaded = load(path)
+    assert np.array_equal(loaded["big"], big) and np.array_equal(loaded["column"], big[:, :1])
 
 
 def test_save_of_loaded_copy_is_byte_identical(tmp_path):
@@ -258,10 +275,10 @@ def test_params_from_values_round_trip():
     assert [n for n, _ in params_from_values(values).items()] == [n for n, _ in params.items()]
 
 
-def model_checkpoint(tmp_path, hp=None):
+def model_checkpoint(tmp_path):
     embeddings, forest, model = small_world()
     path = tmp_path / "run.ckpt"
-    save_checkpoint(path, hp or small_hp(), LossConfig(), forest, embeddings, model.params)
+    save_checkpoint(path, small_hp(), LossConfig(), forest, embeddings, model.params)
     return path, model
 
 
@@ -306,9 +323,9 @@ def test_load_rejects_duplicate_descriptor_name(tmp_path):
 @pytest.mark.parametrize("edit,message", [
     (lambda values: values.update(extra=np.ones(2)), "has unexpected tensor 'extra'"),
     (lambda values: values.update(attn_w=np.ones(5)),
-     "tensor 'ctx_fw.w_rec' has shape (3, 12), expected (5, 20)"),
+     "tensor 'attn_w' has shape (5,), expected (3,)"),
     (lambda values: values.update(pos_table=np.ones((6, 2))),
-     "tensor 'ctx_fw.w_in' has shape (7, 12), expected (6, 12)"),
+     "tensor 'pos_table' has shape (6, 2), expected (6, 3)"),
 ], ids=["extra-tensor", "attn_w-wider", "pos_table-narrower"])
 def test_model_checkpoint_tensor_shapes_must_agree(tmp_path, edit, message):
     path, _ = model_checkpoint(tmp_path)
@@ -327,15 +344,18 @@ def test_model_checkpoint_classifier_must_fit_the_types(tmp_path):
 
 
 def test_model_sizes_come_from_the_tensors(tmp_path, monkeypatch):
-    # the meta's sizes disagree with the d_p=3, d_s=3, window=2 tensors; the
-    # tensors decide, and restoring draws no random numbers
-    path, model = model_checkpoint(
-        tmp_path, dataclasses.replace(small_hp(), d_p=7, d_s=5, window=4))
+    # restoring draws no random numbers, and the d_p=3, d_s=3, window=2
+    # tensors must be the sizes the header states
+    path, model = model_checkpoint(tmp_path)
     monkeypatch.setattr(training_module, "make_rng", None)
     restored = load_checkpoint(path)
-    assert restored.hyperparams.d_s == 5
+    assert restored.hyperparams.d_s == 3
     batch = some_triples(restored.forest)
     assert np.array_equal(restored.model.predict_probs(batch), model.predict_probs(batch))
+    rewrite_meta(path, path, lambda meta: meta["hyperparams"].update(window=1, d_s=999))
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: checkpoint tensor 'pos_table' has shape (6, 3), expected (4, 3)")):
+        load_checkpoint(path)
 
 
 # -- format version 1, pinned --------------------------------------------------

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from nfetc.optim import make_rng
 from nfetc.training import load_checkpoint
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
+README = Path(__file__).parent.parent / "README.md"
 
 VOCAB = ["the", "a", "big", "red", "cat", "dog", "mat",
          "sat", "ran", "on", "lay", "went"]
@@ -312,7 +314,7 @@ def test_train_multi_seed_aggregate(world, tmp_path):
     argv = ["train"] + FAST + [
         "--set", f"types={world['types']}", "--set", f"train={world['train']}",
         "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
-        "--set", "epochs=1", "--set", "seeds=3,4",
+        "--set", "epochs=1", "--set", "seeds=3,4", "--set", "seed=9",
         "--set", f"checkpoint={ckpt}", "--set", f"log={tmp_path / 'log.txt'}"]
     code, out, err, results = run_cli_recording(argv, "run_multi")
     assert code == 0, err
@@ -333,6 +335,25 @@ def test_train_multi_seed_aggregate(world, tmp_path):
     other = runs[7 - best].best_values
     assert any(not np.array_equal(a, other[n]) for n, a in runs[best].best_values.items())
     assert_checkpoint_holds(str(ckpt), runs[best].best_values)
+    # and records that run's seed, not the config's seed=9
+    assert load_checkpoint(str(ckpt)).hyperparams.seed == best
+
+
+def test_readme_quick_start_prints_what_the_readme_shows(tmp_path, monkeypatch):
+    # the quick start's train command, run with its checkpoint in tmp_path,
+    # ends stdout with the two lines README.md shows for it
+    command, shown = re.search(r"## Quick start.*?```sh\n(nfetc train .*?)```.*?```\n(.*?)```",
+                               README.read_text(), re.S).groups()
+    argv = shlex.split(command.replace("\\\n", " "))[1:]
+    ckpt = tmp_path / "synth.ckpt"
+    argv = [f"checkpoint={ckpt}" if a.startswith("checkpoint=") else a for a in argv]
+    assert argv.count(f"checkpoint={ckpt}") == 1 and len(shown.splitlines()) == 2
+    monkeypatch.chdir(README.parent)
+    monkeypatch.delenv(cli_module.DATA_ROOT_VAR, raising=False)
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert out.splitlines()[-2:] == shown.splitlines()
+    assert load_checkpoint(str(ckpt)).hyperparams.window == 3
 
 
 # -- eval ---------------------------------------------------------------------------
@@ -475,9 +496,10 @@ def test_export_types_round_trips_weights(trained, tmp_path):
     lambda meta: meta["params"][2].update(name=meta["params"][1]["name"]),
     lambda meta: meta["params"][1].update(shape=[10**7, 10**7]),
     lambda meta: meta["params"][1].update(shape=[2**40, 2**40]),
+    lambda meta: meta["hyperparams"].update(window=1, d_s=999),
 ], ids=["extra-hyperparam", "missing-loss-key", "descriptor-without-shape",
         "types-short-of-classifier", "duplicate-descriptor-name",
-        "shape-of-728TiB", "shape-of-2**80-floats"])
+        "shape-of-728TiB", "shape-of-2**80-floats", "header-sizes-disagree"])
 def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit):
     ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
@@ -487,13 +509,23 @@ def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit)
     assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("name,edit", [
-    ("attn_w", lambda values: values.pop("attn_w")),
-    ("men.w_rec", lambda values: values.pop("men.w_rec")),
-    ("ctx_bw.w_rec", lambda values: values.update({"ctx_bw.w_rec": values["ctx_bw.w_rec"].T})),
-], ids=["without-attn_w", "without-men.w_rec", "ctx_bw.w_rec-transposed"])
-def test_predict_checkpoint_tensor_problems_are_one_error_line(trained, tmp_path, name, edit):
-    ckpt = rewrite_params(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
+def flip_flags(meta):
+    for e in meta["params"]:
+        e["trainable"] = not e["trainable"]
+
+
+@pytest.mark.parametrize("name,rewrite,edit", [
+    ("attn_w", rewrite_params, lambda values: values.pop("attn_w")),
+    ("men.w_rec", rewrite_params, lambda values: values.pop("men.w_rec")),
+    ("ctx_bw.w_rec", rewrite_params,
+     lambda values: values.update({"ctx_bw.w_rec": values["ctx_bw.w_rec"].T})),
+    ("word_emb", rewrite_meta, flip_flags),
+    ("cls_b", rewrite_meta, lambda meta: meta["params"][-1].update(trainable=False)),
+], ids=["without-attn_w", "without-men.w_rec", "ctx_bw.w_rec-transposed",
+        "every-flag-flipped", "cls_b-frozen"])
+def test_predict_checkpoint_tensor_problems_are_one_error_line(trained, tmp_path, name,
+                                                               rewrite, edit):
+    ckpt = rewrite(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
                               "--set", f"input={trained['test']}"])
     assert code == 1

@@ -134,18 +134,26 @@ def test_classifier_shapes_follow_forest_size():
     assert model.predict_probs([]).shape == (0, len(forest))
 
 
-# -- length sort ---------------------------------------------------------------
+# -- input order ---------------------------------------------------------------
 
 
-def test_batch_is_sorted_by_context_length_stably():
+def test_batch_rows_stay_in_input_order():
+    # the LSTM op orders sequences by length; the model permutes nothing, so
+    # every intermediate row k belongs to input mention k
     ts = [triple(["cat"], 0, 1),
           triple(["cat", "sat"], 0, 1),
           triple(["dog"], 0, 1),
           triple(["dog", "ran"], 0, 2),
           triple(["mat", "the"], 1, 2)]
-    _, aux = make_model().forward_bucket(ts)
-    assert aux["order"].tolist() == [1, 3, 4, 0, 2]
-    assert sorted(aux["order"].tolist()) == list(range(len(ts)))
+    model = make_model()
+    probs, aux = model.forward_bucket(ts)
+    assert "order" not in aux
+    for k, t in enumerate(ts):
+        single = model.forward(t)
+        assert np.allclose(aux["alpha"].data[k, :len(t.tokens)], single.alpha, atol=1e-12)
+        for name in ("r_c", "r_a", "r_l", "feature"):
+            assert np.allclose(aux[name].data[k], getattr(single, name), atol=1e-12)
+        assert np.allclose(probs.data[k], single.probs, atol=1e-12)
 
 
 # -- structural zero cases -----------------------------------------------------
