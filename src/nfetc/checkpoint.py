@@ -73,6 +73,8 @@ def load(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             meta = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: corrupt meta block: {e}") from None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: meta block is not a JSON object")
         entries = meta.get("params")
         if not isinstance(entries, list):
             raise CheckpointError(f"{path}: meta lacks the parameter list")

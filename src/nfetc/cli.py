@@ -22,6 +22,7 @@ from .embeddings import EmbeddingError, WordEmbeddings
 from .evaluation import pairs_for, per_type_accuracy, predict_indices, score_pairs
 from .hierarchy import ForestError, RefinementMap, TypeForest, apply_refinement
 from .loss import inference_adjust
+from .textfile import numbered_lines
 from .training import (HyperParams, TrainingDiverged, VARIANTS, load_checkpoint,
                        params_from_values, run_multi, save_checkpoint,
                        select_variant, train, training_corpus)
@@ -110,15 +111,14 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
     if not os.path.exists(path):
         raise CliError(2, f"no such config file: {path}")
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise CliError(2, f"{path}:{lineno}: expected key=value")
-            key, value = body.split("=", 1)
-            pairs.append((key.strip(), value.strip()))
+    for lineno, line in numbered_lines(path, lambda message: CliError(2, message)):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise CliError(2, f"{path}:{lineno}: expected key=value")
+        key, value = body.split("=", 1)
+        pairs.append((key.strip(), value.strip()))
     return pairs
 
 
@@ -189,8 +189,6 @@ def _emit(text: str, path: str, echo: bool = False) -> None:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if not text.strip():
-        return []
     try:
         return [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .hierarchy import TypeForest
 from .optim import make_rng
+from .textfile import numbered_lines
 
 
 class CorpusError(ValueError):
@@ -100,14 +101,13 @@ def parse_corpus(path, forest: TypeForest, tag: str = "raw",
                  allow_unlabeled: bool = False) -> Corpus:
     """Parse a corpus file; errors name the file and the line."""
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip() == "":
-                continue
-            try:
-                triples.append(parse_line(line, forest, lineno, allow_unlabeled))
-            except CorpusError as e:
-                raise CorpusError(f"{path}: {e}") from None
+    for lineno, line in numbered_lines(path, CorpusError):
+        if line.strip() == "":
+            continue
+        try:
+            triples.append(parse_line(line, forest, lineno, allow_unlabeled))
+        except CorpusError as e:
+            raise CorpusError(f"{path}: {e}") from None
     return Corpus(triples, tag=tag)
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .textfile import numbered_lines
+
 
 class EmbeddingError(ValueError):
     pass
@@ -49,28 +51,27 @@ class WordEmbeddings:
         linenos: list[int] = []
         seen = set()
         dim = None
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                word, values = parts[0], parts[1:]
-                if dim is None:
-                    dim = len(values)
-                    if dim == 0:
-                        raise EmbeddingError(f"{path}:{lineno}: no vector values")
-                elif len(values) != dim:
-                    raise EmbeddingError(f"{path}:{lineno}: expected {dim} values, "
-                                         f"got {len(values)}")
-                if word in seen:
-                    raise EmbeddingError(f"{path}:{lineno}: duplicate word {word!r}")
-                seen.add(word)
-                try:
-                    rows.append([float(v) for v in values])
-                except ValueError:
-                    raise EmbeddingError(f"{path}:{lineno}: non-numeric value") from None
-                words.append(word)
-                linenos.append(lineno)
+        for lineno, line in numbered_lines(path, EmbeddingError):
+            parts = line.split()
+            if not parts:
+                continue
+            word, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if dim == 0:
+                    raise EmbeddingError(f"{path}:{lineno}: no vector values")
+            elif len(values) != dim:
+                raise EmbeddingError(f"{path}:{lineno}: expected {dim} values, "
+                                     f"got {len(values)}")
+            if word in seen:
+                raise EmbeddingError(f"{path}:{lineno}: duplicate word {word!r}")
+            seen.add(word)
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError:
+                raise EmbeddingError(f"{path}:{lineno}: non-numeric value") from None
+            words.append(word)
+            linenos.append(lineno)
         if not words:
             raise EmbeddingError(f"{path}: empty embedding file")
         matrix = np.array(rows, dtype=np.float64)

@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 
+from .textfile import numbered_lines
+
 _SEGMENT = re.compile(r"^[^/\s]+$")
 
 
@@ -58,18 +60,17 @@ class TypeForest:
     @classmethod
     def from_file(cls, path) -> "TypeForest":
         """One slash-path per line, UTF-8, '#' comments and blank lines skipped."""
-        types = []
-        seen = set()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                if body in seen:
-                    raise ForestError(f"{path}:{lineno}: duplicate type {body!r}")
-                _parse_path(body, f"{path}:{lineno}: ")
-                seen.add(body)
-                types.append(body)
+        types: set[str] = set()
+        for lineno, line in numbered_lines(path, ForestError):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if body in types:
+                raise ForestError(f"{path}:{lineno}: duplicate type {body!r}")
+            _parse_path(body, f"{path}:{lineno}: ")
+            types.add(body)
+        if not types:
+            raise ForestError(f"{path}: no types")
         return cls(types)
 
     def __len__(self) -> int:
@@ -145,9 +146,6 @@ class RefinementMap:
     """
 
     def __init__(self, mapping: dict[str, str]):
-        for src, dst in mapping.items():
-            _parse_path(src)
-            _parse_path(dst)
         if len(set(mapping.values())) != len(mapping):
             raise ForestError("refinement map is not one-to-one")
         self.mapping = dict(mapping)
@@ -156,18 +154,21 @@ class RefinementMap:
     def from_file(cls, path) -> "RefinementMap":
         """Tab-separated ``<old-type> <tab> <new-type>`` lines; '#' comments."""
         mapping = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                parts = body.split("\t")
-                if len(parts) != 2:
-                    raise ForestError(f"{path}:{lineno}: expected <old> TAB <new>")
-                src, dst = parts[0].strip(), parts[1].strip()
-                if src in mapping:
-                    raise ForestError(f"{path}:{lineno}: duplicate source {src!r}")
-                mapping[src] = dst
+        for lineno, line in numbered_lines(path, ForestError):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            parts = body.split("\t")
+            if len(parts) != 2:
+                raise ForestError(f"{path}:{lineno}: expected <old> TAB <new>")
+            src, dst = parts[0].strip(), parts[1].strip()
+            for p in (src, dst):
+                _parse_path(p, f"{path}:{lineno}: ")
+            if src in mapping:
+                raise ForestError(f"{path}:{lineno}: duplicate source {src!r}")
+            if dst in mapping.values():
+                raise ForestError(f"{path}:{lineno}: duplicate target {dst!r}")
+            mapping[src] = dst
         return cls(mapping)
 
     def rewrite(self, path: str) -> str:

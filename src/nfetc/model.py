@@ -19,7 +19,6 @@ dropout settings, and the sizes of the fresh weights ``init_params`` draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,20 +46,6 @@ PREDICT_CHUNK = 32
 # gradients stayed within 3e-6 (relative) of float64's. Inference stays
 # float64, so a batch matches one mention at a time to 1e-12.
 TRAIN_DTYPE = np.float32
-
-
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Numpy snapshot of one mention's forward pass, for inspection and tests."""
-
-    context_outputs: np.ndarray  # (T, d_s) summed directional LSTM outputs
-    alpha: np.ndarray            # (T,) attention weights
-    r_c: np.ndarray              # (d_s,) attended context representation
-    r_a: np.ndarray              # (d_w,) averaged mention embedding
-    r_l: np.ndarray              # (d_s,) mention LSTM representation
-    feature: np.ndarray          # (2*d_s + d_w,) concatenated R
-    probs: np.ndarray            # (K,) type distribution
-    predicted: int               # argmax type index, lowest index on ties
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -213,22 +198,6 @@ class NfetcModel:
         aux = {"context": context, "alpha": alpha, "r_c": r_c,
                "r_a": r_a, "r_l": r_l, "feature": feature}
         return probs, aux
-
-    def forward(self, triple: MentionTriple, train: bool = False,
-                rng: np.random.Generator | None = None) -> ForwardTrace:
-        """Single-mention forward pass; deterministic when ``train`` is off."""
-        probs, aux = self.forward_bucket([triple], train=train, rng=rng)
-        p = probs.data[0]
-        return ForwardTrace(
-            context_outputs=aux["context"].data.copy(),
-            alpha=aux["alpha"].data[0].copy(),
-            r_c=aux["r_c"].data[0].copy(),
-            r_a=aux["r_a"].data[0].copy(),
-            r_l=aux["r_l"].data[0].copy(),
-            feature=aux["feature"].data[0].copy(),
-            probs=p.copy(),
-            predicted=int(np.argmax(p)),
-        )
 
     def predict_probs(self, triples: list[MentionTriple]) -> np.ndarray:
         """(N, K) inference-mode probabilities, original order, no tape."""

@@ -1,0 +1,15 @@
+"""Numbered lines of the UTF-8 text inputs; a decode error names the line."""
+
+
+def numbered_lines(path, error):
+    """(line number, line) of text file ``path``; a byte that is not UTF-8 raises
+    ``error("<path>:<line>: not valid UTF-8")``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:   # text mode decodes ahead; a second read finds the line
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if any("\udc80" <= ch <= "\udcff" for ch in line):   # an escaped bad byte
+                    raise error(f"{path}:{lineno}: not valid UTF-8") from None
+        raise

@@ -259,6 +259,8 @@ class Restored:
 def _settings(cls, meta: dict, key: str):
     """``cls`` built from ``meta[key]``, which must give each field exactly."""
     given = meta[key]
+    if not isinstance(given, dict):
+        raise checkpoint.CheckpointError(f"{key}: expected an object")
     fields = [f.name for f in dataclasses.fields(cls)]
     problems = [f"unknown key {k!r}" for k in sorted(set(given) - set(fields))]
     problems += [f"missing key {k!r}" for k in fields if k not in given]

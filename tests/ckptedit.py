@@ -7,9 +7,13 @@ from nfetc.checkpoint import MAGIC, load, save
 
 def rewrite_meta(src, dst, edit):
     """Copy checkpoint ``src`` to ``dst`` with its meta (the parameter
-    descriptors included) passed through ``edit``; returns ``dst``."""
+    descriptors included) changed in place by the function ``edit``, or with
+    ``edit`` itself, any other JSON value, in its place; returns ``dst``."""
     meta, tensors = load(src)
-    edit(meta)
+    if callable(edit):
+        edit(meta)
+    else:
+        meta = edit
     with open(src, "rb") as fh:
         raw = fh.read()
     blobs = raw[len(raw) - sum(a.nbytes for a in tensors.values()):]

@@ -1,16 +1,18 @@
 """Brute-force oracles, implemented on raw strings and sets only, plus the
-per-step tape LSTM.
+per-step tape LSTM and the one-mention tape network.
 
 The set oracles deliberately avoid the package's own algebra: ancestors are
 computed by string-prefix enumeration, terminal sets by pairwise prefix
 tests, and metrics by direct set arithmetic, so they can arbitrate the real
 code. The LSTM oracle composes only the basic tape ops, each gradchecked on
-its own, so it can arbitrate the fused ``lstm_sequence`` op.
+its own, so it can arbitrate the fused ``lstm_sequence`` op; the network
+oracle composes the same ops and that LSTM, one mention at a time, so it can
+arbitrate the batched ``forward_bucket``.
 """
 
 import numpy as np
 
-from nfetc.autodiff import Tensor
+from nfetc.autodiff import Tensor, concat, softmax_rows
 
 
 def brute_ancestors(path: str) -> set:
@@ -102,3 +104,37 @@ def tape_lstm(xs, w_in, w_rec, bias, reverse=False):
         h = gate_o * c.tanh()
         outputs[t] = h
     return outputs
+
+
+def tape_forward(model, m):
+    """The network for one mention ``m`` with ``model``'s weights, recorded
+    node by node on the tape without dropout; returns its (1, K)
+    probabilities. It reads the words and position rows itself: a distance
+    of d tokens from the span takes row d + c inside the window and the
+    shared row 2c + 1 beyond it, and the extended mention's steps outside
+    the sentence take the zero vector."""
+    p, emb = model.params, model.embeddings
+    c = (p["pos_table"].shape[0] - 2) // 2
+    rows = {w: i for i, w in enumerate(emb.words)}
+
+    def word(k):
+        inside = 0 <= k < len(m.tokens) and m.tokens[k] in rows
+        vec = emb.matrix[rows[m.tokens[k]]] if inside else np.zeros(emb.dim)
+        return Tensor.constant(vec.reshape(1, -1))
+
+    def position(k):
+        d = k - m.start if k < m.start else max(0, k - (m.end - 1))
+        return p["pos_table"].take_rows([d + c if abs(d) <= c else 2 * c + 1])
+
+    steps = [concat([word(k), position(k)], 1) for k in range(len(m.tokens))]
+    fw = tape_lstm(steps, p["ctx_fw.w_in"], p["ctx_fw.w_rec"], p["ctx_fw.bias"])
+    bw = tape_lstm(steps, p["ctx_bw.w_in"], p["ctx_bw.w_rec"], p["ctx_bw.bias"], reverse=True)
+    context = concat([f + b for f, b in zip(fw, bw)], 0)              # (T, d_s)
+    w_col = p["attn_w"].reshape(p["attn_w"].shape[0], 1)
+    alpha = softmax_rows(context.tanh().matmul(w_col).transpose())    # (1, T)
+    r_c = alpha.matmul(context)
+    r_a = Tensor.constant(sum(word(k).data for k in range(m.start, m.end)) / (m.end - m.start))
+    extended = [word(k) for k in range(m.start - 1, m.end + 1)]
+    r_l = tape_lstm(extended, p["men.w_in"], p["men.w_rec"], p["men.bias"])[-1]
+    feature = concat([r_c, r_a, r_l], 1)
+    return softmax_rows(feature.matmul(p["cls_w"].transpose()) + p["cls_b"])

@@ -136,6 +136,14 @@ def test_load_rejects_corrupt_json(tmp_path):
         load(p)
 
 
+@pytest.mark.parametrize("meta", [[1, 2], "params", None, 3], ids=["list", "string", "null", "number"])
+def test_load_rejects_a_meta_block_that_is_not_an_object(tmp_path, meta):
+    p = write_raw(tmp_path / "x.ckpt", packed(meta, b""))
+    with pytest.raises(CheckpointError) as err:
+        load(p)
+    assert str(err.value) == f"{p}: meta block is not a JSON object"
+
+
 def test_load_rejects_missing_param_list(tmp_path):
     p = write_raw(tmp_path / "x.ckpt", packed({"note": 1}, b""))
     with pytest.raises(CheckpointError, match="lacks the parameter list"):
@@ -293,6 +301,16 @@ def test_model_checkpoint_settings_keys_must_match(tmp_path, section, edit, mess
     rewrite_meta(path, path, lambda meta: edit(meta[section]))
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("section", ["hyperparams", "loss_config"])
+@pytest.mark.parametrize("value", [[1, 2], "lr", None])
+def test_model_checkpoint_settings_must_be_objects(tmp_path, section, value):
+    path, _ = model_checkpoint(tmp_path)
+    rewrite_meta(path, path, lambda meta: meta.update({section: value}))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: {section}: expected an object"
 
 
 @pytest.mark.parametrize("descriptor", [

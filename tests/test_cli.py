@@ -497,9 +497,12 @@ def test_export_types_round_trips_weights(trained, tmp_path):
     lambda meta: meta["params"][1].update(shape=[10**7, 10**7]),
     lambda meta: meta["params"][1].update(shape=[2**40, 2**40]),
     lambda meta: meta["hyperparams"].update(window=1, d_s=999),
+    [1, 2],
+    lambda meta: meta.update(hyperparams=[1, 2]),
 ], ids=["extra-hyperparam", "missing-loss-key", "descriptor-without-shape",
         "types-short-of-classifier", "duplicate-descriptor-name",
-        "shape-of-728TiB", "shape-of-2**80-floats", "header-sizes-disagree"])
+        "shape-of-728TiB", "shape-of-2**80-floats", "header-sizes-disagree",
+        "meta-not-an-object", "hyperparams-not-an-object"])
 def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit):
     ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",

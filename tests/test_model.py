@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gradcheck import STEP, TOLERANCE, fd_gradient, max_rel_error
-from nfetc.autodiff import Tensor, gradients
+from nfetc.autodiff import Tensor, concat, gradients
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
@@ -13,6 +14,7 @@ from nfetc import model as model_module
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import HyperParams
+from oracles import tape_forward
 
 VOCAB = ["the", "cat", "sat", "on", "mat", "dog", "ran", "big", "red", "fox"]
 D_W = 4
@@ -44,6 +46,17 @@ def zero_params(model: NfetcModel, names=None) -> None:
     for name, tensor in model.params.items():
         if names is None or name in names:
             tensor.data[:] = 0.0
+
+
+def one(model: NfetcModel, t: MentionTriple) -> SimpleNamespace:
+    """One mention's inference pass, read off a one-mention batch: its
+    (T, d_s) context rows, (T,) attention weights, r_c, r_a, r_l, feature,
+    (K,) probabilities and predicted index (the lowest one on ties)."""
+    probs, aux = model.forward_bucket([t])
+    p = probs.data[0]
+    return SimpleNamespace(context=aux["context"].data, alpha=aux["alpha"].data[0],
+                           **{k: aux[k].data[0] for k in ("r_c", "r_a", "r_l", "feature")},
+                           probs=p, predicted=int(np.argmax(p)))
 
 
 T4 = triple(["the", "cat", "sat", "on"], 1, 2)
@@ -120,7 +133,7 @@ def test_init_shapes_follow_embedding_dim():
     assert model.params["ctx_fw.w_in"].shape == (D_W + 2 + 3, 12)
     assert model.params["men.w_in"].shape == (D_W + 2, 12)
     assert model.params["cls_w"].shape == (3, 2 * 3 + D_W + 2)
-    assert model.forward(T4).feature.shape == (2 * 3 + D_W + 2,)
+    assert one(model, T4).feature.shape == (2 * 3 + D_W + 2,)
 
 
 def test_classifier_shapes_follow_forest_size():
@@ -149,7 +162,7 @@ def test_batch_rows_stay_in_input_order():
     probs, aux = model.forward_bucket(ts)
     assert "order" not in aux
     for k, t in enumerate(ts):
-        single = model.forward(t)
+        single = one(model, t)
         assert np.allclose(aux["alpha"].data[k, :len(t.tokens)], single.alpha, atol=1e-12)
         for name in ("r_c", "r_a", "r_l", "feature"):
             assert np.allclose(aux[name].data[k], getattr(single, name), atol=1e-12)
@@ -162,8 +175,8 @@ def test_batch_rows_stay_in_input_order():
 def test_all_zero_weights_give_uniform_distribution():
     model = make_model()
     zero_params(model)
-    trace = model.forward(T4)
-    assert np.allclose(trace.context_outputs, 0.0, atol=1e-15)
+    trace = one(model, T4)
+    assert np.allclose(trace.context, 0.0, atol=1e-15)
     assert np.allclose(trace.r_c, 0.0, atol=1e-15)
     assert np.allclose(trace.r_l, 0.0, atol=1e-15)
     assert np.allclose(trace.alpha, 0.25, atol=1e-15)
@@ -176,7 +189,7 @@ def test_zero_weights_keep_mention_average():
     model = make_model()
     emb = make_embeddings()
     zero_params(model)
-    trace = model.forward(triple(["cat", "sat", "dog"], 0, 2))
+    trace = one(model, triple(["cat", "sat", "dog"], 0, 2))
     want = emb.vectors(emb.indices(["cat", "sat"])).sum(axis=0) / 2.0
     assert np.allclose(trace.r_a, want, atol=1e-15)
     assert np.allclose(trace.feature[3:3 + D_W], want, atol=1e-15)
@@ -186,7 +199,7 @@ def test_bias_alone_picks_the_class():
     model = make_model()
     zero_params(model)
     model.params["cls_b"].data[:] = [0.0, 10.0, 0.0]
-    trace = model.forward(T4)
+    trace = one(model, T4)
     assert trace.predicted == 1
     assert trace.probs[1] > 0.99
 
@@ -196,14 +209,14 @@ def test_directional_outputs_sum():
     saved = model.params.copy_values()
 
     zero_params(model, {"ctx_bw.w_in", "ctx_bw.w_rec", "ctx_bw.bias"})
-    fw_only = model.forward(T4).context_outputs
+    fw_only = one(model, T4).context
     model.params.load_values(saved)
 
     zero_params(model, {"ctx_fw.w_in", "ctx_fw.w_rec", "ctx_fw.bias"})
-    bw_only = model.forward(T4).context_outputs
+    bw_only = one(model, T4).context
     model.params.load_values(saved)
 
-    full = model.forward(T4).context_outputs
+    full = one(model, T4).context
     assert np.array_equal(full, fw_only + bw_only)
 
 
@@ -212,7 +225,7 @@ def test_directional_outputs_sum():
 
 def test_attention_single_token_is_certain():
     model = make_model()
-    trace = model.forward(triple(["cat"], 0, 1))
+    trace = one(model, triple(["cat"], 0, 1))
     assert trace.alpha.shape == (1,)
     assert trace.alpha[0] == 1.0
 
@@ -220,16 +233,16 @@ def test_attention_single_token_is_certain():
 def test_zero_attention_vector_averages_context():
     model = make_model()
     model.params["attn_w"].data[:] = 0.0
-    trace = model.forward(T4)
+    trace = one(model, T4)
     assert np.allclose(trace.alpha, 0.25, atol=1e-15)
-    assert np.allclose(trace.r_c, trace.context_outputs.mean(axis=0), atol=1e-14)
+    assert np.allclose(trace.r_c, trace.context.mean(axis=0), atol=1e-14)
 
 
 def test_attention_hand_computed_two_steps():
     model = make_model(seed=4, d_s=2)
     model.params["attn_w"].data[:] = [1.0, -1.0]
-    trace = model.forward(triple(["cat", "sat"], 0, 1))
-    (h1, h2) = trace.context_outputs
+    trace = one(model, triple(["cat", "sat"], 0, 1))
+    (h1, h2) = trace.context
 
     s1 = math.tanh(h1[0]) - math.tanh(h1[1])
     s2 = math.tanh(h2[0]) - math.tanh(h2[1])
@@ -242,7 +255,7 @@ def test_attention_hand_computed_two_steps():
 
 def test_attention_weights_sum_to_one():
     model = make_model()
-    trace = model.forward(triple(["the", "cat", "sat", "on", "mat"], 2, 4))
+    trace = one(model, triple(["the", "cat", "sat", "on", "mat"], 2, 4))
     assert trace.alpha.shape == (5,)
     assert trace.alpha.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(trace.alpha > 0)
@@ -289,15 +302,15 @@ def test_pad_token_is_out_of_vocabulary():
 
 def test_inference_is_deterministic():
     model = make_model(p_i=0.5, p_o=0.5)
-    a = model.forward(T4)
-    b = model.forward(T4)
+    a = one(model, T4)
+    b = one(model, T4)
     assert np.array_equal(a.probs, b.probs)
     assert np.array_equal(a.alpha, b.alpha)
 
 
 def test_probabilities_are_normalized():
     model = make_model()
-    trace = model.forward(T4)
+    trace = one(model, T4)
     assert trace.probs.shape == (3,)
     assert trace.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(trace.probs > 0)
@@ -305,7 +318,7 @@ def test_probabilities_are_normalized():
 
 def test_feature_is_concatenation():
     model = make_model()
-    trace = model.forward(T4)
+    trace = one(model, T4)
     assert trace.feature.shape == (2 * 3 + D_W,)
     assert np.array_equal(trace.feature,
                           np.concatenate([trace.r_c, trace.r_a, trace.r_l]))
@@ -320,7 +333,7 @@ def test_duplicated_rows_identical():
 def test_batched_inference_matches_single(mini_batch):
     model = make_model()
     batched = model.predict_probs(mini_batch)
-    single = np.stack([model.forward(t).probs for t in mini_batch])
+    single = np.stack([one(model, t).probs for t in mini_batch])
     assert np.allclose(batched, single, atol=1e-12)
 
 
@@ -337,16 +350,16 @@ def mini_batch():
 
 def test_position_rows_affect_output():
     model = make_model()
-    before = model.forward(T4).probs
+    before = one(model, T4).probs
     model.params["pos_table"].data += 0.5
-    after = model.forward(T4).probs
+    after = one(model, T4).probs
     assert not np.array_equal(before, after)
 
 
 def test_predictor_callable_matches_forward(mini_batch):
     model = make_model()
     predicted = np.argmax(model.predict_probs(mini_batch), axis=1).tolist()
-    assert predicted == [model.forward(t).predicted for t in mini_batch]
+    assert predicted == [one(model, t).predicted for t in mini_batch]
 
 
 def test_predict_probs_of_nothing_is_zero_rows():
@@ -386,6 +399,42 @@ def test_forward_batch_objective_matches_single_mention_sum():
     assert abs(float(got.data) - float(want.data)) <= 1e-12
     assert set(got_grads) == set(want_grads)
     for name, grad in want_grads.items():
+        assert np.max(np.abs(got_grads[name] - grad)) <= 1e-12, name
+
+
+@pytest.mark.usefixtures("float64_training")
+def test_forward_bucket_matches_the_tape_network():
+    # the padded batch against the one-mention network composed of
+    # gradchecked tape ops: probabilities, objective and every gradient
+    model = make_model(seed=17)
+    forest = make_forest()
+    config = LossConfig(lam=0.0, beta=0.4, mode="variant", hier=True)
+    batch = [triple(["the", "cat", "sat", "on", "mat", "big"], 0, 1, ("/a/b", "/c")),
+             triple(["mat"], 0, 1, ("/c",)),                  # a 1-token context
+             triple(["dog", "zzz", "ran", "qq"], 2, 4, ("/a",)),
+             triple(["big", "red", "fox", "ran", "on", "mat", "cat"], 5, 7, ("/a", "/a/b")),
+             triple(["yyy", "the", "dog"], 0, 2, ("/c",)),
+             triple(["red", "fox", "sat", "on", "the"], 2, 3, ("/a",))]
+    window = 2
+    # sentence edges on both sides, out-of-vocabulary tokens inside and
+    # beside spans, and tokens beyond the window on both sides
+    assert any(m.start == 0 for m in batch) and any(m.end == len(m.tokens) > 1 for m in batch)
+    assert any(m.start - window > 0 for m in batch)
+    assert any(len(m.tokens) - m.end > window for m in batch)
+    assert not all(t in VOCAB for m in batch for t in m.tokens)
+
+    got_probs = model.forward_bucket(batch, train=True)[0]
+    got = mean_nll(got_probs, batch, config, forest)
+    got_grads = gradients(got, model.params)
+    want_probs = concat([tape_forward(model, m) for m in batch], 0)
+    want = mean_nll(want_probs, batch, config, forest)
+    want_grads = gradients(want, model.params)
+
+    assert np.max(np.abs(got_probs.data - want_probs.data)) <= 1e-12
+    assert abs(float(got.data) - float(want.data)) <= 1e-12
+    assert set(got_grads) == set(want_grads) == {n for n, _ in model.params.items()}
+    for name, grad in want_grads.items():
+        assert np.any(grad != 0.0), name
         assert np.max(np.abs(got_grads[name] - grad)) <= 1e-12, name
 
 
@@ -492,7 +541,7 @@ def test_training_dropout_needs_rng():
 
 def test_dropout_perturbs_training_forward():
     model = make_model(p_i=0.5, p_o=0.5)
-    plain = model.forward(T4).probs
+    plain = one(model, T4).probs
     probs, _ = model.forward_bucket([T4], train=True, rng=make_rng(0))
     assert not np.array_equal(probs.data[0], plain)
 
@@ -508,7 +557,7 @@ def test_dropout_reproducible_under_seed():
 def test_keep_prob_one_trains_like_inference():
     model = make_model()
     probs, _ = model.forward_bucket([T4], train=True)
-    assert np.array_equal(probs.data[0], model.forward(T4).probs)
+    assert np.array_equal(probs.data[0], one(model, T4).probs)
 
 
 def test_mention_dropout_can_be_disabled():
@@ -520,7 +569,7 @@ def test_mention_dropout_can_be_disabled():
     a, _ = on.forward_bucket([T4], train=True, rng=make_rng(4))
     b, _ = off.forward_bucket([T4], train=True, rng=make_rng(4))
     assert not np.array_equal(a.data, b.data)
-    assert np.array_equal(on.forward(T4).probs, off.forward(T4).probs)
+    assert np.array_equal(one(on, T4).probs, one(off, T4).probs)
 
 
 # -- gradients -----------------------------------------------------------------

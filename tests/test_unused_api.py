@@ -14,10 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nfetc"
 
-# The single-mention forward and its trace stay for the explain output of
-# ``predict`` (ROADMAP item 4); anything only they reach counts as unused.
-ALLOWED = {"NfetcModel.forward", "ForwardTrace"}
-
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
@@ -58,9 +54,6 @@ def unused_names():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     uses = {f: name_uses(f) for f in files}
     defs = {f: definitions(f) for f in sorted(PACKAGE.glob("*.py"))}
-    # lines inside allowlisted definitions do not count as uses
-    skipped = {(f, line) for f, ds in defs.items() for qual, _, lo, hi in ds
-               if qual in ALLOWED for line in range(lo, hi + 1)}
     unused = []
     for f, ds in defs.items():
         for qual, method, lo, hi in ds:
@@ -70,7 +63,6 @@ def unused_names():
             # a method is reached as an attribute; a bare name that matches
             # it is some local variable
             used = any(n == name and not (method and bare)
-                       and (g, line) not in skipped
                        and not (g == f and lo <= line <= hi)
                        for g, us in uses.items() for n, line, bare in us)
             if not used:
@@ -79,7 +71,4 @@ def unused_names():
 
 
 def test_every_name_has_a_caller_in_the_program():
-    unused = unused_names()
-    assert [u for u in unused if u.split(" ")[1] not in ALLOWED] == []
-    # the allowlist holds only names that really have no other caller
-    assert sorted(u.split(" ")[1] for u in unused) == sorted(ALLOWED)
+    assert unused_names() == []
