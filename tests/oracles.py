@@ -7,12 +7,16 @@ tests, and metrics by direct set arithmetic, so they can arbitrate the real
 code. The LSTM oracle composes only the basic tape ops, each gradchecked on
 its own, so it can arbitrate the fused ``lstm_sequence`` op; the network
 oracle composes the same ops and that LSTM, one mention at a time, so it can
-arbitrate the batched ``forward_bucket``.
+arbitrate the batched ``forward_bucket``. The reference embedding loader
+parses each value with Python's ``float``, one line at a time, so it can
+arbitrate the chunked ``np.loadtxt`` parse of ``WordEmbeddings.from_file``.
 """
 
 import numpy as np
 
 from nfetc.autodiff import Tensor, concat, softmax_rows
+from nfetc.embeddings import EmbeddingError, WordEmbeddings
+from nfetc.textfile import numbered_lines
 
 
 def brute_ancestors(path: str) -> set:
@@ -138,3 +142,41 @@ def tape_forward(model, m):
     r_l = tape_lstm(extended, p["men.w_in"], p["men.w_rec"], p["men.bias"])[-1]
     feature = concat([r_c, r_a, r_l], 1)
     return softmax_rows(feature.matmul(p["cls_w"].transpose()) + p["cls_b"])
+
+
+def reference_embeddings(path) -> WordEmbeddings:
+    """Load ``word v1 .. v_dw`` lines; d_w is fixed by the first line."""
+    words: list[str] = []
+    rows: list[list[float]] = []
+    linenos: list[int] = []
+    seen = set()
+    dim = None
+    for lineno, line in numbered_lines(path, EmbeddingError):
+        parts = line.split()
+        if not parts:
+            continue
+        word, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise EmbeddingError(f"{path}:{lineno}: no vector values")
+        elif len(values) != dim:
+            raise EmbeddingError(f"{path}:{lineno}: expected {dim} values, "
+                                 f"got {len(values)}")
+        if word in seen:
+            raise EmbeddingError(f"{path}:{lineno}: duplicate word {word!r}")
+        seen.add(word)
+        try:
+            rows.append([float(v) for v in values])
+        except ValueError:
+            raise EmbeddingError(f"{path}:{lineno}: non-numeric value") from None
+        words.append(word)
+        linenos.append(lineno)
+    if not words:
+        raise EmbeddingError(f"{path}: empty embedding file")
+    matrix = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise EmbeddingError(f"{path}:{linenos[bad[0]]}: non-finite value")
+    return WordEmbeddings(words, matrix)
+

@@ -142,7 +142,7 @@ def test_bad_test_corpus_error_names_the_file(world, tmp_path):
         "--set", f"types={world['types']}", "--set", f"train={world['train']}",
         "--set", f"test={bad}", "--set", f"embeddings={world['embeddings']}"])
     assert code == 1
-    assert f"error: {bad}: line 1: unknown type '/nope'" in err
+    assert f"error: {bad}:1: unknown type '/nope'" in err
 
 
 def test_malformed_types_file_names_file_and_line(world, tmp_path):

@@ -63,7 +63,7 @@ def test_blank_lines_skipped(forest, tmp_path):
     assert got.tag == "raw"
 
 
-@pytest.mark.parametrize("line,message", [
+REJECTED = [
     ("0 1\tJordan", "expected 3 tab-separated fields"),
     ("0 1\ta b\tc\td", "expected 3 tab-separated fields"),
     ("0\tJordan\t/person", "span must be"),
@@ -75,23 +75,54 @@ def test_blank_lines_skipped(forest, tmp_path):
     ("1 1\tJordan played\t/person", "out of bounds"),
     ("0 3\tJordan played\t/person", "out of bounds"),
     ("-1 1\tJordan\t/person", "out of bounds"),
-])
+]
+
+
+@pytest.mark.parametrize("line,message", REJECTED)
 def test_parse_line_rejects(forest, line, message):
     with pytest.raises(CorpusError, match=message):
-        parse_line(line, forest, lineno=7)
+        parse_line(line, forest, {})
+
+
+@pytest.mark.parametrize("line,message", REJECTED)
+def test_each_corpus_error_reads_path_colon_line(forest, tmp_path, line, message):
+    # the line number counts the blank line; parse_line's message follows
+    # "<path>:<n>: " as it is
+    p = tmp_path / "bad.tsv"
+    p.write_text(f"0 1\tJordan\t/person\n\n{line}\n")
+    with pytest.raises(CorpusError) as err:
+        parse_corpus(p, forest)
+    with pytest.raises(CorpusError) as alone:
+        parse_line(line, forest, {})
+    assert message in str(alone.value)
+    assert str(err.value) == f"{p}:3: {alone.value}"
+
+
+def test_mentions_share_their_token_and_label_strings(forest, tmp_path):
+    p = tmp_path / "c.tsv"
+    p.write_text("0 1\tJordan played\t/person\n1 2\tthen Jordan played\t/person\n")
+    first, second = parse_corpus(p, forest)
+    # each line's text is split afresh, yet equal words are one object
+    assert first.tokens[0] is second.tokens[1]
+    assert first.tokens[1] is second.tokens[2]
+    assert first.labels[0] is second.labels[0]
+    assert first == MentionTriple(("Jordan", "played"), 0, 1, ("/person",),
+                                  frozenset({"/person"}))
 
 
 def test_parse_errors_carry_line_number(forest, tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("0 1\tJordan\t/person\n0 1\tJordan\t/martian\n")
-    with pytest.raises(CorpusError, match="line 2"):
+    with pytest.raises(CorpusError) as err:
         parse_corpus(p, forest)
+    # one form for every reader: <path>:<line>: <message>
+    assert str(err.value) == f"{p}:2: unknown type '/martian'"
 
 
 def test_unlabeled_lines_need_opt_in(forest):
     with pytest.raises(CorpusError, match="expected 3 tab-separated fields"):
-        parse_line("0 1\tJordan", forest, lineno=1)
-    triple = parse_line("0 1\tJordan", forest, lineno=1, allow_unlabeled=True)
+        parse_line("0 1\tJordan", forest, {})
+    triple = parse_line("0 1\tJordan", forest, {}, allow_unlabeled=True)
     assert triple.labels == ()
     assert triple.terminals == frozenset()
     assert triple == MentionTriple(("Jordan",), 0, 1, ())
@@ -99,7 +130,7 @@ def test_unlabeled_lines_need_opt_in(forest):
 
 def test_empty_label_field_still_needs_opt_in(forest):
     with pytest.raises(CorpusError, match="missing labels"):
-        parse_line("0 1\tJordan\t", forest, lineno=3, allow_unlabeled=False)
+        parse_line("0 1\tJordan\t", forest, {}, allow_unlabeled=False)
 
 
 def test_triple_guards():

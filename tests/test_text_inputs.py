@@ -11,6 +11,7 @@ from nfetc.cli import main
 from nfetc.corpus import CorpusError, parse_corpus
 from nfetc.embeddings import EmbeddingError, WordEmbeddings
 from nfetc.hierarchy import ForestError, RefinementMap, TypeForest
+from nfetc.textfile import numbered_lines
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
 FOREST = TypeForest.from_file(MINI / "types.txt")
@@ -33,6 +34,15 @@ READERS = {
               lambda k: f"/t{k}  # type {k}\n"),
     "refinement": (lambda p: RefinementMap.from_file(p).mapping, ForestError,
                    lambda k: f"/a{k}\t/b{k}\n"),
+}
+
+
+# a line each reader rejects, and its message
+FAULTS = {
+    "corpus": ("0 1\tJordan\t/nope\n", "unknown type '/nope'"),
+    "embeddings": ("w 1\n", "expected 2 values, got 1"),
+    "types": ("/a b\n", "malformed type path: '/a b'"),
+    "refinement": ("person\t/x\n", "malformed type path: 'person'"),
 }
 
 
@@ -61,6 +71,35 @@ def test_a_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, reader, bad, 
     with pytest.raises(error) as err:
         parse(path)
     assert str(err.value) == f"{path}:{bad}: not valid UTF-8"
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("fault", [2, 2000, 8192, 8193])
+def test_the_first_fault_is_reported_before_a_later_bad_byte(tmp_path, reader, fault):
+    # text mode fails to decode the bad byte's block before it hands out the
+    # faulty line in front of it; the faulty line is still the one reported
+    # (8192 and 8193: last and first line of the embedding loader's chunks)
+    body = lines(reader, fault + 2)
+    body[fault - 1] = FAULTS[reader][0].encode("utf-8")
+    body[fault] = with_bad_byte(body[fault])
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"".join(body))
+    parse, error, _ = READERS[reader]
+    with pytest.raises(error) as err:
+        parse(path)
+    assert str(err.value) == f"{path}:{fault}: {FAULTS[reader][1]}"
+
+
+def test_the_lines_before_a_bad_byte_are_handed_out_first(tmp_path):
+    body = lines("types", 3000)
+    body[2500] = with_bad_byte(body[2500])
+    path = tmp_path / "types.txt"
+    path.write_bytes(b"".join(body))
+    got = []
+    with pytest.raises(ForestError, match=r":2501: not valid UTF-8$"):
+        for item in numbered_lines(path, ForestError):
+            got.append(item)
+    assert got == [(k + 1, line.decode("utf-8")) for k, line in enumerate(body[:2500])]
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
