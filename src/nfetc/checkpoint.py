@@ -4,26 +4,50 @@ Layout, all little-endian:
 
     NFETCCKPT 1\n          magic + format version
     <meta_len>\n           ASCII byte length of the JSON block
-    <meta JSON>            run metadata plus ordered tensor descriptors
+    <meta JSON>            run metadata plus ordered tensor descriptors, padded
+                           with trailing spaces to end at a multiple of 8 bytes
     <tensor bytes>         float64 C-order arrays, concatenated in meta order
 
 The writer is fully deterministic, so identical runs produce byte-identical
 files; the loader rejects truncation, trailing bytes, and non-finite values.
+Files written before the padding still load, and older readers load padded
+files, since ``json.loads`` skips the trailing spaces.
+
+A frozen tensor (``"trainable": false``) that starts at a multiple of 8 is
+not read but mapped: a read-only view of the file's pages, which the kernel
+shares and can reclaim. Trained tensors, and frozen ones at unaligned
+offsets, are read into arrays of their own. A mapped file must not shrink
+while its arrays live, or reading them raises SIGBUS; ``save`` therefore
+renames a new file over the old one and never writes in place.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 
 import numpy as np
 
 MAGIC = b"NFETCCKPT 1\n"
+ALIGN = 8   # bytes of one float64
 
 
 class CheckpointError(ValueError):
     pass
+
+
+def header(blob: bytes) -> bytes:
+    """The magic, the meta-length line and the JSON ``blob`` with as many
+    trailing spaces as put the first tensor at a multiple of ``ALIGN``. A
+    space can add a digit to the length line, so the length is recounted."""
+    pad = 0
+    while True:
+        head = MAGIC + b"%d\n" % (len(blob) + pad) + blob + b" " * pad
+        if len(head) % ALIGN == 0:
+            return head
+        pad += 1
 
 
 def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> None:
@@ -35,13 +59,10 @@ def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> 
     doc = dict(meta)
     doc["params"] = [{"name": n, "trainable": trainable, "shape": list(a.shape)}
                      for n, trainable, a in tensors]
-    blob = json.dumps(doc).encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(str(len(blob)).encode("ascii") + b"\n")
-            f.write(blob)
+            f.write(header(json.dumps(doc).encode("utf-8")))
             for _, _, a in tensors:   # straight from the array's buffer, no copy
                 f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
             f.flush()
@@ -55,7 +76,9 @@ def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> 
 
 def load(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta block (its ``params`` list holds the descriptors) and each
-    tensor by name in file order, each read straight into its own array."""
+    tensor by name in file order. A frozen tensor at an aligned offset is a
+    read-only view of the mapped file; every other tensor is read straight
+    into its own array."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
@@ -79,6 +102,7 @@ def load(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         if not isinstance(entries, list):
             raise CheckpointError(f"{path}: meta lacks the parameter list")
         size = os.fstat(f.fileno()).st_size
+        mapped = None   # the whole file, mapped at the first aligned frozen tensor
         tensors: dict[str, np.ndarray] = {}
         for e in entries:
             if not (isinstance(e, dict) and isinstance(e.get("name"), str)
@@ -86,18 +110,30 @@ def load(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                     and isinstance(e.get("shape"), list)
                     and all(isinstance(n, int) and n >= 0 for n in e["shape"])):
                 raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
-            if e["name"] in tensors:
-                raise CheckpointError(f"{path}: duplicate parameter name {e['name']!r}")
-            # checked before allocating, so no shape can ask for more memory
-            # than the file holds
-            if math.prod(e["shape"]) * 8 > size - f.tell():
-                raise CheckpointError(f"{path}: truncated tensor {e['name']!r}")
-            arr = np.empty(tuple(e["shape"]), dtype="<f8")
-            if f.readinto(arr) != arr.nbytes:
-                raise CheckpointError(f"{path}: truncated tensor {e['name']!r}")
+            name, shape, at = e["name"], tuple(e["shape"]), f.tell()
+            if name in tensors:
+                raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
+            truncated = f"{path}: truncated tensor {name!r}"
+            nbytes = math.prod(shape) * 8
+            # checked before allocating or mapping, so no shape can ask for
+            # more memory than the file holds
+            if nbytes > size - at:
+                raise CheckpointError(truncated)
+            if e["trainable"] or at % ALIGN:
+                arr = np.empty(shape, dtype="<f8")
+                if f.readinto(arr) != nbytes:
+                    raise CheckpointError(truncated)
+            else:
+                if mapped is None:
+                    mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+                if at + nbytes > len(mapped):   # the file shrank since fstat
+                    raise CheckpointError(truncated)
+                arr = np.frombuffer(mapped, dtype="<f8", count=nbytes // 8,
+                                    offset=at).reshape(shape)
+                f.seek(at + nbytes)
             if not np.all(np.isfinite(arr)):
-                raise CheckpointError(f"{path}: non-finite values in {e['name']!r}")
-            tensors[e["name"]] = arr
+                raise CheckpointError(f"{path}: non-finite values in {name!r}")
+            tensors[name] = arr
         trailing = size - f.tell()
     if trailing:
         raise CheckpointError(f"{path}: {trailing} trailing bytes")

@@ -2,24 +2,25 @@
 
 import json
 
-from nfetc.checkpoint import MAGIC, load, save
+from nfetc.checkpoint import header, load, save
 
 
 def rewrite_meta(src, dst, edit):
     """Copy checkpoint ``src`` to ``dst`` with its meta (the parameter
     descriptors included) changed in place by the function ``edit``, or with
-    ``edit`` itself, any other JSON value, in its place; returns ``dst``."""
+    ``edit`` itself, any other JSON value, in its place; returns ``dst``. The
+    JSON block is padded as ``save`` pads it, so the tensors stay aligned."""
     meta, tensors = load(src)
+    nbytes = sum(a.nbytes for a in tensors.values())
+    del tensors   # unmap ``src`` before ``dst``, perhaps the same file, is rewritten
     if callable(edit):
         edit(meta)
     else:
         meta = edit
     with open(src, "rb") as fh:
         raw = fh.read()
-    blobs = raw[len(raw) - sum(a.nbytes for a in tensors.values()):]
-    blob = json.dumps(meta).encode("utf-8")
     with open(dst, "wb") as fh:
-        fh.write(MAGIC + str(len(blob)).encode() + b"\n" + blob + blobs)
+        fh.write(header(json.dumps(meta).encode("utf-8")) + raw[len(raw) - nbytes:])
     return dst
 
 

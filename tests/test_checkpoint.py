@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import mmap
 import os
 import re
 import struct
@@ -10,7 +12,7 @@ import pytest
 
 from ckptedit import rewrite_meta, rewrite_params
 from nfetc import training as training_module
-from nfetc.checkpoint import MAGIC, CheckpointError, load, save
+from nfetc.checkpoint import MAGIC, CheckpointError, header, load, save
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
@@ -192,6 +194,146 @@ def test_load_rejects_non_finite_values(tmp_path):
                   packed(meta, struct.pack("<d", float("nan"))))
     with pytest.raises(CheckpointError, match="non-finite values in 'w'"):
         load(p)
+
+
+# -- the frozen tensor, mapped -------------------------------------------------
+
+
+def file_owner(arr: np.ndarray):
+    """The object that owns the memory of ``arr``, past any views."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def framed(meta: dict, tensors: bytes, aligned: bool) -> bytes:
+    """``meta`` and ``tensors`` with the first tensor at a multiple of 8
+    bytes, as ``save`` writes them, or one space later, off that grid."""
+    head = header(json.dumps(meta).encode("utf-8"))
+    if not aligned:
+        blob = head[head.index(b"\n", len(MAGIC)) + 1:] + b" "
+        head = MAGIC + b"%d\n" % len(blob) + blob
+    assert (len(head) % 8 == 0) == aligned
+    return head + tensors
+
+
+def test_header_pads_the_json_block_to_a_multiple_of_8():
+    for n in range(1, 2100):
+        blob = b"{" + b"0" * (n - 2) + b"}" if n > 1 else b"0"
+        head = header(blob)
+        length, rest = head[len(MAGIC):].split(b"\n", 1)
+        assert len(head) % 8 == 0, n
+        # the padding may add a digit to the length line, which is recounted
+        assert int(length) == len(rest) and rest == blob + b" " * (len(rest) - n)
+        # and no fewer spaces would align it
+        assert all((len(MAGIC) + len(str(n + k)) + 1 + n + k) % 8
+                   for k in range(len(rest) - n))
+
+
+def test_frozen_tensor_is_a_read_only_view_of_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    tensors = sample_tensors()
+    save(path, {}, tensors)
+    _, loaded = load(path)
+    word = loaded["word_emb"]
+    assert isinstance(file_owner(word), mmap.mmap)
+    assert not word.flags.writeable and not word.flags.owndata
+    with pytest.raises(ValueError, match="read-only"):
+        word[0, 0] = 1.0
+    # the trained tensors are arrays of their own that the model can update
+    for name in ("w", "b"):
+        assert loaded[name].flags.owndata and loaded[name].flags.writeable
+    for name, _, arr in tensors:
+        assert np.array_equal(loaded[name], arr)
+
+
+def test_unaligned_frozen_tensor_is_read(tmp_path):
+    value = struct.pack("<dd", 0.5, -2.0)
+    for aligned in (True, False):
+        meta = {"params": [{"name": "word_emb", "trainable": False, "shape": [2]}]}
+        p = write_raw(tmp_path / f"{aligned}.ckpt", framed(meta, value, aligned))
+        _, loaded = load(p)
+        assert loaded["word_emb"].tolist() == [0.5, -2.0]
+        assert isinstance(file_owner(loaded["word_emb"]), mmap.mmap) == aligned
+        assert loaded["word_emb"].flags.owndata != aligned
+
+
+def test_load_maps_the_frozen_matrix_without_a_copy(tmp_path):
+    # numpy reports its buffers to tracemalloc, so a read of the 16 MiB
+    # matrix would show as a 16 MiB peak; the finiteness check's 2 MiB of
+    # booleans stays below the bound
+    big = np.arange(2 * 2**20, dtype=np.float64).reshape(2048, 1024)
+    path = tmp_path / "big.ckpt"
+    save(path, {}, [("word_emb", False, big), ("w", True, np.ones(3))])
+    tracemalloc.start()
+    try:
+        _, loaded = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < big.nbytes // 4
+    assert np.array_equal(loaded["word_emb"], big)
+
+
+@pytest.mark.parametrize("aligned", [False, True], ids=["read", "mapped"])
+@pytest.mark.parametrize("case,shape,values,message", [
+    ("size-bound", [2], [1.0], "truncated tensor 'word_emb'"),
+    ("short-read", [2], [1.0], "truncated tensor 'word_emb'"),
+    ("non-finite", [2], [1.0, float("inf")], "non-finite values in 'word_emb'"),
+    ("trailing", [1], [1.0, 2.0], "8 trailing bytes"),
+])
+def test_frozen_tensor_errors_read_the_same_mapped_or_read(tmp_path, monkeypatch, aligned,
+                                                            case, shape, values, message):
+    meta = {"params": [{"name": "word_emb", "trainable": False, "shape": shape}]}
+    p = write_raw(tmp_path / "x.ckpt",
+                  framed(meta, struct.pack(f"<{len(values)}d", *values), aligned))
+    if case == "short-read":   # a file that shrinks after its size was taken
+        size = os.path.getsize(p) + 8
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+    mapped = []
+    real_mmap = mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *a, **k: mapped.append(a) or real_mmap(*a, **k))
+    with pytest.raises(CheckpointError) as err:
+        load(p)
+    assert str(err.value) == f"{p}: {message}"
+    # the size bound is checked before anything is mapped
+    assert len(mapped) == (aligned and case != "size-bound")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_dropping_a_loaded_checkpoint_closes_its_mapping(tmp_path):
+    path, _ = model_checkpoint(tmp_path)
+    # an earlier test's traceback may still hold a mapping in a reference
+    # cycle; collect it first, so that no mapping closes during the loop
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        restored = load_checkpoint(path)
+        assert isinstance(file_owner(restored.model.embeddings.matrix), mmap.mmap)
+        # the mapping holds a duplicate of the file's descriptor while it lives
+        assert len(os.listdir("/proc/self/fd")) == before + 1
+        del restored
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_saving_over_a_mapped_checkpoint_keeps_the_old_model(tmp_path):
+    embeddings, forest, model = small_world()
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, small_hp(), LossConfig(), forest, embeddings, model.params)
+    first = load_checkpoint(path)
+    batch = some_triples(forest)
+    before = first.model.predict_probs(batch)
+    changed = params_from_values({n: t.data + 0.25 for n, t in model.params.items()})
+    # ``save`` renames a new file into place, so the old file stays mapped
+    save_checkpoint(path, small_hp(), LossConfig(), forest, first.model.embeddings, changed)
+    assert np.array_equal(first.model.predict_probs(batch), before)
+    assert np.array_equal(first.model.embeddings.matrix, embeddings.matrix)
+    second = load_checkpoint(path)
+    assert isinstance(file_owner(second.model.embeddings.matrix), mmap.mmap)
+    assert np.array_equal(second.model.embeddings.matrix, embeddings.matrix)
+    for name, t in second.model.params.items():
+        assert np.array_equal(t.data, changed[name].data), name
+    assert not np.allclose(second.model.predict_probs(batch), before)
 
 
 # -- model-level checkpoints -----------------------------------------------------
@@ -378,11 +520,15 @@ def test_model_sizes_come_from_the_tensors(tmp_path, monkeypatch):
 
 # -- format version 1, pinned --------------------------------------------------
 
+# model.ckpt was written before the writer padded the JSON block, so its
+# tensors sit off the 8-byte grid and are read; padded.ckpt holds the same
+# run as the writer writes it now, and its word matrix is mapped
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "ckpt_v1", "model.ckpt")
+PADDED_FIXTURE = os.path.join(os.path.dirname(V1_FIXTURE), "padded.ckpt")
 
 
 def v1_run():
-    """The settings and values ``fixtures/ckpt_v1/model.ckpt`` was written
+    """The settings and values ``fixtures/ckpt_v1/*.ckpt`` were written
     from: 2 words, d_w=2, d_p=1, d_s=1, window 1, 2 types. Every value is a
     multiple of 1/8 in [-1/2, 1/2], so the bytes do not depend on any
     arithmetic."""
@@ -400,10 +546,23 @@ def test_version_1_checkpoint_bytes_are_pinned(tmp_path):
     hp, config, forest, embeddings, values = v1_run()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, hp, config, forest, embeddings, params_from_values(values))
-    with open(V1_FIXTURE, "rb") as fh:
+    with open(PADDED_FIXTURE, "rb") as fh:
         pinned = fh.read()
     assert pinned.startswith(b"NFETCCKPT 1\n") and len(pinned) < 4096
     assert path.read_bytes() == pinned
+
+    # the two fixtures differ only in the meta length and the spaces that
+    # end the JSON block on a multiple of 8
+    def parts(raw):
+        length, rest = raw[len(MAGIC):].split(b"\n", 1)
+        return int(length), rest[:int(length)], rest[int(length):]
+    with open(V1_FIXTURE, "rb") as fh:
+        unpadded = fh.read()
+    old_len, old_blob, old_tensors = parts(unpadded)
+    new_len, new_blob, new_tensors = parts(pinned)
+    assert new_len > old_len and new_blob == old_blob + b" " * (new_len - old_len)
+    assert new_tensors == old_tensors
+    assert (len(pinned) - len(new_tensors)) % 8 == 0 != (len(unpadded) - len(old_tensors)) % 8
 
 
 def test_version_1_checkpoint_restores_its_values():
@@ -414,6 +573,22 @@ def test_version_1_checkpoint_restores_its_values():
     assert restored.forest.types() == forest.types()
     assert restored.model.embeddings.words == embeddings.words
     assert np.array_equal(restored.model.embeddings.matrix, values["word_emb"])
+    # unaligned, so the word matrix is read into an array of its own
+    assert restored.model.embeddings.matrix.flags.owndata
     assert [n for n, _ in restored.model.params.items()] == list(values)[1:]
     for name, t in restored.model.params.items():
         assert np.array_equal(t.data, values[name]), name
+
+
+def test_padded_checkpoint_restores_the_same_tensors():
+    unpadded = load_checkpoint(V1_FIXTURE)
+    restored = load_checkpoint(PADDED_FIXTURE)
+    assert isinstance(file_owner(restored.model.embeddings.matrix), mmap.mmap)
+    assert restored.hyperparams == unpadded.hyperparams
+    assert restored.model.embeddings.words == unpadded.model.embeddings.words
+    assert (restored.model.embeddings.matrix.tobytes()
+            == unpadded.model.embeddings.matrix.tobytes())
+    assert [n for n, _ in restored.model.params.items()] == [
+        n for n, _ in unpadded.model.params.items()]
+    for name, t in restored.model.params.items():
+        assert t.data.tobytes() == unpadded.model.params[name].data.tobytes(), name

@@ -31,6 +31,8 @@ PARSERS = {
     "refinement": ("mini/refinement.tsv", RefinementMap.from_file, ForestError, True, 3),
     "embeddings": ("synth/embeddings.txt", WordEmbeddings.from_file, EmbeddingError, True, 4),
     "checkpoint": ("ckpt_v1/model.ckpt", load_checkpoint, CheckpointError, False, 5),
+    # aligned, so a mutant whose header keeps its length maps the word matrix
+    "checkpoint-padded": ("ckpt_v1/padded.ckpt", load_checkpoint, CheckpointError, False, 6),
 }
 
 # messages about a text file as a whole: nothing in it to parse
