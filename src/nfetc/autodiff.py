@@ -128,12 +128,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def __neg__(self):
-        out = Tensor(-self.data, requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(-g)
-        return out
-
     def __mul__(self, other):
         other = self._coerce(other)
         out = Tensor(self.data * other.data,
@@ -149,21 +143,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        out = Tensor(self.data / other.data,
-                     requires_grad=self.requires_grad or other.requires_grad,
-                     parents=(self, other))
-        if out.requires_grad:
-            def backward(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(-g * self.data / (other.data * other.data),
-                                                   other.data.shape))
-            out._backward = backward
-        return out
 
     # -- linear algebra ---------------------------------------------------------
 
@@ -209,37 +188,10 @@ class Tensor:
             out._backward = lambda g: self._accumulate(g * (1.0 - y * y))
         return out
 
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data), requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g / self.data)
-        return out
-
-    def clip_min(self, floor: float) -> "Tensor":
-        """max(x, floor); gradient passes only where x > floor."""
-        keep = self.data > floor
-        out = Tensor(np.maximum(self.data, floor), requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * keep)
-        return out
-
     # -- reductions ----------------------------------------------------------------
 
     def sum(self) -> "Tensor":
         out = Tensor(self.data.sum(), requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(np.broadcast_to(g, self.data.shape))
-        return out
-
-    def mean(self) -> "Tensor":
-        return self.sum() / float(self.data.size)
-
-    def row_sums(self) -> "Tensor":
-        """(B,K) -> (B,1) row totals, for per-row renormalization."""
-        if self.data.ndim != 2:
-            raise ValueError(f"row_sums needs a 2-D tensor, got shape {self.data.shape}")
-        out = Tensor(self.data.sum(axis=1, keepdims=True),
-                     requires_grad=self.requires_grad, parents=(self,))
         if out.requires_grad:
             out._backward = lambda g: self._accumulate(np.broadcast_to(g, self.data.shape))
         return out
@@ -254,21 +206,6 @@ class Tensor:
             def backward(g):
                 full = np.zeros_like(self.data)
                 np.add.at(full, idx, g)
-                self._accumulate(full)
-            out._backward = backward
-        return out
-
-    def pick_rows(self, indices) -> "Tensor":
-        """(B,K) with per-row column index -> (B,) gathered entries."""
-        if self.data.ndim != 2:
-            raise ValueError(f"pick_rows needs a 2-D tensor, got shape {self.data.shape}")
-        idx = np.asarray(indices, dtype=np.intp)
-        rows = np.arange(self.data.shape[0])
-        out = Tensor(self.data[rows, idx], requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            def backward(g):
-                full = np.zeros_like(self.data)
-                np.add.at(full, (rows, idx), g)
                 self._accumulate(full)
             out._backward = backward
         return out

@@ -108,7 +108,7 @@ def load(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             if not (isinstance(e, dict) and isinstance(e.get("name"), str)
                     and isinstance(e.get("trainable"), bool)
                     and isinstance(e.get("shape"), list)
-                    and all(isinstance(n, int) and n >= 0 for n in e["shape"])):
+                    and all(type(n) is int and n >= 0 for n in e["shape"])):
                 raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
             name, shape, at = e["name"], tuple(e["shape"]), f.tell()
             if name in tensors:

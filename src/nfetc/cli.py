@@ -19,7 +19,7 @@ from .checkpoint import CheckpointError
 from .corpus import (Corpus, CorpusError, parse_corpus, relabel, stats,
                      split_dev, windowed)
 from .embeddings import EmbeddingError, WordEmbeddings
-from .evaluation import pairs_for, per_type_accuracy, predict_indices, score_pairs
+from .evaluation import pairs_for, per_type_accuracy, score_pairs
 from .hierarchy import ForestError, RefinementMap, TypeForest, apply_refinement
 from .loss import inference_adjust
 from .textfile import numbered_lines
@@ -239,21 +239,29 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
+def _restore_and_predict(cfg: dict, command: str, key: str, read):
+    """(restored checkpoint, windowed ``key`` corpus as ``read(path, forest)``
+    parses it, its probability rows as ``inference_adjust`` leaves them)."""
+    restored = load_checkpoint(_require_path(cfg, "checkpoint", command))
+    corpus = read(_require_path(cfg, key, command), restored.forest)
+    corpus = windowed(corpus, restored.hyperparams.window)
+    probs = restored.model.predict_probs(list(corpus))
+    return restored, corpus, inference_adjust(probs, restored.forest, restored.loss_config)
+
+
 def cmd_eval(cfg: dict) -> int:
-    restored = load_checkpoint(_require_path(cfg, "checkpoint", "eval"))
-    key = "input" if cfg["input"] else "test"
-    path = _require_path(cfg, key, "eval")
-    full_map = None
-    parse_forest = restored.forest
-    if cfg["refinement"]:
+    def read(path, forest):
+        if not cfg["refinement"]:
+            return parse_corpus(path, forest)
         if not cfg["types"]:
             raise CliError(2, "nfetc eval: refinement needs the 'types' config key, "
                               "the forest the corpus labels are written in")
         _, parse_forest, full_map = _load_forest(cfg, "eval")
-    corpus = _parse_with_refinement(path, parse_forest, restored.forest, full_map)
-    corpus = windowed(corpus, restored.hyperparams.window)
-    predictions = predict_indices(restored.model, corpus, restored.forest,
-                                  restored.loss_config)
+        return _parse_with_refinement(path, parse_forest, forest, full_map)
+
+    restored, corpus, probs = _restore_and_predict(
+        cfg, "eval", "input" if cfg["input"] else "test", read)
+    predictions = [int(i) for i in np.argmax(probs, axis=1)]
     metrics = score_pairs(pairs_for(corpus, predictions, restored.forest))
     out = metrics.as_text()
     if cfg["json"]:
@@ -267,13 +275,10 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_predict(cfg: dict) -> int:
-    restored = load_checkpoint(_require_path(cfg, "checkpoint", "predict"))
-    path = _require_path(cfg, "input", "predict")
-    corpus = parse_corpus(path, restored.forest, tag="input", allow_unlabeled=True)
-    corpus = windowed(corpus, restored.hyperparams.window)
+    restored, _, probs = _restore_and_predict(
+        cfg, "predict", "input",
+        lambda path, forest: parse_corpus(path, forest, tag="input", allow_unlabeled=True))
     forest = restored.forest
-    probs = restored.model.predict_probs(list(corpus))
-    probs = inference_adjust(probs, forest, restored.loss_config)
     lines = []
     for row in probs:
         order = np.argsort(-row, kind="stable")

@@ -5,11 +5,12 @@ adjustment, and L2 regularization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor, no_grad
+from .autodiff import ParamSet, Tensor
 from .corpus import MentionTriple
 from .hierarchy import TypeForest
 
@@ -41,30 +42,29 @@ class LossConfig:
     select_on_adjusted: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        for name in ("lam", "beta"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def hierarchical_adjust_rows(p_rows: Tensor, forest: TypeForest, beta: float) -> Tensor:
+def hierarchical_adjust_rows(p_rows: np.ndarray, forest: TypeForest, beta: float) -> np.ndarray:
     """Row-wise adjustment of (B, K) probability rows: each type gains beta
     times the summed probability of its proper ancestors, then every row is
     renormalized back to a distribution."""
-    if p_rows.data.ndim != 2:
-        raise ValueError(f"expected 2-D probability rows, got shape {p_rows.data.shape}")
-    if p_rows.data.shape[1] != len(forest):
-        raise ValueError(f"row width {p_rows.data.shape[1]} does not match "
+    if p_rows.ndim != 2:
+        raise ValueError(f"expected 2-D probability rows, got shape {p_rows.shape}")
+    if p_rows.shape[1] != len(forest):
+        raise ValueError(f"row width {p_rows.shape[1]} does not match "
                          f"forest of {len(forest)} types")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     if beta == 0.0:
         return p_rows
-    anc_t = Tensor.constant(forest.ancestor_matrix().T)
-    q = p_rows + p_rows.matmul(anc_t) * beta
-    return q / q.row_sums()
+    q = p_rows + (p_rows @ forest.ancestor_matrix().T) * beta
+    return q / q.sum(axis=1, keepdims=True)
 
 
 def l2_penalty(params: ParamSet, lam: float) -> Tensor:
@@ -91,20 +91,28 @@ def select_candidate(p_values: np.ndarray, candidates) -> int:
 def mean_nll(probs: Tensor, triples: list[MentionTriple], config: LossConfig,
              forest: TypeForest) -> Tensor:
     """Mean negative log likelihood over (B, K) probability rows, without the
-    L2 term.
+    L2 term, as one tape node over ``probs``.
 
-    Standard mode requires a single candidate terminal per mention (filtered
-    data); variant mode selects among the candidates each step.
+    With ``hier`` and beta > 0 the rows are adjusted first. Standard mode
+    requires a single candidate terminal per mention (filtered data); variant
+    mode selects among the candidates each step. Picked probabilities are
+    floored at PROB_FLOOR, and a floored entry passes no gradient.
+
+    The backward is derived by hand and repeats, operation for operation, the
+    rounding of the adjustment, pick, floor, log and mean composed as
+    separate ops.
     """
     if not triples:
         raise ValueError("empty batch")
     if probs.data.shape != (len(triples), len(forest)):
         raise ValueError(f"probability rows {probs.data.shape} do not match "
                          f"{len(triples)} mentions over {len(forest)} types")
-    rows = hierarchical_adjust_rows(probs, forest, config.beta) if config.hier else probs
-    selection_source = rows.data if config.select_on_adjusted else probs.data
+    p, b, beta = probs.data, len(triples), config.beta
+    adjust = config.hier and beta > 0
+    rows = hierarchical_adjust_rows(p, forest, beta) if adjust else p
+    selection_source = rows if config.select_on_adjusted else p
     gold = []
-    for b, triple in enumerate(triples):
+    for i, triple in enumerate(triples):
         cand = sorted(forest.index(t) for t in triple.terminals)
         if config.mode == "standard":
             if len(cand) != 1:
@@ -113,9 +121,24 @@ def mean_nll(probs: Tensor, triples: list[MentionTriple], config: LossConfig,
                     f"got {len(cand)}; filter the corpus or use variant mode")
             gold.append(cand[0])
         else:
-            gold.append(select_candidate(selection_source[b], cand))
-    picked = rows.pick_rows(gold)
-    return (-(picked.clip_min(PROB_FLOOR).log())).mean()
+            gold.append(select_candidate(selection_source[i], cand))
+    at = (np.arange(b), np.asarray(gold, dtype=np.intp))
+    picked = rows[at]
+    floored = np.maximum(picked, PROB_FLOOR)
+
+    def backward(g):
+        grad = np.zeros_like(p)
+        grad[at] = np.where(picked > PROB_FLOOR, -(g / float(b)) / floored, 0.0)
+        if adjust:   # back through q / q.sum(axis=1), then q = p + beta p A^T
+            anc = forest.ancestor_matrix()
+            q = p + (p @ anc.T) * beta
+            s = q.sum(axis=1, keepdims=True)
+            grad = grad / s + (-grad * q / (s * s)).sum(axis=1, keepdims=True)
+            grad = grad + (grad * beta) @ anc
+        probs._accumulate(grad)
+
+    return Tensor((-np.log(floored)).sum() / float(b), requires_grad=probs.requires_grad,
+                  parents=(probs,), backward=backward)
 
 
 def inference_adjust(probs: np.ndarray, forest: TypeForest, config: LossConfig) -> np.ndarray:
@@ -123,5 +146,4 @@ def inference_adjust(probs: np.ndarray, forest: TypeForest, config: LossConfig) 
     the config asks for hierarchy awareness at inference time."""
     if not (config.hier and config.hier_at_inference):
         return probs
-    with no_grad():
-        return hierarchical_adjust_rows(Tensor.constant(probs), forest, config.beta).data
+    return hierarchical_adjust_rows(probs, forest, config.beta)

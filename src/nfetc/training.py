@@ -6,6 +6,7 @@ multi-seed evaluation protocol.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class HyperParams:
     dropout_mention: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         for name in ("d_p", "d_s", "window", "batch", "epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -56,8 +57,10 @@ class HyperParams:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if self.lam < 0 or self.beta < 0:
-            raise ValueError("lam and beta must be >= 0")
+        for name in ("lam", "beta"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)

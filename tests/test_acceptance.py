@@ -129,16 +129,16 @@ def test_2_loss_identities():
     for _ in range(200):
         forest = TypeForest(random_forest_paths(rng))
         rows = rng.dirichlet(np.ones(len(forest)), size=int(rng.integers(1, 6)))
-        adjusted = hierarchical_adjust_rows(Tensor.constant(rows), forest, 0.0)
-        beta_zero_gap = max(beta_zero_gap, float(np.max(np.abs(adjusted.data - rows))))
+        adjusted = hierarchical_adjust_rows(rows, forest, 0.0)
+        beta_zero_gap = max(beta_zero_gap, float(np.max(np.abs(adjusted - rows))))
 
     sum_gap = 0.0
     for _ in range(1000):
         forest = TypeForest(random_forest_paths(rng))
         rows = rng.dirichlet(np.ones(len(forest)), size=int(rng.integers(1, 5)))
         beta = float(rng.uniform(0.0, 1.0))
-        adjusted = hierarchical_adjust_rows(Tensor.constant(rows), forest, beta)
-        sum_gap = max(sum_gap, float(np.max(np.abs(adjusted.data.sum(axis=1) - 1.0))))
+        adjusted = hierarchical_adjust_rows(rows, forest, beta)
+        sum_gap = max(sum_gap, float(np.max(np.abs(adjusted.sum(axis=1) - 1.0))))
 
     ok = singleton_gap <= 1e-12 and beta_zero_gap <= 1e-12 and sum_gap <= 1e-9
     _report(2, "loss-identities", ok,

@@ -144,9 +144,9 @@ def test_softmax_rows_gradient_matches_fd():
 
 @pytest.mark.parametrize("op", [
     lambda a, b: a + b,
-    lambda a, b: a + (-b),
+    lambda a, b: a + (-1.0) * b,
     lambda a, b: a * b,
-    lambda a, b: a / b,
+    lambda a, b: a * b * a,
 ])
 def test_binary_op_gradients_match_fd(op):
     a = Tensor.parameter(rng().standard_normal((3, 4)) + 3.0)
@@ -175,25 +175,29 @@ def test_broadcast_row_vector_gradients_match_fd():
     w = rng().standard_normal((3, 4))
 
     def run():
-        return float(((a / b) * Tensor.constant(w)).sum().data)
+        return float(((a * b) * Tensor.constant(w)).sum().data)
 
-    ((a / b) * Tensor.constant(w)).sum().backward()
+    ((a * b) * Tensor.constant(w)).sum().backward()
     assert max_rel_error(a.grad, fd_gradient(run, a.data)) < 1e-4
     assert max_rel_error(b.grad, fd_gradient(run, b.data)) < 1e-4
 
 
 def test_scalar_mixing_and_reflected_ops():
     x = Tensor.parameter(np.array([2.0, 4.0]))
-    y = 2.0 * (-x + 1.0) + Tensor.constant(3.0) / x
-    assert y.data == pytest.approx([-0.5, -5.25])
+    y = 2.0 * (x * -1.0 + 1.0) + Tensor.constant(3.0) * x * x
+    assert y.data == pytest.approx([10.0, 42.0])
     y.sum().backward()
-    # d/dx of 2 - 2x + 3/x is -2 - 3/x^2
-    assert x.grad == pytest.approx([-2 - 3 / 4, -2 - 3 / 16])
+    # d/dx of 2 - 2x + 3x^2 is -2 + 6x
+    assert x.grad == pytest.approx([10.0, 22.0])
 
 
 def test_negation_gradient():
+    # negation is a product with -1, reflected or not
     x = Tensor.parameter(np.array([1.0, -2.0]))
-    (-x).sum().backward()
+    (-1.0 * x).sum().backward()
+    assert np.array_equal(x.grad, [-1.0, -1.0])
+    x.grad = None
+    (x * -1.0).sum().backward()
     assert np.array_equal(x.grad, [-1.0, -1.0])
 
 
@@ -229,29 +233,6 @@ def test_sigmoid_extreme_inputs_stay_finite():
     assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w_in.grad))
 
 
-def test_log_gradient_matches_fd():
-    x = Tensor.parameter(rng().uniform(0.5, 3.0, (2, 3)))
-
-    def run():
-        return float(x.log().sum().data)
-
-    x.log().sum().backward()
-    assert max_rel_error(x.grad, fd_gradient(run, x.data)) < 1e-4
-
-
-def test_clip_min_blocks_gradient_below_floor():
-    x = Tensor.parameter(np.array([0.5, 1e-15, 2.0]))
-    x.clip_min(1e-12).log().sum().backward()
-    assert x.grad[1] == 0.0
-    assert x.grad[0] == pytest.approx(2.0)
-    assert x.grad[2] == pytest.approx(0.5)
-
-
-def test_clip_min_forward_floor():
-    out = Tensor.constant([0.5, 0.0, -1.0]).clip_min(1e-12).data
-    assert np.array_equal(out, [0.5, 1e-12, 1e-12])
-
-
 # -- reductions and structure -------------------------------------------------
 
 def test_sum_gradient_is_ones():
@@ -262,22 +243,8 @@ def test_sum_gradient_is_ones():
 
 def test_quadratic_gradient_is_p():
     p = Tensor.parameter(rng().standard_normal(6))
-    ((p * p).sum() / 2.0).backward()
+    ((p * p).sum() * 0.5).backward()
     assert p.grad == pytest.approx(p.data)
-
-
-def test_mean_gradient():
-    p = Tensor.parameter(np.ones((2, 5)))
-    p.mean().backward()
-    assert np.allclose(p.grad, 0.1)
-
-
-def test_row_sums_values_and_gradient():
-    x = Tensor.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    rs = x.row_sums()
-    assert np.array_equal(rs.data, [[3.0], [7.0]])
-    (rs * Tensor.constant([[2.0], [5.0]])).sum().backward()
-    assert np.array_equal(x.grad, [[2.0, 2.0], [5.0, 5.0]])
 
 
 def test_transpose_reshape_cols_gradients_match_fd():
@@ -298,22 +265,6 @@ def test_take_rows_accumulates_repeated_indices():
     x = Tensor.parameter(np.array([[1.0, 1.0], [2.0, 2.0]]))
     x.take_rows([0, 0, 1]).sum().backward()
     assert np.array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
-
-
-def test_pick_rows_values_and_gradient():
-    x = Tensor.parameter(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-    picked = x.pick_rows([2, 0])
-    assert np.array_equal(picked.data, [3.0, 4.0])
-    picked.sum().backward()
-    assert np.array_equal(x.grad, [[0, 0, 1.0], [1.0, 0, 0]])
-
-
-def test_pick_scalar_entry():
-    x = Tensor.parameter(np.array([[5.0, 7.0, 9.0]]))
-    y = x.pick_rows([1])
-    assert y.data == 7.0
-    y.sum().backward()
-    assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
 
 def test_hconcat_values_and_gradient():

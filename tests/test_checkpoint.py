@@ -463,8 +463,9 @@ def test_model_checkpoint_settings_must_be_objects(tmp_path, section, value):
     {"name": "w", "trainable": True, "shape": [-1]},
     {"name": "w", "trainable": "yes", "shape": [1]},
     "w",
+    {"name": "w", "trainable": True, "shape": [True]},
 ], ids=["no-shape", "no-trainable", "no-name", "shape-string", "shape-negative",
-        "trainable-string", "not-a-dict"])
+        "trainable-string", "not-a-dict", "shape-bool"])
 def test_load_rejects_malformed_descriptor(tmp_path, descriptor):
     p = write_raw(tmp_path / "x.ckpt",
                   packed({"params": [descriptor]}, struct.pack("<d", 1.0)))

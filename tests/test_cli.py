@@ -191,6 +191,22 @@ def test_unknown_variant_is_reported(world):
     assert "NFETC(f)" in err
 
 
+@pytest.mark.parametrize("setting,named", [
+    ("beta=nan", "beta must be finite and >= 0, got nan"),
+    ("lr=nan", "lr must be finite and positive, got nan"),
+    ("lambda=inf", "lam must be finite and >= 0, got inf"),
+], ids=["beta", "lr", "lambda"])
+def test_non_finite_setting_is_exit_1_without_a_checkpoint(world, tmp_path, setting, named):
+    ckpt = tmp_path / "model.ckpt"
+    code, _, err = run_cli(["train"] + FAST + [
+        "--set", f"types={world['types']}", "--set", f"train={world['train']}",
+        "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
+        "--set", "variant=NFETC(r)", "--set", setting, "--set", f"checkpoint={ckpt}"])
+    assert code == 1
+    assert err.startswith("error: ") and named in err
+    assert not ckpt.exists()
+
+
 def test_config_file_parsing(world, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"types={MINI / 'types.txt'}\n"

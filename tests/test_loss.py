@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import STEP, TOLERANCE, fd_gradient, max_rel_error
-from nfetc.autodiff import ParamSet, Tensor, gradients, softmax_rows
+from nfetc.autodiff import ParamSet, Tensor, gradients, no_grad, softmax_rows
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
@@ -13,7 +13,7 @@ from nfetc.loss import (LossConfig, PROB_FLOOR, hierarchical_adjust_rows,
                         select_candidate)
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
-from nfetc.training import HyperParams
+from nfetc.training import HyperParams, select_variant
 from oracles import brute_ancestors, random_forest_paths
 
 
@@ -50,22 +50,22 @@ def one_row_loss(p, labels, forest, mode="standard", params=None, lam=0.0):
 
 def test_adjust_hand_example():
     # indices sorted: 0=/organization, 1=/person, 2=/person/athlete
-    p = Tensor.constant(np.array([[0.2, 0.5, 0.3]]))
+    p = np.array([[0.2, 0.5, 0.3]])
     q = hierarchical_adjust_rows(p, PERSON, beta=0.4)
     # athlete gains 0.4 * p(person); row renormalizes by 1.2
-    assert np.allclose(q.data, [[0.2 / 1.2, 0.5 / 1.2, 0.5 / 1.2]], atol=1e-15)
+    assert np.allclose(q, [[0.2 / 1.2, 0.5 / 1.2, 0.5 / 1.2]], atol=1e-15)
 
 
 def test_adjust_beta_zero_is_identity():
-    p = Tensor.constant(np.array([[0.2, 0.5, 0.3]]))
+    p = np.array([[0.2, 0.5, 0.3]])
     assert hierarchical_adjust_rows(p, PERSON, beta=0.0) is p
 
 
 def test_adjust_flat_forest_is_identity():
     flat = TypeForest(["/a", "/b", "/c"])
-    p = Tensor.constant(np.array([[0.1, 0.6, 0.3]]))
+    p = np.array([[0.1, 0.6, 0.3]])
     q = hierarchical_adjust_rows(p, flat, beta=0.7)
-    assert np.allclose(q.data, p.data, atol=1e-15)
+    assert np.allclose(q, p, atol=1e-15)
 
 
 def test_adjust_matches_prefix_oracle():
@@ -77,8 +77,8 @@ def test_adjust_matches_prefix_oracle():
         p = rng.uniform(0.0, 1.0, size=len(paths))
         p /= p.sum()
         beta = float(rng.uniform(0.0, 1.0))
-        got = hierarchical_adjust_rows(Tensor.constant([p]), forest, beta)
-        assert np.allclose(got.data[0], brute_adjust(paths, p, beta), atol=1e-12)
+        got = hierarchical_adjust_rows(np.array([p]), forest, beta)
+        assert np.allclose(got[0], brute_adjust(paths, p, beta), atol=1e-12)
 
 
 def test_adjust_outputs_are_distributions():
@@ -88,9 +88,9 @@ def test_adjust_outputs_are_distributions():
         forest = TypeForest(paths)
         rows = rng.uniform(0.0, 1.0, size=(4, len(paths)))
         rows /= rows.sum(axis=1, keepdims=True)
-        q = hierarchical_adjust_rows(Tensor.constant(rows), forest, 0.5)
-        assert np.allclose(q.data.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(q.data >= 0)
+        q = hierarchical_adjust_rows(rows, forest, 0.5)
+        assert np.allclose(q.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(q >= 0)
 
 
 def test_adjust_only_descendants_gain():
@@ -104,11 +104,11 @@ def test_adjust_only_descendants_gain():
 
 def test_adjust_shape_guards():
     with pytest.raises(ValueError, match="2-D"):
-        hierarchical_adjust_rows(Tensor.constant(np.ones(3) / 3), PERSON, 0.4)
+        hierarchical_adjust_rows(np.ones(3) / 3, PERSON, 0.4)
     with pytest.raises(ValueError, match="does not match"):
-        hierarchical_adjust_rows(Tensor.constant(np.ones((1, 4)) / 4), PERSON, 0.4)
+        hierarchical_adjust_rows(np.ones((1, 4)) / 4, PERSON, 0.4)
     with pytest.raises(ValueError, match=">= 0"):
-        hierarchical_adjust_rows(Tensor.constant(np.ones((1, 3)) / 3), PERSON, -0.1)
+        hierarchical_adjust_rows(np.ones((1, 3)) / 3, PERSON, -0.1)
 
 
 # -- penalties and plain cross-entropy ------------------------------------------
@@ -350,6 +350,10 @@ def test_inference_adjust_applies_when_asked():
     ({"lam": -0.1}, "lam"),
     ({"beta": -0.4}, "beta"),
     ({"mode": "fancy"}, "mode"),
+    ({"lam": math.nan}, "lam"),
+    ({"lam": math.inf}, "lam"),
+    ({"beta": math.nan}, "beta"),
+    ({"beta": math.inf}, "beta"),
 ])
 def test_loss_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -364,12 +368,26 @@ def logits_loss(params, batch, config, forest):
     return mean_nll(probs, batch, config, forest) + l2_penalty(params, config.lam)
 
 
+def gradcheck_batch(forest, mode, rng, size=3):
+    """Random mentions over ``forest``: one gold type each in standard mode,
+    up to three candidate labels in variant mode."""
+    types = forest.types()
+    if mode == "standard":
+        return [mention([types[int(rng.integers(len(types)))]], forest)
+                for _ in range(size)]
+    return [mention(rng.choice(types, size=int(rng.integers(1, min(3, len(types)) + 1)),
+                               replace=False).tolist(), forest)
+            for _ in range(size)]
+
+
 @pytest.mark.parametrize("config", [
     LossConfig(mode="standard"),
     LossConfig(mode="standard", lam=0.01),
     LossConfig(mode="standard", beta=0.4, hier=True),
     LossConfig(mode="variant", beta=0.4, hier=True, lam=0.01),
-])
+] + [LossConfig(mode=mode, beta=beta, hier=True, select_on_adjusted=on_adjusted)
+     for mode in ("standard", "variant") for beta in (0.4, 1.0)
+     for on_adjusted in (True, False)])
 def test_loss_gradient_matches_finite_differences(config):
     forest = PERSON
     if config.mode == "variant":
@@ -378,13 +396,96 @@ def test_loss_gradient_matches_finite_differences(config):
     else:
         batch = [mention(["/person"], forest),
                  mention(["/person/athlete"], forest)]
-    params = ParamSet()
     rng = make_rng(5)
-    params.add("logits", rng.normal(size=(2, 3)))
+    cases = [(forest, batch)]
+    for _ in range(4):
+        forest = TypeForest(random_forest_paths(rng, max_types=8, max_depth=3))
+        cases.append((forest, gradcheck_batch(forest, config.mode, rng)))
+    for forest, batch in cases:
+        params = ParamSet()
+        params.add("logits", rng.normal(size=(len(batch), len(forest))))
+        loss = logits_loss(params, batch, config, forest)
+        grads = gradients(loss, params)
+        numeric = fd_gradient(
+            lambda: logits_loss(params, batch, config, forest).data.item(),
+            params["logits"].data, STEP)
+        assert max_rel_error(grads["logits"], numeric) < TOLERANCE
 
-    loss = logits_loss(params, batch, config, forest)
-    grads = gradients(loss, params)
-    numeric = fd_gradient(
-        lambda: logits_loss(params, batch, config, forest).data.item(),
-        params["logits"].data, STEP)
-    assert max_rel_error(grads["logits"], numeric) < TOLERANCE
+
+# -- the fused objective's backward ---------------------------------------------------
+
+
+def probs_grad(rows, batch, config, forest=PERSON):
+    """(loss, gradient) of mean_nll taken directly over constant-valued rows."""
+    probs = Tensor.parameter(np.array(rows, dtype=np.float64))
+    loss = mean_nll(probs, batch, config, forest)
+    loss.backward()
+    return loss.data.item(), probs.grad
+
+
+def test_mean_nll_gradient_is_minus_one_over_p_over_batch():
+    # d/dp of -mean(log p[gold]) is -1 / (B p) at each row's gold entry
+    # and nothing anywhere else
+    batch = [mention(["/person/athlete"], PERSON), mention(["/organization"], PERSON)]
+    _, grad = probs_grad([[0.2, 0.5, 0.3], [0.25, 0.5, 0.25]], batch, LossConfig())
+    assert np.array_equal(grad, [[0.0, 0.0, -1.0 / (2 * 0.3)],
+                                 [-1.0 / (2 * 0.25), 0.0, 0.0]])
+    _, grad = probs_grad([[5.0, 7.0, 9.0]], [mention(["/person"], PERSON)], LossConfig())
+    assert np.array_equal(grad, [[0.0, -1.0 / 7.0, 0.0]])
+
+
+@pytest.mark.parametrize("config,organization", [
+    (LossConfig(), 0.5),
+    (LossConfig(mode="variant", beta=0.4, hier=True), 0.5 / 1.1),
+], ids=["plain", "hier"])
+def test_mean_nll_floor_blocks_gradient(config, organization):
+    # a gold entry at or below the floor adds -log(PROB_FLOOR) and passes no
+    # gradient: its row stays exactly zero, with no RuntimeWarning on the way
+    batch = [mention(["/person"], PERSON), mention(["/person"], PERSON),
+             mention(["/organization"], PERSON)]
+    rows = [[1.0, 0.0, 0.0], [0.9, 1e-15, 0.1], [0.5, 0.25, 0.25]]
+    value, grad = probs_grad(rows, batch, config)
+    want = (-2 * math.log(PROB_FLOOR) - math.log(organization)) / 3
+    assert value == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(grad[:2], np.zeros((2, 3)))
+    assert grad[2, 0] != 0.0
+    _, grad = probs_grad([[1.0 - PROB_FLOOR, PROB_FLOOR, 0.0]], batch[:1], config)
+    assert np.array_equal(grad, np.zeros((1, 3)))   # exactly at the floor: blocked too
+
+
+def test_mean_nll_renormalization_gradient():
+    # on a flat forest the adjustment only renormalizes: -log(p_g / s) has
+    # gradient (1/s - [j == g] / p_g) / B, so every column gets the 1/s share
+    forest = flat_forest(3)
+    config = LossConfig(beta=0.5, hier=True)
+    rows = [[1.0, 2.0, 1.0], [3.0, 4.0, 1.0]]
+    batch = [mention(["/t1"], forest), mention(["/t0"], forest)]
+    value, grad = probs_grad(rows, batch, config, forest)
+    assert value == pytest.approx((-math.log(2.0 / 4.0) - math.log(3.0 / 8.0)) / 2, rel=1e-14)
+    want = np.array([[1 / 4, 1 / 4 - 1 / 2, 1 / 4], [1 / 8 - 1 / 3, 1 / 8, 1 / 8]]) / 2
+    assert np.allclose(grad, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["standard", "variant"])
+def test_hier_beta_zero_is_the_plain_pick(mode):
+    rng = make_rng(11)
+    forest = TypeForest(random_forest_paths(rng, max_types=12))
+    batch = gradcheck_batch(forest, mode, rng, size=5)
+    rows = rng.dirichlet(np.ones(len(forest)), size=5)
+    plain = probs_grad(rows, batch, LossConfig(mode=mode), forest)
+    hier = probs_grad(rows, batch, LossConfig(mode=mode, hier=True, beta=0.0), forest)
+    assert plain[0] == hier[0]
+    assert np.array_equal(plain[1], hier[1])
+
+
+def test_hier_loss_is_one_node_over_probs():
+    probs = softmax_rows(Tensor.parameter(np.zeros((2, 3))))
+    batch = [mention(["/person", "/organization"], PERSON),
+             mention(["/person/athlete"], PERSON)]
+    _, hier_r = select_variant("NFETC-hier(r)", beta=0.4)
+    loss = mean_nll(probs, batch, hier_r, PERSON)
+    assert loss._parents == (probs,)
+    with no_grad():
+        detached = mean_nll(probs, batch, hier_r, PERSON)
+    assert not detached.requires_grad and detached._parents == ()
+    assert detached.data.item() == loss.data.item()

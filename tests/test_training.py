@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -99,9 +100,11 @@ def test_training_corpus_choices():
     {"lr": 0.0}, {"lr": -1.0}, {"d_p": 0}, {"d_s": 0}, {"window": 0},
     {"batch": 0}, {"epochs": 0}, {"patience": 0},
     {"p_i": 0.0}, {"p_o": 1.5}, {"lam": -0.1}, {"beta": -0.4},
+    {"lr": math.nan}, {"lr": math.inf}, {"lam": math.nan}, {"lam": math.inf},
+    {"beta": math.nan}, {"beta": -math.inf},
 ])
 def test_hyperparams_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         small_hp(**kwargs)
 
 
