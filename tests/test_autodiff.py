@@ -5,6 +5,9 @@ import pytest
 
 from nfetc.autodiff import (ParamSet, Tensor, concat, gradients, lstm_sequence,
                             no_grad, softmax_rows)
+from nfetc.corpus import MentionTriple
+from nfetc.hierarchy import TypeForest
+from nfetc.loss import LossConfig, PROB_FLOOR, mean_nll
 from nfetc.optim import dropout_mask
 from gradcheck import fd_gradient, max_rel_error
 from oracles import tape_cols, tape_lstm, tape_sigmoid
@@ -302,6 +305,66 @@ def test_concat_gradients_match_fd(axis):
     for p in parts[:2]:
         assert max_rel_error(p.grad, fd_gradient(run, p.data)) < 1e-4
     assert parts[2].grad is None
+
+
+# -- the loss tail fused into mean_nll -----------------------------------------
+# pick, floor, log and mean exist only inside loss.mean_nll's single tape
+# node; each keeps its check here, on a flat forest with one gold type per row
+
+def fused_nll(rows, gold):
+    """(probs, loss) of plain mean_nll over ``rows``, row i's gold at gold[i]."""
+    forest = TypeForest([f"/t{j}" for j in range(len(rows[0]))])
+    batch = [MentionTriple(("x",), 0, 1, (f"/t{g}",),
+                           frozenset(forest.terminal_set([f"/t{g}"]))) for g in gold]
+    probs = Tensor.parameter(np.array(rows, dtype=np.float64))
+    return probs, mean_nll(probs, batch, LossConfig(), forest)
+
+
+def test_log_gradient_matches_fd():
+    rows = rng().uniform(0.5, 3.0, (2, 3))
+    probs, loss = fused_nll(rows, [0, 2])
+
+    def run():
+        return float(fused_nll(probs.data, [0, 2])[1].data)
+
+    loss.backward()
+    assert max_rel_error(probs.grad, fd_gradient(run, probs.data)) < 1e-4
+
+
+def test_clip_min_blocks_gradient_below_floor():
+    probs, loss = fused_nll([[0.5, 0.0, 0.0], [0.0, 1e-15, 0.0], [0.0, 0.0, 2.0]], [0, 1, 2])
+    loss.backward()
+    assert probs.grad[1, 1] == 0.0
+    assert probs.grad[0, 0] == pytest.approx(-2.0 / 3)
+    assert probs.grad[2, 2] == pytest.approx(-0.5 / 3)
+
+
+def test_clip_min_forward_floor():
+    _, loss = fused_nll([[0.5, 0.0, -1.0]] * 3, [0, 1, 2])
+    assert loss.data.item() == pytest.approx(
+        (-math.log(0.5) - 2 * math.log(PROB_FLOOR)) / 3, rel=1e-12)
+
+
+def test_mean_gradient():
+    for b in (2, 5):
+        probs, loss = fused_nll(np.ones((b, 5)), list(range(b)))
+        loss.backward()
+        assert loss.data.item() == 0.0
+        assert np.array_equal(probs.grad, -np.eye(b, 5) / b)
+
+
+def test_pick_rows_values_and_gradient():
+    probs, loss = fused_nll([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [2, 0])
+    assert loss.data.item() == pytest.approx(-(math.log(3.0) + math.log(4.0)) / 2)
+    loss.backward()
+    assert np.array_equal(probs.grad, [[0, 0, -1.0 / 6], [-1.0 / 8, 0, 0]])
+
+
+def test_pick_scalar_entry():
+    probs, loss = fused_nll([[5.0, 7.0, 9.0]], [1])
+    assert loss.data.item() == pytest.approx(-math.log(7.0))
+    loss.backward()
+    assert np.array_equal(probs.grad, [[0.0, -1.0 / 7, 0.0]])
 
 
 # -- fused LSTM ---------------------------------------------------------------
