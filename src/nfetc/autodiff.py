@@ -203,10 +203,11 @@ class Tensor:
         idx = np.asarray(indices, dtype=np.intp)
         out = Tensor(self.data[idx], requires_grad=self.requires_grad, parents=(self,))
         if out.requires_grad:
-            def backward(g):
-                full = np.zeros_like(self.data)
-                np.add.at(full, idx, g)
-                self._accumulate(full)
+            def backward(g):   # each cell sums its terms in index order from 0.0, as np.add.at does
+                rows, cols = self.data.shape[0], self.data[:1].size
+                cells = (idx.reshape(-1, 1) % rows * cols + np.arange(cols)).ravel()
+                full = np.bincount(cells, weights=g.ravel(), minlength=rows * cols)
+                self._accumulate(full.reshape(self.data.shape))
             out._backward = backward
         return out
 
@@ -320,7 +321,7 @@ def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
         hr[offset[t]:offset[t] + n] = h[:n]
     if mask_out is not None:
         hr *= mask_out
-    out = np.zeros((rows, d), dtype)
+    out = np.zeros((rows, d))   # float64, as Tensor holds it: no second copy
     out[real] = hr
 
     result = Tensor(out, requires_grad=record, parents=(*blocks, w_in, w_rec, bias))

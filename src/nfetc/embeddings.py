@@ -5,6 +5,10 @@ Word vectors come from a GloVe-style text file and are never updated during
 training. Lookups are case sensitive; out-of-vocabulary words resolve to the
 zero vector so inference stays deterministic without trainable OOV rows.
 
+The first load of a file stores what it parsed beside it, in
+``<file>.nfetc-cache``: a checkpoint-format file keyed by the text's SHA-256.
+Every later load of the same bytes maps that matrix instead of parsing text.
+
 Position vectors encode each token's relative distance to the mention span.
 Distances inside [-c, c] index their own row; anything further lands in a
 single shared out-of-range bucket, giving a table of 2c + 2 rows. The table
@@ -15,10 +19,12 @@ itself is the model's ``pos_table`` parameter (see ``model.init_params``);
 from __future__ import annotations
 
 from contextlib import closing
-from itertools import islice
+from functools import cached_property
+from itertools import islice, repeat
 
 import numpy as np
 
+from . import checkpoint
 from .textfile import numbered_lines
 
 
@@ -27,6 +33,7 @@ class EmbeddingError(ValueError):
 
 
 CHUNK_LINES = 8192   # lines of the file parsed by one np.loadtxt call
+CACHE_SUFFIX = ".nfetc-cache"
 
 
 class WordEmbeddings:
@@ -58,14 +65,35 @@ class WordEmbeddings:
     def from_file(cls, path) -> "WordEmbeddings":
         """Load ``word v1 .. v_dw`` lines; d_w is fixed by the first line.
 
-        The file is parsed in chunks of ``CHUNK_LINES`` lines, each by one
-        ``np.loadtxt`` call, into a matrix allocated once; an error names the
-        first faulty line of the file."""
+        If ``<path>.nfetc-cache`` holds the parse of these exact bytes (by
+        SHA-256), its vocabulary and a read-only map of its matrix are
+        returned and no text is parsed. Otherwise the file is parsed in
+        chunks of ``CHUNK_LINES`` lines, each by one ``np.loadtxt`` call,
+        into a matrix allocated once; an error names the first faulty line
+        of the file. A clean parse of bytes that did not change meanwhile is
+        then cached; a cache that cannot be read or written is ignored."""
+        digest = _digest(path)
+        cache = f"{path}{CACHE_SUFFIX}"
+        if (hit := _cached(cache, digest)) is not None:
+            return hit
         loader = _Loader(path)
         with closing(numbered_lines(path, EmbeddingError)) as lines:
             while loader.take(lines):
                 pass
-        return cls(*loader.result())
+        words, matrix, index = loader.result()
+        if _digest(path) == digest:
+            try:
+                checkpoint.save(cache, {"source_sha256": digest, "vocab": words},
+                                [("word_emb", False, matrix)])
+            except OSError:
+                pass
+        return cls(words, matrix, index)
+
+    @cached_property
+    def magnitude(self) -> float:
+        """The largest absolute value in the matrix, found on first use (by
+        ``train``), so neither a load nor ``nfetc predict`` scans for it."""
+        return max(self.matrix.max(initial=0), -self.matrix.min(initial=0))
 
     def __len__(self) -> int:
         """Vocabulary size; the perfbench tracer counts loaded words by it."""
@@ -100,6 +128,34 @@ def _line_count(path) -> int:
             breaks -= last == b"\r" and block[:1] == b"\n"
             last = block[-1:]
     return breaks + 1
+
+
+def _digest(path) -> str:
+    """The SHA-256 of the bytes of ``path``."""
+    import hashlib   # here, not at the top: OpenSSL adds ~3.5 MiB RSS to every nfetc command
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            sha.update(block)
+    return sha.hexdigest()
+
+
+def _cached(cache, digest) -> WordEmbeddings | None:
+    """The embeddings ``cache`` holds for a text of SHA-256 ``digest``, or
+    None when it is missing, unreadable, stale or malformed."""
+    try:
+        meta, tensors = checkpoint.load(cache)
+    except (OSError, ValueError, RecursionError):   # RecursionError: deeply nested JSON
+        return None
+    vocab, matrix = meta.get("vocab"), tensors.get("word_emb")
+    if (meta.get("source_sha256") != digest or list(tensors) != ["word_emb"]
+            or not isinstance(vocab, list) or not all(map(isinstance, vocab, repeat(str)))
+            or 0 in matrix.shape):
+        return None
+    try:   # the constructor checks the matrix's shape and that no word repeats
+        return WordEmbeddings(vocab, matrix)
+    except EmbeddingError:
+        return None
 
 
 class _Loader:

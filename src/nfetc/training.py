@@ -131,7 +131,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
     rng = make_rng(hp.seed)
     model = NfetcModel(hp, embeddings, forest, rng)
     limit = np.finfo(TRAIN_DTYPE).max   # the LSTMs cast weights and word vectors to it
-    if not max(embeddings.matrix.max(initial=0), -embeddings.matrix.min(initial=0)) <= limit:
+    if not embeddings.magnitude <= limit:
         raise TrainingDiverged(f"word vectors outside the {limit.dtype} range")
     adam = AdamState(model.params)
 

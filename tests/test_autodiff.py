@@ -270,6 +270,32 @@ def test_take_rows_accumulates_repeated_indices():
     assert np.array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
 
 
+def test_take_rows_gradient_matches_fd():
+    x = Tensor.parameter(rng().standard_normal((4, 3)))
+    w = rng().standard_normal((6, 3))
+    idx = [2, 0, 2, 3, 2, 1]
+
+    def run():
+        return float((x.take_rows(idx) * Tensor.constant(w)).sum().data)
+
+    (x.take_rows(idx) * Tensor.constant(w)).sum().backward()
+    assert max_rel_error(x.grad, fd_gradient(run, x.data)) < 1e-4
+
+
+@pytest.mark.parametrize("rows,cols", [(22, 85), (7, 1)])
+def test_take_rows_scatter_is_bit_identical_to_add_at(rows, cols):
+    # many repeated indices, with gradients of mixed sign and scale, so the
+    # sums depend on their order
+    r = rng()
+    idx = r.integers(-rows, rows, size=3000)
+    g = r.standard_normal((idx.size, cols)) * 10.0 ** r.integers(-8, 8, size=(idx.size, 1))
+    x = Tensor.parameter(np.zeros((rows, cols)))
+    (x.take_rows(idx) * Tensor.constant(g)).sum().backward()   # each row's gradient is g's
+    want = np.zeros((rows, cols))
+    np.add.at(want, idx, g)
+    assert x.grad.tobytes() == want.tobytes()
+
+
 def test_hconcat_values_and_gradient():
     a = Tensor.parameter(np.ones((2, 2)))
     b = Tensor.parameter(np.full((2, 3), 2.0))

@@ -6,17 +6,31 @@ each value with ``float``, one line at a time. On every file both give the
 same words and the same matrix bytes, or both raise the same message. The
 files span more than two chunks, so faults land on the first and last line
 of a chunk and a word can repeat across chunks.
+
+The cache beside each file (``<file>.nfetc-cache``) gives a later load of the
+same bytes without a parse; anything wrong with it is a miss, never an error.
 """
 
+import contextlib
+import hashlib
+import io
+import os
+import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ckptedit import rewrite_meta, rewrite_params
+from nfetc import checkpoint
 from nfetc import embeddings as embeddings_module
-from nfetc.embeddings import EmbeddingError, WordEmbeddings
+from nfetc.cli import main
+from nfetc.embeddings import CACHE_SUFFIX, EmbeddingError, WordEmbeddings
 from nfetc.optim import make_rng
 from oracles import reference_embeddings
+
+SYNTH = Path(__file__).parent / "fixtures" / "synth"
 
 # separators str.split and np.loadtxt both split at: runs, tabs, no-break,
 # four-per-em and ideographic spaces, and the file separator control
@@ -224,3 +238,210 @@ def test_the_loader_peak_is_near_one_matrix(tmp_path, monkeypatch):
     # what is kept is the matrix and the vocabulary, once each
     assert kept < 1.5 * emb.matrix.nbytes
     assert np.array_equal(emb.matrix, ticks / 1e4)
+
+
+# -- the parse cache ------------------------------------------------------------------
+
+
+def cache_of(path) -> Path:
+    return Path(f"{path}{CACHE_SUFFIX}")
+
+
+def no_parse(monkeypatch):
+    """Make any text parse fail the test."""
+    def parse(rests):
+        raise AssertionError("parsed text although the cache holds it")
+    monkeypatch.setattr(embeddings_module, "_parse", parse)
+
+
+def counted_parse(monkeypatch) -> list:
+    """Count ``_parse`` calls in the returned one-item list."""
+    calls, real = [0], embeddings_module._parse
+
+    def parse(rests):
+        calls[0] += 1
+        return real(rests)
+    monkeypatch.setattr(embeddings_module, "_parse", parse)
+    return calls
+
+
+def same(emb, ref) -> bool:
+    return emb.words == ref.words and emb.matrix.tobytes() == ref.matrix.tobytes()
+
+
+@pytest.fixture
+def vectors(tmp_path, monkeypatch):
+    """A three-chunk file, loaded once so that its cache is written."""
+    monkeypatch.setattr(embeddings_module, "CHUNK_LINES", C)
+    path = tmp_path / "v.txt"
+    path.write_text(chunked(C, 3, 3 * C + 5, {}))
+    assert not cache_of(path).exists()
+    WordEmbeddings.from_file(path)
+    assert cache_of(path).exists()
+    return path
+
+
+def test_a_hit_maps_the_matrix_without_parsing(vectors, monkeypatch):
+    no_parse(monkeypatch)
+    emb = WordEmbeddings.from_file(vectors)
+    assert same(emb, reference_embeddings(vectors))
+    assert emb.matrix.dtype == np.float64 and emb.matrix.flags.c_contiguous
+    assert not emb.matrix.flags.writeable and not emb.matrix.flags.owndata
+    assert emb.indices(["w3", "nope"]).tolist() == [3, -1]
+    meta, tensors = checkpoint.load(str(cache_of(vectors)))
+    assert meta["source_sha256"] == hashlib.sha256(vectors.read_bytes()).hexdigest()
+    assert meta["vocab"] == emb.words and list(tensors) == ["word_emb"]
+
+
+def test_an_edited_file_is_parsed_again(vectors, monkeypatch):
+    vectors.write_text(chunked(C, 3, 2 * C, {}))
+    calls = counted_parse(monkeypatch)
+    assert same(WordEmbeddings.from_file(vectors), reference_embeddings(vectors))
+    assert calls[0] > 0
+
+
+def test_an_edit_of_the_same_size_and_mtime_is_parsed_again(vectors, monkeypatch):
+    before = os.stat(vectors)
+    text = vectors.read_text()
+    vectors.write_text(text.replace("w7 7.5", "w7 8.5", 1))
+    os.utime(vectors, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(vectors)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    calls = counted_parse(monkeypatch)
+    emb = WordEmbeddings.from_file(vectors)
+    assert calls[0] > 0 and emb.matrix[7, 0] == 8.5
+    assert same(emb, reference_embeddings(vectors))
+
+
+def truncate(cache):
+    cache.write_bytes(cache.read_bytes()[:-12])
+
+
+def garbage(cache):
+    cache.write_bytes(make_rng(5).bytes(cache.stat().st_size))
+
+
+def nested_meta(cache):
+    cache.write_bytes(checkpoint.header(b"[" * 100000))
+
+
+def meta_edit(edit):
+    return lambda cache: rewrite_meta(cache, cache, edit)
+
+
+def non_finite(cache):
+    def poison(values):
+        values["word_emb"] = values["word_emb"].copy()
+        values["word_emb"][2, 1] = np.nan
+    rewrite_params(cache, cache, poison)
+
+
+def saved(meta_edit=None, matrix=None):
+    """A cache rewritten with ``meta_edit`` applied to its meta, or with
+    ``matrix`` in place of its matrix."""
+    def corrupt(cache):
+        meta, tensors = checkpoint.load(str(cache))
+        meta.pop("params")
+        if meta_edit:
+            meta_edit(meta)
+        checkpoint.save(str(cache), meta, [("word_emb", False, tensors["word_emb"]
+                                            if matrix is None else matrix(meta))])
+    return corrupt
+
+
+CORRUPTIONS = {
+    "truncated": truncate,
+    "garbage": garbage,
+    "nested-meta": nested_meta,
+    "wrong-digest": meta_edit(lambda m: m.update(source_sha256="0" * 64)),
+    "no-digest": meta_edit(lambda m: m.pop("source_sha256")),
+    "vocab-not-a-list": meta_edit(lambda m: m.update(vocab="w0")),
+    "vocab-not-str": meta_edit(lambda m: m.update(vocab=list(range(len(m["vocab"]))))),
+    "short-vocab": meta_edit(lambda m: m["vocab"].pop()),
+    "long-vocab": meta_edit(lambda m: m["vocab"].append("extra")),
+    "duplicate-word": meta_edit(lambda m: m["vocab"].__setitem__(1, m["vocab"][0])),
+    "non-finite": non_finite,
+    "one-dimensional": saved(lambda m: m.update(vocab=m["vocab"][:1]),
+                             lambda m: np.ones(3)),
+    "empty": saved(lambda m: m.update(vocab=[]), lambda m: np.zeros((0, 3))),
+    "zero-width": saved(matrix=lambda m: np.zeros((len(m["vocab"]), 0))),
+    "second-tensor": lambda cache: rewrite_params(
+        cache, cache, lambda values: values.update(extra=np.ones(2))),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_a_bad_cache_is_a_miss_and_is_rewritten(vectors, monkeypatch, corrupt):
+    cache = cache_of(vectors)
+    good = cache.read_bytes()
+    corrupt(cache)
+    assert cache.read_bytes() != good
+    calls = counted_parse(monkeypatch)
+    assert same(WordEmbeddings.from_file(vectors), reference_embeddings(vectors))
+    assert calls[0] > 0
+    assert cache.read_bytes() == good
+
+
+def test_a_failed_cache_write_still_returns_the_embeddings(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(checkpoint, "save", fail)
+    path = tmp_path / "v.txt"
+    path.write_text(chunked(C, 2, 10, {}))
+    assert same(WordEmbeddings.from_file(path), reference_embeddings(path))
+    assert not cache_of(path).exists()
+
+
+def test_a_file_that_fails_to_parse_leaves_no_cache(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings_module, "CHUNK_LINES", C)
+    path = tmp_path / "v.txt"
+    path.write_text(chunked(C, 2, 2 * C, {C + 3: "x 1 one"}))
+    with pytest.raises(EmbeddingError, match=f"{path}:{C + 3}: non-numeric value"):
+        WordEmbeddings.from_file(path)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_file_edited_during_the_parse_gets_no_cache(tmp_path, monkeypatch):
+    # the edit lands after the digest pass; whatever the parse read, no
+    # cache may claim it is the parse of the bytes the digest pass saw
+    monkeypatch.setattr(embeddings_module, "CHUNK_LINES", C)
+    path = tmp_path / "v.txt"
+    path.write_text(chunked(C, 2, 2 * C, {}))
+    real = embeddings_module._parse
+
+    def parse_then_edit(rests):
+        path.write_text(chunked(C, 2, 2 * C, {3: "w2 9.5 9.5"}))
+        return real(rests)
+    monkeypatch.setattr(embeddings_module, "_parse", parse_then_edit)
+    WordEmbeddings.from_file(path)
+    assert list(tmp_path.iterdir()) == [path]
+    monkeypatch.setattr(embeddings_module, "_parse", real)
+    emb = WordEmbeddings.from_file(path)
+    assert emb.matrix[2, 0] == 9.5 and same(emb, reference_embeddings(path))
+    meta, _ = checkpoint.load(str(cache_of(path)))
+    assert meta["source_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_train_writes_the_same_bytes_on_a_miss_and_a_hit(tmp_path, monkeypatch):
+    shutil.copy(SYNTH / "embeddings.txt", tmp_path / "embeddings.txt")
+
+    def train(run):
+        out = tmp_path / run
+        out.mkdir()
+        argv = ["train", "--set", f"types={SYNTH / 'types.txt'}",
+                "--set", f"train={SYNTH / 'train.tsv'}", "--set", f"test={SYNTH / 'train.tsv'}",
+                "--set", f"embeddings={tmp_path / 'embeddings.txt'}",
+                "--set", "lr=0.01", "--set", "dp=4", "--set", "ds=8", "--set", "window=3",
+                "--set", "batch=32", "--set", "epochs=3", "--set", "variant=NFETC-hier(r)",
+                "--set", f"checkpoint={out / 'model.ckpt'}", "--set", f"log={out / 'log.txt'}",
+                "--set", f"report={out / 'report.txt'}"]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(argv) == 0
+        return stdout.getvalue(), {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    miss = train("miss")
+    assert cache_of(tmp_path / "embeddings.txt").exists()
+    no_parse(monkeypatch)
+    hit = train("hit")
+    assert hit == miss
+    assert sorted(miss[1]) == ["log.txt", "model.ckpt", "report.txt"]

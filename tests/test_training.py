@@ -227,8 +227,12 @@ def test_train_rejects_word_vectors_beyond_float32():
     matrix = emb.matrix.copy()
     matrix[4, 0] = -1e39
     _, config = select_variant("NFETC(f)")
+    far = WordEmbeddings(emb.words, matrix)
     with pytest.raises(TrainingDiverged, match="word vectors outside the float32 range"):
-        train(train_c, dev_c, WordEmbeddings(emb.words, matrix), forest, small_hp(), config)
+        train(train_c, dev_c, far, forest, small_hp(), config)
+    # the range is found once per embeddings object; a second run still stops
+    with pytest.raises(TrainingDiverged, match="word vectors outside the float32 range"):
+        train(train_c, dev_c, far, forest, small_hp(), config)
 
 
 def test_train_rejects_non_finite_gradient_before_the_update(monkeypatch):
