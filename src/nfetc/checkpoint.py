@@ -94,7 +94,7 @@ def load(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: truncated meta block")
         try:
             meta = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise CheckpointError(f"{path}: corrupt meta block: {e}") from None
         if not isinstance(meta, dict):
             raise CheckpointError(f"{path}: meta block is not a JSON object")
@@ -119,6 +119,8 @@ def load(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             # more memory than the file holds
             if nbytes > size - at:
                 raise CheckpointError(truncated)
+            if any(n > size for n in shape):   # passed the bound beside a 0; numpy refuses it
+                raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
             if e["trainable"] or at % ALIGN:
                 arr = np.empty(shape, dtype="<f8")
                 if f.readinto(arr) != nbytes:

@@ -16,8 +16,7 @@ import sys
 import numpy as np
 
 from .checkpoint import CheckpointError
-from .corpus import (Corpus, CorpusError, parse_corpus, relabel, stats,
-                     split_dev, windowed)
+from .corpus import CorpusError, parse_corpus, stats, split_dev, windowed
 from .embeddings import EmbeddingError, WordEmbeddings
 from .evaluation import pairs_for, per_type_accuracy, score_pairs
 from .hierarchy import ForestError, RefinementMap, TypeForest, apply_refinement
@@ -25,7 +24,7 @@ from .loss import inference_adjust
 from .textfile import numbered_lines
 from .training import (HyperParams, TrainingDiverged, VARIANTS, load_checkpoint,
                        params_from_values, run_multi, save_checkpoint,
-                       select_variant, train, training_corpus)
+                       select_variant, training_corpus)
 
 DATA_ROOT_VAR = "NFETC_DATA_ROOT"
 
@@ -154,20 +153,12 @@ def _require_path(cfg: dict, key: str, command: str) -> str:
 
 
 def _load_forest(cfg: dict, command: str):
-    """Forest plus the label rewrite map when a refinement is configured."""
+    """(forest, None), or with a refinement configured (refined forest, the
+    old-path -> new-path map that corpus labels are read through)."""
     forest = TypeForest.from_file(_require_path(cfg, "types", command))
     if not cfg["refinement"]:
-        return forest, forest, None
-    refinement = RefinementMap.from_file(_resolve(cfg["refinement"]))
-    refined, full_map = apply_refinement(forest, refinement)
-    return refined, forest, full_map
-
-
-def _parse_with_refinement(path, parse_forest, final_forest, full_map) -> Corpus:
-    corpus = parse_corpus(path, parse_forest)
-    if full_map is not None:
-        corpus = relabel(corpus, full_map, final_forest)
-    return corpus
+        return forest, None
+    return apply_refinement(forest, RefinementMap.from_file(_resolve(cfg["refinement"])))
 
 
 def _hyperparams(cfg: dict) -> HyperParams:
@@ -196,12 +187,12 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_train(cfg: dict) -> int:
-    forest, parse_forest, full_map = _load_forest(cfg, "train")
+    forest, mapping = _load_forest(cfg, "train")
     train_path = _require_path(cfg, "train", "train")
     test_path = _require_path(cfg, "test", "train")
     emb_path = _require_path(cfg, "embeddings", "train")
-    raw_train = _parse_with_refinement(train_path, parse_forest, forest, full_map)
-    test_all = _parse_with_refinement(test_path, parse_forest, forest, full_map)
+    raw_train = parse_corpus(train_path, forest, mapping=mapping)
+    test_all = parse_corpus(test_path, forest, mapping=mapping)
     embeddings = WordEmbeddings.from_file(emb_path)
     dev, held = split_dev(test_all, cfg["dev_fraction"], cfg["dev_seed"])
     choice, loss_cfg = select_variant(
@@ -210,28 +201,22 @@ def cmd_train(cfg: dict) -> int:
         select_on_adjusted=cfg["select_adjusted"])
     corpus = training_corpus(raw_train, choice, forest)
     hp = _hyperparams(cfg)
-    seeds = _parse_seeds(cfg["seeds"])
+    seeds = _parse_seeds(cfg["seeds"]) or [hp.seed]
     with (open(cfg["log"], "w", encoding="utf-8") if cfg["log"]
           else contextlib.nullcontext(sys.stdout)) as log_stream:
-        if len(seeds) > 1:
-            multi = run_multi(seeds, corpus, dev, embeddings, forest, hp,
-                              loss_cfg, eval_corpus=held, log=log_stream)
-            best = max(range(len(seeds)), key=lambda i: multi.runs[i].final.strict)
-            result = multi.runs[best]
-            hp = dataclasses.replace(hp, seed=seeds[best])
-            lines = [multi.as_text()]
-            for s, run in zip(seeds, multi.runs):
-                lines.append(f"seed={s} {run.final.as_text()}")
-            if cfg["checkpoint"]:
-                lines.append(f"checkpoint={cfg['checkpoint']} (seed {seeds[best]})\n")
-        else:
-            if seeds:
-                hp = dataclasses.replace(hp, seed=seeds[0])
-            result = train(corpus, dev, embeddings, forest, hp, loss_cfg,
-                           eval_corpus=held, log=log_stream)
-            lines = [f"best_epoch={result.best_epoch} "
-                     f"dev_strict={result.best_dev_strict:.4f}\n",
-                     result.final.as_text()]
+        multi = run_multi(seeds, corpus, dev, embeddings, forest, hp,
+                          loss_cfg, eval_corpus=held, log=log_stream)
+    best = max(range(len(seeds)), key=lambda i: multi.runs[i].final.strict)
+    result = multi.runs[best]
+    hp = dataclasses.replace(hp, seed=seeds[best])
+    if len(seeds) == 1:
+        lines = [f"best_epoch={result.best_epoch} "
+                 f"dev_strict={result.best_dev_strict:.4f}\n", result.final.as_text()]
+    else:
+        lines = [multi.as_text()] + [f"seed={s} {run.final.as_text()}"
+                                     for s, run in zip(seeds, multi.runs)]
+        if cfg["checkpoint"]:
+            lines.append(f"checkpoint={cfg['checkpoint']} (seed {seeds[best]})\n")
     if cfg["checkpoint"]:
         save_checkpoint(cfg["checkpoint"], hp, loss_cfg, forest, embeddings,
                         params_from_values(result.best_values))
@@ -256,8 +241,8 @@ def cmd_eval(cfg: dict) -> int:
         if not cfg["types"]:
             raise CliError(2, "nfetc eval: refinement needs the 'types' config key, "
                               "the forest the corpus labels are written in")
-        _, parse_forest, full_map = _load_forest(cfg, "eval")
-        return _parse_with_refinement(path, parse_forest, forest, full_map)
+        _, mapping = _load_forest(cfg, "eval")
+        return parse_corpus(path, forest, mapping=mapping)
 
     restored, corpus, probs = _restore_and_predict(
         cfg, "eval", "input" if cfg["input"] else "test", read)
@@ -293,10 +278,9 @@ def cmd_predict(cfg: dict) -> int:
 
 
 def cmd_stats(cfg: dict) -> int:
-    forest, parse_forest, full_map = _load_forest(cfg, "stats")
+    forest, mapping = _load_forest(cfg, "stats")
     path = _require_path(cfg, "input", "stats")
-    corpus = _parse_with_refinement(path, parse_forest, forest, full_map)
-    report = stats(corpus, forest)
+    report = stats(parse_corpus(path, forest, mapping=mapping), forest)
     out = report.as_text()
     if cfg["json"]:
         out += report.as_json() + "\n"

@@ -56,15 +56,14 @@ class Corpus:
         return self.triples[i]
 
 
-def _derive_terminals(labels, forest: TypeForest) -> frozenset[str]:
-    return frozenset(forest.terminal_set(labels)) if labels else frozenset()
-
-
 def parse_line(line: str, forest: TypeForest, strings: dict[str, str],
-               allow_unlabeled: bool = False) -> MentionTriple:
+               allow_unlabeled: bool = False,
+               mapping: dict[str, str] | None = None) -> MentionTriple:
     """One corpus line as a mention. Each token and label is taken from
     ``strings``, which the caller keeps across a corpus's lines and this adds
-    to, so a corpus keeps one string per distinct word or type."""
+    to, so a corpus keeps one string per distinct word or type. Given a
+    refinement's old-path -> new-path ``mapping``, each label must be one of
+    its keys and is stored as its value, a type of the refined ``forest``."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) == 2 and allow_unlabeled:
         span, token_field = parts
@@ -90,27 +89,32 @@ def parse_line(line: str, forest: TypeForest, strings: dict[str, str],
         raise CorpusError("empty label")
     if len(set(labels)) != len(labels):
         raise CorpusError("duplicate label")
+    known = forest if mapping is None else mapping
     for lbl in labels:
-        if lbl not in forest:
+        if lbl not in known:
             raise CorpusError(f"unknown type {lbl!r}")
+    if mapping is not None:
+        labels = tuple(map(mapping.__getitem__, labels))
     if not labels and not allow_unlabeled:
         raise CorpusError("missing labels")
     if not (0 <= start < end <= len(tokens)):
         raise CorpusError(f"span [{start}, {end}) out of bounds "
                           f"for {len(tokens)} tokens")
     return MentionTriple(tokens, start, end, labels,
-                         _derive_terminals(labels, forest))
+                         frozenset(forest.terminal_set(labels)) if labels else frozenset())
 
 
 def parse_corpus(path, forest: TypeForest, tag: str = "raw",
-                 allow_unlabeled: bool = False) -> Corpus:
-    """Parse a corpus file; errors name the file and the line."""
+                 allow_unlabeled: bool = False,
+                 mapping: dict[str, str] | None = None) -> Corpus:
+    """Parse a corpus file, its labels read through ``mapping`` when given
+    (see ``parse_line``); errors name the file and the line."""
     triples, strings = [], {}
     for lineno, line in numbered_lines(path, CorpusError):
         if line.strip() == "":
             continue
         try:
-            triples.append(parse_line(line, forest, strings, allow_unlabeled))
+            triples.append(parse_line(line, forest, strings, allow_unlabeled, mapping))
         except CorpusError as e:
             raise CorpusError(f"{path}:{lineno}: {e}") from None
     # freed here rather than on return: with glibc's allocator, repeated
@@ -138,22 +142,6 @@ def window(triple: MentionTriple, c: int) -> MentionTriple:
 
 def windowed(corpus: Corpus, c: int) -> Corpus:
     return Corpus([window(t, c) for t in corpus], tag=corpus.tag)
-
-
-def relabel(corpus: Corpus, mapping: dict[str, str], forest: TypeForest) -> Corpus:
-    """Rewrite every label through an old-path -> new-path mapping (the
-    companion of a hierarchy refinement) and re-derive terminals against the
-    refined forest."""
-    out = []
-    for t in corpus:
-        try:
-            labels = tuple(mapping[lbl] for lbl in t.labels)
-        except KeyError as e:
-            raise CorpusError(f"label {e.args[0]!r} missing from the refinement "
-                              f"mapping") from None
-        out.append(MentionTriple(t.tokens, t.start, t.end, labels,
-                                 _derive_terminals(labels, forest)))
-    return Corpus(out, tag=corpus.tag)
 
 
 def build_filtered(corpus: Corpus, forest: TypeForest) -> Corpus:

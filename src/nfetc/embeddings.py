@@ -40,14 +40,17 @@ class WordEmbeddings:
     """Vocabulary plus a |V| x d_w float64 matrix, frozen: the array is made
     read-only, so nothing can update it and nothing needs to copy it.
 
-    The constructor takes ownership of ``words`` and ``matrix``: neither is
-    copied, and a float64 matrix is made read-only, so the caller's own array
-    can no longer be written to. Pass a copy to keep a writable one.
+    The constructor takes ownership of ``words``, a list of str, and
+    ``matrix``: neither is copied, and a float64 matrix is made read-only, so
+    the caller's own array can no longer be written to. Pass a copy to keep a
+    writable one.
     ``index``, when given, maps each word to its row, as ``from_file`` builds
     it while it reads."""
 
     def __init__(self, words: list[str], matrix: np.ndarray,
                  index: dict[str, int] | None = None):
+        if not isinstance(words, list) or not all(map(isinstance, words, repeat(str))):
+            raise EmbeddingError("vocabulary is not a list of strings")
         if index is None:
             index = dict(zip(words, range(len(words))))
         if len(index) != len(words):
@@ -145,14 +148,13 @@ def _cached(cache, digest) -> WordEmbeddings | None:
     None when it is missing, unreadable, stale or malformed."""
     try:
         meta, tensors = checkpoint.load(cache)
-    except (OSError, ValueError, RecursionError):   # RecursionError: deeply nested JSON
+    except (OSError, ValueError):
         return None
     vocab, matrix = meta.get("vocab"), tensors.get("word_emb")
     if (meta.get("source_sha256") != digest or list(tensors) != ["word_emb"]
-            or not isinstance(vocab, list) or not all(map(isinstance, vocab, repeat(str)))
             or 0 in matrix.shape):
         return None
-    try:   # the constructor checks the matrix's shape and that no word repeats
+    try:   # the constructor checks the words, the matrix's shape and that no word repeats
         return WordEmbeddings(vocab, matrix)
     except EmbeddingError:
         return None

@@ -136,6 +136,10 @@ def test_load_rejects_corrupt_json(tmp_path):
     p = write_raw(tmp_path / "x.ckpt", MAGIC + b"5\n{oops")
     with pytest.raises(CheckpointError, match="corrupt meta"):
         load(p)
+    # nested deeper than the JSON decoder recurses
+    p = write_raw(tmp_path / "nested.ckpt", header(b"[" * 100000))
+    with pytest.raises(CheckpointError, match=re.escape(f"{p}: corrupt meta block: ")):
+        load(p)
 
 
 @pytest.mark.parametrize("meta", [[1, 2], "params", None, 3], ids=["list", "string", "null", "number"])
@@ -464,8 +468,9 @@ def test_model_checkpoint_settings_must_be_objects(tmp_path, section, value):
     {"name": "w", "trainable": "yes", "shape": [1]},
     "w",
     {"name": "w", "trainable": True, "shape": [True]},
+    {"name": "w", "trainable": True, "shape": [0, 10**30]},
 ], ids=["no-shape", "no-trainable", "no-name", "shape-string", "shape-negative",
-        "trainable-string", "not-a-dict", "shape-bool"])
+        "trainable-string", "not-a-dict", "shape-bool", "empty-shape-of-10**30"])
 def test_load_rejects_malformed_descriptor(tmp_path, descriptor):
     p = write_raw(tmp_path / "x.ckpt",
                   packed({"params": [descriptor]}, struct.pack("<d", 1.0)))

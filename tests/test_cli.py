@@ -10,12 +10,14 @@ import pytest
 
 from ckptedit import rewrite_meta, rewrite_params
 from nfetc import cli as cli_module
+from nfetc.checkpoint import header
 from nfetc.cli import main
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import load_checkpoint
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
+SYNTH = Path(__file__).parent / "fixtures" / "synth"
 README = Path(__file__).parent.parent / "README.md"
 
 VOCAB = ["the", "a", "big", "red", "cat", "dog", "mat",
@@ -65,8 +67,8 @@ def run_cli(argv):
 
 
 def run_cli_recording(argv, name):
-    """Run the CLI while keeping each value that ``nfetc.cli.<name>`` (``train``
-    or ``run_multi``) returns, so a test can compare the files it wrote."""
+    """Run the CLI while keeping each value that ``nfetc.cli.<name>`` (such as
+    ``run_multi``) returns, so a test can compare the files it wrote."""
     real, returned = getattr(cli_module, name), []
 
     def recording(*args, **kwargs):
@@ -102,11 +104,11 @@ def trained(tmp_path_factory, world):
         "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
         "--set", f"checkpoint={ckpt}", "--set", f"log={log}",
         "--set", f"report={report}"]
-    code, out, err, results = run_cli_recording(argv, "train")
+    code, out, err, results = run_cli_recording(argv, "run_multi")
     assert code == 0, err
-    assert len(results) == 1
+    assert len(results) == 1 and len(results[0].runs) == 1
     return {"checkpoint": str(ckpt), "log": str(log), "report": str(report),
-            "stdout": out, "result": results[0], **world}
+            "stdout": out, "result": results[0].runs[0], **world}
 
 
 # -- argument and config handling -------------------------------------------------
@@ -441,6 +443,54 @@ def test_eval_refinement_needs_types(trained):
     assert code == 1 and out == "" and "/nonexistent" in err
 
 
+REFINED_TRAIN_REPORT = (
+    "best_epoch=8 dev_strict=0.6500\n"
+    "strict=0.5611 macro_p=0.9389 macro_r=0.7287 macro_f1=0.8206 "
+    "micro_p=0.9369 micro_r=0.6541 micro_f1=0.7704\n")
+REFINED_EVAL = (
+    "strict=0.5700 macro_p=0.9450 macro_r=0.7375 macro_f1=0.8285 "
+    "micro_p=0.9431 micro_r=0.6629 micro_f1=0.7785\n"
+    '{"strict": 0.57, "macro_p": 0.945, "macro_r": 0.7374999999999994, '
+    '"macro_f1": 0.8284546805349179, "micro_p": 0.943089430894309, '
+    '"micro_r": 0.6628571428571428, "micro_f1": 0.7785234899328859}\n'
+    "/artist\t0.0000\n/artist/singer\t0.0000\n/city\t0.0000\n/org\t0.9200\n"
+    "/org/team\t1.0000\n/person\t0.3200\n/person/athlete\t0.7200\n/place\t0.4800\n")
+
+
+def test_refined_train_eval_and_stats(tmp_path):
+    # the synth world with two subtrees moved to the roots: train, eval and
+    # stats each read the corpus labels through the refinement
+    refinement = tmp_path / "refine.tsv"
+    refinement.write_text("/person/artist\t/artist\n/place/city\t/city\n")
+    ckpt, report = tmp_path / "refined.ckpt", tmp_path / "report.txt"
+    inputs = ["--set", f"types={SYNTH / 'types.txt'}",
+              "--set", f"refinement={refinement}"]
+    code, out, err = run_cli(["train"] + inputs + [
+        "--set", f"train={SYNTH / 'train.tsv'}", "--set", f"test={SYNTH / 'train.tsv'}",
+        "--set", f"embeddings={SYNTH / 'embeddings.txt'}",
+        "--set", "lr=0.01", "--set", "dp=4", "--set", "ds=16", "--set", "pi=1.0",
+        "--set", "po=1.0", "--set", "window=3", "--set", "batch=32", "--set", "epochs=8",
+        "--set", "variant=NFETC-hier(r)", "--set", f"checkpoint={ckpt}",
+        "--set", f"log={tmp_path / 'log.txt'}", "--set", f"report={report}"])
+    assert (code, err) == (0, "")
+    assert out == REFINED_TRAIN_REPORT
+    assert report.read_text() == out
+    assert load_checkpoint(str(ckpt)).forest.types() == [
+        "/artist", "/artist/singer", "/city", "/org", "/org/team", "/person",
+        "/person/athlete", "/place"]
+
+    code, out, err = run_cli(["eval"] + inputs + [
+        "--set", f"checkpoint={ckpt}", "--set", f"test={SYNTH / 'train.tsv'}",
+        "--set", "per_type=true", "--set", "json=true"])
+    assert (code, err) == (0, "")
+    assert out == REFINED_EVAL
+
+    code, out, err = run_cli(["stats"] + inputs + ["--set", f"input={SYNTH / 'train.tsv'}"])
+    assert (code, err) == (0, "")
+    assert out == ("types=8\nmentions=200\nsingle_path=125\n"
+                   "pct_single_path=62.50\nmax_label_depth=2\n")
+
+
 # -- predict ------------------------------------------------------------------------
 
 
@@ -515,12 +565,31 @@ def test_export_types_round_trips_weights(trained, tmp_path):
     lambda meta: meta["hyperparams"].update(window=1, d_s=999),
     [1, 2],
     lambda meta: meta.update(hyperparams=[1, 2]),
+    lambda meta: meta.update(vocab=list(range(len(meta["vocab"])))),
+    lambda meta: meta.update(vocab="".join(chr(97 + i) for i in range(len(meta["vocab"])))),
+    lambda meta: meta["vocab"].__setitem__(-1, 7),
 ], ids=["extra-hyperparam", "missing-loss-key", "descriptor-without-shape",
         "types-short-of-classifier", "duplicate-descriptor-name",
         "shape-of-728TiB", "shape-of-2**80-floats", "header-sizes-disagree",
-        "meta-not-an-object", "hyperparams-not-an-object"])
+        "meta-not-an-object", "hyperparams-not-an-object", "vocab-of-ints",
+        "vocab-a-string", "vocab-with-an-int"])
 def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit):
     ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
+    code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
+                              "--set", f"input={trained['test']}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body", [
+    header(b"[" * 100000),
+    header(json.dumps({"params": [{"name": "w", "trainable": True,
+                                   "shape": [0, 10**30]}]}).encode()),
+], ids=["meta-nested-too-deep", "empty-shape-of-10**30"])
+def test_predict_unreadable_checkpoint_is_one_error_line(trained, tmp_path, body):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(body)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
                               "--set", f"input={trained['test']}"])
     assert code == 1

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from nfetc.corpus import (Corpus, CorpusError, MentionTriple, build_filtered,
-                          parse_corpus, parse_line, relabel, split_dev, stats,
-                          window, windowed)
+                          parse_corpus, parse_line, split_dev, stats, window,
+                          windowed)
 from nfetc.hierarchy import RefinementMap, TypeForest, apply_refinement
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
@@ -222,7 +222,7 @@ def test_stats_empty_corpus_rejected(forest):
 def test_relabel_through_refinement(corpus, forest):
     refinement = RefinementMap({"/person": "/human"})
     refined, full_map = apply_refinement(forest, refinement)
-    moved = relabel(corpus, full_map, refined)
+    moved = parse_corpus(MINI / "corpus.tsv", refined, mapping=full_map)
     assert len(moved) == len(corpus)
     assert moved[0].labels == ("/human", "/human/athlete")
     assert moved[0].terminals == frozenset({"/human/athlete"})
@@ -230,10 +230,12 @@ def test_relabel_through_refinement(corpus, forest):
     assert moved[2].labels == ("/location",)
 
 
-def test_relabel_missing_key_rejected(corpus, forest):
+def test_relabel_missing_key_rejected(forest):
+    # a label the map lacks is an unknown type, named at its own line
     partial = {path: path for path in forest.types() if path != "/location"}
-    with pytest.raises(CorpusError, match="missing from the refinement"):
-        relabel(corpus, partial, forest)
+    with pytest.raises(CorpusError) as err:
+        parse_corpus(MINI / "corpus.tsv", forest, mapping=partial)
+    assert str(err.value) == f"{MINI / 'corpus.tsv'}:3: unknown type '/location'"
 
 
 def test_split_dev_sizes_round_half_up(corpus):
