@@ -2,9 +2,10 @@
 fused ``lstm_sequence`` op may compute in another dtype inside.
 
 Every operation appends a node to an implicit tape (the graph hanging off
-its output tensor) together with a hand-derived backward closure. Calling
-``backward()`` on a scalar runs the closures in reverse topological order.
-Gradients of each op are verified against central finite differences in the
+its output tensor, whose parents are the inputs that need a gradient) with a
+hand-derived backward closure. ``backward()`` on a scalar runs the closures
+in reverse topological order, releasing each node, so it runs once per graph.
+Each op's gradients are checked against central finite differences in the
 test suite; composition is then automatic.
 
 Shapes are kept 1-D or 2-D throughout. Elementwise ops broadcast like numpy
@@ -32,6 +33,10 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def _released(grad):
+    raise RuntimeError("backward() reached a released graph: a graph is swept once")
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` by summing over broadcast axes."""
     while grad.ndim > len(shape):
@@ -50,13 +55,13 @@ class Tensor:
     it False so the backward pass never walks into them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad and _GRAD_ENABLED
-        self._parents = parents if self.requires_grad else ()
+        self._parents = tuple(p for p in parents if p.requires_grad) if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
     # -- construction helpers -------------------------------------------------
@@ -81,7 +86,8 @@ class Tensor:
     # -- backward pass --------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this scalar through the recorded graph."""
+        """Reverse-mode sweep from this scalar through the recorded graph. Each
+        node drops its closure, parents and (unless a leaf) grad once run."""
         if self.data.shape != ():
             raise ValueError(f"backward() requires a scalar loss, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -99,9 +105,11 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones((), dtype=np.float64)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward, node._parents, node.grad = _released, (), None
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -242,6 +250,15 @@ def softmax_rows(m: Tensor) -> Tensor:
     return out
 
 
+def _drop(a: np.ndarray, mask, cols=slice(None)) -> np.ndarray:
+    """``a`` times the ``cols`` of a (keep bits, keep_prob) dropout ``mask``, in place,
+    then float32(1/keep_prob): bit for bit ``a`` times 0 or float32(1/keep_prob)."""
+    if mask is not None:
+        a *= mask[0][:, cols]
+        a *= np.float32(1.0 / mask[1])
+    return a
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # the tanh form cannot overflow for large |x|
     return 0.5 * (1.0 + np.tanh(0.5 * x))
@@ -260,11 +277,12 @@ def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
     ``reverse`` runs each sequence from its own last step back to step 0.
     Returns the (T*B, d_s) states, zero on padded rows.
 
-    Dropout masks ``mask_in`` (R, d_in) and ``mask_out`` (R, d_s) cover the
-    R = sum(lengths) real rows in time-major order, step t's rows after step
-    t-1's and, within a step, in stable longest-first order. The masked input
-    feeds the gates and the masked output is emitted; the recurrent state
-    stays unmasked (Zaremba et al., 1409.2329).
+    Dropout masks ``mask_in`` and ``mask_out`` are (bits, keep_prob) pairs of
+    (R, d_in) and (R, d_s) bits for the R = sum(lengths) real rows in
+    time-major order, step t's rows after step t-1's and, within a step, in
+    stable longest-first order. The masked input feeds the gates and the
+    masked output is emitted; the recurrent state stays unmasked (Zaremba et
+    al., 1409.2329).
 
     Only h·W_rec runs per step: x·W_in, dW_in and dW_rec are one GEMM each
     over all real rows (Appleyard, Kočiský & Blunsom, arXiv 1604.01946).
@@ -287,16 +305,14 @@ def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
     perm = np.argsort(-lengths, kind="stable")
     live = lengths[perm][None, :] > np.arange(steps)[:, None]
     real = (np.arange(steps)[:, None] * b + perm)[live]   # step t: rows t*B + perm[:n_t]
-    if any(m is not None and len(m) != real.size for m in (mask_in, mask_out)):
+    if any(m is not None and len(m[0]) != real.size for m in (mask_in, mask_out)):
         raise ValueError(f"lstm_sequence: dropout masks need {real.size} rows, one per real step")
     n_at = live.sum(axis=1)
     offset = np.concatenate([[0], np.cumsum(n_at)])
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     record = _GRAD_ENABLED and any(t.requires_grad for t in (*blocks, w_in, w_rec, bias))
 
-    xr = np.concatenate([blk.data[real] for blk in blocks], axis=1, dtype=dtype)
-    if mask_in is not None:
-        xr *= mask_in
+    xr = _drop(np.concatenate([blk.data[real] for blk in blocks], axis=1, dtype=dtype), mask_in)
     w_in_c, w_rec_c = w_in.data.astype(dtype, copy=False), w_rec.data.astype(dtype, copy=False)
     gates = xr @ w_in_c   # biased and activated in place below
     gates += bias.data.astype(dtype, copy=False)
@@ -319,17 +335,19 @@ def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
             tanh_c[offset[t]:offset[t] + n] = tc
         h[:n] = z[:, 2 * d:3 * d] * tc
         hr[offset[t]:offset[t] + n] = h[:n]
-    if mask_out is not None:
-        hr *= mask_out
     out = np.zeros((rows, d))   # float64, as Tensor holds it: no second copy
-    out[real] = hr
+    out[real] = _drop(hr, mask_out)
 
     result = Tensor(out, requires_grad=record, parents=(*blocks, w_in, w_rec, bias))
     if not record:
         return result
+    bounds = np.cumsum([0] + [s[1] for s in shapes])
+    # the backward holds only the blocks it returns a dx to, so constants go free
+    trained = [(blk, slice(lo, hi)) for blk, lo, hi in zip(blocks, bounds, bounds[1:])
+               if blk.requires_grad]
 
     def backward(g):
-        g = (g[real] if mask_out is None else g[real] * mask_out).astype(dtype, copy=False)
+        g = _drop(g[real], mask_out).astype(dtype, copy=False)
         dz = np.empty_like(gates)
         dh = np.zeros((b, d), dtype)
         dc = np.zeros((b, d), dtype)
@@ -347,13 +365,10 @@ def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
             dz[s, 3 * d:] = dc_t * i * (1.0 - cand * cand)
             dh[:n] = dz[s] @ w_rec_t
             dc[:n] = dc_t * f
-        bounds = np.cumsum([0] + [s[1] for s in shapes])
-        for blk, lo, hi in zip(blocks, bounds, bounds[1:]):
-            if blk.requires_grad:   # frozen blocks skip their dx GEMM
-                dxr = dz @ w_in_c[lo:hi].T
-                dx = np.zeros_like(blk.data)
-                dx[real] = dxr if mask_in is None else dxr * mask_in[:, lo:hi]
-                blk._accumulate(dx)
+        for blk, cols in trained:   # frozen blocks skip their dx GEMM
+            dx = np.zeros_like(blk.data)
+            dx[real] = _drop(dz @ w_in_c[cols].T, mask_in, cols)
+            blk._accumulate(dx)
         if w_in.requires_grad:
             w_in._accumulate(xr.T @ dz)
         if w_rec.requires_grad:

@@ -63,10 +63,12 @@ def parse_line(line: str, forest: TypeForest, strings: dict[str, str],
     ``strings``, which the caller keeps across a corpus's lines and this adds
     to, so a corpus keeps one string per distinct word or type. Given a
     refinement's old-path -> new-path ``mapping``, each label must be one of
-    its keys and is stored as its value, a type of the refined ``forest``."""
+    its keys and is stored as its value, which must be a type of ``forest``.
+    With ``allow_unlabeled`` the label field may be left out, and is not read
+    when given: such input is only predicted."""
     parts = line.rstrip("\n").split("\t")
-    if len(parts) == 2 and allow_unlabeled:
-        span, token_field = parts
+    if allow_unlabeled and len(parts) in (2, 3):
+        span, token_field = parts[:2]
         label_field = ""
     elif len(parts) == 3:
         span, token_field, label_field = parts
@@ -89,9 +91,8 @@ def parse_line(line: str, forest: TypeForest, strings: dict[str, str],
         raise CorpusError("empty label")
     if len(set(labels)) != len(labels):
         raise CorpusError("duplicate label")
-    known = forest if mapping is None else mapping
     for lbl in labels:
-        if lbl not in known:
+        if (lbl if mapping is None else mapping.get(lbl)) not in forest:
             raise CorpusError(f"unknown type {lbl!r}")
     if mapping is not None:
         labels = tuple(map(mapping.__getitem__, labels))

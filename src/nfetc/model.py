@@ -143,7 +143,7 @@ class NfetcModel:
         n_real = int(np.sum(lengths))
         p = self.params
         widths = (sum(blk.shape[1] for blk in blocks), p[f"{prefix}.w_rec"].shape[0])
-        masks = [dropout_mask((n_real, width), keep, rng) if train and keep < 1.0 else None
+        masks = [(dropout_mask((n_real, width), keep, rng), keep) if train and keep < 1.0 else None
                  for width, keep in zip(widths, (keep_in, keep_out))]
         return lstm_sequence(blocks, p[f"{prefix}.w_in"], p[f"{prefix}.w_rec"],
                              p[f"{prefix}.bias"], lengths, reverse, *masks,

@@ -56,16 +56,14 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
 
 
 def dropout_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Float32 inverted-dropout mask: Bernoulli(keep_prob) scaled by 1/keep_prob.
-
-    Entries are 0 or float32(1/keep_prob), so the mask has unit mean and
-    inference needs no rescaling. Drawn and built in float32, a FIGER-size
-    step's six masks took ~3/4 of the float64 time. keep_prob = 1
-    short-circuits to an all-ones mask without consuming the RNG stream.
+    """Keep bits of an inverted-dropout mask, one byte each: True with
+    probability keep_prob. ``lstm_sequence`` scales kept entries by
+    1/keep_prob, so inference needs no rescaling. Drawn from float32
+    uniforms, a FIGER-size step's six masks took ~3/4 of the float64 time.
+    keep_prob = 1 short-circuits to all True without consuming the RNG stream.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
     if keep_prob == 1.0:
-        return np.ones(shape, dtype=np.float32)
-    keep = rng.random(shape, dtype=np.float32) < keep_prob
-    return keep * np.float32(1.0 / keep_prob)
+        return np.ones(shape, dtype=bool)
+    return rng.random(shape, dtype=np.float32) < keep_prob

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -411,11 +412,11 @@ def lstm_case(lengths, seed=3, d_in=D_IN, d_s=D_S):
 
 def masked_case(x, lengths, d_s=D_S, seed=5):
     """``x`` split into a constant first column and a trainable rest, plus
-    input and output dropout masks over the real rows."""
+    input and output dropout masks, (keep bits, keep_prob), over the real rows."""
     r = np.random.default_rng(seed)
     blocks = [Tensor.constant(x.data[:, :1]), Tensor.parameter(x.data[:, 1:].copy())]
-    masks = [dropout_mask((sum(lengths), width), 0.7, r) for width in (x.shape[1], d_s)]
-    assert all(0 < np.count_nonzero(m) < m.size for m in masks)
+    masks = [(dropout_mask((sum(lengths), width), 0.7, r), 0.7) for width in (x.shape[1], d_s)]
+    assert all(0 < np.count_nonzero(bits) < bits.size for bits, _ in masks)
     return blocks, masks
 
 
@@ -458,8 +459,9 @@ def test_lstm_sequence_matches_tape_lstm(reverse, masked, lengths):
     (out * Tensor.constant(weight)).sum().backward()
     fused = [p.grad for p in params]
 
-    def mask(tensor, m, row):
-        return tensor if m is None else tensor * Tensor.constant(m[row:row + 1])
+    def mask(tensor, m, row):   # the float mask: 0 or float32(1/keep_prob)
+        return tensor if m is None else tensor * Tensor.constant(
+            m[0][row:row + 1] * np.float32(1.0 / m[1]))
 
     for p in params:
         p.grad = None
@@ -504,6 +506,27 @@ def test_lstm_sequence_float32_tracks_float64(reverse, masked):
         assert got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
     assert np.array_equal(runs[1][0] == 0.0, runs[0][0] == 0.0)   # same padding
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lstm_sequence_keep_bits_equal_the_float_mask_bit_for_bit(dtype):
+    # bits, then float32(1/keep_prob), give the outputs and gradients of the
+    # float mask of 0 or float32(1/keep_prob), signed zeros included
+    lengths = [3, 2, 2, 1]
+    x, w_in, w_rec, bias, weight = lstm_case(lengths)
+    blocks, masks = masked_case(x, lengths)
+    float_masks = [(bits * np.float32(1.0 / keep), 1.0) for bits, keep in masks]
+    params = (blocks[-1], w_in, w_rec, bias)
+    runs = []
+    for m in (masks, float_masks):
+        for p in params:
+            p.grad = None
+        out = lstm_sequence(blocks, w_in, w_rec, bias, lengths, False, *m, dtype=dtype)
+        (out * Tensor.constant(weight)).sum().backward()
+        runs.append([out.data] + [p.grad for p in params])
+    assert np.any((runs[0][0] == 0.0) & np.signbit(runs[0][0]))   # a dropped negative
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_lstm_sequence_padding_is_zero_and_inert():
@@ -560,11 +583,13 @@ def test_lstm_sequence_masks_follow_stable_longest_first_order():
     x, w_in, w_rec, bias, _ = lstm_case(lengths)
     bias.data[:] = 0.0   # a zero input row then leaves a zero state
     for k in range(sum(lengths)):
-        one_hot = np.zeros((sum(lengths), 1))
-        one_hot[k] = 1.0
-        out = lstm_sequence([x], w_in, w_rec, bias, lengths, False, None, one_hot * np.ones(D_S))
+        one_hot = np.zeros((sum(lengths), 1), dtype=bool)
+        one_hot[k] = True
+        out = lstm_sequence([x], w_in, w_rec, bias, lengths, False, None,
+                            (np.repeat(one_hot, D_S, axis=1), 1.0))
         assert np.flatnonzero(out.data.any(axis=1)).tolist() == [want[k]]
-        out = lstm_sequence([x], w_in, w_rec, bias, lengths, False, one_hot * np.ones(D_IN))
+        out = lstm_sequence([x], w_in, w_rec, bias, lengths, False,
+                            (np.repeat(one_hot, D_IN, axis=1), 1.0))
         assert np.flatnonzero(out.data.any(axis=1))[0] == want[k]
 
 
@@ -585,12 +610,101 @@ def test_lstm_sequence_rejects_bad_layout(lengths, rows, mask_rows, message):
     x = ([Tensor.constant(np.zeros((rows, D_IN)))] if isinstance(rows, int) else
          [Tensor.constant(np.zeros((rows[0], 1))), Tensor.constant(np.zeros((rows[1], D_IN - 1)))])
     masks = ([None, None] if mask_rows is None else
-             [np.ones((mask_rows[0], D_IN)), np.ones((mask_rows[1], D_S))])
+             [(np.ones((mask_rows[0], D_IN), dtype=bool), 0.7),
+              (np.ones((mask_rows[1], D_S), dtype=bool), 0.7)])
     with pytest.raises(ValueError, match=message):
         lstm_sequence(x, w_in, w_rec, bias, lengths, False, *masks)
 
 
 # -- tape mechanics -----------------------------------------------------------
+
+def sweep_keeping_the_graph(loss):
+    """The reverse sweep without release: every node's closure runs once, in
+    reverse topological order, and every node keeps its closure and gradient."""
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for p in node._parents:
+                visit(p)
+            order.append(node)
+
+    visit(loss)
+    loss.grad = np.ones(())
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def tape_case():
+    """Parameters and a scalar loss through the fused LSTM (with a constant
+    block and dropout masks), tanh, take_rows, concat, matmul and softmax,
+    plus the softmax output, an intermediate of the graph."""
+    lengths = [3, 2, 2, 1]
+    x, w_in, w_rec, bias, _ = lstm_case(lengths)
+    _, masks = masked_case(x, lengths)
+    r = np.random.default_rng(12)
+    ps = ParamSet()
+    for name, value in (("x", x.data[:, 1:]), ("w_in", w_in.data), ("w_rec", w_rec.data),
+                        ("bias", bias.data), ("w_out", r.standard_normal((2 * D_S, 3)))):
+        ps.add(name, value)
+    h = lstm_sequence([Tensor.constant(x.data[:, :1]), ps["x"]], ps["w_in"], ps["w_rec"],
+                      ps["bias"], lengths, False, *masks)
+    rows = np.arange(h.shape[0])[::-1]
+    probs = softmax_rows(concat([h.tanh(), h.take_rows(rows)], 1).matmul(ps["w_out"]))
+    return ps, (probs * Tensor.constant(r.standard_normal(probs.shape))).sum(), probs
+
+
+def test_backward_releases_the_graph_and_keeps_leaf_gradients():
+    reference, loss, _ = tape_case()
+    sweep_keeping_the_graph(loss)
+    ps, loss, probs = tape_case()
+    inner = weakref.ref(probs)
+    del probs
+    grads = gradients(loss, ps)
+    # freed by reference counting alone, with no collector pass
+    assert inner() is None
+    assert loss._parents == () and loss.grad is None
+    for name, t in ps.items():
+        assert t.grad is grads[name]
+        assert np.array_equal(grads[name], reference[name].grad)
+
+
+def test_lstm_sequence_node_keeps_no_constant_block():
+    lengths = [3, 2, 2, 1]
+    x, w_in, w_rec, bias, _ = lstm_case(lengths)
+    const = Tensor.constant(x.data[:, :1].copy())
+    block, data = weakref.ref(const), weakref.ref(const.data)
+    out = lstm_sequence([const, Tensor.parameter(x.data[:, 1:])], w_in, w_rec, bias, lengths)
+    del const
+    assert block() is None and data() is None
+    assert out.requires_grad and len(out._parents) == 4
+    (out * 1.0).sum().backward()
+    assert w_in.grad is not None
+
+
+def test_second_backward_on_a_released_graph_raises():
+    x = Tensor.parameter(np.array([3.0]))
+    y = x * x
+    loss = y.sum()
+    loss.backward()
+    assert x.grad.tolist() == [6.0]
+    with pytest.raises(RuntimeError, match="released"):
+        loss.backward()
+    # a new graph through a released node cannot sweep past it either
+    with pytest.raises(RuntimeError, match="released"):
+        (y * 2.0).sum().backward()
+    assert x.grad.tolist() == [6.0]
+
+
+def test_constants_are_not_tape_parents():
+    p = Tensor.parameter(np.ones(2))
+    c = Tensor.constant(np.full(2, 3.0))
+    out = p * c + c
+    assert out._parents[0]._parents == (p,)
+    assert len(out._parents) == 1
+
 
 def test_backward_requires_scalar():
     with pytest.raises(ValueError, match="scalar"):

@@ -490,6 +490,24 @@ def test_refined_train_eval_and_stats(tmp_path):
     assert out == ("types=8\nmentions=200\nsingle_path=125\n"
                    "pct_single_path=62.50\nmax_label_depth=2\n")
 
+    # a refinement that maps labels outside the checkpoint's forest: one
+    # error line naming the corpus line
+    code, out, err = run_cli(["eval", "--set", f"types={SYNTH / 'types.txt'}",
+                              "--set", f"refinement={MINI / 'refinement.tsv'}",
+                              "--set", f"checkpoint={ckpt}",
+                              "--set", f"test={SYNTH / 'train.tsv'}"])
+    assert (code, out) == (1, "")
+    assert err == f"error: {SYNTH / 'train.tsv'}:76: unknown type '/person/artist'\n"
+
+    # predict reads no labels: a labeled file predicts as its first two fields
+    unlabeled = tmp_path / "unlabeled.tsv"
+    unlabeled.write_text("".join(line.rsplit("\t", 1)[0] + "\n" for line in
+                                 (SYNTH / "train.tsv").read_text().splitlines()))
+    labeled, bare = (run_cli(["predict", "--set", f"checkpoint={ckpt}", "--set", f"input={path}"])
+                     for path in (SYNTH / "train.tsv", unlabeled))
+    assert labeled[0] == 0 and len(labeled[1].splitlines()) == 200
+    assert labeled == bare
+
 
 # -- predict ------------------------------------------------------------------------
 

@@ -126,6 +126,8 @@ def test_unlabeled_lines_need_opt_in(forest):
     assert triple.labels == ()
     assert triple.terminals == frozenset()
     assert triple == MentionTriple(("Jordan",), 0, 1, ())
+    # prediction input reads no labels, not even ones outside the forest
+    assert parse_line("0 1\tJordan\t/martian", forest, {}, allow_unlabeled=True) == triple
 
 
 def test_empty_label_field_still_needs_opt_in(forest):

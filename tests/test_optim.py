@@ -96,6 +96,7 @@ def test_converges_on_quadratic():
 def test_dropout_mask_identity_without_consuming_rng():
     rng = make_rng(5)
     mask = dropout_mask((4, 4), 1.0, rng)
+    assert mask.dtype == np.bool_
     assert np.array_equal(mask, np.ones((4, 4)))
     # the stream was not advanced
     assert rng.random() == make_rng(5).random()
@@ -104,25 +105,30 @@ def test_dropout_mask_identity_without_consuming_rng():
 def test_dropout_mask_values_and_mean():
     rng = make_rng(3)
     mask = dropout_mask((100000,), 0.5, rng)
-    assert set(np.unique(mask)) <= {0.0, 2.0}
-    assert abs(mask.mean() - 1.0) < 0.02
+    assert mask.dtype == np.bool_ and mask.nbytes == mask.size
+    scaled = mask * np.float32(1.0 / 0.5)   # as the LSTM op applies it
+    assert set(np.unique(scaled)) <= {0.0, 2.0}
+    assert abs(scaled.mean() - 1.0) < 0.02
 
 
 @pytest.mark.parametrize("keep", [0.7, 0.9, 1.0])
 def test_dropout_mask_is_float32_zero_or_scaled_one(keep):
+    # one byte per entry; the op scales kept entries by float32(1/keep)
     mask = dropout_mask((64, 9), keep, make_rng(7))
-    assert mask.dtype == np.float32
-    assert set(np.unique(mask).tolist()) <= {0.0, float(np.float32(1.0 / keep))}
+    assert mask.dtype == np.bool_ and mask.nbytes == mask.size
+    scaled = mask * np.float32(1.0 / keep)
+    assert scaled.dtype == np.float32
+    assert set(np.unique(scaled).tolist()) <= {0.0, float(np.float32(1.0 / keep))}
     assert np.count_nonzero(mask) > 0
     # one float32 uniform per entry decides it
-    assert np.array_equal(mask > 0, make_rng(7).random((64, 9), dtype=np.float32) < keep)
+    assert np.array_equal(mask, make_rng(7).random((64, 9), dtype=np.float32) < keep)
 
 
 @pytest.mark.parametrize("keep", [0.7, 0.9])
 def test_dropout_mask_keep_rate(keep):
     mask = dropout_mask((50000,), keep, make_rng(9))
-    assert (mask > 0).mean() == pytest.approx(keep, abs=0.01)
-    assert abs(mask.mean() - 1.0) < 0.02
+    assert mask.mean() == pytest.approx(keep, abs=0.01)
+    assert abs((mask * np.float32(1.0 / keep)).mean() - 1.0) < 0.02
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, 1.2])
@@ -134,4 +140,5 @@ def test_dropout_mask_rejects_bad_keep_prob(bad):
 def test_dropout_mask_deterministic_per_seed():
     a = dropout_mask((32, 8), 0.5, make_rng(42))
     b = dropout_mask((32, 8), 0.5, make_rng(42))
+    assert a.dtype == b.dtype == np.bool_
     assert np.array_equal(a, b)

@@ -1,12 +1,14 @@
 import io
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nfetc import model as model_module
 from nfetc import training as training_module
-from nfetc.corpus import Corpus, MentionTriple
+from nfetc.corpus import Corpus, MentionTriple, parse_corpus
 from nfetc.embeddings import WordEmbeddings
 from nfetc.evaluation import evaluate
 from nfetc.hierarchy import TypeForest
@@ -262,6 +264,27 @@ def test_train_writes_epoch_log_stream():
     stream = io.StringIO()
     result = train(train_c, dev_c, emb, forest, small_hp(), config, log=stream)
     assert stream.getvalue() == "".join(s.line() for s in result.epoch_log)
+
+
+def test_train_frees_each_batch_graph_before_the_next():
+    # a batch's tape must be gone before the next batch's forward runs, so
+    # two batches of the same mentions peak no higher than one batch
+    synth = Path(__file__).parent / "fixtures" / "synth"
+    forest = TypeForest.from_file(synth / "types.txt")
+    corpus = parse_corpus(synth / "train.tsv", forest)
+    emb = WordEmbeddings.from_file(synth / "embeddings.txt")
+    _, config = select_variant("NFETC-hier(r)", beta=0.4)
+    hp = HyperParams(d_s=32, batch=200, epochs=1)
+    peaks = []
+    for repeat in (1, 2):
+        tracemalloc.start()
+        try:
+            train(Corpus(corpus.triples * repeat), corpus, emb, forest, hp, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(corpus) == hp.batch
+    assert peaks[1] <= 1.1 * peaks[0], [f"{p / 2**20:.2f} MiB" for p in peaks]
 
 
 def test_train_variant_mode_runs_on_raw_corpus():
