@@ -1,15 +1,15 @@
-"""Dense float64 tensors with reverse-mode gradient recording; only the
-fused ``lstm_sequence`` op may compute in another dtype inside.
+"""Dense float64 tensors with reverse-mode gradient recording, and the
+fused LSTM node; only ``lstm_sequence`` may compute in another dtype inside.
 
-Every operation appends a node to an implicit tape (the graph hanging off
-its output tensor, whose parents are the inputs that need a gradient) with a
-hand-derived backward closure. ``backward()`` on a scalar runs the closures
-in reverse topological order, releasing each node, so it runs once per graph.
-Each op's gradients are checked against central finite differences in the
-test suite; composition is then automatic.
-
-Shapes are kept 1-D or 2-D throughout. Elementwise ops broadcast like numpy
-and the backward pass sums gradients over broadcast axes.
+A network is a few fused nodes, each with a hand-derived backward closure:
+a row gather, the LSTMs over packed rows (every real step of a batch, none
+of its padding), the model's head and the loss. Each appends a node to an
+implicit tape (the graph hanging off its output tensor, whose parents are
+the inputs that need a gradient). ``backward()`` on a scalar runs the
+closures in reverse topological order, releasing each node, so it runs once
+per graph. Each node's gradients are checked against central finite
+differences in the test suite, where the generic ops the fused nodes
+replaced still compose the reference network.
 """
 
 from __future__ import annotations
@@ -35,16 +35,6 @@ def no_grad():
 
 def _released(grad):
     raise RuntimeError("backward() reached a released graph: a graph is swept once")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` by summing over broadcast axes."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -117,93 +107,6 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
-    # -- elementwise arithmetic (numpy broadcasting rules) ---------------------
-
-    def _coerce(self, other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor.constant(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = Tensor(self.data + other.data,
-                     requires_grad=self.requires_grad or other.requires_grad,
-                     parents=(self, other))
-        if out.requires_grad:
-            def backward(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g, other.data.shape))
-            out._backward = backward
-        return out
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out = Tensor(self.data * other.data,
-                     requires_grad=self.requires_grad or other.requires_grad,
-                     parents=(self, other))
-        if out.requires_grad:
-            def backward(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-            out._backward = backward
-        return out
-
-    __rmul__ = __mul__
-
-    # -- linear algebra ---------------------------------------------------------
-
-    def matmul(self, other: "Tensor") -> "Tensor":
-        """Strict 2-D matrix product (m,k) @ (k,n) -> (m,n)."""
-        other = self._coerce(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ValueError(f"matmul needs 2-D operands, got {self.data.shape} @ {other.data.shape}")
-        if self.data.shape[1] != other.data.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {self.data.shape} @ {other.data.shape}")
-        out = Tensor(self.data @ other.data,
-                     requires_grad=self.requires_grad or other.requires_grad,
-                     parents=(self, other))
-        if out.requires_grad:
-            def backward(g):
-                if self.requires_grad:
-                    self._accumulate(g @ other.data.T)
-                if other.requires_grad:
-                    other._accumulate(self.data.T @ g)
-            out._backward = backward
-        return out
-
-    def transpose(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ValueError(f"transpose needs a 2-D tensor, got shape {self.data.shape}")
-        out = Tensor(self.data.T, requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g.T)
-        return out
-
-    def reshape(self, *shape) -> "Tensor":
-        out = Tensor(self.data.reshape(*shape), requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g.reshape(self.data.shape))
-        return out
-
-    # -- nonlinearities ----------------------------------------------------------
-
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
-        out = Tensor(y, requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(g * (1.0 - y * y))
-        return out
-
-    # -- reductions ----------------------------------------------------------------
-
-    def sum(self) -> "Tensor":
-        out = Tensor(self.data.sum(), requires_grad=self.requires_grad, parents=(self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accumulate(np.broadcast_to(g, self.data.shape))
-        return out
-
     # -- structural ops ---------------------------------------------------------------
 
     def take_rows(self, indices) -> "Tensor":
@@ -220,36 +123,6 @@ class Tensor:
         return out
 
 
-def concat(tensors: list, axis: int) -> Tensor:
-    """Join tensors along ``axis``; backward splits the gradient back."""
-    datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=axis),
-                 requires_grad=any(t.requires_grad for t in tensors),
-                 parents=tuple(tensors))
-    if out.requires_grad:
-        bounds = np.cumsum([d.shape[axis] for d in datas])[:-1]
-        def backward(g):
-            for t, part in zip(tensors, np.split(g, bounds, axis=axis)):
-                if t.requires_grad:
-                    t._accumulate(part)
-        out._backward = backward
-    return out
-
-
-def softmax_rows(m: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor (independent distribution per row)."""
-    if m.data.ndim != 2:
-        raise ValueError(f"softmax_rows needs a 2-D tensor, got shape {m.data.shape}")
-    if m.data.shape[1] == 0:
-        raise ValueError("softmax over empty rows")
-    e = np.exp(m.data - m.data.max(axis=1, keepdims=True))
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(s, requires_grad=m.requires_grad, parents=(m,))
-    if out.requires_grad:
-        out._backward = lambda g: m._accumulate(s * (g - (g * s).sum(axis=1, keepdims=True)))
-    return out
-
-
 def _drop(a: np.ndarray, mask, cols=slice(None)) -> np.ndarray:
     """``a`` times the ``cols`` of a (keep bits, keep_prob) dropout ``mask``, in place,
     then float32(1/keep_prob): bit for bit ``a`` times 0 or float32(1/keep_prob)."""
@@ -264,111 +137,106 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
-                  lengths, reverse: bool = False, mask_in=None, mask_out=None,
+def lstm_sequence(x: list, w_in: Tensor, w_rec: Tensor, bias: Tensor, n_at,
+                  reverse: bool = False, mask_in=None, mask_out=None,
                   dtype=np.float64) -> Tensor:
-    """A fused-gate LSTM over a padded, time-major batch, as one tape node.
+    """A fused-gate LSTM over a packed batch of sequences, as one tape node.
 
-    ``x`` is a list of column blocks with the same rows, in ``w_in`` row
-    order; row t*B + b is step t of sequence b. ``lengths`` may come in any
-    order: the op stable-sorts the sequences longest first, so the sequences
-    running at step t are the first n_t of that order and no step touches
-    padding. Gate column blocks are input, forget, output, candidate.
-    ``reverse`` runs each sequence from its own last step back to step 0.
-    Returns the (T*B, d_s) states, zero on padded rows.
+    ``n_at[t]`` sequences run at step t, so ``n_at`` is positive and
+    non-increasing. The batch is packed time-major: step t's R_t = n_at[t]
+    rows follow step t-1's, and sequence k of the longest-first order is row
+    k of every step it runs. ``x`` is a list of column blocks of these
+    R = sum(n_at) rows, in ``w_in`` row order: Tensors, or arrays for
+    constant blocks, which may come in ``dtype`` already. Gate column blocks
+    are input, forget, output, candidate. ``reverse`` runs each sequence from
+    its own last step back to step 0. Returns the (R, d_s) states, in the
+    same rows.
 
     Dropout masks ``mask_in`` and ``mask_out`` are (bits, keep_prob) pairs of
-    (R, d_in) and (R, d_s) bits for the R = sum(lengths) real rows in
-    time-major order, step t's rows after step t-1's and, within a step, in
-    stable longest-first order. The masked input feeds the gates and the
+    (R, d_in) and (R, d_s) bits. The masked input feeds the gates and the
     masked output is emitted; the recurrent state stays unmasked (Zaremba et
     al., 1409.2329).
 
     Only h·W_rec runs per step: x·W_in, dW_in and dW_rec are one GEMM each
-    over all real rows (Appleyard, Kočiský & Blunsom, arXiv 1604.01946).
+    over all rows (Appleyard, Kočiský & Blunsom, arXiv 1604.01946).
     ``dtype`` holds the input rows, weights, masks, states and BPTT buffers;
     the output and every gradient are float64, so float32 keeps float64
     master weights (Micikevicius et al., arXiv 1710.03740).
     """
     blocks = list(x)
-    shapes = [blk.data.shape for blk in blocks]
-    lengths = np.asarray(lengths, dtype=np.intp)
-    b = lengths.size
-    rows = shapes[0][0]
-    if b == 0 or rows % b or any(len(s) != 2 or s[0] != rows for s in shapes):
-        raise ValueError(f"lstm_sequence: input blocks {shapes} do not split "
-                         f"into {b} sequences of equal rows")
-    steps = rows // b
-    if lengths.min() < 1 or lengths.max() > steps:
-        raise ValueError(f"lstm_sequence: lengths must be in [1, {steps}], got {lengths.tolist()}")
-    d = w_rec.data.shape[0]
-    perm = np.argsort(-lengths, kind="stable")
-    live = lengths[perm][None, :] > np.arange(steps)[:, None]
-    real = (np.arange(steps)[:, None] * b + perm)[live]   # step t: rows t*B + perm[:n_t]
-    if any(m is not None and len(m[0]) != real.size for m in (mask_in, mask_out)):
-        raise ValueError(f"lstm_sequence: dropout masks need {real.size} rows, one per real step")
-    n_at = live.sum(axis=1)
+    datas = [blk.data if isinstance(blk, Tensor) else blk for blk in blocks]
+    n_at = np.asarray(n_at, dtype=np.intp)
+    if n_at.size == 0 or n_at[-1] < 1 or np.any(np.diff(n_at) > 0):
+        raise ValueError(f"lstm_sequence: rows per step must be positive and "
+                         f"non-increasing, got {n_at.tolist()}")
     offset = np.concatenate([[0], np.cumsum(n_at)])
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    record = _GRAD_ENABLED and any(t.requires_grad for t in (*blocks, w_in, w_rec, bias))
+    rows = offset[-1]
+    shapes = [a.shape for a in datas]
+    if any(len(s) != 2 or s[0] != rows for s in shapes):
+        raise ValueError(f"lstm_sequence: input blocks {shapes} do not hold the "
+                         f"{rows} rows of steps {n_at.tolist()}")
+    if any(m is not None and len(m[0]) != rows for m in (mask_in, mask_out)):
+        raise ValueError(f"lstm_sequence: dropout masks need {rows} rows, one per row of x")
+    d = w_rec.data.shape[0]
+    order = range(n_at.size - 1, -1, -1) if reverse else range(n_at.size)
+    bounds = np.cumsum([0] + [s[1] for s in shapes])
+    # the backward holds only the blocks it returns a dx to, so constants go free
+    trained = [(blk, slice(lo, hi)) for blk, lo, hi in zip(blocks, bounds, bounds[1:])
+               if isinstance(blk, Tensor) and blk.requires_grad]
+    record = _GRAD_ENABLED and bool(trained or any(t.requires_grad for t in (w_in, w_rec, bias)))
 
-    xr = _drop(np.concatenate([blk.data[real] for blk in blocks], axis=1, dtype=dtype), mask_in)
+    xr = _drop(np.concatenate(datas, axis=1, dtype=dtype), mask_in)
     w_in_c, w_rec_c = w_in.data.astype(dtype, copy=False), w_rec.data.astype(dtype, copy=False)
     gates = xr @ w_in_c   # biased and activated in place below
     gates += bias.data.astype(dtype, copy=False)
-    if record:   # the states before each real step, and tanh of its cell state
-        h_prev, c_prev, tanh_c = np.zeros((3, real.size, d), dtype)
-    h, c = np.zeros((2, b, d), dtype)   # sequence perm[k] in row k
-    hr = np.empty((real.size, d), dtype)   # emitted states in real-row order
+    if record:   # the states before each step, and tanh of its cell state
+        h_prev, c_prev, tanh_c = np.zeros((3, rows, d), dtype)
+    h, c = np.zeros((2, n_at[0], d), dtype)   # sequence k in row k
+    hr = np.empty((rows, d), dtype)   # the emitted states
     for t in order:
+        s = slice(offset[t], offset[t + 1])
         n = n_at[t]
-        z = gates[offset[t]:offset[t] + n]
+        z = gates[s]
         z += h[:n] @ w_rec_c
         z[:, :3 * d] = _sigmoid(z[:, :3 * d])
         z[:, 3 * d:] = np.tanh(z[:, 3 * d:])
         if record:
-            h_prev[offset[t]:offset[t] + n] = h[:n]
-            c_prev[offset[t]:offset[t] + n] = c[:n]
+            h_prev[s] = h[:n]
+            c_prev[s] = c[:n]
         c[:n] = z[:, d:2 * d] * c[:n] + z[:, :d] * z[:, 3 * d:]
         tc = np.tanh(c[:n])
         if record:
-            tanh_c[offset[t]:offset[t] + n] = tc
+            tanh_c[s] = tc
         h[:n] = z[:, 2 * d:3 * d] * tc
-        hr[offset[t]:offset[t] + n] = h[:n]
-    out = np.zeros((rows, d))   # float64, as Tensor holds it: no second copy
-    out[real] = _drop(hr, mask_out)
+        hr[s] = h[:n]
 
-    result = Tensor(out, requires_grad=record, parents=(*blocks, w_in, w_rec, bias))
+    result = Tensor(_drop(hr, mask_out), requires_grad=record,
+                    parents=(*[blk for blk, _ in trained], w_in, w_rec, bias))
     if not record:
         return result
-    bounds = np.cumsum([0] + [s[1] for s in shapes])
-    # the backward holds only the blocks it returns a dx to, so constants go free
-    trained = [(blk, slice(lo, hi)) for blk, lo, hi in zip(blocks, bounds, bounds[1:])
-               if blk.requires_grad]
 
     def backward(g):
-        g = _drop(g[real], mask_out).astype(dtype, copy=False)
-        dz = np.empty_like(gates)
-        dh = np.zeros((b, d), dtype)
-        dc = np.zeros((b, d), dtype)
+        # a copy: the head hands the forward and backward LSTMs one array
+        g = _drop(g.copy(), mask_out).astype(dtype, copy=False)
+        dz = gates   # each step's gate gradients overwrite its gates once read
+        dh = np.zeros((n_at[0], d), dtype)
+        dc = np.zeros((n_at[0], d), dtype)
         w_rec_t = w_rec_c.T
         for t in reversed(order):
             n = n_at[t]
-            s = slice(offset[t], offset[t] + n)
+            s = slice(offset[t], offset[t + 1])
             i, f, o, cand = (gates[s, k * d:(k + 1) * d] for k in range(4))
             tc = tanh_c[s]
             dh_t = g[s] + dh[:n]
             dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
-            dz[s, :d] = dc_t * cand * i * (1.0 - i)
-            dz[s, d:2 * d] = dc_t * c_prev[s] * f * (1.0 - f)
-            dz[s, 2 * d:3 * d] = dh_t * tc * o * (1.0 - o)
-            dz[s, 3 * d:] = dc_t * i * (1.0 - cand * cand)
-            dh[:n] = dz[s] @ w_rec_t
+            dz_t = (dc_t * cand * i * (1.0 - i), dc_t * c_prev[s] * f * (1.0 - f),
+                    dh_t * tc * o * (1.0 - o), dc_t * i * (1.0 - cand * cand))
             dc[:n] = dc_t * f
+            for k, block in enumerate(dz_t):
+                dz[s, k * d:(k + 1) * d] = block
+            dh[:n] = dz[s] @ w_rec_t
         for blk, cols in trained:   # frozen blocks skip their dx GEMM
-            dx = np.zeros_like(blk.data)
-            dx[real] = _drop(dz @ w_in_c[cols].T, mask_in, cols)
-            blk._accumulate(dx)
+            blk._accumulate(_drop(dz @ w_in_c[cols].T, mask_in, cols))
         if w_in.requires_grad:
             w_in._accumulate(xr.T @ dz)
         if w_rec.requires_grad:
@@ -378,7 +246,6 @@ def lstm_sequence(x: list[Tensor], w_in: Tensor, w_rec: Tensor, bias: Tensor,
 
     result._backward = backward
     return result
-
 
 class ParamSet:
     """Named trained tensors, in insertion order, which keeps training
@@ -417,15 +284,18 @@ class ParamSet:
             t.data = np.array(src, dtype=np.float64)
 
 
-def gradients(loss: Tensor, params: ParamSet) -> dict[str, np.ndarray]:
-    """Reverse-mode gradients of a scalar loss for every parameter.
+def gradients(losses: list[Tensor], params: ParamSet) -> dict[str, np.ndarray]:
+    """Reverse-mode gradients of the sum of scalar ``losses`` for every
+    parameter, one graph swept after another: the graphs may share leaves only.
 
-    Parameters the loss does not reach get a zero gradient of matching shape.
+    Parameters the losses do not reach get a zero gradient of matching shape.
     """
-    if loss.data.shape != ():
-        raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
+    for loss in losses:
+        if loss.data.shape != ():
+            raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
     params.zero_grads()
-    loss.backward()
+    for loss in losses:
+        loss.backward()
     out = {}
     for name, t in params.items():
         out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)

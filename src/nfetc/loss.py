@@ -68,15 +68,20 @@ def hierarchical_adjust_rows(p_rows: np.ndarray, forest: TypeForest, beta: float
 
 
 def l2_penalty(params: ParamSet, lam: float) -> Tensor:
-    """lam times the summed squares of every parameter."""
+    """lam times the summed squares of every parameter, as one tape node
+    whose backward hands each parameter 2·lam·θ."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if lam == 0.0:
         return Tensor.constant(0.0)
-    total = Tensor.constant(0.0)
-    for _, t in params.items():
-        total = total + (t * t).sum()
-    return total * lam
+    tensors = [t for _, t in params.items()]
+    total = sum((t.data * t.data).sum() for t in tensors)
+
+    def backward(g):
+        for t in tensors:
+            t._accumulate(2.0 * lam * g * t.data)
+
+    return Tensor(total * lam, requires_grad=True, parents=tensors, backward=backward)
 
 
 def select_candidate(p_values: np.ndarray, candidates) -> int:

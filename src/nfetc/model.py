@@ -2,12 +2,12 @@
 word-level attention, averaging and LSTM mention encoders, and the softmax
 type classifier.
 
-``forward_bucket`` runs a whole batch as one padded pass, in input order.
-It lays the inputs out time-major, row t*B + b for token t of mention b,
-built from index arrays. Each LSTM is one ``lstm_sequence`` tape node, which
-orders its sequences by length itself and touches only the real rows,
-dropout masks included; attention masks padded scores to -inf. A batch
-gives the rows its mentions give one at a time.
+``forward_bucket`` runs a whole batch as one packed pass: only real tokens
+become rows, time-major and, within a step, longest first, and nothing is
+padded. Each LSTM is one ``lstm_sequence`` tape node over those rows,
+dropout masks included. One head node runs attention over each mention's
+rows and the classifier, and returns its rows in input order. A batch gives
+the rows its mentions give one at a time.
 ``predict_probs`` runs the same pass without a tape over length-sorted
 chunks of ``PREDICT_CHUNK`` mentions. Training runs the three LSTMs in
 float32 (``TRAIN_DTYPE``) and everything else, inference included, in float64.
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor, concat, lstm_sequence, no_grad, softmax_rows
+from .autodiff import ParamSet, Tensor, lstm_sequence, no_grad
 from .corpus import MentionTriple
 from .embeddings import WordEmbeddings, position_rows
 from .hierarchy import TypeForest
@@ -54,8 +54,9 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+    """GATES orthogonal (n, n) blocks side by side, from one stacked QR."""
+    q, r = np.linalg.qr(rng.standard_normal((GATES, n, n)))
+    return np.concatenate(q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :], axis=1)
 
 
 def param_shapes(d_w: int, d_p: int, d_s: int, window: int, k: int) -> dict[str, tuple]:
@@ -84,7 +85,7 @@ def init_params(hp: HyperParams, embeddings: WordEmbeddings, k: int,
             value = np.concatenate([_glorot(rng, shape[0], d_s, (shape[0], d_s))
                                     for _ in range(GATES)], axis=1)
         elif kind == "w_rec":
-            value = np.concatenate([_orthogonal(rng, d_s) for _ in range(GATES)], axis=1)
+            value = _orthogonal(rng, d_s)
         elif kind == "cls_w":
             value = _glorot(rng, shape[1], k, shape)
         elif kind in ("pos_table", "attn_w"):
@@ -95,6 +96,16 @@ def init_params(hp: HyperParams, embeddings: WordEmbeddings, k: int,
                 value[d_s:2 * d_s] = 1.0   # forget gate
         params.add(name, value)
     return params
+
+
+def _packed(lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The packed order of sequences of ``lengths``: every real (sequence,
+    step) pair, time-major, and within a step stable longest first, as the
+    ``seq`` and ``step`` of each row, plus the rows at each step."""
+    lengths = np.asarray(lengths)
+    ranked = np.argsort(-lengths, kind="stable")
+    step, k = np.nonzero(lengths[ranked] > np.arange(lengths.max())[:, None])
+    return ranked[k], step, np.bincount(step)
 
 
 class NfetcModel:
@@ -111,10 +122,10 @@ class NfetcModel:
     # -- input assembly -------------------------------------------------------
 
     def _indices(self, batch: list[MentionTriple]):
-        """Arrays of a batch in input order, padded to its longest context:
-        context and span lengths (B,), word rows (B, T), position rows (T, B),
-        and the extended mention (B, M), i.e. the span plus one context token
-        either side, with -1 (the zero vector) for padding and sentence edges."""
+        """Arrays of a batch in input order: context lengths, span starts and
+        ends (B,), word rows (B, T), and the extended mention (B, M), i.e. the
+        span plus one context token either side, with -1 (the zero vector)
+        past each mention's end and at sentence edges."""
         b = len(batch)
         ctx_len = np.array([len(m.tokens) for m in batch])
         start = np.array([m.start for m in batch])
@@ -123,81 +134,130 @@ class NfetcModel:
         words = np.full((b, t_len), -1, dtype=np.intp)
         for row, m in zip(words, batch):
             row[:len(m.tokens)] = self.embeddings.indices(m.tokens)
-        window = (self.params["pos_table"].shape[0] - 2) // 2
-        positions = position_rows(window, np.arange(t_len)[:, None], start, end)
         ext_len = end - start + 2
         j = np.arange(ext_len.max())
         at = start[:, None] - 1 + j
         inside = (j < ext_len[:, None]) & (at >= 0) & (at < ctx_len[:, None])
         picked = np.take_along_axis(words, np.clip(at, 0, t_len - 1), axis=1)
-        return ctx_len, end - start, words, positions, np.where(inside, picked, -1)
+        return ctx_len, start, end, words, np.where(inside, picked, -1)
 
     # -- encoders -------------------------------------------------------------
 
-    def _encode(self, prefix: str, blocks: list[Tensor], lengths, reverse: bool,
+    def _encode(self, prefix: str, blocks: list, n_at, reverse: bool,
                 keep_in: float, keep_out: float, train: bool, rng) -> Tensor:
-        """One LSTM over a time-major batch of column blocks. Input/output
+        """One LSTM over a packed batch of column blocks. Input/output
         dropout follows the usual cell-wrapper contract: inputs and emitted
         outputs are masked, the recurrent state is not. The op applies the
-        masks, drawn input first over the real tokens only (sum(lengths) rows)."""
-        n_real = int(np.sum(lengths))
+        masks, drawn input first over the real tokens only (sum(n_at) rows)."""
+        n_real = int(np.sum(n_at))
         p = self.params
         widths = (sum(blk.shape[1] for blk in blocks), p[f"{prefix}.w_rec"].shape[0])
         masks = [(dropout_mask((n_real, width), keep, rng), keep) if train and keep < 1.0 else None
                  for width, keep in zip(widths, (keep_in, keep_out))]
         return lstm_sequence(blocks, p[f"{prefix}.w_in"], p[f"{prefix}.w_rec"],
-                             p[f"{prefix}.bias"], lengths, reverse, *masks,
+                             p[f"{prefix}.bias"], n_at, reverse, *masks,
                              dtype=TRAIN_DTYPE if train else np.float64)
 
     # -- full forward -----------------------------------------------------------
 
     def forward_bucket(self, batch: list[MentionTriple], train: bool = False,
                        rng: np.random.Generator | None = None):
-        """Probability rows (B, K) from one padded pass over the whole batch,
-        as one tape tensor, plus the intermediate tensors, all in input order.
-        Dropout masks are drawn from ``rng`` in a fixed order: forward,
-        backward and mention LSTM, input then output."""
+        """Probability rows (B, K) from one packed pass over the whole batch,
+        as one tape tensor, plus numpy ``aux``: the attention weights
+        ``alpha`` (B, T), zero past each context's end, and the classifier's
+        ``feature`` rows [r_c, r_a, r_l], both in input order. Dropout masks
+        are drawn from ``rng`` in a fixed order: forward, backward and
+        mention LSTM, input then output."""
         hp = self.hp
         if train and (hp.p_i < 1.0 or hp.p_o < 1.0) and rng is None:
             raise ValueError("training forward with dropout needs an RNG")
-        ctx_len, span, words, positions, ext = self._indices(batch)
-        b, t_len = words.shape
-        d_s = self.params["attn_w"].shape[0]
+        ctx_len, start, end, words, ext = self._indices(batch)
+        dtype = TRAIN_DTYPE if train else np.float64
+        window = (self.params["pos_table"].shape[0] - 2) // 2
 
-        # context BiLSTM over (T*B, d_w + d_p) rows: frozen words, trained positions
-        x = [Tensor.constant(self.embeddings.vectors(words.T).reshape(t_len * b, -1)),
-             self.params["pos_table"].take_rows(positions.reshape(-1))]
-        fw = self._encode("ctx_fw", x, ctx_len, False, hp.p_i, hp.p_o, train, rng)
-        bw = self._encode("ctx_bw", x, ctx_len, True, hp.p_i, hp.p_o, train, rng)
-        context = fw + bw
-
-        # attention: alpha (B, T), padded scores masked to -inf
-        w_col = self.params["attn_w"].reshape(d_s, 1)
-        scores = context.tanh().matmul(w_col).reshape(t_len, b).transpose()
-        pad = np.where(np.arange(t_len) < ctx_len[:, None], 0.0, -np.inf)
-        alpha = softmax_rows(scores + Tensor.constant(pad))
-        weighted = alpha.transpose().reshape(t_len * b, 1) * context
-        r_c = (Tensor.constant(np.ones((1, t_len))).matmul(weighted.reshape(t_len, b * d_s))
-               .reshape(b, d_s))
+        # context BiLSTM over the real tokens: frozen words, trained positions
+        seq, step, n_at = _packed(ctx_len)
+        x = [self.embeddings.vectors(words[seq, step]).astype(dtype, copy=False),
+             self.params["pos_table"].take_rows(position_rows(window, step, start[seq], end[seq]))]
+        fw = self._encode("ctx_fw", x, n_at, False, hp.p_i, hp.p_o, train, rng)
+        bw = self._encode("ctx_bw", x, n_at, True, hp.p_i, hp.p_o, train, rng)
 
         # mention encoders: the span average, and an LSTM over the extended mention
+        span = end - start
         j = np.arange(ext.shape[1])
         in_span = (j >= 1) & (j <= span[:, None])
-        r_a = Tensor.constant(self.embeddings.vectors(np.where(in_span, ext, -1)).sum(axis=1)
-                              / span[:, None])
+        r_a = self.embeddings.vectors(np.where(in_span, ext, -1)).sum(axis=1) / span[:, None]
         ext_len = span + 2
-        xm = Tensor.constant(self.embeddings.vectors(ext.T).reshape(ext.size, -1))
+        m_seq, m_step, m_at = _packed(ext_len)
         keep_in = hp.p_i if hp.dropout_mention else 1.0
         keep_out = hp.p_o if hp.dropout_mention else 1.0
-        hm = self._encode("men", [xm], ext_len, False, keep_in, keep_out, train, rng)
-        r_l = hm.take_rows((ext_len - 1) * b + np.arange(b))
+        xm = self.embeddings.vectors(ext[m_seq, m_step]).astype(dtype, copy=False)
+        hm = self._encode("men", [xm], m_at, False, keep_in, keep_out, train, rng)
+        last = np.empty(len(batch), dtype=np.intp)   # row of each mention's final state
+        ends = np.flatnonzero(m_step == ext_len[m_seq] - 1)
+        last[m_seq[ends]] = ends
+        return self._head(fw, bw, r_a, hm, last, seq, step, n_at)
 
-        feature = concat([r_c, r_a, r_l], 1)
-        logits = feature.matmul(self.params["cls_w"].transpose()) + self.params["cls_b"]
-        probs = softmax_rows(logits)
-        aux = {"context": context, "alpha": alpha, "r_c": r_c,
-               "r_a": r_a, "r_l": r_l, "feature": feature}
-        return probs, aux
+    def _head(self, fw: Tensor, bw: Tensor, r_a: np.ndarray, hm: Tensor, last,
+              seq, step, n_at):
+        """Attention over the packed context rows ``fw + bw`` and the softmax
+        classifier over [r_c, r_a, r_l], as one tape node; see forward_bucket.
+
+        Context row i belongs to mention ``seq[i]`` at ``step[i]``. Its score
+        is tanh(row)·attn_w, alpha is each mention's softmax over its rows,
+        and r_c their alpha-weighted sum. r_l is row ``last[b]`` of the
+        mention-LSTM states ``hm``. The backward hands fw and bw the one
+        context gradient."""
+        attn_w, cls_w, cls_b = self.params["attn_w"], self.params["cls_w"], self.params["cls_b"]
+        b, d = n_at[0], attn_w.shape[0]
+        offset = np.concatenate([[0], np.cumsum(n_at)])
+        ranked = seq[:b]   # step 0 holds every mention, longest first
+        context = fw.data + bw.data
+        th = np.tanh(context)
+        scores = np.full((b, n_at.size), -np.inf)   # input order, -inf past each end
+        scores[seq, step] = th @ attn_w.data
+        alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        a = alpha[seq, step]   # each context row's weight
+        weighted = a[:, None] * context
+        r_c = np.zeros((b, d))   # mention ranked[k] in row k, summed step by step
+        for lo, hi in zip(offset, offset[1:]):
+            r_c[:hi - lo] += weighted[lo:hi]
+        feature = np.concatenate([r_c[np.argsort(ranked)], r_a, hm.data[last]], axis=1)
+        logits = feature @ cls_w.data.T + cls_b.data
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+
+        def backward(g):
+            d_logits = probs * (g - (g * probs).sum(axis=1, keepdims=True))
+            cls_w._accumulate((feature.T @ d_logits).T)
+            cls_b._accumulate(d_logits.sum(axis=0))
+            d_feature = d_logits @ cls_w.data
+            d_hm = np.zeros_like(hm.data)
+            d_hm[last] = d_feature[:, -d:]
+            hm._accumulate(d_hm)
+            # in place where it can be: at most two (R, d_s) arrays at once
+            d_ctx = d_feature[seq, :d]   # d r_c, for each context row
+            d_alpha = np.zeros_like(alpha)
+            ctx = fw.data + bw.data
+            ctx *= d_ctx
+            d_alpha[seq, step] = ctx.sum(axis=1)
+            del ctx
+            d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+            ds = d_scores[seq, step]
+            attn_w._accumulate(th.T @ ds)
+            d_ctx *= a[:, None]
+            d_th = th * th
+            np.subtract(1.0, d_th, out=d_th)
+            d_th *= ds[:, None]
+            d_th *= attn_w.data
+            d_ctx += d_th
+            fw._accumulate(d_ctx)
+            bw._accumulate(d_ctx)
+
+        out = Tensor(probs, requires_grad=True, parents=(fw, bw, hm, attn_w, cls_w, cls_b),
+                     backward=backward)
+        return out, {"alpha": alpha, "feature": feature}
 
     def predict_probs(self, triples: list[MentionTriple]) -> np.ndarray:
         """(N, K) inference-mode probabilities, original order, no tape."""

@@ -151,11 +151,11 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
                     raise TrainingDiverged(f"{name} outside the {limit.dtype} range {where}")
             chunk = [train_w[i] for i in order[lo:lo + hp.batch]]
             probs = model.forward_bucket(chunk, train=True, rng=rng)[0]
-            loss = mean_nll(probs, chunk, config, forest) + l2_penalty(model.params, config.lam)
-            value = float(loss.data)
+            losses = [mean_nll(probs, chunk, config, forest), l2_penalty(model.params, config.lam)]
+            value = float(losses[0].data + losses[1].data)
             if not np.isfinite(value):
                 raise TrainingDiverged(f"non-finite loss {where}")
-            grads = gradients(loss, model.params)
+            grads = gradients(losses, model.params)
             for name, grad in grads.items():
                 if not np.all(np.isfinite(grad)):
                     raise TrainingDiverged(f"non-finite gradient for {name} {where}")

@@ -1,5 +1,5 @@
 """Brute-force oracles, implemented on raw strings and sets only, plus the
-per-step tape LSTM and the one-mention tape network.
+reference tape ops, the per-step tape LSTM and the one-mention tape network.
 
 The set oracles deliberately avoid the package's own algebra: ancestors are
 computed by string-prefix enumeration, terminal sets by pairwise prefix
@@ -14,9 +14,150 @@ arbitrate the chunked ``np.loadtxt`` parse of ``WordEmbeddings.from_file``.
 
 import numpy as np
 
-from nfetc.autodiff import Tensor, concat, softmax_rows
+from nfetc.autodiff import Tensor
 from nfetc.embeddings import EmbeddingError, WordEmbeddings
 from nfetc.textfile import numbered_lines
+
+
+# -- the reference tape ----------------------------------------------------------
+# The generic ops that the fused nodes of nfetc (lstm_sequence, the model's
+# head, mean_nll, l2_penalty) replaced. Importing this module adds them to
+# Tensor, as methods and operators, so the tests compose scalar losses and
+# the reference networks below from them; test_autodiff gradchecks each.
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce ``grad`` back to ``shape`` by summing over broadcast axes."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, extent in enumerate(shape):
+        if extent == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _coerce(other) -> Tensor:
+    return other if isinstance(other, Tensor) else Tensor.constant(other)
+
+
+def _add(self, other):
+    other = _coerce(other)
+    out = Tensor(self.data + other.data,
+                 requires_grad=self.requires_grad or other.requires_grad,
+                 parents=(self, other))
+    if out.requires_grad:
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g, other.data.shape))
+        out._backward = backward
+    return out
+
+
+def _mul(self, other):
+    other = _coerce(other)
+    out = Tensor(self.data * other.data,
+                 requires_grad=self.requires_grad or other.requires_grad,
+                 parents=(self, other))
+    if out.requires_grad:
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+        out._backward = backward
+    return out
+
+
+def _matmul(self, other):
+    """Strict 2-D matrix product (m,k) @ (k,n) -> (m,n)."""
+    other = _coerce(other)
+    if self.data.ndim != 2 or other.data.ndim != 2:
+        raise ValueError(f"matmul needs 2-D operands, got {self.data.shape} @ {other.data.shape}")
+    if self.data.shape[1] != other.data.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {self.data.shape} @ {other.data.shape}")
+    out = Tensor(self.data @ other.data,
+                 requires_grad=self.requires_grad or other.requires_grad,
+                 parents=(self, other))
+    if out.requires_grad:
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(g @ other.data.T)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ g)
+        out._backward = backward
+    return out
+
+
+def _transpose(self):
+    if self.data.ndim != 2:
+        raise ValueError(f"transpose needs a 2-D tensor, got shape {self.data.shape}")
+    out = Tensor(self.data.T, requires_grad=self.requires_grad, parents=(self,))
+    if out.requires_grad:
+        out._backward = lambda g: self._accumulate(g.T)
+    return out
+
+
+def _reshape(self, *shape):
+    out = Tensor(self.data.reshape(*shape), requires_grad=self.requires_grad, parents=(self,))
+    if out.requires_grad:
+        out._backward = lambda g: self._accumulate(g.reshape(self.data.shape))
+    return out
+
+
+def _tanh(self):
+    y = np.tanh(self.data)
+    out = Tensor(y, requires_grad=self.requires_grad, parents=(self,))
+    if out.requires_grad:
+        out._backward = lambda g: self._accumulate(g * (1.0 - y * y))
+    return out
+
+
+def _sum(self):
+    out = Tensor(self.data.sum(), requires_grad=self.requires_grad, parents=(self,))
+    if out.requires_grad:
+        out._backward = lambda g: self._accumulate(np.broadcast_to(g, self.data.shape))
+    return out
+
+
+Tensor.__add__ = _add
+Tensor.__mul__ = Tensor.__rmul__ = _mul
+Tensor.matmul = _matmul
+Tensor.transpose = _transpose
+Tensor.reshape = _reshape
+Tensor.tanh = _tanh
+Tensor.sum = _sum
+
+
+def concat(tensors: list, axis: int) -> Tensor:
+    """Join tensors along ``axis``; backward splits the gradient back."""
+    datas = [t.data for t in tensors]
+    out = Tensor(np.concatenate(datas, axis=axis),
+                 requires_grad=any(t.requires_grad for t in tensors),
+                 parents=tuple(tensors))
+    if out.requires_grad:
+        bounds = np.cumsum([d.shape[axis] for d in datas])[:-1]
+        def backward(g):
+            for t, part in zip(tensors, np.split(g, bounds, axis=axis)):
+                if t.requires_grad:
+                    t._accumulate(part)
+        out._backward = backward
+    return out
+
+
+def softmax_rows(m: Tensor) -> Tensor:
+    """Row-wise softmax of a 2-D tensor (independent distribution per row)."""
+    if m.data.ndim != 2:
+        raise ValueError(f"softmax_rows needs a 2-D tensor, got shape {m.data.shape}")
+    if m.data.shape[1] == 0:
+        raise ValueError("softmax over empty rows")
+    e = np.exp(m.data - m.data.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
+    out = Tensor(s, requires_grad=m.requires_grad, parents=(m,))
+    if out.requires_grad:
+        out._backward = lambda g: m._accumulate(s * (g - (g * s).sum(axis=1, keepdims=True)))
+    return out
 
 
 def brute_ancestors(path: str) -> set:

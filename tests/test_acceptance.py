@@ -86,7 +86,7 @@ def test_1_gradient_correctness():
         probs = model.forward_bucket(batch)[0]
         return mean_nll(probs, batch, loss_cfg, forest) + l2_penalty(model.params, loss_cfg.lam)
 
-    analytic = gradients(objective(), model.params)
+    analytic = gradients([objective()], model.params)
 
     def value():
         return float(objective().data)

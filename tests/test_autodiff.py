@@ -4,14 +4,14 @@ import weakref
 import numpy as np
 import pytest
 
-from nfetc.autodiff import (ParamSet, Tensor, concat, gradients, lstm_sequence,
-                            no_grad, softmax_rows)
+from nfetc.autodiff import ParamSet, Tensor, gradients, lstm_sequence, no_grad
 from nfetc.corpus import MentionTriple
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig, PROB_FLOOR, mean_nll
+from nfetc.model import _packed
 from nfetc.optim import dropout_mask
 from gradcheck import fd_gradient, max_rel_error
-from oracles import tape_cols, tape_lstm, tape_sigmoid
+from oracles import concat, softmax_rows, tape_cols, tape_lstm, tape_sigmoid
 
 
 def naive_matmul(a, b):
@@ -231,7 +231,7 @@ def test_sigmoid_extreme_inputs_stay_finite():
     x = Tensor.parameter(np.array([[1000.0], [-1000.0]]))
     w_in = Tensor.parameter(np.ones((1, 4)))
     h = lstm_sequence([x], w_in, Tensor.parameter(np.zeros((1, 4))),
-                      Tensor.parameter(np.zeros(4)), [1, 1])
+                      Tensor.parameter(np.zeros(4)), [2])
     assert h.data[:, 0] == pytest.approx([math.tanh(1.0), 0.0])
     h.sum().backward()
     assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w_in.grad))
@@ -399,10 +399,23 @@ def test_pick_scalar_entry():
 D_IN, D_S = 3, 2
 
 
+def packing(lengths):
+    """The packed order of sequences of ``lengths``, by brute force: the real
+    (step, sequence) pairs time-major, each step's sequences longest first
+    with ties in input order, and the rows at each step."""
+    ranked = sorted(range(len(lengths)), key=lambda k: -lengths[k])
+    real = [(t, k) for t in range(max(lengths)) for k in ranked if t < lengths[k]]
+    return real, [sum(1 for k in ranked if t < lengths[k]) for t in range(max(lengths))]
+
+
+def rows_at(lengths):
+    return packing(lengths)[1]
+
+
 def lstm_case(lengths, seed=3, d_in=D_IN, d_s=D_S):
-    """Time-major inputs for ``lengths`` plus weights and a fixed loss weighting."""
+    """Packed inputs for ``lengths`` plus weights and a fixed loss weighting."""
     r = np.random.default_rng(seed)
-    rows = max(lengths) * len(lengths)
+    rows = sum(lengths)
     x = Tensor.parameter(r.standard_normal((rows, d_in)))
     w_in = Tensor.parameter(r.standard_normal((d_in, 4 * d_s)) * 0.6)
     w_rec = Tensor.parameter(r.standard_normal((d_s, 4 * d_s)) * 0.6)
@@ -412,7 +425,7 @@ def lstm_case(lengths, seed=3, d_in=D_IN, d_s=D_S):
 
 def masked_case(x, lengths, d_s=D_S, seed=5):
     """``x`` split into a constant first column and a trainable rest, plus
-    input and output dropout masks, (keep bits, keep_prob), over the real rows."""
+    input and output dropout masks, (keep bits, keep_prob), over its rows."""
     r = np.random.default_rng(seed)
     blocks = [Tensor.constant(x.data[:, :1]), Tensor.parameter(x.data[:, 1:].copy())]
     masks = [(dropout_mask((sum(lengths), width), 0.7, r), 0.7) for width in (x.shape[1], d_s)]
@@ -430,7 +443,7 @@ def test_lstm_sequence_gradients_match_fd(lengths, masked, reverse):
     blocks, masks = masked_case(x, lengths) if masked else ([x], [None, None])
 
     def loss():
-        out = lstm_sequence(blocks, w_in, w_rec, bias, lengths, reverse, *masks)
+        out = lstm_sequence(blocks, w_in, w_rec, bias, rows_at(lengths), reverse, *masks)
         return (out * Tensor.constant(weight)).sum()
 
     loss().backward()
@@ -451,11 +464,11 @@ def test_lstm_sequence_gradients_match_fd(lengths, masked, reverse):
 def test_lstm_sequence_matches_tape_lstm(reverse, masked, lengths):
     # each sequence alone through the per-step tape LSTM is the oracle; there
     # the masks are explicit tape products on each step's input and output
-    b = len(lengths)
     x, w_in, w_rec, bias, weight = lstm_case(lengths, seed=9, d_in=4, d_s=3)
     blocks, masks = masked_case(x, lengths, d_s=3) if masked else ([x], [None, None])
     params = (blocks[-1], w_in, w_rec, bias)
-    out = lstm_sequence(blocks, w_in, w_rec, bias, lengths, reverse, *masks)
+    real, n_at = packing(lengths)
+    out = lstm_sequence(blocks, w_in, w_rec, bias, n_at, reverse, *masks)
     (out * Tensor.constant(weight)).sum().backward()
     fused = [p.grad for p in params]
 
@@ -465,17 +478,16 @@ def test_lstm_sequence_matches_tape_lstm(reverse, masked, lengths):
 
     for p in params:
         p.grad = None
-    ranked = sorted(range(b), key=lambda k: -lengths[k])   # stable: ties keep input order
-    real = [(t, k) for t in range(max(lengths)) for k in ranked if t < lengths[k]]
     want = np.zeros_like(out.data)
     total = None
     for k, n in enumerate(lengths):
-        steps = [mask(concat([blk.take_rows([t * b + k]) for blk in blocks], 1),
-                      masks[0], real.index((t, k))) for t in range(n)]
-        for t, h in enumerate(tape_lstm(steps, w_in, w_rec, bias, reverse)):
-            h = mask(h, masks[1], real.index((t, k)))
-            want[t * b + k] = h.data[0]
-            part = (h * Tensor.constant(weight[t * b + k:t * b + k + 1])).sum()
+        rows = [real.index((t, k)) for t in range(n)]
+        steps = [mask(concat([blk.take_rows([row]) for blk in blocks], 1), masks[0], row)
+                 for row in rows]
+        for row, h in zip(rows, tape_lstm(steps, w_in, w_rec, bias, reverse)):
+            h = mask(h, masks[1], row)
+            want[row] = h.data[0]
+            part = (h * Tensor.constant(weight[row:row + 1])).sum()
             total = part if total is None else total + part
     total.backward()
 
@@ -499,13 +511,14 @@ def test_lstm_sequence_float32_tracks_float64(reverse, masked):
     for dtype in (np.float64, np.float32):
         for p in params:
             p.grad = None
-        out = lstm_sequence(blocks, w_in, w_rec, bias, lengths, reverse, *masks, dtype=dtype)
+        out = lstm_sequence(blocks, w_in, w_rec, bias, rows_at(lengths), reverse, *masks,
+                            dtype=dtype)
         (out * Tensor.constant(weight)).sum().backward()
         runs.append([out.data] + [p.grad for p in params])
     for want, got in zip(*runs):
         assert got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
-    assert np.array_equal(runs[1][0] == 0.0, runs[0][0] == 0.0)   # same padding
+    assert np.array_equal(runs[1][0] == 0.0, runs[0][0] == 0.0)   # the same dropped entries
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -521,7 +534,7 @@ def test_lstm_sequence_keep_bits_equal_the_float_mask_bit_for_bit(dtype):
     for m in (masks, float_masks):
         for p in params:
             p.grad = None
-        out = lstm_sequence(blocks, w_in, w_rec, bias, lengths, False, *m, dtype=dtype)
+        out = lstm_sequence(blocks, w_in, w_rec, bias, rows_at(lengths), False, *m, dtype=dtype)
         (out * Tensor.constant(weight)).sum().backward()
         runs.append([out.data] + [p.grad for p in params])
     assert np.any((runs[0][0] == 0.0) & np.signbit(runs[0][0]))   # a dropped negative
@@ -529,15 +542,44 @@ def test_lstm_sequence_keep_bits_equal_the_float_mask_bit_for_bit(dtype):
         assert got.tobytes() == want.tobytes()
 
 
-def test_lstm_sequence_padding_is_zero_and_inert():
-    lengths = [3, 1]
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lstm_sequence_leaves_a_shared_output_gradient_intact(dtype):
+    # the forward and backward context LSTMs receive one gradient array; with
+    # an output mask, neither may drop entries of it in place
+    lengths = [3, 2, 2, 1]
     x, w_in, w_rec, bias, weight = lstm_case(lengths)
-    out = lstm_sequence([x], w_in, w_rec, bias, lengths, reverse=True)
-    padded = [3, 5]  # steps 1 and 2 of the second sequence
-    assert np.array_equal(out.data[padded], np.zeros((2, D_S)))
-    assert np.all(out.data[[0, 1, 2, 4]] != 0.0)
-    (out * Tensor.constant(weight)).sum().backward()
-    assert np.array_equal(x.grad[padded], np.zeros((2, D_IN)))
+    _, (_, mask_out) = masked_case(x, lengths)
+    outs = [lstm_sequence([x], w_in, w_rec, bias, rows_at(lengths), reverse, None, mask_out,
+                          dtype=dtype) for reverse in (False, True)]
+    g = weight.copy()
+    for out in outs:
+        out._backward(g)
+    assert np.array_equal(g, weight)
+
+
+def test_lstm_sequence_rows_do_not_depend_on_other_lengths():
+    # a sequence's states and input gradients are the same alone and packed
+    # beside shorter, equal and longer sequences
+    r = np.random.default_rng(4)
+    own, own_weight = r.standard_normal((3, D_IN)), r.standard_normal((3, D_S))
+    _, w_in, w_rec, bias, _ = lstm_case([3])
+    runs = {}
+    for others in ([], [1], [3, 2], [5, 1]):
+        real, n_at = packing([3] + others)
+        mine = [real.index((t, 0)) for t in range(3)]
+        x = r.standard_normal((len(real), D_IN))
+        weight = r.standard_normal((len(real), D_S))
+        x[mine], weight[mine] = own, own_weight
+        for reverse in (False, True):
+            xt = Tensor.parameter(x)
+            out = lstm_sequence([xt], w_in, w_rec, bias, n_at, reverse)
+            assert np.all(out.data != 0.0)
+            (out * Tensor.constant(weight)).sum().backward()
+            runs.setdefault(reverse, []).append((out.data[mine], xt.grad[mine]))
+    for (h, dx), *rest in runs.values():
+        for h_other, dx_other in rest:
+            assert np.max(np.abs(h_other - h)) <= 1e-12
+            assert np.max(np.abs(dx_other - dx)) <= 1e-12
 
 
 def test_lstm_sequence_takes_a_list_of_blocks():
@@ -555,55 +597,58 @@ def test_lstm_sequence_keeps_no_tape_under_no_grad():
 
 
 def test_lstm_sequence_accepts_any_length_order():
-    # an unsorted batch gives the rows and gradients of the same sequences
-    # handed over longest first
-    for lengths, rows in (([1, 2], 4), ([3, 1], 6), ([1, 3, 3, 2], 12)):
-        b = len(lengths)
-        x, w_in, w_rec, bias, weight = lstm_case(lengths)
-        ranked = np.argsort([-n for n in lengths], kind="stable")
-        to_sorted = (np.arange(rows // b)[:, None] * b + ranked).reshape(-1)
-        x_sorted = Tensor.parameter(x.data[to_sorted])
+    # the model's packing of an unsorted batch gives each sequence the rows
+    # and gradients it has alone
+    for lengths in ([1, 2], [3, 1], [1, 3, 3, 2]):
+        b, steps = len(lengths), max(lengths)
+        x, w_in, w_rec, bias, weight = lstm_case([steps] * b)   # padded, row t*B + k
+        seq, step, n_at = _packed(lengths)
+        assert (list(zip(step.tolist(), seq.tolist())), n_at.tolist()) == packing(lengths)
+        padded = step * b + seq
         for reverse in (False, True):
-            x.grad = x_sorted.grad = None
-            out = lstm_sequence([x], w_in, w_rec, bias, lengths, reverse)
-            want = lstm_sequence([x_sorted], w_in, w_rec, bias,
-                                 np.array(lengths)[ranked], reverse)
-            assert np.max(np.abs(out.data[to_sorted] - want.data)) <= 1e-12
-            (out * Tensor.constant(weight)).sum().backward()
-            (want * Tensor.constant(weight[to_sorted])).sum().backward()
-            assert np.max(np.abs(x.grad[to_sorted] - x_sorted.grad)) <= 1e-12
+            xp = Tensor.parameter(x.data[padded])
+            out = lstm_sequence([xp], w_in, w_rec, bias, n_at, reverse)
+            (out * Tensor.constant(weight[padded])).sum().backward()
+            for k, n in enumerate(lengths):
+                rows = np.flatnonzero(seq == k)
+                alone = Tensor.parameter(x.data[padded[rows]])
+                want = lstm_sequence([alone], w_in, w_rec, bias, [1] * n, reverse)
+                (want * Tensor.constant(weight[padded[rows]])).sum().backward()
+                assert np.max(np.abs(out.data[rows] - want.data)) <= 1e-12
+                assert np.max(np.abs(xp.grad[rows] - alone.grad)) <= 1e-12
 
 
 def test_lstm_sequence_masks_follow_stable_longest_first_order():
-    # real row k is the k-th (step, sequence) pair in time-major order, each
-    # step's sequences longest first with ties in input order
+    # mask row k is packed row k: the k-th (step, sequence) pair in time-major
+    # order, each step's sequences longest first with ties in input order
     lengths = [1, 2, 1, 2, 2]
-    b = len(lengths)
-    want = [1, 3, 4, 0, 2, b + 1, b + 3, b + 4]
+    seq, step, n_at = _packed(lengths)
+    want = [(0, 1), (0, 3), (0, 4), (0, 0), (0, 2), (1, 1), (1, 3), (1, 4)]
+    assert list(zip(step.tolist(), seq.tolist())) == want and n_at.tolist() == [5, 3]
     x, w_in, w_rec, bias, _ = lstm_case(lengths)
     bias.data[:] = 0.0   # a zero input row then leaves a zero state
     for k in range(sum(lengths)):
         one_hot = np.zeros((sum(lengths), 1), dtype=bool)
         one_hot[k] = True
-        out = lstm_sequence([x], w_in, w_rec, bias, lengths, False, None,
+        out = lstm_sequence([x], w_in, w_rec, bias, n_at, False, None,
                             (np.repeat(one_hot, D_S, axis=1), 1.0))
-        assert np.flatnonzero(out.data.any(axis=1)).tolist() == [want[k]]
-        out = lstm_sequence([x], w_in, w_rec, bias, lengths, False,
+        assert np.flatnonzero(out.data.any(axis=1)).tolist() == [k]
+        out = lstm_sequence([x], w_in, w_rec, bias, n_at, False,
                             (np.repeat(one_hot, D_IN, axis=1), 1.0))
-        assert np.flatnonzero(out.data.any(axis=1))[0] == want[k]
+        assert np.flatnonzero(out.data.any(axis=1))[0] == k
 
 
-@pytest.mark.parametrize("lengths,rows,mask_rows,message", [
-    ([2, 0], 4, None, r"in \[1, 2\]"),
-    ([3, 1], 4, None, r"in \[1, 2\]"),
-    ([2, 1], 5, None, "do not split"),
-    ([], 4, None, "do not split"),
-    ([2, 1], (4, 6), None, "equal rows"),
-    ([2, 1], 4, (4, 3), "need 3 rows"),
-    ([2, 1], 4, (3, 2), "need 3 rows"),
+@pytest.mark.parametrize("n_at,rows,mask_rows,message", [
+    ([2, 0], 2, None, "positive and non-increasing"),
+    ([1, 2], 3, None, "positive and non-increasing"),
+    ([2, 1], 5, None, "do not hold"),
+    ([], 4, None, "positive"),
+    ([2, 1], (3, 4), None, "do not hold"),
+    ([2, 1], 3, (4, 3), "need 3 rows"),
+    ([2, 1], 3, (3, 2), "need 3 rows"),
 ], ids=["zero-length", "too-long", "lengths3-5-do not split", "lengths4-4-do not split",
         "unequal-blocks", "mask_in-rows", "mask_out-rows"])
-def test_lstm_sequence_rejects_bad_layout(lengths, rows, mask_rows, message):
+def test_lstm_sequence_rejects_bad_layout(n_at, rows, mask_rows, message):
     # rows: one block's row count, or a pair for a width-1 and a wider block;
     # mask_rows: the (mask_in, mask_out) row counts, or no masks
     _, w_in, w_rec, bias, _ = lstm_case([1])
@@ -613,7 +658,7 @@ def test_lstm_sequence_rejects_bad_layout(lengths, rows, mask_rows, message):
              [(np.ones((mask_rows[0], D_IN), dtype=bool), 0.7),
               (np.ones((mask_rows[1], D_S), dtype=bool), 0.7)])
     with pytest.raises(ValueError, match=message):
-        lstm_sequence(x, w_in, w_rec, bias, lengths, False, *masks)
+        lstm_sequence(x, w_in, w_rec, bias, n_at, False, *masks)
 
 
 # -- tape mechanics -----------------------------------------------------------
@@ -650,7 +695,7 @@ def tape_case():
                         ("bias", bias.data), ("w_out", r.standard_normal((2 * D_S, 3)))):
         ps.add(name, value)
     h = lstm_sequence([Tensor.constant(x.data[:, :1]), ps["x"]], ps["w_in"], ps["w_rec"],
-                      ps["bias"], lengths, False, *masks)
+                      ps["bias"], rows_at(lengths), False, *masks)
     rows = np.arange(h.shape[0])[::-1]
     probs = softmax_rows(concat([h.tanh(), h.take_rows(rows)], 1).matmul(ps["w_out"]))
     return ps, (probs * Tensor.constant(r.standard_normal(probs.shape))).sum(), probs
@@ -662,7 +707,7 @@ def test_backward_releases_the_graph_and_keeps_leaf_gradients():
     ps, loss, probs = tape_case()
     inner = weakref.ref(probs)
     del probs
-    grads = gradients(loss, ps)
+    grads = gradients([loss], ps)
     # freed by reference counting alone, with no collector pass
     assert inner() is None
     assert loss._parents == () and loss.grad is None
@@ -676,7 +721,8 @@ def test_lstm_sequence_node_keeps_no_constant_block():
     x, w_in, w_rec, bias, _ = lstm_case(lengths)
     const = Tensor.constant(x.data[:, :1].copy())
     block, data = weakref.ref(const), weakref.ref(const.data)
-    out = lstm_sequence([const, Tensor.parameter(x.data[:, 1:])], w_in, w_rec, bias, lengths)
+    out = lstm_sequence([const, Tensor.parameter(x.data[:, 1:])], w_in, w_rec, bias,
+                        rows_at(lengths))
     del const
     assert block() is None and data() is None
     assert out.requires_grad and len(out._parents) == 4
@@ -816,16 +862,26 @@ def test_gradients_fills_unreachable_with_zeros():
     ps.add("used", np.array([2.0]))
     ps.add("unused", np.ones((2, 2)))
     loss = (ps["used"] * ps["used"]).sum()
-    grads = gradients(loss, ps)
+    grads = gradients([loss], ps)
     assert grads["used"] == pytest.approx([4.0])
     assert np.array_equal(grads["unused"], np.zeros((2, 2)))
+
+
+def test_gradients_sum_several_losses():
+    # losses whose graphs share only leaves are swept one after another
+    ps = ParamSet()
+    ps.add("w", np.array([2.0, -1.0]))
+    ps.add("v", np.array([3.0]))
+    grads = gradients([(ps["w"] * ps["w"]).sum(), (ps["w"] * ps["v"]).sum()], ps)
+    assert np.array_equal(grads["w"], [7.0, 1.0])
+    assert np.array_equal(grads["v"], [1.0])
 
 
 def test_gradients_requires_scalar_loss():
     ps = ParamSet()
     ps.add("w", np.ones(3))
     with pytest.raises(ValueError, match="scalar"):
-        gradients(ps["w"] * 1.0, ps)
+        gradients([ps["w"] * 1.0], ps)
 
 
 def test_gradients_skips_frozen_entries():
@@ -834,7 +890,7 @@ def test_gradients_skips_frozen_entries():
     ps.add("w", np.array([1.0]))
     emb = Tensor.constant(np.array([5.0]))
     loss = (ps["w"] * emb).sum()
-    grads = gradients(loss, ps)
+    grads = gradients([loss], ps)
     assert set(grads) == {"w"}
     assert grads["w"] == pytest.approx([5.0])
     assert emb.grad is None

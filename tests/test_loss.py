@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import STEP, TOLERANCE, fd_gradient, max_rel_error
-from nfetc.autodiff import ParamSet, Tensor, gradients, no_grad, softmax_rows
+from nfetc.autodiff import ParamSet, Tensor, gradients, no_grad
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
@@ -14,7 +14,7 @@ from nfetc.loss import (LossConfig, PROB_FLOOR, hierarchical_adjust_rows,
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import HyperParams, select_variant
-from oracles import brute_ancestors, random_forest_paths
+from oracles import brute_ancestors, random_forest_paths, softmax_rows
 
 
 def brute_adjust(paths, p, beta):
@@ -130,6 +130,15 @@ def test_l2_sums_squares_of_trainables_only():
                        TypeForest(["/a", "/b"]), make_rng(0))
     want = sum(float((t.data ** 2).sum()) for _, t in model.params.items())
     assert l2_penalty(model.params, 1.0).data.item() == pytest.approx(want, rel=1e-12)
+
+
+def test_l2_is_one_node_with_gradient_two_lam_theta():
+    params = make_params([[1.0, -2.0], [3.0]])
+    penalty = l2_penalty(params, 0.25)
+    assert [id(p) for p in penalty._parents] == [id(t) for _, t in params.items()]
+    grads = gradients([penalty], params)
+    for name, t in params.items():
+        assert np.array_equal(grads[name], 2 * 0.25 * t.data)
 
 
 def test_l2_zero_lambda_is_free():
@@ -405,7 +414,7 @@ def test_loss_gradient_matches_finite_differences(config):
         params = ParamSet()
         params.add("logits", rng.normal(size=(len(batch), len(forest))))
         loss = logits_loss(params, batch, config, forest)
-        grads = gradients(loss, params)
+        grads = gradients([loss], params)
         numeric = fd_gradient(
             lambda: logits_loss(params, batch, config, forest).data.item(),
             params["logits"].data, STEP)

@@ -1,20 +1,21 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gradcheck import STEP, TOLERANCE, fd_gradient, max_rel_error
-from nfetc.autodiff import Tensor, concat, gradients
+from nfetc.autodiff import Tensor, gradients, lstm_sequence, no_grad
 from nfetc.corpus import MentionTriple
-from nfetc.embeddings import WordEmbeddings
+from nfetc.embeddings import WordEmbeddings, position_rows
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig, l2_penalty, mean_nll
 from nfetc import model as model_module
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import HyperParams
-from oracles import tape_forward
+from oracles import concat, tape_forward
 
 VOCAB = ["the", "cat", "sat", "on", "mat", "dog", "ran", "big", "red", "fox"]
 D_W = 4
@@ -48,14 +49,35 @@ def zero_params(model: NfetcModel, names=None) -> None:
             tensor.data[:] = 0.0
 
 
+def feature_blocks(model: NfetcModel, feature: np.ndarray) -> dict:
+    """A feature row and its column blocks r_c, r_a and r_l."""
+    d_s, d_w = model.params["attn_w"].shape[0], model.embeddings.dim
+    return {"r_c": feature[:d_s], "r_a": feature[d_s:d_s + d_w],
+            "r_l": feature[d_s + d_w:], "feature": feature}
+
+
+def context_rows(model: NfetcModel, t: MentionTriple) -> np.ndarray:
+    """The (T, d_s) context states fw + bw of mention ``t``, from the two
+    LSTMs run on their own; a mention alone packs to its steps in order."""
+    p, emb = model.params, model.embeddings
+    window = (p["pos_table"].shape[0] - 2) // 2
+    positions = position_rows(window, np.arange(len(t.tokens)), t.start, t.end)
+    x = [emb.vectors(emb.indices(t.tokens)), p["pos_table"].data[positions]]
+    with no_grad():
+        fw, bw = (lstm_sequence(x, p[f"{d}.w_in"], p[f"{d}.w_rec"], p[f"{d}.bias"],
+                                [1] * len(t.tokens), d == "ctx_bw").data
+                  for d in ("ctx_fw", "ctx_bw"))
+    return fw + bw
+
+
 def one(model: NfetcModel, t: MentionTriple) -> SimpleNamespace:
     """One mention's inference pass, read off a one-mention batch: its
     (T, d_s) context rows, (T,) attention weights, r_c, r_a, r_l, feature,
     (K,) probabilities and predicted index (the lowest one on ties)."""
     probs, aux = model.forward_bucket([t])
     p = probs.data[0]
-    return SimpleNamespace(context=aux["context"].data, alpha=aux["alpha"].data[0],
-                           **{k: aux[k].data[0] for k in ("r_c", "r_a", "r_l", "feature")},
+    return SimpleNamespace(context=context_rows(model, t), alpha=aux["alpha"][0],
+                           **feature_blocks(model, aux["feature"][0]),
                            probs=p, predicted=int(np.argmax(p)))
 
 
@@ -116,6 +138,20 @@ def test_init_recurrent_blocks_orthogonal():
         assert np.allclose(block.T @ block, np.eye(d_s), atol=1e-12)
 
 
+def test_init_recurrent_blocks_match_separate_qrs():
+    # one stacked QR per LSTM gives, bit for bit, the four blocks of four
+    # separate draws and QRs, and leaves the RNG stream in step
+    for n in (3, 17):
+        stacked_rng, separate_rng = make_rng(5), make_rng(5)
+        got = model_module._orthogonal(stacked_rng, n)
+        blocks = []
+        for _ in range(4):
+            q, r = np.linalg.qr(separate_rng.standard_normal((n, n)))
+            blocks.append(q * np.sign(np.diag(r)))
+        assert got.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+        assert stacked_rng.random() == separate_rng.random()
+
+
 def test_init_deterministic_per_seed():
     a = make_model(seed=5).params.copy_values()
     b = make_model(seed=5).params.copy_values()
@@ -163,9 +199,10 @@ def test_batch_rows_stay_in_input_order():
     assert "order" not in aux
     for k, t in enumerate(ts):
         single = one(model, t)
-        assert np.allclose(aux["alpha"].data[k, :len(t.tokens)], single.alpha, atol=1e-12)
-        for name in ("r_c", "r_a", "r_l", "feature"):
-            assert np.allclose(aux[name].data[k], getattr(single, name), atol=1e-12)
+        assert np.allclose(aux["alpha"][k, :len(t.tokens)], single.alpha, atol=1e-12)
+        assert np.all(aux["alpha"][k, len(t.tokens):] == 0.0)
+        for name, row in feature_blocks(model, aux["feature"][k]).items():
+            assert np.allclose(row, getattr(single, name), atol=1e-12)
         assert np.allclose(probs.data[k], single.probs, atol=1e-12)
 
 
@@ -322,6 +359,14 @@ def test_feature_is_concatenation():
     assert trace.feature.shape == (2 * 3 + D_W,)
     assert np.array_equal(trace.feature,
                           np.concatenate([trace.r_c, trace.r_a, trace.r_l]))
+    # each block against its encoder run on its own
+    emb, p = model.embeddings, model.params
+    assert np.allclose(trace.r_c, trace.alpha @ trace.context, atol=1e-14)
+    assert np.array_equal(trace.r_a, emb.vectors(emb.indices(T4.tokens[1:2])).sum(axis=0))
+    with no_grad():
+        r_l = lstm_sequence([extended_mention(model, T4)], p["men.w_in"], p["men.w_rec"],
+                            p["men.bias"], [1, 1, 1]).data[-1]
+    assert np.array_equal(trace.r_l, r_l)
 
 
 def test_duplicated_rows_identical():
@@ -371,7 +416,7 @@ def test_predict_probs_of_nothing_is_zero_rows():
 
 @pytest.mark.usefixtures("float64_training")
 def test_forward_batch_objective_matches_single_mention_sum():
-    # keep = 1: the padded batch must equal one mention at a time exactly,
+    # keep = 1: the packed batch must equal one mention at a time exactly,
     # in the objective and in every parameter gradient
     model = make_model(seed=13)
     forest = make_forest()
@@ -389,10 +434,10 @@ def test_forward_batch_objective_matches_single_mention_sum():
                         forest) * (1.0 / len(batch))
         want = part if want is None else want + part
     want = want + l2_penalty(model.params, config.lam)
-    want_grads = gradients(want, model.params)
+    want_grads = gradients([want], model.params)
     probs = model.forward_bucket(batch, train=True)[0]
     got = mean_nll(probs, batch, config, forest) + l2_penalty(model.params, config.lam)
-    got_grads = gradients(got, model.params)
+    got_grads = gradients([got], model.params)
 
     single = np.concatenate([model.predict_probs([m]) for m in batch])
     assert np.max(np.abs(probs.data - single)) <= 1e-12
@@ -404,7 +449,7 @@ def test_forward_batch_objective_matches_single_mention_sum():
 
 @pytest.mark.usefixtures("float64_training")
 def test_forward_bucket_matches_the_tape_network():
-    # the padded batch against the one-mention network composed of
+    # the packed batch against the one-mention network composed of
     # gradchecked tape ops: probabilities, objective and every gradient
     model = make_model(seed=17)
     forest = make_forest()
@@ -425,10 +470,10 @@ def test_forward_bucket_matches_the_tape_network():
 
     got_probs = model.forward_bucket(batch, train=True)[0]
     got = mean_nll(got_probs, batch, config, forest)
-    got_grads = gradients(got, model.params)
+    got_grads = gradients([got], model.params)
     want_probs = concat([tape_forward(model, m) for m in batch], 0)
     want = mean_nll(want_probs, batch, config, forest)
-    want_grads = gradients(want, model.params)
+    want_grads = gradients([want], model.params)
 
     assert np.max(np.abs(got_probs.data - want_probs.data)) <= 1e-12
     assert abs(float(got.data) - float(want.data)) <= 1e-12
@@ -454,7 +499,7 @@ def test_float32_training_step_tracks_float64(monkeypatch):
         monkeypatch.setattr(model_module, "TRAIN_DTYPE", dtype)
         probs = model.forward_bucket(batch, train=True, rng=make_rng(6))[0]
         loss = mean_nll(probs, batch, config, forest) + l2_penalty(model.params, config.lam)
-        runs.append((probs.data, loss.data, gradients(loss, model.params)))
+        runs.append((probs.data, loss.data, gradients([loss], model.params)))
     (want_probs, want_loss, want_grads), (probs, loss, grads) = runs
     assert probs.dtype == loss.dtype == np.float64
     assert np.max(np.abs(probs - want_probs)) <= 1e-4 * np.max(want_probs)
@@ -476,7 +521,7 @@ def count_tape_nodes(monkeypatch, model, batch, config):
 
     monkeypatch.setattr(Tensor, "__init__", counting)
     probs = model.forward_bucket(batch, train=True, rng=make_rng(2))[0]
-    gradients(mean_nll(probs, batch, config, make_forest()), model.params)
+    gradients([mean_nll(probs, batch, config, make_forest())], model.params)
     monkeypatch.setattr(Tensor, "__init__", init)
     return count[0]
 
@@ -496,6 +541,33 @@ def test_tape_size_does_not_grow_with_batch(monkeypatch):
     assert len({(len(m.tokens), m.end - m.start) for m in big}) > 10
     small = count_tape_nodes(monkeypatch, model, big[:4], config)
     assert small == count_tape_nodes(monkeypatch, model, big, config)
+    assert small == 6   # the position gather, three LSTMs, the head and the loss
+
+
+def traced_step_peak(model, batch):
+    """tracemalloc peak, in bytes, of one training forward and backward."""
+    tracemalloc.start()
+    try:
+        probs = model.forward_bucket(batch, train=True, rng=make_rng(3))[0]
+        gradients([mean_nll(probs, batch, LossConfig(mode="variant"), make_forest())],
+                  model.params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_memory_scales_with_real_rows():
+    # 64 three-token mentions plus one of 30 tokens against 74 three-token
+    # mentions: 222 real tokens each, but 1,950 against 222 padded ones
+    emb = WordEmbeddings(VOCAB, make_rng(1).uniform(-0.4, 0.4, (len(VOCAB), 32)))
+    model = NfetcModel(HyperParams(d_p=8, d_s=16, window=10, p_i=0.7, p_o=0.9), emb,
+                       make_forest(), make_rng(2))
+    short = triple(["the", "cat", "sat"], 1, 2)
+    long = triple([VOCAB[k % len(VOCAB)] for k in range(30)], 12, 14)
+    ragged, even = [short] * 64 + [long], [short] * 74
+    assert sum(len(m.tokens) for m in ragged) == sum(len(m.tokens) for m in even)
+    peaks = [traced_step_peak(model, batch) for batch in (ragged, even)]
+    assert peaks[0] <= 1.15 * peaks[1], [f"{p / 2**20:.3f} MiB" for p in peaks]
 
 
 def test_six_dropout_masks_per_batch(monkeypatch):
@@ -506,7 +578,7 @@ def test_six_dropout_masks_per_batch(monkeypatch):
                         lambda *args: calls.append(args[0]) or draw(*args))
     batch = [T4, triple(["dog", "ran"], 0, 1), triple(["mat", "on"], 0, 2)]
     model.forward_bucket(batch, train=True, rng=make_rng(1))
-    # masks cover real tokens only, never a padded row
+    # masks cover real tokens only, one row per packed row
     context = sum(len(m.tokens) for m in batch)
     mention = sum(m.end - m.start + 2 for m in batch)
     d_in, d_s = D_W + 3, 3
@@ -523,7 +595,7 @@ def test_gradients_do_not_alias_parameters():
     probs = model.forward_bucket(batch, train=True, rng=make_rng(5))[0]
     loss = (mean_nll(probs, batch, LossConfig(mode="variant"), make_forest())
             + l2_penalty(model.params, 0.01))
-    grads = gradients(loss, model.params)
+    grads = gradients([loss], model.params)
     assert set(grads) == {name for name, _ in model.params.items()}
     for name, grad in grads.items():
         for other, tensor in model.params.items():
@@ -594,11 +666,29 @@ def test_gradients_match_finite_differences(name):
     gold = [1, 2, 0]
 
     loss = nll_for(model, batch, gold)
-    grads = gradients(loss, model.params)
+    grads = gradients([loss], model.params)
 
     tensor = model.params[name]
     numeric = fd_gradient(lambda: nll_for(model, batch, gold).data.item(),
                           tensor.data, STEP)
+    assert max_rel_error(grads[name], numeric) < TOLERANCE
+
+
+@pytest.mark.usefixtures("float64_training")
+@pytest.mark.parametrize("name", ["pos_table", "ctx_fw.w_in", "ctx_fw.bias", "ctx_bw.w_in",
+                                  "ctx_bw.w_rec", "men.w_rec", "attn_w", "cls_w"])
+def test_packed_bilstm_and_head_gradients_with_dropout_match_fd(name):
+    # float64 LSTMs with all six masks on, over a ragged batch. The forward
+    # and backward LSTMs share the head's context gradient, and in float64
+    # no cast copies it, so a mask applied to it in place shows here.
+    model = make_model(seed=8, p_i=0.7, p_o=0.9)
+    batch = [T4, triple(["dog", "ran", "on", "mat", "big"], 2, 4), triple(["red"], 0, 1),
+             triple(["fox", "sat"], 1, 2)]
+    gold = [1, 2, 0, 1]
+    grads = gradients([nll_for(model, batch, gold, train=True, seed=77)], model.params)
+    numeric = fd_gradient(
+        lambda: nll_for(model, batch, gold, train=True, seed=77).data.item(),
+        model.params[name].data, STEP)
     assert max_rel_error(grads[name], numeric) < TOLERANCE
 
 
@@ -608,7 +698,7 @@ def test_gradients_with_dropout_masks_held_fixed():
     batch = [T4]
 
     loss = nll_for(model, batch, [1], train=True, seed=77)
-    grads = gradients(loss, model.params)
+    grads = gradients([loss], model.params)
 
     tensor = model.params["ctx_fw.w_in"]
     numeric = fd_gradient(
@@ -620,7 +710,7 @@ def test_gradients_with_dropout_masks_held_fixed():
 def test_word_embeddings_get_no_gradient():
     model = make_model()
     loss = nll_for(model, [T4], [0])
-    grads = gradients(loss, model.params)
+    grads = gradients([loss], model.params)
     assert "word_emb" not in grads
     assert set(grads) == {name for name, _ in model.params.items()}
 
