@@ -1,5 +1,6 @@
 """Dense float64 tensors with reverse-mode gradient recording, and the
-fused LSTM node; only ``lstm_sequence`` may compute in another dtype inside.
+fused LSTM node; only ``lstm_sequence`` may compute in another dtype, and
+its output keeps that dtype. Every gradient is float64.
 
 A network is a few fused nodes, each with a hand-derived backward closure:
 a row gather, the LSTMs over packed rows (every real step of a batch, none
@@ -38,7 +39,8 @@ def _released(grad):
 
 
 class Tensor:
-    """A float64 array plus the tape bookkeeping needed for backprop.
+    """An array, float64 unless ``dtype`` says otherwise, plus the tape
+    bookkeeping needed for backprop; its gradient is float64 either way.
 
     ``requires_grad`` marks tensors that participate in gradient
     computation; it propagates through ops. Constants built from data keep
@@ -47,8 +49,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self, data, requires_grad=False, parents=(), backward=None, dtype=np.float64):
+        self.data = np.asarray(data, dtype=dtype)
         self.grad = None
         self.requires_grad = requires_grad and _GRAD_ENABLED
         self._parents = tuple(p for p in parents if p.requires_grad) if self.requires_grad else ()
@@ -123,11 +125,11 @@ class Tensor:
         return out
 
 
-def _drop(a: np.ndarray, mask, cols=slice(None)) -> np.ndarray:
-    """``a`` times the ``cols`` of a (keep bits, keep_prob) dropout ``mask``, in place,
-    then float32(1/keep_prob): bit for bit ``a`` times 0 or float32(1/keep_prob)."""
+def _drop(a: np.ndarray, mask, at=slice(None)) -> np.ndarray:
+    """``a`` times the entries ``at`` of a (keep bits, keep_prob) dropout ``mask``, in
+    place, then float32(1/keep_prob): bit for bit ``a`` times 0 or float32(1/keep_prob)."""
     if mask is not None:
-        a *= mask[0][:, cols]
+        a *= mask[0][at]
         a *= np.float32(1.0 / mask[1])
     return a
 
@@ -159,9 +161,12 @@ def lstm_sequence(x: list, w_in: Tensor, w_rec: Tensor, bias: Tensor, n_at,
 
     Only h·W_rec runs per step: x·W_in, dW_in and dW_rec are one GEMM each
     over all rows (Appleyard, Kočiský & Blunsom, arXiv 1604.01946).
-    ``dtype`` holds the input rows, weights, masks, states and BPTT buffers;
-    the output and every gradient are float64, so float32 keeps float64
-    master weights (Micikevicius et al., arXiv 1710.03740).
+    ``dtype`` holds the input rows, weights, masks, states, BPTT buffers and
+    the output; every gradient is float64, so float32 keeps float64 master
+    weights (Micikevicius et al., arXiv 1710.03740). For the backward the
+    node keeps the masked input, the gates, and each step's state before it
+    and cell state after it; it recomputes tanh of the cell state rather
+    than store it (Gruslys et al., arXiv 1606.03401).
     """
     blocks = list(x)
     datas = [blk.data if isinstance(blk, Tensor) else blk for blk in blocks]
@@ -189,8 +194,8 @@ def lstm_sequence(x: list, w_in: Tensor, w_rec: Tensor, bias: Tensor, n_at,
     w_in_c, w_rec_c = w_in.data.astype(dtype, copy=False), w_rec.data.astype(dtype, copy=False)
     gates = xr @ w_in_c   # biased and activated in place below
     gates += bias.data.astype(dtype, copy=False)
-    if record:   # the states before each step, and tanh of its cell state
-        h_prev, c_prev, tanh_c = np.zeros((3, rows, d), dtype)
+    if record:   # the state before each step, and the cell state after it
+        h_prev, cells = np.empty((2, rows, d), dtype)
     h, c = np.zeros((2, n_at[0], d), dtype)   # sequence k in row k
     hr = np.empty((rows, d), dtype)   # the emitted states
     for t in order:
@@ -202,22 +207,18 @@ def lstm_sequence(x: list, w_in: Tensor, w_rec: Tensor, bias: Tensor, n_at,
         z[:, 3 * d:] = np.tanh(z[:, 3 * d:])
         if record:
             h_prev[s] = h[:n]
-            c_prev[s] = c[:n]
         c[:n] = z[:, d:2 * d] * c[:n] + z[:, :d] * z[:, 3 * d:]
-        tc = np.tanh(c[:n])
         if record:
-            tanh_c[s] = tc
-        h[:n] = z[:, 2 * d:3 * d] * tc
+            cells[s] = c[:n]
+        h[:n] = z[:, 2 * d:3 * d] * np.tanh(c[:n])
         hr[s] = h[:n]
 
     result = Tensor(_drop(hr, mask_out), requires_grad=record,
-                    parents=(*[blk for blk, _ in trained], w_in, w_rec, bias))
+                    parents=(*[blk for blk, _ in trained], w_in, w_rec, bias), dtype=dtype)
     if not record:
         return result
 
     def backward(g):
-        # a copy: the head hands the forward and backward LSTMs one array
-        g = _drop(g.copy(), mask_out).astype(dtype, copy=False)
         dz = gates   # each step's gate gradients overwrite its gates once read
         dh = np.zeros((n_at[0], d), dtype)
         dc = np.zeros((n_at[0], d), dtype)
@@ -226,17 +227,24 @@ def lstm_sequence(x: list, w_in: Tensor, w_rec: Tensor, bias: Tensor, n_at,
             n = n_at[t]
             s = slice(offset[t], offset[t + 1])
             i, f, o, cand = (gates[s, k * d:(k + 1) * d] for k in range(4))
-            tc = tanh_c[s]
-            dh_t = g[s] + dh[:n]
+            c_prev = np.zeros((n, d), dtype)   # the cell state of the step run before t
+            before = t + 1 if reverse else t - 1
+            if 0 <= before < n_at.size:
+                m = min(n, n_at[before])
+                c_prev[:m] = cells[offset[before]:offset[before] + m]
+            tc = np.tanh(cells[s])
+            # masked on a copy: the head hands the forward and backward LSTMs one array
+            dh_t = _drop(g[s].copy(), mask_out, s).astype(dtype, copy=False)
+            dh_t += dh[:n]
             dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
-            dz_t = (dc_t * cand * i * (1.0 - i), dc_t * c_prev[s] * f * (1.0 - f),
+            dz_t = (dc_t * cand * i * (1.0 - i), dc_t * c_prev * f * (1.0 - f),
                     dh_t * tc * o * (1.0 - o), dc_t * i * (1.0 - cand * cand))
             dc[:n] = dc_t * f
             for k, block in enumerate(dz_t):
                 dz[s, k * d:(k + 1) * d] = block
             dh[:n] = dz[s] @ w_rec_t
         for blk, cols in trained:   # frozen blocks skip their dx GEMM
-            blk._accumulate(_drop(dz @ w_in_c[cols].T, mask_in, cols))
+            blk._accumulate(_drop(dz @ w_in_c[cols].T, mask_in, np.s_[:, cols]))
         if w_in.requires_grad:
             w_in._accumulate(xr.T @ dz)
         if w_rec.requires_grad:

@@ -89,6 +89,12 @@ def load(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             meta_len = int(line)
         except ValueError:
             raise CheckpointError(f"{path}: malformed meta length") from None
+        if meta_len < 0:
+            raise CheckpointError(f"{path}: malformed meta length")
+        size = os.fstat(f.fileno()).st_size
+        # checked before reading, so no length can ask for more than the file holds
+        if meta_len > size - f.tell():
+            raise CheckpointError(f"{path}: truncated meta block")
         blob = f.read(meta_len)
         if len(blob) < meta_len:
             raise CheckpointError(f"{path}: truncated meta block")
@@ -101,7 +107,6 @@ def load(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         entries = meta.get("params")
         if not isinstance(entries, list):
             raise CheckpointError(f"{path}: meta lacks the parameter list")
-        size = os.fstat(f.fileno()).st_size
         mapped = None   # the whole file, mapped at the first aligned frozen tensor
         tensors: dict[str, np.ndarray] = {}
         for e in entries:

@@ -38,7 +38,8 @@ GATES = 4  # input, forget, output, candidate blocks in the fused layout
 # gates and states, ~12 KiB per mention and token) are alive at once; at 32
 # mentions predicting stays within ~2 MiB of the peak memory of the per-bucket
 # pass it replaced on a 100k-word checkpoint, and is still faster than it.
-# 64 mentions were ~20% faster again but peaked ~20 MiB higher.
+# On packed chunks, 64, 128 and 256 mentions were no faster and peaked 13, 36
+# and 80 MiB higher.
 PREDICT_CHUNK = 32
 
 # Compute dtype of the LSTMs in training. At FIGER sizes numpy's float32 GEMM
@@ -181,6 +182,7 @@ class NfetcModel:
              self.params["pos_table"].take_rows(position_rows(window, step, start[seq], end[seq]))]
         fw = self._encode("ctx_fw", x, n_at, False, hp.p_i, hp.p_o, train, rng)
         bw = self._encode("ctx_bw", x, n_at, True, hp.p_i, hp.p_o, train, rng)
+        del x   # each LSTM holds its own masked copy of the inputs
 
         # mention encoders: the span average, and an LSTM over the extended mention
         span = end - start
@@ -193,6 +195,7 @@ class NfetcModel:
         keep_out = hp.p_o if hp.dropout_mention else 1.0
         xm = self.embeddings.vectors(ext[m_seq, m_step]).astype(dtype, copy=False)
         hm = self._encode("men", [xm], m_at, False, keep_in, keep_out, train, rng)
+        del xm
         last = np.empty(len(batch), dtype=np.intp)   # row of each mention's final state
         ends = np.flatnonzero(m_step == ext_len[m_seq] - 1)
         last[m_seq[ends]] = ends
@@ -206,23 +209,25 @@ class NfetcModel:
         Context row i belongs to mention ``seq[i]`` at ``step[i]``. Its score
         is tanh(row)·attn_w, alpha is each mention's softmax over its rows,
         and r_c their alpha-weighted sum. r_l is row ``last[b]`` of the
-        mention-LSTM states ``hm``. The backward hands fw and bw the one
+        mention-LSTM states ``hm``. The head computes in float64, whatever
+        dtype the LSTMs emit, and the node keeps no (R, d_s) array: the
+        backward recomputes the context rows and their tanh from fw and bw,
+        with at most two (R, d_s) arrays at once, and hands fw and bw the one
         context gradient."""
         attn_w, cls_w, cls_b = self.params["attn_w"], self.params["cls_w"], self.params["cls_b"]
         b, d = n_at[0], attn_w.shape[0]
         offset = np.concatenate([[0], np.cumsum(n_at)])
         ranked = seq[:b]   # step 0 holds every mention, longest first
-        context = fw.data + bw.data
-        th = np.tanh(context)
+        context = np.add(fw.data, bw.data, dtype=np.float64)   # exact for float32 rows
         scores = np.full((b, n_at.size), -np.inf)   # input order, -inf past each end
-        scores[seq, step] = th @ attn_w.data
+        scores[seq, step] = np.tanh(context) @ attn_w.data
         alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
         alpha /= alpha.sum(axis=1, keepdims=True)
         a = alpha[seq, step]   # each context row's weight
-        weighted = a[:, None] * context
         r_c = np.zeros((b, d))   # mention ranked[k] in row k, summed step by step
         for lo, hi in zip(offset, offset[1:]):
-            r_c[:hi - lo] += weighted[lo:hi]
+            r_c[:hi - lo] += a[lo:hi, None] * context[lo:hi]
+        del context
         feature = np.concatenate([r_c[np.argsort(ranked)], r_a, hm.data[last]], axis=1)
         logits = feature @ cls_w.data.T + cls_b.data
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -233,25 +238,25 @@ class NfetcModel:
             cls_w._accumulate((feature.T @ d_logits).T)
             cls_b._accumulate(d_logits.sum(axis=0))
             d_feature = d_logits @ cls_w.data
-            d_hm = np.zeros_like(hm.data)
+            d_hm = np.zeros(hm.data.shape)   # float64, whatever hm's dtype
             d_hm[last] = d_feature[:, -d:]
             hm._accumulate(d_hm)
-            # in place where it can be: at most two (R, d_s) arrays at once
+            # in place where it can be: the context gradient and one buffer
             d_ctx = d_feature[seq, :d]   # d r_c, for each context row
             d_alpha = np.zeros_like(alpha)
-            ctx = fw.data + bw.data
-            ctx *= d_ctx
-            d_alpha[seq, step] = ctx.sum(axis=1)
-            del ctx
+            buf = np.add(fw.data, bw.data, dtype=np.float64)   # the context rows
+            buf *= d_ctx
+            d_alpha[seq, step] = buf.sum(axis=1)
             d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
             ds = d_scores[seq, step]
+            th = np.tanh(np.add(fw.data, bw.data, out=buf, dtype=np.float64), out=buf)
             attn_w._accumulate(th.T @ ds)
             d_ctx *= a[:, None]
-            d_th = th * th
-            np.subtract(1.0, d_th, out=d_th)
-            d_th *= ds[:, None]
-            d_th *= attn_w.data
-            d_ctx += d_th
+            th *= th
+            np.subtract(1.0, th, out=th)
+            th *= ds[:, None]
+            th *= attn_w.data
+            d_ctx += th
             fw._accumulate(d_ctx)
             bw._accumulate(d_ctx)
 

@@ -1,8 +1,9 @@
 """Rewrite the meta block or the tensors of a checkpoint file."""
 
 import json
+from pathlib import Path
 
-from nfetc.checkpoint import header, load, save
+from nfetc.checkpoint import MAGIC, header, load, save
 
 
 def rewrite_meta(src, dst, edit):
@@ -32,4 +33,13 @@ def rewrite_params(src, dst, edit):
     trainable = {e["name"]: e["trainable"] for e in meta.pop("params")}
     edit(values)
     save(dst, meta, [(n, trainable.get(n, True), a) for n, a in values.items()])
+    return dst
+
+
+def rewrite_meta_length(src, dst, length: bytes):
+    """Copy checkpoint ``src`` to ``dst`` with ``length`` in place of its
+    meta-length line, the rest byte for byte; returns ``dst``."""
+    raw = Path(src).read_bytes()
+    rest = raw[raw.index(b"\n", len(MAGIC)) + 1:]
+    Path(dst).write_bytes(MAGIC + length + b"\n" + rest)
     return dst

@@ -132,6 +132,25 @@ def test_load_rejects_truncated_meta(tmp_path):
         load(p)
 
 
+@pytest.mark.parametrize("length,message", [
+    (b"-1", "malformed meta length"),
+    (b"99999999999", "truncated meta block"),
+], ids=["negative", "past-the-file"])
+def test_load_rejects_a_meta_length_before_reading(tmp_path, length, message):
+    # checked against the file's size first: a read of -1 bytes would take
+    # the rest of the file, one of 99999999999 a MemoryError
+    p = write_raw(tmp_path / "x.ckpt", MAGIC + length + b"\n{}" + b" " * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError) as err:
+            load(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{p}: {message}"
+    assert peak < 2**16
+
+
 def test_load_rejects_corrupt_json(tmp_path):
     p = write_raw(tmp_path / "x.ckpt", MAGIC + b"5\n{oops")
     with pytest.raises(CheckpointError, match="corrupt meta"):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ckptedit import rewrite_meta, rewrite_params
+from ckptedit import rewrite_meta, rewrite_meta_length, rewrite_params
 from nfetc import cli as cli_module
 from nfetc.checkpoint import header
 from nfetc.cli import main
@@ -586,13 +586,18 @@ def test_export_types_round_trips_weights(trained, tmp_path):
     lambda meta: meta.update(vocab=list(range(len(meta["vocab"])))),
     lambda meta: meta.update(vocab="".join(chr(97 + i) for i in range(len(meta["vocab"])))),
     lambda meta: meta["vocab"].__setitem__(-1, 7),
+    b"-1",
+    b"99999999999",
 ], ids=["extra-hyperparam", "missing-loss-key", "descriptor-without-shape",
         "types-short-of-classifier", "duplicate-descriptor-name",
         "shape-of-728TiB", "shape-of-2**80-floats", "header-sizes-disagree",
         "meta-not-an-object", "hyperparams-not-an-object", "vocab-of-ints",
-        "vocab-a-string", "vocab-with-an-int"])
+        "vocab-a-string", "vocab-with-an-int", "meta-length-negative",
+        "meta-length-past-the-file"])
 def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit):
-    ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
+    # ``edit`` changes the meta, or, as bytes, replaces the meta-length line
+    rewrite = rewrite_meta_length if isinstance(edit, bytes) else rewrite_meta
+    ckpt = rewrite(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
                               "--set", f"input={trained['test']}"])
     assert code == 1

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ckptedit import rewrite_meta, rewrite_params
+from ckptedit import rewrite_meta, rewrite_meta_length, rewrite_params
 from nfetc import checkpoint
 from nfetc import embeddings as embeddings_module
 from nfetc.cli import main
@@ -329,6 +329,10 @@ def meta_edit(edit):
     return lambda cache: rewrite_meta(cache, cache, edit)
 
 
+def meta_length(length: bytes):
+    return lambda cache: rewrite_meta_length(cache, cache, length)
+
+
 def non_finite(cache):
     def poison(values):
         values["word_emb"] = values["word_emb"].copy()
@@ -353,6 +357,8 @@ CORRUPTIONS = {
     "truncated": truncate,
     "garbage": garbage,
     "nested-meta": nested_meta,
+    "negative-meta-length": meta_length(b"-1"),
+    "meta-length-past-the-file": meta_length(b"99999999999"),
     "wrong-digest": meta_edit(lambda m: m.update(source_sha256="0" * 64)),
     "no-digest": meta_edit(lambda m: m.pop("source_sha256")),
     "vocab-not-a-list": meta_edit(lambda m: m.update(vocab="w0")),

@@ -526,18 +526,23 @@ def count_tape_nodes(monkeypatch, model, batch, config):
     return count[0]
 
 
+def ragged_batch(rng, count: int, max_len: int, words=VOCAB, labels=("/a",)) -> list:
+    """``count`` mentions of 1 to ``max_len`` tokens drawn from ``words``,
+    each with a span of 1 to 3 tokens."""
+    batch = []
+    for _ in range(count):
+        n = int(rng.integers(1, max_len + 1))
+        start = int(rng.integers(0, n))
+        end = int(rng.integers(start + 1, min(n, start + 3) + 1))
+        batch.append(triple([words[int(k)] for k in rng.integers(0, len(words), n)],
+                            start, end, labels))
+    return batch
+
+
 def test_tape_size_does_not_grow_with_batch(monkeypatch):
     model = make_model(p_i=0.7, p_o=0.9)
     config = LossConfig(mode="variant")
-    words = VOCAB + ["zzz"]
-    rng = make_rng(6)
-    big = []
-    for _ in range(64):
-        n = int(rng.integers(1, 9))
-        start = int(rng.integers(0, n))
-        end = int(rng.integers(start + 1, min(n, start + 3) + 1))
-        big.append(triple([words[int(k)] for k in rng.integers(0, len(words), n)],
-                          start, end, ("/a", "/c")))
+    big = ragged_batch(make_rng(6), 64, 8, VOCAB + ["zzz"], ("/a", "/c"))
     assert len({(len(m.tokens), m.end - m.start) for m in big}) > 10
     small = count_tape_nodes(monkeypatch, model, big[:4], config)
     assert small == count_tape_nodes(monkeypatch, model, big, config)
@@ -568,6 +573,32 @@ def test_step_memory_scales_with_real_rows():
     assert sum(len(m.tokens) for m in ragged) == sum(len(m.tokens) for m in even)
     peaks = [traced_step_peak(model, batch) for batch in (ragged, even)]
     assert peaks[0] <= 1.15 * peaks[1], [f"{p / 2**20:.3f} MiB" for p in peaks]
+
+
+def bptt_budget(model, batch) -> int:
+    """Bytes a training step's three LSTMs must hold for their backward: per
+    real row, the gates, the state before the step, the cell state, the
+    emitted state and the masked input in the compute dtype, and one byte
+    per entry of the row's two dropout masks."""
+    item = np.dtype(model_module.TRAIN_DTYPE).itemsize
+    d_w, d_s = model.embeddings.dim, model.params["attn_w"].shape[0]
+    d_ctx = d_w + model.params["pos_table"].shape[1]
+    context = sum(len(m.tokens) for m in batch)
+    mention = sum(m.end - m.start + 2 for m in batch)
+    return sum(rows * (item * (7 * d_s + d_in) + d_in + d_s)
+               for rows, d_in in ((context, d_ctx), (context, d_ctx), (mention, d_w)))
+
+
+def test_step_memory_stays_near_what_bptt_must_hold():
+    # 128 mentions of 1-30 tokens (1,957 real rows): the step traces 1.36x
+    # the budget, and 1.72x when each LSTM kept tanh of its cell states and a
+    # float64 copy of its output, and the head kept tanh of the context rows
+    emb = WordEmbeddings(VOCAB, make_rng(1).uniform(-0.4, 0.4, (len(VOCAB), 64)))
+    model = NfetcModel(HyperParams(d_p=8, d_s=32, window=10, p_i=0.7, p_o=0.9), emb,
+                       make_forest(), make_rng(2))
+    batch = ragged_batch(make_rng(4), 128, 30)
+    peak, budget = traced_step_peak(model, batch), bptt_budget(model, batch)
+    assert peak <= 1.55 * budget, f"{peak / budget:.3f}x the budget of {budget / 2**20:.3f} MiB"
 
 
 def test_six_dropout_masks_per_batch(monkeypatch):
