@@ -290,7 +290,7 @@ def cmd_stats(cfg: dict) -> int:
 
 def cmd_export_types(cfg: dict) -> int:
     restored = load_checkpoint(_require_path(cfg, "checkpoint", "export-types"))
-    w = restored.model.params["cls_w"].data
+    w = restored.model.params["cls_w"]
     forest = restored.forest
     lines = []
     for i in range(w.shape[0]):

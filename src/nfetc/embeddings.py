@@ -58,6 +58,8 @@ class WordEmbeddings:
         if matrix.ndim != 2 or matrix.shape[0] != len(words):
             raise EmbeddingError(f"matrix shape {matrix.shape} does not match "
                                  f"{len(words)} words")
+        if 0 in matrix.shape:
+            raise EmbeddingError(f"matrix shape {matrix.shape} holds no word vectors")
         self.words = words
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.matrix.flags.writeable = False
@@ -151,8 +153,7 @@ def _cached(cache, digest) -> WordEmbeddings | None:
     except (OSError, ValueError):
         return None
     vocab, matrix = meta.get("vocab"), tensors.get("word_emb")
-    if (meta.get("source_sha256") != digest or list(tensors) != ["word_emb"]
-            or 0 in matrix.shape):
+    if meta.get("source_sha256") != digest or list(tensors) != ["word_emb"]:
         return None
     try:   # the constructor checks the words, the matrix's shape and that no word repeats
         return WordEmbeddings(vocab, matrix)

@@ -6,11 +6,12 @@ adjustment, and L2 regularization.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor
+from .autodiff import ParamSet
 from .corpus import MentionTriple
 from .hierarchy import TypeForest
 
@@ -67,21 +68,18 @@ def hierarchical_adjust_rows(p_rows: np.ndarray, forest: TypeForest, beta: float
     return q / q.sum(axis=1, keepdims=True)
 
 
-def l2_penalty(params: ParamSet, lam: float) -> Tensor:
-    """lam times the summed squares of every parameter, as one tape node
-    whose backward hands each parameter 2·lam·θ."""
+def l2_penalty(params: ParamSet, lam: float) -> tuple[float, Iterator[tuple[str, np.ndarray]]]:
+    """lam times the summed squares of every parameter, and its gradient
+    2·lam·θ as (name, array) pairs, none when lam is 0. Each array is made
+    as it is read, so a step that reads them after its backward never holds
+    a second copy of every parameter during it."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if lam == 0.0:
-        return Tensor.constant(0.0)
-    tensors = [t for _, t in params.items()]
-    total = sum((t.data * t.data).sum() for t in tensors)
-
-    def backward(g):
-        for t in tensors:
-            t._accumulate(2.0 * lam * g * t.data)
-
-    return Tensor(total * lam, requires_grad=True, parents=tensors, backward=backward)
+        return 0.0, iter(())
+    items = params.items()
+    total = sum((a * a).sum() for _, a in items)
+    return total * lam, ((n, 2.0 * lam * a) for n, a in items)
 
 
 def select_candidate(p_values: np.ndarray, candidates) -> int:
@@ -93,26 +91,26 @@ def select_candidate(p_values: np.ndarray, candidates) -> int:
     return cand[int(np.argmax(p_values[cand]))]
 
 
-def mean_nll(probs: Tensor, triples: list[MentionTriple], config: LossConfig,
-             forest: TypeForest) -> Tensor:
+def mean_nll(probs: np.ndarray, triples: list[MentionTriple], config: LossConfig,
+             forest: TypeForest) -> tuple[float, np.ndarray]:
     """Mean negative log likelihood over (B, K) probability rows, without the
-    L2 term, as one tape node over ``probs``.
+    L2 term, and its gradient with respect to the rows.
 
     With ``hier`` and beta > 0 the rows are adjusted first. Standard mode
     requires a single candidate terminal per mention (filtered data); variant
     mode selects among the candidates each step. Picked probabilities are
     floored at PROB_FLOOR, and a floored entry passes no gradient.
 
-    The backward is derived by hand and repeats, operation for operation, the
+    The gradient is derived by hand and repeats, operation for operation, the
     rounding of the adjustment, pick, floor, log and mean composed as
     separate ops.
     """
     if not triples:
         raise ValueError("empty batch")
-    if probs.data.shape != (len(triples), len(forest)):
-        raise ValueError(f"probability rows {probs.data.shape} do not match "
+    if probs.shape != (len(triples), len(forest)):
+        raise ValueError(f"probability rows {probs.shape} do not match "
                          f"{len(triples)} mentions over {len(forest)} types")
-    p, b, beta = probs.data, len(triples), config.beta
+    p, b, beta = probs, len(triples), config.beta
     adjust = config.hier and beta > 0
     rows = hierarchical_adjust_rows(p, forest, beta) if adjust else p
     selection_source = rows if config.select_on_adjusted else p
@@ -131,19 +129,15 @@ def mean_nll(probs: Tensor, triples: list[MentionTriple], config: LossConfig,
     picked = rows[at]
     floored = np.maximum(picked, PROB_FLOOR)
 
-    def backward(g):
-        grad = np.zeros_like(p)
-        grad[at] = np.where(picked > PROB_FLOOR, -(g / float(b)) / floored, 0.0)
-        if adjust:   # back through q / q.sum(axis=1), then q = p + beta p A^T
-            anc = forest.ancestor_matrix()
-            q = p + (p @ anc.T) * beta
-            s = q.sum(axis=1, keepdims=True)
-            grad = grad / s + (-grad * q / (s * s)).sum(axis=1, keepdims=True)
-            grad = grad + (grad * beta) @ anc
-        probs._accumulate(grad)
-
-    return Tensor((-np.log(floored)).sum() / float(b), requires_grad=probs.requires_grad,
-                  parents=(probs,), backward=backward)
+    grad = np.zeros_like(p)
+    grad[at] = np.where(picked > PROB_FLOOR, -(1.0 / float(b)) / floored, 0.0)
+    if adjust:   # back through q / q.sum(axis=1), then q = p + beta p A^T
+        anc = forest.ancestor_matrix()
+        q = p + (p @ anc.T) * beta
+        s = q.sum(axis=1, keepdims=True)
+        grad = grad / s + (-grad * q / (s * s)).sum(axis=1, keepdims=True)
+        grad = grad + (grad * beta) @ anc
+    return (-np.log(floored)).sum() / float(b), grad
 
 
 def inference_adjust(probs: np.ndarray, forest: TypeForest, config: LossConfig) -> np.ndarray:

@@ -4,11 +4,13 @@ type classifier.
 
 ``forward_bucket`` runs a whole batch as one packed pass: only real tokens
 become rows, time-major and, within a step, longest first, and nothing is
-padded. Each LSTM is one ``lstm_sequence`` tape node over those rows,
-dropout masks included. One head node runs attention over each mention's
-rows and the classifier, and returns its rows in input order. A batch gives
-the rows its mentions give one at a time.
-``predict_probs`` runs the same pass without a tape over length-sorted
+padded. Each LSTM is one ``lstm_sequence`` call over those rows, dropout
+masks included. The head runs attention over each mention's rows and the
+classifier, and returns its rows in input order. A batch gives the rows its
+mentions give one at a time. In training, each of these pieces returns its
+hand-derived backward, and ``forward_bucket`` chains them into one closure
+that returns every parameter's gradient.
+``predict_probs`` runs the same pass without a backward over length-sorted
 chunks of ``PREDICT_CHUNK`` mentions. Training runs the three LSTMs in
 float32 (``TRAIN_DTYPE``) and everything else, inference included, in float64.
 
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import ParamSet, Tensor, lstm_sequence, no_grad
+from .autodiff import ParamSet, lstm_sequence
 from .corpus import MentionTriple
 from .embeddings import WordEmbeddings, position_rows
 from .hierarchy import TypeForest
@@ -109,6 +111,14 @@ def _packed(lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ranked[k], step, np.bincount(step)
 
 
+def _row_sums(index, g: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, d) sums of the rows of ``g`` by their ``index``: each cell sums
+    its terms in index order from 0.0, as np.add.at does."""
+    cols = g.shape[1]
+    cells = (index[:, None] * cols + np.arange(cols)).ravel()
+    return np.bincount(cells, weights=g.ravel(), minlength=rows * cols).reshape(rows, cols)
+
+
 class NfetcModel:
     """Parameters plus the forward pass over windowed mention triples."""
 
@@ -145,8 +155,9 @@ class NfetcModel:
     # -- encoders -------------------------------------------------------------
 
     def _encode(self, prefix: str, blocks: list, n_at, reverse: bool,
-                keep_in: float, keep_out: float, train: bool, rng) -> Tensor:
-        """One LSTM over a packed batch of column blocks. Input/output
+                keep_in: float, keep_out: float, train: bool, rng, record=()):
+        """One LSTM over a packed batch of column blocks, and its backward
+        when training, with dx for the blocks ``record`` lists. Input/output
         dropout follows the usual cell-wrapper contract: inputs and emitted
         outputs are masked, the recurrent state is not. The op applies the
         masks, drawn input first over the real tokens only (sum(n_at) rows)."""
@@ -157,31 +168,38 @@ class NfetcModel:
                  for width, keep in zip(widths, (keep_in, keep_out))]
         return lstm_sequence(blocks, p[f"{prefix}.w_in"], p[f"{prefix}.w_rec"],
                              p[f"{prefix}.bias"], n_at, reverse, *masks,
-                             dtype=TRAIN_DTYPE if train else np.float64)
+                             dtype=TRAIN_DTYPE if train else np.float64,
+                             record=record if train else None)
 
     # -- full forward -----------------------------------------------------------
 
     def forward_bucket(self, batch: list[MentionTriple], train: bool = False,
                        rng: np.random.Generator | None = None):
         """Probability rows (B, K) from one packed pass over the whole batch,
-        as one tape tensor, plus numpy ``aux``: the attention weights
-        ``alpha`` (B, T), zero past each context's end, and the classifier's
-        ``feature`` rows [r_c, r_a, r_l], both in input order. Dropout masks
-        are drawn from ``rng`` in a fixed order: forward, backward and
-        mention LSTM, input then output."""
+        numpy ``aux``: the attention weights ``alpha`` (B, T), zero past each
+        context's end, and the classifier's ``feature`` rows [r_c, r_a, r_l],
+        both in input order, and the backward: None unless ``train``.
+        ``backward(d_probs)`` maps the gradient of the probability rows to
+        the float64 gradient of every parameter, in ``param_shapes`` order;
+        it releases each piece's saved arrays as it goes, so it runs once.
+        Dropout masks are drawn from ``rng`` in a fixed order: forward,
+        backward and mention LSTM, input then output."""
         hp = self.hp
         if train and (hp.p_i < 1.0 or hp.p_o < 1.0) and rng is None:
             raise ValueError("training forward with dropout needs an RNG")
         ctx_len, start, end, words, ext = self._indices(batch)
         dtype = TRAIN_DTYPE if train else np.float64
-        window = (self.params["pos_table"].shape[0] - 2) // 2
+        pos_table = self.params["pos_table"]
+        window = (pos_table.shape[0] - 2) // 2
 
         # context BiLSTM over the real tokens: frozen words, trained positions
         seq, step, n_at = _packed(ctx_len)
-        x = [self.embeddings.vectors(words[seq, step]).astype(dtype, copy=False),
-             self.params["pos_table"].take_rows(position_rows(window, step, start[seq], end[seq]))]
-        fw = self._encode("ctx_fw", x, n_at, False, hp.p_i, hp.p_o, train, rng)
-        bw = self._encode("ctx_bw", x, n_at, True, hp.p_i, hp.p_o, train, rng)
+        pos = position_rows(window, step, start[seq], end[seq])
+        x = [self.embeddings.vectors(words[seq, step]).astype(dtype, copy=False), pos_table[pos]]
+        fw, fw_back = self._encode("ctx_fw", x, n_at, False, hp.p_i, hp.p_o, train, rng,
+                                   record=(1,))   # dx for the position block
+        bw, bw_back = self._encode("ctx_bw", x, n_at, True, hp.p_i, hp.p_o, train, rng,
+                                   record=(1,))   # dx for the position block
         del x   # each LSTM holds its own masked copy of the inputs
 
         # mention encoders: the span average, and an LSTM over the extended mention
@@ -194,33 +212,57 @@ class NfetcModel:
         keep_in = hp.p_i if hp.dropout_mention else 1.0
         keep_out = hp.p_o if hp.dropout_mention else 1.0
         xm = self.embeddings.vectors(ext[m_seq, m_step]).astype(dtype, copy=False)
-        hm = self._encode("men", [xm], m_at, False, keep_in, keep_out, train, rng)
+        hm, men_back = self._encode("men", [xm], m_at, False, keep_in, keep_out, train, rng)
         del xm
         last = np.empty(len(batch), dtype=np.intp)   # row of each mention's final state
         ends = np.flatnonzero(m_step == ext_len[m_seq] - 1)
         last[m_seq[ends]] = ends
-        return self._head(fw, bw, r_a, hm, last, seq, step, n_at)
+        probs, aux, head_back = self._head(fw, bw, r_a, hm[last], seq, step, n_at)
+        if not train:
+            return probs, aux, None
+        d_hm_shape = hm.shape   # the head read one row of hm per mention; hm goes free
+        chain = [men_back, bw_back, fw_back, head_back]
+        n_pos = pos_table.shape[0]
 
-    def _head(self, fw: Tensor, bw: Tensor, r_a: np.ndarray, hm: Tensor, last,
+        def backward(d_probs):
+            d_ctx, d_last, *head = chain.pop()(d_probs)
+            d_pos, *fw_grads = chain.pop()(d_ctx)
+            d_pos_bw, *bw_grads = chain.pop()(d_ctx)
+            del d_ctx
+            d_pos += d_pos_bw   # two terms: the sum does not depend on their order
+            del d_pos_bw
+            grads = {"pos_table": _row_sums(pos, d_pos, n_pos)}
+            del d_pos
+            d_hm = np.zeros(d_hm_shape)
+            d_hm[last] = d_last
+            for prefix, g in (("ctx_fw", fw_grads), ("ctx_bw", bw_grads),
+                              ("men", chain.pop()(d_hm))):
+                grads |= dict(zip((f"{prefix}.w_in", f"{prefix}.w_rec", f"{prefix}.bias"), g))
+            return grads | dict(zip(("attn_w", "cls_w", "cls_b"), head))
+
+        return probs, aux, backward
+
+    def _head(self, fw: np.ndarray, bw: np.ndarray, r_a: np.ndarray, r_l: np.ndarray,
               seq, step, n_at):
         """Attention over the packed context rows ``fw + bw`` and the softmax
-        classifier over [r_c, r_a, r_l], as one tape node; see forward_bucket.
+        classifier over [r_c, r_a, r_l]; see forward_bucket.
 
         Context row i belongs to mention ``seq[i]`` at ``step[i]``. Its score
         is tanh(row)·attn_w, alpha is each mention's softmax over its rows,
-        and r_c their alpha-weighted sum. r_l is row ``last[b]`` of the
-        mention-LSTM states ``hm``. The head computes in float64, whatever
-        dtype the LSTMs emit, and the node keeps no (R, d_s) array: the
-        backward recomputes the context rows and their tanh from fw and bw,
-        with at most two (R, d_s) arrays at once, and hands fw and bw the one
-        context gradient."""
+        and r_c their alpha-weighted sum. ``r_l`` holds each mention's final
+        mention-LSTM state. The head computes in float64, whatever dtype the
+        LSTMs emit. Returns the probability rows, ``aux`` and the backward,
+        which maps their gradient to those of the context rows (both LSTMs
+        take the one array), of r_l, attn_w, cls_w and cls_b. It keeps no
+        (R, d_s) array of its own: it recomputes the context rows and their
+        tanh from fw and bw, with at most two (R, d_s) arrays at once."""
         attn_w, cls_w, cls_b = self.params["attn_w"], self.params["cls_w"], self.params["cls_b"]
         b, d = n_at[0], attn_w.shape[0]
         offset = np.concatenate([[0], np.cumsum(n_at)])
         ranked = seq[:b]   # step 0 holds every mention, longest first
-        context = np.add(fw.data, bw.data, dtype=np.float64)   # exact for float32 rows
+        context = np.add(fw, bw, dtype=np.float64)   # exact for float32 rows
         scores = np.full((b, n_at.size), -np.inf)   # input order, -inf past each end
-        scores[seq, step] = np.tanh(context) @ attn_w.data
+        scores[seq, step] = np.tanh(context) @ attn_w
         alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
         alpha /= alpha.sum(axis=1, keepdims=True)
         a = alpha[seq, step]   # each context row's weight
@@ -228,48 +270,40 @@ class NfetcModel:
         for lo, hi in zip(offset, offset[1:]):
             r_c[:hi - lo] += a[lo:hi, None] * context[lo:hi]
         del context
-        feature = np.concatenate([r_c[np.argsort(ranked)], r_a, hm.data[last]], axis=1)
-        logits = feature @ cls_w.data.T + cls_b.data
+        feature = np.concatenate([r_c[np.argsort(ranked)], r_a, r_l], axis=1)
+        logits = feature @ cls_w.T + cls_b
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
 
         def backward(g):
             d_logits = probs * (g - (g * probs).sum(axis=1, keepdims=True))
-            cls_w._accumulate((feature.T @ d_logits).T)
-            cls_b._accumulate(d_logits.sum(axis=0))
-            d_feature = d_logits @ cls_w.data
-            d_hm = np.zeros(hm.data.shape)   # float64, whatever hm's dtype
-            d_hm[last] = d_feature[:, -d:]
-            hm._accumulate(d_hm)
+            d_feature = d_logits @ cls_w
             # in place where it can be: the context gradient and one buffer
             d_ctx = d_feature[seq, :d]   # d r_c, for each context row
             d_alpha = np.zeros_like(alpha)
-            buf = np.add(fw.data, bw.data, dtype=np.float64)   # the context rows
+            buf = np.add(fw, bw, dtype=np.float64)   # the context rows
             buf *= d_ctx
             d_alpha[seq, step] = buf.sum(axis=1)
             d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
             ds = d_scores[seq, step]
-            th = np.tanh(np.add(fw.data, bw.data, out=buf, dtype=np.float64), out=buf)
-            attn_w._accumulate(th.T @ ds)
+            th = np.tanh(np.add(fw, bw, out=buf, dtype=np.float64), out=buf)
+            d_attn_w = th.T @ ds
             d_ctx *= a[:, None]
             th *= th
             np.subtract(1.0, th, out=th)
             th *= ds[:, None]
-            th *= attn_w.data
+            th *= attn_w
             d_ctx += th
-            fw._accumulate(d_ctx)
-            bw._accumulate(d_ctx)
+            return (d_ctx, d_feature[:, -d:], d_attn_w, (feature.T @ d_logits).T,
+                    d_logits.sum(axis=0))
 
-        out = Tensor(probs, requires_grad=True, parents=(fw, bw, hm, attn_w, cls_w, cls_b),
-                     backward=backward)
-        return out, {"alpha": alpha, "feature": feature}
+        return probs, {"alpha": alpha, "feature": feature}, backward
 
     def predict_probs(self, triples: list[MentionTriple]) -> np.ndarray:
-        """(N, K) inference-mode probabilities, original order, no tape."""
+        """(N, K) inference-mode probabilities, original order, no backward."""
         order = np.argsort([-len(t.tokens) for t in triples], kind="stable")
         out = np.empty((len(triples), self.params["cls_b"].shape[0]))
-        with no_grad():
-            for lo in range(0, len(triples), PREDICT_CHUNK):
-                chunk = order[lo:lo + PREDICT_CHUNK]
-                out[chunk] = self.forward_bucket([triples[i] for i in chunk])[0].data
+        for lo in range(0, len(triples), PREDICT_CHUNK):
+            chunk = order[lo:lo + PREDICT_CHUNK]
+            out[chunk] = self.forward_bucket([triples[i] for i in chunk])[0]
         return out

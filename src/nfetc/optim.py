@@ -25,8 +25,8 @@ class AdamState:
 
     def __init__(self, params: ParamSet):
         self.step = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
+        self.m = {n: np.zeros_like(a) for n, a in params.items()}
+        self.v = {n: np.zeros_like(a) for n, a in params.items()}
 
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
@@ -39,11 +39,11 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
     t = state.step
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    for name, tensor in params.items():
+    for name, value in params.items():
         g = grads[name]
-        if g.shape != tensor.data.shape:
+        if g.shape != value.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter "
-                             f"{name} of shape {tensor.data.shape}")
+                             f"{name} of shape {value.shape}")
         m = state.m[name]
         v = state.v[name]
         m *= BETA1
@@ -52,7 +52,7 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
         v += (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        value -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def dropout_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:

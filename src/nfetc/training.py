@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .autodiff import ParamSet, gradients
+from .autodiff import ParamSet
 from .corpus import Corpus, build_filtered, windowed
 from .embeddings import WordEmbeddings
 from .evaluation import Metrics, evaluate
@@ -146,16 +146,17 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
         loss_total = 0.0
         for lo in range(0, n, hp.batch):
             where = f"at epoch {epoch}, batch starting at mention {lo} (lr={hp.lr}, seed={hp.seed})"
-            for name, t in model.params.items():
-                if not np.abs(t.data).max() <= limit:
+            for name, value in model.params.items():
+                if not np.abs(value).max() <= limit:
                     raise TrainingDiverged(f"{name} outside the {limit.dtype} range {where}")
             chunk = [train_w[i] for i in order[lo:lo + hp.batch]]
-            probs = model.forward_bucket(chunk, train=True, rng=rng)[0]
-            losses = [mean_nll(probs, chunk, config, forest), l2_penalty(model.params, config.lam)]
-            value = float(losses[0].data + losses[1].data)
+            probs, _, backward = model.forward_bucket(chunk, train=True, rng=rng)
+            nll, d_probs = mean_nll(probs, chunk, config, forest)
+            l2, d_l2 = l2_penalty(model.params, config.lam)
+            value = float(nll + l2)
             if not np.isfinite(value):
                 raise TrainingDiverged(f"non-finite loss {where}")
-            grads = gradients(losses, model.params)
+            grads = gradients(backward, d_probs, d_l2)
             for name, grad in grads.items():
                 if not np.all(np.isfinite(grad)):
                     raise TrainingDiverged(f"non-finite gradient for {name} {where}")
@@ -184,6 +185,16 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
     if eval_corpus is not None:
         result.final = evaluate(model, windowed(eval_corpus, hp.window), forest, config)
     return result
+
+
+def gradients(backward, d_probs: np.ndarray, d_l2) -> dict[str, np.ndarray]:
+    """Every parameter's gradient of a batch's loss: the network's, from the
+    training forward's ``backward`` at the objective's gradient ``d_probs``,
+    plus the L2 term's (name, gradient) pairs ``d_l2``, read after it."""
+    grads = backward(d_probs)
+    for name, grad in d_l2:
+        grads[name] += grad
+    return grads
 
 
 @dataclass
@@ -248,7 +259,7 @@ def save_checkpoint(path: str, hp: HyperParams, config: LossConfig,
         "vocab": embeddings.words,
     }
     checkpoint.save(path, meta, [("word_emb", False, embeddings.matrix)]
-                    + [(name, True, t.data) for name, t in params.items()])
+                    + [(name, True, value) for name, value in params.items()])
 
 
 @dataclass
@@ -259,14 +270,23 @@ class Restored:
     forest: TypeForest
 
 
+# the JSON value types each annotated field type takes: an int is a float,
+# but a bool is neither
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
 def _settings(cls, meta: dict, key: str):
-    """``cls`` built from ``meta[key]``, which must give each field exactly."""
+    """``cls`` built from ``meta[key]``, which must give each field exactly,
+    each as a value of the field's type."""
     given = meta[key]
     if not isinstance(given, dict):
         raise checkpoint.CheckpointError(f"{key}: expected an object")
-    fields = [f.name for f in dataclasses.fields(cls)]
-    problems = [f"unknown key {k!r}" for k in sorted(set(given) - set(fields))]
-    problems += [f"missing key {k!r}" for k in fields if k not in given]
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    problems = [f"unknown key {k!r}" for k in sorted(set(given) - set(names))]
+    problems += [f"missing key {k!r}" for k in names if k not in given]
+    problems = problems or [f"{f.name} must be {f.type}, got {given[f.name]!r}" for f in fields
+                            if type(given[f.name]) not in _JSON_TYPES[f.type]]
     if problems:
         raise checkpoint.CheckpointError(f"{key}: {', '.join(problems)}")
     return cls(**given)

@@ -4,26 +4,89 @@ reference tape ops, the per-step tape LSTM and the one-mention tape network.
 The set oracles deliberately avoid the package's own algebra: ancestors are
 computed by string-prefix enumeration, terminal sets by pairwise prefix
 tests, and metrics by direct set arithmetic, so they can arbitrate the real
-code. The LSTM oracle composes only the basic tape ops, each gradchecked on
-its own, so it can arbitrate the fused ``lstm_sequence`` op; the network
-oracle composes the same ops and that LSTM, one mention at a time, so it can
-arbitrate the batched ``forward_bucket``. The reference embedding loader
+code. The reference tape is a generic reverse-mode ``Tensor``; the LSTM
+oracle composes only its basic ops, each gradchecked on its own, so it can
+arbitrate the fused ``lstm_sequence`` op; the network oracle composes the
+same ops and that LSTM, one mention at a time, so it can arbitrate the
+batched ``forward_bucket`` and its backward. The reference embedding loader
 parses each value with Python's ``float``, one line at a time, so it can
 arbitrate the chunked ``np.loadtxt`` parse of ``WordEmbeddings.from_file``.
 """
 
 import numpy as np
 
-from nfetc.autodiff import Tensor
 from nfetc.embeddings import EmbeddingError, WordEmbeddings
 from nfetc.textfile import numbered_lines
 
 
 # -- the reference tape ----------------------------------------------------------
-# The generic ops that the fused nodes of nfetc (lstm_sequence, the model's
-# head, mean_nll, l2_penalty) replaced. Importing this module adds them to
-# Tensor, as methods and operators, so the tests compose scalar losses and
-# the reference networks below from them; test_autodiff gradchecks each.
+# A float64 array plus the bookkeeping of a reverse-mode tape, and the
+# generic ops that the fused pieces of nfetc (lstm_sequence, the model's
+# head, mean_nll, l2_penalty) replaced, as methods and operators, so the
+# tests compose scalar losses and the reference networks below from them;
+# test_autodiff gradchecks each.
+
+
+class Tensor:
+    """An array and, when ``requires_grad``, its gradient ``.grad`` after a
+    ``backward()`` from a scalar that depends on it. Constants built from
+    data keep ``requires_grad`` False, so no gradient is taken for them."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, data, requires_grad=False, parents=()):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = None
+        self.requires_grad = requires_grad
+        self._parents = tuple(parents)
+        self._backward = None
+
+    @staticmethod
+    def constant(data) -> "Tensor":
+        return Tensor(data)
+
+    @staticmethod
+    def parameter(data) -> "Tensor":
+        return Tensor(data, requires_grad=True)
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    def backward(self) -> None:
+        """Run every recorded closure from this scalar, in reverse
+        topological order, so each node's gradient is complete before it
+        passes it on."""
+        topo, visited, stack = [], set(), [(self, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                topo.append(node)
+            elif id(node) not in visited and node.requires_grad:
+                visited.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents)
+        self.grad = np.ones(())
+        for node in reversed(topo):
+            if node._backward is not None:
+                node._backward(node.grad)
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        grad = np.asarray(grad, dtype=np.float64)
+        self.grad = grad if self.grad is None else self.grad + grad
+
+    def take_rows(self, indices) -> "Tensor":
+        """Gather rows by integer index; backward scatter-adds (shared rows sum)."""
+        idx = np.asarray(indices, dtype=np.intp)
+        out = Tensor(self.data[idx], requires_grad=self.requires_grad, parents=(self,))
+        if out.requires_grad:
+            def backward(g):
+                full = np.zeros_like(self.data)
+                np.add.at(full, idx, g)
+                self._accumulate(full)
+            out._backward = backward
+        return out
+
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -251,14 +314,20 @@ def tape_lstm(xs, w_in, w_rec, bias, reverse=False):
     return outputs
 
 
-def tape_forward(model, m):
-    """The network for one mention ``m`` with ``model``'s weights, recorded
-    node by node on the tape without dropout; returns its (1, K)
-    probabilities. It reads the words and position rows itself: a distance
+def tape_params(params) -> dict:
+    """A trainable Tensor over each array of a ParamSet, by name, sharing
+    its memory."""
+    return {name: Tensor.parameter(value) for name, value in params.items()}
+
+
+def tape_forward(model, m, p):
+    """The network for one mention ``m`` with the weights ``p`` (Tensors by
+    name, as ``tape_params`` gives them), recorded node by node on the tape
+    without dropout; returns its (1, K) probabilities. It reads the words and position rows itself: a distance
     of d tokens from the span takes row d + c inside the window and the
     shared row 2c + 1 beyond it, and the extended mention's steps outside
     the sentence take the zero vector."""
-    p, emb = model.params, model.embeddings
+    emb = model.embeddings
     c = (p["pos_table"].shape[0] - 2) // 2
     rows = {w: i for i, w in enumerate(emb.words)}
 

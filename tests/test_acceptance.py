@@ -21,16 +21,16 @@ from oracles import (brute_expand, brute_pair_metrics, brute_terminal_set,
 from synthworld import (DEV_NOISE_SEED, extra_candidates, generic_world,
                         overly_specific)
 
-from nfetc.autodiff import Tensor, gradients
 from nfetc.cli import main
 from nfetc.corpus import MentionTriple, parse_corpus, stats
 from nfetc.embeddings import WordEmbeddings
 from nfetc.evaluation import EvalPair, score_pairs
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig, hierarchical_adjust_rows, l2_penalty, mean_nll
+from nfetc import model as model_module
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
-from nfetc.training import (HyperParams, params_from_values, select_variant,
+from nfetc.training import (HyperParams, gradients, params_from_values, select_variant,
                             train, training_corpus)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,7 +63,9 @@ def _run_cli(argv):
 # -- 1: gradient correctness ------------------------------------------------------
 
 
-def test_1_gradient_correctness():
+def test_1_gradient_correctness(monkeypatch):
+    # a training forward at keep 1, with the LSTMs in float64
+    monkeypatch.setattr(model_module, "TRAIN_DTYPE", np.float64)
     t0 = time.time()
     forest = TypeForest(["/a", "/a/b", "/c", "/c/d"])
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
@@ -83,19 +85,19 @@ def test_1_gradient_correctness():
     _, loss_cfg = select_variant("NFETC-hier(r)", lam=0.01, beta=0.3)
 
     def objective():
-        probs = model.forward_bucket(batch)[0]
-        return mean_nll(probs, batch, loss_cfg, forest) + l2_penalty(model.params, loss_cfg.lam)
+        probs, _, backward = model.forward_bucket(batch, train=True)
+        nll, d_probs = mean_nll(probs, batch, loss_cfg, forest)
+        l2, d_l2 = l2_penalty(model.params, loss_cfg.lam)
+        return float(nll + l2), gradients(backward, d_probs, d_l2)
 
-    analytic = gradients([objective()], model.params)
+    analytic = objective()[1]
 
     def value():
-        return float(objective().data)
+        return objective()[0]
 
     worst, worst_name = 0.0, ""
-    for name, tensor in model.params.items():
-        if not tensor.requires_grad:
-            continue
-        numeric = fd_gradient(value, model.params[name].data, step=1e-5)
+    for name, values in model.params.items():
+        numeric = fd_gradient(value, values, step=1e-5)
         err = max_rel_error(analytic[name], numeric)
         if err > worst:
             worst, worst_name = err, name
@@ -115,15 +117,15 @@ def test_2_loss_identities():
     singleton_gap = 0.0
     for _ in range(200):
         k = int(rng.integers(2, 9))
-        p = Tensor.constant([rng.dirichlet(np.ones(k))])
+        p = np.array([rng.dirichlet(np.ones(k))])
         gold = int(rng.integers(k))
         lam = float(rng.choice([0.0, 0.05]))
         # a flat forest of at most 9 types indexes /t<i> at i
         forest = TypeForest([f"/t{i}" for i in range(k)])
         one = [MentionTriple(("x",), 0, 1, (f"/t{gold}",), frozenset({f"/t{gold}"}))]
-        a = mean_nll(p, one, LossConfig(mode="variant"), forest) + l2_penalty(params, lam)
-        b = mean_nll(p, one, LossConfig(mode="standard"), forest) + l2_penalty(params, lam)
-        singleton_gap = max(singleton_gap, abs(float(a.data) - float(b.data)))
+        a = mean_nll(p, one, LossConfig(mode="variant"), forest)[0] + l2_penalty(params, lam)[0]
+        b = mean_nll(p, one, LossConfig(mode="standard"), forest)[0] + l2_penalty(params, lam)[0]
+        singleton_gap = max(singleton_gap, abs(float(a) - float(b)))
 
     beta_zero_gap = 0.0
     for _ in range(200):

@@ -346,7 +346,7 @@ def test_saving_over_a_mapped_checkpoint_keeps_the_old_model(tmp_path):
     first = load_checkpoint(path)
     batch = some_triples(forest)
     before = first.model.predict_probs(batch)
-    changed = params_from_values({n: t.data + 0.25 for n, t in model.params.items()})
+    changed = params_from_values({n: a + 0.25 for n, a in model.params.items()})
     # ``save`` renames a new file into place, so the old file stays mapped
     save_checkpoint(path, small_hp(), LossConfig(), forest, first.model.embeddings, changed)
     assert np.array_equal(first.model.predict_probs(batch), before)
@@ -354,8 +354,8 @@ def test_saving_over_a_mapped_checkpoint_keeps_the_old_model(tmp_path):
     second = load_checkpoint(path)
     assert isinstance(file_owner(second.model.embeddings.matrix), mmap.mmap)
     assert np.array_equal(second.model.embeddings.matrix, embeddings.matrix)
-    for name, t in second.model.params.items():
-        assert np.array_equal(t.data, changed[name].data), name
+    for name, a in second.model.params.items():
+        assert np.array_equal(a, changed[name]), name
     assert not np.allclose(second.model.predict_probs(batch), before)
 
 
@@ -410,7 +410,7 @@ def test_model_checkpoint_round_trip(tmp_path, monkeypatch):
     assert meta["params"][0] == {"name": "word_emb", "trainable": False,
                                  "shape": list(embeddings.matrix.shape)}
     assert [n for n, _ in restored.model.params.items()] == [n for n, _ in model.params.items()]
-    assert all(restored.model.params[n].data is tensors[n] for n, _ in model.params.items())
+    assert all(restored.model.params[n] is tensors[n] for n, _ in model.params.items())
 
     batch = some_triples(forest)
     assert np.array_equal(restored.model.predict_probs(batch),
@@ -421,7 +421,7 @@ def test_model_checkpoint_meta_keys_required(tmp_path):
     embeddings, forest, model = small_world()
     path = tmp_path / "bad.ckpt"
     save(path, {"hyperparams": {}, "loss_config": {}, "types": forest.types()},
-         [(n, True, t.data) for n, t in model.params.items()])
+         [(n, True, a) for n, a in model.params.items()])
     with pytest.raises(CheckpointError, match="lacks 'vocab'"):
         load_checkpoint(path)
 
@@ -441,8 +441,7 @@ def test_params_from_values_round_trip():
     params = model.params
     rebuilt = params_from_values(params.copy_values())
     assert [n for n, _ in rebuilt.items()] == [n for n, _ in params.items()]
-    assert all(t.requires_grad for _, t in rebuilt.items())
-    assert all(np.array_equal(rebuilt[n].data, t.data) for n, t in params.items())
+    assert all(np.array_equal(rebuilt[n], a) for n, a in params.items())
     # a word matrix among the values is left to the embeddings
     values = {"word_emb": np.ones((2, 2)), **params.copy_values()}
     assert [n for n, _ in params_from_values(values).items()] == [n for n, _ in params.items()]
@@ -602,7 +601,7 @@ def test_version_1_checkpoint_restores_its_values():
     assert restored.model.embeddings.matrix.flags.owndata
     assert [n for n, _ in restored.model.params.items()] == list(values)[1:]
     for name, t in restored.model.params.items():
-        assert np.array_equal(t.data, values[name]), name
+        assert np.array_equal(t, values[name]), name
 
 
 def test_padded_checkpoint_restores_the_same_tensors():
@@ -616,4 +615,4 @@ def test_padded_checkpoint_restores_the_same_tensors():
     assert [n for n, _ in restored.model.params.items()] == [
         n for n, _ in unpadded.model.params.items()]
     for name, t in restored.model.params.items():
-        assert t.data.tobytes() == unpadded.model.params[name].data.tobytes(), name
+        assert t.tobytes() == unpadded.model.params[name].tobytes(), name

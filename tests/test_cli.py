@@ -86,7 +86,7 @@ def assert_checkpoint_holds(path, values):
     restored = dict(load_checkpoint(path).model.params.items())
     assert list(restored) == list(values)
     for name, arr in values.items():
-        assert np.array_equal(restored[name].data, arr), name
+        assert np.array_equal(restored[name], arr), name
 
 
 @pytest.fixture(scope="module")
@@ -561,7 +561,7 @@ def test_export_types_round_trips_weights(trained, tmp_path):
                           "--set", f"output={out_file}"])
     assert code == 0
     restored = load_checkpoint(trained["checkpoint"])
-    w = restored.model.params["cls_w"].data
+    w = restored.model.params["cls_w"]
     lines = out_file.read_text().splitlines()
     assert len(lines) == 3
     for i, line in enumerate(lines):
@@ -588,21 +588,51 @@ def test_export_types_round_trips_weights(trained, tmp_path):
     lambda meta: meta["vocab"].__setitem__(-1, 7),
     b"-1",
     b"99999999999",
+    lambda meta: meta["hyperparams"].update(window=float(meta["hyperparams"]["window"])),
+    lambda meta: meta["loss_config"].update(hier=1),
+    lambda meta: meta["loss_config"].update(hier="false"),
+    lambda meta: meta["loss_config"].update(lam=True),
+    lambda meta: meta["loss_config"].update(mode=0),
+    (lambda meta: meta.update(vocab=[]),
+     lambda values: values.update(word_emb=values["word_emb"][:0])),
 ], ids=["extra-hyperparam", "missing-loss-key", "descriptor-without-shape",
         "types-short-of-classifier", "duplicate-descriptor-name",
         "shape-of-728TiB", "shape-of-2**80-floats", "header-sizes-disagree",
         "meta-not-an-object", "hyperparams-not-an-object", "vocab-of-ints",
         "vocab-a-string", "vocab-with-an-int", "meta-length-negative",
-        "meta-length-past-the-file"])
+        "meta-length-past-the-file", "window-a-float", "hier-an-int", "hier-a-string",
+        "lam-a-bool", "mode-an-int", "no-words"])
 def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit):
-    # ``edit`` changes the meta, or, as bytes, replaces the meta-length line
+    # ``edit`` changes the meta, or, as bytes, replaces the meta-length line;
+    # a pair edits the tensors, then the meta
+    src = trained["checkpoint"]
+    if isinstance(edit, tuple):
+        src = rewrite_params(src, tmp_path / "bad.ckpt", edit[1])
+        edit = edit[0]
     rewrite = rewrite_meta_length if isinstance(edit, bytes) else rewrite_meta
-    ckpt = rewrite(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
+    ckpt = rewrite(src, tmp_path / "bad.ckpt", edit)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
                               "--set", f"input={trained['test']}"])
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda meta: meta["hyperparams"].update(window=float(meta["hyperparams"]["window"])),
+     r"hyperparams: window must be int, got \d+\.0$"),
+    (lambda meta: meta["loss_config"].update(hier="false"),
+     r"loss_config: hier must be bool, got 'false'$"),
+], ids=["window-a-float", "hier-a-string"])
+def test_eval_mistyped_setting_is_one_error_line(trained, tmp_path, edit, message):
+    # each stored setting must be a JSON value of its field's type
+    ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
+    code, out, err = run_cli(["eval", "--set", f"checkpoint={ckpt}",
+                              "--set", f"test={trained['test']}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+    assert re.search(message, err.rstrip("\n"))
 
 
 @pytest.mark.parametrize("body", [

@@ -371,6 +371,7 @@ CORRUPTIONS = {
                              lambda m: np.ones(3)),
     "empty": saved(lambda m: m.update(vocab=[]), lambda m: np.zeros((0, 3))),
     "zero-width": saved(matrix=lambda m: np.zeros((len(m["vocab"]), 0))),
+    "no-words-of-no-width": saved(lambda m: m.update(vocab=[]), lambda m: np.zeros((0, 0))),
     "second-tensor": lambda cache: rewrite_params(
         cache, cache, lambda values: values.update(extra=np.ones(2))),
 }

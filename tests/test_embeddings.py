@@ -91,7 +91,7 @@ def position_table(c, dim, seed):
     emb = WordEmbeddings(["cat"], np.ones((1, 2)))
     model = NfetcModel(HyperParams(d_p=dim, d_s=2, window=c), emb,
                        TypeForest(["/a"]), make_rng(seed))
-    return model.params["pos_table"].data
+    return model.params["pos_table"]
 
 
 def test_position_table_size_and_init_range():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import STEP, TOLERANCE, fd_gradient, max_rel_error
-from nfetc.autodiff import ParamSet, Tensor, gradients, no_grad
+from nfetc.autodiff import ParamSet
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
@@ -14,7 +14,7 @@ from nfetc.loss import (LossConfig, PROB_FLOOR, hierarchical_adjust_rows,
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import HyperParams, select_variant
-from oracles import brute_ancestors, random_forest_paths, softmax_rows
+from oracles import Tensor, brute_ancestors, random_forest_paths, softmax_rows
 
 
 def brute_adjust(paths, p, beta):
@@ -40,9 +40,9 @@ def flat_forest(k):
 
 def one_row_loss(p, labels, forest, mode="standard", params=None, lam=0.0):
     """The batched objective on a batch of one: mean NLL plus the L2 term."""
-    nll = mean_nll(Tensor.constant([p]), [mention(labels, forest)],
-                   LossConfig(mode=mode), forest)
-    return nll + l2_penalty(params if params is not None else ParamSet(), lam)
+    nll, _ = mean_nll(np.array([p], dtype=np.float64), [mention(labels, forest)],
+                      LossConfig(mode=mode), forest)
+    return nll + l2_penalty(params if params is not None else ParamSet(), lam)[0]
 
 
 # -- hierarchical adjustment ----------------------------------------------------
@@ -123,29 +123,38 @@ def make_params(values):
 
 def test_l2_sums_squares_of_trainables_only():
     params = make_params([[1.0, 2.0], [3.0]])
-    assert l2_penalty(params, 0.5).data.item() == pytest.approx(0.5 * 14.0, abs=1e-15)
+    assert l2_penalty(params, 0.5)[0] == pytest.approx(0.5 * 14.0, abs=1e-15)
     # a model's penalty covers its parameters, not the frozen word vectors
     model = NfetcModel(HyperParams(d_p=2, d_s=2, window=1),
                        WordEmbeddings(["a"], np.full((1, 3), 10.0)),
                        TypeForest(["/a", "/b"]), make_rng(0))
-    want = sum(float((t.data ** 2).sum()) for _, t in model.params.items())
-    assert l2_penalty(model.params, 1.0).data.item() == pytest.approx(want, rel=1e-12)
+    want = sum(float((a ** 2).sum()) for _, a in model.params.items())
+    assert l2_penalty(model.params, 1.0)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_l2_is_one_node_with_gradient_two_lam_theta():
     params = make_params([[1.0, -2.0], [3.0]])
-    penalty = l2_penalty(params, 0.25)
-    assert [id(p) for p in penalty._parents] == [id(t) for _, t in params.items()]
-    grads = gradients([penalty], params)
-    for name, t in params.items():
-        assert np.array_equal(grads[name], 2 * 0.25 * t.data)
+    value, pairs = l2_penalty(params, 0.25)
+    grads = dict(pairs)
+    assert value == 0.25 * 14.0
+    assert list(grads) == [n for n, _ in params.items()]
+    for name, a in params.items():
+        assert np.array_equal(grads[name], 2 * 0.25 * a)
 
 
 def test_l2_zero_lambda_is_free():
     params = make_params([[1.0, 2.0]])
-    zero = l2_penalty(params, 0.0)
-    assert zero.data.item() == 0.0
-    assert not zero.requires_grad  # a detached constant, not a tape node
+    zero, pairs = l2_penalty(params, 0.0)
+    assert zero == 0.0
+    assert list(pairs) == []  # no gradient term to add
+
+
+def test_l2_gradient_matches_finite_differences():
+    params = make_params([make_rng(8).normal(size=(2, 3)), make_rng(9).normal(size=4)])
+    grads = dict(l2_penalty(params, 0.3)[1])
+    for name, value in params.items():
+        numeric = fd_gradient(lambda: l2_penalty(params, 0.3)[0], value, STEP)
+        assert max_rel_error(grads[name], numeric) < TOLERANCE
 
 
 def test_l2_rejects_negative():
@@ -155,30 +164,30 @@ def test_l2_rejects_negative():
 
 def test_cross_entropy_certain_prediction_is_zero():
     loss = one_row_loss([0.0, 1.0, 0.0], ["/person"], PERSON)  # gold index 1
-    assert loss.data.item() == 0.0
+    assert loss == 0.0
 
 
 def test_cross_entropy_half_is_log_two():
     loss = one_row_loss([0.5, 0.25, 0.25], ["/organization"], PERSON)  # gold 0
-    assert loss.data.item() == pytest.approx(math.log(2.0), abs=1e-15)
+    assert loss == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_cross_entropy_floors_zero_probability():
     loss = one_row_loss([1.0, 0.0], ["/t1"], flat_forest(2))
-    assert loss.data.item() == pytest.approx(-math.log(PROB_FLOOR), abs=1e-9)
-    assert math.isfinite(loss.data.item())
+    assert loss == pytest.approx(-math.log(PROB_FLOOR), abs=1e-9)
+    assert math.isfinite(loss)
 
 
 def test_cross_entropy_adds_l2():
     params = make_params([[2.0]])
     loss = one_row_loss([0.5, 0.5], ["/t0"], flat_forest(2), params=params, lam=0.1)
-    assert loss.data.item() == pytest.approx(math.log(2.0) + 0.4, abs=1e-12)
+    assert loss == pytest.approx(math.log(2.0) + 0.4, abs=1e-12)
 
 
 def test_cross_entropy_rejects_rows():
     forest = flat_forest(2)
     with pytest.raises(ValueError, match="do not match"):
-        mean_nll(Tensor.constant(np.ones((2, 2)) / 2), [mention(["/t0"], forest)],
+        mean_nll(np.ones((2, 2)) / 2, [mention(["/t0"], forest)],
                  LossConfig(), forest)
 
 
@@ -211,14 +220,14 @@ def test_variant_equals_standard_on_singleton():
         gold = [f"/t{int(rng.integers(5))}"]
         a = one_row_loss(p, gold, flat_forest(5), mode="variant")
         b = one_row_loss(p, gold, flat_forest(5), mode="standard")
-        assert abs(a.data.item() - b.data.item()) <= 1e-12
+        assert abs(a - b) <= 1e-12
 
 
 def test_variant_worked_example():
     # candidates /organization (0) and /person (1)
     loss = one_row_loss([0.7, 0.2, 0.1], ["/organization", "/person"], PERSON,
                         mode="variant")
-    assert loss.data.item() == pytest.approx(-math.log(0.7), abs=1e-15)
+    assert loss == pytest.approx(-math.log(0.7), abs=1e-15)
 
 
 def test_variant_is_minimum_over_candidates():
@@ -231,40 +240,40 @@ def test_variant_is_minimum_over_candidates():
         got = one_row_loss(p, [f"/t{c}" for c in cand], flat_forest(6),
                            mode="variant")
         best = min(-math.log(p[c]) for c in cand)
-        assert got.data.item() == pytest.approx(best, abs=1e-12)
+        assert got == pytest.approx(best, abs=1e-12)
 
 
 # -- batch objective -------------------------------------------------------------
 
 
 def rows_for(*dists):
-    return Tensor.constant(np.array(dists, dtype=np.float64))
+    return np.array(dists, dtype=np.float64)
 
 
 def test_mean_nll_single_row_matches_cross_entropy():
     config = LossConfig(mode="standard")
     m = mention(["/person"], PERSON)
-    got = mean_nll(rows_for([0.2, 0.5, 0.3]), [m], config, PERSON)
+    got, _ = mean_nll(rows_for([0.2, 0.5, 0.3]), [m], config, PERSON)
     assert PERSON.index("/person") == 1
-    assert got.data.item() == pytest.approx(-math.log(0.5), abs=1e-15)
+    assert got == pytest.approx(-math.log(0.5), abs=1e-15)
 
 
 def test_mean_nll_duplicated_row_unchanged():
     config = LossConfig(mode="standard")
     m = mention(["/person"], PERSON)
-    one = mean_nll(rows_for([0.2, 0.5, 0.3]), [m], config, PERSON)
-    two = mean_nll(rows_for([0.2, 0.5, 0.3], [0.2, 0.5, 0.3]), [m, m],
+    one, _ = mean_nll(rows_for([0.2, 0.5, 0.3]), [m], config, PERSON)
+    two, _ = mean_nll(rows_for([0.2, 0.5, 0.3], [0.2, 0.5, 0.3]), [m, m],
                    config, PERSON)
-    assert two.data.item() == pytest.approx(one.data.item(), abs=1e-15)
+    assert two == pytest.approx(one, abs=1e-15)
 
 
 def test_mean_nll_mixed_batch_is_plain_average():
     config = LossConfig(mode="standard")
     batch = [mention(["/person"], PERSON), mention(["/organization"], PERSON)]
     probs = rows_for([0.2, 0.5, 0.3], [0.25, 0.5, 0.25])
-    got = mean_nll(probs, batch, config, PERSON)
+    got, _ = mean_nll(probs, batch, config, PERSON)
     want = (-math.log(0.5) - math.log(0.25)) / 2.0
-    assert got.data.item() == pytest.approx(want, abs=1e-15)
+    assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_mean_nll_standard_rejects_multiple_terminals():
@@ -277,17 +286,17 @@ def test_mean_nll_standard_rejects_multiple_terminals():
 def test_mean_nll_variant_selects_per_row():
     config = LossConfig(mode="variant")
     noisy = mention(["/person", "/organization"], PERSON)  # candidates {0, 1}
-    got = mean_nll(rows_for([0.2, 0.5, 0.3]), [noisy], config, PERSON)
-    assert got.data.item() == pytest.approx(-math.log(0.5), abs=1e-15)
-    got = mean_nll(rows_for([0.6, 0.1, 0.3]), [noisy], config, PERSON)
-    assert got.data.item() == pytest.approx(-math.log(0.6), abs=1e-15)
+    got, _ = mean_nll(rows_for([0.2, 0.5, 0.3]), [noisy], config, PERSON)
+    assert got == pytest.approx(-math.log(0.5), abs=1e-15)
+    got, _ = mean_nll(rows_for([0.6, 0.1, 0.3]), [noisy], config, PERSON)
+    assert got == pytest.approx(-math.log(0.6), abs=1e-15)
 
 
 def test_mean_nll_hier_reads_adjusted_rows():
     config = LossConfig(mode="standard", beta=0.4, hier=True)
     m = mention(["/person/athlete"], PERSON)
-    got = mean_nll(rows_for([0.2, 0.5, 0.3]), [m], config, PERSON)
-    assert got.data.item() == pytest.approx(-math.log(0.5 / 1.2), abs=1e-14)
+    got, _ = mean_nll(rows_for([0.2, 0.5, 0.3]), [m], config, PERSON)
+    assert got == pytest.approx(-math.log(0.5 / 1.2), abs=1e-14)
 
 
 def test_selection_source_switch():
@@ -300,20 +309,20 @@ def test_selection_source_switch():
     on_adjusted = LossConfig(mode="variant", beta=1.0, hier=True,
                              select_on_adjusted=True)
     q = np.array([0.38, 0.32, 0.62]) / 1.32
-    got = mean_nll(probs, [noisy], on_adjusted, forest)
-    assert got.data.item() == pytest.approx(-math.log(q[2]), abs=1e-14)
+    got, _ = mean_nll(probs, [noisy], on_adjusted, forest)
+    assert got == pytest.approx(-math.log(q[2]), abs=1e-14)
 
     on_raw = LossConfig(mode="variant", beta=1.0, hier=True,
                         select_on_adjusted=False)
-    got = mean_nll(probs, [noisy], on_raw, forest)
-    assert got.data.item() == pytest.approx(-math.log(q[0]), abs=1e-14)
+    got, _ = mean_nll(probs, [noisy], on_raw, forest)
+    assert got == pytest.approx(-math.log(q[0]), abs=1e-14)
 
 
 def test_mean_nll_floors_zero_rows():
     config = LossConfig(mode="standard")
     m = mention(["/person"], PERSON)
-    got = mean_nll(rows_for([1.0, 0.0, 0.0]), [m], config, PERSON)
-    assert got.data.item() == pytest.approx(-math.log(PROB_FLOOR), abs=1e-9)
+    got, _ = mean_nll(rows_for([1.0, 0.0, 0.0]), [m], config, PERSON)
+    assert got == pytest.approx(-math.log(PROB_FLOOR), abs=1e-9)
 
 
 def test_mean_nll_guards():
@@ -330,8 +339,8 @@ def test_batch_loss_adds_one_l2_term():
     config = LossConfig(mode="standard", lam=0.01)
     m = mention(["/person"], PERSON)
     probs = rows_for([0.2, 0.5, 0.3], [0.2, 0.5, 0.3])
-    got = mean_nll(probs, [m, m], config, PERSON) + l2_penalty(params, config.lam)
-    assert got.data.item() == pytest.approx(-math.log(0.5) + 0.09, abs=1e-14)
+    got = mean_nll(probs, [m, m], config, PERSON)[0] + l2_penalty(params, config.lam)[0]
+    assert got == pytest.approx(-math.log(0.5) + 0.09, abs=1e-14)
 
 
 # -- inference-time adjustment ----------------------------------------------------
@@ -372,9 +381,17 @@ def test_loss_config_validation(kwargs, message):
 # -- gradients through the objective ------------------------------------------------
 
 
-def logits_loss(params, batch, config, forest):
-    probs = softmax_rows(params["logits"])
-    return mean_nll(probs, batch, config, forest) + l2_penalty(params, config.lam)
+def logits_loss(logits, batch, config, forest):
+    """(value, gradient) of mean NLL plus L2 over the softmax rows of
+    ``logits``, which are also the one parameter the L2 term sees."""
+    params = ParamSet()
+    params.add("logits", logits)
+    x = Tensor.parameter(logits)
+    probs = softmax_rows(x)
+    nll, d_probs = mean_nll(probs.data, batch, config, forest)
+    l2, d_l2 = l2_penalty(params, config.lam)
+    (probs * Tensor.constant(d_probs)).sum().backward()
+    return nll + l2, x.grad + dict(d_l2).get("logits", 0.0)
 
 
 def gradcheck_batch(forest, mode, rng, size=3):
@@ -411,25 +428,19 @@ def test_loss_gradient_matches_finite_differences(config):
         forest = TypeForest(random_forest_paths(rng, max_types=8, max_depth=3))
         cases.append((forest, gradcheck_batch(forest, config.mode, rng)))
     for forest, batch in cases:
-        params = ParamSet()
-        params.add("logits", rng.normal(size=(len(batch), len(forest))))
-        loss = logits_loss(params, batch, config, forest)
-        grads = gradients([loss], params)
-        numeric = fd_gradient(
-            lambda: logits_loss(params, batch, config, forest).data.item(),
-            params["logits"].data, STEP)
-        assert max_rel_error(grads["logits"], numeric) < TOLERANCE
+        logits = rng.normal(size=(len(batch), len(forest)))
+        _, grad = logits_loss(logits, batch, config, forest)
+        numeric = fd_gradient(lambda: logits_loss(logits, batch, config, forest)[0],
+                              logits, STEP)
+        assert max_rel_error(grad, numeric) < TOLERANCE
 
 
 # -- the fused objective's backward ---------------------------------------------------
 
 
 def probs_grad(rows, batch, config, forest=PERSON):
-    """(loss, gradient) of mean_nll taken directly over constant-valued rows."""
-    probs = Tensor.parameter(np.array(rows, dtype=np.float64))
-    loss = mean_nll(probs, batch, config, forest)
-    loss.backward()
-    return loss.data.item(), probs.grad
+    """(loss, gradient) of mean_nll taken directly over the rows."""
+    return mean_nll(np.array(rows, dtype=np.float64), batch, config, forest)
 
 
 def test_mean_nll_gradient_is_minus_one_over_p_over_batch():
@@ -486,15 +497,3 @@ def test_hier_beta_zero_is_the_plain_pick(mode):
     assert plain[0] == hier[0]
     assert np.array_equal(plain[1], hier[1])
 
-
-def test_hier_loss_is_one_node_over_probs():
-    probs = softmax_rows(Tensor.parameter(np.zeros((2, 3))))
-    batch = [mention(["/person", "/organization"], PERSON),
-             mention(["/person/athlete"], PERSON)]
-    _, hier_r = select_variant("NFETC-hier(r)", beta=0.4)
-    loss = mean_nll(probs, batch, hier_r, PERSON)
-    assert loss._parents == (probs,)
-    with no_grad():
-        detached = mean_nll(probs, batch, hier_r, PERSON)
-    assert not detached.requires_grad and detached._parents == ()
-    assert detached.data.item() == loss.data.item()

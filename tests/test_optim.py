@@ -36,14 +36,14 @@ def test_zero_gradient_is_identity():
     ps = single_param(3.5)
     state = AdamState(ps)
     adam_step(ps, {"x": np.zeros(1)}, state, lr=0.1)
-    assert ps["x"].data == pytest.approx([3.5])
+    assert ps["x"] == pytest.approx([3.5])
 
 
 def test_first_step_magnitude_equals_lr():
     # bias correction makes m_hat / sqrt(v_hat) exactly 1 for a unit gradient
     ps = single_param(0.0)
     adam_step(ps, {"x": np.ones(1)}, AdamState(ps), lr=0.0002)
-    assert ps["x"].data[0] == pytest.approx(-0.0002, rel=1e-6)
+    assert ps["x"][0] == pytest.approx(-0.0002, rel=1e-6)
 
 
 def test_two_steps_match_hand_oracle():
@@ -51,8 +51,8 @@ def test_two_steps_match_hand_oracle():
     state = AdamState(ps)
     adam_step(ps, {"x": np.array([1.0])}, state, lr=0.01)
     adam_step(ps, {"x": np.array([-2.0])}, state, lr=0.01)
-    assert ps["x"].data[0] == pytest.approx(adam_by_hand([1.0, -2.0], 0.01, x0=1.0),
-                                            abs=1e-15)
+    assert ps["x"][0] == pytest.approx(adam_by_hand([1.0, -2.0], 0.01, x0=1.0),
+                                       abs=1e-15)
     assert state.step == 2
 
 
@@ -66,7 +66,7 @@ def test_frozen_parameters_are_bit_identical_after_steps():
     state = AdamState(model.params)
     assert set(state.m) == set(state.v) == {n for n, _ in model.params.items()}
     for _ in range(5):
-        adam_step(model.params, {n: np.ones_like(t.data) for n, t in model.params.items()},
+        adam_step(model.params, {n: np.ones_like(a) for n, a in model.params.items()},
                   state, lr=0.1)
     assert model.embeddings.matrix is emb.matrix
     assert emb.matrix.tobytes() == before
@@ -88,9 +88,9 @@ def test_converges_on_quadratic():
     ps = single_param(10.0)
     state = AdamState(ps)
     for _ in range(800):
-        g = 2.0 * (ps["x"].data - 3.0)
+        g = 2.0 * (ps["x"] - 3.0)
         adam_step(ps, {"x": g}, state, lr=0.05)
-    assert ps["x"].data[0] == pytest.approx(3.0, abs=1e-2)
+    assert ps["x"][0] == pytest.approx(3.0, abs=1e-2)
 
 
 def test_dropout_mask_identity_without_consuming_rng():

@@ -240,22 +240,20 @@ def test_train_rejects_word_vectors_beyond_float32():
 def test_train_rejects_non_finite_gradient_before_the_update(monkeypatch):
     train_c, dev_c, emb, forest = make_world()
     _, config = select_variant("NFETC(f)")
-    seen = {}
     real = training_module.gradients
+    updates = []
 
-    def poisoned(loss, params):
-        seen["params"] = params
-        seen["before"] = {n: t.data.tobytes() for n, t in params.items()}
-        grads = real(loss, params)
+    def poisoned(*args):
+        grads = real(*args)
         grads["men.w_rec"] = np.full_like(grads["men.w_rec"], np.inf)
         return grads
 
     monkeypatch.setattr(training_module, "gradients", poisoned)
+    monkeypatch.setattr(training_module, "adam_step", lambda *args: updates.append(args))
     with pytest.raises(TrainingDiverged,
                        match=r"gradient for men\.w_rec at epoch 1, batch starting at mention 0"):
         train(train_c, dev_c, emb, forest, small_hp(), config)
-    params = seen["params"]
-    assert {n: t.data.tobytes() for n, t in params.items()} == seen["before"]
+    assert updates == []
 
 
 def test_train_writes_epoch_log_stream():
@@ -307,7 +305,7 @@ def test_train_saves_best_checkpoint(tmp_path):
     restored = load_checkpoint(str(path))
     assert restored.hyperparams == hp
     for name, arr in result.best_values.items():
-        assert np.array_equal(restored.model.params[name].data, arr)
+        assert np.array_equal(restored.model.params[name], arr)
 
     from nfetc.corpus import windowed
     again = evaluate(restored.model, windowed(dev_c, hp.window), forest, config)
