@@ -38,11 +38,11 @@ def lstm_sequence(x: list, w_in: np.ndarray, w_rec: np.ndarray, bias: np.ndarray
     """A fused-gate LSTM over a packed batch of sequences.
 
     ``n_at[t]`` sequences run at step t, so ``n_at`` is positive and
-    non-increasing. The batch is packed time-major: step t's R_t = n_at[t]
-    rows follow step t-1's, and sequence k of the longest-first order is row
-    k of every step it runs. ``x`` is a list of column blocks of these
-    R = sum(n_at) rows, in ``w_in`` row order, which may come in ``dtype``
-    already. Gate column blocks are input, forget, output, candidate.
+    non-increasing, as ``model._packed`` makes it. The batch is packed
+    time-major: step t's R_t = n_at[t] rows follow step t-1's, and sequence
+    k of the longest-first order is row k of every step it runs. ``x`` is a
+    list of column blocks of these R = sum(n_at) rows, in ``w_in`` row
+    order, which may come in ``dtype`` already. Gate column blocks are input, forget, output, candidate.
     ``reverse`` runs each sequence from its own last step back to step 0.
     Returns the (R, d_s) states, in the same rows, and their backward.
 
@@ -66,23 +66,12 @@ def lstm_sequence(x: list, w_in: np.ndarray, w_rec: np.ndarray, bias: np.ndarray
     and cell state after it; it recomputes tanh of the cell state rather
     than store it (Gruslys et al., arXiv 1606.03401).
     """
-    if not isinstance(x, list):
-        raise TypeError(f"lstm_sequence: x is a list of column blocks, got {type(x).__name__}")
     n_at = np.asarray(n_at, dtype=np.intp)
-    if n_at.size == 0 or n_at[-1] < 1 or np.any(np.diff(n_at) > 0):
-        raise ValueError(f"lstm_sequence: rows per step must be positive and "
-                         f"non-increasing, got {n_at.tolist()}")
     offset = np.concatenate([[0], np.cumsum(n_at)])
     rows = offset[-1]
-    shapes = [a.shape for a in x]
-    if any(len(s) != 2 or s[0] != rows for s in shapes):
-        raise ValueError(f"lstm_sequence: input blocks {shapes} do not hold the "
-                         f"{rows} rows of steps {n_at.tolist()}")
-    if any(m is not None and len(m[0]) != rows for m in (mask_in, mask_out)):
-        raise ValueError(f"lstm_sequence: dropout masks need {rows} rows, one per row of x")
     d = w_rec.shape[0]
     order = range(n_at.size - 1, -1, -1) if reverse else range(n_at.size)
-    bounds = np.cumsum([0] + [s[1] for s in shapes])
+    bounds = np.cumsum([0] + [a.shape[1] for a in x])
 
     xr = _drop(np.concatenate(x, axis=1, dtype=dtype), mask_in)
     w_in_c, w_rec_c = w_in.astype(dtype, copy=False), w_rec.astype(dtype, copy=False)
@@ -150,8 +139,6 @@ class ParamSet:
         self._params: dict[str, np.ndarray] = {}
 
     def add(self, name: str, data) -> None:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
         value = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(value)):
             raise ValueError(f"parameter {name} has non-finite values")
@@ -167,8 +154,5 @@ class ParamSet:
         return {n: a.copy() for n, a in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for n, a in self._params.items():
-            src = values[n]
-            if src.shape != a.shape:
-                raise ValueError(f"shape mismatch loading {n}: {src.shape} vs {a.shape}")
-            self._params[n] = np.array(src, dtype=np.float64)
+        for n in self._params:
+            self._params[n] = np.array(values[n], dtype=np.float64)

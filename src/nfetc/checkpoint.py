@@ -53,9 +53,8 @@ def header(blob: bytes) -> bytes:
 def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> None:
     """Write ``(name, trainable, array)`` tensors in order to a temporary file
     beside ``path``, fsync it, then rename it over ``path``: a failed write
-    leaves any old file intact."""
-    if "params" in meta:
-        raise CheckpointError("meta key 'params' is reserved")
+    leaves any old file intact. ``meta`` must not hold the ``params`` key,
+    which this adds."""
     doc = dict(meta)
     doc["params"] = [{"name": n, "trainable": trainable, "shape": list(a.shape)}
                      for n, trainable, a in tensors]

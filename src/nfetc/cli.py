@@ -106,10 +106,10 @@ def _coerce(key: str, value: str, where: str):
                           f"got {value!r}") from None
 
 
-def _read_config_file(path: str) -> list[tuple[str, str]]:
+def _read_config_file(path: str, cfg: dict) -> None:
+    """Set each ``key=value`` line of ``path`` in ``cfg``; errors name the line."""
     if not os.path.exists(path):
         raise CliError(2, f"no such config file: {path}")
-    pairs = []
     for lineno, line in numbered_lines(path, lambda message: CliError(2, message)):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -117,15 +117,13 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
         if "=" not in body:
             raise CliError(2, f"{path}:{lineno}: expected key=value")
         key, value = body.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
-    return pairs
+        cfg[key.strip()] = _coerce(key.strip(), value.strip(), f"{path}:{lineno}")
 
 
 def build_config(profile: str, config_path: str | None, sets: list[str]) -> dict:
     cfg = dict(PROFILES[profile])
     if config_path:
-        for key, value in _read_config_file(config_path):
-            cfg[key] = _coerce(key, value, config_path)
+        _read_config_file(config_path, cfg)
     for item in sets:
         if "=" not in item:
             raise CliError(2, f"--set expects key=value, got {item!r}")
@@ -187,6 +185,13 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_train(cfg: dict) -> int:
+    # the settings first, so a bad one is reported before any file is read
+    choice, loss_cfg = select_variant(
+        cfg["variant"], lam=cfg["lambda"], beta=cfg["beta"],
+        hier_at_inference=cfg["hier_inference"],
+        select_on_adjusted=cfg["select_adjusted"])
+    hp = _hyperparams(cfg)
+    seeds = _parse_seeds(cfg["seeds"]) or [hp.seed]
     forest, mapping = _load_forest(cfg, "train")
     train_path = _require_path(cfg, "train", "train")
     test_path = _require_path(cfg, "test", "train")
@@ -195,13 +200,7 @@ def cmd_train(cfg: dict) -> int:
     test_all = parse_corpus(test_path, forest, mapping=mapping)
     embeddings = WordEmbeddings.from_file(emb_path)
     dev, held = split_dev(test_all, cfg["dev_fraction"], cfg["dev_seed"])
-    choice, loss_cfg = select_variant(
-        cfg["variant"], lam=cfg["lambda"], beta=cfg["beta"],
-        hier_at_inference=cfg["hier_inference"],
-        select_on_adjusted=cfg["select_adjusted"])
     corpus = training_corpus(raw_train, choice, forest)
-    hp = _hyperparams(cfg)
-    seeds = _parse_seeds(cfg["seeds"]) or [hp.seed]
     with (open(cfg["log"], "w", encoding="utf-8") if cfg["log"]
           else contextlib.nullcontext(sys.stdout)) as log_stream:
         multi = run_multi(seeds, corpus, dev, embeddings, forest, hp,
@@ -236,24 +235,26 @@ def _restore_and_predict(cfg: dict, command: str, key: str, read):
 
 def cmd_eval(cfg: dict) -> int:
     def read(path, forest):
-        if not cfg["refinement"]:
-            return parse_corpus(path, forest)
-        if not cfg["types"]:
-            raise CliError(2, "nfetc eval: refinement needs the 'types' config key, "
-                              "the forest the corpus labels are written in")
-        _, mapping = _load_forest(cfg, "eval")
-        return parse_corpus(path, forest, mapping=mapping)
+        mapping = None
+        if cfg["refinement"]:
+            if not cfg["types"]:
+                raise CliError(2, "nfetc eval: refinement needs the 'types' config key, "
+                                  "the forest the corpus labels are written in")
+            _, mapping = _load_forest(cfg, "eval")
+        corpus = parse_corpus(path, forest, mapping=mapping)
+        if not corpus:
+            raise CorpusError(f"{path}: no mentions to score")
+        return corpus
 
     restored, corpus, probs = _restore_and_predict(
         cfg, "eval", "input" if cfg["input"] else "test", read)
-    predictions = [int(i) for i in np.argmax(probs, axis=1)]
-    metrics = score_pairs(pairs_for(corpus, predictions, restored.forest))
+    pairs = pairs_for(corpus, [int(i) for i in np.argmax(probs, axis=1)], restored.forest)
+    metrics = score_pairs(pairs)
     out = metrics.as_text()
     if cfg["json"]:
         out += metrics.as_json() + "\n"
     if cfg["per_type"]:
-        for tname, acc in per_type_accuracy(corpus, predictions,
-                                            restored.forest).items():
+        for tname, acc in per_type_accuracy(corpus, pairs).items():
             out += f"{tname}\t{acc:.4f}\n"
     _emit(out, cfg["report"], echo=True)
     return 0

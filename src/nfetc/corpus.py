@@ -33,9 +33,7 @@ class MentionTriple:
     labels: tuple[str, ...]  # file order; the parser rejects duplicates
     terminals: frozenset[str] = field(default=frozenset())
 
-    def __post_init__(self):
-        if not self.tokens:
-            raise CorpusError("mention context is empty")
+    def __post_init__(self):   # an empty context has no span inside it
         if not (0 <= self.start < self.end <= len(self.tokens)):
             raise CorpusError(f"span [{self.start}, {self.end}) out of bounds "
                               f"for {len(self.tokens)} tokens")
@@ -98,9 +96,6 @@ def parse_line(line: str, forest: TypeForest, strings: dict[str, str],
         labels = tuple(map(mapping.__getitem__, labels))
     if not labels and not allow_unlabeled:
         raise CorpusError("missing labels")
-    if not (0 <= start < end <= len(tokens)):
-        raise CorpusError(f"span [{start}, {end}) out of bounds "
-                          f"for {len(tokens)} tokens")
     return MentionTriple(tokens, start, end, labels,
                          frozenset(forest.terminal_set(labels)) if labels else frozenset())
 
@@ -130,9 +125,8 @@ def window(triple: MentionTriple, c: int) -> MentionTriple:
 
     The mention itself is kept whole and span indices are re-based. Shorter
     contexts stay short; no padding is inserted. Idempotent.
+    ``HyperParams`` keeps ``c`` >= 1.
     """
-    if c < 1:
-        raise CorpusError(f"window size must be >= 1, got {c}")
     left = max(0, triple.start - c)
     right = min(len(triple.tokens), triple.end + c)
     if left == 0 and right == len(triple.tokens):

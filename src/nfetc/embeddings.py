@@ -249,12 +249,8 @@ class _Loader:
 
 def position_rows(c: int, positions, start, end) -> np.ndarray:
     """Position-table row of token ``positions`` against mention spans
-    [start, end) for window ``c``; the three arrays broadcast together."""
-    i, start, end = np.broadcast_arrays(*(np.asarray(a, dtype=np.intp)
-                                          for a in (positions, start, end)))
-    bad = (start < 0) | (start >= end)
-    if np.any(bad):
-        k = np.flatnonzero(bad)[0]
-        raise EmbeddingError(f"invalid mention span [{start.flat[k]}, {end.flat[k]})")
+    [start, end) for window ``c``; the three arrays broadcast together.
+    ``MentionTriple`` keeps each span inside its context."""
+    i, start, end = (np.asarray(a, dtype=np.intp) for a in (positions, start, end))
     d = np.where(i >= end, i - (end - 1), np.where(i < start, i - start, 0))
     return np.where(np.abs(d) <= c, d + c, 2 * c + 1)

@@ -1,5 +1,9 @@
 """Strict accuracy and loose macro / loose micro F1 over predicted
 type-paths versus gold label sets.
+
+The scorers take a nonempty list of pairs of nonempty sets: a labeled
+corpus line needs a label, a prediction expands to at least its own type,
+and ``nfetc eval`` rejects an input without mentions.
 """
 
 from __future__ import annotations
@@ -22,15 +26,9 @@ class EvalPair:
     gold: frozenset
     predicted: frozenset
 
-    def __post_init__(self):
-        if not self.gold or not self.predicted:
-            raise ValueError("gold and predicted sets must be nonempty")
-
 
 def strict_accuracy(pairs: list[EvalPair]) -> float:
     """Fraction of pairs whose sets match exactly."""
-    if not pairs:
-        raise ValueError("no pairs to score")
     return sum(1 for p in pairs if p.gold == p.predicted) / len(pairs)
 
 
@@ -44,8 +42,6 @@ def loose_macro_f1(pairs: list[EvalPair]) -> tuple[float, float, float]:
     The F1 is the harmonic mean of the averaged precision and recall, the
     convention the fine-grained typing literature inherits.
     """
-    if not pairs:
-        raise ValueError("no pairs to score")
     p = sum(len(x.gold & x.predicted) / len(x.predicted) for x in pairs) / len(pairs)
     r = sum(len(x.gold & x.predicted) / len(x.gold) for x in pairs) / len(pairs)
     return p, r, _f1(p, r)
@@ -53,8 +49,6 @@ def loose_macro_f1(pairs: list[EvalPair]) -> tuple[float, float, float]:
 
 def loose_micro_f1(pairs: list[EvalPair]) -> tuple[float, float, float]:
     """Precision and recall over globally pooled intersection counts."""
-    if not pairs:
-        raise ValueError("no pairs to score")
     hit = sum(len(x.gold & x.predicted) for x in pairs)
     p = hit / sum(len(x.predicted) for x in pairs)
     r = hit / sum(len(x.gold) for x in pairs)
@@ -85,39 +79,25 @@ def score_pairs(pairs: list[EvalPair]) -> Metrics:
                    macro_f1=mf, micro_p=up, micro_r=ur, micro_f1=uf)
 
 
-def predict_indices(model, corpus: Corpus, forest: TypeForest,
-                    config: LossConfig) -> list[int]:
-    """Predicted type index per mention, the argmax of the model's batched
-    ``predict_probs`` rows (adjusted when the config asks for it)."""
-    probs = inference_adjust(model.predict_probs(list(corpus)), forest, config)
-    return [int(i) for i in np.argmax(probs, axis=1)]
-
-
 def pairs_for(corpus: Corpus, predictions: list[int], forest: TypeForest) -> list[EvalPair]:
-    """Gold sets as labeled in the corpus; predictions expanded to full paths."""
-    if len(predictions) != len(corpus):
-        raise ValueError(f"{len(predictions)} predictions for {len(corpus)} mentions")
-    out = []
-    for triple, idx in zip(corpus, predictions):
-        if not triple.labels:
-            raise ValueError("cannot score an unlabeled mention")
-        predicted = frozenset(forest.expand_to_path(forest.path_of(idx)))
-        out.append(EvalPair(gold=frozenset(triple.labels), predicted=predicted))
-    return out
+    """Gold sets as labeled in the corpus, one predicted type index per
+    mention expanded to its full path."""
+    return [EvalPair(gold=frozenset(triple.labels),
+                     predicted=frozenset(forest.expand_to_path(forest.path_of(idx))))
+            for triple, idx in zip(corpus, predictions)]
 
 
 def evaluate(model, corpus: Corpus, forest: TypeForest, config: LossConfig) -> Metrics:
-    """Forward every mention in infer mode and score all three metrics."""
-    predictions = predict_indices(model, corpus, forest, config)
-    return score_pairs(pairs_for(corpus, predictions, forest))
+    """Forward every mention in infer mode, take each row's argmax (of the
+    rows adjusted when the config asks for it) and score all three metrics."""
+    probs = inference_adjust(model.predict_probs(list(corpus)), forest, config)
+    return score_pairs(pairs_for(corpus, [int(i) for i in np.argmax(probs, axis=1)], forest))
 
 
-def per_type_accuracy(corpus: Corpus, predictions: list[int],
-                      forest: TypeForest) -> dict[str, float]:
-    """Strict-match rate grouped by gold terminal type (multi-terminal
-    mentions count toward each of their terminals)."""
+def per_type_accuracy(corpus: Corpus, pairs: list[EvalPair]) -> dict[str, float]:
+    """Strict-match rate of the corpus's ``pairs`` grouped by gold terminal
+    type (multi-terminal mentions count toward each of their terminals)."""
     hits: dict[str, list[int]] = {}
-    pairs = pairs_for(corpus, predictions, forest)
     for triple, pair in zip(corpus, pairs):
         for term in triple.terminals:
             hits.setdefault(term, []).append(1 if pair.gold == pair.predicted else 0)

@@ -55,13 +55,6 @@ def hierarchical_adjust_rows(p_rows: np.ndarray, forest: TypeForest, beta: float
     """Row-wise adjustment of (B, K) probability rows: each type gains beta
     times the summed probability of its proper ancestors, then every row is
     renormalized back to a distribution."""
-    if p_rows.ndim != 2:
-        raise ValueError(f"expected 2-D probability rows, got shape {p_rows.shape}")
-    if p_rows.shape[1] != len(forest):
-        raise ValueError(f"row width {p_rows.shape[1]} does not match "
-                         f"forest of {len(forest)} types")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
     if beta == 0.0:
         return p_rows
     q = p_rows + (p_rows @ forest.ancestor_matrix().T) * beta
@@ -73,8 +66,6 @@ def l2_penalty(params: ParamSet, lam: float) -> tuple[float, Iterator[tuple[str,
     2·lam·θ as (name, array) pairs, none when lam is 0. Each array is made
     as it is read, so a step that reads them after its backward never holds
     a second copy of every parameter during it."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
     if lam == 0.0:
         return 0.0, iter(())
     items = params.items()
@@ -86,8 +77,6 @@ def select_candidate(p_values: np.ndarray, candidates) -> int:
     """Most probable candidate index, lowest index on ties. The selection is
     a constant of the current step: no gradient flows through the choice."""
     cand = sorted(candidates)
-    if not cand:
-        raise ValueError("empty candidate set")
     return cand[int(np.argmax(p_values[cand]))]
 
 
@@ -97,19 +86,15 @@ def mean_nll(probs: np.ndarray, triples: list[MentionTriple], config: LossConfig
     L2 term, and its gradient with respect to the rows.
 
     With ``hier`` and beta > 0 the rows are adjusted first. Standard mode
-    requires a single candidate terminal per mention (filtered data); variant
-    mode selects among the candidates each step. Picked probabilities are
-    floored at PROB_FLOOR, and a floored entry passes no gradient.
+    trains on filtered data, whose mentions have one candidate terminal;
+    variant mode selects among the candidates each step. Picked
+    probabilities are floored at PROB_FLOOR, and a floored entry passes no
+    gradient.
 
     The gradient is derived by hand and repeats, operation for operation, the
     rounding of the adjustment, pick, floor, log and mean composed as
     separate ops.
     """
-    if not triples:
-        raise ValueError("empty batch")
-    if probs.shape != (len(triples), len(forest)):
-        raise ValueError(f"probability rows {probs.shape} do not match "
-                         f"{len(triples)} mentions over {len(forest)} types")
     p, b, beta = probs, len(triples), config.beta
     adjust = config.hier and beta > 0
     rows = hierarchical_adjust_rows(p, forest, beta) if adjust else p
@@ -117,14 +102,8 @@ def mean_nll(probs: np.ndarray, triples: list[MentionTriple], config: LossConfig
     gold = []
     for i, triple in enumerate(triples):
         cand = sorted(forest.index(t) for t in triple.terminals)
-        if config.mode == "standard":
-            if len(cand) != 1:
-                raise ValueError(
-                    f"standard cross-entropy needs a single candidate terminal, "
-                    f"got {len(cand)}; filter the corpus or use variant mode")
-            gold.append(cand[0])
-        else:
-            gold.append(select_candidate(selection_source[i], cand))
+        gold.append(cand[0] if config.mode == "standard"
+                    else select_candidate(selection_source[i], cand))
     at = (np.arange(b), np.asarray(gold, dtype=np.intp))
     picked = rows[at]
     floored = np.maximum(picked, PROB_FLOOR)

@@ -185,8 +185,6 @@ class NfetcModel:
         Dropout masks are drawn from ``rng`` in a fixed order: forward,
         backward and mention LSTM, input then output."""
         hp = self.hp
-        if train and (hp.p_i < 1.0 or hp.p_o < 1.0) and rng is None:
-            raise ValueError("training forward with dropout needs an RNG")
         ctx_len, start, end, words, ext = self._indices(batch)
         dtype = TRAIN_DTYPE if train else np.float64
         pos_table = self.params["pos_table"]

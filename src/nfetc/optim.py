@@ -31,19 +31,14 @@ class AdamState:
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
               lr: float) -> None:
-    """One bias-corrected Adam update of every parameter, in place.
-    Gradient shapes must match."""
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    """One bias-corrected Adam update of every parameter, in place, by the
+    gradient of the same name and shape; ``HyperParams`` checks ``lr``."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     for name, value in params.items():
         g = grads[name]
-        if g.shape != value.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter "
-                             f"{name} of shape {value.shape}")
         m = state.m[name]
         v = state.v[name]
         m *= BETA1
@@ -60,10 +55,7 @@ def dropout_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarra
     probability keep_prob. ``lstm_sequence`` scales kept entries by
     1/keep_prob, so inference needs no rescaling. Drawn from float32
     uniforms, a FIGER-size step's six masks took ~3/4 of the float64 time.
-    keep_prob = 1 short-circuits to all True without consuming the RNG stream.
+    The model draws no mask at keep_prob 1, and ``HyperParams`` keeps it in
+    (0, 1].
     """
-    if not 0.0 < keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if keep_prob == 1.0:
-        return np.ones(shape, dtype=bool)
     return rng.random(shape, dtype=np.float32) < keep_prob

@@ -31,7 +31,8 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class HyperParams:
     """Knobs of one training run. Defaults follow the published FIGER
-    setting; the OntoNotes profile lives in the CLI."""
+    setting; the OntoNotes profile lives in the CLI. Each value is checked
+    here, where it enters from the CLI or a checkpoint, and nowhere else."""
 
     lr: float = 0.0002
     d_p: int = 85
@@ -108,11 +109,8 @@ def select_variant(name: str, lam: float = 0.0, beta: float = 0.0,
 
 
 def training_corpus(corpus: Corpus, choice: str, forest: TypeForest) -> Corpus:
-    if choice == "raw":
-        return corpus
-    if choice == "filtered":
-        return build_filtered(corpus, forest)
-    raise ValueError(f"unknown corpus choice {choice!r}")
+    """The corpus a ``select_variant`` choice ("raw" or "filtered") trains on."""
+    return corpus if choice == "raw" else build_filtered(corpus, forest)
 
 
 def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,

@@ -1,18 +1,21 @@
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ckptedit import rewrite_params
 from nfetc import model as model_module
 from nfetc.autodiff import ParamSet, lstm_sequence
+from nfetc.checkpoint import CheckpointError, load, save
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig, PROB_FLOOR, mean_nll
 from nfetc.model import NfetcModel, _packed, _row_sums
 from nfetc.optim import dropout_mask, make_rng
-from nfetc.training import HyperParams, gradients
+from nfetc.training import HyperParams, gradients, load_checkpoint
 from gradcheck import fd_gradient, max_rel_error
 from oracles import Tensor, concat, softmax_rows, tape_cols, tape_lstm, tape_sigmoid
 
@@ -34,6 +37,9 @@ def naive_matmul(a, b):
 
 def rng():
     return np.random.default_rng(7)
+
+
+V1_CHECKPOINT = Path(__file__).parent / "fixtures" / "ckpt_v1" / "model.ckpt"
 
 
 # -- matmul -------------------------------------------------------------------
@@ -566,9 +572,11 @@ def test_lstm_sequence_rows_do_not_depend_on_other_lengths():
 
 
 def test_lstm_sequence_takes_a_list_of_blocks():
+    # column blocks of the rows, in w_in row order, act as their concatenation
     x, w_in, w_rec, bias, _ = lstm_case([2, 1])
-    with pytest.raises(TypeError):
-        lstm_sequence(x, w_in, w_rec, bias, [2, 1])
+    whole, _ = lstm_sequence([x], w_in, w_rec, bias, [2, 1])
+    split, _ = lstm_sequence([x[:, :1], x[:, 1:]], w_in, w_rec, bias, [2, 1])
+    assert np.array_equal(split, whole)
 
 
 def test_lstm_sequence_records_only_when_asked():
@@ -637,27 +645,23 @@ def test_lstm_sequence_masks_follow_stable_longest_first_order():
         assert np.flatnonzero(out.any(axis=1))[0] == k
 
 
-@pytest.mark.parametrize("n_at,rows,mask_rows,message", [
-    ([2, 0], 2, None, "positive and non-increasing"),
-    ([1, 2], 3, None, "positive and non-increasing"),
-    ([2, 1], 5, None, "do not hold"),
-    ([], 4, None, "positive"),
-    ([2, 1], (3, 4), None, "do not hold"),
-    ([2, 1], 3, (4, 3), "need 3 rows"),
-    ([2, 1], 3, (3, 2), "need 3 rows"),
-], ids=["zero-length", "too-long", "lengths3-5-do not split", "lengths4-4-do not split",
-        "unequal-blocks", "mask_in-rows", "mask_out-rows"])
-def test_lstm_sequence_rejects_bad_layout(n_at, rows, mask_rows, message):
-    # rows: one block's row count, or a pair for a width-1 and a wider block;
-    # mask_rows: the (mask_in, mask_out) row counts, or no masks
-    _, w_in, w_rec, bias, _ = lstm_case([1])
-    x = ([np.zeros((rows, D_IN))] if isinstance(rows, int) else
-         [np.zeros((rows[0], 1)), np.zeros((rows[1], D_IN - 1))])
-    masks = ([None, None] if mask_rows is None else
-             [(np.ones((mask_rows[0], D_IN), dtype=bool), 0.7),
-              (np.ones((mask_rows[1], D_S), dtype=bool), 0.7)])
-    with pytest.raises(ValueError, match=message):
-        lstm_sequence(x, w_in, w_rec, bias, n_at, False, *masks)
+def test_packed_layout_is_one_lstm_sequence_takes():
+    # lstm_sequence does not check its layout; _packed, which makes it from
+    # the lengths of real contexts and mentions (each at least 1), gives
+    # positive, non-increasing rows per step that sum to the real tokens, one
+    # row per (sequence, step) pair: the rows of every block and mask
+    r = make_rng(23)
+    for trial in range(300):
+        lengths = r.integers(1, 9, size=int(r.integers(1, 13)))
+        if trial % 2:
+            lengths[int(r.integers(len(lengths)))] = 1
+        seq, step, n_at = _packed(lengths)
+        assert n_at.size == lengths.max() and n_at[-1] >= 1
+        assert np.all(np.diff(n_at) <= 0)
+        assert n_at.sum() == lengths.sum() == len(seq) == len(step)
+        assert sorted(zip(seq.tolist(), step.tolist())) == [
+            (k, t) for k, n in enumerate(lengths.tolist()) for t in range(n)]
+    assert _packed([1])[2].tolist() == [1]
 
 
 def test_gradients_skips_frozen_entries():
@@ -782,10 +786,13 @@ class TestParamSet:
         ps.add("b", np.full(3, 7.0))
         return ps
 
-    def test_duplicate_name_rejected(self):
-        ps = self.build()
-        with pytest.raises(ValueError, match="duplicate"):
-            ps.add("w", np.zeros(1))
+    def test_duplicate_name_rejected(self, tmp_path):
+        # names enter as the keys of param_shapes, or from a checkpoint, whose
+        # loader rejects a name given twice
+        path = tmp_path / "dup.ckpt"
+        save(path, {}, [("w", True, np.ones(2)), ("w", True, np.ones(2))])
+        with pytest.raises(CheckpointError, match="duplicate parameter name 'w'"):
+            load(path)
 
     def test_non_finite_rejected(self):
         ps = ParamSet()
@@ -818,12 +825,15 @@ class TestParamSet:
         assert ps["b"].tolist() == [7.0, 7.0, 7.0]
         assert ps["b"].flags.writeable
 
-    def test_load_shape_mismatch(self):
+    def test_load_shape_mismatch(self, tmp_path):
+        # load_values takes copy_values' own snapshots; values from a file
+        # enter through load_checkpoint, which rejects a tensor of another shape
         ps = self.build()
-        snapshot = ps.copy_values()
-        snapshot["w"] = np.zeros(5)
-        with pytest.raises(ValueError, match="shape"):
-            ps.load_values(snapshot)
+        assert [a.shape for a in ps.copy_values().values()] == [a.shape for _, a in ps.items()]
+        path = rewrite_params(V1_CHECKPOINT, tmp_path / "m.ckpt",
+                              lambda values: values.update(attn_w=np.zeros(99)))
+        with pytest.raises(CheckpointError, match=r"tensor 'attn_w' has shape \(99,\)"):
+            load_checkpoint(path)
 
 
 def test_gradients_sum_several_losses():

@@ -93,11 +93,6 @@ def test_failed_save_leaves_old_file_intact(tmp_path):
     assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
-def test_reserved_meta_key_rejected(tmp_path):
-    with pytest.raises(CheckpointError, match="reserved"):
-        save(tmp_path / "x.ckpt", {"params": []}, sample_tensors())
-
-
 def write_raw(path, body: bytes):
     path.write_bytes(body)
     return path

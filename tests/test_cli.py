@@ -197,7 +197,16 @@ def test_unknown_variant_is_reported(world):
     ("beta=nan", "beta must be finite and >= 0, got nan"),
     ("lr=nan", "lr must be finite and positive, got nan"),
     ("lambda=inf", "lam must be finite and >= 0, got inf"),
-], ids=["beta", "lr", "lambda"])
+    # out of range: the one check on each, where the setting enters
+    ("lr=0", "lr must be finite and positive, got 0.0"),
+    ("pi=0", "p_i must be in (0, 1], got 0.0"),
+    ("pi=1.5", "p_i must be in (0, 1], got 1.5"),
+    ("po=1.5", "p_o must be in (0, 1], got 1.5"),
+    ("window=0", "window must be >= 1, got 0"),
+    ("lambda=-1", "lam must be finite and >= 0, got -1.0"),
+    ("beta=-1", "beta must be finite and >= 0, got -1.0"),
+], ids=["beta", "lr", "lambda", "lr-zero", "pi-zero", "pi-above-one", "po-above-one",
+        "window-zero", "lambda-negative", "beta-negative"])
 def test_non_finite_setting_is_exit_1_without_a_checkpoint(world, tmp_path, setting, named):
     ckpt = tmp_path / "model.ckpt"
     code, _, err = run_cli(["train"] + FAST + [
@@ -207,6 +216,28 @@ def test_non_finite_setting_is_exit_1_without_a_checkpoint(world, tmp_path, sett
     assert code == 1
     assert err.startswith("error: ") and named in err
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("setting,exit_code,named", [
+    ("pi=1.5", 1, "p_i must be in (0, 1], got 1.5"),
+    ("variant=NFETC-x", 1, "unknown variant 'NFETC-x'"),
+    ("seeds=1,x", 2, "seeds expects comma-separated integers"),
+], ids=["pi", "variant", "seeds"])
+def test_train_checks_its_settings_before_reading_a_file(world, tmp_path, setting, exit_code,
+                                                         named):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("0 9\tJordan\t/a\n")
+    code, out, err = run_cli(["train"] + FAST + [
+        "--set", f"types={world['types']}", "--set", f"train={bad}",
+        "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
+        "--set", setting])
+    assert code == exit_code and out == ""
+    assert err.startswith("error: ") and named in err and str(bad) not in err
+    # with the setting mended, the corpus is what is reported
+    code, _, err = run_cli(["train"] + FAST + [
+        "--set", f"types={world['types']}", "--set", f"train={bad}",
+        "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}"])
+    assert code == 1 and err == f"error: {bad}:1: span [0, 9) out of bounds for 1 tokens\n"
 
 
 def test_config_file_parsing(world, tmp_path):
@@ -243,6 +274,14 @@ def test_malformed_config_line_is_exit_2(tmp_path):
     code, _, err = run_cli(["stats", "--config", str(cfg)])
     assert code == 2
     assert "expected key=value" in err
+    # a line that parses but whose key or value is bad names its line too
+    for line, message in (("windw=3", "unknown config key 'windw'"),
+                          ("json=maybe", "json expects a boolean, got 'maybe'"),
+                          ("window = three", "window expects int, got 'three'")):
+        cfg.write_text(f"# line 1\n{line}\n")
+        code, _, err = run_cli(["stats", "--config", str(cfg)])
+        assert code == 2
+        assert err.startswith(f"error: {cfg}:2: {message}")
 
 
 def test_data_root_resolves_relative_paths(monkeypatch):

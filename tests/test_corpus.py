@@ -7,6 +7,7 @@ from nfetc.corpus import (Corpus, CorpusError, MentionTriple, build_filtered,
                           parse_corpus, parse_line, split_dev, stats, window,
                           windowed)
 from nfetc.hierarchy import RefinementMap, TypeForest, apply_refinement
+from nfetc.training import HyperParams
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
 
@@ -135,8 +136,12 @@ def test_empty_label_field_still_needs_opt_in(forest):
         parse_line("0 1\tJordan\t", forest, {}, allow_unlabeled=False)
 
 
-def test_triple_guards():
+def test_triple_guards(forest):
+    # an empty context holds no span, and a corpus line cannot give one: its
+    # token field splits into at least one token, if only the empty one
     with pytest.raises(CorpusError, match="empty"):
+        parse_line("0 1\t\t/person", forest, {})
+    with pytest.raises(CorpusError, match="out of bounds for 0 tokens"):
         MentionTriple((), 0, 1, ())
     with pytest.raises(CorpusError, match="out of bounds"):
         MentionTriple(("a", "b"), 1, 1, ())
@@ -175,9 +180,10 @@ def test_window_short_context_untouched():
 
 
 def test_window_rejects_nonpositive():
-    triple = MentionTriple(("a",), 0, 1, ())
-    with pytest.raises(CorpusError, match=">= 1"):
-        window(triple, 0)
+    # window takes the run's window, which HyperParams checks
+    for c in (0, -1):
+        with pytest.raises(ValueError, match=f"window must be >= 1, got {c}"):
+            HyperParams(window=c)
 
 
 def test_windowed_maps_all_and_keeps_tag(corpus):

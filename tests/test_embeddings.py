@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nfetc.corpus import CorpusError, MentionTriple
 from nfetc.embeddings import EmbeddingError, WordEmbeddings, position_rows
 from nfetc.hierarchy import TypeForest
 from nfetc.model import NfetcModel
@@ -133,12 +134,10 @@ def test_index_for_out_of_range_bucket():
 
 
 def test_index_for_rejects_bad_span():
-    with pytest.raises(EmbeddingError, match=r"invalid mention span \[3, 3\)"):
-        position_rows(2, 0, 3, 3)
-    with pytest.raises(EmbeddingError, match="invalid mention span"):
-        position_rows(2, 0, -1, 2)
-    with pytest.raises(EmbeddingError, match=r"invalid mention span \[4, 2\)"):
-        position_rows(2, [0, 1], [0, 4], [1, 2])
+    # position_rows takes the spans of mention triples, each inside its context
+    for start, end in ((3, 3), (-1, 2), (4, 2)):
+        with pytest.raises(CorpusError, match=rf"span \[{start}, {end}\) out of bounds"):
+            MentionTriple(("a",) * 5, start, end, ())
 
 
 def test_indices_for_vectorizes():

@@ -4,16 +4,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfetc.corpus import Corpus, MentionTriple, parse_corpus
-from nfetc.evaluation import (EvalPair, Metrics, loose_macro_f1,
+from nfetc import evaluation
+from nfetc.cli import main
+from nfetc.corpus import Corpus, CorpusError, MentionTriple, parse_corpus
+from nfetc.evaluation import (EvalPair, Metrics, evaluate, loose_macro_f1,
                               loose_micro_f1, pairs_for, per_type_accuracy,
-                              predict_indices, score_pairs, strict_accuracy)
+                              score_pairs, strict_accuracy)
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig
 from nfetc.optim import make_rng
 from oracles import brute_pair_metrics
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
+CHECKPOINT = Path(__file__).parent / "fixtures" / "ckpt_v1" / "model.ckpt"
 
 
 @pytest.fixture(scope="module")
@@ -79,17 +82,28 @@ def test_singleton_sets_collapse_macro_and_micro():
     assert m.macro_p == m.micro_p == m.macro_r == m.micro_r == m.strict
 
 
-def test_empty_sets_rejected():
-    with pytest.raises(ValueError, match="nonempty"):
-        pair(set(), {"/a"})
-    with pytest.raises(ValueError, match="nonempty"):
-        pair({"/a"}, set())
+def test_empty_sets_rejected(forest, tmp_path):
+    # neither set of a pair can be empty: a line of a corpus to score needs a
+    # label, and a prediction expands to at least its own type
+    p = tmp_path / "c.tsv"
+    p.write_text("0 1\tJordan\t\n")
+    with pytest.raises(CorpusError, match="missing labels"):
+        parse_corpus(p, forest)
+    assert all(t in forest.expand_to_path(t) for t in forest.types())
 
 
 @pytest.mark.parametrize("scorer", [strict_accuracy, loose_macro_f1, loose_micro_f1])
-def test_no_pairs_rejected(scorer):
-    with pytest.raises(ValueError, match="no pairs"):
-        scorer([])
+def test_no_pairs_rejected(scorer, tmp_path, monkeypatch, capsys):
+    # an eval input without mentions is rejected, naming the file, before any
+    # scorer sees an empty list of pairs
+    calls = []
+    monkeypatch.setattr(evaluation, scorer.__name__, lambda pairs: calls.append(pairs))
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("\n")
+    code = main(["eval", "--set", f"checkpoint={CHECKPOINT}", "--set", f"input={empty}"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {empty}: no mentions to score\n"
+    assert calls == []
 
 
 def test_agrees_with_counting_oracle():
@@ -120,9 +134,14 @@ def test_pairs_for_expands_predictions(corpus, forest):
     assert pairs[3].gold == {"/person/coach"}  # gold stays as labeled
 
 
-def test_pairs_for_guards(corpus, forest):
-    with pytest.raises(ValueError, match="predictions for"):
-        pairs_for(corpus, [0], forest)
+def test_pairs_for_guards(corpus, forest, tmp_path):
+    # pairs_for's input is checked where it enters: a corpus to score is parsed
+    # with its labels required, and one prediction comes from each mention's row
+    p = tmp_path / "unlabeled.tsv"
+    p.write_text("0 1\tJordan\n")
+    with pytest.raises(CorpusError, match="expected 3 tab-separated fields"):
+        parse_corpus(p, forest)
+    assert len(pairs_for(corpus, [0] * len(corpus), forest)) == len(corpus)
 
 
 def test_stub_predictor_matches_manifest(corpus, forest, manifest):
@@ -137,7 +156,7 @@ def test_stub_predictor_matches_manifest(corpus, forest, manifest):
 
 def test_per_type_accuracy_groups_by_terminal(corpus, forest):
     athlete = forest.index("/person/athlete")
-    got = per_type_accuracy(corpus, [athlete] * len(corpus), forest)
+    got = per_type_accuracy(corpus, pairs_for(corpus, [athlete] * len(corpus), forest))
     assert got == {"/location": 0.0, "/organization": 0.0,
                    "/organization/company": 0.0,
                    "/person/athlete": 0.25, "/person/coach": 0.0}
@@ -154,27 +173,35 @@ class RowStub:
         return self.rows[:len(triples)]
 
 
-def test_predict_indices_callable_and_batched(corpus, forest):
+def scored(corpus, predictions, forest):
+    """The metrics of one predicted type index per mention."""
+    return score_pairs(pairs_for(corpus, predictions, forest))
+
+
+def test_evaluate_scores_the_argmax_of_each_batched_row(corpus, forest):
     coach = forest.index("/person/coach")
     one_hot = RowStub(np.tile(np.eye(len(forest))[coach], (len(corpus), 1)))
-    assert predict_indices(one_hot, corpus, forest, LossConfig()) == [coach] * len(corpus)
+    assert evaluate(one_hot, corpus, forest, LossConfig()) == scored(
+        corpus, [coach] * len(corpus), forest)
 
     stub = RowStub(np.tile([0.1, 0.2, 0.05, 0.3, 0.2, 0.15], (len(corpus), 1)))
-    assert predict_indices(stub, corpus, forest, LossConfig()) == [3] * len(corpus)
+    assert evaluate(stub, corpus, forest, LossConfig()) == scored(
+        corpus, [3] * len(corpus), forest)
 
 
-def test_predict_indices_applies_inference_adjustment():
+def test_evaluate_applies_inference_adjustment():
     forest = TypeForest(["/organization", "/person", "/person/athlete"])
     m = MentionTriple(("x",), 0, 1, ("/person",), frozenset({"/person"}))
     corpus = Corpus([m])
     stub = RowStub([[0.38, 0.32, 0.30]])
 
-    assert predict_indices(stub, corpus, forest, LossConfig()) == [0]
+    assert evaluate(stub, corpus, forest, LossConfig()) == scored(corpus, [0], forest)
     cfg = LossConfig(beta=1.0, hier=True, hier_at_inference=True)
     # athlete absorbs person's mass: .30 + .32 beats .38
-    assert predict_indices(stub, corpus, forest, cfg) == [2]
+    assert evaluate(stub, corpus, forest, cfg) == scored(corpus, [2], forest)
     off = LossConfig(beta=1.0, hier=True, hier_at_inference=False)
-    assert predict_indices(stub, corpus, forest, off) == [0]
+    assert evaluate(stub, corpus, forest, off) == scored(corpus, [0], forest)
+    assert scored(corpus, [0], forest) != scored(corpus, [2], forest)
 
 
 # -- report formats ---------------------------------------------------------------

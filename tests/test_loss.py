@@ -5,7 +5,8 @@ import pytest
 
 from gradcheck import STEP, TOLERANCE, fd_gradient, max_rel_error
 from nfetc.autodiff import ParamSet
-from nfetc.corpus import MentionTriple
+from nfetc import training as training_module
+from nfetc.corpus import Corpus, CorpusError, MentionTriple, parse_line
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import (LossConfig, PROB_FLOOR, hierarchical_adjust_rows,
@@ -13,7 +14,7 @@ from nfetc.loss import (LossConfig, PROB_FLOOR, hierarchical_adjust_rows,
                         select_candidate)
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
-from nfetc.training import HyperParams, select_variant
+from nfetc.training import HyperParams, select_variant, train, training_corpus
 from oracles import Tensor, brute_ancestors, random_forest_paths, softmax_rows
 
 
@@ -31,6 +32,10 @@ def mention(labels, forest, tokens=("x",), start=0, end=1):
 
 
 PERSON = TypeForest(["/organization", "/person", "/person/athlete"])
+
+
+def tiny_embeddings():
+    return WordEmbeddings(["x", "y"], np.array([[0.1, -0.2, 0.3], [0.2, 0.1, -0.1]]))
 
 
 def flat_forest(k):
@@ -103,12 +108,15 @@ def test_adjust_only_descendants_gain():
 
 
 def test_adjust_shape_guards():
-    with pytest.raises(ValueError, match="2-D"):
-        hierarchical_adjust_rows(np.ones(3) / 3, PERSON, 0.4)
-    with pytest.raises(ValueError, match="does not match"):
-        hierarchical_adjust_rows(np.ones((1, 4)) / 4, PERSON, 0.4)
-    with pytest.raises(ValueError, match=">= 0"):
-        hierarchical_adjust_rows(np.ones((1, 3)) / 3, PERSON, -0.1)
+    # the adjustment's inputs are checked where they enter: beta by the run's
+    # settings, and the rows are the model's (B, K) rows, whose width a
+    # checkpoint's classifier must match to its forest
+    for settings in (LossConfig, HyperParams):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            settings(beta=-0.1)
+    model = NfetcModel(HyperParams(d_p=2, d_s=2, window=1), tiny_embeddings(), PERSON,
+                       make_rng(0))
+    assert model.predict_probs([mention(["/person"], PERSON)] * 2).shape == (2, len(PERSON))
 
 
 # -- penalties and plain cross-entropy ------------------------------------------
@@ -158,8 +166,10 @@ def test_l2_gradient_matches_finite_differences():
 
 
 def test_l2_rejects_negative():
-    with pytest.raises(ValueError, match=">= 0"):
-        l2_penalty(make_params([[1.0]]), -1.0)
+    # l2_penalty takes the run's lam, which its settings check
+    for settings in (LossConfig, HyperParams):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            settings(lam=-1.0)
 
 
 def test_cross_entropy_certain_prediction_is_zero():
@@ -184,13 +194,6 @@ def test_cross_entropy_adds_l2():
     assert loss == pytest.approx(math.log(2.0) + 0.4, abs=1e-12)
 
 
-def test_cross_entropy_rejects_rows():
-    forest = flat_forest(2)
-    with pytest.raises(ValueError, match="do not match"):
-        mean_nll(np.ones((2, 2)) / 2, [mention(["/t0"], forest)],
-                 LossConfig(), forest)
-
-
 # -- candidate selection and the variant objective -------------------------------
 
 
@@ -208,8 +211,11 @@ def test_select_candidate_tie_takes_lowest_index():
 
 
 def test_select_candidate_empty_rejected():
-    with pytest.raises(ValueError, match="empty candidate"):
-        select_candidate(np.array([1.0]), [])
+    # the candidates are a training mention's terminals: a training line
+    # without labels is rejected where it is parsed, and labels have a terminal
+    with pytest.raises(CorpusError, match="missing labels"):
+        parse_line("0 1\tx\t", PERSON, {})
+    assert all(PERSON.terminal_set([t]) == {t} for t in PERSON.types())
 
 
 def test_variant_equals_standard_on_singleton():
@@ -277,10 +283,14 @@ def test_mean_nll_mixed_batch_is_plain_average():
 
 
 def test_mean_nll_standard_rejects_multiple_terminals():
+    # standard mode is the (f) variants', which train on the filtered corpus:
+    # a mention with two candidate terminals never reaches it
     noisy = mention(["/person", "/organization"], PERSON)
-    with pytest.raises(ValueError, match="filter the corpus or use variant"):
-        mean_nll(rows_for([0.2, 0.5, 0.3]), [noisy], LossConfig(mode="standard"),
-                 PERSON)
+    single = mention(["/person/athlete"], PERSON)
+    for name in ("NFETC(f)", "NFETC-hier(f)"):
+        choice, config = select_variant(name)
+        assert config.mode == "standard"
+        assert training_corpus(Corpus([noisy, single]), choice, PERSON).triples == [single]
 
 
 def test_mean_nll_variant_selects_per_row():
@@ -325,13 +335,23 @@ def test_mean_nll_floors_zero_rows():
     assert got == pytest.approx(-math.log(PROB_FLOOR), abs=1e-9)
 
 
-def test_mean_nll_guards():
-    config = LossConfig()
-    with pytest.raises(ValueError, match="empty batch"):
-        mean_nll(rows_for([0.2, 0.5, 0.3]), [], config, PERSON)
-    m = mention(["/person"], PERSON)
-    with pytest.raises(ValueError, match="do not match"):
-        mean_nll(rows_for([0.5, 0.5]), [m], config, PERSON)
+def test_mean_nll_guards(monkeypatch):
+    # train, the objective's one caller, rejects an empty corpus and hands it
+    # nonempty batches of one (K,) row per mention
+    seen, real = [], training_module.mean_nll
+
+    def recording(probs, triples, config, forest):
+        seen.append((probs.shape, len(triples)))
+        return real(probs, triples, config, forest)
+
+    monkeypatch.setattr(training_module, "mean_nll", recording)
+    corpus = Corpus([mention(["/person"], PERSON), mention(["/organization"], PERSON),
+                     mention(["/person/athlete"], PERSON, tokens=("x", "y"))])
+    hp = HyperParams(d_p=2, d_s=2, window=1, batch=2, epochs=1)
+    with pytest.raises(ValueError, match="nonempty"):
+        train(Corpus([]), corpus, tiny_embeddings(), PERSON, hp, LossConfig())
+    train(corpus, corpus, tiny_embeddings(), PERSON, hp, LossConfig())
+    assert seen == [((2, len(PERSON)), 2), ((1, len(PERSON)), 1)]
 
 
 def test_batch_loss_adds_one_l2_term():

@@ -7,14 +7,14 @@ import pytest
 
 from gradcheck import STEP, TOLERANCE, fd_gradient, max_rel_error
 from nfetc.autodiff import lstm_sequence
-from nfetc.corpus import MentionTriple
+from nfetc.corpus import Corpus, MentionTriple
 from nfetc.embeddings import WordEmbeddings, position_rows
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig, l2_penalty, mean_nll
 from nfetc import model as model_module
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
-from nfetc.training import HyperParams, gradients
+from nfetc.training import HyperParams, gradients, train
 from oracles import Tensor, concat, tape_forward, tape_params
 
 VOCAB = ["the", "cat", "sat", "on", "mat", "dog", "ran", "big", "red", "fox"]
@@ -653,10 +653,23 @@ def test_gradients_do_not_alias_parameters():
 # -- dropout -------------------------------------------------------------------
 
 
-def test_training_dropout_needs_rng():
-    model = make_model(p_i=0.5)
-    with pytest.raises(ValueError, match="needs an RNG"):
-        model.forward_bucket([T4], train=True)
+def test_training_dropout_needs_rng(monkeypatch):
+    # forward_bucket does not check for an RNG: train, its one training
+    # caller, hands every training forward the run's seeded generator
+    seen, real = [], NfetcModel.forward_bucket
+
+    def recording(self, batch, train=False, rng=None):
+        seen.append((train, rng))
+        return real(self, batch, train, rng)
+
+    monkeypatch.setattr(NfetcModel, "forward_bucket", recording)
+    batch = [T4, triple(["dog", "ran"], 0, 1), triple(["mat"], 0, 1, ("/c",))]
+    corpus = Corpus(batch)
+    train(corpus, corpus, make_embeddings(), make_forest(),
+          HyperParams(d_p=3, d_s=3, window=2, p_i=0.5, batch=2, epochs=2), LossConfig())
+    rngs = [rng for training, rng in seen if training]
+    assert len(rngs) == 4 and all(isinstance(rng, np.random.Generator) for rng in rngs)
+    assert all(rng is rngs[0] for rng in rngs)
 
 
 def test_dropout_perturbs_training_forward():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nfetc.autodiff import ParamSet
+from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
 from nfetc.model import NfetcModel
@@ -73,9 +74,10 @@ def test_frozen_parameters_are_bit_identical_after_steps():
 
 
 def test_rejects_nonpositive_lr():
-    ps = single_param()
-    with pytest.raises(ValueError, match="positive"):
-        adam_step(ps, {"x": np.zeros(1)}, AdamState(ps), lr=0.0)
+    # adam_step takes the run's lr, which HyperParams checks
+    for lr in (0.0, -0.1):
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            HyperParams(lr=lr)
 
 
 def test_rejects_gradient_shape_mismatch():
@@ -94,10 +96,16 @@ def test_converges_on_quadratic():
 
 
 def test_dropout_mask_identity_without_consuming_rng():
+    # at keep 1 the model draws no mask: a training forward leaves the
+    # stream where it was and matches inference
+    emb = WordEmbeddings(["a", "b"], np.arange(6.0).reshape(2, 3) / 10)
+    model = NfetcModel(HyperParams(d_p=2, d_s=2, window=1, p_i=1.0, p_o=1.0), emb,
+                       TypeForest(["/a", "/b"]), make_rng(0))
     rng = make_rng(5)
-    mask = dropout_mask((4, 4), 1.0, rng)
-    assert mask.dtype == np.bool_
-    assert np.array_equal(mask, np.ones((4, 4)))
+    batch = [MentionTriple(("a", "b", "a"), 1, 2, ())]
+    probs, _, _ = model.forward_bucket(batch, train=True, rng=rng)
+    assert probs.shape == (1, 2)
+    assert np.allclose(probs, model.forward_bucket(batch)[0], atol=1e-6)
     # the stream was not advanced
     assert rng.random() == make_rng(5).random()
 
@@ -133,8 +141,10 @@ def test_dropout_mask_keep_rate(keep):
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, 1.2])
 def test_dropout_mask_rejects_bad_keep_prob(bad):
-    with pytest.raises(ValueError, match="keep_prob"):
-        dropout_mask((2,), bad, make_rng(0))
+    # the masks are drawn at the run's keep probabilities, which HyperParams checks
+    for name in ("p_i", "p_o"):
+        with pytest.raises(ValueError, match=rf"{name} must be in \(0, 1\], got {bad}"):
+            HyperParams(**{name: bad})
 
 
 def test_dropout_mask_deterministic_per_seed():

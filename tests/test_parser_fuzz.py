@@ -3,6 +3,7 @@
 Each mutant of a fixture either parses, or raises its parser's own error
 type with a message that names the file, and for a text file the line (or,
 for a file with nothing in it, says so). Any other exception fails the test.
+A checkpoint that loads must also predict: finite rows that sum to 1.
 Mutations: byte changes (non-UTF-8 bytes included), deletions, truncation,
 fragments of the file spliced in elsewhere, and inserted tabs, slashes,
 ``#`` and newlines."""
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 from nfetc.checkpoint import CheckpointError
-from nfetc.corpus import CorpusError, parse_corpus
+from nfetc.cli import CliError, build_config
+from nfetc.corpus import CorpusError, MentionTriple, parse_corpus
 from nfetc.embeddings import EmbeddingError, WordEmbeddings
 from nfetc.hierarchy import ForestError, RefinementMap, TypeForest
+from nfetc.loss import inference_adjust
 from nfetc.optim import make_rng
 from nfetc.training import load_checkpoint
 
@@ -33,7 +36,11 @@ PARSERS = {
     "checkpoint": ("ckpt_v1/model.ckpt", load_checkpoint, CheckpointError, False, 5),
     # aligned, so a mutant whose header keeps its length maps the word matrix
     "checkpoint-padded": ("ckpt_v1/padded.ckpt", load_checkpoint, CheckpointError, False, 6),
+    "config": ("mini/run.cfg", lambda p: build_config("figer", p, []), CliError, True, 7),
 }
+
+# one unlabeled mention, for a checkpoint that loads to predict
+UNLABELED = MentionTriple(("x", "y"), 0, 1, ())
 
 # messages about a text file as a whole: nothing in it to parse
 WHOLE_FILE = ("empty embedding file", "no types")
@@ -69,12 +76,12 @@ def test_each_mutant_parses_or_names_the_file_and_line(tmp_path, name):
     named = re.compile(re.escape(str(path))
                        + (rf"(:(\d+): |: ({'|'.join(WHOLE_FILE)})$)" if text
                           else ": "))
-    rejected = 0
+    rejected = loaded = 0
     for k in range(MUTANTS):
         data = mutate(original, rng)
         path.write_bytes(data)
         try:
-            parse(path)
+            parsed = parse(path)
         except error as e:
             rejected += 1
             found = named.match(str(e))
@@ -82,5 +89,13 @@ def test_each_mutant_parses_or_names_the_file_and_line(tmp_path, name):
             if text and not found.group(3):
                 line = int(found.group(2))
                 assert 1 <= line <= len(data.splitlines()) + 1, f"mutant {k}: {e}"
+            continue
+        if not text:   # no checkpoint that loads reaches an unchecked value
+            rows = inference_adjust(parsed.model.predict_probs([UNLABELED]), parsed.forest,
+                                    parsed.loss_config)
+            assert np.all(np.isfinite(rows)), f"mutant {k}"
+            assert np.allclose(rows.sum(axis=1), 1.0), f"mutant {k}"
+            loaded += 1
     # the mutations do reach the error paths, and do not only break the file
     assert 0.05 * MUTANTS < rejected < MUTANTS
+    assert text or loaded > 0

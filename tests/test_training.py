@@ -91,8 +91,6 @@ def test_training_corpus_choices():
     assert training_corpus(train_c, "raw", forest) is train_c
     filtered = training_corpus(train_c, "filtered", forest)
     assert len(filtered) == len(train_c)  # every label set here is single-path
-    with pytest.raises(ValueError, match="unknown corpus choice"):
-        training_corpus(train_c, "everything", forest)
 
 
 # -- hyperparameter validation -----------------------------------------------------
