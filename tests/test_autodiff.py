@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -662,6 +663,70 @@ def test_packed_layout_is_one_lstm_sequence_takes():
         assert sorted(zip(seq.tolist(), step.tolist())) == [
             (k, t) for k, n in enumerate(lengths.tolist()) for t in range(n)]
     assert _packed([1])[2].tolist() == [1]
+
+
+def layout_fault(x, n_at, mask_in, mask_out):
+    """What is wrong with an ``lstm_sequence`` layout, or None: rows per step
+    must be positive and non-increasing, and every input block and dropout
+    mask must hold their sum of rows."""
+    n_at = np.asarray(n_at, dtype=np.intp)
+    if n_at.size == 0 or n_at[-1] < 1 or np.any(np.diff(n_at) > 0):
+        return f"rows per step must be positive and non-increasing, got {n_at.tolist()}"
+    rows, shapes = int(n_at.sum()), [a.shape for a in x]
+    if any(len(s) != 2 or s[0] != rows for s in shapes):
+        return f"input blocks {shapes} do not hold the {rows} rows of steps {n_at.tolist()}"
+    if any(m is not None and len(m[0]) != rows for m in (mask_in, mask_out)):
+        return f"dropout masks need {rows} rows, one per row of x"
+    return None
+
+
+@pytest.mark.parametrize("n_at,rows,mask_rows,message", [
+    ([2, 0], 2, None, "positive and non-increasing"),
+    ([1, 2], 3, None, "positive and non-increasing"),
+    ([2, 1], 5, None, "do not hold"),
+    ([], 4, None, "positive"),
+    ([2, 1], (3, 4), None, "do not hold"),
+    ([2, 1], 3, (4, 3), "need 3 rows"),
+    ([2, 1], 3, (3, 2), "need 3 rows"),
+], ids=["zero-length", "too-long", "lengths3-5-do not split", "lengths4-4-do not split",
+        "unequal-blocks", "mask_in-rows", "mask_out-rows"])
+def test_lstm_sequence_rejects_bad_layout(monkeypatch, n_at, rows, mask_rows, message):
+    # lstm_sequence does not check its layout: its one caller, the model,
+    # makes every layout with _packed over real contexts and mentions. The
+    # case's layout is a fault, and no layout the model hands lstm_sequence,
+    # training with dropout or not, over random lengths and spans, is one.
+    # rows: one block's row count, or a pair for a width-1 and a wider block;
+    # mask_rows: the (mask_in, mask_out) row counts, or no masks
+    x = ([np.zeros((rows, D_IN))] if isinstance(rows, int) else
+         [np.zeros((rows[0], 1)), np.zeros((rows[1], D_IN - 1))])
+    masks = ([None, None] if mask_rows is None else
+             [(np.ones((mask_rows[0], D_IN), dtype=bool), 0.7),
+              (np.ones((mask_rows[1], D_S), dtype=bool), 0.7)])
+    fault = layout_fault(x, n_at, *masks)
+    assert fault is not None and re.search(message, fault)
+
+    faults, calls, run = [], [], model_module.lstm_sequence
+
+    def checking(x, w_in, w_rec, bias, n_at, reverse=False, mask_in=None, mask_out=None,
+                 **kwargs):
+        calls.append(mask_in is not None)
+        faults.append(layout_fault(x, n_at, mask_in, mask_out))
+        return run(x, w_in, w_rec, bias, n_at, reverse, mask_in, mask_out, **kwargs)
+
+    monkeypatch.setattr(model_module, "lstm_sequence", checking)
+    model, r = tiny_model(), make_rng(29)
+    words = ["the", "cat", "sat", "on", "mat", "zzz"]
+    for trial in range(12):
+        batch = []
+        for _ in range(int(r.integers(1, 6))):
+            n = int(r.integers(1, 7))
+            start = int(r.integers(n))
+            batch.append(MentionTriple(tuple(words[:n]), start, int(r.integers(start + 1, n + 1)),
+                                       ("/a",), frozenset({"/a"})))
+        train = trial % 2 == 0
+        model.forward_bucket(batch, train=train, rng=make_rng(trial) if train else None)
+    assert len(calls) == 36 and calls.count(True) == 18
+    assert faults == [None] * 36
 
 
 def test_gradients_skips_frozen_entries():

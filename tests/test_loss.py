@@ -335,9 +335,18 @@ def test_mean_nll_floors_zero_rows():
     assert got == pytest.approx(-math.log(PROB_FLOOR), abs=1e-9)
 
 
-def test_mean_nll_guards(monkeypatch):
-    # train, the objective's one caller, rejects an empty corpus and hands it
-    # nonempty batches of one (K,) row per mention
+def test_mean_nll_guards():
+    # train, the objective's one caller, rejects an empty corpus, so mean_nll
+    # never sees an empty batch
+    corpus = Corpus([mention(["/person"], PERSON)])
+    hp = HyperParams(d_p=2, d_s=2, window=1, batch=2, epochs=1)
+    with pytest.raises(ValueError, match="nonempty"):
+        train(Corpus([]), corpus, tiny_embeddings(), PERSON, hp, LossConfig())
+
+
+def test_cross_entropy_rejects_rows(monkeypatch):
+    # mean_nll does not check its rows: train, its one caller, hands it one
+    # (K,) row per mention of each batch, the last batch short
     seen, real = [], training_module.mean_nll
 
     def recording(probs, triples, config, forest):
@@ -348,8 +357,6 @@ def test_mean_nll_guards(monkeypatch):
     corpus = Corpus([mention(["/person"], PERSON), mention(["/organization"], PERSON),
                      mention(["/person/athlete"], PERSON, tokens=("x", "y"))])
     hp = HyperParams(d_p=2, d_s=2, window=1, batch=2, epochs=1)
-    with pytest.raises(ValueError, match="nonempty"):
-        train(Corpus([]), corpus, tiny_embeddings(), PERSON, hp, LossConfig())
     train(corpus, corpus, tiny_embeddings(), PERSON, hp, LossConfig())
     assert seen == [((2, len(PERSON)), 2), ((1, len(PERSON)), 1)]
 
