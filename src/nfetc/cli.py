@@ -192,6 +192,8 @@ def cmd_train(cfg: dict) -> int:
         select_on_adjusted=cfg["select_adjusted"])
     hp = _hyperparams(cfg)
     seeds = _parse_seeds(cfg["seeds"]) or [hp.seed]
+    if not 0.0 < cfg["dev_fraction"] < 1.0:
+        raise ValueError(f"dev fraction must be in (0, 1), got {cfg['dev_fraction']}")
     forest, mapping = _load_forest(cfg, "train")
     train_path = _require_path(cfg, "train", "train")
     test_path = _require_path(cfg, "test", "train")
@@ -223,12 +225,31 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
+def _steady_allocator() -> None:
+    """Serve blocks under 32 MiB from the heap and keep up to 64 MiB of it
+    freed, so that glibc does not map the model's per-chunk temporaries
+    afresh on every call. Eval and predict only: the same setting made
+    training slower. A no-op without glibc's ``mallopt``."""
+    import ctypes   # here, not at the top: no other command needs it
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+
+
 def _restore_and_predict(cfg: dict, command: str, key: str, read):
     """(restored checkpoint, windowed ``key`` corpus as ``read(path, forest)``
-    parses it, its probability rows as ``inference_adjust`` leaves them)."""
-    restored = load_checkpoint(_require_path(cfg, "checkpoint", command))
-    corpus = read(_require_path(cfg, key, command), restored.forest)
-    corpus = windowed(corpus, restored.hyperparams.window)
+    parses it, its probability rows as ``inference_adjust`` leaves them).
+    The checkpoint keeps only the word vectors of the corpus's words."""
+    _steady_allocator()
+    corpus = None
+
+    def wanted(forest, hp):
+        nonlocal corpus
+        corpus = windowed(read(_require_path(cfg, key, command), forest), hp.window)
+        return set().union(*(t.tokens for t in corpus))
+
+    restored = load_checkpoint(_require_path(cfg, "checkpoint", command), wanted)
     probs = restored.model.predict_probs(list(corpus))
     return restored, corpus, inference_adjust(probs, restored.forest, restored.loss_config)
 
@@ -265,15 +286,14 @@ def cmd_predict(cfg: dict) -> int:
         cfg, "predict", "input",
         lambda path, forest: parse_corpus(path, forest, tag="input", allow_unlabeled=True))
     forest = restored.forest
-    lines = []
-    for row in probs:
-        order = np.argsort(-row, kind="stable")
-        terminal = forest.path_of(int(order[0]))
-        expanded = sorted(forest.expand_to_path(terminal),
-                          key=lambda p: (p.count("/"), p))
-        top = " ".join(f"{forest.path_of(int(i))}={row[int(i)]:.6f}"
-                       for i in order[:5])
-        lines.append(f"{terminal}\t{','.join(expanded)}\t{top}\n")
+    paths = [forest.path_of(i) for i in range(len(forest))]
+    chains = [",".join(sorted(forest.expand_to_path(p), key=lambda q: (q.count("/"), q)))
+              for p in paths]
+    order = np.argsort(-probs, axis=1, kind="stable")[:, :5]
+    top = np.take_along_axis(probs, order, axis=1).tolist()
+    lines = [f"{paths[ranked[0]]}\t{chains[ranked[0]]}\t"
+             + " ".join(f"{paths[i]}={p:.6f}" for i, p in zip(ranked, row)) + "\n"
+             for ranked, row in zip(order.tolist(), top)]
     _emit("".join(lines), cfg["output"])
     return 0
 

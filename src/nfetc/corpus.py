@@ -187,11 +187,10 @@ def stats(corpus: Corpus, forest: TypeForest) -> CorpusStats:
 def split_dev(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     """Disjoint, exhaustive (dev, eval) partition by seeded uniform sampling.
 
-    The dev size is fraction * N rounded half-up. Relative corpus order is
-    preserved inside each part.
+    The dev size is fraction * N rounded half-up, for a ``fraction`` in
+    (0, 1), which ``nfetc train`` checks with its settings. Relative corpus
+    order is preserved inside each part.
     """
-    if not 0.0 < fraction < 1.0:
-        raise CorpusError(f"dev fraction must be in (0, 1), got {fraction}")
     n = len(corpus)
     n_dev = math.floor(fraction * n + 0.5)
     if n_dev == 0:

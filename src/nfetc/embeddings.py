@@ -32,6 +32,22 @@ class EmbeddingError(ValueError):
     pass
 
 
+def vocabulary_index(words, shape: tuple, rows: bool = True) -> dict[str, int] | set[str]:
+    """Each word's row, or without ``rows`` the set of words (half the time
+    to build), once ``words`` is checked to be a list of distinct str, one
+    for each row of a matrix of ``shape`` that holds word vectors."""
+    if not isinstance(words, list) or not all(map(isinstance, words, repeat(str))):
+        raise EmbeddingError("vocabulary is not a list of strings")
+    index = dict(zip(words, range(len(words)))) if rows else set(words)
+    if len(index) != len(words):
+        raise EmbeddingError("duplicate word in vocabulary")
+    if len(shape) != 2 or shape[0] != len(words):
+        raise EmbeddingError(f"matrix shape {shape} does not match {len(words)} words")
+    if 0 in shape:
+        raise EmbeddingError(f"matrix shape {shape} holds no word vectors")
+    return index
+
+
 CHUNK_LINES = 8192   # lines of the file parsed by one np.loadtxt call
 CACHE_SUFFIX = ".nfetc-cache"
 
@@ -45,25 +61,19 @@ class WordEmbeddings:
     the caller's own array can no longer be written to. Pass a copy to keep a
     writable one.
     ``index``, when given, maps each word to its row, as ``from_file`` builds
-    it while it reads."""
+    it while it reads and ``vocabulary_index`` returns it; then the words
+    are not checked again.
+
+    The matrix may be a map of a file (the parse cache, a checkpoint), or,
+    as ``nfetc eval`` and ``predict`` load a checkpoint, only the rows of
+    the words their input holds."""
 
     def __init__(self, words: list[str], matrix: np.ndarray,
                  index: dict[str, int] | None = None):
-        if not isinstance(words, list) or not all(map(isinstance, words, repeat(str))):
-            raise EmbeddingError("vocabulary is not a list of strings")
-        if index is None:
-            index = dict(zip(words, range(len(words))))
-        if len(index) != len(words):
-            raise EmbeddingError("duplicate word in vocabulary")
-        if matrix.ndim != 2 or matrix.shape[0] != len(words):
-            raise EmbeddingError(f"matrix shape {matrix.shape} does not match "
-                                 f"{len(words)} words")
-        if 0 in matrix.shape:
-            raise EmbeddingError(f"matrix shape {matrix.shape} holds no word vectors")
+        self._index = vocabulary_index(words, matrix.shape) if index is None else index
         self.words = words
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.matrix.flags.writeable = False
-        self._index = index
         self.dim = self.matrix.shape[1]
 
     @classmethod

@@ -14,7 +14,7 @@ import numpy as np
 from . import checkpoint
 from .autodiff import ParamSet
 from .corpus import Corpus, build_filtered, windowed
-from .embeddings import WordEmbeddings
+from .embeddings import WordEmbeddings, vocabulary_index
 from .evaluation import Metrics, evaluate
 from .hierarchy import TypeForest
 from .loss import LossConfig, l2_penalty, mean_nll
@@ -215,9 +215,8 @@ class MultiResult:
 def run_multi(seeds: list[int], train_corpus: Corpus, dev_corpus: Corpus,
               embeddings: WordEmbeddings, forest: TypeForest, hp: HyperParams,
               config: LossConfig, eval_corpus: Corpus, log=None) -> MultiResult:
-    """Independent training runs differing only in seed."""
-    if not seeds:
-        raise ValueError("need at least one seed")
+    """Independent training runs differing only in seed; ``nfetc train``
+    passes at least one."""
     runs = []
     for s in seeds:
         runs.append(train(train_corpus, dev_corpus, embeddings, forest,
@@ -306,11 +305,9 @@ def _check_tensors(entries: list[dict], hp: HyperParams, d_w: int, k: int) -> No
         raise checkpoint.CheckpointError(f"checkpoint {', '.join(problems)}")
 
 
-def load_checkpoint(path: str) -> Restored:
-    """The model and run settings of a checkpoint. The tensors must have the
-    shapes the stored hyperparameters give, and restoring draws no random
-    numbers."""
-    meta, tensors = checkpoint.load(path)
+def _stored(path: str, meta: dict, rows: bool = True):
+    """The settings, forest and ``vocabulary_index`` a checkpoint's meta
+    holds, checked against its tensor descriptors."""
     try:
         for key in ("hyperparams", "loss_config", "types", "vocab"):
             if key not in meta:
@@ -318,10 +315,49 @@ def load_checkpoint(path: str) -> Restored:
         hp = _settings(HyperParams, meta, "hyperparams")
         config = _settings(LossConfig, meta, "loss_config")
         forest = TypeForest(meta["types"])
-        if "word_emb" not in tensors:
+        shapes = {e["name"]: tuple(e["shape"]) for e in meta["params"]}
+        if "word_emb" not in shapes:
             raise checkpoint.CheckpointError("checkpoint lacks the word embedding matrix")
-        embeddings = WordEmbeddings(meta["vocab"], tensors["word_emb"])
-        _check_tensors(meta["params"], hp, embeddings.dim, len(forest))
+        index = vocabulary_index(meta["vocab"], shapes["word_emb"], rows)
+        _check_tensors(meta["params"], hp, shapes["word_emb"][1], len(forest))
+    except (TypeError, ValueError) as e:
+        raise checkpoint.CheckpointError(f"{path}: {e}") from None
+    return hp, config, forest, index
+
+
+def load_checkpoint(path: str, wanted=None) -> Restored:
+    """The model and run settings of a checkpoint. The tensors must have the
+    shapes the stored hyperparameters give, and restoring draws no random
+    numbers.
+
+    Without ``wanted`` the word matrix is mapped whole. With it, once every
+    check that needs no word vector has passed, ``wanted(forest, hp)`` of
+    the stored forest and hyperparameters returns the set of words the
+    model will look up (those of an input it parses then, say); the matrix
+    is read once, each value checked, and only their rows are kept, so the
+    model predicts as it would with the whole matrix."""
+    stored, keep = None, None
+
+    def rows(meta):
+        nonlocal stored, keep
+        stored = hp, _, forest, _ = _stored(path, meta, rows=False)
+        vocab, words = meta["vocab"], wanted(forest, hp)
+        keep = np.flatnonzero(np.fromiter(map(words.__contains__, vocab), bool, len(vocab)))
+        # one row at least, for the gather an unknown word makes
+        keep = keep if len(keep) else np.zeros(1, np.intp)
+        return keep
+
+    if wanted is None:
+        meta, tensors = checkpoint.load(path)
+        stored = _stored(path, meta)
+        embeddings = WordEmbeddings(meta["vocab"], tensors["word_emb"], stored[3])
+    else:
+        meta, tensors = checkpoint.load(path, rows)
+        words = [meta["vocab"][r] for r in keep.tolist()]
+        embeddings = WordEmbeddings(words, tensors["word_emb"],
+                                    dict(zip(words, range(len(words)))))
+    hp, config, forest, _ = stored
+    try:
         params = params_from_values(tensors)
     except (TypeError, ValueError) as e:
         raise checkpoint.CheckpointError(f"{path}: {e}") from None

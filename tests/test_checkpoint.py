@@ -12,7 +12,7 @@ import pytest
 
 from ckptedit import rewrite_meta, rewrite_params
 from nfetc import training as training_module
-from nfetc.checkpoint import MAGIC, CheckpointError, header, load, save
+from nfetc.checkpoint import MAGIC, READ_BYTES, CheckpointError, header, load, save
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
@@ -291,6 +291,35 @@ def test_load_maps_the_frozen_matrix_without_a_copy(tmp_path):
         tracemalloc.stop()
     assert peak < big.nbytes // 4
     assert np.array_equal(loaded["word_emb"], big)
+
+
+def test_load_with_rows_keeps_those_rows_and_maps_nothing(tmp_path, monkeypatch):
+    # a frozen matrix of eight reads and a bit through the load's buffer: the
+    # load asks ``rows`` once, after the file's checks, keeps those rows
+    # (either side of each read's end among them) and holds little more
+    # than its buffer beside them
+    width = 64
+    step = READ_BYTES // (8 * width)
+    big = np.arange((8 * step + 5) * width, dtype=np.float64).reshape(-1, width)
+    path = tmp_path / "big.ckpt"
+    save(path, {"k": 1}, [("word_emb", False, big), ("w", True, np.ones(3))])
+    keep = np.array([0, 7, step - 1, step, 2 * step, 8 * step + 4])
+    asked = []
+    monkeypatch.setattr(mmap, "mmap", lambda *a, **k: pytest.fail("the load mapped the file"))
+    tracemalloc.start()
+    try:
+        meta, loaded = load(path, lambda meta: asked.append(meta["k"]) or keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asked == [1] and list(loaded) == ["word_emb", "w"]
+    assert np.array_equal(loaded["word_emb"], big[keep])
+    assert np.array_equal(loaded["w"], np.ones(3))
+    assert peak < 2 * READ_BYTES < big.nbytes // 3
+    # a fault the file shows is reported before ``rows`` is asked
+    write_raw(path, path.read_bytes() + b"\0" * 8)
+    with pytest.raises(CheckpointError, match="8 trailing bytes"):
+        load(path, lambda meta: pytest.fail("rows asked"))
 
 
 @pytest.mark.parametrize("aligned", [False, True], ids=["read", "mapped"])

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +13,17 @@ import pytest
 
 from ckptedit import rewrite_meta, rewrite_meta_length, rewrite_params
 from nfetc import cli as cli_module
-from nfetc.checkpoint import header
+from nfetc.checkpoint import MAGIC, READ_BYTES, CheckpointError, header, save
+from nfetc.checkpoint import load as checkpoint_load
 from nfetc.cli import main
+from nfetc.corpus import parse_corpus, windowed
+from nfetc.embeddings import WordEmbeddings
+from nfetc.evaluation import pairs_for, per_type_accuracy, score_pairs
+from nfetc.hierarchy import RefinementMap, TypeForest, apply_refinement
+from nfetc.loss import LossConfig, inference_adjust
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
-from nfetc.training import load_checkpoint
+from nfetc.training import HyperParams, load_checkpoint, save_checkpoint
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
 SYNTH = Path(__file__).parent / "fixtures" / "synth"
@@ -222,7 +231,8 @@ def test_non_finite_setting_is_exit_1_without_a_checkpoint(world, tmp_path, sett
     ("pi=1.5", 1, "p_i must be in (0, 1], got 1.5"),
     ("variant=NFETC-x", 1, "unknown variant 'NFETC-x'"),
     ("seeds=1,x", 2, "seeds expects comma-separated integers"),
-], ids=["pi", "variant", "seeds"])
+    ("dev_fraction=1.5", 1, "dev fraction must be in (0, 1), got 1.5"),
+], ids=["pi", "variant", "seeds", "dev_fraction"])
 def test_train_checks_its_settings_before_reading_a_file(world, tmp_path, setting, exit_code,
                                                          named):
     bad = tmp_path / "bad.tsv"
@@ -712,3 +722,247 @@ def test_predict_checkpoint_tensor_problems_are_one_error_line(trained, tmp_path
     assert out == ""
     assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
     assert repr(name) in err
+
+
+# -- eval and predict keep only the word vectors of their input ---------------------
+
+
+def full_matrix_run(ckpt, path, read):
+    """(restored checkpoint with its whole word matrix, windowed corpus that
+    ``read(path, forest)`` parses, probability rows), as ``nfetc eval`` and
+    ``predict`` computed them before they kept only their input's rows."""
+    restored = load_checkpoint(str(ckpt))
+    corpus = windowed(read(path, restored.forest), restored.hyperparams.window)
+    probs = restored.model.predict_probs(list(corpus))
+    return restored, corpus, inference_adjust(probs, restored.forest, restored.loss_config)
+
+
+def full_matrix_predict(ckpt, path) -> str:
+    """What ``nfetc predict`` prints, from the whole word matrix, formatted
+    row by row."""
+    restored, _, probs = full_matrix_run(
+        ckpt, path, lambda p, forest: parse_corpus(p, forest, tag="input", allow_unlabeled=True))
+    forest, lines = restored.forest, []
+    for row in probs:
+        order = np.argsort(-row, kind="stable")
+        terminal = forest.path_of(int(order[0]))
+        expanded = sorted(forest.expand_to_path(terminal), key=lambda p: (p.count("/"), p))
+        top = " ".join(f"{forest.path_of(int(i))}={row[int(i)]:.6f}" for i in order[:5])
+        lines.append(f"{terminal}\t{','.join(expanded)}\t{top}\n")
+    return "".join(lines)
+
+
+def full_matrix_eval(ckpt, path, mapping=None) -> str:
+    """What ``nfetc eval --set json=true --set per_type=true`` prints, from
+    the whole word matrix."""
+    restored, corpus, probs = full_matrix_run(
+        ckpt, path, lambda p, forest: parse_corpus(p, forest, mapping=mapping))
+    pairs = pairs_for(corpus, [int(i) for i in np.argmax(probs, axis=1)], restored.forest)
+    metrics = score_pairs(pairs)
+    return (metrics.as_text() + metrics.as_json() + "\n"
+            + "".join(f"{t}\t{a:.4f}\n" for t, a in per_type_accuracy(corpus, pairs).items()))
+
+
+@pytest.fixture(scope="module")
+def refined_synth(tmp_path_factory):
+    """A short CLI training run on the synth world with two subtrees moved
+    to the roots: (checkpoint, refinement file)."""
+    root = tmp_path_factory.mktemp("refined")
+    refinement, ckpt = root / "refine.tsv", root / "refined.ckpt"
+    refinement.write_text("/person/artist\t/artist\n/place/city\t/city\n")
+    code, _, err = run_cli(["train", "--set", f"types={SYNTH / 'types.txt'}",
+                            "--set", f"refinement={refinement}",
+                            "--set", f"train={SYNTH / 'train.tsv'}",
+                            "--set", f"test={SYNTH / 'train.tsv'}",
+                            "--set", f"embeddings={SYNTH / 'embeddings.txt'}",
+                            "--set", "lr=0.01", "--set", "dp=4", "--set", "ds=8",
+                            "--set", "window=3", "--set", "batch=32", "--set", "epochs=3",
+                            "--set", "variant=NFETC-hier(r)", "--set", "hier_inference=true",
+                            "--set", f"checkpoint={ckpt}", "--set", f"log={root / 'log.txt'}"])
+    assert (code, err) == (0, "")
+    return ckpt, refinement
+
+
+def test_predict_and_eval_print_what_the_whole_matrix_gives(refined_synth, tmp_path):
+    # every fourth synth mention: an input that names some of the vocabulary
+    ckpt, refinement = refined_synth
+    source = tmp_path / "some.tsv"
+    source.write_text("".join((SYNTH / "train.tsv").read_text().splitlines(True)[::4]))
+    argv = ["predict", "--set", f"checkpoint={ckpt}", "--set", f"input={source}"]
+    code, out, err, restored = run_cli_recording(argv, "load_checkpoint")
+    assert (code, err) == (0, "")
+    assert out == full_matrix_predict(ckpt, source)
+    assert len(out.splitlines()) == 50
+    # the model held the rows of the windowed input's known words, and no other
+    corpus = windowed(parse_corpus(source, restored[0].forest, allow_unlabeled=True), 3)
+    vocab = load_checkpoint(str(ckpt)).model.embeddings.words
+    kept = restored[0].model.embeddings.words
+    assert kept == [w for w in vocab if w in {t for m in corpus for t in m.tokens}]
+    assert 0 < len(kept) < len(vocab)
+
+    _, mapping = apply_refinement(TypeForest.from_file(SYNTH / "types.txt"),
+                                  RefinementMap.from_file(refinement))
+    code, out, err = run_cli(["eval", "--set", f"checkpoint={ckpt}",
+                              "--set", f"types={SYNTH / 'types.txt'}",
+                              "--set", f"refinement={refinement}", "--set", f"test={source}",
+                              "--set", "per_type=true", "--set", "json=true"])
+    assert (code, err) == (0, "")
+    assert out == full_matrix_eval(ckpt, source, mapping)
+
+
+@pytest.mark.parametrize("text", ["", "1 2\tzz qq xx\n0 1\tyy\n"], ids=["empty", "all-oov"])
+def test_predict_without_a_known_word_is_the_whole_matrix_prediction(trained, tmp_path, text):
+    unknown = tmp_path / "in.tsv"
+    unknown.write_text(text)
+    code, out, err = run_cli(["predict", "--set", f"checkpoint={trained['checkpoint']}",
+                              "--set", f"input={unknown}"])
+    assert (code, err) == (0, "")
+    assert out == full_matrix_predict(trained["checkpoint"], unknown)
+    assert len(out.splitlines()) == text.count("\n")
+
+
+FILLERS = 100   # filler words before the vocabulary of ``trained`` in ``padded``
+
+
+def padded(src, dst, edit=lambda matrix, vocab: None):
+    """Copy checkpoint ``src`` to ``dst`` with filler words, which no test
+    input holds, around its vocabulary: ``FILLERS`` of them before it and
+    enough after it for the word matrix to take two reads and a bit through
+    the load's buffer. ``edit(matrix, vocab)`` may change both in place."""
+    meta, tensors = checkpoint_load(src)
+    flags = {e["name"]: e["trainable"] for e in meta.pop("params")}
+    words, d_w = meta["vocab"], tensors["word_emb"].shape[1]
+    total = 2 * (READ_BYTES // (8 * d_w)) + 7
+    vocab = [f"filler{i}" for i in range(total - len(words))]
+    vocab[FILLERS:FILLERS] = words
+    matrix = make_rng(5).uniform(-0.5, 0.5, size=(total, d_w))
+    matrix[FILLERS:FILLERS + len(words)] = tensors["word_emb"]
+    edit(matrix, vocab)
+    meta["vocab"] = vocab
+    tensors["word_emb"] = matrix
+    save(str(dst), meta, [(n, flags[n], a) for n, a in tensors.items()])
+    return dst
+
+
+def boundary_rows(d_w: int) -> list[int]:
+    """The last row of the first buffer's read and the first of the next."""
+    step = READ_BYTES // (8 * d_w)
+    return [step - 1, step]
+
+
+def full_matrix_error(ckpt) -> str:
+    """The error line a load of the whole matrix gives for ``ckpt``."""
+    with pytest.raises(CheckpointError) as raised:
+        load_checkpoint(str(ckpt))
+    return f"error: {raised.value}\n"
+
+
+def run_both(trained, ckpt, input_path=None):
+    """(exit code, stdout, stderr) of ``nfetc predict`` and of ``nfetc eval``
+    on ``ckpt``, each on the test corpus unless ``input_path`` is given."""
+    source = input_path or trained["test"]
+    return [run_cli([command, "--set", f"checkpoint={ckpt}", "--set", f"input={source}"])
+            for command in ("predict", "eval")]
+
+
+def test_padded_checkpoint_predicts_as_the_original(trained, tmp_path):
+    # the fillers change nothing the test input looks up
+    ckpt = padded(trained["checkpoint"], tmp_path / "padded.ckpt")
+    for (code, out, err), (_, want, _) in zip(run_both(trained, ckpt),
+                                               run_both(trained, trained["checkpoint"])):
+        assert (code, err) == (0, "") and out == want
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["first", "last", "buffer-end", "buffer-start"])
+def test_unused_non_finite_word_vector_is_one_error_line(trained, tmp_path, value, where):
+    def poison(matrix, vocab):
+        row = {"first": 0, "last": len(vocab) - 1}.get(where)
+        if row is None:
+            row = boundary_rows(matrix.shape[1])[where == "buffer-start"]
+        assert row not in range(FILLERS, FILLERS + 12)   # no test input holds its word
+        matrix[row, 1] = value
+
+    ckpt = padded(trained["checkpoint"], tmp_path / "bad.ckpt", poison)
+    want = f"error: {ckpt}: non-finite values in 'word_emb'\n"
+    assert full_matrix_error(ckpt) == want
+    for result in run_both(trained, ckpt):
+        assert result == (1, "", want)
+
+
+def test_unused_duplicate_word_is_one_error_line(trained, tmp_path):
+    ckpt = padded(trained["checkpoint"], tmp_path / "bad.ckpt",
+                  lambda matrix, vocab: vocab.__setitem__(-1, vocab[-2]))
+    want = f"error: {ckpt}: duplicate word in vocabulary\n"
+    assert full_matrix_error(ckpt) == want
+    for result in run_both(trained, ckpt):
+        assert result == (1, "", want)
+
+
+@pytest.mark.parametrize("cut,name", [
+    (lambda size, at: at + (size - at) // 2, "word_emb"),   # inside the word matrix
+    (lambda size, at: size - 8, "cls_b"),                   # inside the last tensor
+], ids=["matrix", "last-tensor"])
+def test_truncated_checkpoint_is_one_error_line(trained, tmp_path, cut, name):
+    ckpt = padded(trained["checkpoint"], tmp_path / "bad.ckpt")
+    raw = ckpt.read_bytes()
+    length_end = raw.index(b"\n", len(MAGIC))   # the matrix follows the meta block
+    matrix_at = length_end + 1 + int(raw[len(MAGIC):length_end])
+    ckpt.write_bytes(raw[:cut(len(raw), matrix_at)])
+    want = f"error: {ckpt}: truncated tensor {name!r}\n"
+    assert full_matrix_error(ckpt) == want
+    for result in run_both(trained, ckpt):
+        assert result == (1, "", want)
+
+
+@pytest.mark.parametrize("fault", ["truncated-tensor", "bad-setting", "malformed-input"])
+def test_unused_non_finite_word_vector_is_reported_before_a_later_fault(trained, tmp_path,
+                                                                         fault):
+    # a load of the whole matrix checks it before every later tensor, the
+    # settings and the input; so does one that keeps only the input's rows
+    src = trained["checkpoint"]
+    if fault == "bad-setting":
+        src = rewrite_meta(src, tmp_path / "setting.ckpt",
+                           lambda meta: meta["hyperparams"].update(window=0))
+    ckpt = padded(src, tmp_path / "bad.ckpt",
+                  lambda matrix, vocab: matrix.__setitem__((-1, 0), np.nan))
+    source = None
+    if fault == "truncated-tensor":
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    elif fault == "malformed-input":
+        source = tmp_path / "bad.tsv"
+        source.write_text("0 9\tJordan\t/a\n")
+    want = f"error: {ckpt}: non-finite values in 'word_emb'\n"
+    if source is None:
+        assert full_matrix_error(ckpt) == want
+    for result in run_both(trained, ckpt, source):
+        assert result == (1, "", want)
+
+
+def test_predict_peak_memory_stays_below_the_word_matrix(tmp_path):
+    # ``nfetc predict`` on a 40,000 x 300 word matrix (96 MB) and three
+    # mentions: the process never holds the matrix, only its mentions' rows.
+    # Its peak is read from VmHWM, as ``ru_maxrss`` keeps the peak of the
+    # process it was forked from
+    words = [f"w{i}" for i in range(40000)]
+    embeddings = WordEmbeddings(words, np.zeros((len(words), 300)))
+    forest = TypeForest(["/a", "/a/b", "/c"])
+    hp = HyperParams(d_p=2, d_s=3, window=2)
+    ckpt = tmp_path / "big.ckpt"
+    save_checkpoint(str(ckpt), hp, LossConfig(), forest, embeddings,
+                    NfetcModel(hp, embeddings, forest, make_rng(0)).params)
+    matrix_bytes = embeddings.matrix.nbytes
+    del embeddings
+    source = tmp_path / "in.tsv"
+    source.write_text("1 2\tw5 w17 w39999\n0 1\tw3\n0 2\tw8 unknown\n")
+    script = ("import sys\nfrom nfetc.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(code, *[line.split()[1] for line in open('/proc/self/status')\n"
+              "              if line.startswith('VmHWM:')])")
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script, "predict", "--set", f"checkpoint={ckpt}",
+                           "--set", f"input={source}", "--set", f"output={tmp_path / 'out.tsv'}"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    code, peak_kib = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert len((tmp_path / "out.tsv").read_text().splitlines()) == 3
+    assert int(peak_kib) * 1024 < matrix_bytes

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from nfetc import cli
 from nfetc.corpus import (Corpus, CorpusError, MentionTriple, build_filtered,
                           parse_corpus, parse_line, split_dev, stats, window,
                           windowed)
@@ -281,9 +284,18 @@ def test_split_dev_deterministic(corpus):
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2.0])
-def test_split_dev_fraction_bounds(corpus, fraction):
-    with pytest.raises(CorpusError, match="fraction"):
-        split_dev(corpus, fraction, seed=1)
+def test_split_dev_fraction_bounds(tmp_path, fraction):
+    # ``nfetc train`` checks the fraction with its other settings, before it
+    # reads a file, so a malformed corpus is not what it reports
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("0 9\tJordan\t/a\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["train", "--set", f"types={MINI / 'types.txt'}",
+                         "--set", f"train={bad}", "--set", f"test={bad}",
+                         "--set", f"embeddings={bad}", "--set", f"dev_fraction={fraction}"])
+    assert code == 1
+    assert err.getvalue() == f"error: dev fraction must be in (0, 1), got {fraction}\n"
 
 
 def test_split_dev_degenerate_sizes(corpus):

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nfetc import cli
 from nfetc import model as model_module
 from nfetc import training as training_module
 from nfetc.corpus import Corpus, MentionTriple, parse_corpus
@@ -339,12 +341,26 @@ def test_run_multi_single_seed_std_is_zero():
     assert multi.mean["strict"] == multi.runs[0].final.strict
 
 
-def test_run_multi_requires_seeds():
-    train_c, dev_c, emb, forest = make_world()
-    _, config = select_variant("NFETC(f)")
-    with pytest.raises(ValueError, match="at least one seed"):
-        run_multi([], train_c, dev_c, emb, forest, small_hp(), config,
-                  eval_corpus=dev_c)
+def test_run_multi_requires_seeds(tmp_path, monkeypatch):
+    # ``nfetc train`` hands run_multi at least one seed: with ``seeds`` empty,
+    # the one run at ``seed`` (recorded)
+    seen, real = [], cli.run_multi
+
+    def recording(seeds, *args, **kwargs):
+        seen.append(list(seeds))
+        return real(seeds, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_multi", recording)
+    synth, ckpt = Path(__file__).parent / "fixtures" / "synth", tmp_path / "model.ckpt"
+    argv = ["train", "--set", f"types={synth / 'types.txt'}",
+            "--set", f"train={synth / 'train.tsv'}", "--set", f"test={synth / 'train.tsv'}",
+            "--set", f"embeddings={synth / 'embeddings.txt'}", "--set", "dp=2",
+            "--set", "ds=3", "--set", "window=2", "--set", "epochs=1",
+            "--set", "seeds=", "--set", "seed=7", "--set", f"checkpoint={ckpt}"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert seen == [[7]]
+    assert load_checkpoint(str(ckpt)).hyperparams.seed == 7
 
 
 def test_multi_result_text_is_percent_style():
