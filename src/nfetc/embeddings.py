@@ -32,13 +32,13 @@ class EmbeddingError(ValueError):
     pass
 
 
-def vocabulary_index(words, shape: tuple, rows: bool = True) -> dict[str, int] | set[str]:
-    """Each word's row, or without ``rows`` the set of words (half the time
-    to build), once ``words`` is checked to be a list of distinct str, one
+def vocabulary_index(words, shape: tuple, with_rows: bool = True) -> dict[str, int] | set[str]:
+    """Each word's row, or without ``with_rows`` the set of words (half the
+    time to build), once ``words`` is checked to be a list of distinct str, one
     for each row of a matrix of ``shape`` that holds word vectors."""
     if not isinstance(words, list) or not all(map(isinstance, words, repeat(str))):
         raise EmbeddingError("vocabulary is not a list of strings")
-    index = dict(zip(words, range(len(words)))) if rows else set(words)
+    index = dict(zip(words, range(len(words)))) if with_rows else set(words)
     if len(index) != len(words):
         raise EmbeddingError("duplicate word in vocabulary")
     if len(shape) != 2 or shape[0] != len(words):

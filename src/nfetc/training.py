@@ -305,7 +305,7 @@ def _check_tensors(entries: list[dict], hp: HyperParams, d_w: int, k: int) -> No
         raise checkpoint.CheckpointError(f"checkpoint {', '.join(problems)}")
 
 
-def _stored(path: str, meta: dict, rows: bool = True):
+def _stored(path: str, meta: dict, with_rows: bool = True):
     """The settings, forest and ``vocabulary_index`` a checkpoint's meta
     holds, checked against its tensor descriptors."""
     try:
@@ -318,7 +318,7 @@ def _stored(path: str, meta: dict, rows: bool = True):
         shapes = {e["name"]: tuple(e["shape"]) for e in meta["params"]}
         if "word_emb" not in shapes:
             raise checkpoint.CheckpointError("checkpoint lacks the word embedding matrix")
-        index = vocabulary_index(meta["vocab"], shapes["word_emb"], rows)
+        index = vocabulary_index(meta["vocab"], shapes["word_emb"], with_rows)
         _check_tensors(meta["params"], hp, shapes["word_emb"][1], len(forest))
     except (TypeError, ValueError) as e:
         raise checkpoint.CheckpointError(f"{path}: {e}") from None
@@ -340,7 +340,7 @@ def load_checkpoint(path: str, wanted=None) -> Restored:
 
     def rows(meta):
         nonlocal stored, keep
-        stored = hp, _, forest, _ = _stored(path, meta, rows=False)
+        stored = hp, _, forest, _ = _stored(path, meta, with_rows=False)
         vocab, words = meta["vocab"], wanted(forest, hp)
         keep = np.flatnonzero(np.fromiter(map(words.__contains__, vocab), bool, len(vocab)))
         # one row at least, for the gather an unknown word makes
