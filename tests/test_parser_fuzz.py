@@ -99,3 +99,28 @@ def test_each_mutant_parses_or_names_the_file_and_line(tmp_path, name):
     # the mutations do reach the error paths, and do not only break the file
     assert 0.05 * MUTANTS < rejected < MUTANTS
     assert text or loaded > 0
+
+
+@pytest.mark.parametrize("name", ["checkpoint", "checkpoint-padded"])
+def test_each_checkpoint_mutant_loads_alike_streamed_or_whole(tmp_path, name):
+    # keeping only the word rows a mention names (as eval and predict do;
+    # the fixture's vocabulary is x, y) gives the same error line as a load
+    # of the whole matrix, or the same prediction
+    mention = MentionTriple(("y", "z"), 0, 1, ())
+    fixture, _, _, _, seed = PARSERS[name]
+    original = (FIXTURES / fixture).read_bytes()
+    path = tmp_path / Path(fixture).name
+    rng = make_rng(seed + 100)
+    outcomes = set()
+    for k in range(MUTANTS):
+        path.write_bytes(mutate(original, rng))
+        results = []
+        for wanted in (None, lambda forest, hp: set(mention.tokens)):
+            try:
+                restored = load_checkpoint(path, wanted)
+                results.append(restored.model.predict_probs([mention]).tobytes())
+            except CheckpointError as e:
+                results.append(str(e))
+        assert results[0] == results[1], f"mutant {k}"
+        outcomes.add(type(results[0]))
+    assert outcomes == {bytes, str}   # some mutants load, some are refused
