@@ -24,6 +24,13 @@ A caller that needs only some rows of the frozen tensors passes ``load`` a
 ``rows`` function: then nothing is mapped, and each frozen tensor is read in
 one pass through a buffer of ``READ_BYTES``, which checks every value and
 keeps only the rows asked for.
+
+``open_frozen`` checks a file of one frozen tensor in such a pass, keeping
+no row, and leaves the tensor in the file as a ``Frozen`` that holds the
+file open: a file renamed over it later changes nothing, and each later read
+(``Frozen.rows``, or ``save`` copying it into a new checkpoint) streams it
+again, so that a file that shrank meanwhile is a ``CheckpointError``, not a
+SIGBUS. Only ``Frozen.map`` maps it.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import json
 import math
 import mmap
 import os
+import weakref
 
 import numpy as np
 
@@ -59,7 +67,8 @@ def header(blob: bytes) -> bytes:
 def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> None:
     """Write ``(name, trainable, array)`` tensors in order to a temporary file
     beside ``path``, fsync it, then rename it over ``path``: a failed write
-    leaves any old file intact. ``meta`` must not hold the ``params`` key,
+    leaves any old file intact. A ``Frozen`` may stand for an array: its
+    bytes are copied from its file. ``meta`` must not hold the ``params`` key,
     which this adds."""
     doc = dict(meta)
     doc["params"] = [{"name": n, "trainable": trainable, "shape": list(a.shape)}
@@ -68,8 +77,11 @@ def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> 
     try:
         with open(tmp, "wb") as f:
             f.write(header(json.dumps(doc).encode("utf-8")))
-            for _, _, a in tensors:   # straight from the array's buffer, no copy
-                f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
+            for _, _, a in tensors:
+                if isinstance(a, Frozen):
+                    a.write_to(f)
+                else:   # straight from the array's buffer, no copy
+                    f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -92,104 +104,179 @@ def load(path: str, rows=None) -> tuple[dict, dict[str, np.ndarray]]:
     frozen tensors are streamed first, so that a non-finite value among
     them is reported as a load without ``rows`` reports it."""
     with open(path, "rb") as f:
-        if f.read(len(MAGIC)) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-        line = f.readline()
-        if not line.endswith(b"\n"):
-            raise CheckpointError(f"{path}: truncated before meta length")
-        try:
-            meta_len = int(line)
-        except ValueError:
-            raise CheckpointError(f"{path}: malformed meta length") from None
-        if meta_len < 0:
-            raise CheckpointError(f"{path}: malformed meta length")
-        size = os.fstat(f.fileno()).st_size
-        # checked before reading, so no length can ask for more than the file holds
-        if meta_len > size - f.tell():
-            raise CheckpointError(f"{path}: truncated meta block")
-        blob = f.read(meta_len)
-        if len(blob) < meta_len:
-            raise CheckpointError(f"{path}: truncated meta block")
-        try:
-            meta = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-            raise CheckpointError(f"{path}: corrupt meta block: {e}") from None
-        if not isinstance(meta, dict):
-            raise CheckpointError(f"{path}: meta block is not a JSON object")
-        entries = meta.get("params")
-        if not isinstance(entries, list):
-            raise CheckpointError(f"{path}: meta lacks the parameter list")
-        mapped = None   # the whole file, mapped at the first aligned frozen tensor
-        tensors: dict[str, np.ndarray | None] = {}
-        streamed = []   # (name, shape, offset) of each frozen tensor, with ``rows``
-        try:
-            for e in entries:
-                if not (isinstance(e, dict) and isinstance(e.get("name"), str)
-                        and isinstance(e.get("trainable"), bool)
-                        and isinstance(e.get("shape"), list)
-                        and all(type(n) is int and n >= 0 for n in e["shape"])):
-                    raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
-                name, shape, at = e["name"], tuple(e["shape"]), f.tell()
-                if name in tensors:
-                    raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
-                truncated = f"{path}: truncated tensor {name!r}"
-                nbytes = math.prod(shape) * 8
-                # checked before allocating or mapping, so no shape can ask for
-                # more memory than the file holds
-                if nbytes > size - at:
-                    raise CheckpointError(truncated)
-                if any(n > size for n in shape):   # passed the bound beside a 0; numpy refuses it
-                    raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
-                if not e["trainable"] and rows is not None:
-                    streamed.append((name, shape, at))
-                    tensors[name] = None   # holds its place in file order
-                    f.seek(at + nbytes)
-                    continue
-                if e["trainable"] or at % ALIGN:
-                    arr = np.empty(shape, dtype="<f8")
-                    if f.readinto(arr) != nbytes:
-                        raise CheckpointError(truncated)
-                else:
-                    if mapped is None:
-                        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-                    if at + nbytes > len(mapped):   # the file shrank since fstat
-                        raise CheckpointError(truncated)
-                    arr = np.frombuffer(mapped, dtype="<f8", count=nbytes // 8,
-                                        offset=at).reshape(shape)
-                    f.seek(at + nbytes)
-                if not np.all(np.isfinite(arr)):
-                    raise CheckpointError(f"{path}: non-finite values in {name!r}")
-                tensors[name] = arr
-            if trailing := size - f.tell():
-                raise CheckpointError(f"{path}: {trailing} trailing bytes")
-            keep = rows(meta) if rows is not None else None
-        except Exception:
-            for name, shape, at in streamed:
-                _stream(f, path, name, shape, at, np.empty(0, dtype=np.intp))
-            raise
-        for name, shape, at in streamed:
-            tensors[name] = _stream(f, path, name, shape, at, keep)
+        meta, tensors, _ = _read(f, path, rows)
     return meta, tensors
 
 
-def _stream(f, path: str, name: str, shape: tuple, at: int, keep: np.ndarray) -> np.ndarray:
+def open_frozen(path: str) -> tuple[dict, "Frozen"]:
+    """The meta block of the checkpoint at ``path``, which must hold one
+    tensor, a frozen one, and that tensor left in the file. Every check of
+    ``load`` is made, the tensor's values read in one streamed pass that
+    keeps none of them; the returned ``Frozen`` holds the descriptor that
+    pass read through."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with open(fd, "rb", closefd=False) as f:
+            meta, tensors, streamed = _read(f, path, lambda meta: np.empty(0, dtype=np.intp))
+        if len(tensors) != 1 or len(streamed) != 1:
+            raise CheckpointError(f"{path}: holds other than one frozen tensor")
+    except BaseException:
+        os.close(fd)
+        raise
+    return meta, Frozen(fd, path, *streamed[0])
+
+
+def _read(f, path: str, rows):
+    """``load`` of the open file ``f``, plus the (name, shape, offset,
+    largest absolute value) of each frozen tensor streamed."""
+    if f.read(len(MAGIC)) != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+    line = f.readline()
+    if not line.endswith(b"\n"):
+        raise CheckpointError(f"{path}: truncated before meta length")
+    try:
+        meta_len = int(line)
+    except ValueError:
+        raise CheckpointError(f"{path}: malformed meta length") from None
+    if meta_len < 0:
+        raise CheckpointError(f"{path}: malformed meta length")
+    size = os.fstat(f.fileno()).st_size
+    # checked before reading, so no length can ask for more than the file holds
+    if meta_len > size - f.tell():
+        raise CheckpointError(f"{path}: truncated meta block")
+    blob = f.read(meta_len)
+    if len(blob) < meta_len:
+        raise CheckpointError(f"{path}: truncated meta block")
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise CheckpointError(f"{path}: corrupt meta block: {e}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: meta block is not a JSON object")
+    entries = meta.get("params")
+    if not isinstance(entries, list):
+        raise CheckpointError(f"{path}: meta lacks the parameter list")
+    mapped = None   # the whole file, mapped at the first aligned frozen tensor
+    tensors: dict[str, np.ndarray | None] = {}
+    streamed = []   # (name, shape, offset) of each frozen tensor, with ``rows``
+    try:
+        for e in entries:
+            if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                    and isinstance(e.get("trainable"), bool)
+                    and isinstance(e.get("shape"), list)
+                    and all(type(n) is int and n >= 0 for n in e["shape"])):
+                raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
+            name, shape, at = e["name"], tuple(e["shape"]), f.tell()
+            if name in tensors:
+                raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
+            truncated = f"{path}: truncated tensor {name!r}"
+            nbytes = math.prod(shape) * 8
+            # checked before allocating or mapping, so no shape can ask for
+            # more memory than the file holds
+            if nbytes > size - at:
+                raise CheckpointError(truncated)
+            if any(n > size for n in shape):   # passed the bound beside a 0; numpy refuses it
+                raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
+            if not e["trainable"] and rows is not None:
+                streamed.append((name, shape, at))
+                tensors[name] = None   # holds its place in file order
+                f.seek(at + nbytes)
+                continue
+            if e["trainable"] or at % ALIGN:
+                arr = np.empty(shape, dtype="<f8")
+                if f.readinto(arr) != nbytes:
+                    raise CheckpointError(truncated)
+            else:
+                if mapped is None:
+                    mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+                if at + nbytes > len(mapped):   # the file shrank since fstat
+                    raise CheckpointError(truncated)
+                arr = np.frombuffer(mapped, dtype="<f8", count=nbytes // 8,
+                                    offset=at).reshape(shape)
+                f.seek(at + nbytes)
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{path}: non-finite values in {name!r}")
+            tensors[name] = arr
+        if trailing := size - f.tell():
+            raise CheckpointError(f"{path}: {trailing} trailing bytes")
+        keep = rows(meta) if rows is not None else None
+    except Exception:
+        for name, shape, at in streamed:
+            _stream(f, path, name, shape, at, np.empty(0, dtype=np.intp))
+        raise
+    found = []
+    for name, shape, at in streamed:
+        tensors[name], top = _stream(f, path, name, shape, at, keep)
+        found.append((name, shape, at, top))
+    return meta, tensors, found
+
+
+def _stream(f, path: str, name: str, shape: tuple, at: int,
+            keep: np.ndarray) -> tuple[np.ndarray, float]:
     """Rows ``keep`` (sorted row numbers) of the tensor of ``shape`` at byte
-    ``at`` of the open file ``f``, read whole rows at a time through one
-    buffer of about ``READ_BYTES``; raises unless every value is finite."""
-    count, width = (shape[0] if shape else 1), math.prod(shape[1:])
-    out = np.empty((len(keep), width), dtype="<f8")
-    step = max(1, READ_BYTES // (8 * width or 1))   # rows per read
-    buf = np.empty((step, width), dtype="<f8")
-    f.seek(at)
-    done = 0   # the rows of ``keep`` copied so far
-    ends = np.searchsorted(keep, np.arange(step, count + step, step)).tolist()
-    for lo, upto in zip(range(0, count, step), ends):
-        block = buf[:min(step, count - lo)]
-        if f.readinto(block) != block.nbytes:
-            raise CheckpointError(f"{path}: truncated tensor {name!r}")
-        if not np.isfinite(block).all():
-            raise CheckpointError(f"{path}: non-finite values in {name!r}")
+    ``at`` of the open file ``f``, and the largest absolute value of the
+    whole tensor, in one pass of ``_blocks``."""
+    out = np.empty((len(keep), math.prod(shape[1:])), dtype="<f8")
+    done, top = 0, 0.0   # the rows of ``keep`` copied so far, the largest value so far
+    for lo, block, most in _blocks(f, path, name, shape, at):
+        top = max(top, most)
+        upto = int(np.searchsorted(keep, lo + len(block)))
         if upto > done:   # mode "raise" would copy through a buffer
             np.take(block, keep[done:upto] - lo, axis=0, out=out[done:upto], mode="clip")
             done = upto
-    return out.reshape((len(keep),) + shape[1:])
+    return out.reshape((len(keep),) + shape[1:]), top
+
+
+def _blocks(f, path: str, name: str, shape: tuple, at: int):
+    """(first row, rows, their largest absolute value) for each run of whole
+    rows of the tensor of ``shape`` at byte ``at`` of the open file ``f``,
+    read in turn into one buffer of about ``READ_BYTES``; raises unless the
+    file holds every row and every value is finite."""
+    count, width = (shape[0] if shape else 1), math.prod(shape[1:])
+    step = max(1, READ_BYTES // (8 * width or 1))   # rows per read
+    buf = np.empty((step, width), dtype="<f8")
+    f.seek(at)
+    for lo in range(0, count, step):
+        block = buf[:min(step, count - lo)]
+        if f.readinto(block) != block.nbytes:
+            raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        hi, low = block.max(initial=0.0), block.min(initial=0.0)   # NaN reaches both
+        if not (math.isfinite(hi) and math.isfinite(low)):
+            raise CheckpointError(f"{path}: non-finite values in {name!r}")
+        yield lo, block, max(hi, -low)
+
+
+class Frozen:
+    """A frozen tensor left in its file: ``shape`` float64 values at byte
+    ``at`` of the file open as descriptor ``fd``, which ``open_frozen``
+    found finite and at most ``magnitude`` in absolute value. It owns the
+    descriptor, closed when the object is collected. ``rows`` and
+    ``write_to`` read the file afresh through ``_blocks``, checking every
+    value again."""
+
+    def __init__(self, fd: int, path: str, name: str, shape: tuple, at: int,
+                 magnitude: float):
+        self.fd, self.path, self.name, self.shape, self.at = fd, path, name, shape, at
+        self.magnitude = magnitude
+        weakref.finalize(self, os.close, fd)
+
+    def rows(self, keep: np.ndarray) -> np.ndarray:
+        """Rows ``keep`` (sorted row numbers), read in one pass."""
+        with open(self.fd, "rb", closefd=False) as f:
+            return _stream(f, self.path, self.name, self.shape, self.at, keep)[0]
+
+    def write_to(self, out) -> None:
+        """Copy the tensor's bytes to the open file ``out``."""
+        with open(self.fd, "rb", closefd=False) as f:
+            for _, block, _ in _blocks(f, self.path, self.name, self.shape, self.at):
+                out.write(memoryview(block))
+
+    def map(self) -> np.ndarray:
+        """A read-only map of the whole tensor. Unlike a read, a map sees the
+        file as it is when a page is touched: it must not shrink while the
+        array lives, or reading it raises SIGBUS."""
+        mapped = mmap.mmap(self.fd, 0, access=mmap.ACCESS_READ)
+        count = math.prod(self.shape)
+        if self.at + 8 * count > len(mapped):
+            raise CheckpointError(f"{self.path}: truncated tensor {self.name!r}")
+        return np.frombuffer(mapped, dtype="<f8", count=count, offset=self.at).reshape(self.shape)

@@ -7,7 +7,11 @@ zero vector so inference stays deterministic without trainable OOV rows.
 
 The first load of a file stores what it parsed beside it, in
 ``<file>.nfetc-cache``: a checkpoint-format file keyed by the text's SHA-256.
-Every later load of the same bytes maps that matrix instead of parsing text.
+Every load whose cache holds these bytes, the first one too once its write
+succeeds, checks the cache's matrix in one streamed pass and leaves it in
+the file. The embeddings hold the cache open and map nothing: ``subset``
+reads the rows of some words from it (``train`` asks for its corpora's),
+and ``save_checkpoint`` copies it whole, neither holding the matrix.
 
 Position vectors encode each token's relative distance to the mention span.
 Distances inside [-c, c] index their own row; anything further lands in a
@@ -48,6 +52,14 @@ def vocabulary_index(words, shape: tuple, with_rows: bool = True) -> dict[str, i
     return index
 
 
+def kept_rows(vocab: list[str], words) -> np.ndarray:
+    """The sorted rows of ``vocab`` whose word is in the set ``words``, or
+    row 0 alone should there be none: a gather, even of unknown words only,
+    needs a row."""
+    keep = np.flatnonzero(np.fromiter(map(words.__contains__, vocab), bool, len(vocab)))
+    return keep if len(keep) else np.zeros(1, np.intp)
+
+
 CHUNK_LINES = 8192   # lines of the file parsed by one np.loadtxt call
 CACHE_SUFFIX = ".nfetc-cache"
 
@@ -64,29 +76,39 @@ class WordEmbeddings:
     it while it reads and ``vocabulary_index`` returns it; then the words
     are not checked again.
 
-    The matrix may be a map of a file (the parse cache, a checkpoint), or,
-    as ``nfetc eval`` and ``predict`` load a checkpoint, only the rows of
-    the words their input holds."""
+    ``matrix`` may also be a ``checkpoint.Frozen``: a matrix left in its
+    file, the parse cache, which ``subset`` and ``save_checkpoint`` read
+    through ``stored``. The ``matrix`` attribute is then a map of the file,
+    made on first use, which no command makes. A matrix may also hold only
+    the rows of the words an input holds, as ``subset`` returns it and
+    ``nfetc eval`` and ``predict`` load a checkpoint."""
 
-    def __init__(self, words: list[str], matrix: np.ndarray,
+    def __init__(self, words: list[str], matrix: np.ndarray | checkpoint.Frozen,
                  index: dict[str, int] | None = None):
         self._index = vocabulary_index(words, matrix.shape) if index is None else index
         self.words = words
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.matrix.flags.writeable = False
-        self.dim = self.matrix.shape[1]
+        if isinstance(matrix, checkpoint.Frozen):
+            self.magnitude = matrix.magnitude
+        else:
+            matrix = self.matrix = np.asarray(matrix, dtype=np.float64)
+            matrix.flags.writeable = False
+        self.stored = matrix   # what a checkpoint copies the matrix from
+        self.dim = matrix.shape[1]
+        self._subset = None   # (word set, embeddings) of the last ``subset`` call
 
     @classmethod
     def from_file(cls, path) -> "WordEmbeddings":
         """Load ``word v1 .. v_dw`` lines; d_w is fixed by the first line.
 
         If ``<path>.nfetc-cache`` holds the parse of these exact bytes (by
-        SHA-256), its vocabulary and a read-only map of its matrix are
-        returned and no text is parsed. Otherwise the file is parsed in
-        chunks of ``CHUNK_LINES`` lines, each by one ``np.loadtxt`` call,
-        into a matrix allocated once; an error names the first faulty line
-        of the file. A clean parse of bytes that did not change meanwhile is
-        then cached; a cache that cannot be read or written is ignored."""
+        SHA-256), its vocabulary and its matrix, checked and left in the
+        file, are returned and no text is parsed. Otherwise the file is
+        parsed in chunks of ``CHUNK_LINES`` lines, each by one
+        ``np.loadtxt`` call, into a matrix allocated once; an error names the
+        first faulty line of the file. A clean parse of bytes that did not
+        change meanwhile is then cached, and the cache returned in place of
+        the parsed matrix; a cache that cannot be read or written is
+        ignored."""
         digest = _digest(path)
         cache = f"{path}{CACHE_SUFFIX}"
         if (hit := _cached(cache, digest)) is not None:
@@ -102,13 +124,36 @@ class WordEmbeddings:
                                 [("word_emb", False, matrix)])
             except OSError:
                 pass
+            else:
+                if (hit := _cached(cache, digest)) is not None:
+                    return hit
         return cls(words, matrix, index)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """A read-only map of a matrix left in its file."""
+        return self.stored.map()
 
     @cached_property
     def magnitude(self) -> float:
         """The largest absolute value in the matrix, found on first use (by
-        ``train``), so neither a load nor ``nfetc predict`` scans for it."""
+        ``train``), so neither a load nor ``nfetc predict`` scans for it; a
+        matrix left in its file brings the one its check found."""
         return max(self.matrix.max(initial=0), -self.matrix.min(initial=0))
+
+    def subset(self, words: set[str]) -> "WordEmbeddings":
+        """The embeddings of ``kept_rows(self.words, words)``, in vocabulary
+        order: every word of ``words`` finds the vector it finds here, or
+        zeros when it is unknown. A matrix left in its file is read in one
+        pass. The result is kept for the next call with the same set."""
+        if self._subset is None or self._subset[0] != words:
+            keep = kept_rows(self.words, words)
+            kept = [self.words[r] for r in keep.tolist()]
+            rows = (self.stored.rows(keep) if isinstance(self.stored, checkpoint.Frozen)
+                    else self.matrix[keep])
+            self._subset = (frozenset(words),
+                            WordEmbeddings(kept, rows, dict(zip(kept, range(len(kept))))))
+        return self._subset[1]
 
     def __len__(self) -> int:
         """Vocabulary size; the perfbench tracer counts loaded words by it."""
@@ -156,17 +201,17 @@ def _digest(path) -> str:
 
 
 def _cached(cache, digest) -> WordEmbeddings | None:
-    """The embeddings ``cache`` holds for a text of SHA-256 ``digest``, or
-    None when it is missing, unreadable, stale or malformed."""
+    """The embeddings ``cache`` holds for a text of SHA-256 ``digest``, its
+    matrix checked and left in the file, or None when it is missing,
+    unreadable, stale or malformed."""
     try:
-        meta, tensors = checkpoint.load(cache)
+        meta, frozen = checkpoint.open_frozen(cache)
     except (OSError, ValueError):
         return None
-    vocab, matrix = meta.get("vocab"), tensors.get("word_emb")
-    if meta.get("source_sha256") != digest or list(tensors) != ["word_emb"]:
+    if meta.get("source_sha256") != digest or frozen.name != "word_emb":
         return None
     try:   # the constructor checks the words, the matrix's shape and that no word repeats
-        return WordEmbeddings(vocab, matrix)
+        return WordEmbeddings(meta.get("vocab"), frozen)
     except EmbeddingError:
         return None
 

@@ -56,6 +56,11 @@ class TypeForest:
             raise ForestError("a forest needs at least one type")
         self._paths: list[str] = sorted(paths)
         self._index: dict[str, int] = {p: i for i, p in enumerate(self._paths)}
+        self._ancestors: dict[str, frozenset[str]] = {}
+        for p in self._paths:   # parents first, so each reads its parent's set
+            parent = parent_path(p)
+            self._ancestors[p] = (frozenset() if parent is None
+                                  else self._ancestors[parent] | {parent})
         self._anc_matrix = None
 
     @classmethod
@@ -95,11 +100,10 @@ class TypeForest:
     def depth(self, path: str) -> int:
         return path.count("/")
 
-    def ancestors(self, path: str) -> set[str]:
+    def ancestors(self, path: str) -> frozenset[str]:
         """Proper ancestors along the type-path; excludes the type itself
         and the virtual root."""
-        segments = path.split("/")
-        return {"/".join(segments[:i]) for i in range(2, len(segments))}
+        return self._ancestors[path]
 
     def expand_to_path(self, path: str) -> set[str]:
         """The full type-path as a label set: the type plus its ancestors."""

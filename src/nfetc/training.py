@@ -14,7 +14,7 @@ import numpy as np
 from . import checkpoint
 from .autodiff import ParamSet
 from .corpus import Corpus, build_filtered, windowed
-from .embeddings import WordEmbeddings, vocabulary_index
+from .embeddings import WordEmbeddings, kept_rows, vocabulary_index
 from .evaluation import Metrics, evaluate
 from .hierarchy import TypeForest
 from .loss import LossConfig, l2_penalty, mean_nll
@@ -121,16 +121,22 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
     Keeps the parameter snapshot of the best dev strict accuracy seen so far
     and stops after ``hp.patience`` epochs without strict improvement. The
     whole run is a deterministic function of inputs and ``hp.seed``.
+
+    The model holds only the word vectors of the words its windowed
+    corpora contain (``embeddings.subset``); every vector is still checked
+    against the float32 range.
     """
     if len(train_corpus) == 0 or len(dev_corpus) == 0:
         raise ValueError("training and dev corpora must be nonempty")
-    train_w = list(windowed(train_corpus, hp.window))
-    dev_w = windowed(dev_corpus, hp.window)
-    rng = make_rng(hp.seed)
-    model = NfetcModel(hp, embeddings, forest, rng)
     limit = np.finfo(TRAIN_DTYPE).max   # the LSTMs cast weights and word vectors to it
     if not embeddings.magnitude <= limit:
         raise TrainingDiverged(f"word vectors outside the {limit.dtype} range")
+    train_w = list(windowed(train_corpus, hp.window))
+    dev_w = windowed(dev_corpus, hp.window)
+    eval_w = windowed(eval_corpus, hp.window) if eval_corpus is not None else []
+    words = set().union(*(t.tokens for part in (train_w, dev_w, eval_w) for t in part))
+    rng = make_rng(hp.seed)
+    model = NfetcModel(hp, embeddings.subset(words), forest, rng)
     adam = AdamState(model.params)
 
     epoch_log: list[EpochStats] = []
@@ -181,7 +187,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
     result = RunResult(epoch_log=epoch_log, best_epoch=best_epoch,
                        best_dev_strict=best_strict, best_values=best_values)
     if eval_corpus is not None:
-        result.final = evaluate(model, windowed(eval_corpus, hp.window), forest, config)
+        result.final = evaluate(model, eval_w, forest, config)
     return result
 
 
@@ -247,15 +253,16 @@ def save_checkpoint(path: str, hp: HyperParams, config: LossConfig,
                     forest: TypeForest, embeddings: WordEmbeddings,
                     params: ParamSet) -> None:
     """Self-contained snapshot: hyperparameters, loss config, type forest,
-    vocabulary, the frozen word matrix written from ``embeddings`` as the
-    first tensor, then every trained tensor."""
+    vocabulary, the frozen word matrix copied whole from ``embeddings`` (from
+    its file, for one left there) as the first tensor, then every trained
+    tensor."""
     meta = {
         "hyperparams": dataclasses.asdict(hp),
         "loss_config": dataclasses.asdict(config),
         "types": forest.types(),
         "vocab": embeddings.words,
     }
-    checkpoint.save(path, meta, [("word_emb", False, embeddings.matrix)]
+    checkpoint.save(path, meta, [("word_emb", False, embeddings.stored)]
                     + [(name, True, value) for name, value in params.items()])
 
 
@@ -341,10 +348,7 @@ def load_checkpoint(path: str, wanted=None) -> Restored:
     def rows(meta):
         nonlocal stored, keep
         stored = hp, _, forest, _ = _stored(path, meta, with_rows=False)
-        vocab, words = meta["vocab"], wanted(forest, hp)
-        keep = np.flatnonzero(np.fromiter(map(words.__contains__, vocab), bool, len(vocab)))
-        # one row at least, for the gather an unknown word makes
-        keep = keep if len(keep) else np.zeros(1, np.intp)
+        keep = kept_rows(meta["vocab"], wanted(forest, hp))
         return keep
 
     if wanted is None:

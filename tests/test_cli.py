@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from nfetc.checkpoint import MAGIC, READ_BYTES, CheckpointError, header, save
 from nfetc.checkpoint import load as checkpoint_load
 from nfetc.cli import main
 from nfetc.corpus import parse_corpus, windowed
-from nfetc.embeddings import WordEmbeddings
+from nfetc.embeddings import CACHE_SUFFIX, WordEmbeddings
 from nfetc.evaluation import pairs_for, per_type_accuracy, score_pairs
 from nfetc.hierarchy import RefinementMap, TypeForest, apply_refinement
 from nfetc.loss import LossConfig, inference_adjust
@@ -939,13 +940,31 @@ def test_unused_non_finite_word_vector_is_reported_before_a_later_fault(trained,
         assert result == (1, "", want)
 
 
+def big_embeddings() -> WordEmbeddings:
+    """40,000 words of 300 zeros: a 96 MB matrix beside the few rows the
+    memory tests' inputs use."""
+    words = [f"w{i}" for i in range(40000)]
+    return WordEmbeddings(words, np.zeros((len(words), 300)))
+
+
+def peak_run(argv) -> tuple[int, int, str]:
+    """(exit code, peak resident bytes, stderr) of ``nfetc <argv>`` in a
+    subprocess. The peak is read from VmHWM, as ``ru_maxrss`` keeps the peak
+    of the process it was forked from."""
+    script = ("import sys\nfrom nfetc.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(code, *[line.split()[1] for line in open('/proc/self/status')\n"
+              "              if line.startswith('VmHWM:')])")
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    code, peak_kib = proc.stdout.splitlines()[-1].split()   # after what the command prints
+    return int(code), int(peak_kib) * 1024, proc.stderr
+
+
 def test_predict_peak_memory_stays_below_the_word_matrix(tmp_path):
     # ``nfetc predict`` on a 40,000 x 300 word matrix (96 MB) and three
-    # mentions: the process never holds the matrix, only its mentions' rows.
-    # Its peak is read from VmHWM, as ``ru_maxrss`` keeps the peak of the
-    # process it was forked from
-    words = [f"w{i}" for i in range(40000)]
-    embeddings = WordEmbeddings(words, np.zeros((len(words), 300)))
+    # mentions: the process never holds the matrix, only its mentions' rows
+    embeddings = big_embeddings()
     forest = TypeForest(["/a", "/a/b", "/c"])
     hp = HyperParams(d_p=2, d_s=3, window=2)
     ckpt = tmp_path / "big.ckpt"
@@ -955,14 +974,56 @@ def test_predict_peak_memory_stays_below_the_word_matrix(tmp_path):
     del embeddings
     source = tmp_path / "in.tsv"
     source.write_text("1 2\tw5 w17 w39999\n0 1\tw3\n0 2\tw8 unknown\n")
-    script = ("import sys\nfrom nfetc.cli import main\ncode = main(sys.argv[1:])\n"
-              "print(code, *[line.split()[1] for line in open('/proc/self/status')\n"
-              "              if line.startswith('VmHWM:')])")
-    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", script, "predict", "--set", f"checkpoint={ckpt}",
-                           "--set", f"input={source}", "--set", f"output={tmp_path / 'out.tsv'}"],
-                          capture_output=True, text=True, env=env, timeout=300)
-    code, peak_kib = proc.stdout.split()
-    assert code == "0", proc.stderr
+    code, peak, err = peak_run(["predict", "--set", f"checkpoint={ckpt}", "--set", f"input={source}",
+                                "--set", f"output={tmp_path / 'out.tsv'}"])
+    assert code == 0, err
     assert len((tmp_path / "out.tsv").read_text().splitlines()) == 3
-    assert int(peak_kib) * 1024 < matrix_bytes
+    assert peak < matrix_bytes
+
+
+def test_train_peak_memory_stays_below_the_word_matrix(tmp_path):
+    # ``nfetc train`` on a cache hit of a 40,000 x 300 word matrix (96 MB)
+    # and three mentions, saving a checkpoint: the check of the cache, the
+    # model's rows and the checkpoint's copy of the matrix all read the
+    # cache through one buffer, and nothing maps it. The cache is written
+    # straight, keyed by a stand-in text, so that no 84 MB text is parsed
+    embeddings = big_embeddings()
+    text = tmp_path / "emb.txt"
+    text.write_text("w0 " + " ".join(["0"] * 300) + "\n")
+    save(f"{text}{CACHE_SUFFIX}",
+         {"source_sha256": hashlib.sha256(text.read_bytes()).hexdigest(),
+          "vocab": embeddings.words}, [("word_emb", False, embeddings.matrix)])
+    matrix_bytes = embeddings.matrix.nbytes
+    del embeddings
+    (tmp_path / "types.txt").write_text("/a\n/a/b\n/c\n")
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("1 2\tw5 w17 w39999\t/a/b\n0 1\tw3\t/c\n0 2\tw8 unknown\t/a\n")
+    code, peak, err = peak_run(
+        ["train", "--set", f"types={tmp_path / 'types.txt'}", "--set", f"train={corpus}",
+         "--set", f"test={corpus}", "--set", f"embeddings={text}", "--set", "dev_fraction=0.5",
+         "--set", "dp=2", "--set", "ds=3", "--set", "window=2", "--set", "epochs=1",
+         "--set", f"checkpoint={tmp_path / 'model.ckpt'}"])
+    assert code == 0, err
+    assert load_checkpoint(str(tmp_path / "model.ckpt")).model.embeddings.matrix.shape == (40000, 300)
+    assert peak < matrix_bytes, peak
+
+
+def test_a_cache_truncated_after_the_load_is_one_error_line(tmp_path):
+    # a mapped cache that shrinks under a run kills it with SIGBUS; read
+    # through its descriptor, it is a truncated file like any other. In a
+    # subprocess, so that a SIGBUS would not take the test run with it
+    world = write_world(tmp_path / "w")
+    WordEmbeddings.from_file(world["embeddings"])   # writes the cache, so the run's load is a hit
+    cache = f"{world['embeddings']}{CACHE_SUFFIX}"
+    script = ("import os, sys\nfrom nfetc import cli\nload = cli.WordEmbeddings.from_file\n"
+              "def load_then_truncate(path):\n    embeddings = load(path)\n"
+              "    os.truncate(f'{path}.nfetc-cache', 0)\n    return embeddings\n"
+              "cli.WordEmbeddings.from_file = load_then_truncate\n"
+              "sys.exit(cli.main(sys.argv[1:]))")
+    argv = ["train", *FAST, "--set", "dev_fraction=0.5",
+            *[x for k in ("types", "train", "test", "embeddings") for x in ("--set", f"{k}={world[k]}")]]
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: {cache}: truncated tensor 'word_emb'\n")

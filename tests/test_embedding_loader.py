@@ -234,9 +234,11 @@ def test_the_loader_peak_is_near_one_matrix(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert emb.matrix.nbytes == n * dim * 8
-    assert peak - kept < emb.matrix.nbytes // 4
-    # what is kept is the matrix and the vocabulary, once each
-    assert kept < 1.5 * emb.matrix.nbytes
+    # the parsed matrix is dropped for the cache it was written to, so what
+    # is kept is the vocabulary alone, and the peak one matrix beyond it
+    # plus what the loader holds
+    assert kept < emb.matrix.nbytes // 2
+    assert peak - kept - emb.matrix.nbytes < emb.matrix.nbytes // 4
     assert np.array_equal(emb.matrix, ticks / 1e4)
 
 

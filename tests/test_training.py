@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfetc import cli
+from nfetc import checkpoint, cli
 from nfetc import model as model_module
 from nfetc import training as training_module
 from nfetc.corpus import Corpus, MentionTriple, parse_corpus
-from nfetc.embeddings import WordEmbeddings
+from nfetc.embeddings import CACHE_SUFFIX, WordEmbeddings
 from nfetc.evaluation import evaluate
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig
@@ -223,7 +223,12 @@ def test_train_divergence_aborts_with_context():
         train(train_c, dev_c, emb, forest, small_hp(lr=1e300, lam=0.001), config)
 
 
-def test_train_rejects_word_vectors_beyond_float32():
+def embedding_text(words, matrix) -> str:
+    """GloVe-style lines that parse back to exactly ``matrix``."""
+    return "".join(f"{w} {' '.join(map(repr, row.tolist()))}\n" for w, row in zip(words, matrix))
+
+
+def test_train_rejects_word_vectors_beyond_float32(tmp_path):
     # finite in float64, but the float32 LSTMs would read them as inf
     train_c, dev_c, emb, forest = make_world()
     matrix = emb.matrix.copy()
@@ -235,6 +240,50 @@ def test_train_rejects_word_vectors_beyond_float32():
     # the range is found once per embeddings object; a second run still stops
     with pytest.raises(TrainingDiverged, match="word vectors outside the float32 range"):
         train(train_c, dev_c, far, forest, small_hp(), config)
+    # on a cache hit, in a row that no corpus word uses: the model holds only
+    # its corpora's rows, but the whole matrix is checked
+    path = tmp_path / "far.txt"
+    words = emb.words + ["unused"]
+    path.write_text(embedding_text(words, np.vstack([emb.matrix, [[1e39, 0, 0, 0]]])))
+    WordEmbeddings.from_file(path)   # writes the cache
+    hit = WordEmbeddings.from_file(path)
+    assert isinstance(hit.stored, checkpoint.Frozen) and hit.words == words
+    with pytest.raises(TrainingDiverged, match="word vectors outside the float32 range"):
+        train(train_c, dev_c, hit, forest, small_hp(), config)
+
+
+@pytest.mark.parametrize("when", ["before-train", "before-save"])
+def test_a_cache_renamed_over_the_loaded_one_changes_nothing(tmp_path, when):
+    # the loaded embeddings hold the cache they checked open: a cache of the
+    # same shape but other values renamed over it is what a later load
+    # finds, while this run trains on and saves the bytes it checked
+    train_c, dev_c, emb, forest = make_world()
+    _, config = select_variant("NFETC(f)")
+    path = tmp_path / "emb.txt"
+    path.write_text(embedding_text(emb.words, emb.matrix))
+    loaded = WordEmbeddings.from_file(path)
+    assert isinstance(loaded.stored, checkpoint.Frozen)
+    cache = f"{path}{CACHE_SUFFIX}"
+    meta, tensors = checkpoint.load(cache)
+    other = tensors["word_emb"] + 1.0
+
+    def rename_other():
+        checkpoint.save(cache, {k: meta[k] for k in ("source_sha256", "vocab")},
+                        [("word_emb", False, other)])
+        assert np.array_equal(WordEmbeddings.from_file(path).matrix, other)
+
+    if when == "before-train":
+        rename_other()
+    result = train(train_c, dev_c, loaded, forest, small_hp(), config)
+    if when == "before-save":
+        rename_other()
+    save_checkpoint(str(tmp_path / "run.ckpt"), small_hp(), config, forest, loaded,
+                    params_from_values(result.best_values))
+    want = train(train_c, dev_c, emb, forest, small_hp(), config)
+    save_checkpoint(str(tmp_path / "want.ckpt"), small_hp(), config, forest, emb,
+                    params_from_values(want.best_values))
+    assert result.epoch_log == want.epoch_log
+    assert (tmp_path / "run.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
 
 
 def test_train_rejects_non_finite_gradient_before_the_update(monkeypatch):
