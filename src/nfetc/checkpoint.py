@@ -11,33 +11,29 @@ Layout, all little-endian:
 The writer is fully deterministic, so identical runs produce byte-identical
 files; the loader rejects truncation, trailing bytes, and non-finite values.
 Files written before the padding still load, and older readers load padded
-files, since ``json.loads`` skips the trailing spaces.
+files, since ``json.loads`` skips the trailing spaces. This reader needs no
+alignment, but the padding stays: files stay byte-identical to earlier ones,
+and a reader that maps an aligned tensor can still map them.
 
-A frozen tensor (``"trainable": false``) that starts at a multiple of 8 is
-not read but mapped: a read-only view of the file's pages, which the kernel
-shares and can reclaim. Trained tensors, and frozen ones at unaligned
-offsets, are read into arrays of their own. A mapped file must not shrink
-while its arrays live, or reading them raises SIGBUS; ``save`` therefore
-renames a new file over the old one and never writes in place.
-
-A caller that needs only some rows of the frozen tensors passes ``load`` a
-``rows`` function: then nothing is mapped, and each frozen tensor is read in
-one pass through a buffer of ``READ_BYTES``, which checks every value and
-keeps only the rows asked for.
+Each tensor is streamed: read in one pass through a buffer of at most
+``READ_BYTES``, which checks every value, into an array of its own. A
+trained tensor is read as it is met; a frozen one (``"trainable": false``)
+once every other check has passed, keeping the rows the caller asks for,
+every row unless ``load`` is given a ``rows`` function. Nothing is mapped,
+so a file that shrinks under a reader is a ``CheckpointError``, never a
+SIGBUS.
 
 ``open_frozen`` checks a file of one frozen tensor in such a pass, keeping
 no row, and leaves the tensor in the file as a ``Frozen`` that holds the
 file open: a file renamed over it later changes nothing, and each later read
 (``Frozen.rows``, or ``save`` copying it into a new checkpoint) streams it
-again, so that a file that shrank meanwhile is a ``CheckpointError``, not a
-SIGBUS. Only ``Frozen.map`` maps it.
+again, so that a file that shrank meanwhile is a ``CheckpointError`` too.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import mmap
 import os
 import weakref
 
@@ -66,10 +62,11 @@ def header(blob: bytes) -> bytes:
 
 def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> None:
     """Write ``(name, trainable, array)`` tensors in order to a temporary file
-    beside ``path``, fsync it, then rename it over ``path``: a failed write
-    leaves any old file intact. A ``Frozen`` may stand for an array: its
-    bytes are copied from its file. ``meta`` must not hold the ``params`` key,
-    which this adds."""
+    beside ``path``, fsync it, then rename it over ``path``: the replacement
+    is atomic, so a reader finds the old file or the new one whole, and a
+    failed write leaves any old file intact. A ``Frozen`` may stand for an
+    array: its bytes are copied from its file. ``meta`` must not hold the
+    ``params`` key, which this adds."""
     doc = dict(meta)
     doc["params"] = [{"name": n, "trainable": trainable, "shape": list(a.shape)}
                      for n, trainable, a in tensors]
@@ -93,16 +90,12 @@ def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> 
 
 def load(path: str, rows=None) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta block (its ``params`` list holds the descriptors) and each
-    tensor by name in file order. A frozen tensor at an aligned offset is a
-    read-only view of the mapped file; every other tensor is read straight
-    into its own array.
-
-    With ``rows`` given, nothing is mapped: once every check that needs no
-    value of a frozen tensor has passed, ``rows(meta)`` returns the sorted
-    row numbers to keep, and each frozen tensor is streamed, every value
-    checked, and only those rows kept. Should ``rows`` or a check raise, the
-    frozen tensors are streamed first, so that a non-finite value among
-    them is reported as a load without ``rows`` reports it."""
+    tensor by name in file order, in its stored shape. Once every check that
+    needs no value of a frozen tensor has passed, ``rows(meta)``, when
+    given, returns the sorted row numbers to keep of each frozen tensor, or
+    None for all. Should ``rows`` or a check raise, the frozen tensors
+    before the fault are streamed first, so that a non-finite value among
+    them is reported first, as in file order."""
     with open(path, "rb") as f:
         meta, tensors, _ = _read(f, path, rows)
     return meta, tensors
@@ -156,9 +149,8 @@ def _read(f, path: str, rows):
     entries = meta.get("params")
     if not isinstance(entries, list):
         raise CheckpointError(f"{path}: meta lacks the parameter list")
-    mapped = None   # the whole file, mapped at the first aligned frozen tensor
     tensors: dict[str, np.ndarray | None] = {}
-    streamed = []   # (name, shape, offset) of each frozen tensor, with ``rows``
+    streamed = []   # (name, shape, offset) of each frozen tensor
     try:
         for e in entries:
             if not (isinstance(e, dict) and isinstance(e.get("name"), str)
@@ -169,37 +161,21 @@ def _read(f, path: str, rows):
             name, shape, at = e["name"], tuple(e["shape"]), f.tell()
             if name in tensors:
                 raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
-            truncated = f"{path}: truncated tensor {name!r}"
             nbytes = math.prod(shape) * 8
-            # checked before allocating or mapping, so no shape can ask for
-            # more memory than the file holds
+            # before allocating: no shape may ask for more memory than the file holds
             if nbytes > size - at:
-                raise CheckpointError(truncated)
+                raise CheckpointError(f"{path}: truncated tensor {name!r}")
             if any(n > size for n in shape):   # passed the bound beside a 0; numpy refuses it
                 raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
-            if not e["trainable"] and rows is not None:
+            if e["trainable"]:
+                tensors[name] = _stream(f, path, name, shape, at, None)[0]
+            else:
                 streamed.append((name, shape, at))
                 tensors[name] = None   # holds its place in file order
                 f.seek(at + nbytes)
-                continue
-            if e["trainable"] or at % ALIGN:
-                arr = np.empty(shape, dtype="<f8")
-                if f.readinto(arr) != nbytes:
-                    raise CheckpointError(truncated)
-            else:
-                if mapped is None:
-                    mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-                if at + nbytes > len(mapped):   # the file shrank since fstat
-                    raise CheckpointError(truncated)
-                arr = np.frombuffer(mapped, dtype="<f8", count=nbytes // 8,
-                                    offset=at).reshape(shape)
-                f.seek(at + nbytes)
-            if not np.all(np.isfinite(arr)):
-                raise CheckpointError(f"{path}: non-finite values in {name!r}")
-            tensors[name] = arr
         if trailing := size - f.tell():
             raise CheckpointError(f"{path}: {trailing} trailing bytes")
-        keep = rows(meta) if rows is not None else None
+        keep = None if rows is None else rows(meta)
     except Exception:
         for name, shape, at in streamed:
             _stream(f, path, name, shape, at, np.empty(0, dtype=np.intp))
@@ -212,19 +188,24 @@ def _read(f, path: str, rows):
 
 
 def _stream(f, path: str, name: str, shape: tuple, at: int,
-            keep: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rows ``keep`` (sorted row numbers) of the tensor of ``shape`` at byte
-    ``at`` of the open file ``f``, and the largest absolute value of the
-    whole tensor, in one pass of ``_blocks``."""
-    out = np.empty((len(keep), math.prod(shape[1:])), dtype="<f8")
+            keep: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """Rows ``keep`` (sorted row numbers; None for the whole tensor) of the
+    tensor of ``shape`` at byte ``at`` of the open file ``f``, and the
+    largest absolute value of the whole tensor, in one pass of ``_blocks``."""
+    count = len(keep) if keep is not None else shape[0] if shape else 1
+    out = np.empty(shape if keep is None else (count,) + shape[1:], dtype="<f8")
+    rows = out.reshape(count, math.prod(shape[1:]))   # a view of ``out``, row by row
     done, top = 0, 0.0   # the rows of ``keep`` copied so far, the largest value so far
     for lo, block, most in _blocks(f, path, name, shape, at):
         top = max(top, most)
+        if keep is None:
+            rows[lo:lo + len(block)] = block
+            continue
         upto = int(np.searchsorted(keep, lo + len(block)))
         if upto > done:   # mode "raise" would copy through a buffer
-            np.take(block, keep[done:upto] - lo, axis=0, out=out[done:upto], mode="clip")
+            np.take(block, keep[done:upto] - lo, axis=0, out=rows[done:upto], mode="clip")
             done = upto
-    return out.reshape((len(keep),) + shape[1:]), top
+    return out, top
 
 
 def _blocks(f, path: str, name: str, shape: tuple, at: int):
@@ -233,7 +214,7 @@ def _blocks(f, path: str, name: str, shape: tuple, at: int):
     read in turn into one buffer of about ``READ_BYTES``; raises unless the
     file holds every row and every value is finite."""
     count, width = (shape[0] if shape else 1), math.prod(shape[1:])
-    step = max(1, READ_BYTES // (8 * width or 1))   # rows per read
+    step = max(1, min(count, READ_BYTES // (8 * width or 1)))   # rows per read
     buf = np.empty((step, width), dtype="<f8")
     f.seek(at)
     for lo in range(0, count, step):
@@ -270,13 +251,3 @@ class Frozen:
         with open(self.fd, "rb", closefd=False) as f:
             for _, block, _ in _blocks(f, self.path, self.name, self.shape, self.at):
                 out.write(memoryview(block))
-
-    def map(self) -> np.ndarray:
-        """A read-only map of the whole tensor. Unlike a read, a map sees the
-        file as it is when a page is touched: it must not shrink while the
-        array lives, or reading it raises SIGBUS."""
-        mapped = mmap.mmap(self.fd, 0, access=mmap.ACCESS_READ)
-        count = math.prod(self.shape)
-        if self.at + 8 * count > len(mapped):
-            raise CheckpointError(f"{self.path}: truncated tensor {self.name!r}")
-        return np.frombuffer(mapped, dtype="<f8", count=count, offset=self.at).reshape(self.shape)

@@ -310,7 +310,8 @@ def cmd_stats(cfg: dict) -> int:
 
 
 def cmd_export_types(cfg: dict) -> int:
-    restored = load_checkpoint(_require_path(cfg, "checkpoint", "export-types"))
+    restored = load_checkpoint(_require_path(cfg, "checkpoint", "export-types"),
+                               lambda forest, hp: set())   # no word vector is needed
     w = restored.model.params["cls_w"]
     forest = restored.forest
     lines = []

@@ -9,9 +9,10 @@ The first load of a file stores what it parsed beside it, in
 ``<file>.nfetc-cache``: a checkpoint-format file keyed by the text's SHA-256.
 Every load whose cache holds these bytes, the first one too once its write
 succeeds, checks the cache's matrix in one streamed pass and leaves it in
-the file. The embeddings hold the cache open and map nothing: ``subset``
-reads the rows of some words from it (``train`` asks for its corpora's),
-and ``save_checkpoint`` copies it whole, neither holding the matrix.
+the file, which the embeddings hold open. Nothing looks a word up in them,
+so they keep no word -> row index: ``subset`` reads the rows of some words
+from the cache (``train`` asks for its corpora's), and ``save_checkpoint``
+copies it whole, neither holding the matrix.
 
 Position vectors encode each token's relative distance to the mention span.
 Distances inside [-c, c] index their own row; anything further lands in a
@@ -72,24 +73,23 @@ class WordEmbeddings:
     ``matrix``: neither is copied, and a float64 matrix is made read-only, so
     the caller's own array can no longer be written to. Pass a copy to keep a
     writable one.
-    ``index``, when given, maps each word to its row, as ``from_file`` builds
-    it while it reads and ``vocabulary_index`` returns it; then the words
-    are not checked again.
+    ``index``, when given, maps each word to its row, as ``vocabulary_index``
+    returns it; then the words are not checked again.
 
     ``matrix`` may also be a ``checkpoint.Frozen``: a matrix left in its
     file, the parse cache, which ``subset`` and ``save_checkpoint`` read
-    through ``stored``. The ``matrix`` attribute is then a map of the file,
-    made on first use, which no command makes. A matrix may also hold only
-    the rows of the words an input holds, as ``subset`` returns it and
-    ``nfetc eval`` and ``predict`` load a checkpoint."""
+    through ``stored``. Such embeddings, whose words ``_cached`` checks,
+    have no ``matrix`` attribute and look no word up. A matrix may also
+    hold only the rows of the words an input holds, as ``subset`` returns it
+    and ``nfetc eval`` and ``predict`` load a checkpoint."""
 
     def __init__(self, words: list[str], matrix: np.ndarray | checkpoint.Frozen,
                  index: dict[str, int] | None = None):
-        self._index = vocabulary_index(words, matrix.shape) if index is None else index
         self.words = words
-        if isinstance(matrix, checkpoint.Frozen):
+        if isinstance(matrix, checkpoint.Frozen):   # looks no word up, so keeps no index
             self.magnitude = matrix.magnitude
         else:
+            self._index = vocabulary_index(words, matrix.shape) if index is None else index
             matrix = self.matrix = np.asarray(matrix, dtype=np.float64)
             matrix.flags.writeable = False
         self.stored = matrix   # what a checkpoint copies the matrix from
@@ -117,7 +117,8 @@ class WordEmbeddings:
         with closing(numbered_lines(path, EmbeddingError)) as lines:
             while loader.take(lines):
                 pass
-        words, matrix, index = loader.result()
+        words, matrix = loader.result()
+        del loader   # and its word -> row index, which no cache hit needs
         if _digest(path) == digest:
             try:
                 checkpoint.save(cache, {"source_sha256": digest, "vocab": words},
@@ -125,14 +126,9 @@ class WordEmbeddings:
             except OSError:
                 pass
             else:
-                if (hit := _cached(cache, digest)) is not None:
+                if (hit := _cached(cache, digest, (words, matrix.shape))) is not None:
                     return hit
-        return cls(words, matrix, index)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """A read-only map of a matrix left in its file."""
-        return self.stored.map()
+        return cls(words, matrix)
 
     @cached_property
     def magnitude(self) -> float:
@@ -200,20 +196,23 @@ def _digest(path) -> str:
     return sha.hexdigest()
 
 
-def _cached(cache, digest) -> WordEmbeddings | None:
+def _cached(cache, digest, parsed=None) -> WordEmbeddings | None:
     """The embeddings ``cache`` holds for a text of SHA-256 ``digest``, its
     matrix checked and left in the file, or None when it is missing,
-    unreadable, stale or malformed."""
+    unreadable, stale or malformed. ``parsed``, the (words, matrix shape) of
+    a parse just written there, asks for those; its checked words are kept
+    in place of the cache's equal list."""
     try:
         meta, frozen = checkpoint.open_frozen(cache)
-    except (OSError, ValueError):
+        if meta.get("source_sha256") != digest or frozen.name != "word_emb":
+            return None
+        if parsed is None:   # the words, the matrix's shape and that no word repeats
+            vocabulary_index(meta.get("vocab"), frozen.shape, with_rows=False)
+        elif (meta.get("vocab"), frozen.shape) != parsed:
+            return None
+    except (OSError, ValueError):   # an EmbeddingError too
         return None
-    if meta.get("source_sha256") != digest or frozen.name != "word_emb":
-        return None
-    try:   # the constructor checks the words, the matrix's shape and that no word repeats
-        return WordEmbeddings(meta.get("vocab"), frozen)
-    except EmbeddingError:
-        return None
+    return WordEmbeddings(meta["vocab"] if parsed is None else parsed[0], frozen)
 
 
 class _Loader:
@@ -293,13 +292,13 @@ class _Loader:
         self.matrix[first:first + len(rows)] = block
 
     def result(self):
-        """(words, matrix, index) once the whole file is read."""
+        """(words, matrix) once the whole file is read."""
         if not self.words:
             raise EmbeddingError(f"{self.path}: empty embedding file")
         if self.nonfinite is not None:
             self.fail(self.nonfinite, "non-finite value")
         self.matrix.resize((len(self.words), self.matrix.shape[1]), refcheck=False)
-        return self.words, self.matrix, self.index
+        return self.words, self.matrix
 
 
 def position_rows(c: int, positions, start, end) -> np.ndarray:

@@ -312,9 +312,9 @@ def _check_tensors(entries: list[dict], hp: HyperParams, d_w: int, k: int) -> No
         raise checkpoint.CheckpointError(f"checkpoint {', '.join(problems)}")
 
 
-def _stored(path: str, meta: dict, with_rows: bool = True):
-    """The settings, forest and ``vocabulary_index`` a checkpoint's meta
-    holds, checked against its tensor descriptors."""
+def _stored(path: str, meta: dict):
+    """The settings and forest a checkpoint's meta holds, checked with its
+    vocabulary against its tensor descriptors."""
     try:
         for key in ("hyperparams", "loss_config", "types", "vocab"):
             if key not in meta:
@@ -325,11 +325,11 @@ def _stored(path: str, meta: dict, with_rows: bool = True):
         shapes = {e["name"]: tuple(e["shape"]) for e in meta["params"]}
         if "word_emb" not in shapes:
             raise checkpoint.CheckpointError("checkpoint lacks the word embedding matrix")
-        index = vocabulary_index(meta["vocab"], shapes["word_emb"], with_rows)
+        vocabulary_index(meta["vocab"], shapes["word_emb"], with_rows=False)
         _check_tensors(meta["params"], hp, shapes["word_emb"][1], len(forest))
     except (TypeError, ValueError) as e:
         raise checkpoint.CheckpointError(f"{path}: {e}") from None
-    return hp, config, forest, index
+    return hp, config, forest
 
 
 def load_checkpoint(path: str, wanted=None) -> Restored:
@@ -337,30 +337,24 @@ def load_checkpoint(path: str, wanted=None) -> Restored:
     shapes the stored hyperparameters give, and restoring draws no random
     numbers.
 
-    Without ``wanted`` the word matrix is mapped whole. With it, once every
-    check that needs no word vector has passed, ``wanted(forest, hp)`` of
-    the stored forest and hyperparameters returns the set of words the
-    model will look up (those of an input it parses then, say); the matrix
-    is read once, each value checked, and only their rows are kept, so the
+    The word matrix is read once, each value checked. Without ``wanted``
+    every row is kept. With it, once every check that needs no word vector
+    has passed, ``wanted(forest, hp)`` of the stored forest and
+    hyperparameters returns the set of words the model will look up (those
+    of an input it parses then, say), and only their rows are kept: the
     model predicts as it would with the whole matrix."""
     stored, keep = None, None
 
     def rows(meta):
         nonlocal stored, keep
-        stored = hp, _, forest, _ = _stored(path, meta, with_rows=False)
-        keep = kept_rows(meta["vocab"], wanted(forest, hp))
+        stored = hp, _, forest = _stored(path, meta)
+        keep = None if wanted is None else kept_rows(meta["vocab"], wanted(forest, hp))
         return keep
 
-    if wanted is None:
-        meta, tensors = checkpoint.load(path)
-        stored = _stored(path, meta)
-        embeddings = WordEmbeddings(meta["vocab"], tensors["word_emb"], stored[3])
-    else:
-        meta, tensors = checkpoint.load(path, rows)
-        words = [meta["vocab"][r] for r in keep.tolist()]
-        embeddings = WordEmbeddings(words, tensors["word_emb"],
-                                    dict(zip(words, range(len(words)))))
-    hp, config, forest, _ = stored
+    meta, tensors = checkpoint.load(path, rows)
+    words = meta["vocab"] if keep is None else [meta["vocab"][r] for r in keep.tolist()]
+    embeddings = WordEmbeddings(words, tensors["word_emb"], dict(zip(words, range(len(words)))))
+    hp, config, forest = stored
     try:
         params = params_from_values(tensors)
     except (TypeError, ValueError) as e:

@@ -13,7 +13,7 @@ def rewrite_meta(src, dst, edit):
     JSON block is padded as ``save`` pads it, so the tensors stay aligned."""
     meta, tensors = load(src)
     nbytes = sum(a.nbytes for a in tensors.values())
-    del tensors   # unmap ``src`` before ``dst``, perhaps the same file, is rewritten
+    del tensors   # only their size is needed below
     if callable(edit):
         edit(meta)
     else:

@@ -214,14 +214,7 @@ def test_load_rejects_non_finite_values(tmp_path):
         load(p)
 
 
-# -- the frozen tensor, mapped -------------------------------------------------
-
-
-def file_owner(arr: np.ndarray):
-    """The object that owns the memory of ``arr``, past any views."""
-    while isinstance(arr, np.ndarray):
-        arr = arr.base
-    return arr.obj if isinstance(arr, memoryview) else arr
+# -- the frozen tensor, streamed -----------------------------------------------
 
 
 def framed(meta: dict, tensors: bytes, aligned: bool) -> bytes:
@@ -248,48 +241,48 @@ def test_header_pads_the_json_block_to_a_multiple_of_8():
                    for k in range(len(rest) - n))
 
 
-def test_frozen_tensor_is_a_read_only_view_of_the_file(tmp_path):
+def test_frozen_tensor_is_read_into_an_array_of_its_own(tmp_path):
     path = tmp_path / "model.ckpt"
     tensors = sample_tensors()
     save(path, {}, tensors)
     _, loaded = load(path)
-    word = loaded["word_emb"]
-    assert isinstance(file_owner(word), mmap.mmap)
-    assert not word.flags.writeable and not word.flags.owndata
-    with pytest.raises(ValueError, match="read-only"):
-        word[0, 0] = 1.0
-    # the trained tensors are arrays of their own that the model can update
-    for name in ("w", "b"):
-        assert loaded[name].flags.owndata and loaded[name].flags.writeable
+    # the frozen tensor too: the embeddings, not the load, make it read-only
     for name, _, arr in tensors:
+        assert loaded[name].flags.owndata and loaded[name].flags.writeable, name
         assert np.array_equal(loaded[name], arr)
 
 
-def test_unaligned_frozen_tensor_is_read(tmp_path):
-    value = struct.pack("<dd", 0.5, -2.0)
+@pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 0), (0, 4), (3 * (READ_BYTES // 40) + 7, 5)],
+                         ids=["scalar", "empty", "vector", "empty-rows", "no-rows", "several-reads"])
+def test_unaligned_frozen_tensor_is_read(tmp_path, shape):
+    # each frozen tensor loads whole, with its exact shape and bytes, at the
+    # multiple of 8 bytes ``save`` puts it at and off that grid, as a file
+    # written before the padding holds it; the last shape takes three reads
+    # of the load's buffer and part of a fourth
+    values = make_rng(3).normal(size=shape)
     for aligned in (True, False):
-        meta = {"params": [{"name": "word_emb", "trainable": False, "shape": [2]}]}
-        p = write_raw(tmp_path / f"{aligned}.ckpt", framed(meta, value, aligned))
+        meta = {"params": [{"name": "word_emb", "trainable": False, "shape": list(shape)}]}
+        p = write_raw(tmp_path / f"{aligned}.ckpt", framed(meta, values.tobytes(), aligned))
         _, loaded = load(p)
-        assert loaded["word_emb"].tolist() == [0.5, -2.0]
-        assert isinstance(file_owner(loaded["word_emb"]), mmap.mmap) == aligned
-        assert loaded["word_emb"].flags.owndata != aligned
+        assert loaded["word_emb"].shape == shape and loaded["word_emb"].dtype == np.float64
+        assert loaded["word_emb"].tobytes() == values.tobytes()
 
 
-def test_load_maps_the_frozen_matrix_without_a_copy(tmp_path):
-    # numpy reports its buffers to tracemalloc, so a read of the 16 MiB
-    # matrix would show as a 16 MiB peak; the finiteness check's 2 MiB of
-    # booleans stays below the bound
+def test_a_whole_load_holds_one_copy_and_one_buffer(tmp_path, monkeypatch):
+    # numpy reports its buffers to tracemalloc: a load of the whole 16 MiB
+    # frozen matrix holds it once, plus the buffer it is streamed through,
+    # and maps nothing
     big = np.arange(2 * 2**20, dtype=np.float64).reshape(2048, 1024)
     path = tmp_path / "big.ckpt"
     save(path, {}, [("word_emb", False, big), ("w", True, np.ones(3))])
+    monkeypatch.setattr(mmap, "mmap", lambda *a, **k: pytest.fail("the load mapped the file"))
     tracemalloc.start()
     try:
         _, loaded = load(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < big.nbytes // 4
+    assert peak < big.nbytes + 2 * READ_BYTES
     assert np.array_equal(loaded["word_emb"], big)
 
 
@@ -322,6 +315,8 @@ def test_load_with_rows_keeps_those_rows_and_maps_nothing(tmp_path, monkeypatch)
         load(path, lambda meta: pytest.fail("rows asked"))
 
 
+# "mapped" names the aligned layout, which readers before the streamed one
+# mapped; both layouts are now read, and give the same messages
 @pytest.mark.parametrize("aligned", [False, True], ids=["read", "mapped"])
 @pytest.mark.parametrize("case,shape,values,message", [
     ("size-bound", [2], [1.0], "truncated tensor 'word_emb'"),
@@ -337,33 +332,27 @@ def test_frozen_tensor_errors_read_the_same_mapped_or_read(tmp_path, monkeypatch
     if case == "short-read":   # a file that shrinks after its size was taken
         size = os.path.getsize(p) + 8
         monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
-    mapped = []
-    real_mmap = mmap.mmap
-    monkeypatch.setattr(mmap, "mmap", lambda *a, **k: mapped.append(a) or real_mmap(*a, **k))
     with pytest.raises(CheckpointError) as err:
         load(p)
     assert str(err.value) == f"{p}: {message}"
-    # the size bound is checked before anything is mapped
-    assert len(mapped) == (aligned and case != "size-bound")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_dropping_a_loaded_checkpoint_closes_its_mapping(tmp_path):
+def test_a_load_leaves_no_descriptor_open(tmp_path):
     path, _ = model_checkpoint(tmp_path)
-    # an earlier test's traceback may still hold a mapping in a reference
-    # cycle; collect it first, so that no mapping closes during the loop
+    # an earlier test's traceback may still hold an open cache in a
+    # reference cycle; collect it first, so that none closes during the loop
     gc.collect()
     before = len(os.listdir("/proc/self/fd"))
+    restored = []
     for _ in range(50):
-        restored = load_checkpoint(path)
-        assert isinstance(file_owner(restored.model.embeddings.matrix), mmap.mmap)
-        # the mapping holds a duplicate of the file's descriptor while it lives
-        assert len(os.listdir("/proc/self/fd")) == before + 1
-        del restored
-    assert len(os.listdir("/proc/self/fd")) == before
+        restored.append(load_checkpoint(path))
+        assert len(os.listdir("/proc/self/fd")) == before
+    assert all(np.array_equal(r.model.embeddings.matrix, restored[0].model.embeddings.matrix)
+               for r in restored)
 
 
-def test_saving_over_a_mapped_checkpoint_keeps_the_old_model(tmp_path):
+def test_saving_over_a_loaded_checkpoint_keeps_the_old_model(tmp_path):
     embeddings, forest, model = small_world()
     path = tmp_path / "run.ckpt"
     save_checkpoint(path, small_hp(), LossConfig(), forest, embeddings, model.params)
@@ -371,12 +360,12 @@ def test_saving_over_a_mapped_checkpoint_keeps_the_old_model(tmp_path):
     batch = some_triples(forest)
     before = first.model.predict_probs(batch)
     changed = params_from_values({n: a + 0.25 for n, a in model.params.items()})
-    # ``save`` renames a new file into place, so the old file stays mapped
+    # the old model holds what it read; ``save`` renames a new file into place
     save_checkpoint(path, small_hp(), LossConfig(), forest, first.model.embeddings, changed)
     assert np.array_equal(first.model.predict_probs(batch), before)
     assert np.array_equal(first.model.embeddings.matrix, embeddings.matrix)
     second = load_checkpoint(path)
-    assert isinstance(file_owner(second.model.embeddings.matrix), mmap.mmap)
+    assert second.model.embeddings.matrix.flags.owndata
     assert np.array_equal(second.model.embeddings.matrix, embeddings.matrix)
     for name, a in second.model.params.items():
         assert np.array_equal(a, changed[name]), name
@@ -419,7 +408,7 @@ def test_model_checkpoint_round_trip(tmp_path, monkeypatch):
     save_checkpoint(path, hp, loss_config, forest, embeddings, model.params)
     read = []
     monkeypatch.setattr(training_module.checkpoint, "load",
-                        lambda p: read.append(load(p)) or read[-1])
+                        lambda p, rows: read.append(load(p, rows)) or read[-1])
 
     restored = load_checkpoint(path)
     assert restored.hyperparams == hp
@@ -569,8 +558,8 @@ def test_model_sizes_come_from_the_tensors(tmp_path, monkeypatch):
 # -- format version 1, pinned --------------------------------------------------
 
 # model.ckpt was written before the writer padded the JSON block, so its
-# tensors sit off the 8-byte grid and are read; padded.ckpt holds the same
-# run as the writer writes it now, and its word matrix is mapped
+# tensors sit off the 8-byte grid; padded.ckpt holds the same run as the
+# writer writes it now, every tensor on that grid. Both are read alike
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "ckpt_v1", "model.ckpt")
 PADDED_FIXTURE = os.path.join(os.path.dirname(V1_FIXTURE), "padded.ckpt")
 
@@ -621,7 +610,7 @@ def test_version_1_checkpoint_restores_its_values():
     assert restored.forest.types() == forest.types()
     assert restored.model.embeddings.words == embeddings.words
     assert np.array_equal(restored.model.embeddings.matrix, values["word_emb"])
-    # unaligned, so the word matrix is read into an array of its own
+    # the word matrix is read into an array of its own
     assert restored.model.embeddings.matrix.flags.owndata
     assert [n for n, _ in restored.model.params.items()] == list(values)[1:]
     for name, t in restored.model.params.items():
@@ -631,7 +620,7 @@ def test_version_1_checkpoint_restores_its_values():
 def test_padded_checkpoint_restores_the_same_tensors():
     unpadded = load_checkpoint(V1_FIXTURE)
     restored = load_checkpoint(PADDED_FIXTURE)
-    assert isinstance(file_owner(restored.model.embeddings.matrix), mmap.mmap)
+    assert restored.model.embeddings.matrix.flags.owndata
     assert restored.hyperparams == unpadded.hyperparams
     assert restored.model.embeddings.words == unpadded.model.embeddings.words
     assert (restored.model.embeddings.matrix.tobytes()

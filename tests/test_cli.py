@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import mmap
 import os
 import re
 import shlex
@@ -961,17 +962,22 @@ def peak_run(argv) -> tuple[int, int, str]:
     return int(code), int(peak_kib) * 1024, proc.stderr
 
 
-def test_predict_peak_memory_stays_below_the_word_matrix(tmp_path):
-    # ``nfetc predict`` on a 40,000 x 300 word matrix (96 MB) and three
-    # mentions: the process never holds the matrix, only its mentions' rows
+def big_checkpoint(path) -> int:
+    """Save a model on ``big_embeddings()`` to ``path``; the byte size of its
+    word matrix."""
     embeddings = big_embeddings()
     forest = TypeForest(["/a", "/a/b", "/c"])
     hp = HyperParams(d_p=2, d_s=3, window=2)
-    ckpt = tmp_path / "big.ckpt"
-    save_checkpoint(str(ckpt), hp, LossConfig(), forest, embeddings,
+    save_checkpoint(str(path), hp, LossConfig(), forest, embeddings,
                     NfetcModel(hp, embeddings, forest, make_rng(0)).params)
-    matrix_bytes = embeddings.matrix.nbytes
-    del embeddings
+    return embeddings.matrix.nbytes
+
+
+def test_predict_peak_memory_stays_below_the_word_matrix(tmp_path):
+    # ``nfetc predict`` on a 40,000 x 300 word matrix (96 MB) and three
+    # mentions: the process never holds the matrix, only its mentions' rows
+    ckpt = tmp_path / "big.ckpt"
+    matrix_bytes = big_checkpoint(ckpt)
     source = tmp_path / "in.tsv"
     source.write_text("1 2\tw5 w17 w39999\n0 1\tw3\n0 2\tw8 unknown\n")
     code, peak, err = peak_run(["predict", "--set", f"checkpoint={ckpt}", "--set", f"input={source}",
@@ -979,6 +985,19 @@ def test_predict_peak_memory_stays_below_the_word_matrix(tmp_path):
     assert code == 0, err
     assert len((tmp_path / "out.tsv").read_text().splitlines()) == 3
     assert peak < matrix_bytes
+
+
+def test_export_types_peak_memory_stays_below_the_word_matrix(tmp_path):
+    # ``nfetc export-types`` on a 40,000 x 300 word matrix (96 MB): the
+    # matrix is checked through the load's buffer and no row of it is kept
+    ckpt = tmp_path / "big.ckpt"
+    matrix_bytes = big_checkpoint(ckpt)
+    out = tmp_path / "types.csv"
+    code, peak, err = peak_run(["export-types", "--set", f"checkpoint={ckpt}",
+                                "--set", f"output={out}"])
+    assert code == 0, err
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["/a", "/a/b", "/c"]
+    assert peak < matrix_bytes, peak
 
 
 def test_train_peak_memory_stays_below_the_word_matrix(tmp_path):
@@ -1009,9 +1028,10 @@ def test_train_peak_memory_stays_below_the_word_matrix(tmp_path):
 
 
 def test_a_cache_truncated_after_the_load_is_one_error_line(tmp_path):
-    # a mapped cache that shrinks under a run kills it with SIGBUS; read
-    # through its descriptor, it is a truncated file like any other. In a
-    # subprocess, so that a SIGBUS would not take the test run with it
+    # a cache that shrinks under a run is read through its descriptor, so
+    # it is a truncated file like any other. In a subprocess, so that a
+    # reader that mapped it, and died of SIGBUS, would not take the test run
+    # with it
     world = write_world(tmp_path / "w")
     WordEmbeddings.from_file(world["embeddings"])   # writes the cache, so the run's load is a hit
     cache = f"{world['embeddings']}{CACHE_SUFFIX}"
@@ -1027,3 +1047,38 @@ def test_a_cache_truncated_after_the_load_is_one_error_line(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", f"error: {cache}: truncated tensor 'word_emb'\n")
+
+
+def test_no_command_maps_a_file(trained, tmp_path, monkeypatch):
+    # with every mapping refused, ``nfetc train`` on a cache hit, then
+    # ``eval``, ``predict`` and ``export-types`` on its checkpoint, give what
+    # the shared run (a cache miss) and its checkpoint give
+    unlabeled = tmp_path / "in.tsv"
+    unlabeled.write_text("1 2\tthe cat went\n1 2\ta dog sat\n0 1\tunknown\n")
+
+    def uses(ckpt, out):
+        return [["eval", "--set", f"checkpoint={ckpt}", "--set", f"test={trained['test']}",
+                 "--set", "json=true", "--set", "per_type=true"],
+                ["predict", "--set", f"checkpoint={ckpt}", "--set", f"input={unlabeled}",
+                 "--set", f"output={out}.predict"],
+                ["export-types", "--set", f"checkpoint={ckpt}", "--set", f"output={out}.csv"]]
+
+    def outputs(ckpt, out):
+        return [run_cli(argv) for argv in uses(ckpt, out)] + [
+            Path(f"{out}.predict").read_bytes(), Path(f"{out}.csv").read_bytes()]
+
+    want = outputs(trained["checkpoint"], tmp_path / "want")
+    world = write_world(tmp_path / "w")
+    WordEmbeddings.from_file(world["embeddings"])   # writes the cache, so train's load is a hit
+    monkeypatch.setattr(mmap, "mmap", lambda *a, **k: pytest.fail("a command mapped a file"))
+    run = tmp_path / "run"
+    run.mkdir()
+    code, out, err = run_cli(["train"] + FAST + [
+        *[x for k in ("types", "train", "test", "embeddings") for x in ("--set", f"{k}={world[k]}")],
+        "--set", f"checkpoint={run / 'model.ckpt'}", "--set", f"log={run / 'log.txt'}",
+        "--set", f"report={run / 'report.txt'}"])
+    assert (code, out, err) == (0, trained["stdout"], "")
+    for name in ("checkpoint", "log", "report"):
+        assert Path(run / Path(trained[name]).name).read_bytes() == Path(trained[name]).read_bytes()
+    assert outputs(run / "model.ckpt", tmp_path / "got") == want
+    assert all(code == 0 for code, _, _ in want[:3])

@@ -111,10 +111,16 @@ def random_file(path, seed: int, chunk: int) -> None:
     path.write_bytes(b"".join(data))
 
 
+def whole(emb: WordEmbeddings) -> WordEmbeddings:
+    """The embeddings of every word of ``emb``, read from the cache when a
+    load left its matrix there."""
+    return emb.subset(set(emb.words))
+
+
 def outcome(load, path):
     """(words, matrix bytes) of a load, or its error message."""
     try:
-        emb = load(path)
+        emb = whole(load(path))
     except EmbeddingError as e:
         return str(e)
     assert emb.matrix.dtype == np.float64 and emb.matrix.flags.c_contiguous
@@ -181,8 +187,7 @@ def test_chunk_edges(tmp_path, monkeypatch, faults, message):
     path.write_text(chunked(C, 2, 3 * C + 5, faults))
     if message is None:
         emb = WordEmbeddings.from_file(path)
-        ref = reference_embeddings(path)
-        assert emb.words == ref.words and emb.matrix.tobytes() == ref.matrix.tobytes()
+        assert same(emb, reference_embeddings(path))
         assert len(emb) == 3 * C + 5 - len(faults)
     else:
         with pytest.raises(EmbeddingError) as err:
@@ -211,7 +216,7 @@ def test_every_line_ending_fills_the_matrix(tmp_path, monkeypatch, newline):
     body = chunked(C, 3, 2 * C + 3, {})
     path = tmp_path / "v.txt"
     path.write_bytes(body.replace("\n", newline).encode("utf-8"))
-    emb = WordEmbeddings.from_file(path)
+    emb = whole(WordEmbeddings.from_file(path))
     assert emb.matrix.shape == (2 * C + 3, 3)
     assert emb.matrix[-1].tolist() == [2 * C + 2.5] * 3
 
@@ -233,6 +238,8 @@ def test_the_loader_peak_is_near_one_matrix(tmp_path, monkeypatch):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert isinstance(emb.stored, checkpoint.Frozen)
+    emb = whole(emb)
     assert emb.matrix.nbytes == n * dim * 8
     # the parsed matrix is dropped for the cache it was written to, so what
     # is kept is the vocabulary alone, and the peak one matrix beyond it
@@ -268,7 +275,7 @@ def counted_parse(monkeypatch) -> list:
 
 
 def same(emb, ref) -> bool:
-    return emb.words == ref.words and emb.matrix.tobytes() == ref.matrix.tobytes()
+    return emb.words == ref.words and whole(emb).matrix.tobytes() == ref.matrix.tobytes()
 
 
 @pytest.fixture
@@ -283,13 +290,15 @@ def vectors(tmp_path, monkeypatch):
     return path
 
 
-def test_a_hit_maps_the_matrix_without_parsing(vectors, monkeypatch):
+def test_a_hit_reads_the_matrix_without_parsing(vectors, monkeypatch):
     no_parse(monkeypatch)
     emb = WordEmbeddings.from_file(vectors)
+    assert isinstance(emb.stored, checkpoint.Frozen)
     assert same(emb, reference_embeddings(vectors))
-    assert emb.matrix.dtype == np.float64 and emb.matrix.flags.c_contiguous
-    assert not emb.matrix.flags.writeable and not emb.matrix.flags.owndata
-    assert emb.indices(["w3", "nope"]).tolist() == [3, -1]
+    rows = whole(emb)
+    assert rows.matrix.dtype == np.float64 and rows.matrix.flags.c_contiguous
+    assert not rows.matrix.flags.writeable
+    assert rows.indices(["w3", "nope"]).tolist() == [3, -1]
     meta, tensors = checkpoint.load(str(cache_of(vectors)))
     assert meta["source_sha256"] == hashlib.sha256(vectors.read_bytes()).hexdigest()
     assert meta["vocab"] == emb.words and list(tensors) == ["word_emb"]
@@ -311,7 +320,7 @@ def test_an_edit_of_the_same_size_and_mtime_is_parsed_again(vectors, monkeypatch
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
     calls = counted_parse(monkeypatch)
     emb = WordEmbeddings.from_file(vectors)
-    assert calls[0] > 0 and emb.matrix[7, 0] == 8.5
+    assert calls[0] > 0 and whole(emb).matrix[7, 0] == 8.5
     assert same(emb, reference_embeddings(vectors))
 
 
@@ -401,6 +410,36 @@ def test_a_failed_cache_write_still_returns_the_embeddings(tmp_path, monkeypatch
     assert not cache_of(path).exists()
 
 
+def test_a_first_load_keeps_the_words_it_parsed(tmp_path, monkeypatch):
+    # the cache's vocabulary, read back after the write, is compared with
+    # the parse's list and dropped; the cache-backed embeddings keep the list
+    results, real = [], embeddings_module._Loader.result
+    monkeypatch.setattr(embeddings_module._Loader, "result",
+                        lambda self: results.append(real(self)) or results[-1])
+    path = tmp_path / "v.txt"
+    path.write_text(chunked(C, 2, 10, {}))
+    emb = WordEmbeddings.from_file(path)
+    assert isinstance(emb.stored, checkpoint.Frozen)
+    assert len(results) == 1 and emb.words is results[0][0]
+    assert same(emb, reference_embeddings(path))
+
+
+def test_a_cache_that_is_not_the_parse_is_not_returned(tmp_path, monkeypatch):
+    # a cache whose vocabulary differs from what the first load just parsed
+    # and wrote (a writer renamed another over it) is not returned for it
+    real = checkpoint.save
+
+    def save_then_reverse(path, meta, tensors):
+        real(path, meta, tensors)
+        rewrite_meta(path, path, lambda meta: meta["vocab"].reverse())
+    monkeypatch.setattr(checkpoint, "save", save_then_reverse)
+    path = tmp_path / "v.txt"
+    path.write_text(chunked(C, 2, 10, {}))
+    emb = WordEmbeddings.from_file(path)
+    assert not isinstance(emb.stored, checkpoint.Frozen)
+    assert same(emb, reference_embeddings(path))
+
+
 def test_a_file_that_fails_to_parse_leaves_no_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(embeddings_module, "CHUNK_LINES", C)
     path = tmp_path / "v.txt"
@@ -426,7 +465,7 @@ def test_a_file_edited_during_the_parse_gets_no_cache(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]
     monkeypatch.setattr(embeddings_module, "_parse", real)
     emb = WordEmbeddings.from_file(path)
-    assert emb.matrix[2, 0] == 9.5 and same(emb, reference_embeddings(path))
+    assert whole(emb).matrix[2, 0] == 9.5 and same(emb, reference_embeddings(path))
     meta, _ = checkpoint.load(str(cache_of(path)))
     assert meta["source_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 

@@ -10,8 +10,11 @@ from nfetc.training import HyperParams
 
 
 def write_vectors(path, text):
+    """The embeddings of every word of ``text``, written to ``path`` and
+    loaded; the rows are read from the cache the load leaves them in."""
     path.write_text(text)
-    return WordEmbeddings.from_file(path)
+    emb = WordEmbeddings.from_file(path)
+    return emb.subset(set(emb.words))
 
 
 def test_from_file_basic(tmp_path):

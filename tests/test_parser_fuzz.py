@@ -34,7 +34,7 @@ PARSERS = {
     "refinement": ("mini/refinement.tsv", RefinementMap.from_file, ForestError, True, 3),
     "embeddings": ("synth/embeddings.txt", WordEmbeddings.from_file, EmbeddingError, True, 4),
     "checkpoint": ("ckpt_v1/model.ckpt", load_checkpoint, CheckpointError, False, 5),
-    # aligned, so a mutant whose header keeps its length maps the word matrix
+    # aligned, as ``save`` writes it now; each is read the same way
     "checkpoint-padded": ("ckpt_v1/padded.ckpt", load_checkpoint, CheckpointError, False, 6),
     "config": ("mini/run.cfg", lambda p: build_config("figer", p, []), CliError, True, 7),
 }

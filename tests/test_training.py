@@ -270,7 +270,8 @@ def test_a_cache_renamed_over_the_loaded_one_changes_nothing(tmp_path, when):
     def rename_other():
         checkpoint.save(cache, {k: meta[k] for k in ("source_sha256", "vocab")},
                         [("word_emb", False, other)])
-        assert np.array_equal(WordEmbeddings.from_file(path).matrix, other)
+        renamed = WordEmbeddings.from_file(path)
+        assert np.array_equal(renamed.subset(set(renamed.words)).matrix, other)
 
     if when == "before-train":
         rename_other()
