@@ -20,7 +20,7 @@ from .corpus import CorpusError, parse_corpus, stats, split_dev, windowed
 from .embeddings import EmbeddingError, WordEmbeddings
 from .evaluation import pairs_for, per_type_accuracy, score_pairs
 from .hierarchy import ForestError, RefinementMap, TypeForest, apply_refinement
-from .loss import inference_adjust
+from .loss import LossConfig, inference_adjust
 from .textfile import numbered_lines
 from .training import (HyperParams, TrainingDiverged, VARIANTS, load_checkpoint,
                        params_from_values, run_multi, save_checkpoint,
@@ -28,57 +28,49 @@ from .training import (HyperParams, TrainingDiverged, VARIANTS, load_checkpoint,
 
 DATA_ROOT_VAR = "NFETC_DATA_ROOT"
 
-# key -> (type, help). bool values accept true/false, 1/0, yes/no, on/off.
-KEYS: dict[str, tuple[type, str]] = {
-    "lr": (float, "Adam learning rate"),
-    "dp": (int, "position embedding size"),
-    "ds": (int, "LSTM hidden size"),
-    "pi": (float, "dropout keep probability on LSTM inputs"),
-    "po": (float, "dropout keep probability on LSTM outputs"),
-    "lambda": (float, "L2 penalty weight"),
-    "beta": (float, "ancestor-mass weight of the hierarchy adjustment"),
-    "window": (int, "context tokens kept either side of the mention"),
-    "batch": (int, "mini-batch size"),
-    "epochs": (int, "maximum training epochs"),
-    "patience": (int, "epochs without dev improvement before stopping"),
-    "seed": (int, "run seed"),
-    "seeds": (str, "comma-separated seeds; one run per seed, aggregated"),
-    "variant": (str, "one of " + ", ".join(VARIANTS)),
-    "dev_fraction": (float, "share of the test corpus carved off as dev"),
-    "dev_seed": (int, "dev-split seed, fixed across the seeds list"),
-    "dropout_mention": (bool, "apply dropout to the mention LSTM too"),
-    "hier_inference": (bool, "apply the hierarchy adjustment before prediction"),
-    "select_adjusted": (bool, "variant loss selects on adjusted probabilities"),
-    "per_type": (bool, "eval: also print per-type strict accuracy"),
-    "json": (bool, "stats/eval: also print the single-line JSON form"),
-    "types": (str, "type forest file, one slash-path per line"),
-    "refinement": (str, "optional hierarchy refinement file (old TAB new)"),
-    "train": (str, "training corpus file"),
-    "test": (str, "test corpus file (dev split is carved from it)"),
-    "input": (str, "input corpus for predict/stats (eval falls back to test)"),
-    "embeddings": (str, "word embedding text file"),
-    "checkpoint": (str, "checkpoint path (output for train, input elsewhere)"),
-    "log": (str, "per-epoch training log file (default: stdout)"),
-    "report": (str, "metrics report output file"),
-    "output": (str, "output file for predict/export-types (default: stdout)"),
+# The one settings table, in --help order: each config key's type, its
+# FIGER and OntoNotes defaults, the HyperParams or LossConfig field it fills
+# (None for a path or a key only the CLI reads) and its help text. bool
+# values accept true/false, 1/0, yes/no, on/off.
+KEYS: dict[str, tuple[type, object, object, str | None, str]] = {
+    "lr": (float, 0.0002, 0.0002, "lr", "Adam learning rate"),
+    "dp": (int, 85, 20, "d_p", "position embedding size"),
+    "ds": (int, 180, 440, "d_s", "LSTM hidden size"),
+    "pi": (float, 0.7, 0.5, "p_i", "dropout keep probability on LSTM inputs"),
+    "po": (float, 0.9, 0.5, "p_o", "dropout keep probability on LSTM outputs"),
+    "lambda": (float, 0.0, 0.0001, "lam", "L2 penalty weight"),
+    "beta": (float, 0.4, 0.3, "beta", "ancestor-mass weight of the hierarchy adjustment"),
+    "window": (int, 10, 10, "window", "context tokens kept either side of the mention"),
+    "batch": (int, 512, 512, "batch", "mini-batch size"),
+    "epochs": (int, 50, 50, "epochs", "maximum training epochs"),
+    "patience": (int, 5, 5, "patience", "epochs without dev improvement before stopping"),
+    "seed": (int, 1, 1, "seed", "run seed"),
+    "seeds": (str, "", "", None, "comma-separated seeds; one run per seed, aggregated"),
+    "variant": (str, "NFETC-hier(r)", "NFETC-hier(r)", None, "one of " + ", ".join(VARIANTS)),
+    "dev_fraction": (float, 0.1, 0.1, None, "share of the test corpus carved off as dev"),
+    "dev_seed": (int, 2014, 2014, None, "dev-split seed, fixed across the seeds list"),
+    "dropout_mention": (bool, True, True, "dropout_mention",
+                        "apply dropout to the mention LSTM too"),
+    "hier_inference": (bool, False, False, "hier_at_inference",
+                       "apply the hierarchy adjustment before prediction"),
+    "select_adjusted": (bool, True, True, "select_on_adjusted",
+                        "variant loss selects on adjusted probabilities"),
+    "per_type": (bool, False, False, None, "eval: also print per-type strict accuracy"),
+    "json": (bool, False, False, None, "stats/eval: also print the single-line JSON form"),
+    "types": (str, "", "", None, "type forest file, one slash-path per line"),
+    "refinement": (str, "", "", None, "optional hierarchy refinement file (old TAB new)"),
+    "train": (str, "", "", None, "training corpus file"),
+    "test": (str, "", "", None, "test corpus file (dev split is carved from it)"),
+    "input": (str, "", "", None, "input corpus for predict/stats (eval falls back to test)"),
+    "embeddings": (str, "", "", None, "word embedding text file"),
+    "checkpoint": (str, "", "", None, "checkpoint path (output for train, input elsewhere)"),
+    "log": (str, "", "", None, "per-epoch training log file (default: stdout)"),
+    "report": (str, "", "", None, "metrics report output file"),
+    "output": (str, "", "", None, "output file for predict/export-types (default: stdout)"),
 }
 
-_SHARED = {
-    "lr": 0.0002, "window": 10, "batch": 512, "epochs": 50, "patience": 5,
-    "seed": 1, "seeds": "", "variant": "NFETC-hier(r)",
-    "dev_fraction": 0.1, "dev_seed": 2014,
-    "dropout_mention": True, "hier_inference": False, "select_adjusted": True,
-    "per_type": False, "json": False,
-    "types": "", "refinement": "", "train": "", "test": "", "input": "",
-    "embeddings": "", "checkpoint": "", "log": "", "report": "", "output": "",
-}
-
-PROFILES = {
-    "figer": {**_SHARED, "dp": 85, "ds": 180, "pi": 0.7, "po": 0.9,
-              "lambda": 0.0, "beta": 0.4},
-    "ontonotes": {**_SHARED, "dp": 20, "ds": 440, "pi": 0.5, "po": 0.5,
-                  "lambda": 0.0001, "beta": 0.3},
-}
+PROFILES = {name: {key: row[column] for key, row in KEYS.items()}
+            for column, name in ((1, "figer"), (2, "ontonotes"))}
 
 
 class CliError(Exception):
@@ -156,15 +148,18 @@ def _load_forest(cfg: dict, command: str):
     forest = TypeForest.from_file(_require_path(cfg, "types", command))
     if not cfg["refinement"]:
         return forest, None
-    return apply_refinement(forest, RefinementMap.from_file(_resolve(cfg["refinement"])))
+    refinement = RefinementMap.from_file(_require_path(cfg, "refinement", command))
+    return apply_refinement(forest, refinement)
+
+
+def _fields(cfg: dict, cls) -> dict:
+    """The fields of ``cls`` that config keys fill, valued from ``cfg``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {field: cfg[key] for key, (*_, field, _) in KEYS.items() if field in names}
 
 
 def _hyperparams(cfg: dict) -> HyperParams:
-    return HyperParams(
-        lr=cfg["lr"], d_p=cfg["dp"], d_s=cfg["ds"], p_i=cfg["pi"], p_o=cfg["po"],
-        lam=cfg["lambda"], beta=cfg["beta"], window=cfg["window"],
-        batch=cfg["batch"], epochs=cfg["epochs"], patience=cfg["patience"],
-        seed=cfg["seed"], dropout_mention=cfg["dropout_mention"])
+    return HyperParams(**_fields(cfg, HyperParams))
 
 
 def _emit(text: str, path: str, echo: bool = False) -> None:
@@ -186,10 +181,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def cmd_train(cfg: dict) -> int:
     # the settings first, so a bad one is reported before any file is read
-    choice, loss_cfg = select_variant(
-        cfg["variant"], lam=cfg["lambda"], beta=cfg["beta"],
-        hier_at_inference=cfg["hier_inference"],
-        select_on_adjusted=cfg["select_adjusted"])
+    choice, loss_cfg = select_variant(cfg["variant"], **_fields(cfg, LossConfig))
     hp = _hyperparams(cfg)
     seeds = _parse_seeds(cfg["seeds"]) or [hp.seed]
     if not 0.0 < cfg["dev_fraction"] < 1.0:
@@ -333,12 +325,10 @@ COMMANDS = {
 
 def _key_table() -> str:
     lines = ["config keys (figer default | ontonotes default):"]
-    for key, (_, help_text) in KEYS.items():
-        fig = PROFILES["figer"][key]
-        onto = PROFILES["ontonotes"][key]
-        def show(v):
-            return str(v).lower() if isinstance(v, bool) else (str(v) if v != "" else "-")
-        lines.append(f"  {key:<16} {show(fig):>10} | {show(onto):<10} {help_text}")
+    def show(v):
+        return str(v).lower() if isinstance(v, bool) else (str(v) if v != "" else "-")
+    for key, (_, figer, ontonotes, _, help_text) in KEYS.items():
+        lines.append(f"  {key:<16} {show(figer):>10} | {show(ontonotes):<10} {help_text}")
     lines.append(f"\nrelative paths are also tried under ${DATA_ROOT_VAR} when set")
     return "\n".join(lines)
 

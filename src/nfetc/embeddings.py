@@ -173,16 +173,26 @@ def _parse(rests: list[str]) -> np.ndarray:
     return np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
 
 
+def _blocks(path):
+    """The bytes of ``path`` in turn, each block read into the one 1 MiB
+    buffer the last was, so a caller is done with a block when it asks for
+    the next."""
+    buf = bytearray(1 << 20)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(buf):
+            del buf[n:]   # only the last block is short
+            yield buf
+
+
 def _line_count(path) -> int:
     """Lines of ``path`` as text mode splits them (at LF, CRLF or CR), read
     in binary: a bound on its rows."""
     breaks, last = 0, b""
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            cr = block.count(b"\r")
-            breaks += block.count(b"\n") + cr - (cr and block.count(b"\r\n"))
-            breaks -= last == b"\r" and block[:1] == b"\n"
-            last = block[-1:]
+    for block in _blocks(path):
+        cr = block.count(b"\r")
+        breaks += block.count(b"\n") + cr - (cr and block.count(b"\r\n"))
+        breaks -= last == b"\r" and block[:1] == b"\n"
+        last = block[-1:]
     return breaks + 1
 
 
@@ -190,9 +200,8 @@ def _digest(path) -> str:
     """The SHA-256 of the bytes of ``path``."""
     import hashlib   # here, not at the top: OpenSSL adds ~3.5 MiB RSS to every nfetc command
     sha = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            sha.update(block)
+    for block in _blocks(path):
+        sha.update(block)
     return sha.hexdigest()
 
 

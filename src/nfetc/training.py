@@ -30,23 +30,22 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Knobs of one training run. Defaults follow the published FIGER
-    setting; the OntoNotes profile lives in the CLI. Each value is checked
-    here, where it enters from the CLI or a checkpoint, and nowhere else."""
+    """Knobs of one training run, as the CLI's settings table (``cli.KEYS``)
+    fills them from a profile. Each value is checked here, where it enters
+    from the CLI or a checkpoint, and nowhere else. The loss's settings, the
+    L2 weight and beta among them, are ``LossConfig``'s."""
 
-    lr: float = 0.0002
-    d_p: int = 85
-    d_s: int = 180
-    p_i: float = 0.7
-    p_o: float = 0.9
-    lam: float = 0.0
-    beta: float = 0.4
-    window: int = 10
-    batch: int = 512
-    epochs: int = 50
-    patience: int = 5
-    seed: int = 1
-    dropout_mention: bool = True
+    lr: float
+    d_p: int
+    d_s: int
+    p_i: float
+    p_o: float
+    window: int
+    batch: int
+    epochs: int
+    patience: int
+    seed: int
+    dropout_mention: bool
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -58,10 +57,6 @@ class HyperParams:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        for name in ("lam", "beta"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +81,10 @@ class RunResult:
     final: Metrics | None = None
 
 
-def select_variant(name: str, lam: float = 0.0, beta: float = 0.0,
-                   hier_at_inference: bool = False,
-                   select_on_adjusted: bool = True) -> tuple[str, LossConfig]:
-    """Map a variant name to its corpus choice and loss configuration.
+def select_variant(name: str, **settings) -> tuple[str, LossConfig]:
+    """Map a variant name to its corpus choice and loss configuration;
+    ``settings`` (``lam``, ``beta``, ``hier_at_inference``,
+    ``select_on_adjusted``) override ``LossConfig``'s defaults.
 
     (f) trains on the single-path filtered corpus with plain cross-entropy;
     (r) trains on everything with the candidate-selecting variant; the -hier
@@ -97,15 +92,9 @@ def select_variant(name: str, lam: float = 0.0, beta: float = 0.0,
     """
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}; valid names: {', '.join(VARIANTS)}")
-    config = LossConfig(
-        lam=lam,
-        beta=beta,
-        mode="variant" if name.endswith("(r)") else "standard",
-        hier="-hier" in name,
-        hier_at_inference=hier_at_inference,
-        select_on_adjusted=select_on_adjusted,
-    )
-    return ("raw" if name.endswith("(r)") else "filtered"), config
+    raw = name.endswith("(r)")
+    config = LossConfig(mode="variant" if raw else "standard", hier="-hier" in name, **settings)
+    return ("raw" if raw else "filtered"), config
 
 
 def training_corpus(corpus: Corpus, choice: str, forest: TypeForest) -> Corpus:
@@ -279,12 +268,14 @@ class Restored:
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
-def _settings(cls, meta: dict, key: str):
+def _settings(cls, meta: dict, key: str, dropped=()):
     """``cls`` built from ``meta[key]``, which must give each field exactly,
-    each as a value of the field's type."""
+    each as a value of the field's type, once the keys ``dropped`` are
+    left out."""
     given = meta[key]
     if not isinstance(given, dict):
         raise checkpoint.CheckpointError(f"{key}: expected an object")
+    given = {k: v for k, v in given.items() if k not in dropped}
     fields = dataclasses.fields(cls)
     names = [f.name for f in fields]
     problems = [f"unknown key {k!r}" for k in sorted(set(given) - set(names))]
@@ -319,7 +310,9 @@ def _stored(path: str, meta: dict):
         for key in ("hyperparams", "loss_config", "types", "vocab"):
             if key not in meta:
                 raise checkpoint.CheckpointError(f"checkpoint meta lacks {key!r}")
-        hp = _settings(HyperParams, meta, "hyperparams")
+        # files written before HyperParams lost its copies of lam and beta
+        # still hold them; the loss reads LossConfig's, checked below
+        hp = _settings(HyperParams, meta, "hyperparams", dropped=("lam", "beta"))
         config = _settings(LossConfig, meta, "loss_config")
         forest = TypeForest(meta["types"])
         shapes = {e["name"]: tuple(e["shape"]) for e in meta["params"]}

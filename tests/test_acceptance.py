@@ -30,8 +30,9 @@ from nfetc.loss import LossConfig, hierarchical_adjust_rows, l2_penalty, mean_nl
 from nfetc import model as model_module
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
-from nfetc.training import (HyperParams, gradients, params_from_values, select_variant,
+from nfetc.training import (gradients, params_from_values, select_variant,
                             train, training_corpus)
+from hparams import figer_hp
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINI = FIXTURES / "mini"
@@ -41,7 +42,7 @@ SEEDS = (1, 2, 3, 4, 5)
 
 # shared miniature-training knobs for criteria 5-7; small enough for seconds,
 # large enough that the cue signal is learnable
-MINI_HP = dict(lr=0.01, d_p=4, d_s=16, p_i=1.0, p_o=1.0, lam=0.0,
+MINI_HP = dict(lr=0.01, d_p=4, d_s=16, p_i=1.0, p_o=1.0,
                window=3, batch=32)
 
 
@@ -80,7 +81,7 @@ def test_1_gradient_correctness(monkeypatch):
         batch.append(MentionTriple(tokens, 2, 3, tuple(sorted(labels)),
                                    frozenset(forest.terminal_set(labels))))
 
-    hp = HyperParams(d_p=3, d_s=5, window=2, p_i=1.0, p_o=1.0)
+    hp = figer_hp(d_p=3, d_s=5, window=2, p_i=1.0, p_o=1.0)
     model = NfetcModel(hp, emb, forest, make_rng(9))
     _, loss_cfg = select_variant("NFETC-hier(r)", lam=0.01, beta=0.3)
 
@@ -230,7 +231,7 @@ def test_5_overfit_sanity():
 
     choice, cfg = select_variant("NFETC(f)")
     filtered = training_corpus(corpus, choice, forest)
-    hp = HyperParams(**MINI_HP, beta=0.0, epochs=200, patience=5, seed=1)
+    hp = figer_hp(**MINI_HP, epochs=200, patience=5, seed=1)
     t0 = time.time()
     # dev = train: early stopping then tracks training strict accuracy itself
     result = train(filtered, filtered, emb, forest, hp, cfg)
@@ -250,7 +251,7 @@ def _mean_test_strict(variant, beta, train_corpus, dev_corpus, world):
     for seed in SEEDS:
         choice, cfg = select_variant(variant, beta=beta)
         corpus = training_corpus(train_corpus, choice, world["forest"])
-        hp = HyperParams(**MINI_HP, beta=beta, epochs=30, patience=30, seed=seed)
+        hp = figer_hp(**MINI_HP, epochs=30, patience=30, seed=seed)
         result = train(corpus, dev_corpus, world["embeddings"], world["forest"],
                        hp, cfg, eval_corpus=world["test"])
         scores.append(result.final.strict)

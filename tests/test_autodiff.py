@@ -16,7 +16,8 @@ from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig, PROB_FLOOR, mean_nll
 from nfetc.model import NfetcModel, _packed, _row_sums
 from nfetc.optim import dropout_mask, make_rng
-from nfetc.training import HyperParams, gradients, load_checkpoint
+from nfetc.training import gradients, load_checkpoint
+from hparams import figer_hp
 from gradcheck import fd_gradient, max_rel_error
 from oracles import Tensor, concat, softmax_rows, tape_cols, tape_lstm, tape_sigmoid
 
@@ -749,7 +750,7 @@ TINY_FOREST = TypeForest(["/a", "/a/b", "/c"])
 def tiny_model(**overrides):
     words = ["the", "cat", "sat", "on", "mat"]
     emb = WordEmbeddings(words, make_rng(1).uniform(-0.4, 0.4, (len(words), 4)))
-    hp = HyperParams(**{"d_p": 3, "d_s": 3, "window": 2, "p_i": 0.7, "p_o": 0.9, **overrides})
+    hp = figer_hp(**{"d_p": 3, "d_s": 3, "window": 2, "p_i": 0.7, "p_o": 0.9, **overrides})
     return NfetcModel(hp, emb, TINY_FOREST, make_rng(2))
 
 

@@ -21,6 +21,7 @@ from nfetc.model import NfetcModel, param_shapes
 from nfetc.optim import make_rng
 from nfetc.training import (HyperParams, load_checkpoint, params_from_values,
                             save_checkpoint)
+from hparams import figer_hp
 
 
 def sample_tensors() -> list:
@@ -387,8 +388,8 @@ def small_world():
 
 
 def small_hp() -> HyperParams:
-    return HyperParams(lr=0.01, d_p=3, d_s=3, p_i=0.7, p_o=0.9, window=2,
-                       batch=4, epochs=2, patience=1, seed=7)
+    return figer_hp(lr=0.01, d_p=3, d_s=3, p_i=0.7, p_o=0.9, window=2,
+                    batch=4, epochs=2, patience=1, seed=7)
 
 
 def some_triples(forest):
@@ -575,7 +576,7 @@ def v1_run():
         n = int(np.prod(shape))
         values[name] = ((np.arange(k, k + n) % 9 - 4) / 8.0).reshape(shape)
         k += n
-    return (HyperParams(d_p=1, d_s=1, window=1), LossConfig(), TypeForest(["/a", "/b"]),
+    return (figer_hp(d_p=1, d_s=1, window=1), LossConfig(), TypeForest(["/a", "/b"]),
             WordEmbeddings(["x", "y"], values["word_emb"]), values)
 
 
@@ -588,8 +589,9 @@ def test_version_1_checkpoint_bytes_are_pinned(tmp_path):
     assert pinned.startswith(b"NFETCCKPT 1\n") and len(pinned) < 4096
     assert path.read_bytes() == pinned
 
-    # the two fixtures differ only in the meta length and the spaces that
-    # end the JSON block on a multiple of 8
+    # the two fixtures differ only in the two hyperparams keys the writer no
+    # longer writes (the loss config holds lam and beta), the meta length
+    # and the spaces that end the JSON block on a multiple of 8
     def parts(raw):
         length, rest = raw[len(MAGIC):].split(b"\n", 1)
         return int(length), rest[:int(length)], rest[int(length):]
@@ -597,7 +599,12 @@ def test_version_1_checkpoint_bytes_are_pinned(tmp_path):
         unpadded = fh.read()
     old_len, old_blob, old_tensors = parts(unpadded)
     new_len, new_blob, new_tensors = parts(pinned)
-    assert new_len > old_len and new_blob == old_blob + b" " * (new_len - old_len)
+    dropped = b'"lam": 0.0, "beta": 0.4, '
+    head = old_blob.split(dropped)[0]   # the dropped keys sit in the hyperparams object
+    assert old_blob.count(dropped) == 1 and head.startswith(b'{"hyperparams": {')
+    assert b"}" not in head
+    kept = old_blob.replace(dropped, b"")
+    assert new_len > len(kept) and new_blob == kept + b" " * (new_len - len(kept))
     assert new_tensors == old_tensors
     assert (len(pinned) - len(new_tensors)) % 8 == 0 != (len(unpadded) - len(old_tensors)) % 8
 
@@ -607,6 +614,10 @@ def test_version_1_checkpoint_restores_its_values():
     restored = load_checkpoint(V1_FIXTURE)
     assert restored.hyperparams == hp
     assert restored.loss_config == config
+    # the file still holds the copies of lam and beta that HyperParams once
+    # kept, beta 0.4 against the loss config's 0.0; the reader drops them
+    stored = load(V1_FIXTURE)[0]["hyperparams"]
+    assert (stored["lam"], stored["beta"]) == (0.0, 0.4) and restored.loss_config.beta == 0.0
     assert restored.forest.types() == forest.types()
     assert restored.model.embeddings.words == embeddings.words
     assert np.array_equal(restored.model.embeddings.matrix, values["word_emb"])

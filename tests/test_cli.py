@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,6 +27,7 @@ from nfetc.loss import LossConfig, inference_adjust
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import HyperParams, load_checkpoint, save_checkpoint
+from hparams import figer_hp
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
 SYNTH = Path(__file__).parent / "fixtures" / "synth"
@@ -133,6 +135,77 @@ def test_help_lists_config_keys(capsys):
     assert "config keys" in out
     assert "dev_fraction" in out and "ontonotes" in out
 
+
+# every config key as ``--help`` shows it: figer default, ontonotes default, help
+HELP_ROWS = [
+    ("lr", "0.0002", "0.0002", "Adam learning rate"),
+    ("dp", "85", "20", "position embedding size"),
+    ("ds", "180", "440", "LSTM hidden size"),
+    ("pi", "0.7", "0.5", "dropout keep probability on LSTM inputs"),
+    ("po", "0.9", "0.5", "dropout keep probability on LSTM outputs"),
+    ("lambda", "0.0", "0.0001", "L2 penalty weight"),
+    ("beta", "0.4", "0.3", "ancestor-mass weight of the hierarchy adjustment"),
+    ("window", "10", "10", "context tokens kept either side of the mention"),
+    ("batch", "512", "512", "mini-batch size"),
+    ("epochs", "50", "50", "maximum training epochs"),
+    ("patience", "5", "5", "epochs without dev improvement before stopping"),
+    ("seed", "1", "1", "run seed"),
+    ("seeds", "-", "-", "comma-separated seeds; one run per seed, aggregated"),
+    ("variant", "NFETC-hier(r)", "NFETC-hier(r)",
+     "one of NFETC(f), NFETC-hier(f), NFETC(r), NFETC-hier(r)"),
+    ("dev_fraction", "0.1", "0.1", "share of the test corpus carved off as dev"),
+    ("dev_seed", "2014", "2014", "dev-split seed, fixed across the seeds list"),
+    ("dropout_mention", "true", "true", "apply dropout to the mention LSTM too"),
+    ("hier_inference", "false", "false", "apply the hierarchy adjustment before prediction"),
+    ("select_adjusted", "true", "true", "variant loss selects on adjusted probabilities"),
+    ("per_type", "false", "false", "eval: also print per-type strict accuracy"),
+    ("json", "false", "false", "stats/eval: also print the single-line JSON form"),
+    ("types", "-", "-", "type forest file, one slash-path per line"),
+    ("refinement", "-", "-", "optional hierarchy refinement file (old TAB new)"),
+    ("train", "-", "-", "training corpus file"),
+    ("test", "-", "-", "test corpus file (dev split is carved from it)"),
+    ("input", "-", "-", "input corpus for predict/stats (eval falls back to test)"),
+    ("embeddings", "-", "-", "word embedding text file"),
+    ("checkpoint", "-", "-", "checkpoint path (output for train, input elsewhere)"),
+    ("log", "-", "-", "per-epoch training log file (default: stdout)"),
+    ("report", "-", "-", "metrics report output file"),
+    ("output", "-", "-", "output file for predict/export-types (default: stdout)"),
+]
+
+
+def test_help_shows_each_keys_defaults_and_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["eval", "--help"])
+    out = capsys.readouterr().out
+    table = out.split("config keys (figer default | ontonotes default):\n", 1)[1]
+    rows = [" ".join(line.split()) for line in table.split("\n\n", 1)[0].splitlines()]
+    assert rows == [f"{key} {figer} | {onto} {text}" for key, figer, onto, text in HELP_ROWS]
+
+
+
+def test_each_setting_row_fills_one_field():
+    run = {f.name: f.type for f in dataclasses.fields(HyperParams)}
+    loss = {f.name: f.type for f in dataclasses.fields(LossConfig)}
+    assert not set(run) & set(loss)   # a field name says which settings it is in
+    filled = [field for *_, field, _ in cli_module.KEYS.values() if field is not None]
+    assert len(filled) == len(set(filled))   # no field is filled by two rows
+    # every HyperParams field has a row; the other rows fill LossConfig
+    # fields, all but the two the variant name sets
+    assert set(run) <= set(filled)
+    assert set(filled) - set(run) == set(loss) - {"mode", "hier"}
+    # a row's defaults are of its type, and so is its field
+    for key, (kind, figer, ontonotes, field, _) in cli_module.KEYS.items():
+        assert type(figer) is kind and type(ontonotes) is kind, key
+        assert field is None or {**run, **loss}[field] == kind.__name__, key
+
+
+def test_profiles_fill_the_run_and_loss_settings():
+    onto = cli_module.PROFILES["ontonotes"]
+    assert cli_module._hyperparams(onto) == HyperParams(
+        lr=0.0002, d_p=20, d_s=440, p_i=0.5, p_o=0.5, window=10, batch=512, epochs=50,
+        patience=5, seed=1, dropout_mention=True)
+    _, config = cli_module.select_variant(onto["variant"], **cli_module._fields(onto, LossConfig))
+    assert config == LossConfig(lam=0.0001, beta=0.3, mode="variant", hier=True)
 
 def test_missing_types_key_is_exit_2():
     code, _, err = run_cli(["stats"])
@@ -489,10 +562,18 @@ def test_eval_refinement_needs_types(trained):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "refinement" in err and "'types'" in err
-    # with types given, the refinement file is read
+    # with types given, the refinement file is looked for like every other file
     code, out, err = run_cli(base + ["--set", f"types={trained['types']}"])
-    assert code == 1 and out == "" and "/nonexistent" in err
+    assert code == 2 and out == "" and err == "error: no such file: /nonexistent\n"
 
+
+
+@pytest.mark.parametrize("command", ["stats", "train"])
+def test_missing_refinement_file_is_exit_2(world, tmp_path, command):
+    missing = tmp_path / "refine.tsv"
+    code, out, err = run_cli([command, "--set", f"types={world['types']}",
+                              "--set", f"refinement={missing}", "--set", f"input={world['test']}"])
+    assert code == 2 and out == "" and err == f"error: no such file: {missing}\n"
 
 REFINED_TRAIN_REPORT = (
     "best_epoch=8 dev_strict=0.6500\n"
@@ -967,7 +1048,7 @@ def big_checkpoint(path) -> int:
     word matrix."""
     embeddings = big_embeddings()
     forest = TypeForest(["/a", "/a/b", "/c"])
-    hp = HyperParams(d_p=2, d_s=3, window=2)
+    hp = figer_hp(d_p=2, d_s=3, window=2)
     save_checkpoint(str(path), hp, LossConfig(), forest, embeddings,
                     NfetcModel(hp, embeddings, forest, make_rng(0)).params)
     return embeddings.matrix.nbytes

@@ -10,7 +10,7 @@ from nfetc.corpus import (Corpus, CorpusError, MentionTriple, build_filtered,
                           parse_corpus, parse_line, split_dev, stats, window,
                           windowed)
 from nfetc.hierarchy import RefinementMap, TypeForest, apply_refinement
-from nfetc.training import HyperParams
+from hparams import figer_hp
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
 
@@ -186,7 +186,7 @@ def test_window_rejects_nonpositive():
     # window takes the run's window, which HyperParams checks
     for c in (0, -1):
         with pytest.raises(ValueError, match=f"window must be >= 1, got {c}"):
-            HyperParams(window=c)
+            figer_hp(window=c)
 
 
 def test_windowed_maps_all_and_keeps_tag(corpus):

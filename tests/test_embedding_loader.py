@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -247,6 +248,27 @@ def test_the_loader_peak_is_near_one_matrix(tmp_path, monkeypatch):
     assert kept < emb.matrix.nbytes // 2
     assert peak - kept - emb.matrix.nbytes < emb.matrix.nbytes // 4
     assert np.array_equal(emb.matrix, ticks / 1e4)
+
+
+@pytest.mark.parametrize("name", ["_digest", "_line_count"])
+def test_each_binary_pass_holds_one_block(tmp_path, name):
+    # the digest and the line count read through one reused 1 MiB buffer,
+    # never two blocks at once; the file ends in a short block, and a CRLF
+    # straddles the first block boundary
+    data = bytearray(make_rng(5).integers(0, 256, size=(8 << 20) + 12345, dtype=np.uint8))
+    data[(1 << 20) - 1:(1 << 20) + 1] = b"\r\n"
+    path = tmp_path / "v.txt"
+    path.write_bytes(data)
+    want = {"_digest": hashlib.sha256(data).hexdigest(),
+            "_line_count": len(re.findall(rb"\r\n|\r|\n", data)) + 1}[name]
+    tracemalloc.start()
+    try:
+        got = getattr(embeddings_module, name)(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1.5 * (1 << 20)
 
 
 # -- the parse cache ------------------------------------------------------------------

@@ -6,7 +6,7 @@ from nfetc.embeddings import EmbeddingError, WordEmbeddings, position_rows
 from nfetc.hierarchy import TypeForest
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
-from nfetc.training import HyperParams
+from hparams import figer_hp
 
 
 def write_vectors(path, text):
@@ -93,7 +93,7 @@ def test_constructor_shape_guards():
 def position_table(c, dim, seed):
     """The ``pos_table`` parameter a fresh model draws for window ``c``."""
     emb = WordEmbeddings(["cat"], np.ones((1, 2)))
-    model = NfetcModel(HyperParams(d_p=dim, d_s=2, window=c), emb,
+    model = NfetcModel(figer_hp(d_p=dim, d_s=2, window=c), emb,
                        TypeForest(["/a"]), make_rng(seed))
     return model.params["pos_table"]
 
@@ -111,7 +111,7 @@ def test_position_table_size_and_init_range():
 
 def test_position_table_rejects_small_window():
     with pytest.raises(ValueError, match="window must be >= 1"):
-        HyperParams(window=0)
+        figer_hp(window=0)
 
 
 def test_index_for_inside_span_is_center():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from nfetc.loss import (LossConfig, PROB_FLOOR, hierarchical_adjust_rows,
                         select_candidate)
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
-from nfetc.training import HyperParams, select_variant, train, training_corpus
+from nfetc.training import select_variant, train, training_corpus
+from hparams import figer_hp
 from oracles import Tensor, brute_ancestors, random_forest_paths, softmax_rows
 
 
@@ -108,13 +110,14 @@ def test_adjust_only_descendants_gain():
 
 
 def test_adjust_shape_guards():
-    # the adjustment's inputs are checked where they enter: beta by the run's
-    # settings, and the rows are the model's (B, K) rows, whose width a
-    # checkpoint's classifier must match to its forest
-    for settings in (LossConfig, HyperParams):
+    # the adjustment's inputs are checked where they enter: beta by the loss
+    # settings (the CLI makes them through select_variant), and the rows are
+    # the model's (B, K) rows, whose width a checkpoint's classifier must
+    # match to its forest
+    for settings in (LossConfig, functools.partial(select_variant, "NFETC-hier(r)")):
         with pytest.raises(ValueError, match="beta must be finite and >= 0"):
             settings(beta=-0.1)
-    model = NfetcModel(HyperParams(d_p=2, d_s=2, window=1), tiny_embeddings(), PERSON,
+    model = NfetcModel(figer_hp(d_p=2, d_s=2, window=1), tiny_embeddings(), PERSON,
                        make_rng(0))
     assert model.predict_probs([mention(["/person"], PERSON)] * 2).shape == (2, len(PERSON))
 
@@ -133,7 +136,7 @@ def test_l2_sums_squares_of_trainables_only():
     params = make_params([[1.0, 2.0], [3.0]])
     assert l2_penalty(params, 0.5)[0] == pytest.approx(0.5 * 14.0, abs=1e-15)
     # a model's penalty covers its parameters, not the frozen word vectors
-    model = NfetcModel(HyperParams(d_p=2, d_s=2, window=1),
+    model = NfetcModel(figer_hp(d_p=2, d_s=2, window=1),
                        WordEmbeddings(["a"], np.full((1, 3), 10.0)),
                        TypeForest(["/a", "/b"]), make_rng(0))
     want = sum(float((a ** 2).sum()) for _, a in model.params.items())
@@ -166,8 +169,8 @@ def test_l2_gradient_matches_finite_differences():
 
 
 def test_l2_rejects_negative():
-    # l2_penalty takes the run's lam, which its settings check
-    for settings in (LossConfig, HyperParams):
+    # l2_penalty takes the run's lam, which its loss settings check
+    for settings in (LossConfig, functools.partial(select_variant, "NFETC(f)")):
         with pytest.raises(ValueError, match="lam must be finite and >= 0"):
             settings(lam=-1.0)
 
@@ -339,7 +342,7 @@ def test_mean_nll_guards():
     # train, the objective's one caller, rejects an empty corpus, so mean_nll
     # never sees an empty batch
     corpus = Corpus([mention(["/person"], PERSON)])
-    hp = HyperParams(d_p=2, d_s=2, window=1, batch=2, epochs=1)
+    hp = figer_hp(d_p=2, d_s=2, window=1, batch=2, epochs=1)
     with pytest.raises(ValueError, match="nonempty"):
         train(Corpus([]), corpus, tiny_embeddings(), PERSON, hp, LossConfig())
 
@@ -356,7 +359,7 @@ def test_cross_entropy_rejects_rows(monkeypatch):
     monkeypatch.setattr(training_module, "mean_nll", recording)
     corpus = Corpus([mention(["/person"], PERSON), mention(["/organization"], PERSON),
                      mention(["/person/athlete"], PERSON, tokens=("x", "y"))])
-    hp = HyperParams(d_p=2, d_s=2, window=1, batch=2, epochs=1)
+    hp = figer_hp(d_p=2, d_s=2, window=1, batch=2, epochs=1)
     train(corpus, corpus, tiny_embeddings(), PERSON, hp, LossConfig())
     assert seen == [((2, len(PERSON)), 2), ((1, len(PERSON)), 1)]
 

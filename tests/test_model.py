@@ -14,7 +14,8 @@ from nfetc.loss import LossConfig, l2_penalty, mean_nll
 from nfetc import model as model_module
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
-from nfetc.training import HyperParams, gradients, train
+from nfetc.training import gradients, train
+from hparams import figer_hp
 from oracles import Tensor, concat, tape_forward, tape_params
 
 VOCAB = ["the", "cat", "sat", "on", "mat", "dog", "ran", "big", "red", "fox"]
@@ -33,7 +34,7 @@ def make_forest() -> TypeForest:
 def make_model(seed: int = 3, **overrides) -> NfetcModel:
     fields = dict(d_p=3, d_s=3, window=2, p_i=1.0, p_o=1.0)
     fields.update(overrides)
-    return NfetcModel(HyperParams(**fields), make_embeddings(), make_forest(),
+    return NfetcModel(figer_hp(**fields), make_embeddings(), make_forest(),
                       make_rng(seed))
 
 
@@ -162,7 +163,7 @@ def test_init_deterministic_per_seed():
 def test_init_shapes_follow_embedding_dim():
     # d_w is the embedding matrix's width; no setting can disagree with it
     wide = WordEmbeddings(VOCAB, np.ones((len(VOCAB), D_W + 2)))
-    model = NfetcModel(HyperParams(d_p=3, d_s=3, window=2), wide, make_forest(),
+    model = NfetcModel(figer_hp(d_p=3, d_s=3, window=2), wide, make_forest(),
                        make_rng(1))
     assert model.embeddings.matrix.shape == (len(VOCAB), D_W + 2)
     assert model.params["ctx_fw.w_in"].shape == (D_W + 2 + 3, 12)
@@ -174,7 +175,7 @@ def test_init_shapes_follow_embedding_dim():
 def test_classifier_shapes_follow_forest_size():
     # K is the forest's size; no setting can disagree with it
     forest = TypeForest(["/a", "/a/b", "/c", "/c/d", "/e"])
-    model = NfetcModel(HyperParams(d_p=3, d_s=3, window=2), make_embeddings(),
+    model = NfetcModel(figer_hp(d_p=3, d_s=3, window=2), make_embeddings(),
                        forest, make_rng(1))
     assert model.params["cls_w"].shape == (len(forest), 2 * 3 + D_W)
     assert model.params["cls_b"].shape == (len(forest),)
@@ -570,7 +571,7 @@ def test_step_memory_scales_with_real_rows():
     # 64 three-token mentions plus one of 30 tokens against 74 three-token
     # mentions: 222 real tokens each, but 1,950 against 222 padded ones
     emb = WordEmbeddings(VOCAB, make_rng(1).uniform(-0.4, 0.4, (len(VOCAB), 32)))
-    model = NfetcModel(HyperParams(d_p=8, d_s=16, window=10, p_i=0.7, p_o=0.9), emb,
+    model = NfetcModel(figer_hp(d_p=8, d_s=16, window=10, p_i=0.7, p_o=0.9), emb,
                        make_forest(), make_rng(2))
     short = triple(["the", "cat", "sat"], 1, 2)
     long = triple([VOCAB[k % len(VOCAB)] for k in range(30)], 12, 14)
@@ -601,7 +602,7 @@ def test_step_memory_stays_near_what_bptt_must_hold():
     # its cell states and a float64 copy of its output, and the head kept
     # tanh of the context rows
     emb = WordEmbeddings(VOCAB, make_rng(1).uniform(-0.4, 0.4, (len(VOCAB), 64)))
-    model = NfetcModel(HyperParams(d_p=8, d_s=32, window=10, p_i=0.7, p_o=0.9), emb,
+    model = NfetcModel(figer_hp(d_p=8, d_s=32, window=10, p_i=0.7, p_o=0.9), emb,
                        make_forest(), make_rng(2))
     batch = ragged_batch(make_rng(4), 128, 30)
     peak, budget = traced_step(model, batch)[1], bptt_budget(model, batch)
@@ -614,7 +615,7 @@ def test_memory_held_for_the_backward_is_what_bptt_must_hold():
     # budget between the forward and the backward, and held 1.46x when the
     # position rows and the mention LSTM's output were kept to it
     emb = WordEmbeddings(VOCAB, make_rng(1).uniform(-0.4, 0.4, (len(VOCAB), 16)))
-    model = NfetcModel(HyperParams(d_p=64, d_s=8, window=10, p_i=0.7, p_o=0.9), emb,
+    model = NfetcModel(figer_hp(d_p=64, d_s=8, window=10, p_i=0.7, p_o=0.9), emb,
                        make_forest(), make_rng(2))
     batch = ragged_batch(make_rng(4), 128, 30)
     held, budget = traced_step(model, batch)[0], bptt_budget(model, batch)
@@ -666,7 +667,7 @@ def test_training_dropout_needs_rng(monkeypatch):
     batch = [T4, triple(["dog", "ran"], 0, 1), triple(["mat"], 0, 1, ("/c",))]
     corpus = Corpus(batch)
     train(corpus, corpus, make_embeddings(), make_forest(),
-          HyperParams(d_p=3, d_s=3, window=2, p_i=0.5, batch=2, epochs=2), LossConfig())
+          figer_hp(d_p=3, d_s=3, window=2, p_i=0.5, batch=2, epochs=2), LossConfig())
     rngs = [rng for training, rng in seen if training]
     assert len(rngs) == 4 and all(isinstance(rng, np.random.Generator) for rng in rngs)
     assert all(rng is rngs[0] for rng in rngs)
@@ -777,7 +778,7 @@ def test_word_matrix_is_shared_read_only():
     assert not matrix.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         matrix[0, 0] = 1.0
-    model = NfetcModel(HyperParams(d_p=3, d_s=3, window=2), emb, make_forest(), make_rng(3))
+    model = NfetcModel(figer_hp(d_p=3, d_s=3, window=2), emb, make_forest(), make_rng(3))
     assert model.embeddings.matrix is matrix
     snapshot = model.params.copy_values()
     assert not any(np.shares_memory(a, matrix) for a in snapshot.values())

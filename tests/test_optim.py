@@ -7,7 +7,7 @@ from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
 from nfetc.model import NfetcModel
 from nfetc.optim import AdamState, adam_step, dropout_mask, make_rng
-from nfetc.training import HyperParams
+from hparams import figer_hp
 
 
 def adam_by_hand(grad_sequence, lr, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
@@ -61,7 +61,7 @@ def test_frozen_parameters_are_bit_identical_after_steps():
     # Adam keeps moments for the model's parameters only; the word matrix
     # is not among them and keeps its bytes
     emb = WordEmbeddings(["a", "b"], np.arange(6.0).reshape(2, 3))
-    model = NfetcModel(HyperParams(d_p=2, d_s=2, window=1), emb,
+    model = NfetcModel(figer_hp(d_p=2, d_s=2, window=1), emb,
                        TypeForest(["/a", "/b"]), make_rng(0))
     before = emb.matrix.tobytes()
     state = AdamState(model.params)
@@ -77,7 +77,7 @@ def test_rejects_nonpositive_lr():
     # adam_step takes the run's lr, which HyperParams checks
     for lr in (0.0, -0.1):
         with pytest.raises(ValueError, match="lr must be finite and positive"):
-            HyperParams(lr=lr)
+            figer_hp(lr=lr)
 
 
 def test_rejects_gradient_shape_mismatch():
@@ -99,7 +99,7 @@ def test_dropout_mask_identity_without_consuming_rng():
     # at keep 1 the model draws no mask: a training forward leaves the
     # stream where it was and matches inference
     emb = WordEmbeddings(["a", "b"], np.arange(6.0).reshape(2, 3) / 10)
-    model = NfetcModel(HyperParams(d_p=2, d_s=2, window=1, p_i=1.0, p_o=1.0), emb,
+    model = NfetcModel(figer_hp(d_p=2, d_s=2, window=1, p_i=1.0, p_o=1.0), emb,
                        TypeForest(["/a", "/b"]), make_rng(0))
     rng = make_rng(5)
     batch = [MentionTriple(("a", "b", "a"), 1, 2, ())]
@@ -144,7 +144,7 @@ def test_dropout_mask_rejects_bad_keep_prob(bad):
     # the masks are drawn at the run's keep probabilities, which HyperParams checks
     for name in ("p_i", "p_o"):
         with pytest.raises(ValueError, match=rf"{name} must be in \(0, 1\], got {bad}"):
-            HyperParams(**{name: bad})
+            figer_hp(**{name: bad})
 
 
 def test_dropout_mask_deterministic_per_seed():

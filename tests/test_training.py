@@ -21,6 +21,7 @@ from nfetc.training import (EpochStats, HyperParams, MultiResult,
                             TrainingDiverged, VARIANTS, load_checkpoint,
                             params_from_values, run_multi, save_checkpoint,
                             select_variant, train, training_corpus)
+from hparams import figer_hp
 
 VOCAB = ["the", "a", "big", "red", "cat", "dog", "mat",
          "sat", "ran", "on", "lay", "went"]
@@ -57,7 +58,7 @@ def small_hp(**overrides) -> HyperParams:
     fields = dict(lr=0.01, d_p=3, d_s=4, p_i=1.0, p_o=1.0, window=2,
                   batch=6, epochs=4, patience=2, seed=3)
     fields.update(overrides)
-    return HyperParams(**fields)
+    return figer_hp(**fields)
 
 
 # -- variant selection ------------------------------------------------------------
@@ -106,8 +107,12 @@ def test_training_corpus_choices():
     {"beta": math.nan}, {"beta": -math.inf},
 ])
 def test_hyperparams_validation(kwargs):
+    # lam and beta are the loss's settings, checked as select_variant makes them
     with pytest.raises(ValueError, match=next(iter(kwargs))):
-        small_hp(**kwargs)
+        if {"lam", "beta"} & set(kwargs):
+            select_variant("NFETC-hier(r)", **kwargs)
+        else:
+            small_hp(**kwargs)
 
 
 def test_epoch_stats_line_format():
@@ -220,7 +225,7 @@ def test_train_divergence_aborts_with_context():
     train_c, dev_c, emb, forest = make_world()
     _, config = select_variant("NFETC(f)", lam=0.001)
     with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="epoch"):
-        train(train_c, dev_c, emb, forest, small_hp(lr=1e300, lam=0.001), config)
+        train(train_c, dev_c, emb, forest, small_hp(lr=1e300), config)
 
 
 def embedding_text(words, matrix) -> str:
@@ -322,7 +327,7 @@ def test_train_frees_each_batch_graph_before_the_next():
     corpus = parse_corpus(synth / "train.tsv", forest)
     emb = WordEmbeddings.from_file(synth / "embeddings.txt")
     _, config = select_variant("NFETC-hier(r)", beta=0.4)
-    hp = HyperParams(d_s=32, batch=200, epochs=1)
+    hp = figer_hp(d_s=32, batch=200, epochs=1)
     peaks = []
     for repeat in (1, 2):
         tracemalloc.start()
