@@ -1,5 +1,5 @@
-"""The fused LSTM over packed rows, with its hand-derived backward, and the
-named trained parameters.
+"""The fused LSTM over packed rows, with its hand-derived backward, and
+``ParamSet``, the dict of named trained parameters.
 
 The network is fixed, so its backward is one explicit chain rather than a
 tape: each fused piece (this LSTM, the model's head) computes in numpy and,
@@ -11,6 +11,9 @@ keeps that dtype; every gradient is float64. Each piece's gradients are
 checked against central finite differences in the test suite, where a
 reference tape of generic ops still composes the networks the fused pieces
 replaced.
+
+``ParamSet`` adds to ``dict`` only the snapshot copy and restore that early
+stopping uses; storing a value checks nothing.
 """
 
 from __future__ import annotations
@@ -131,28 +134,15 @@ def lstm_sequence(x: list, w_in: np.ndarray, w_rec: np.ndarray, bias: np.ndarray
     return _drop(hr, mask_out), backward
 
 
-class ParamSet:
+class ParamSet(dict):
     """Named trained float64 arrays, in insertion order, which keeps training
-    byte-deterministic. The frozen word vectors live in ``WordEmbeddings``."""
-
-    def __init__(self):
-        self._params: dict[str, np.ndarray] = {}
-
-    def add(self, name: str, data) -> None:
-        value = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"parameter {name} has non-finite values")
-        self._params[name] = value
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._params[name]
-
-    def items(self):
-        return list(self._params.items())
+    byte-deterministic. Each value is finite float64 where it enters:
+    ``init_params`` draws it, ``checkpoint.load`` checks it and ``train``
+    checks every step. The frozen word vectors live in ``WordEmbeddings``."""
 
     def copy_values(self) -> dict[str, np.ndarray]:
-        return {n: a.copy() for n, a in self._params.items()}
+        return {n: a.copy() for n, a in self.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for n in self._params:
-            self._params[n] = np.array(values[n], dtype=np.float64)
+        for n in self:
+            self[n] = np.array(values[n], dtype=np.float64)

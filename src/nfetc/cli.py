@@ -217,23 +217,10 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _steady_allocator() -> None:
-    """Serve blocks under 32 MiB from the heap and keep up to 64 MiB of it
-    freed, so that glibc does not map the model's per-chunk temporaries
-    afresh on every call. Eval and predict only: the same setting made
-    training slower. A no-op without glibc's ``mallopt``."""
-    import ctypes   # here, not at the top: no other command needs it
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
-
-
 def _restore_and_predict(cfg: dict, command: str, key: str, read):
     """(restored checkpoint, windowed ``key`` corpus as ``read(path, forest)``
     parses it, its probability rows as ``inference_adjust`` leaves them).
     The checkpoint keeps only the word vectors of the corpus's words."""
-    _steady_allocator()
     corpus = None
 
     def wanted(forest, hp):
@@ -242,7 +229,7 @@ def _restore_and_predict(cfg: dict, command: str, key: str, read):
         return set().union(*(t.tokens for t in corpus))
 
     restored = load_checkpoint(_require_path(cfg, "checkpoint", command), wanted)
-    probs = restored.model.predict_probs(list(corpus))
+    probs = restored.model.predict_probs(corpus)
     return restored, corpus, inference_adjust(probs, restored.forest, restored.loss_config)
 
 

@@ -39,19 +39,13 @@ class MentionTriple:
                               f"for {len(self.tokens)} tokens")
 
 
-@dataclass
-class Corpus:
-    triples: list[MentionTriple]
-    tag: str = "raw"
+class Corpus(list):
+    """Mentions in order, and a ``tag`` naming the part they are (raw,
+    filtered, dev, test, input)."""
 
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __iter__(self):
-        return iter(self.triples)
-
-    def __getitem__(self, i) -> MentionTriple:
-        return self.triples[i]
+    def __init__(self, triples=(), tag: str = "raw"):
+        super().__init__(triples)
+        self.tag = tag
 
 
 def parse_line(line: str, forest: TypeForest, strings: dict[str, str],

@@ -30,7 +30,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from . import checkpoint
-from .textfile import numbered_lines
+from .textfile import BOM, BOM_MESSAGE, numbered_lines
 
 
 class EmbeddingError(ValueError):
@@ -73,8 +73,6 @@ class WordEmbeddings:
     ``matrix``: neither is copied, and a float64 matrix is made read-only, so
     the caller's own array can no longer be written to. Pass a copy to keep a
     writable one.
-    ``index``, when given, maps each word to its row, as ``vocabulary_index``
-    returns it; then the words are not checked again.
 
     ``matrix`` may also be a ``checkpoint.Frozen``: a matrix left in its
     file, the parse cache, which ``subset`` and ``save_checkpoint`` read
@@ -83,13 +81,12 @@ class WordEmbeddings:
     hold only the rows of the words an input holds, as ``subset`` returns it
     and ``nfetc eval`` and ``predict`` load a checkpoint."""
 
-    def __init__(self, words: list[str], matrix: np.ndarray | checkpoint.Frozen,
-                 index: dict[str, int] | None = None):
+    def __init__(self, words: list[str], matrix: np.ndarray | checkpoint.Frozen):
         self.words = words
         if isinstance(matrix, checkpoint.Frozen):   # looks no word up, so keeps no index
             self.magnitude = matrix.magnitude
         else:
-            self._index = vocabulary_index(words, matrix.shape) if index is None else index
+            self._index = vocabulary_index(words, matrix.shape)
             matrix = self.matrix = np.asarray(matrix, dtype=np.float64)
             matrix.flags.writeable = False
         self.stored = matrix   # what a checkpoint copies the matrix from
@@ -147,8 +144,7 @@ class WordEmbeddings:
             kept = [self.words[r] for r in keep.tolist()]
             rows = (self.stored.rows(keep) if isinstance(self.stored, checkpoint.Frozen)
                     else self.matrix[keep])
-            self._subset = (frozenset(words),
-                            WordEmbeddings(kept, rows, dict(zip(kept, range(len(kept))))))
+            self._subset = (frozenset(words), WordEmbeddings(kept, rows))
         return self._subset[1]
 
     def __len__(self) -> int:
@@ -197,10 +193,15 @@ def _line_count(path) -> int:
 
 
 def _digest(path) -> str:
-    """The SHA-256 of the bytes of ``path``."""
+    """The SHA-256 of the bytes of ``path``, which must not start with a
+    UTF-8 byte-order mark. It is checked here, before ``from_file`` reads a
+    cache: one written by an earlier version holds the mark in its first
+    word."""
     import hashlib   # here, not at the top: OpenSSL adds ~3.5 MiB RSS to every nfetc command
     sha = hashlib.sha256()
-    for block in _blocks(path):
+    for n, block in enumerate(_blocks(path)):
+        if n == 0 and block.startswith(BOM.encode("utf-8")):
+            raise EmbeddingError(f"{path}:1: {BOM_MESSAGE}")
         sha.update(block)
     return sha.hexdigest()
 

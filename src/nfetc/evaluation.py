@@ -90,7 +90,7 @@ def pairs_for(corpus: Corpus, predictions: list[int], forest: TypeForest) -> lis
 def evaluate(model, corpus: Corpus, forest: TypeForest, config: LossConfig) -> Metrics:
     """Forward every mention in infer mode, take each row's argmax (of the
     rows adjusted when the config asks for it) and score all three metrics."""
-    probs = inference_adjust(model.predict_probs(list(corpus)), forest, config)
+    probs = inference_adjust(model.predict_probs(corpus), forest, config)
     return score_pairs(pairs_for(corpus, [int(i) for i in np.argmax(probs, axis=1)], forest))
 
 

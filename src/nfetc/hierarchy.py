@@ -89,10 +89,7 @@ class TypeForest:
         return list(self._paths)
 
     def index(self, path: str) -> int:
-        try:
-            return self._index[path]
-        except KeyError:
-            raise ForestError(f"unknown type: {path!r}") from None
+        return self._index[path]
 
     def path_of(self, index: int) -> str:
         return self._paths[index]

@@ -97,7 +97,7 @@ def init_params(hp: HyperParams, embeddings: WordEmbeddings, k: int,
             value = np.zeros(shape)
             if kind == "bias":
                 value[d_s:2 * d_s] = 1.0   # forget gate
-        params.add(name, value)
+        params[name] = value
     return params
 
 

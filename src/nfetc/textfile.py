@@ -1,15 +1,22 @@
-"""Numbered lines of the UTF-8 text inputs; a decode error names the line."""
+"""Numbered lines of the UTF-8 text inputs; a decode error or a leading
+byte-order mark names the line."""
 
 import re
 
 ESCAPED_BYTE = re.compile("[\udc80-\udcff]")   # how surrogateescape reads a byte that is not UTF-8
+BOM = "\ufeff"   # some editors start a UTF-8 file with it; it would join the first field
+BOM_MESSAGE = "starts with a byte-order mark; save it as UTF-8 without one"
 
 
 def numbered_lines(path, error):
     """(line number, line) of text file ``path``; a byte that is not UTF-8 raises
-    ``error("<path>:<line>: not valid UTF-8")`` once the lines before it are out."""
+    ``error("<path>:<line>: not valid UTF-8")`` once the lines before it are out,
+    and a leading ``BOM`` raises ``error(f"<path>:1: {BOM_MESSAGE}")``."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii() and ESCAPED_BYTE.search(line):
-                raise error(f"{path}:{lineno}: not valid UTF-8")
+            if not line.isascii():
+                if lineno == 1 and line.startswith(BOM):
+                    raise error(f"{path}:1: {BOM_MESSAGE}")
+                if ESCAPED_BYTE.search(line):
+                    raise error(f"{path}:{lineno}: not valid UTF-8")
             yield lineno, line

@@ -120,7 +120,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
     limit = np.finfo(TRAIN_DTYPE).max   # the LSTMs cast weights and word vectors to it
     if not embeddings.magnitude <= limit:
         raise TrainingDiverged(f"word vectors outside the {limit.dtype} range")
-    train_w = list(windowed(train_corpus, hp.window))
+    train_w = windowed(train_corpus, hp.window)
     dev_w = windowed(dev_corpus, hp.window)
     eval_w = windowed(eval_corpus, hp.window) if eval_corpus is not None else []
     words = set().union(*(t.tokens for part in (train_w, dev_w, eval_w) for t in part))
@@ -229,13 +229,9 @@ def run_multi(seeds: list[int], train_corpus: Corpus, dev_corpus: Corpus,
 # -- checkpoint semantics ------------------------------------------------------
 
 def params_from_values(values: dict[str, np.ndarray]) -> ParamSet:
-    """Rebuild a ParamSet from a value snapshot, preserving order. A word
-    matrix among the values is skipped: the embeddings hold it."""
-    params = ParamSet()
-    for name, arr in values.items():
-        if name != "word_emb":
-            params.add(name, arr)
-    return params
+    """A ParamSet of a value snapshot, in its order. A word matrix among the
+    values is skipped: the embeddings hold it."""
+    return ParamSet((n, a) for n, a in values.items() if n != "word_emb")
 
 
 def save_checkpoint(path: str, hp: HyperParams, config: LossConfig,
@@ -346,11 +342,7 @@ def load_checkpoint(path: str, wanted=None) -> Restored:
 
     meta, tensors = checkpoint.load(path, rows)
     words = meta["vocab"] if keep is None else [meta["vocab"][r] for r in keep.tolist()]
-    embeddings = WordEmbeddings(words, tensors["word_emb"], dict(zip(words, range(len(words)))))
     hp, config, forest = stored
-    try:
-        params = params_from_values(tensors)
-    except (TypeError, ValueError) as e:
-        raise checkpoint.CheckpointError(f"{path}: {e}") from None
-    model = NfetcModel(hp, embeddings, forest, params=params)
+    model = NfetcModel(hp, WordEmbeddings(words, tensors["word_emb"]), forest,
+                       params=params_from_values(tensors))
     return Restored(model=model, hyperparams=hp, loss_config=config, forest=forest)

@@ -836,21 +836,11 @@ def test_deep_chain_does_not_recurse():
     assert x.grad == pytest.approx([5001.0])
 
 
-def test_tensor_factory_rejects_non_finite():
-    with pytest.raises(ValueError, match="finite"):
-        ParamSet().add("x", [1.0, float("nan")])
-    with pytest.raises(ValueError, match="finite"):
-        ParamSet().add("x", [float("inf")])
-
-
 # -- ParamSet -----------------------------------------------------------------
 
 class TestParamSet:
     def build(self):
-        ps = ParamSet()
-        ps.add("w", np.ones((2, 2)))
-        ps.add("b", np.full(3, 7.0))
-        return ps
+        return ParamSet(w=np.ones((2, 2)), b=np.full(3, 7.0))
 
     def test_duplicate_name_rejected(self, tmp_path):
         # names enter as the keys of param_shapes, or from a checkpoint, whose
@@ -860,17 +850,15 @@ class TestParamSet:
         with pytest.raises(CheckpointError, match="duplicate parameter name 'w'"):
             load(path)
 
-    def test_non_finite_rejected(self):
-        ps = ParamSet()
-        with pytest.raises(ValueError, match="non-finite"):
-            ps.add("bad", [np.nan])
-
     def test_trainable_bookkeeping(self):
-        # every entry is a float64 array, in insertion order
+        # a dict in insertion order that stores each array as given: every
+        # value is finite float64 where it is made (init_params) or read
+        # (checkpoint.load), and train checks them at each step
         ps = self.build()
-        ps.add("late", [0])
-        assert [n for n, _ in ps.items()] == ["w", "b", "late"]
-        assert all(isinstance(a, np.ndarray) and a.dtype == np.float64 for _, a in ps.items())
+        late = np.zeros(1)
+        ps["late"] = late
+        assert list(ps) == ["w", "b", "late"] and ps["late"] is late
+        assert all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in ps.values())
         with pytest.raises(KeyError):
             ps["missing"]
 

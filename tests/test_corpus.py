@@ -203,8 +203,8 @@ def test_build_filtered_matches_manifest(corpus, forest, manifest):
     assert len(filtered) == manifest["stats"]["single_path"]
     assert filtered.tag == "filtered"
     # order preserved: surviving mentions appear in corpus order
-    survivors = [t for t in corpus if t in set(filtered.triples)]
-    assert survivors == filtered.triples
+    survivors = [t for t in corpus if t in set(filtered)]
+    assert survivors == filtered
 
 
 def test_build_filtered_rejects_empty(forest):
@@ -253,7 +253,7 @@ def test_split_dev_sizes_round_half_up(corpus):
     dev, held = split_dev(corpus, 0.1, seed=2014)
     assert len(dev) == 1 and len(held) == 11  # 1.2 rounds to 1
 
-    triples = corpus.triples * 3  # 36 mentions
+    triples = corpus * 3  # 36 mentions
     dev, held = split_dev(Corpus(triples), 0.125, seed=1)
     assert len(dev) == 5  # 4.5 rounds up
 
@@ -263,8 +263,8 @@ def test_split_dev_partition_properties(corpus):
     assert dev.tag == "dev" and held.tag == "test"
     assert len(dev) + len(held) == len(corpus)
     ids = {id(t) for t in corpus}
-    assert {id(t) for t in dev.triples} | {id(t) for t in held.triples} == ids
-    assert not {id(t) for t in dev.triples} & {id(t) for t in held.triples}
+    assert {id(t) for t in dev} | {id(t) for t in held} == ids
+    assert not {id(t) for t in dev} & {id(t) for t in held}
 
 
 def test_split_dev_preserves_relative_order(corpus):
@@ -278,9 +278,9 @@ def test_split_dev_preserves_relative_order(corpus):
 def test_split_dev_deterministic(corpus):
     a = split_dev(corpus, 0.25, seed=9)
     b = split_dev(corpus, 0.25, seed=9)
-    assert a[0].triples == b[0].triples
+    assert a[0] == b[0]
     c = split_dev(corpus, 0.25, seed=10)
-    assert a[0].triples != c[0].triples or a[1].triples != c[1].triples
+    assert a[0] != c[0] or a[1] != c[1]
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2.0])
@@ -299,9 +299,9 @@ def test_split_dev_fraction_bounds(tmp_path, fraction):
 
 
 def test_split_dev_degenerate_sizes(corpus):
-    tiny = Corpus(corpus.triples[:4])
+    tiny = Corpus(corpus[:4])
     with pytest.raises(CorpusError, match="too small"):
         split_dev(tiny, 0.1, seed=1)
-    pair = Corpus(corpus.triples[:2])
+    pair = Corpus(corpus[:2])
     with pytest.raises(CorpusError, match="whole corpus"):
         split_dev(pair, 0.9, seed=1)

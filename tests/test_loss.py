@@ -126,10 +126,7 @@ def test_adjust_shape_guards():
 
 
 def make_params(values):
-    params = ParamSet()
-    for i, v in enumerate(values):
-        params.add(f"p{i}", np.asarray(v, dtype=np.float64))
-    return params
+    return ParamSet((f"p{i}", np.asarray(v, dtype=np.float64)) for i, v in enumerate(values))
 
 
 def test_l2_sums_squares_of_trainables_only():
@@ -293,7 +290,7 @@ def test_mean_nll_standard_rejects_multiple_terminals():
     for name in ("NFETC(f)", "NFETC-hier(f)"):
         choice, config = select_variant(name)
         assert config.mode == "standard"
-        assert training_corpus(Corpus([noisy, single]), choice, PERSON).triples == [single]
+        assert training_corpus(Corpus([noisy, single]), choice, PERSON) == [single]
 
 
 def test_mean_nll_variant_selects_per_row():
@@ -414,8 +411,7 @@ def test_loss_config_validation(kwargs, message):
 def logits_loss(logits, batch, config, forest):
     """(value, gradient) of mean NLL plus L2 over the softmax rows of
     ``logits``, which are also the one parameter the L2 term sees."""
-    params = ParamSet()
-    params.add("logits", logits)
+    params = ParamSet(logits=logits)
     x = Tensor.parameter(logits)
     probs = softmax_rows(x)
     nll, d_probs = mean_nll(probs.data, batch, config, forest)

@@ -23,9 +23,7 @@ def adam_by_hand(grad_sequence, lr, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
 
 
 def single_param(value=0.0):
-    ps = ParamSet()
-    ps.add("x", np.array([value]))
-    return ps
+    return ParamSet(x=np.array([value]))
 
 
 def test_make_rng_is_deterministic_per_seed():

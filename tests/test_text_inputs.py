@@ -1,17 +1,19 @@
 """The text readers (corpus, embeddings, types, refinement, config) name the
-file and the line of a byte that is not UTF-8, and read CRLF files as they
-read LF ones."""
+file and the line of a byte that is not UTF-8 or of a leading byte-order
+mark, and read CRLF files as they read LF ones."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nfetc.cli import main
+from nfetc import checkpoint
+from nfetc.cli import CliError, build_config, main
 from nfetc.corpus import CorpusError, parse_corpus
-from nfetc.embeddings import EmbeddingError, WordEmbeddings
+from nfetc.embeddings import CACHE_SUFFIX, EmbeddingError, WordEmbeddings
 from nfetc.hierarchy import ForestError, RefinementMap, TypeForest
-from nfetc.textfile import numbered_lines
+from nfetc.textfile import BOM_MESSAGE, numbered_lines
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
 FOREST = TypeForest.from_file(MINI / "types.txt")
@@ -121,6 +123,29 @@ def test_crlf_files_parse_as_lf_files(tmp_path, reader):
     crlf.write_bytes(body.replace(b"\n", b"\r\n"))
     parse = READERS[reader][0]
     assert parse(crlf) == parse(lf)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS) + ["config", "embeddings-cached"])
+def test_a_byte_order_mark_is_refused_at_line_1(tmp_path, reader):
+    # the mark would join the first field: a word that no corpus token
+    # matches, or a malformed span, type path or config key
+    path = tmp_path / "input.txt"
+    if reader == "config":
+        parse, error, body = (lambda p: build_config("figer", str(p), [])), CliError, [b"seed=2\n"]
+    else:
+        parse, error, _ = READERS[reader.removesuffix("-cached")]
+        body = lines(reader.removesuffix("-cached"), 3)
+    path.write_bytes("\ufeff".encode("utf-8") + b"".join(body))
+    if reader == "embeddings-cached":
+        # the cache of a reader that kept the mark in the first word is
+        # valid for these bytes; the mark is refused before it is read
+        checkpoint.save(f"{path}{CACHE_SUFFIX}",
+                        {"source_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                         "vocab": ["\ufeffw0", "w1", "w2"]},
+                        [("word_emb", False, np.array([[k + 0.5, -1e-3] for k in range(3)]))])
+    with pytest.raises(error) as err:
+        parse(path)
+    assert str(err.value) == f"{path}:1: {BOM_MESSAGE}"
 
 
 def test_utf8_text_still_parses(tmp_path):

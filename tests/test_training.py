@@ -332,7 +332,7 @@ def test_train_frees_each_batch_graph_before_the_next():
     for repeat in (1, 2):
         tracemalloc.start()
         try:
-            train(Corpus(corpus.triples * repeat), corpus, emb, forest, hp, config)
+            train(Corpus(corpus * repeat), corpus, emb, forest, hp, config)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
