@@ -49,12 +49,8 @@ KEYS: dict[str, tuple[type, object, object, str | None, str]] = {
     "variant": (str, "NFETC-hier(r)", "NFETC-hier(r)", None, "one of " + ", ".join(VARIANTS)),
     "dev_fraction": (float, 0.1, 0.1, None, "share of the test corpus carved off as dev"),
     "dev_seed": (int, 2014, 2014, None, "dev-split seed, fixed across the seeds list"),
-    "dropout_mention": (bool, True, True, "dropout_mention",
-                        "apply dropout to the mention LSTM too"),
     "hier_inference": (bool, False, False, "hier_at_inference",
                        "apply the hierarchy adjustment before prediction"),
-    "select_adjusted": (bool, True, True, "select_on_adjusted",
-                        "variant loss selects on adjusted probabilities"),
     "per_type": (bool, False, False, None, "eval: also print per-type strict accuracy"),
     "json": (bool, False, False, None, "stats/eval: also print the single-line JSON form"),
     "types": (str, "", "", None, "type forest file, one slash-path per line"),
@@ -142,6 +138,13 @@ def _require_path(cfg: dict, key: str, command: str) -> str:
     return path
 
 
+def _require_dirs(cfg: dict, keys) -> None:
+    """Raise unless the directory of each output path ``keys`` name exists."""
+    for key in keys:
+        if (folder := os.path.dirname(cfg[key])) and not os.path.isdir(folder):
+            raise CliError(2, f"no such directory: {folder} (for {key}={cfg[key]})")
+
+
 def _load_forest(cfg: dict, command: str):
     """(forest, None), or with a refinement configured (refined forest, the
     old-path -> new-path map that corpus labels are read through)."""
@@ -173,10 +176,10 @@ def _emit(text: str, path: str, echo: bool = False) -> None:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",") if s.strip() != ""]
-    except ValueError:
-        raise CliError(2, f"seeds expects comma-separated integers, got {text!r}") from None
+    seeds = [s.strip() for s in text.split(",") if s.strip() != ""]
+    if not all(map(str.isdecimal, seeds)):
+        raise CliError(2, f"seeds expects comma-separated integers >= 0, got {text!r}")
+    return [int(s) for s in seeds]
 
 
 def cmd_train(cfg: dict) -> int:
@@ -186,6 +189,8 @@ def cmd_train(cfg: dict) -> int:
     seeds = _parse_seeds(cfg["seeds"]) or [hp.seed]
     if not 0.0 < cfg["dev_fraction"] < 1.0:
         raise ValueError(f"dev fraction must be in (0, 1), got {cfg['dev_fraction']}")
+    if cfg["dev_seed"] < 0:
+        raise ValueError(f"dev_seed must be >= 0, got {cfg['dev_seed']}")
     forest, mapping = _load_forest(cfg, "train")
     train_path = _require_path(cfg, "train", "train")
     test_path = _require_path(cfg, "test", "train")
@@ -301,12 +306,14 @@ def cmd_export_types(cfg: dict) -> int:
     return 0
 
 
+# each command, its help and the config keys of the files it writes
 COMMANDS = {
-    "train": (cmd_train, "train a model variant and report test metrics"),
-    "eval": (cmd_eval, "score a checkpoint on a labeled corpus"),
-    "predict": (cmd_predict, "emit type-path predictions for a corpus"),
-    "stats": (cmd_stats, "corpus statistics (types, mentions, single-path share)"),
-    "export-types": (cmd_export_types, "dump learned type embeddings as CSV"),
+    "train": (cmd_train, "train a model variant and report test metrics",
+              ("checkpoint", "log", "report")),
+    "eval": (cmd_eval, "score a checkpoint on a labeled corpus", ("report",)),
+    "predict": (cmd_predict, "emit type-path predictions for a corpus", ("output",)),
+    "stats": (cmd_stats, "corpus statistics (types, mentions, single-path share)", ("report",)),
+    "export-types": (cmd_export_types, "dump learned type embeddings as CSV", ("output",)),
 }
 
 
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_key_table(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
+    for name, (_, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, epilog=_key_table(),
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--profile", choices=sorted(PROFILES),
@@ -342,7 +349,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args.profile, args.config, args.set)
-        return COMMANDS[args.command][0](cfg)
+        command, _, outputs = COMMANDS[args.command]
+        _require_dirs(cfg, outputs)   # before any input is read
+        return command(cfg)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -37,20 +37,18 @@ class EmbeddingError(ValueError):
     pass
 
 
-def vocabulary_index(words, shape: tuple, with_rows: bool = True) -> dict[str, int] | set[str]:
-    """Each word's row, or without ``with_rows`` the set of words (half the
-    time to build), once ``words`` is checked to be a list of distinct str, one
-    for each row of a matrix of ``shape`` that holds word vectors."""
+def check_vocabulary(words, shape: tuple) -> None:
+    """Raise ``EmbeddingError`` unless ``words``, read from a file, is a list
+    of distinct str, one for each row of a matrix of ``shape`` that holds
+    word vectors."""
     if not isinstance(words, list) or not all(map(isinstance, words, repeat(str))):
         raise EmbeddingError("vocabulary is not a list of strings")
-    index = dict(zip(words, range(len(words)))) if with_rows else set(words)
-    if len(index) != len(words):
+    if len(set(words)) != len(words):
         raise EmbeddingError("duplicate word in vocabulary")
     if len(shape) != 2 or shape[0] != len(words):
         raise EmbeddingError(f"matrix shape {shape} does not match {len(words)} words")
     if 0 in shape:
         raise EmbeddingError(f"matrix shape {shape} holds no word vectors")
-    return index
 
 
 def kept_rows(vocab: list[str], words) -> np.ndarray:
@@ -69,10 +67,10 @@ class WordEmbeddings:
     """Vocabulary plus a |V| x d_w float64 matrix, frozen: the array is made
     read-only, so nothing can update it and nothing needs to copy it.
 
-    The constructor takes ownership of ``words``, a list of str, and
-    ``matrix``: neither is copied, and a float64 matrix is made read-only, so
-    the caller's own array can no longer be written to. Pass a copy to keep a
-    writable one.
+    The constructor takes ownership of ``words``, distinct str, one per row,
+    as the file readers checked them, and ``matrix``: neither is copied, and
+    a float64 matrix is made read-only, so the caller's own array can no
+    longer be written to. Pass a copy to keep a writable one.
 
     ``matrix`` may also be a ``checkpoint.Frozen``: a matrix left in its
     file, the parse cache, which ``subset`` and ``save_checkpoint`` read
@@ -86,7 +84,7 @@ class WordEmbeddings:
         if isinstance(matrix, checkpoint.Frozen):   # looks no word up, so keeps no index
             self.magnitude = matrix.magnitude
         else:
-            self._index = vocabulary_index(words, matrix.shape)
+            self._index = dict(zip(words, range(len(words))))
             matrix = self.matrix = np.asarray(matrix, dtype=np.float64)
             matrix.flags.writeable = False
         self.stored = matrix   # what a checkpoint copies the matrix from
@@ -217,7 +215,7 @@ def _cached(cache, digest, parsed=None) -> WordEmbeddings | None:
         if meta.get("source_sha256") != digest or frozen.name != "word_emb":
             return None
         if parsed is None:   # the words, the matrix's shape and that no word repeats
-            vocabulary_index(meta.get("vocab"), frozen.shape, with_rows=False)
+            check_vocabulary(meta.get("vocab"), frozen.shape)
         elif (meta.get("vocab"), frozen.shape) != parsed:
             return None
     except (OSError, ValueError):   # an EmbeddingError too

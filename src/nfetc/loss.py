@@ -29,10 +29,8 @@ class LossConfig:
     ancestor probability mass is credited to each type before the loss; the
     adjustment is active only when ``hier`` is set. ``mode`` picks between
     plain cross-entropy on a single gold type and the variant that selects
-    the most probable candidate terminal each step. ``hier_at_inference``
-    optionally applies the adjustment before the prediction argmax too, and
-    ``select_on_adjusted`` controls whether the variant's selection reads the
-    adjusted or the raw distribution.
+    the most probable candidate terminal each step, on the rows it scores.
+    ``hier_at_inference`` adjusts the rows before the prediction argmax too.
     """
 
     lam: float = 0.0
@@ -40,7 +38,6 @@ class LossConfig:
     mode: str = "standard"
     hier: bool = False
     hier_at_inference: bool = False
-    select_on_adjusted: bool = True
 
     def __post_init__(self):
         for name in ("lam", "beta"):
@@ -87,7 +84,7 @@ def mean_nll(probs: np.ndarray, triples: list[MentionTriple], config: LossConfig
 
     With ``hier`` and beta > 0 the rows are adjusted first. Standard mode
     trains on filtered data, whose mentions have one candidate terminal;
-    variant mode selects among the candidates each step. Picked
+    variant mode picks the candidate those rows rate highest. Picked
     probabilities are floored at PROB_FLOOR, and a floored entry passes no
     gradient.
 
@@ -98,12 +95,11 @@ def mean_nll(probs: np.ndarray, triples: list[MentionTriple], config: LossConfig
     p, b, beta = probs, len(triples), config.beta
     adjust = config.hier and beta > 0
     rows = hierarchical_adjust_rows(p, forest, beta) if adjust else p
-    selection_source = rows if config.select_on_adjusted else p
     gold = []
     for i, triple in enumerate(triples):
         cand = sorted(forest.index(t) for t in triple.terminals)
         gold.append(cand[0] if config.mode == "standard"
-                    else select_candidate(selection_source[i], cand))
+                    else select_candidate(rows[i], cand))
     at = (np.arange(b), np.asarray(gold, dtype=np.intp))
     picked = rows[at]
     floored = np.maximum(picked, PROB_FLOOR)

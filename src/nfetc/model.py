@@ -154,18 +154,17 @@ class NfetcModel:
 
     # -- encoders -------------------------------------------------------------
 
-    def _encode(self, prefix: str, blocks: list, n_at, reverse: bool,
-                keep_in: float, keep_out: float, train: bool, rng, record=()):
+    def _encode(self, prefix: str, blocks: list, n_at, reverse: bool, train: bool, rng, record=()):
         """One LSTM over a packed batch of column blocks, and its backward
-        when training, with dx for the blocks ``record`` lists. Input/output
-        dropout follows the usual cell-wrapper contract: inputs and emitted
-        outputs are masked, the recurrent state is not. The op applies the
+        when training, with dx for the blocks ``record`` lists. Dropout
+        masks inputs at keep ``p_i`` and emitted outputs at ``p_o``, not the
+        recurrent state, as the usual cell wrapper does; the op applies the
         masks, drawn input first over the real tokens only (sum(n_at) rows)."""
         n_real = int(np.sum(n_at))
         p = self.params
         widths = (sum(blk.shape[1] for blk in blocks), p[f"{prefix}.w_rec"].shape[0])
         masks = [(dropout_mask((n_real, width), keep, rng), keep) if train and keep < 1.0 else None
-                 for width, keep in zip(widths, (keep_in, keep_out))]
+                 for width, keep in zip(widths, (self.hp.p_i, self.hp.p_o))]
         return lstm_sequence(blocks, p[f"{prefix}.w_in"], p[f"{prefix}.w_rec"],
                              p[f"{prefix}.bias"], n_at, reverse, *masks,
                              dtype=TRAIN_DTYPE if train else np.float64,
@@ -184,7 +183,6 @@ class NfetcModel:
         it releases each piece's saved arrays as it goes, so it runs once.
         Dropout masks are drawn from ``rng`` in a fixed order: forward,
         backward and mention LSTM, input then output."""
-        hp = self.hp
         ctx_len, start, end, words, ext = self._indices(batch)
         dtype = TRAIN_DTYPE if train else np.float64
         pos_table = self.params["pos_table"]
@@ -194,10 +192,9 @@ class NfetcModel:
         seq, step, n_at = _packed(ctx_len)
         pos = position_rows(window, step, start[seq], end[seq])
         x = [self.embeddings.vectors(words[seq, step]).astype(dtype, copy=False), pos_table[pos]]
-        fw, fw_back = self._encode("ctx_fw", x, n_at, False, hp.p_i, hp.p_o, train, rng,
-                                   record=(1,))   # dx for the position block
-        bw, bw_back = self._encode("ctx_bw", x, n_at, True, hp.p_i, hp.p_o, train, rng,
-                                   record=(1,))   # dx for the position block
+        # each records dx for the position block
+        fw, fw_back = self._encode("ctx_fw", x, n_at, False, train, rng, record=(1,))
+        bw, bw_back = self._encode("ctx_bw", x, n_at, True, train, rng, record=(1,))
         del x   # each LSTM holds its own masked copy of the inputs
 
         # mention encoders: the span average, and an LSTM over the extended mention
@@ -207,10 +204,8 @@ class NfetcModel:
         r_a = self.embeddings.vectors(np.where(in_span, ext, -1)).sum(axis=1) / span[:, None]
         ext_len = span + 2
         m_seq, m_step, m_at = _packed(ext_len)
-        keep_in = hp.p_i if hp.dropout_mention else 1.0
-        keep_out = hp.p_o if hp.dropout_mention else 1.0
         xm = self.embeddings.vectors(ext[m_seq, m_step]).astype(dtype, copy=False)
-        hm, men_back = self._encode("men", [xm], m_at, False, keep_in, keep_out, train, rng)
+        hm, men_back = self._encode("men", [xm], m_at, False, train, rng)
         del xm
         last = np.empty(len(batch), dtype=np.intp)   # row of each mention's final state
         ends = np.flatnonzero(m_step == ext_len[m_seq] - 1)

@@ -14,7 +14,7 @@ import numpy as np
 from . import checkpoint
 from .autodiff import ParamSet
 from .corpus import Corpus, build_filtered, windowed
-from .embeddings import WordEmbeddings, kept_rows, vocabulary_index
+from .embeddings import WordEmbeddings, check_vocabulary, kept_rows
 from .evaluation import Metrics, evaluate
 from .hierarchy import TypeForest
 from .loss import LossConfig, l2_penalty, mean_nll
@@ -45,7 +45,6 @@ class HyperParams:
     epochs: int
     patience: int
     seed: int
-    dropout_mention: bool
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -53,6 +52,8 @@ class HyperParams:
         for name in ("d_p", "d_s", "window", "batch", "epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("p_i", "p_o"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -83,8 +84,8 @@ class RunResult:
 
 def select_variant(name: str, **settings) -> tuple[str, LossConfig]:
     """Map a variant name to its corpus choice and loss configuration;
-    ``settings`` (``lam``, ``beta``, ``hier_at_inference``,
-    ``select_on_adjusted``) override ``LossConfig``'s defaults.
+    ``settings`` (``lam``, ``beta``, ``hier_at_inference``) override
+    ``LossConfig``'s defaults.
 
     (f) trains on the single-path filtered corpus with plain cross-entropy;
     (r) trains on everything with the candidate-selecting variant; the -hier
@@ -306,15 +307,15 @@ def _stored(path: str, meta: dict):
         for key in ("hyperparams", "loss_config", "types", "vocab"):
             if key not in meta:
                 raise checkpoint.CheckpointError(f"checkpoint meta lacks {key!r}")
-        # files written before HyperParams lost its copies of lam and beta
-        # still hold them; the loss reads LossConfig's, checked below
-        hp = _settings(HyperParams, meta, "hyperparams", dropped=("lam", "beta"))
-        config = _settings(LossConfig, meta, "loss_config")
+        # older files also hold HyperParams' lam and beta (the loss reads
+        # LossConfig's) and two switches that acted only in training
+        hp = _settings(HyperParams, meta, "hyperparams", dropped=("lam", "beta", "dropout_mention"))
+        config = _settings(LossConfig, meta, "loss_config", dropped=("select_on_adjusted",))
         forest = TypeForest(meta["types"])
         shapes = {e["name"]: tuple(e["shape"]) for e in meta["params"]}
         if "word_emb" not in shapes:
             raise checkpoint.CheckpointError("checkpoint lacks the word embedding matrix")
-        vocabulary_index(meta["vocab"], shapes["word_emb"], with_rows=False)
+        check_vocabulary(meta["vocab"], shapes["word_emb"])
         _check_tensors(meta["params"], hp, shapes["word_emb"][1], len(forest))
     except (TypeError, ValueError) as e:
         raise checkpoint.CheckpointError(f"{path}: {e}") from None

@@ -589,9 +589,11 @@ def test_version_1_checkpoint_bytes_are_pinned(tmp_path):
     assert pinned.startswith(b"NFETCCKPT 1\n") and len(pinned) < 4096
     assert path.read_bytes() == pinned
 
-    # the two fixtures differ only in the two hyperparams keys the writer no
-    # longer writes (the loss config holds lam and beta), the meta length
-    # and the spaces that end the JSON block on a multiple of 8
+    # the two fixtures differ only in the four keys the writer no longer
+    # writes (the hyperparams' copies of lam and beta, which the loss config
+    # holds, and the training switches dropout_mention and
+    # select_on_adjusted), the meta length and the spaces that end the JSON
+    # block on a multiple of 8
     def parts(raw):
         length, rest = raw[len(MAGIC):].split(b"\n", 1)
         return int(length), rest[:int(length)], rest[int(length):]
@@ -599,12 +601,15 @@ def test_version_1_checkpoint_bytes_are_pinned(tmp_path):
         unpadded = fh.read()
     old_len, old_blob, old_tensors = parts(unpadded)
     new_len, new_blob, new_tensors = parts(pinned)
-    dropped = b'"lam": 0.0, "beta": 0.4, '
-    head = old_blob.split(dropped)[0]   # the dropped keys sit in the hyperparams object
-    assert old_blob.count(dropped) == 1 and head.startswith(b'{"hyperparams": {')
-    assert b"}" not in head
-    kept = old_blob.replace(dropped, b"")
+    kept = old_blob
+    for dropped in (b'"lam": 0.0, "beta": 0.4, ', b', "dropout_mention": true',
+                    b', "select_on_adjusted": true'):
+        assert kept.count(dropped) == 1
+        kept = kept.replace(dropped, b"")
     assert new_len > len(kept) and new_blob == kept + b" " * (new_len - len(kept))
+    old, new = json.loads(old_blob), json.loads(new_blob)
+    assert set(old["hyperparams"]) - set(new["hyperparams"]) == {"lam", "beta", "dropout_mention"}
+    assert set(old["loss_config"]) - set(new["loss_config"]) == {"select_on_adjusted"}
     assert new_tensors == old_tensors
     assert (len(pinned) - len(new_tensors)) % 8 == 0 != (len(unpadded) - len(old_tensors)) % 8
 

@@ -155,9 +155,7 @@ HELP_ROWS = [
      "one of NFETC(f), NFETC-hier(f), NFETC(r), NFETC-hier(r)"),
     ("dev_fraction", "0.1", "0.1", "share of the test corpus carved off as dev"),
     ("dev_seed", "2014", "2014", "dev-split seed, fixed across the seeds list"),
-    ("dropout_mention", "true", "true", "apply dropout to the mention LSTM too"),
     ("hier_inference", "false", "false", "apply the hierarchy adjustment before prediction"),
-    ("select_adjusted", "true", "true", "variant loss selects on adjusted probabilities"),
     ("per_type", "false", "false", "eval: also print per-type strict accuracy"),
     ("json", "false", "false", "stats/eval: also print the single-line JSON form"),
     ("types", "-", "-", "type forest file, one slash-path per line"),
@@ -203,7 +201,7 @@ def test_profiles_fill_the_run_and_loss_settings():
     onto = cli_module.PROFILES["ontonotes"]
     assert cli_module._hyperparams(onto) == HyperParams(
         lr=0.0002, d_p=20, d_s=440, p_i=0.5, p_o=0.5, window=10, batch=512, epochs=50,
-        patience=5, seed=1, dropout_mention=True)
+        patience=5, seed=1)
     _, config = cli_module.select_variant(onto["variant"], **cli_module._fields(onto, LossConfig))
     assert config == LossConfig(lam=0.0001, beta=0.3, mode="variant", hier=True)
 
@@ -307,7 +305,11 @@ def test_non_finite_setting_is_exit_1_without_a_checkpoint(world, tmp_path, sett
     ("variant=NFETC-x", 1, "unknown variant 'NFETC-x'"),
     ("seeds=1,x", 2, "seeds expects comma-separated integers"),
     ("dev_fraction=1.5", 1, "dev fraction must be in (0, 1), got 1.5"),
-], ids=["pi", "variant", "seeds", "dev_fraction"])
+    ("seed=-1", 1, "seed must be >= 0, got -1"),
+    ("dev_seed=-1", 1, "dev_seed must be >= 0, got -1"),
+    ("seeds=1,-2", 2, "seeds expects comma-separated integers >= 0, got '1,-2'"),
+], ids=["pi", "variant", "seeds", "dev_fraction", "seed-negative", "dev_seed-negative",
+        "seeds-negative"])
 def test_train_checks_its_settings_before_reading_a_file(world, tmp_path, setting, exit_code,
                                                          named):
     bad = tmp_path / "bad.tsv"
@@ -449,6 +451,24 @@ def test_train_requires_each_input(world):
     code, _, err = run_cli(base)
     assert code == 2
     assert "'embeddings'" in err
+
+
+@pytest.mark.parametrize("command,key", [
+    ("train", "checkpoint"), ("train", "log"), ("train", "report"), ("eval", "report"),
+    ("stats", "report"), ("predict", "output"), ("export-types", "output")])
+def test_output_in_a_missing_directory_is_reported_before_any_input(tmp_path, command, key):
+    # every input is missing too: the output's directory is checked first,
+    # so a run is never lost at its end for want of it
+    missing = tmp_path / "missing"
+    target = missing / "out.txt"
+    argv = [command, "--set", f"{key}={target}"]
+    for name in ("types", "train", "test", "embeddings", "input", "checkpoint"):
+        if name != key:
+            argv += ["--set", f"{name}={tmp_path / 'absent'}"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: no such directory: {missing} (for {key}={target})\n"
+    assert not missing.exists()
 
 
 def test_train_multi_seed_aggregate(world, tmp_path):
@@ -977,6 +997,38 @@ def test_unused_duplicate_word_is_one_error_line(trained, tmp_path):
     ckpt = padded(trained["checkpoint"], tmp_path / "bad.ckpt",
                   lambda matrix, vocab: vocab.__setitem__(-1, vocab[-2]))
     want = f"error: {ckpt}: duplicate word in vocabulary\n"
+    assert full_matrix_error(ckpt) == want
+    for result in run_both(trained, ckpt):
+        assert result == (1, "", want)
+
+
+@pytest.mark.parametrize("stored", [True, False])
+def test_dropped_training_switches_change_no_restored_model(trained, tmp_path, stored):
+    # files written before dropout_mention and select_on_adjusted became the
+    # only behaviour hold either value; both acted only in training
+    def old_format(meta):
+        meta["hyperparams"]["dropout_mention"] = stored
+        meta["loss_config"]["select_on_adjusted"] = stored
+
+    ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "old.ckpt", old_format)
+    assert checkpoint_load(ckpt)[0]["hyperparams"]["dropout_mention"] is stored
+    old, new = load_checkpoint(str(ckpt)), load_checkpoint(trained["checkpoint"])
+    assert (old.hyperparams, old.loss_config) == (new.hyperparams, new.loss_config)
+    for (code, out, err), (_, want, _) in zip(run_both(trained, ckpt),
+                                               run_both(trained, trained["checkpoint"])):
+        assert (code, err) == (0, "") and out == want
+    export = [run_cli(["export-types", "--set", f"checkpoint={c}"])
+              for c in (ckpt, trained["checkpoint"])]
+    assert export[0] == export[1] and export[0][0] == 0
+
+
+def test_vocabulary_one_word_short_is_one_error_line(trained, tmp_path):
+    # the checkpoint's reader checks the vocabulary against the matrix;
+    # ``WordEmbeddings`` takes the words it passes as they are
+    shape = tuple(checkpoint_load(trained["checkpoint"])[1]["word_emb"].shape)
+    ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "short.ckpt",
+                        lambda meta: meta["vocab"].pop())
+    want = f"error: {ckpt}: matrix shape {shape} does not match {shape[0] - 1} words\n"
     assert full_matrix_error(ckpt) == want
     for result in run_both(trained, ckpt):
         assert result == (1, "", want)

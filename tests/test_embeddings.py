@@ -83,13 +83,6 @@ def test_from_file_error_names_line(tmp_path):
         WordEmbeddings.from_file(p)
 
 
-def test_constructor_shape_guards():
-    with pytest.raises(EmbeddingError, match="duplicate word"):
-        WordEmbeddings(["a", "a"], np.zeros((2, 3)))
-    with pytest.raises(EmbeddingError, match="does not match"):
-        WordEmbeddings(["a", "b"], np.zeros((3, 3)))
-
-
 def position_table(c, dim, seed):
     """The ``pos_table`` parameter a fresh model draws for window ``c``."""
     emb = WordEmbeddings(["cat"], np.ones((1, 2)))

@@ -311,21 +311,16 @@ def test_mean_nll_hier_reads_adjusted_rows():
 
 def test_selection_source_switch():
     # candidates athlete (idx 2) and organization (idx 0); raw argmax is 0,
-    # adjusted argmax flips to 2 because athlete inherits person's mass
+    # but the variant selects on the adjusted rows it scores, whose argmax
+    # flips to 2 because athlete inherits person's mass
     forest = PERSON
     noisy = mention(["/person/athlete", "/organization"], forest)
     probs = rows_for([0.38, 0.32, 0.30])
 
-    on_adjusted = LossConfig(mode="variant", beta=1.0, hier=True,
-                             select_on_adjusted=True)
+    config = LossConfig(mode="variant", beta=1.0, hier=True)
     q = np.array([0.38, 0.32, 0.62]) / 1.32
-    got, _ = mean_nll(probs, [noisy], on_adjusted, forest)
+    got, _ = mean_nll(probs, [noisy], config, forest)
     assert got == pytest.approx(-math.log(q[2]), abs=1e-14)
-
-    on_raw = LossConfig(mode="variant", beta=1.0, hier=True,
-                        select_on_adjusted=False)
-    got, _ = mean_nll(probs, [noisy], on_raw, forest)
-    assert got == pytest.approx(-math.log(q[0]), abs=1e-14)
 
 
 def test_mean_nll_floors_zero_rows():
@@ -437,9 +432,8 @@ def gradcheck_batch(forest, mode, rng, size=3):
     LossConfig(mode="standard", lam=0.01),
     LossConfig(mode="standard", beta=0.4, hier=True),
     LossConfig(mode="variant", beta=0.4, hier=True, lam=0.01),
-] + [LossConfig(mode=mode, beta=beta, hier=True, select_on_adjusted=on_adjusted)
-     for mode in ("standard", "variant") for beta in (0.4, 1.0)
-     for on_adjusted in (True, False)])
+] + [LossConfig(mode=mode, beta=beta, hier=True)
+     for mode in ("standard", "variant") for beta in (0.4, 1.0)])
 def test_loss_gradient_matches_finite_differences(config):
     forest = PERSON
     if config.mode == "variant":

@@ -695,18 +695,6 @@ def test_keep_prob_one_trains_like_inference():
     assert backward is not None and model.forward_bucket([T4])[2] is None
 
 
-def test_mention_dropout_can_be_disabled():
-    on = make_model(p_i=0.5, p_o=0.5, dropout_mention=True)
-    off = make_model(p_i=0.5, p_o=0.5, dropout_mention=False)
-    off.params.load_values(on.params.copy_values())
-    # identical seeds: the context encoders consume the same mask stream, so
-    # any difference comes from the mention encoder skipping its masks
-    a, _, _ = on.forward_bucket([T4], train=True, rng=make_rng(4))
-    b, _, _ = off.forward_bucket([T4], train=True, rng=make_rng(4))
-    assert not np.array_equal(a, b)
-    assert np.array_equal(one(on, T4).probs, one(off, T4).probs)
-
-
 # -- gradients -----------------------------------------------------------------
 
 

@@ -77,11 +77,10 @@ def test_select_variant_all_four():
     assert choice == "raw"
     assert (cfg.mode, cfg.hier) == ("variant", False)
 
-    choice, cfg = select_variant("NFETC-hier(r)", hier_at_inference=True,
-                                 select_on_adjusted=False)
+    choice, cfg = select_variant("NFETC-hier(r)", hier_at_inference=True)
     assert choice == "raw"
     assert (cfg.mode, cfg.hier) == ("variant", True)
-    assert cfg.hier_at_inference and not cfg.select_on_adjusted
+    assert cfg.hier_at_inference
 
 
 def test_select_variant_rejects_unknown():
