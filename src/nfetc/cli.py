@@ -175,6 +175,14 @@ def _emit(text: str, path: str, echo: bool = False) -> None:
             fh.write(text)
 
 
+def _of(path: str, step, *args):
+    """``step(*args)`` on the corpus of ``path``, whose faults name it."""
+    try:
+        return step(*args)
+    except CorpusError as e:
+        raise CorpusError(f"{path}: {e}") from None
+
+
 def _parse_seeds(text: str) -> list[int]:
     seeds = [s.strip() for s in text.split(",") if s.strip() != ""]
     if not all(map(str.isdecimal, seeds)):
@@ -195,11 +203,14 @@ def cmd_train(cfg: dict) -> int:
     train_path = _require_path(cfg, "train", "train")
     test_path = _require_path(cfg, "test", "train")
     emb_path = _require_path(cfg, "embeddings", "train")
+    # every corpus fault is reported before the embeddings, the slow file, are read
     raw_train = parse_corpus(train_path, forest, mapping=mapping)
+    if not raw_train:
+        raise CorpusError(f"{train_path}: no mentions to train on")
+    corpus = _of(train_path, training_corpus, raw_train, choice, forest)
     test_all = parse_corpus(test_path, forest, mapping=mapping)
+    dev, held = _of(test_path, split_dev, test_all, cfg["dev_fraction"], cfg["dev_seed"])
     embeddings = WordEmbeddings.from_file(emb_path)
-    dev, held = split_dev(test_all, cfg["dev_fraction"], cfg["dev_seed"])
-    corpus = training_corpus(raw_train, choice, forest)
     with (open(cfg["log"], "w", encoding="utf-8") if cfg["log"]
           else contextlib.nullcontext(sys.stdout)) as log_stream:
         multi = run_multi(seeds, corpus, dev, embeddings, forest, hp,
@@ -285,7 +296,7 @@ def cmd_predict(cfg: dict) -> int:
 def cmd_stats(cfg: dict) -> int:
     forest, mapping = _load_forest(cfg, "stats")
     path = _require_path(cfg, "input", "stats")
-    report = stats(parse_corpus(path, forest, mapping=mapping), forest)
+    report = _of(path, stats, parse_corpus(path, forest, mapping=mapping), forest)
     out = report.as_text()
     if cfg["json"]:
         out += report.as_json() + "\n"

@@ -18,8 +18,6 @@ from .hierarchy import TypeForest
 # floor inside log(); keeps a saturated softmax from producing -inf
 PROB_FLOOR = 1e-12
 
-MODES = ("standard", "variant")
-
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -27,15 +25,12 @@ class LossConfig:
 
     lam scales the L2 penalty over the trained parameters. beta tunes how much
     ancestor probability mass is credited to each type before the loss; the
-    adjustment is active only when ``hier`` is set. ``mode`` picks between
-    plain cross-entropy on a single gold type and the variant that selects
-    the most probable candidate terminal each step, on the rows it scores.
-    ``hier_at_inference`` adjusts the rows before the prediction argmax too.
+    adjustment is active only when ``hier`` is set. ``hier_at_inference``
+    adjusts the rows before the prediction argmax too.
     """
 
     lam: float = 0.0
     beta: float = 0.0
-    mode: str = "standard"
     hier: bool = False
     hier_at_inference: bool = False
 
@@ -44,8 +39,6 @@ class LossConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def hierarchical_adjust_rows(p_rows: np.ndarray, forest: TypeForest, beta: float) -> np.ndarray:
@@ -82,11 +75,11 @@ def mean_nll(probs: np.ndarray, triples: list[MentionTriple], config: LossConfig
     """Mean negative log likelihood over (B, K) probability rows, without the
     L2 term, and its gradient with respect to the rows.
 
-    With ``hier`` and beta > 0 the rows are adjusted first. Standard mode
-    trains on filtered data, whose mentions have one candidate terminal;
-    variant mode picks the candidate those rows rate highest. Picked
-    probabilities are floored at PROB_FLOOR, and a floored entry passes no
-    gradient.
+    With ``hier`` and beta > 0 the rows are adjusted first. Each mention's
+    gold type is the candidate terminal those rows rate highest: on a
+    mention of one candidate, as every filtered one is, that is plain
+    cross-entropy. Picked probabilities are floored at PROB_FLOOR, and a
+    floored entry passes no gradient.
 
     The gradient is derived by hand and repeats, operation for operation, the
     rounding of the adjustment, pick, floor, log and mean composed as
@@ -95,11 +88,8 @@ def mean_nll(probs: np.ndarray, triples: list[MentionTriple], config: LossConfig
     p, b, beta = probs, len(triples), config.beta
     adjust = config.hier and beta > 0
     rows = hierarchical_adjust_rows(p, forest, beta) if adjust else p
-    gold = []
-    for i, triple in enumerate(triples):
-        cand = sorted(forest.index(t) for t in triple.terminals)
-        gold.append(cand[0] if config.mode == "standard"
-                    else select_candidate(rows[i], cand))
+    gold = [select_candidate(rows[i], [forest.index(t) for t in triple.terminals])
+            for i, triple in enumerate(triples)]
     at = (np.arange(b), np.asarray(gold, dtype=np.intp))
     picked = rows[at]
     floored = np.maximum(picked, PROB_FLOOR)

@@ -87,15 +87,14 @@ def select_variant(name: str, **settings) -> tuple[str, LossConfig]:
     ``settings`` (``lam``, ``beta``, ``hier_at_inference``) override
     ``LossConfig``'s defaults.
 
-    (f) trains on the single-path filtered corpus with plain cross-entropy;
-    (r) trains on everything with the candidate-selecting variant; the -hier
-    models add the ancestor-mass adjustment.
+    Every variant trains with the candidate-selecting loss. (f) trains on
+    the single-path filtered corpus, where that loss is plain cross-entropy,
+    and (r) on everything; the -hier models add the ancestor-mass adjustment.
     """
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}; valid names: {', '.join(VARIANTS)}")
-    raw = name.endswith("(r)")
-    config = LossConfig(mode="variant" if raw else "standard", hier="-hier" in name, **settings)
-    return ("raw" if raw else "filtered"), config
+    choice = "raw" if name.endswith("(r)") else "filtered"
+    return choice, LossConfig(hier="-hier" in name, **settings)
 
 
 def training_corpus(corpus: Corpus, choice: str, forest: TypeForest) -> Corpus:
@@ -308,10 +307,13 @@ def _stored(path: str, meta: dict):
             if key not in meta:
                 raise checkpoint.CheckpointError(f"checkpoint meta lacks {key!r}")
         # older files also hold HyperParams' lam and beta (the loss reads
-        # LossConfig's) and two switches that acted only in training
+        # LossConfig's) and three switches that acted only in training
         hp = _settings(HyperParams, meta, "hyperparams", dropped=("lam", "beta", "dropout_mention"))
-        config = _settings(LossConfig, meta, "loss_config", dropped=("select_on_adjusted",))
-        forest = TypeForest(meta["types"])
+        config = _settings(LossConfig, meta, "loss_config", dropped=("select_on_adjusted", "mode"))
+        types = meta["types"]
+        if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+            raise checkpoint.CheckpointError("types is not a list of strings")
+        forest = TypeForest(types)
         shapes = {e["name"]: tuple(e["shape"]) for e in meta["params"]}
         if "word_emb" not in shapes:
             raise checkpoint.CheckpointError("checkpoint lacks the word embedding matrix")

@@ -9,6 +9,7 @@ train real models and together take under a minute.
 import contextlib
 import io
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -26,7 +27,8 @@ from nfetc.corpus import MentionTriple, parse_corpus, stats
 from nfetc.embeddings import WordEmbeddings
 from nfetc.evaluation import EvalPair, score_pairs
 from nfetc.hierarchy import TypeForest
-from nfetc.loss import LossConfig, hierarchical_adjust_rows, l2_penalty, mean_nll
+from nfetc.loss import (PROB_FLOOR, LossConfig, hierarchical_adjust_rows, l2_penalty,
+                        mean_nll)
 from nfetc import model as model_module
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
@@ -124,8 +126,8 @@ def test_2_loss_identities():
         # a flat forest of at most 9 types indexes /t<i> at i
         forest = TypeForest([f"/t{i}" for i in range(k)])
         one = [MentionTriple(("x",), 0, 1, (f"/t{gold}",), frozenset({f"/t{gold}"}))]
-        a = mean_nll(p, one, LossConfig(mode="variant"), forest)[0] + l2_penalty(params, lam)[0]
-        b = mean_nll(p, one, LossConfig(mode="standard"), forest)[0] + l2_penalty(params, lam)[0]
+        a = mean_nll(p, one, LossConfig(), forest)[0] + l2_penalty(params, lam)[0]
+        b = -math.log(max(p[0, gold], PROB_FLOOR)) + l2_penalty(params, lam)[0]
         singleton_gap = max(singleton_gap, abs(float(a) - float(b)))
 
     beta_zero_gap = 0.0

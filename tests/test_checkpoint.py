@@ -199,6 +199,17 @@ def test_load_rejects_a_short_read(tmp_path, monkeypatch):
         load(p)
 
 
+def test_load_rejects_a_meta_block_that_shrinks(tmp_path, monkeypatch):
+    # as above, but the file ends inside the meta block: its length fits the
+    # size taken before the read, and the read comes back short
+    blob = json.dumps({"params": []}).encode("utf-8")
+    p = write_raw(tmp_path / "x.ckpt", MAGIC + str(len(blob) + 5).encode() + b"\n" + blob)
+    size = os.path.getsize(p) + 5
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+    with pytest.raises(CheckpointError, match=re.escape(f"{p}: truncated meta block")):
+        load(p)
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     meta = {"params": [{"name": "w", "trainable": True, "shape": [1]}]}
     p = write_raw(tmp_path / "x.ckpt",
@@ -404,7 +415,7 @@ def some_triples(forest):
 def test_model_checkpoint_round_trip(tmp_path, monkeypatch):
     embeddings, forest, model = small_world()
     hp = small_hp()
-    loss_config = LossConfig(lam=0.001, beta=0.3, mode="variant", hier=True)
+    loss_config = LossConfig(lam=0.001, beta=0.3, hier=True)
     path = tmp_path / "run.ckpt"
     save_checkpoint(path, hp, loss_config, forest, embeddings, model.params)
     read = []
@@ -589,11 +600,11 @@ def test_version_1_checkpoint_bytes_are_pinned(tmp_path):
     assert pinned.startswith(b"NFETCCKPT 1\n") and len(pinned) < 4096
     assert path.read_bytes() == pinned
 
-    # the two fixtures differ only in the four keys the writer no longer
+    # the two fixtures differ only in the five keys the writer no longer
     # writes (the hyperparams' copies of lam and beta, which the loss config
-    # holds, and the training switches dropout_mention and
-    # select_on_adjusted), the meta length and the spaces that end the JSON
-    # block on a multiple of 8
+    # holds, and the training switches dropout_mention, select_on_adjusted
+    # and mode), the meta length and the spaces that end the JSON block on a
+    # multiple of 8 (none for this block, which ends on one as it is)
     def parts(raw):
         length, rest = raw[len(MAGIC):].split(b"\n", 1)
         return int(length), rest[:int(length)], rest[int(length):]
@@ -603,13 +614,13 @@ def test_version_1_checkpoint_bytes_are_pinned(tmp_path):
     new_len, new_blob, new_tensors = parts(pinned)
     kept = old_blob
     for dropped in (b'"lam": 0.0, "beta": 0.4, ', b', "dropout_mention": true',
-                    b', "select_on_adjusted": true'):
+                    b', "mode": "standard"', b', "select_on_adjusted": true'):
         assert kept.count(dropped) == 1
         kept = kept.replace(dropped, b"")
-    assert new_len > len(kept) and new_blob == kept + b" " * (new_len - len(kept))
+    assert new_len >= len(kept) and new_blob == kept + b" " * (new_len - len(kept))
     old, new = json.loads(old_blob), json.loads(new_blob)
     assert set(old["hyperparams"]) - set(new["hyperparams"]) == {"lam", "beta", "dropout_mention"}
-    assert set(old["loss_config"]) - set(new["loss_config"]) == {"select_on_adjusted"}
+    assert set(old["loss_config"]) - set(new["loss_config"]) == {"select_on_adjusted", "mode"}
     assert new_tensors == old_tensors
     assert (len(pinned) - len(new_tensors)) % 8 == 0 != (len(unpadded) - len(old_tensors)) % 8
 

@@ -188,9 +188,9 @@ def test_each_setting_row_fills_one_field():
     filled = [field for *_, field, _ in cli_module.KEYS.values() if field is not None]
     assert len(filled) == len(set(filled))   # no field is filled by two rows
     # every HyperParams field has a row; the other rows fill LossConfig
-    # fields, all but the two the variant name sets
+    # fields, all but the one the variant name sets
     assert set(run) <= set(filled)
-    assert set(filled) - set(run) == set(loss) - {"mode", "hier"}
+    assert set(filled) - set(run) == set(loss) - {"hier"}
     # a row's defaults are of its type, and so is its field
     for key, (kind, figer, ontonotes, field, _) in cli_module.KEYS.items():
         assert type(figer) is kind and type(ontonotes) is kind, key
@@ -203,7 +203,7 @@ def test_profiles_fill_the_run_and_loss_settings():
         lr=0.0002, d_p=20, d_s=440, p_i=0.5, p_o=0.5, window=10, batch=512, epochs=50,
         patience=5, seed=1)
     _, config = cli_module.select_variant(onto["variant"], **cli_module._fields(onto, LossConfig))
-    assert config == LossConfig(lam=0.0001, beta=0.3, mode="variant", hier=True)
+    assert config == LossConfig(lam=0.0001, beta=0.3, hier=True)
 
 def test_missing_types_key_is_exit_2():
     code, _, err = run_cli(["stats"])
@@ -243,6 +243,15 @@ def test_unknown_config_key_is_exit_2():
     assert code == 2
     assert "unknown config key 'bogus'" in err
     assert "dev_fraction" in err  # the known keys are listed
+
+
+@pytest.mark.parametrize("spelling", ["false", "0", "no", "off", "FALSE", " No ", "oFf\t"])
+def test_bool_false_spellings(spelling):
+    # each spelling turns a key set true before it off again, in any case and
+    # with spaces around it, in a config file as in --set
+    cfg = cli_module.build_config("figer", None, ["json=true", f"json={spelling}"])
+    assert cfg["json"] is False
+    assert cli_module.build_config("figer", None, ["json=true"])["json"] is True
 
 
 def test_bad_bool_value_is_exit_2():
@@ -413,10 +422,32 @@ def test_stats_empty_corpus_is_exit_1(tmp_path):
     code, _, err = run_cli(["stats", "--set", f"types={MINI / 'types.txt'}",
                             "--set", f"input={empty}"])
     assert code == 1
-    assert "empty" in err
+    assert err == f"error: {empty}: statistics of an empty corpus\n"
 
 
 # -- train --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key,text,variant,message", [
+    ("train", "", "NFETC(r)", "no mentions to train on"),
+    ("train", "", "NFETC(f)", "no mentions to train on"),
+    ("train", "1 2\tthe dog sat\t/a/b /c\n", "NFETC(f)",
+     "filtering left no single-path triples"),
+    ("test", "", "NFETC(r)", "corpus of 0 mentions is too small for a 10% dev split"),
+], ids=["train-empty", "train-empty-filtered", "train-nothing-single-path", "test-empty"])
+def test_train_corpus_fault_names_its_file_before_the_embeddings_are_read(
+        world, tmp_path, key, text, variant, message):
+    # the embeddings are the slow file at GloVe size: a corpus that cannot
+    # train is reported first, here ahead of a malformed embeddings file
+    bad = tmp_path / f"{key}.tsv"
+    bad.write_text(text)
+    ragged = tmp_path / "emb.txt"
+    ragged.write_text("the 1 2\nsat 1\n")
+    files = {**world, key: str(bad), "embeddings": str(ragged)}
+    code, out, err = run_cli(["train"] + FAST + ["--set", f"variant={variant}"] + [
+        arg for k in ("types", "train", "test", "embeddings")
+        for arg in ("--set", f"{k}={files[k]}")])
+    assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
 
 
 def test_train_reports_and_artifacts(trained):
@@ -744,7 +775,6 @@ def test_export_types_round_trips_weights(trained, tmp_path):
     lambda meta: meta["loss_config"].update(hier=1),
     lambda meta: meta["loss_config"].update(hier="false"),
     lambda meta: meta["loss_config"].update(lam=True),
-    lambda meta: meta["loss_config"].update(mode=0),
     (lambda meta: meta.update(vocab=[]),
      lambda values: values.update(word_emb=values["word_emb"][:0])),
 ], ids=["extra-hyperparam", "missing-loss-key", "descriptor-without-shape",
@@ -753,7 +783,7 @@ def test_export_types_round_trips_weights(trained, tmp_path):
         "meta-not-an-object", "hyperparams-not-an-object", "vocab-of-ints",
         "vocab-a-string", "vocab-with-an-int", "meta-length-negative",
         "meta-length-past-the-file", "window-a-float", "hier-an-int", "hier-a-string",
-        "lam-a-bool", "mode-an-int", "no-words"])
+        "lam-a-bool", "no-words"])
 def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit):
     # ``edit`` changes the meta, or, as bytes, replaces the meta-length line;
     # a pair edits the tensors, then the meta
@@ -1004,11 +1034,13 @@ def test_unused_duplicate_word_is_one_error_line(trained, tmp_path):
 
 @pytest.mark.parametrize("stored", [True, False])
 def test_dropped_training_switches_change_no_restored_model(trained, tmp_path, stored):
-    # files written before dropout_mention and select_on_adjusted became the
-    # only behaviour hold either value; both acted only in training
+    # files written before dropout_mention, select_on_adjusted and the one
+    # candidate-selecting loss became the only behaviour hold any value of
+    # them (mode was "standard" or "variant"); all three acted only in training
     def old_format(meta):
         meta["hyperparams"]["dropout_mention"] = stored
         meta["loss_config"]["select_on_adjusted"] = stored
+        meta["loss_config"]["mode"] = "standard" if stored else 0
 
     ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "old.ckpt", old_format)
     assert checkpoint_load(ckpt)[0]["hyperparams"]["dropout_mention"] is stored
@@ -1031,6 +1063,24 @@ def test_vocabulary_one_word_short_is_one_error_line(trained, tmp_path):
     want = f"error: {ckpt}: matrix shape {shape} does not match {shape[0] - 1} words\n"
     assert full_matrix_error(ckpt) == want
     for result in run_both(trained, ckpt):
+        assert result == (1, "", want)
+
+
+@pytest.mark.parametrize("types", [
+    lambda types: [1],
+    lambda types: [types[0], 1],
+    lambda types: None,
+    lambda types: dict.fromkeys(types, 1),
+    lambda types: "".join(types),
+], ids=["an-int", "a-path-and-an-int", "null", "an-object", "a-string"])
+def test_types_not_a_list_of_strings_is_one_error_line(trained, tmp_path, types):
+    # the forest is built only from a list of paths, as the vocabulary is
+    # read only from a list of words
+    ckpt = rewrite_meta(trained["checkpoint"], tmp_path / "bad.ckpt",
+                        lambda meta: meta.update(types=types(meta["types"])))
+    want = f"error: {ckpt}: types is not a list of strings\n"
+    for result in run_both(trained, ckpt) + [run_cli(["export-types",
+                                                      "--set", f"checkpoint={ckpt}"])]:
         assert result == (1, "", want)
 
 

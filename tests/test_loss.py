@@ -45,10 +45,10 @@ def flat_forest(k):
     return TypeForest([f"/t{i}" for i in range(k)])
 
 
-def one_row_loss(p, labels, forest, mode="standard", params=None, lam=0.0):
+def one_row_loss(p, labels, forest, params=None, lam=0.0):
     """The batched objective on a batch of one: mean NLL plus the L2 term."""
     nll, _ = mean_nll(np.array([p], dtype=np.float64), [mention(labels, forest)],
-                      LossConfig(mode=mode), forest)
+                      LossConfig(), forest)
     return nll + l2_penalty(params if params is not None else ParamSet(), lam)[0]
 
 
@@ -219,20 +219,20 @@ def test_select_candidate_empty_rejected():
 
 
 def test_variant_equals_standard_on_singleton():
+    # on one candidate the selecting loss is standard cross-entropy, which is
+    # all an (f) variant's filtered corpus asks of it
     rng = make_rng(3)
     for _ in range(50):
         p = rng.uniform(0.01, 1.0, size=5)
         p /= p.sum()
-        gold = [f"/t{int(rng.integers(5))}"]
-        a = one_row_loss(p, gold, flat_forest(5), mode="variant")
-        b = one_row_loss(p, gold, flat_forest(5), mode="standard")
-        assert abs(a - b) <= 1e-12
+        gold = int(rng.integers(5))
+        a = one_row_loss(p, [f"/t{gold}"], flat_forest(5))
+        assert abs(a + math.log(p[gold])) <= 1e-12
 
 
 def test_variant_worked_example():
     # candidates /organization (0) and /person (1)
-    loss = one_row_loss([0.7, 0.2, 0.1], ["/organization", "/person"], PERSON,
-                        mode="variant")
+    loss = one_row_loss([0.7, 0.2, 0.1], ["/organization", "/person"], PERSON)
     assert loss == pytest.approx(-math.log(0.7), abs=1e-15)
 
 
@@ -243,8 +243,7 @@ def test_variant_is_minimum_over_candidates():
         p /= p.sum()
         k = int(rng.integers(1, 7))
         cand = sorted(rng.choice(6, size=k, replace=False).tolist())
-        got = one_row_loss(p, [f"/t{c}" for c in cand], flat_forest(6),
-                           mode="variant")
+        got = one_row_loss(p, [f"/t{c}" for c in cand], flat_forest(6))
         best = min(-math.log(p[c]) for c in cand)
         assert got == pytest.approx(best, abs=1e-12)
 
@@ -257,7 +256,7 @@ def rows_for(*dists):
 
 
 def test_mean_nll_single_row_matches_cross_entropy():
-    config = LossConfig(mode="standard")
+    config = LossConfig()
     m = mention(["/person"], PERSON)
     got, _ = mean_nll(rows_for([0.2, 0.5, 0.3]), [m], config, PERSON)
     assert PERSON.index("/person") == 1
@@ -265,7 +264,7 @@ def test_mean_nll_single_row_matches_cross_entropy():
 
 
 def test_mean_nll_duplicated_row_unchanged():
-    config = LossConfig(mode="standard")
+    config = LossConfig()
     m = mention(["/person"], PERSON)
     one, _ = mean_nll(rows_for([0.2, 0.5, 0.3]), [m], config, PERSON)
     two, _ = mean_nll(rows_for([0.2, 0.5, 0.3], [0.2, 0.5, 0.3]), [m, m],
@@ -274,7 +273,7 @@ def test_mean_nll_duplicated_row_unchanged():
 
 
 def test_mean_nll_mixed_batch_is_plain_average():
-    config = LossConfig(mode="standard")
+    config = LossConfig()
     batch = [mention(["/person"], PERSON), mention(["/organization"], PERSON)]
     probs = rows_for([0.2, 0.5, 0.3], [0.25, 0.5, 0.25])
     got, _ = mean_nll(probs, batch, config, PERSON)
@@ -282,19 +281,22 @@ def test_mean_nll_mixed_batch_is_plain_average():
     assert got == pytest.approx(want, abs=1e-15)
 
 
-def test_mean_nll_standard_rejects_multiple_terminals():
-    # standard mode is the (f) variants', which train on the filtered corpus:
-    # a mention with two candidate terminals never reaches it
+def test_filtered_variants_train_on_one_candidate():
+    # the (f) variants train on the filtered corpus: a mention with two
+    # candidate terminals never reaches their loss, which on the one
+    # candidate left is cross-entropy against it
     noisy = mention(["/person", "/organization"], PERSON)
     single = mention(["/person/athlete"], PERSON)
     for name in ("NFETC(f)", "NFETC-hier(f)"):
-        choice, config = select_variant(name)
-        assert config.mode == "standard"
+        choice, config = select_variant(name, beta=0.4)
         assert training_corpus(Corpus([noisy, single]), choice, PERSON) == [single]
+        athlete = (0.2 + 0.4 * 0.3) / 1.12 if config.hier else 0.2
+        got, _ = mean_nll(rows_for([0.5, 0.3, 0.2]), [single], config, PERSON)
+        assert got == pytest.approx(-math.log(athlete), abs=1e-14)
 
 
 def test_mean_nll_variant_selects_per_row():
-    config = LossConfig(mode="variant")
+    config = LossConfig()
     noisy = mention(["/person", "/organization"], PERSON)  # candidates {0, 1}
     got, _ = mean_nll(rows_for([0.2, 0.5, 0.3]), [noisy], config, PERSON)
     assert got == pytest.approx(-math.log(0.5), abs=1e-15)
@@ -303,7 +305,7 @@ def test_mean_nll_variant_selects_per_row():
 
 
 def test_mean_nll_hier_reads_adjusted_rows():
-    config = LossConfig(mode="standard", beta=0.4, hier=True)
+    config = LossConfig(beta=0.4, hier=True)
     m = mention(["/person/athlete"], PERSON)
     got, _ = mean_nll(rows_for([0.2, 0.5, 0.3]), [m], config, PERSON)
     assert got == pytest.approx(-math.log(0.5 / 1.2), abs=1e-14)
@@ -317,14 +319,14 @@ def test_selection_source_switch():
     noisy = mention(["/person/athlete", "/organization"], forest)
     probs = rows_for([0.38, 0.32, 0.30])
 
-    config = LossConfig(mode="variant", beta=1.0, hier=True)
+    config = LossConfig(beta=1.0, hier=True)
     q = np.array([0.38, 0.32, 0.62]) / 1.32
     got, _ = mean_nll(probs, [noisy], config, forest)
     assert got == pytest.approx(-math.log(q[2]), abs=1e-14)
 
 
 def test_mean_nll_floors_zero_rows():
-    config = LossConfig(mode="standard")
+    config = LossConfig()
     m = mention(["/person"], PERSON)
     got, _ = mean_nll(rows_for([1.0, 0.0, 0.0]), [m], config, PERSON)
     assert got == pytest.approx(-math.log(PROB_FLOOR), abs=1e-9)
@@ -358,7 +360,7 @@ def test_cross_entropy_rejects_rows(monkeypatch):
 
 def test_batch_loss_adds_one_l2_term():
     params = make_params([[3.0]])
-    config = LossConfig(mode="standard", lam=0.01)
+    config = LossConfig(lam=0.01)
     m = mention(["/person"], PERSON)
     probs = rows_for([0.2, 0.5, 0.3], [0.2, 0.5, 0.3])
     got = mean_nll(probs, [m, m], config, PERSON)[0] + l2_penalty(params, config.lam)[0]
@@ -389,7 +391,7 @@ def test_inference_adjust_applies_when_asked():
 @pytest.mark.parametrize("kwargs,message", [
     ({"lam": -0.1}, "lam"),
     ({"beta": -0.4}, "beta"),
-    ({"mode": "fancy"}, "mode"),
+    ({"lam": -math.inf}, "lam"),
     ({"lam": math.nan}, "lam"),
     ({"lam": math.inf}, "lam"),
     ({"beta": math.nan}, "beta"),
@@ -415,38 +417,36 @@ def logits_loss(logits, batch, config, forest):
     return nll + l2, x.grad + dict(d_l2).get("logits", 0.0)
 
 
-def gradcheck_batch(forest, mode, rng, size=3):
-    """Random mentions over ``forest``: one gold type each in standard mode,
-    up to three candidate labels in variant mode."""
+def gradcheck_batch(forest, rng, size=3, most=3):
+    """Random mentions over ``forest``, each of one to ``most`` candidate labels."""
     types = forest.types()
-    if mode == "standard":
-        return [mention([types[int(rng.integers(len(types)))]], forest)
-                for _ in range(size)]
-    return [mention(rng.choice(types, size=int(rng.integers(1, min(3, len(types)) + 1)),
+    return [mention(rng.choice(types, size=int(rng.integers(1, min(most, len(types)) + 1)),
                                replace=False).tolist(), forest)
             for _ in range(size)]
 
 
+# one case per (lam, beta, hier); beta without hier and hier at beta 0
+# adjust nothing
 @pytest.mark.parametrize("config", [
-    LossConfig(mode="standard"),
-    LossConfig(mode="standard", lam=0.01),
-    LossConfig(mode="standard", beta=0.4, hier=True),
-    LossConfig(mode="variant", beta=0.4, hier=True, lam=0.01),
-] + [LossConfig(mode=mode, beta=beta, hier=True)
-     for mode in ("standard", "variant") for beta in (0.4, 1.0)])
+    LossConfig(),
+    LossConfig(lam=0.01),
+    LossConfig(beta=0.4, hier=True),
+    LossConfig(beta=0.4, hier=True, lam=0.01),
+    LossConfig(beta=1.0, hier=True),
+    LossConfig(beta=1.0, hier=True, lam=0.01),
+    LossConfig(beta=0.4),
+    LossConfig(hier=True, lam=0.01),
+])
 def test_loss_gradient_matches_finite_differences(config):
     forest = PERSON
-    if config.mode == "variant":
-        batch = [mention(["/person", "/organization"], forest),
-                 mention(["/person/athlete"], forest)]
-    else:
-        batch = [mention(["/person"], forest),
-                 mention(["/person/athlete"], forest)]
+    batch = [mention(["/person", "/organization"], forest),
+             mention(["/person"], forest),
+             mention(["/person/athlete"], forest)]
     rng = make_rng(5)
     cases = [(forest, batch)]
     for _ in range(4):
         forest = TypeForest(random_forest_paths(rng, max_types=8, max_depth=3))
-        cases.append((forest, gradcheck_batch(forest, config.mode, rng)))
+        cases.append((forest, gradcheck_batch(forest, rng)))
     for forest, batch in cases:
         logits = rng.normal(size=(len(batch), len(forest)))
         _, grad = logits_loss(logits, batch, config, forest)
@@ -476,7 +476,7 @@ def test_mean_nll_gradient_is_minus_one_over_p_over_batch():
 
 @pytest.mark.parametrize("config,organization", [
     (LossConfig(), 0.5),
-    (LossConfig(mode="variant", beta=0.4, hier=True), 0.5 / 1.1),
+    (LossConfig(beta=0.4, hier=True), 0.5 / 1.1),
 ], ids=["plain", "hier"])
 def test_mean_nll_floor_blocks_gradient(config, organization):
     # a gold entry at or below the floor adds -log(PROB_FLOOR) and passes no
@@ -506,14 +506,16 @@ def test_mean_nll_renormalization_gradient():
     assert np.allclose(grad, want, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("mode", ["standard", "variant"])
-def test_hier_beta_zero_is_the_plain_pick(mode):
+# "standard": one candidate per mention, the filtered corpus of an (f)
+# variant; "variant": one to three candidates, the raw corpus of an (r) variant
+@pytest.mark.parametrize("most", [1, 3], ids=["standard", "variant"])
+def test_hier_beta_zero_is_the_plain_pick(most):
     rng = make_rng(11)
     forest = TypeForest(random_forest_paths(rng, max_types=12))
-    batch = gradcheck_batch(forest, mode, rng, size=5)
-    rows = rng.dirichlet(np.ones(len(forest)), size=5)
-    plain = probs_grad(rows, batch, LossConfig(mode=mode), forest)
-    hier = probs_grad(rows, batch, LossConfig(mode=mode, hier=True, beta=0.0), forest)
+    batch = gradcheck_batch(forest, rng, size=8, most=most)
+    rows = rng.dirichlet(np.ones(len(forest)), size=8)
+    plain = probs_grad(rows, batch, LossConfig(), forest)
+    hier = probs_grad(rows, batch, LossConfig(hier=True, beta=0.0), forest)
     assert plain[0] == hier[0]
     assert np.array_equal(plain[1], hier[1])
 

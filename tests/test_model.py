@@ -427,7 +427,7 @@ def test_forward_batch_objective_matches_single_mention_sum():
     # keep = 1: the packed batch must equal one mention at a time exactly,
     # in the objective and in every parameter gradient
     model = make_model(seed=13)
-    config = LossConfig(lam=0.01, beta=0.4, mode="variant", hier=True)
+    config = LossConfig(lam=0.01, beta=0.4, hier=True)
     batch = [triple(["dog", "ran"], 0, 1, ("/c",)),
              triple(["the", "cat", "sat", "on"], 1, 2, ("/a/b", "/c")),
              triple(["mat"], 0, 1, ("/a", "/a/b")),
@@ -459,7 +459,7 @@ def test_forward_bucket_matches_the_tape_network():
     # gradchecked tape ops: probabilities, objective and every gradient
     model = make_model(seed=17)
     forest = make_forest()
-    config = LossConfig(lam=0.0, beta=0.4, mode="variant", hier=True)
+    config = LossConfig(lam=0.0, beta=0.4, hier=True)
     batch = [triple(["the", "cat", "sat", "on", "mat", "big"], 0, 1, ("/a/b", "/c")),
              triple(["mat"], 0, 1, ("/c",)),                  # a 1-token context
              triple(["dog", "zzz", "ran", "qq"], 2, 4, ("/a",)),
@@ -492,7 +492,7 @@ def test_forward_bucket_matches_the_tape_network():
 def test_float32_training_step_tracks_float64(monkeypatch):
     # the same masks and weights: float32 LSTMs move the objective, the
     # probabilities and every parameter gradient by float32 rounding only
-    config = LossConfig(lam=0.01, beta=0.4, mode="variant", hier=True)
+    config = LossConfig(lam=0.01, beta=0.4, hier=True)
     batch = [triple(["dog", "ran"], 0, 1, ("/c",)),
              triple(["the", "cat", "sat", "on", "mat", "big", "red"], 1, 3, ("/a/b", "/c")),
              triple(["mat"], 0, 1, ("/a", "/a/b")),
@@ -545,7 +545,7 @@ def test_tape_size_does_not_grow_with_batch(monkeypatch):
     # a step runs three LSTM calls at any batch size: the two context LSTMs
     # with a dx for the position block, and the mention LSTM with none
     model = make_model(p_i=0.7, p_o=0.9)
-    config = LossConfig(mode="variant")
+    config = LossConfig()
     big = ragged_batch(make_rng(6), 64, 8, VOCAB + ["zzz"], ("/a", "/c"))
     assert len({(len(m.tokens), m.end - m.start) for m in big}) > 10
     small = recorded_lstms(monkeypatch, model, big[:4], config)
@@ -559,7 +559,7 @@ def traced_step(model, batch):
     tracemalloc.start()
     try:
         probs, _, backward = model.forward_bucket(batch, train=True, rng=make_rng(3))
-        _, d_probs = mean_nll(probs, batch, LossConfig(mode="variant"), make_forest())
+        _, d_probs = mean_nll(probs, batch, LossConfig(), make_forest())
         held = tracemalloc.get_traced_memory()[0]
         backward(d_probs)
         return held, tracemalloc.get_traced_memory()[1]
@@ -644,7 +644,7 @@ def test_gradients_do_not_alias_parameters():
     # first gradients are kept without a copy; none may share a parameter's memory
     model = make_model(p_i=0.7, p_o=0.9)
     batch = [T4, triple(["dog", "ran"], 0, 1), triple(["mat"], 0, 1)]
-    _, _, grads = step(model, batch, LossConfig(mode="variant", lam=0.01), make_rng(5))
+    _, _, grads = step(model, batch, LossConfig(lam=0.01), make_rng(5))
     assert set(grads) == {name for name, _ in model.params.items()}
     for name, grad in grads.items():
         for other, value in model.params.items():

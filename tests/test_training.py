@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -65,21 +66,22 @@ def small_hp(**overrides) -> HyperParams:
 
 
 def test_select_variant_all_four():
+    # the four share one loss: the corpus choice and hier are all a name sets
     choice, cfg = select_variant("NFETC(f)", lam=0.1, beta=0.4)
     assert choice == "filtered"
-    assert (cfg.mode, cfg.hier, cfg.lam, cfg.beta) == ("standard", False, 0.1, 0.4)
+    assert cfg == LossConfig(lam=0.1, beta=0.4, hier=False)
 
     choice, cfg = select_variant("NFETC-hier(f)", beta=0.3)
     assert choice == "filtered"
-    assert (cfg.mode, cfg.hier) == ("standard", True)
+    assert cfg == LossConfig(beta=0.3, hier=True)
 
     choice, cfg = select_variant("NFETC(r)")
     assert choice == "raw"
-    assert (cfg.mode, cfg.hier) == ("variant", False)
+    assert cfg == LossConfig(hier=False)
 
     choice, cfg = select_variant("NFETC-hier(r)", hier_at_inference=True)
     assert choice == "raw"
-    assert (cfg.mode, cfg.hier) == ("variant", True)
+    assert cfg == LossConfig(hier=True, hier_at_inference=True)
     assert cfg.hier_at_inference
 
 
@@ -220,11 +222,18 @@ def test_train_rejects_empty_corpora():
 
 def test_train_divergence_aborts_with_context():
     # the gates squash an lr explosion back to finite probabilities, but the
-    # L2 term overflows on the blown-up weights and must abort the run
+    # blown-up weights leave the float32 range the LSTMs compute in, which is
+    # checked before each batch
     train_c, dev_c, emb, forest = make_world()
     _, config = select_variant("NFETC(f)", lam=0.001)
-    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="epoch"):
+    with np.errstate(over="ignore"), pytest.raises(
+            TrainingDiverged, match=r"outside the float32 range at epoch \d+, batch"):
         train(train_c, dev_c, emb, forest, small_hp(lr=1e300), config)
+    # an L2 weight near the float64 limit overflows the loss on the first batch
+    _, config = select_variant("NFETC(f)", lam=1e308)
+    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match=re.escape(
+            "non-finite loss at epoch 1, batch starting at mention 0 (lr=0.01, seed=3)")):
+        train(train_c, dev_c, emb, forest, small_hp(), config)
 
 
 def embedding_text(words, matrix) -> str:
