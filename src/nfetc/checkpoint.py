@@ -4,26 +4,24 @@ Layout, all little-endian:
 
     NFETCCKPT 1\n          magic + format version
     <meta_len>\n           ASCII byte length of the JSON block
-    <meta JSON>            run metadata plus ordered tensor descriptors, padded
-                           with trailing spaces to end at a multiple of 8 bytes
+    <meta JSON>            run metadata plus ordered tensor descriptors
     <tensor bytes>         float64 C-order arrays, concatenated in meta order
 
 The writer is fully deterministic, so identical runs produce byte-identical
 files; the loader rejects truncation, trailing bytes, and non-finite values.
-Files written before the padding still load, and older readers load padded
-files, since ``json.loads`` skips the trailing spaces. This reader needs no
-alignment, but the padding stays: files stay byte-identical to earlier ones,
-and a reader that maps an aligned tensor can still map them.
+Files whose JSON block ends in spaces, as earlier writers padded it, load
+alike, since ``json.loads`` skips them.
 
-Each tensor is streamed: read in one pass through a buffer of at most
-``READ_BYTES``, which checks every value, into an array of its own. A
-trained tensor is read as it is met; a frozen one (``"trainable": false``)
-once every other check has passed, keeping the rows the caller asks for,
-every row unless ``load`` is given a ``rows`` function. Nothing is mapped,
-so a file that shrinks under a reader is a ``CheckpointError``, never a
-SIGBUS.
+A load checks a file in three stages: first its structure (the header
+and every descriptor against the file's size, no tensor byte read), then
+what the caller's ``rows`` function checks of the meta, then the values.
+Each tensor is streamed, in file order: read in one pass through a buffer
+of at most ``READ_BYTES``, which checks every value, into an array of its
+own, whole for a trained tensor and the rows the caller asks for of a
+frozen one (``"trainable": false``). Nothing is mapped, so a file that
+shrinks under a reader is a ``CheckpointError``, never a SIGBUS.
 
-``open_frozen`` checks a file of one frozen tensor in such a pass, keeping
+``open_frozen`` checks a file of one frozen tensor in such a load, keeping
 no row, and leaves the tensor in the file as a ``Frozen`` that holds the
 file open: a file renamed over it later changes nothing, and each later read
 (``Frozen.rows``, or ``save`` copying it into a new checkpoint) streams it
@@ -40,8 +38,7 @@ import weakref
 import numpy as np
 
 MAGIC = b"NFETCCKPT 1\n"
-ALIGN = 8   # bytes of one float64
-READ_BYTES = 1 << 20   # the buffer a frozen tensor is streamed through
+READ_BYTES = 1 << 20   # the buffer a tensor is streamed through
 
 
 class CheckpointError(ValueError):
@@ -49,15 +46,8 @@ class CheckpointError(ValueError):
 
 
 def header(blob: bytes) -> bytes:
-    """The magic, the meta-length line and the JSON ``blob`` with as many
-    trailing spaces as put the first tensor at a multiple of ``ALIGN``. A
-    space can add a digit to the length line, so the length is recounted."""
-    pad = 0
-    while True:
-        head = MAGIC + b"%d\n" % (len(blob) + pad) + blob + b" " * pad
-        if len(head) % ALIGN == 0:
-            return head
-        pad += 1
+    """The magic, the meta-length line and the JSON ``blob``."""
+    return MAGIC + b"%d\n" % len(blob) + blob
 
 
 def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> None:
@@ -90,12 +80,10 @@ def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> 
 
 def load(path: str, rows=None) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta block (its ``params`` list holds the descriptors) and each
-    tensor by name in file order, in its stored shape. Once every check that
-    needs no value of a frozen tensor has passed, ``rows(meta)``, when
-    given, returns the sorted row numbers to keep of each frozen tensor, or
-    None for all. Should ``rows`` or a check raise, the frozen tensors
-    before the fault are streamed first, so that a non-finite value among
-    them is reported first, as in file order."""
+    tensor by name in file order, in its stored shape. Once the file's
+    structure is checked, before any tensor byte is read, ``rows(meta)``,
+    when given, returns the sorted row numbers to keep of each frozen
+    tensor, or None for all; it may raise to refuse the meta."""
     with open(path, "rb") as f:
         meta, tensors, _ = _read(f, path, rows)
     return meta, tensors
@@ -107,21 +95,24 @@ def open_frozen(path: str) -> tuple[dict, "Frozen"]:
     ``load`` is made, the tensor's values read in one streamed pass that
     keeps none of them; the returned ``Frozen`` holds the descriptor that
     pass read through."""
+    def rows(meta):   # before any tensor byte is read
+        if [e["trainable"] for e in meta["params"]] != [False]:
+            raise CheckpointError(f"{path}: holds other than one frozen tensor")
+        return np.empty(0, dtype=np.intp)
+
     fd = os.open(path, os.O_RDONLY)
     try:
         with open(fd, "rb", closefd=False) as f:
-            meta, tensors, streamed = _read(f, path, lambda meta: np.empty(0, dtype=np.intp))
-        if len(tensors) != 1 or len(streamed) != 1:
-            raise CheckpointError(f"{path}: holds other than one frozen tensor")
+            meta, _, (frozen,) = _read(f, path, rows)
     except BaseException:
         os.close(fd)
         raise
-    return meta, Frozen(fd, path, *streamed[0])
+    return meta, Frozen(fd, path, *frozen)
 
 
 def _read(f, path: str, rows):
     """``load`` of the open file ``f``, plus the (name, shape, offset,
-    largest absolute value) of each frozen tensor streamed."""
+    largest absolute value) of each frozen tensor."""
     if f.read(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     line = f.readline()
@@ -149,42 +140,34 @@ def _read(f, path: str, rows):
     entries = meta.get("params")
     if not isinstance(entries, list):
         raise CheckpointError(f"{path}: meta lacks the parameter list")
-    tensors: dict[str, np.ndarray | None] = {}
-    streamed = []   # (name, shape, offset) of each frozen tensor
-    try:
-        for e in entries:
-            if not (isinstance(e, dict) and isinstance(e.get("name"), str)
-                    and isinstance(e.get("trainable"), bool)
-                    and isinstance(e.get("shape"), list)
-                    and all(type(n) is int and n >= 0 for n in e["shape"])):
-                raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
-            name, shape, at = e["name"], tuple(e["shape"]), f.tell()
-            if name in tensors:
-                raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
-            nbytes = math.prod(shape) * 8
-            # before allocating: no shape may ask for more memory than the file holds
-            if nbytes > size - at:
-                raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            if any(n > size for n in shape):   # passed the bound beside a 0; numpy refuses it
-                raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
-            if e["trainable"]:
-                tensors[name] = _stream(f, path, name, shape, at, None)[0]
-            else:
-                streamed.append((name, shape, at))
-                tensors[name] = None   # holds its place in file order
-                f.seek(at + nbytes)
-        if trailing := size - f.tell():
-            raise CheckpointError(f"{path}: {trailing} trailing bytes")
-        keep = None if rows is None else rows(meta)
-    except Exception:
-        for name, shape, at in streamed:
-            _stream(f, path, name, shape, at, np.empty(0, dtype=np.intp))
-        raise
-    found = []
-    for name, shape, at in streamed:
-        tensors[name], top = _stream(f, path, name, shape, at, keep)
-        found.append((name, shape, at, top))
-    return meta, tensors, found
+    layout = {}   # name -> (trainable, shape, offset), in file order
+    at = f.tell()
+    for e in entries:
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("trainable"), bool)
+                and isinstance(e.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in e["shape"])):
+            raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
+        name, shape = e["name"], tuple(e["shape"])
+        if name in layout:
+            raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
+        nbytes = math.prod(shape) * 8
+        # so that no shape asks for more memory than the file holds
+        if nbytes > size - at:
+            raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        if any(n > size for n in shape):   # passed the bound beside a 0; numpy refuses it
+            raise CheckpointError(f"{path}: malformed parameter descriptor {e!r}")
+        layout[name] = e["trainable"], shape, at
+        at += nbytes
+    if trailing := size - at:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes")
+    keep = None if rows is None else rows(meta)
+    tensors, frozen = {}, []
+    for name, (trainable, shape, at) in layout.items():
+        tensors[name], top = _stream(f, path, name, shape, at, None if trainable else keep)
+        if not trainable:
+            frozen.append((name, shape, at, top))
+    return meta, tensors, frozen
 
 
 def _stream(f, path: str, name: str, shape: tuple, at: int,

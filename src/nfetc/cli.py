@@ -30,8 +30,8 @@ DATA_ROOT_VAR = "NFETC_DATA_ROOT"
 
 # The one settings table, in --help order: each config key's type, its
 # FIGER and OntoNotes defaults, the HyperParams or LossConfig field it fills
-# (None for a path or a key only the CLI reads) and its help text. bool
-# values accept true/false, 1/0, yes/no, on/off.
+# (None for a path, a key only the CLI reads, or the seed list) and its help
+# text. bool values accept true/false, 1/0, yes/no, on/off.
 KEYS: dict[str, tuple[type, object, object, str | None, str]] = {
     "lr": (float, 0.0002, 0.0002, "lr", "Adam learning rate"),
     "dp": (int, 85, 20, "d_p", "position embedding size"),
@@ -44,11 +44,10 @@ KEYS: dict[str, tuple[type, object, object, str | None, str]] = {
     "batch": (int, 512, 512, "batch", "mini-batch size"),
     "epochs": (int, 50, 50, "epochs", "maximum training epochs"),
     "patience": (int, 5, 5, "patience", "epochs without dev improvement before stopping"),
-    "seed": (int, 1, 1, "seed", "run seed"),
-    "seeds": (str, "", "", None, "comma-separated seeds; one run per seed, aggregated"),
+    "seed": (str, "1", "1", None, "run seed, or comma-separated seeds: one run each, aggregated"),
     "variant": (str, "NFETC-hier(r)", "NFETC-hier(r)", None, "one of " + ", ".join(VARIANTS)),
     "dev_fraction": (float, 0.1, 0.1, None, "share of the test corpus carved off as dev"),
-    "dev_seed": (int, 2014, 2014, None, "dev-split seed, fixed across the seeds list"),
+    "dev_seed": (int, 2014, 2014, None, "dev-split seed, fixed across the run seeds"),
     "hier_inference": (bool, False, False, "hier_at_inference",
                        "apply the hierarchy adjustment before prediction"),
     "per_type": (bool, False, False, None, "eval: also print per-type strict accuracy"),
@@ -161,8 +160,17 @@ def _fields(cfg: dict, cls) -> dict:
     return {field: cfg[key] for key, (*_, field, _) in KEYS.items() if field in names}
 
 
+def _seeds(cfg: dict) -> list[int]:
+    """The run seeds ``seed`` lists, one or more, comma-separated."""
+    seeds = [s.strip() for s in cfg["seed"].split(",")]
+    if not all(map(str.isdecimal, seeds)):
+        raise CliError(2, f"seed expects comma-separated integers >= 0, got {cfg['seed']!r}")
+    return [int(s) for s in seeds]
+
+
 def _hyperparams(cfg: dict) -> HyperParams:
-    return HyperParams(**_fields(cfg, HyperParams))
+    """The hyperparameters of the run at the first seed."""
+    return HyperParams(**_fields(cfg, HyperParams), seed=_seeds(cfg)[0])
 
 
 def _emit(text: str, path: str, echo: bool = False) -> None:
@@ -183,18 +191,10 @@ def _of(path: str, step, *args):
         raise CorpusError(f"{path}: {e}") from None
 
 
-def _parse_seeds(text: str) -> list[int]:
-    seeds = [s.strip() for s in text.split(",") if s.strip() != ""]
-    if not all(map(str.isdecimal, seeds)):
-        raise CliError(2, f"seeds expects comma-separated integers >= 0, got {text!r}")
-    return [int(s) for s in seeds]
-
-
 def cmd_train(cfg: dict) -> int:
     # the settings first, so a bad one is reported before any file is read
     choice, loss_cfg = select_variant(cfg["variant"], **_fields(cfg, LossConfig))
-    hp = _hyperparams(cfg)
-    seeds = _parse_seeds(cfg["seeds"]) or [hp.seed]
+    hp, seeds = _hyperparams(cfg), _seeds(cfg)
     if not 0.0 < cfg["dev_fraction"] < 1.0:
         raise ValueError(f"dev fraction must be in (0, 1), got {cfg['dev_fraction']}")
     if cfg["dev_seed"] < 0:
@@ -366,6 +366,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except MemoryError as e:   # a setting too large for this machine's memory
+        print(f"error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
+        return 1
     except (ForestError, CorpusError, EmbeddingError, CheckpointError,
             TrainingDiverged, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -330,11 +330,11 @@ def load_checkpoint(path: str, wanted=None) -> Restored:
     numbers.
 
     The word matrix is read once, each value checked. Without ``wanted``
-    every row is kept. With it, once every check that needs no word vector
-    has passed, ``wanted(forest, hp)`` of the stored forest and
-    hyperparameters returns the set of words the model will look up (those
-    of an input it parses then, say), and only their rows are kept: the
-    model predicts as it would with the whole matrix."""
+    every row is kept. With it, once the file's structure and the stored
+    settings are checked, before any tensor is read, ``wanted(forest, hp)``
+    returns the set of words the model will look up (those of an input it
+    parses then, say), and only their rows are kept: the model predicts as
+    it would with the whole matrix."""
     stored, keep = None, None
 
     def rows(meta):

@@ -9,8 +9,7 @@ from nfetc.checkpoint import MAGIC, header, load, save
 def rewrite_meta(src, dst, edit):
     """Copy checkpoint ``src`` to ``dst`` with its meta (the parameter
     descriptors included) changed in place by the function ``edit``, or with
-    ``edit`` itself, any other JSON value, in its place; returns ``dst``. The
-    JSON block is padded as ``save`` pads it, so the tensors stay aligned."""
+    ``edit`` itself, any other JSON value, in its place; returns ``dst``."""
     meta, tensors = load(src)
     nbytes = sum(a.nbytes for a in tensors.values())
     del tensors   # only their size is needed below
@@ -23,6 +22,17 @@ def rewrite_meta(src, dst, edit):
     with open(dst, "wb") as fh:
         fh.write(header(json.dumps(meta).encode("utf-8")) + raw[len(raw) - nbytes:])
     return dst
+
+
+def padded_header(blob: bytes) -> bytes:
+    """``header(blob)`` as writers before the unpadded one wrote it: the JSON
+    ``blob`` with as many trailing spaces as put the first tensor at a
+    multiple of 8 bytes. A space can add a digit to the length line, so the
+    length is recounted."""
+    pad = 0
+    while len(head := header(blob + b" " * pad)) % 8:
+        pad += 1
+    return head
 
 
 def rewrite_params(src, dst, edit):

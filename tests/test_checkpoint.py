@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ckptedit import rewrite_meta, rewrite_params
+from ckptedit import padded_header, rewrite_meta, rewrite_params
 from nfetc import training as training_module
 from nfetc.checkpoint import MAGIC, READ_BYTES, CheckpointError, header, load, save
 from nfetc.corpus import MentionTriple
@@ -231,19 +231,21 @@ def test_load_rejects_non_finite_values(tmp_path):
 
 def framed(meta: dict, tensors: bytes, aligned: bool) -> bytes:
     """``meta`` and ``tensors`` with the first tensor at a multiple of 8
-    bytes, as ``save`` writes them, or one space later, off that grid."""
-    head = header(json.dumps(meta).encode("utf-8"))
+    bytes, as writers before the unpadded one put it, or one space later,
+    off that grid."""
+    head = padded_header(json.dumps(meta).encode("utf-8"))
     if not aligned:
-        blob = head[head.index(b"\n", len(MAGIC)) + 1:] + b" "
-        head = MAGIC + b"%d\n" % len(blob) + blob
+        head = header(head[head.index(b"\n", len(MAGIC)) + 1:] + b" ")
     assert (len(head) % 8 == 0) == aligned
     return head + tensors
 
 
-def test_header_pads_the_json_block_to_a_multiple_of_8():
+def test_header_adds_no_padding_and_a_padded_block_still_loads(tmp_path):
     for n in range(1, 2100):
         blob = b"{" + b"0" * (n - 2) + b"}" if n > 1 else b"0"
-        head = header(blob)
+        assert header(blob) == MAGIC + b"%d\n" % n + blob, n
+        # the old layout, as ``padded_header`` writes it
+        head = padded_header(blob)
         length, rest = head[len(MAGIC):].split(b"\n", 1)
         assert len(head) % 8 == 0, n
         # the padding may add a digit to the length line, which is recounted
@@ -251,6 +253,20 @@ def test_header_pads_the_json_block_to_a_multiple_of_8():
         # and no fewer spaces would align it
         assert all((len(MAGIC) + len(str(n + k)) + 1 + n + k) % 8
                    for k in range(len(rest) - n))
+    # a file whose block is padded so loads as the one ``save`` wrote
+    path = tmp_path / "model.ckpt"
+    save(path, {"k": 1}, sample_tensors())
+    raw = path.read_bytes()
+    length_end = raw.index(b"\n", len(MAGIC))
+    blob_end = length_end + 1 + int(raw[len(MAGIC):length_end])
+    assert blob_end % 8   # so the old writer would have padded it
+    padded = write_raw(tmp_path / "padded.ckpt",
+                       padded_header(raw[length_end + 1:blob_end]) + raw[blob_end:])
+    assert len(padded.read_bytes()) > len(raw)
+    (meta, tensors), (padded_meta, padded_tensors) = load(path), load(padded)
+    assert padded_meta == meta and list(padded_tensors) == list(tensors)
+    for name, a in tensors.items():
+        assert padded_tensors[name].tobytes() == a.tobytes(), name
 
 
 def test_frozen_tensor_is_read_into_an_array_of_its_own(tmp_path):
@@ -268,9 +284,8 @@ def test_frozen_tensor_is_read_into_an_array_of_its_own(tmp_path):
                          ids=["scalar", "empty", "vector", "empty-rows", "no-rows", "several-reads"])
 def test_unaligned_frozen_tensor_is_read(tmp_path, shape):
     # each frozen tensor loads whole, with its exact shape and bytes, at the
-    # multiple of 8 bytes ``save`` puts it at and off that grid, as a file
-    # written before the padding holds it; the last shape takes three reads
-    # of the load's buffer and part of a fourth
+    # multiple of 8 bytes earlier writers put it at and off that grid; the
+    # last shape takes three reads of the load's buffer and part of a fourth
     values = make_rng(3).normal(size=shape)
     for aligned in (True, False):
         meta = {"params": [{"name": "word_emb", "trainable": False, "shape": list(shape)}]}
@@ -327,9 +342,9 @@ def test_load_with_rows_keeps_those_rows_and_maps_nothing(tmp_path, monkeypatch)
         load(path, lambda meta: pytest.fail("rows asked"))
 
 
-# "mapped" names the aligned layout, which readers before the streamed one
-# mapped; both layouts are now read, and give the same messages
-@pytest.mark.parametrize("aligned", [False, True], ids=["read", "mapped"])
+# "padded" names the aligned layout earlier writers padded the JSON block to,
+# which readers before the streamed one mapped; both give the same messages
+@pytest.mark.parametrize("aligned", [False, True], ids=["read", "padded"])
 @pytest.mark.parametrize("case,shape,values,message", [
     ("size-bound", [2], [1.0], "truncated tensor 'word_emb'"),
     ("short-read", [2], [1.0], "truncated tensor 'word_emb'"),
@@ -569,9 +584,10 @@ def test_model_sizes_come_from_the_tensors(tmp_path, monkeypatch):
 
 # -- format version 1, pinned --------------------------------------------------
 
-# model.ckpt was written before the writer padded the JSON block, so its
+# model.ckpt was written before writers padded the JSON block, so its
 # tensors sit off the 8-byte grid; padded.ckpt holds the same run as the
-# writer writes it now, every tensor on that grid. Both are read alike
+# writer writes it now. Its block ends on that grid as it is, so a padding
+# writer adds no space to it either. Both are read alike
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "ckpt_v1", "model.ckpt")
 PADDED_FIXTURE = os.path.join(os.path.dirname(V1_FIXTURE), "padded.ckpt")
 
@@ -603,8 +619,8 @@ def test_version_1_checkpoint_bytes_are_pinned(tmp_path):
     # the two fixtures differ only in the five keys the writer no longer
     # writes (the hyperparams' copies of lam and beta, which the loss config
     # holds, and the training switches dropout_mention, select_on_adjusted
-    # and mode), the meta length and the spaces that end the JSON block on a
-    # multiple of 8 (none for this block, which ends on one as it is)
+    # and mode) and the meta length; the writer adds no space after the
+    # block, which ends on a multiple of 8 as it is
     def parts(raw):
         length, rest = raw[len(MAGIC):].split(b"\n", 1)
         return int(length), rest[:int(length)], rest[int(length):]
@@ -617,7 +633,8 @@ def test_version_1_checkpoint_bytes_are_pinned(tmp_path):
                     b', "mode": "standard"', b', "select_on_adjusted": true'):
         assert kept.count(dropped) == 1
         kept = kept.replace(dropped, b"")
-    assert new_len >= len(kept) and new_blob == kept + b" " * (new_len - len(kept))
+    assert new_len == len(kept) and new_blob == kept
+    assert padded_header(new_blob) == header(new_blob)
     old, new = json.loads(old_blob), json.loads(new_blob)
     assert set(old["hyperparams"]) - set(new["hyperparams"]) == {"lam", "beta", "dropout_mention"}
     assert set(old["loss_config"]) - set(new["loss_config"]) == {"select_on_adjusted", "mode"}

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ckptedit import rewrite_meta, rewrite_meta_length, rewrite_params
+from nfetc import checkpoint as checkpoint_module
 from nfetc import cli as cli_module
 from nfetc.checkpoint import MAGIC, READ_BYTES, CheckpointError, header, save
 from nfetc.checkpoint import load as checkpoint_load
@@ -149,12 +150,11 @@ HELP_ROWS = [
     ("batch", "512", "512", "mini-batch size"),
     ("epochs", "50", "50", "maximum training epochs"),
     ("patience", "5", "5", "epochs without dev improvement before stopping"),
-    ("seed", "1", "1", "run seed"),
-    ("seeds", "-", "-", "comma-separated seeds; one run per seed, aggregated"),
+    ("seed", "1", "1", "run seed, or comma-separated seeds: one run each, aggregated"),
     ("variant", "NFETC-hier(r)", "NFETC-hier(r)",
      "one of NFETC(f), NFETC-hier(f), NFETC(r), NFETC-hier(r)"),
     ("dev_fraction", "0.1", "0.1", "share of the test corpus carved off as dev"),
-    ("dev_seed", "2014", "2014", "dev-split seed, fixed across the seeds list"),
+    ("dev_seed", "2014", "2014", "dev-split seed, fixed across the run seeds"),
     ("hier_inference", "false", "false", "apply the hierarchy adjustment before prediction"),
     ("per_type", "false", "false", "eval: also print per-type strict accuracy"),
     ("json", "false", "false", "stats/eval: also print the single-line JSON form"),
@@ -187,9 +187,10 @@ def test_each_setting_row_fills_one_field():
     assert not set(run) & set(loss)   # a field name says which settings it is in
     filled = [field for *_, field, _ in cli_module.KEYS.values() if field is not None]
     assert len(filled) == len(set(filled))   # no field is filled by two rows
-    # every HyperParams field has a row; the other rows fill LossConfig
-    # fields, all but the one the variant name sets
-    assert set(run) <= set(filled)
+    # every HyperParams field but seed has a row (the seed row is a list of
+    # seeds, the first of which ``_hyperparams`` fills it with); the other
+    # rows fill LossConfig fields, all but the one the variant name sets
+    assert set(run) - set(filled) == {"seed"} and cli_module.KEYS["seed"][3] is None
     assert set(filled) - set(run) == set(loss) - {"hier"}
     # a row's defaults are of its type, and so is its field
     for key, (kind, figer, ontonotes, field, _) in cli_module.KEYS.items():
@@ -270,9 +271,9 @@ def test_malformed_seeds_is_exit_2(world):
     code, _, err = run_cli(["train"] + FAST + [
         "--set", f"types={world['types']}", "--set", f"train={world['train']}",
         "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
-        "--set", "seeds=a,b"])
+        "--set", "seed=a,b"])
     assert code == 2
-    assert "comma-separated integers" in err
+    assert err == "error: seed expects comma-separated integers >= 0, got 'a,b'\n"
 
 
 def test_unknown_variant_is_reported(world):
@@ -312,13 +313,15 @@ def test_non_finite_setting_is_exit_1_without_a_checkpoint(world, tmp_path, sett
 @pytest.mark.parametrize("setting,exit_code,named", [
     ("pi=1.5", 1, "p_i must be in (0, 1], got 1.5"),
     ("variant=NFETC-x", 1, "unknown variant 'NFETC-x'"),
-    ("seeds=1,x", 2, "seeds expects comma-separated integers"),
+    ("seed=1,x", 2, "seed expects comma-separated integers"),
     ("dev_fraction=1.5", 1, "dev fraction must be in (0, 1), got 1.5"),
-    ("seed=-1", 1, "seed must be >= 0, got -1"),
+    ("seed=-1", 2, "seed expects comma-separated integers >= 0, got '-1'"),
     ("dev_seed=-1", 1, "dev_seed must be >= 0, got -1"),
-    ("seeds=1,-2", 2, "seeds expects comma-separated integers >= 0, got '1,-2'"),
+    ("seed=1,-2", 2, "seed expects comma-separated integers >= 0, got '1,-2'"),
+    ("seed=", 2, "seed expects comma-separated integers >= 0, got ''"),
+    ("seed=1,,2", 2, "seed expects comma-separated integers >= 0, got '1,,2'"),
 ], ids=["pi", "variant", "seeds", "dev_fraction", "seed-negative", "dev_seed-negative",
-        "seeds-negative"])
+        "seeds-negative", "seed-empty", "seeds-with-a-gap"])
 def test_train_checks_its_settings_before_reading_a_file(world, tmp_path, setting, exit_code,
                                                          named):
     bad = tmp_path / "bad.tsv"
@@ -507,7 +510,7 @@ def test_train_multi_seed_aggregate(world, tmp_path):
     argv = ["train"] + FAST + [
         "--set", f"types={world['types']}", "--set", f"train={world['train']}",
         "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
-        "--set", "epochs=1", "--set", "seeds=3,4", "--set", "seed=9",
+        "--set", "epochs=1", "--set", "seed=3, 4",
         "--set", f"checkpoint={ckpt}", "--set", f"log={tmp_path / 'log.txt'}"]
     code, out, err, results = run_cli_recording(argv, "run_multi")
     assert code == 0, err
@@ -528,8 +531,32 @@ def test_train_multi_seed_aggregate(world, tmp_path):
     other = runs[7 - best].best_values
     assert any(not np.array_equal(a, other[n]) for n, a in runs[best].best_values.items())
     assert_checkpoint_holds(str(ckpt), runs[best].best_values)
-    # and records that run's seed, not the config's seed=9
+    # and records that run's seed, whichever of the list it is
     assert load_checkpoint(str(ckpt)).hyperparams.seed == best
+    # the hyperparameters a seed list gives are those of its first run
+    assert cli_module._hyperparams(cli_module.build_config("figer", None, ["seed=5,2"])).seed == 5
+
+
+@pytest.mark.parametrize("error,line", [
+    (MemoryError("Unable to allocate 7.45 EiB for an array with shape (10**18,)"),
+     "error: out of memory: Unable to allocate 7.45 EiB for an array with shape (10**18,)\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy-message", "no-message"])
+def test_train_out_of_memory_is_one_error_line(world, tmp_path, monkeypatch, error, line):
+    # a setting such as window=1000000000 asks numpy for more memory than
+    # the machine has once the inputs are read; the run is stood in for
+    # here, since an overcommitting host may grant a real huge allocation
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_module, "run_multi", exhausted)
+    ckpt = tmp_path / "model.ckpt"
+    code, out, err = run_cli(["train"] + FAST + [
+        "--set", f"types={world['types']}", "--set", f"train={world['train']}",
+        "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
+        "--set", f"checkpoint={ckpt}"])
+    assert (code, out, err) == (1, "", line)
+    assert not ckpt.exists()
 
 
 def test_readme_quick_start_prints_what_the_readme_shows(tmp_path, monkeypatch):
@@ -775,6 +802,7 @@ def test_export_types_round_trips_weights(trained, tmp_path):
     lambda meta: meta["loss_config"].update(hier=1),
     lambda meta: meta["loss_config"].update(hier="false"),
     lambda meta: meta["loss_config"].update(lam=True),
+    lambda meta: meta["hyperparams"].update(seed=-1),
     (lambda meta: meta.update(vocab=[]),
      lambda values: values.update(word_emb=values["word_emb"][:0])),
 ], ids=["extra-hyperparam", "missing-loss-key", "descriptor-without-shape",
@@ -783,7 +811,7 @@ def test_export_types_round_trips_weights(trained, tmp_path):
         "meta-not-an-object", "hyperparams-not-an-object", "vocab-of-ints",
         "vocab-a-string", "vocab-with-an-int", "meta-length-negative",
         "meta-length-past-the-file", "window-a-float", "hier-an-int", "hier-a-string",
-        "lam-a-bool", "no-words"])
+        "lam-a-bool", "seed-negative", "no-words"])
 def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit):
     # ``edit`` changes the meta, or, as bytes, replaces the meta-length line;
     # a pair edits the tensors, then the meta
@@ -998,6 +1026,13 @@ def run_both(trained, ckpt, input_path=None):
             for command in ("predict", "eval")]
 
 
+def run_all(trained, ckpt, input_path=None):
+    """``run_both``, then (exit code, stdout, stderr) of ``nfetc
+    export-types`` on ``ckpt``, which reads no input."""
+    return run_both(trained, ckpt, input_path) + [
+        run_cli(["export-types", "--set", f"checkpoint={ckpt}"])]
+
+
 def test_padded_checkpoint_predicts_as_the_original(trained, tmp_path):
     # the fillers change nothing the test input looks up
     ckpt = padded(trained["checkpoint"], tmp_path / "padded.ckpt")
@@ -1019,7 +1054,7 @@ def test_unused_non_finite_word_vector_is_one_error_line(trained, tmp_path, valu
     ckpt = padded(trained["checkpoint"], tmp_path / "bad.ckpt", poison)
     want = f"error: {ckpt}: non-finite values in 'word_emb'\n"
     assert full_matrix_error(ckpt) == want
-    for result in run_both(trained, ckpt):
+    for result in run_all(trained, ckpt):
         assert result == (1, "", want)
 
 
@@ -1101,10 +1136,11 @@ def test_truncated_checkpoint_is_one_error_line(trained, tmp_path, cut, name):
 
 
 @pytest.mark.parametrize("fault", ["truncated-tensor", "bad-setting", "malformed-input"])
-def test_unused_non_finite_word_vector_is_reported_before_a_later_fault(trained, tmp_path,
-                                                                         fault):
-    # a load of the whole matrix checks it before every later tensor, the
-    # settings and the input; so does one that keeps only the input's rows
+def test_a_fault_found_before_the_values_is_reported_before_a_non_finite_word_vector(
+        trained, tmp_path, fault):
+    # a load checks the file's structure, then the stored settings, then the
+    # input, and only then reads a value, whichever rows of the matrix it
+    # keeps: all of them, the input's (eval, predict) or none (export-types)
     src = trained["checkpoint"]
     if fault == "bad-setting":
         src = rewrite_meta(src, tmp_path / "setting.ckpt",
@@ -1114,14 +1150,52 @@ def test_unused_non_finite_word_vector_is_reported_before_a_later_fault(trained,
     source = None
     if fault == "truncated-tensor":
         ckpt.write_bytes(ckpt.read_bytes()[:-8])
+        want = [f"error: {ckpt}: truncated tensor 'cls_b'\n"] * 3
+    elif fault == "bad-setting":
+        want = [f"error: {ckpt}: window must be >= 1, got 0\n"] * 3
+    else:
+        source = tmp_path / "bad.tsv"
+        source.write_text("0 9\tJordan\t/a\n")
+        # the input's fault, as the sound checkpoint reports it; export-types
+        # reads no input, so the word vector is its first fault
+        want = [err for _, _, err in run_both(trained, src, source)]
+        assert all(line.startswith(f"error: {source}:1: ") for line in want)
+        want.append(f"error: {ckpt}: non-finite values in 'word_emb'\n")
+    if source is None:
+        assert full_matrix_error(ckpt) == want[0]
+    assert run_all(trained, ckpt, source) == [(1, "", line) for line in want]
+
+
+@pytest.mark.parametrize("fault", ["bad-setting", "malformed-input", "none"])
+def test_no_tensor_byte_is_read_before_the_settings_and_the_input_are_checked(
+        trained, tmp_path, monkeypatch, fault):
+    # ``nfetc predict`` refuses a bad setting or input line without reading
+    # the word matrix (here one of two reads and a bit through the load's
+    # buffer) or any other tensor; a sound run streams each tensor once
+    src, source = trained["checkpoint"], trained["test"]
+    if fault == "bad-setting":
+        src = rewrite_meta(src, tmp_path / "setting.ckpt",
+                           lambda meta: meta["hyperparams"].update(window=0))
     elif fault == "malformed-input":
         source = tmp_path / "bad.tsv"
         source.write_text("0 9\tJordan\t/a\n")
-    want = f"error: {ckpt}: non-finite values in 'word_emb'\n"
-    if source is None:
-        assert full_matrix_error(ckpt) == want
-    for result in run_both(trained, ckpt, source):
-        assert result == (1, "", want)
+    ckpt = padded(src, tmp_path / "big.ckpt")
+    names = [e["name"] for e in checkpoint_load(ckpt)[0]["params"]]
+    real, streamed = checkpoint_module._stream, []
+
+    def counting(f, path, name, *args):
+        streamed.append(name)
+        return real(f, path, name, *args)
+
+    monkeypatch.setattr(checkpoint_module, "_stream", counting)
+    code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
+                              "--set", f"input={source}"])
+    if fault == "none":
+        assert (code, err) == (0, "") and out
+        assert streamed == names
+    else:
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert streamed == []
 
 
 def big_embeddings() -> WordEmbeddings:

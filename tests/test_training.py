@@ -405,8 +405,8 @@ def test_run_multi_single_seed_std_is_zero():
 
 
 def test_run_multi_requires_seeds(tmp_path, monkeypatch):
-    # ``nfetc train`` hands run_multi at least one seed: with ``seeds`` empty,
-    # the one run at ``seed`` (recorded)
+    # ``nfetc train`` hands run_multi at least one seed: ``seed`` of one
+    # number is the one run at that seed (recorded)
     seen, real = [], cli.run_multi
 
     def recording(seeds, *args, **kwargs):
@@ -419,7 +419,7 @@ def test_run_multi_requires_seeds(tmp_path, monkeypatch):
             "--set", f"train={synth / 'train.tsv'}", "--set", f"test={synth / 'train.tsv'}",
             "--set", f"embeddings={synth / 'embeddings.txt'}", "--set", "dp=2",
             "--set", "ds=3", "--set", "window=2", "--set", "epochs=1",
-            "--set", "seeds=", "--set", "seed=7", "--set", f"checkpoint={ckpt}"]
+            "--set", "seed=7", "--set", f"checkpoint={ckpt}"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert seen == [[7]]
