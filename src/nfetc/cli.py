@@ -19,12 +19,12 @@ from .checkpoint import CheckpointError
 from .corpus import CorpusError, parse_corpus, stats, split_dev, windowed
 from .embeddings import EmbeddingError, WordEmbeddings
 from .evaluation import pairs_for, per_type_accuracy, score_pairs
-from .hierarchy import ForestError, RefinementMap, TypeForest, apply_refinement
+from .hierarchy import ForestError, TypeForest, apply_refinement, read_refinement
 from .loss import LossConfig, inference_adjust
 from .textfile import numbered_lines
 from .training import (HyperParams, TrainingDiverged, VARIANTS, load_checkpoint,
-                       params_from_values, run_multi, save_checkpoint,
-                       select_variant, training_corpus)
+                       params_from_values, save_checkpoint, select_variant, train,
+                       training_corpus)
 
 DATA_ROOT_VAR = "NFETC_DATA_ROOT"
 
@@ -150,8 +150,8 @@ def _load_forest(cfg: dict, command: str):
     forest = TypeForest.from_file(_require_path(cfg, "types", command))
     if not cfg["refinement"]:
         return forest, None
-    refinement = RefinementMap.from_file(_require_path(cfg, "refinement", command))
-    return apply_refinement(forest, refinement)
+    path = _require_path(cfg, "refinement", command)
+    return _of(path, apply_refinement, forest, read_refinement(path))
 
 
 def _fields(cfg: dict, cls) -> dict:
@@ -161,11 +161,15 @@ def _fields(cfg: dict, cls) -> dict:
 
 
 def _seeds(cfg: dict) -> list[int]:
-    """The run seeds ``seed`` lists, one or more, comma-separated."""
-    seeds = [s.strip() for s in cfg["seed"].split(",")]
-    if not all(map(str.isdecimal, seeds)):
+    """The run seeds ``seed`` lists, one or more, comma-separated, none twice."""
+    texts = [s.strip() for s in cfg["seed"].split(",")]
+    if not all(map(str.isdecimal, texts)):
         raise CliError(2, f"seed expects comma-separated integers >= 0, got {cfg['seed']!r}")
-    return [int(s) for s in seeds]
+    seeds = [int(s) for s in texts]
+    for i, s in enumerate(seeds):
+        if s in seeds[:i]:
+            raise CliError(2, f"seed lists {s} more than once, got {cfg['seed']!r}")
+    return seeds
 
 
 def _hyperparams(cfg: dict) -> HyperParams:
@@ -184,11 +188,11 @@ def _emit(text: str, path: str, echo: bool = False) -> None:
 
 
 def _of(path: str, step, *args):
-    """``step(*args)`` on the corpus of ``path``, whose faults name it."""
+    """``step(*args)`` on the corpus or refinement of ``path``, whose faults name it."""
     try:
         return step(*args)
-    except CorpusError as e:
-        raise CorpusError(f"{path}: {e}") from None
+    except (CorpusError, ForestError) as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def cmd_train(cfg: dict) -> int:
@@ -213,17 +217,20 @@ def cmd_train(cfg: dict) -> int:
     embeddings = WordEmbeddings.from_file(emb_path)
     with (open(cfg["log"], "w", encoding="utf-8") if cfg["log"]
           else contextlib.nullcontext(sys.stdout)) as log_stream:
-        multi = run_multi(seeds, corpus, dev, embeddings, forest, hp,
-                          loss_cfg, eval_corpus=held, log=log_stream)
-    best = max(range(len(seeds)), key=lambda i: multi.runs[i].final.strict)
-    result = multi.runs[best]
+        runs = [train(corpus, dev, embeddings, forest, dataclasses.replace(hp, seed=s),
+                      loss_cfg, eval_corpus=held, log=log_stream) for s in seeds]
+    best = max(range(len(seeds)), key=lambda i: runs[i].final.strict)
+    result = runs[best]
     hp = dataclasses.replace(hp, seed=seeds[best])
     if len(seeds) == 1:
         lines = [f"best_epoch={result.best_epoch} "
                  f"dev_strict={result.best_dev_strict:.4f}\n", result.final.as_text()]
     else:
-        lines = [multi.as_text()] + [f"seed={s} {run.final.as_text()}"
-                                     for s, run in zip(seeds, multi.runs)]
+        def cell(key):   # mean and sample std over the runs, in percent
+            values = np.array([getattr(run.final, key) for run in runs])
+            return f"{100 * values.mean():.1f}±{100 * values.std(ddof=1):.1f}"
+        lines = [f"strict={cell('strict')} macro={cell('macro_f1')} micro={cell('micro_f1')}\n"]
+        lines += [f"seed={s} {run.final.as_text()}" for s, run in zip(seeds, runs)]
         if cfg["checkpoint"]:
             lines.append(f"checkpoint={cfg['checkpoint']} (seed {seeds[best]})\n")
     if cfg["checkpoint"]:

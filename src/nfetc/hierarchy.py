@@ -132,56 +132,47 @@ class TypeForest:
         return self._anc_matrix
 
 
-class RefinementMap:
-    """One-to-one slash-path relocation map used to repair a flawed hierarchy.
-
-    A mapped type moves together with its subtree: any path that starts with
-    a source path gets that prefix rewritten to the target. ``from_file``
-    rejects a repeated source or target, so the map is one-to-one.
-    """
-
-    def __init__(self, mapping: dict[str, str]):
-        self.mapping = dict(mapping)
-
-    @classmethod
-    def from_file(cls, path) -> "RefinementMap":
-        """Tab-separated ``<old-type> <tab> <new-type>`` lines; '#' comments."""
-        mapping = {}
-        for lineno, line in numbered_lines(path, ForestError):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split("\t")
-            if len(parts) != 2:
-                raise ForestError(f"{path}:{lineno}: expected <old> TAB <new>")
-            src, dst = parts[0].strip(), parts[1].strip()
-            for p in (src, dst):
-                _parse_path(p, f"{path}:{lineno}: ")
-            if src in mapping:
-                raise ForestError(f"{path}:{lineno}: duplicate source {src!r}")
-            if dst in mapping.values():
-                raise ForestError(f"{path}:{lineno}: duplicate target {dst!r}")
-            mapping[src] = dst
-        return cls(mapping)
-
-    def rewrite(self, path: str) -> str:
-        """Apply the longest matching source prefix, identity otherwise."""
-        best = max((src for src in self.mapping if path == src or path.startswith(src + "/")),
-                   key=len, default=None)
-        return path if best is None else self.mapping[best] + path[len(best):]
+def read_refinement(path) -> dict[str, str]:
+    """The one-to-one old-type -> new-type map of a refinement file, used to
+    repair a flawed hierarchy: tab-separated ``<old-type> <tab> <new-type>``
+    lines, '#' comments. A repeated source or target is rejected."""
+    mapping = {}
+    for lineno, line in numbered_lines(path, ForestError):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split("\t")
+        if len(parts) != 2:
+            raise ForestError(f"{path}:{lineno}: expected <old> TAB <new>")
+        src, dst = parts[0].strip(), parts[1].strip()
+        for p in (src, dst):
+            _parse_path(p, f"{path}:{lineno}: ")
+        if src in mapping:
+            raise ForestError(f"{path}:{lineno}: duplicate source {src!r}")
+        if dst in mapping.values():
+            raise ForestError(f"{path}:{lineno}: duplicate target {dst!r}")
+        mapping[src] = dst
+    return mapping
 
 
-def apply_refinement(forest: TypeForest, refinement: RefinementMap) -> tuple[TypeForest, dict[str, str]]:
-    """Relocate types per the refinement map.
+def apply_refinement(forest: TypeForest, mapping: dict[str, str]) -> tuple[TypeForest, dict[str, str]]:
+    """Relocate types per the refinement ``mapping``: a mapped type moves
+    together with its subtree, each type's longest matching source prefix
+    rewritten to that source's target.
 
     Returns the new forest plus the full old-path -> new-path mapping to
-    apply to corpus labels. Two types mapped to one path, or a target whose
-    parent chain leaves the remapped set, is an error, so the type count is
-    preserved.
+    apply to corpus labels. A source that is not a type of the forest, two
+    types mapped to one path, or a target whose parent chain leaves the
+    remapped set, is an error, so the type count is preserved.
     """
+    for src in mapping:
+        if src not in forest:
+            raise ForestError(f"refinement source {src!r} is not a type of the forest")
     full_map = {}
     for old in forest.types():
-        new = refinement.rewrite(old)
+        src = max((s for s in mapping if old == s or old.startswith(s + "/")),
+                  key=len, default=None)
+        new = old if src is None else mapping[src] + old[len(src):]
         if new in full_map.values():
             raise ForestError(f"refinement collides on {new!r}")
         full_map[old] = new

@@ -1,6 +1,5 @@
 """Optimization orchestration: epochs of mini-batch Adam over a training
-corpus, dev-set early stopping, the four named model/data variants, and the
-multi-seed evaluation protocol.
+corpus, dev-set early stopping and the four named model/data variants.
 """
 
 from __future__ import annotations
@@ -188,42 +187,6 @@ def gradients(backward, d_probs: np.ndarray, d_l2) -> dict[str, np.ndarray]:
     for name, grad in d_l2:
         grads[name] += grad
     return grads
-
-
-@dataclass
-class MultiResult:
-    """Aggregate of independent runs: mean and sample standard deviation of
-    each final test metric."""
-
-    runs: list[RunResult]
-    mean: dict[str, float]
-    std: dict[str, float]
-
-    def as_text(self) -> str:
-        # metrics are conventionally discussed as percentages
-        def cell(key):
-            return f"{100 * self.mean[key]:.1f}±{100 * self.std[key]:.1f}"
-        return (f"strict={cell('strict')} macro={cell('macro_f1')} "
-                f"micro={cell('micro_f1')}\n")
-
-
-def run_multi(seeds: list[int], train_corpus: Corpus, dev_corpus: Corpus,
-              embeddings: WordEmbeddings, forest: TypeForest, hp: HyperParams,
-              config: LossConfig, eval_corpus: Corpus, log=None) -> MultiResult:
-    """Independent training runs differing only in seed; ``nfetc train``
-    passes at least one."""
-    runs = []
-    for s in seeds:
-        runs.append(train(train_corpus, dev_corpus, embeddings, forest,
-                          dataclasses.replace(hp, seed=s), config,
-                          eval_corpus=eval_corpus, log=log))
-    mean = {}
-    std = {}
-    for key in ("strict", "macro_f1", "micro_f1"):
-        values = np.array([getattr(r.final, key) for r in runs])
-        mean[key] = float(values.mean())
-        std[key] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-    return MultiResult(runs=runs, mean=mean, std=std)
 
 
 # -- checkpoint semantics ------------------------------------------------------

@@ -7,6 +7,7 @@ import mmap
 import os
 import re
 import shlex
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from nfetc.cli import main
 from nfetc.corpus import parse_corpus, windowed
 from nfetc.embeddings import CACHE_SUFFIX, WordEmbeddings
 from nfetc.evaluation import pairs_for, per_type_accuracy, score_pairs
-from nfetc.hierarchy import RefinementMap, TypeForest, apply_refinement
+from nfetc.hierarchy import TypeForest, apply_refinement, read_refinement
 from nfetc.loss import LossConfig, inference_adjust
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
@@ -82,7 +83,7 @@ def run_cli(argv):
 
 def run_cli_recording(argv, name):
     """Run the CLI while keeping each value that ``nfetc.cli.<name>`` (such as
-    ``run_multi``) returns, so a test can compare the files it wrote."""
+    ``train``) returns, so a test can compare the files it wrote."""
     real, returned = getattr(cli_module, name), []
 
     def recording(*args, **kwargs):
@@ -118,11 +119,11 @@ def trained(tmp_path_factory, world):
         "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
         "--set", f"checkpoint={ckpt}", "--set", f"log={log}",
         "--set", f"report={report}"]
-    code, out, err, results = run_cli_recording(argv, "run_multi")
+    code, out, err, results = run_cli_recording(argv, "train")
     assert code == 0, err
-    assert len(results) == 1 and len(results[0].runs) == 1
+    assert len(results) == 1
     return {"checkpoint": str(ckpt), "log": str(log), "report": str(report),
-            "stdout": out, "result": results[0].runs[0], **world}
+            "stdout": out, "result": results[0], **world}
 
 
 # -- argument and config handling -------------------------------------------------
@@ -320,8 +321,10 @@ def test_non_finite_setting_is_exit_1_without_a_checkpoint(world, tmp_path, sett
     ("seed=1,-2", 2, "seed expects comma-separated integers >= 0, got '1,-2'"),
     ("seed=", 2, "seed expects comma-separated integers >= 0, got ''"),
     ("seed=1,,2", 2, "seed expects comma-separated integers >= 0, got '1,,2'"),
+    # a repeated seed would train the same run twice and aggregate it as two
+    ("seed=3,03", 2, "seed lists 3 more than once, got '3,03'"),
 ], ids=["pi", "variant", "seeds", "dev_fraction", "seed-negative", "dev_seed-negative",
-        "seeds-negative", "seed-empty", "seeds-with-a-gap"])
+        "seeds-negative", "seed-empty", "seeds-with-a-gap", "seed-repeated"])
 def test_train_checks_its_settings_before_reading_a_file(world, tmp_path, setting, exit_code,
                                                          named):
     bad = tmp_path / "bad.tsv"
@@ -512,11 +515,16 @@ def test_train_multi_seed_aggregate(world, tmp_path):
         "--set", f"test={world['test']}", "--set", f"embeddings={world['embeddings']}",
         "--set", "epochs=1", "--set", "seed=3, 4",
         "--set", f"checkpoint={ckpt}", "--set", f"log={tmp_path / 'log.txt'}"]
-    code, out, err, results = run_cli_recording(argv, "run_multi")
+    code, out, err, runs = run_cli_recording(argv, "train")
     assert code == 0, err
+    assert len(runs) == 2
     lines = out.splitlines()
-    assert re.fullmatch(r"strict=\d+\.\d±\d+\.\d macro=\d+\.\d±\d+\.\d "
-                        r"micro=\d+\.\d±\d+\.\d", lines[0])
+    # the aggregate is the mean and sample std of the runs' final metrics, in percent
+    def cell(key):
+        values = [getattr(run.final, key) for run in runs]
+        return f"{100 * statistics.mean(values):.1f}±{100 * statistics.stdev(values):.1f}"
+
+    assert lines[0] == f"strict={cell('strict')} macro={cell('macro_f1')} micro={cell('micro_f1')}"
     assert lines[1].startswith("seed=3 strict=")
     assert lines[2].startswith("seed=4 strict=")
     match = re.fullmatch(r"checkpoint=.* \(seed ([34])\)", lines[3])
@@ -524,13 +532,12 @@ def test_train_multi_seed_aggregate(world, tmp_path):
 
     # the checkpoint holds the best-epoch snapshot of the reported seed's run,
     # the run with the highest final strict accuracy
-    (multi,) = results
-    runs = dict(zip((3, 4), multi.runs))
+    by_seed = dict(zip((3, 4), runs))
     best = int(match.group(1))
-    assert runs[best].final.strict == max(r.final.strict for r in multi.runs)
-    other = runs[7 - best].best_values
-    assert any(not np.array_equal(a, other[n]) for n, a in runs[best].best_values.items())
-    assert_checkpoint_holds(str(ckpt), runs[best].best_values)
+    assert by_seed[best].final.strict == max(r.final.strict for r in runs)
+    other = by_seed[7 - best].best_values
+    assert any(not np.array_equal(a, other[n]) for n, a in by_seed[best].best_values.items())
+    assert_checkpoint_holds(str(ckpt), by_seed[best].best_values)
     # and records that run's seed, whichever of the list it is
     assert load_checkpoint(str(ckpt)).hyperparams.seed == best
     # the hyperparameters a seed list gives are those of its first run
@@ -549,7 +556,7 @@ def test_train_out_of_memory_is_one_error_line(world, tmp_path, monkeypatch, err
     def exhausted(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli_module, "run_multi", exhausted)
+    monkeypatch.setattr(cli_module, "train", exhausted)
     ckpt = tmp_path / "model.ckpt"
     code, out, err = run_cli(["train"] + FAST + [
         "--set", f"types={world['types']}", "--set", f"train={world['train']}",
@@ -702,8 +709,10 @@ def test_refined_train_eval_and_stats(tmp_path):
 
     # a refinement that maps labels outside the checkpoint's forest: one
     # error line naming the corpus line
+    elsewhere = tmp_path / "elsewhere.tsv"
+    elsewhere.write_text("/person/artist\t/org/artist\n")
     code, out, err = run_cli(["eval", "--set", f"types={SYNTH / 'types.txt'}",
-                              "--set", f"refinement={MINI / 'refinement.tsv'}",
+                              "--set", f"refinement={elsewhere}",
                               "--set", f"checkpoint={ckpt}",
                               "--set", f"test={SYNTH / 'train.tsv'}"])
     assert (code, out) == (1, "")
@@ -717,6 +726,25 @@ def test_refined_train_eval_and_stats(tmp_path):
                      for path in (SYNTH / "train.tsv", unlabeled))
     assert labeled[0] == 0 and len(labeled[1].splitlines()) == 200
     assert labeled == bare
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "stats"])
+def test_a_refinement_source_outside_the_forest_is_one_error_line(trained, tmp_path, command):
+    # a mistyped source matches no type, so the repair would silently do
+    # nothing: it is refused, naming the file, before any corpus is read
+    refinement, bad = tmp_path / "refine.tsv", tmp_path / "bad.tsv"
+    refinement.write_text("/person/coachh\t/organization/coach\n")
+    bad.write_text("0 9\tJordan\t/person\n")
+    ckpt = tmp_path / "model.ckpt" if command == "train" else Path(trained["checkpoint"])
+    code, out, err = run_cli([command, "--set", f"types={MINI / 'types.txt'}",
+                              "--set", f"refinement={refinement}", "--set", f"train={bad}",
+                              "--set", f"test={bad}", "--set", f"input={bad}",
+                              "--set", f"embeddings={trained['embeddings']}",
+                              "--set", f"checkpoint={ckpt}"])
+    assert (code, out) == (1, "")
+    assert err == (f"error: {refinement}: refinement source '/person/coachh' "
+                   "is not a type of the forest\n")
+    assert ckpt.exists() == (command != "train")
 
 
 # -- predict ------------------------------------------------------------------------
@@ -819,8 +847,8 @@ def test_predict_malformed_checkpoint_is_one_error_line(trained, tmp_path, edit)
     if isinstance(edit, tuple):
         src = rewrite_params(src, tmp_path / "bad.ckpt", edit[1])
         edit = edit[0]
-    rewrite = rewrite_meta_length if isinstance(edit, bytes) else rewrite_meta
-    ckpt = rewrite(src, tmp_path / "bad.ckpt", edit)
+    edit_file = rewrite_meta_length if isinstance(edit, bytes) else rewrite_meta
+    ckpt = edit_file(src, tmp_path / "bad.ckpt", edit)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
                               "--set", f"input={trained['test']}"])
     assert code == 1
@@ -865,7 +893,7 @@ def flip_flags(meta):
         e["trainable"] = not e["trainable"]
 
 
-@pytest.mark.parametrize("name,rewrite,edit", [
+@pytest.mark.parametrize("name,edit_file,edit", [
     ("attn_w", rewrite_params, lambda values: values.pop("attn_w")),
     ("men.w_rec", rewrite_params, lambda values: values.pop("men.w_rec")),
     ("ctx_bw.w_rec", rewrite_params,
@@ -875,8 +903,8 @@ def flip_flags(meta):
 ], ids=["without-attn_w", "without-men.w_rec", "ctx_bw.w_rec-transposed",
         "every-flag-flipped", "cls_b-frozen"])
 def test_predict_checkpoint_tensor_problems_are_one_error_line(trained, tmp_path, name,
-                                                               rewrite, edit):
-    ckpt = rewrite(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
+                                                               edit_file, edit):
+    ckpt = edit_file(trained["checkpoint"], tmp_path / "bad.ckpt", edit)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
                               "--set", f"input={trained['test']}"])
     assert code == 1
@@ -962,7 +990,7 @@ def test_predict_and_eval_print_what_the_whole_matrix_gives(refined_synth, tmp_p
     assert 0 < len(kept) < len(vocab)
 
     _, mapping = apply_refinement(TypeForest.from_file(SYNTH / "types.txt"),
-                                  RefinementMap.from_file(refinement))
+                                  read_refinement(refinement))
     code, out, err = run_cli(["eval", "--set", f"checkpoint={ckpt}",
                               "--set", f"types={SYNTH / 'types.txt'}",
                               "--set", f"refinement={refinement}", "--set", f"test={source}",

@@ -9,7 +9,7 @@ from nfetc import cli
 from nfetc.corpus import (Corpus, CorpusError, MentionTriple, build_filtered,
                           parse_corpus, parse_line, split_dev, stats, window,
                           windowed)
-from nfetc.hierarchy import RefinementMap, TypeForest, apply_refinement
+from nfetc.hierarchy import TypeForest, apply_refinement
 from hparams import figer_hp
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
@@ -231,8 +231,7 @@ def test_stats_empty_corpus_rejected(forest):
 
 
 def test_relabel_through_refinement(corpus, forest):
-    refinement = RefinementMap({"/person": "/human"})
-    refined, full_map = apply_refinement(forest, refinement)
+    refined, full_map = apply_refinement(forest, {"/person": "/human"})
     moved = parse_corpus(MINI / "corpus.tsv", refined, mapping=full_map)
     assert len(moved) == len(corpus)
     assert moved[0].labels == ("/human", "/human/athlete")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nfetc.hierarchy import (ForestError, RefinementMap, TypeForest,
-                             apply_refinement, parent_path)
+from nfetc.hierarchy import (ForestError, TypeForest, apply_refinement, parent_path,
+                             read_refinement)
 from oracles import (brute_ancestors, brute_expand, brute_single_path,
                      brute_terminal_set, random_forest_paths)
 
@@ -131,7 +131,7 @@ def fig_forest():
 
 def test_refinement_relocates_under_new_parent():
     refined, mapping = apply_refinement(
-        fig_forest(), RefinementMap({"/software": "/product/software"}))
+        fig_forest(), {"/software": "/product/software"})
     assert "/product/software" in refined
     assert "/software" not in refined
     assert mapping["/software"] == "/product/software"
@@ -140,14 +140,14 @@ def test_refinement_relocates_under_new_parent():
 
 def test_refinement_government_example():
     refined, mapping = apply_refinement(
-        fig_forest(), RefinementMap({"/government": "/organization/government"}))
+        fig_forest(), {"/government": "/organization/government"})
     assert refined.ancestors("/organization/government") == {"/organization"}
     assert mapping["/person"] == "/person"
 
 
 def test_identity_refinement_is_identity():
     forest = fig_forest()
-    refined, mapping = apply_refinement(forest, RefinementMap({}))
+    refined, mapping = apply_refinement(forest, {})
     assert refined.types() == forest.types()
     assert all(old == new for old, new in mapping.items())
 
@@ -155,7 +155,7 @@ def test_identity_refinement_is_identity():
 def test_refinement_moves_whole_subtree():
     forest = TypeForest(["/software", "/software/os", "/product"])
     refined, mapping = apply_refinement(
-        forest, RefinementMap({"/software": "/product/software"}))
+        forest, {"/software": "/product/software"})
     assert mapping["/software/os"] == "/product/software/os"
     assert "/product/software/os" in refined
 
@@ -165,39 +165,39 @@ def test_refinement_map_must_be_one_to_one(tmp_path):
     f = tmp_path / "refine.tsv"
     f.write_text("/a\t/x\n# moved too\n/b\t/x\n")
     with pytest.raises(ForestError) as err:
-        RefinementMap.from_file(f)
+        read_refinement(f)
     assert str(err.value) == f"{f}:3: duplicate target '/x'"
 
 
 def test_refinement_collision_detected():
     forest = TypeForest(["/a", "/b"])
     with pytest.raises(ForestError, match="collides"):
-        apply_refinement(forest, RefinementMap({"/a": "/b"}))
+        apply_refinement(forest, {"/a": "/b"})
 
 
 def test_refinement_missing_parent_detected():
     forest = TypeForest(["/a", "/b"])
     with pytest.raises(ForestError, match="parent"):
-        apply_refinement(forest, RefinementMap({"/a": "/c/a"}))
+        apply_refinement(forest, {"/a": "/c/a"})
 
 
 def test_refinement_longest_prefix_wins():
-    m = RefinementMap({"/a": "/x", "/a/b": "/y"})
-    assert m.rewrite("/a/b/c") == "/y/c"
-    assert m.rewrite("/a/d") == "/x/d"
-    assert m.rewrite("/untouched") == "/untouched"
+    forest = TypeForest(["/a/b/c", "/a/d", "/untouched"])
+    _, mapping = apply_refinement(forest, {"/a": "/x", "/a/b": "/y"})
+    assert mapping["/a/b/c"] == "/y/c"
+    assert mapping["/a/d"] == "/x/d"
+    assert mapping["/untouched"] == "/untouched"
 
 
 def test_refinement_from_file(tmp_path):
     f = tmp_path / "refine.tsv"
     f.write_text("# fixes\n/software\t/product/software\n")
-    m = RefinementMap.from_file(f)
-    assert m.mapping == {"/software": "/product/software"}
+    assert read_refinement(f) == {"/software": "/product/software"}
 
     f.write_text("/a /x\n")  # space, not tab
     with pytest.raises(ForestError, match="TAB"):
-        RefinementMap.from_file(f)
+        read_refinement(f)
 
     f.write_text("/a\t/x\n/a\t/y\n")
     with pytest.raises(ForestError, match="duplicate source"):
-        RefinementMap.from_file(f)
+        read_refinement(f)

@@ -18,7 +18,7 @@ from nfetc.checkpoint import CheckpointError
 from nfetc.cli import CliError, build_config
 from nfetc.corpus import CorpusError, MentionTriple, parse_corpus
 from nfetc.embeddings import EmbeddingError, WordEmbeddings
-from nfetc.hierarchy import ForestError, RefinementMap, TypeForest
+from nfetc.hierarchy import ForestError, TypeForest, read_refinement
 from nfetc.loss import inference_adjust
 from nfetc.optim import make_rng
 from nfetc.training import load_checkpoint
@@ -31,7 +31,7 @@ MUTANTS = 300
 PARSERS = {
     "corpus": ("mini/corpus.tsv", lambda p: parse_corpus(p, MINI_FOREST), CorpusError, True, 1),
     "types": ("mini/types.txt", TypeForest.from_file, ForestError, True, 2),
-    "refinement": ("mini/refinement.tsv", RefinementMap.from_file, ForestError, True, 3),
+    "refinement": ("mini/refinement.tsv", read_refinement, ForestError, True, 3),
     "embeddings": ("synth/embeddings.txt", WordEmbeddings.from_file, EmbeddingError, True, 4),
     "checkpoint": ("ckpt_v1/model.ckpt", load_checkpoint, CheckpointError, False, 5),
     # aligned, as ``save`` writes it now; each is read the same way

@@ -12,7 +12,7 @@ from nfetc import checkpoint
 from nfetc.cli import CliError, build_config, main
 from nfetc.corpus import CorpusError, parse_corpus
 from nfetc.embeddings import CACHE_SUFFIX, EmbeddingError, WordEmbeddings
-from nfetc.hierarchy import ForestError, RefinementMap, TypeForest
+from nfetc.hierarchy import ForestError, TypeForest, read_refinement
 from nfetc.textfile import BOM_MESSAGE, numbered_lines
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
@@ -34,8 +34,7 @@ READERS = {
     "embeddings": (parsed_embeddings, EmbeddingError, lambda k: f"w{k} {k}.5 -1e-3\n"),
     "types": (lambda p: TypeForest.from_file(p).types(), ForestError,
               lambda k: f"/t{k}  # type {k}\n"),
-    "refinement": (lambda p: RefinementMap.from_file(p).mapping, ForestError,
-                   lambda k: f"/a{k}\t/b{k}\n"),
+    "refinement": (read_refinement, ForestError, lambda k: f"/a{k}\t/b{k}\n"),
 }
 
 
@@ -188,7 +187,7 @@ def test_refinement_errors_name_the_file_and_line(tmp_path, text, line, message)
     path = tmp_path / "refine.tsv"
     path.write_text(text)
     with pytest.raises(ForestError) as err:
-        RefinementMap.from_file(path)
+        read_refinement(path)
     assert str(err.value) == f"{path}:{line}: {message}"
 
 

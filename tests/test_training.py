@@ -13,15 +13,14 @@ from nfetc import model as model_module
 from nfetc import training as training_module
 from nfetc.corpus import Corpus, MentionTriple, parse_corpus
 from nfetc.embeddings import CACHE_SUFFIX, WordEmbeddings
-from nfetc.evaluation import evaluate
+from nfetc.evaluation import Metrics, evaluate
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig
 from nfetc.model import NfetcModel
 from nfetc.optim import make_rng
-from nfetc.training import (EpochStats, HyperParams, MultiResult,
-                            TrainingDiverged, VARIANTS, load_checkpoint,
-                            params_from_values, run_multi, save_checkpoint,
-                            select_variant, train, training_corpus)
+from nfetc.training import (EpochStats, HyperParams, RunResult, TrainingDiverged,
+                            VARIANTS, load_checkpoint, params_from_values,
+                            save_checkpoint, select_variant, train, training_corpus)
 from hparams import figer_hp
 
 VOCAB = ["the", "a", "big", "red", "cat", "dog", "mat",
@@ -385,49 +384,46 @@ def test_train_final_eval_optional():
 # -- multi-seed protocol --------------------------------------------------------------
 
 
-def test_run_multi_repeated_seed_has_zero_spread():
-    train_c, dev_c, emb, forest = make_world()
-    _, config = select_variant("NFETC(f)")
-    multi = run_multi([5, 5], train_c, dev_c, emb, forest,
-                      small_hp(epochs=2), config, eval_corpus=dev_c)
-    assert len(multi.runs) == 2
-    for key in ("strict", "macro_f1", "micro_f1"):
-        assert multi.std[key] == 0.0
+SYNTH = Path(__file__).parent / "fixtures" / "synth"
+SYNTH_TRAIN = ["train", "--set", f"types={SYNTH / 'types.txt'}",
+               "--set", f"train={SYNTH / 'train.tsv'}", "--set", f"test={SYNTH / 'train.tsv'}",
+               "--set", f"embeddings={SYNTH / 'embeddings.txt'}", "--set", "dp=2",
+               "--set", "ds=3", "--set", "window=2", "--set", "epochs=1"]
 
 
-def test_run_multi_single_seed_std_is_zero():
-    train_c, dev_c, emb, forest = make_world()
-    _, config = select_variant("NFETC(f)")
-    multi = run_multi([9], train_c, dev_c, emb, forest,
-                      small_hp(epochs=2), config, eval_corpus=dev_c)
-    assert all(v == 0.0 for v in multi.std.values())
-    assert multi.mean["strict"] == multi.runs[0].final.strict
+def test_train_with_one_seed_is_one_run(tmp_path, monkeypatch):
+    # ``seed`` of one number is the one run at that seed (recorded)
+    seen, real = [], cli.train
 
+    def recording(*args, **kwargs):
+        seen.append(args[4])
+        return real(*args, **kwargs)
 
-def test_run_multi_requires_seeds(tmp_path, monkeypatch):
-    # ``nfetc train`` hands run_multi at least one seed: ``seed`` of one
-    # number is the one run at that seed (recorded)
-    seen, real = [], cli.run_multi
-
-    def recording(seeds, *args, **kwargs):
-        seen.append(list(seeds))
-        return real(seeds, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_multi", recording)
-    synth, ckpt = Path(__file__).parent / "fixtures" / "synth", tmp_path / "model.ckpt"
-    argv = ["train", "--set", f"types={synth / 'types.txt'}",
-            "--set", f"train={synth / 'train.tsv'}", "--set", f"test={synth / 'train.tsv'}",
-            "--set", f"embeddings={synth / 'embeddings.txt'}", "--set", "dp=2",
-            "--set", "ds=3", "--set", "window=2", "--set", "epochs=1",
-            "--set", "seed=7", "--set", f"checkpoint={ckpt}"]
+    monkeypatch.setattr(cli, "train", recording)
+    ckpt = tmp_path / "model.ckpt"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
-    assert seen == [[7]]
+        assert cli.main(SYNTH_TRAIN + ["--set", "seed=7", "--set", f"checkpoint={ckpt}"]) == 0
+    assert [hp.seed for hp in seen] == [7]
     assert load_checkpoint(str(ckpt)).hyperparams.seed == 7
 
 
-def test_multi_result_text_is_percent_style():
-    multi = MultiResult(runs=[],
-                        mean={"strict": 0.5, "macro_f1": 0.25, "micro_f1": 1.0},
-                        std={"strict": 0.05, "macro_f1": 0.0, "micro_f1": 0.125})
-    assert multi.as_text() == "strict=50.0±5.0 macro=25.0±0.0 micro=100.0±12.5\n"
+def test_multi_seed_aggregate_is_percent_style(monkeypatch):
+    # the aggregate line is the mean and sample std of the runs' final
+    # metrics, in percent: three runs stand in, with known spreads
+    finals = iter([(0.45, 0.25, 0.75), (0.5, 0.25, 0.875), (0.55, 0.25, 1.0)])
+    seen = []
+
+    def stub(*args, **kwargs):
+        seen.append(args[4].seed)
+        strict, macro, micro = next(finals)
+        return RunResult(epoch_log=[], best_epoch=1, best_dev_strict=0.0, best_values={},
+                         final=Metrics(strict, 0.0, 0.0, macro, 0.0, 0.0, micro))
+
+    monkeypatch.setattr(cli, "train", stub)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(SYNTH_TRAIN + ["--set", "seed=4,2,9"]) == 0
+    assert seen == [4, 2, 9]
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "strict=50.0±5.0 macro=25.0±0.0 micro=87.5±12.5"
+    assert [line.split()[0] for line in lines[1:]] == ["seed=4", "seed=2", "seed=9"]
