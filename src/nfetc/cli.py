@@ -21,7 +21,7 @@ from .embeddings import EmbeddingError, WordEmbeddings
 from .evaluation import pairs_for, per_type_accuracy, score_pairs
 from .hierarchy import ForestError, TypeForest, apply_refinement, read_refinement
 from .loss import LossConfig, inference_adjust
-from .textfile import numbered_lines
+from .textfile import content_lines
 from .training import (HyperParams, TrainingDiverged, VARIANTS, load_checkpoint,
                        params_from_values, save_checkpoint, select_variant, train,
                        training_corpus)
@@ -97,10 +97,7 @@ def _read_config_file(path: str, cfg: dict) -> None:
     """Set each ``key=value`` line of ``path`` in ``cfg``; errors name the line."""
     if not os.path.exists(path):
         raise CliError(2, f"no such config file: {path}")
-    for lineno, line in numbered_lines(path, lambda message: CliError(2, message)):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in content_lines(path, lambda message: CliError(2, message)):
         if "=" not in body:
             raise CliError(2, f"{path}:{lineno}: expected key=value")
         key, value = body.split("=", 1)
@@ -138,10 +135,21 @@ def _require_path(cfg: dict, key: str, command: str) -> str:
 
 
 def _require_dirs(cfg: dict, keys) -> None:
-    """Raise unless the directory of each output path ``keys`` name exists."""
+    """Raise unless each output path ``keys`` name can be written: its
+    directory exists, and it is no directory, no other output and no file
+    that an input key names (compared as resolved real paths)."""
     for key in keys:
         if (folder := os.path.dirname(cfg[key])) and not os.path.isdir(folder):
             raise CliError(2, f"no such directory: {folder} (for {key}={cfg[key]})")
+    taken = {os.path.realpath(_resolve(cfg[key])): key for key in
+             ("types", "refinement", "train", "test", "input", "embeddings", "checkpoint")
+             if cfg[key] and key not in keys}
+    for key in filter(cfg.get, keys):
+        if os.path.isdir(cfg[key]):
+            raise CliError(2, f"{key}={cfg[key]} is a directory")
+        if (real := os.path.realpath(cfg[key])) in taken:
+            raise CliError(2, f"{key}={cfg[key]} would overwrite {taken[real]}={cfg[taken[real]]}")
+        taken[real] = key
 
 
 def _load_forest(cfg: dict, command: str):

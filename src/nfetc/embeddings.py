@@ -1,5 +1,4 @@
-"""Frozen pre-trained word embeddings and the row layout of the position
-table.
+"""Frozen pre-trained word embeddings.
 
 Word vectors come from a GloVe-style text file and are never updated during
 training. Lookups are case sensitive; out-of-vocabulary words resolve to the
@@ -9,16 +8,10 @@ The first load of a file stores what it parsed beside it, in
 ``<file>.nfetc-cache``: a checkpoint-format file keyed by the text's SHA-256.
 Every load whose cache holds these bytes, the first one too once its write
 succeeds, checks the cache's matrix in one streamed pass and leaves it in
-the file, which the embeddings hold open. Nothing looks a word up in them,
-so they keep no word -> row index: ``subset`` reads the rows of some words
-from the cache (``train`` asks for its corpora's), and ``save_checkpoint``
-copies it whole, neither holding the matrix.
-
-Position vectors encode each token's relative distance to the mention span.
-Distances inside [-c, c] index their own row; anything further lands in a
-single shared out-of-range bucket, giving a table of 2c + 2 rows. The table
-itself is the model's ``pos_table`` parameter (see ``model.init_params``);
-``position_rows`` maps tokens to its rows.
+the file, which the embeddings hold open as their ``matrix``. Nothing looks
+a word up in them, so they keep no word -> row index: ``subset`` reads the
+rows of some words from the cache (``train`` asks for its corpora's), and
+``save_checkpoint`` copies it whole, neither holding the matrix in memory.
 """
 
 from __future__ import annotations
@@ -73,11 +66,10 @@ class WordEmbeddings:
     longer be written to. Pass a copy to keep a writable one.
 
     ``matrix`` may also be a ``checkpoint.Frozen``: a matrix left in its
-    file, the parse cache, which ``subset`` and ``save_checkpoint`` read
-    through ``stored``. Such embeddings, whose words ``_cached`` checks,
-    have no ``matrix`` attribute and look no word up. A matrix may also
-    hold only the rows of the words an input holds, as ``subset`` returns it
-    and ``nfetc eval`` and ``predict`` load a checkpoint."""
+    file, the parse cache, which ``subset`` and ``save_checkpoint`` read;
+    such embeddings, whose words ``_cached`` checks, look no word up. A
+    matrix may also hold only the rows of the words an input holds, as
+    ``subset`` returns it and ``nfetc eval`` and ``predict`` load it."""
 
     def __init__(self, words: list[str], matrix: np.ndarray | checkpoint.Frozen):
         self.words = words
@@ -85,9 +77,9 @@ class WordEmbeddings:
             self.magnitude = matrix.magnitude
         else:
             self._index = dict(zip(words, range(len(words))))
-            matrix = self.matrix = np.asarray(matrix, dtype=np.float64)
+            matrix = np.asarray(matrix, dtype=np.float64)
             matrix.flags.writeable = False
-        self.stored = matrix   # what a checkpoint copies the matrix from
+        self.matrix = matrix
         self.dim = matrix.shape[1]
         self._subset = None   # (word set, embeddings) of the last ``subset`` call
 
@@ -140,7 +132,7 @@ class WordEmbeddings:
         if self._subset is None or self._subset[0] != words:
             keep = kept_rows(self.words, words)
             kept = [self.words[r] for r in keep.tolist()]
-            rows = (self.stored.rows(keep) if isinstance(self.stored, checkpoint.Frozen)
+            rows = (self.matrix.rows(keep) if isinstance(self.matrix, checkpoint.Frozen)
                     else self.matrix[keep])
             self._subset = (frozenset(words), WordEmbeddings(kept, rows))
         return self._subset[1]
@@ -308,11 +300,3 @@ class _Loader:
         self.matrix.resize((len(self.words), self.matrix.shape[1]), refcheck=False)
         return self.words, self.matrix
 
-
-def position_rows(c: int, positions, start, end) -> np.ndarray:
-    """Position-table row of token ``positions`` against mention spans
-    [start, end) for window ``c``; the three arrays broadcast together.
-    ``MentionTriple`` keeps each span inside its context."""
-    i, start, end = (np.asarray(a, dtype=np.intp) for a in (positions, start, end))
-    d = np.where(i >= end, i - (end - 1), np.where(i < start, i - start, 0))
-    return np.where(np.abs(d) <= c, d + c, 2 * c + 1)

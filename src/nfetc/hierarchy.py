@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .textfile import numbered_lines
+from .textfile import content_lines
 
 _SEGMENT = re.compile(r"^[^/\s]+$")
 
@@ -67,10 +67,7 @@ class TypeForest:
     def from_file(cls, path) -> "TypeForest":
         """One slash-path per line, UTF-8, '#' comments and blank lines skipped."""
         types: set[str] = set()
-        for lineno, line in numbered_lines(path, ForestError):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
+        for lineno, body in content_lines(path, ForestError):
             if body in types:
                 raise ForestError(f"{path}:{lineno}: duplicate type {body!r}")
             _parse_path(body, f"{path}:{lineno}: ")
@@ -137,10 +134,7 @@ def read_refinement(path) -> dict[str, str]:
     repair a flawed hierarchy: tab-separated ``<old-type> <tab> <new-type>``
     lines, '#' comments. A repeated source or target is rejected."""
     mapping = {}
-    for lineno, line in numbered_lines(path, ForestError):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in content_lines(path, ForestError):
         parts = body.split("\t")
         if len(parts) != 2:
             raise ForestError(f"{path}:{lineno}: expected <old> TAB <new>")

@@ -17,6 +17,11 @@ float32 (``TRAIN_DTYPE``) and everything else, inference included, in float64.
 The model stores no sizes: d_w is the word embeddings' width, and d_p, d_s,
 K and the window are read off its parameter shapes. ``HyperParams`` give the
 dropout settings, and the sizes of the fresh weights ``init_params`` draws.
+
+Position vectors encode each token's relative distance to the mention span:
+distances inside [-c, c] index their own row of the trained ``pos_table``,
+anything further one shared out-of-range row, 2c + 2 rows in all (as
+``param_shapes`` sizes it); ``position_rows`` maps tokens to those rows.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .autodiff import ParamSet, lstm_sequence
 from .corpus import MentionTriple
-from .embeddings import WordEmbeddings, position_rows
+from .embeddings import WordEmbeddings
 from .hierarchy import TypeForest
 from .optim import dropout_mask
 
@@ -64,13 +69,22 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def param_shapes(d_w: int, d_p: int, d_s: int, window: int, k: int) -> dict[str, tuple]:
     """Shape of each trainable tensor by name, in creation order: the 2c + 2
-    position rows (layout in embeddings), three fused-gate LSTMs, attention
+    position rows (see ``position_rows``), three fused-gate LSTMs, attention
     and the classifier."""
     g = GATES * d_s
     shapes = {"pos_table": (2 * window + 2, d_p)}
     for prefix, d_in in (("ctx_fw", d_w + d_p), ("ctx_bw", d_w + d_p), ("men", d_w)):
         shapes |= {f"{prefix}.w_in": (d_in, g), f"{prefix}.w_rec": (d_s, g), f"{prefix}.bias": (g,)}
     return shapes | {"attn_w": (d_s,), "cls_w": (k, 2 * d_s + d_w), "cls_b": (k,)}
+
+
+def position_rows(c: int, positions, start, end) -> np.ndarray:
+    """Position-table row of token ``positions`` against mention spans
+    [start, end) for window ``c``; the three arrays broadcast together.
+    ``MentionTriple`` keeps each span inside its context."""
+    i, start, end = (np.asarray(a, dtype=np.intp) for a in (positions, start, end))
+    d = np.where(i >= end, i - (end - 1), np.where(i < start, i - start, 0))
+    return np.where(np.abs(d) <= c, d + c, 2 * c + 1)
 
 
 def init_params(hp: HyperParams, embeddings: WordEmbeddings, k: int,

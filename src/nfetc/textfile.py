@@ -1,5 +1,6 @@
 """Numbered lines of the UTF-8 text inputs; a decode error or a leading
-byte-order mark names the line."""
+byte-order mark names the line. The types, refinement and config files
+allow ``#`` comments, which ``content_lines`` alone strips."""
 
 import re
 
@@ -20,3 +21,11 @@ def numbered_lines(path, error):
                 if ESCAPED_BYTE.search(line):
                     raise error(f"{path}:{lineno}: not valid UTF-8")
             yield lineno, line
+
+
+def content_lines(path, error):
+    """(line number, text before any ``#``, stripped) of each line of
+    ``numbered_lines(path, error)`` that holds such text."""
+    for lineno, line in numbered_lines(path, error):
+        if body := line.split("#", 1)[0].strip():
+            yield lineno, body

@@ -210,7 +210,7 @@ def save_checkpoint(path: str, hp: HyperParams, config: LossConfig,
         "types": forest.types(),
         "vocab": embeddings.words,
     }
-    checkpoint.save(path, meta, [("word_emb", False, embeddings.stored)]
+    checkpoint.save(path, meta, [("word_emb", False, embeddings.matrix)]
                     + [(name, True, value) for name, value in params.items()])
 
 

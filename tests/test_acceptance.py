@@ -25,7 +25,7 @@ from synthworld import (DEV_NOISE_SEED, extra_candidates, generic_world,
 from nfetc.cli import main
 from nfetc.corpus import MentionTriple, parse_corpus, stats
 from nfetc.embeddings import WordEmbeddings
-from nfetc.evaluation import EvalPair, score_pairs
+from nfetc.evaluation import score_pairs
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import (PROB_FLOOR, LossConfig, hierarchical_adjust_rows, l2_penalty,
                         mean_nll)
@@ -189,8 +189,7 @@ def test_3_hierarchy_algebra():
 
 
 def test_4_metrics_oracle():
-    worked = score_pairs([EvalPair(gold=frozenset({"/person", "/person/athlete"}),
-                                   predicted=frozenset({"/person"}))])
+    worked = score_pairs([(frozenset({"/person", "/person/athlete"}), frozenset({"/person"}))])
     worked_ok = (worked.macro_p == 1.0 and worked.macro_r == 0.5
                  and worked.macro_f1 == 2 / 3 and worked.micro_f1 == 2 / 3
                  and worked.strict == 0.0)
@@ -205,10 +204,9 @@ def test_4_metrics_oracle():
                               replace=False)
             pred = rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)),
                               replace=False)
-            pairs.append(EvalPair(gold=frozenset(str(g) for g in gold),
-                                  predicted=frozenset(str(p) for p in pred)))
+            pairs.append((frozenset(str(g) for g in gold), frozenset(str(p) for p in pred)))
         got = score_pairs(pairs)
-        want = brute_pair_metrics([(p.gold, p.predicted) for p in pairs])
+        want = brute_pair_metrics(pairs)
         mine = (got.strict, got.macro_p, got.macro_r, got.macro_f1,
                 got.micro_p, got.micro_r, got.micro_f1)
         batch_gap = max(batch_gap, float(np.max(np.abs(np.array(mine) - np.array(want)))))

@@ -508,6 +508,56 @@ def test_output_in_a_missing_directory_is_reported_before_any_input(tmp_path, co
     assert not missing.exists()
 
 
+# the input keys each command is given below, and the ways an output of it
+# could destroy a file: (command, output key, what it names, the input or
+# output key whose file that is)
+INPUTS_OF = {"train": ("types", "train", "test", "embeddings"), "eval": ("checkpoint", "input"),
+             "predict": ("checkpoint", "input"), "stats": ("types", "input"),
+             "export-types": ("checkpoint",)}
+
+
+@pytest.mark.parametrize("command,key,case,other", [
+    ("train", "checkpoint", "directory", None), ("train", "report", "output", "log"),
+    ("train", "log", "input", "train"),
+    ("eval", "report", "directory", None), ("eval", "report", "input", "checkpoint"),
+    ("predict", "output", "directory", None), ("predict", "output", "input", "input"),
+    ("stats", "report", "directory", None), ("stats", "report", "input", "input"),
+    ("export-types", "output", "directory", None),
+    ("export-types", "output", "input", "checkpoint")])
+def test_output_that_would_destroy_a_file_is_refused_before_any_input(
+        trained, tmp_path, command, key, case, other):
+    # an output that is a directory, another output's file or an input's
+    # file is refused before anything is read, trained or written
+    files = {**trained, "input": trained["test"]}
+    argv = [command] + (FAST if command == "train" else [])
+    for name in INPUTS_OF[command]:
+        copy = tmp_path / Path(files[name]).name
+        copy.write_bytes(Path(files[name]).read_bytes())
+        argv += ["--set", f"{name}={copy}"]
+    if case == "directory":
+        target = tmp_path / "folder"
+        target.mkdir()
+        (target / "kept.txt").write_text("kept\n")
+    elif case == "output":
+        target = tmp_path / "out.txt"
+        target.write_text("kept\n")
+        argv += ["--set", f"{other}={target}"]
+    else:
+        target = tmp_path / Path(files[other]).name
+    argv += ["--set", f"{key}={target}"]
+
+    def named():
+        return ({p.name: p.read_bytes() for p in target.iterdir()} if target.is_dir()
+                else target.read_bytes())
+
+    before = named()
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {key}={target} is a directory\n" if case == "directory"
+                   else f"error: {key}={target} would overwrite {other}={target}\n")
+    assert named() == before
+
+
 def test_train_multi_seed_aggregate(world, tmp_path):
     ckpt = tmp_path / "multi.ckpt"
     argv = ["train"] + FAST + [

@@ -239,7 +239,7 @@ def test_the_loader_peak_is_near_one_matrix(tmp_path, monkeypatch):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert isinstance(emb.stored, checkpoint.Frozen)
+    assert isinstance(emb.matrix, checkpoint.Frozen)
     emb = whole(emb)
     assert emb.matrix.nbytes == n * dim * 8
     # the parsed matrix is dropped for the cache it was written to, so what
@@ -315,7 +315,7 @@ def vectors(tmp_path, monkeypatch):
 def test_a_hit_reads_the_matrix_without_parsing(vectors, monkeypatch):
     no_parse(monkeypatch)
     emb = WordEmbeddings.from_file(vectors)
-    assert isinstance(emb.stored, checkpoint.Frozen)
+    assert isinstance(emb.matrix, checkpoint.Frozen)
     assert same(emb, reference_embeddings(vectors))
     rows = whole(emb)
     assert rows.matrix.dtype == np.float64 and rows.matrix.flags.c_contiguous
@@ -441,7 +441,7 @@ def test_a_first_load_keeps_the_words_it_parsed(tmp_path, monkeypatch):
     path = tmp_path / "v.txt"
     path.write_text(chunked(C, 2, 10, {}))
     emb = WordEmbeddings.from_file(path)
-    assert isinstance(emb.stored, checkpoint.Frozen)
+    assert isinstance(emb.matrix, checkpoint.Frozen)
     assert len(results) == 1 and emb.words is results[0][0]
     assert same(emb, reference_embeddings(path))
 
@@ -458,7 +458,7 @@ def test_a_cache_that_is_not_the_parse_is_not_returned(tmp_path, monkeypatch):
     path = tmp_path / "v.txt"
     path.write_text(chunked(C, 2, 10, {}))
     emb = WordEmbeddings.from_file(path)
-    assert not isinstance(emb.stored, checkpoint.Frozen)
+    assert not isinstance(emb.matrix, checkpoint.Frozen)
     assert same(emb, reference_embeddings(path))
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nfetc.corpus import CorpusError, MentionTriple
-from nfetc.embeddings import EmbeddingError, WordEmbeddings, position_rows
+from nfetc.embeddings import EmbeddingError, WordEmbeddings
 from nfetc.hierarchy import TypeForest
-from nfetc.model import NfetcModel
+from nfetc.model import NfetcModel, position_rows
 from nfetc.optim import make_rng
 from hparams import figer_hp
 

@@ -7,7 +7,7 @@ import pytest
 from nfetc import evaluation
 from nfetc.cli import main
 from nfetc.corpus import Corpus, CorpusError, MentionTriple, parse_corpus
-from nfetc.evaluation import (EvalPair, Metrics, evaluate, loose_macro_f1,
+from nfetc.evaluation import (Metrics, evaluate, loose_macro_f1,
                               loose_micro_f1, pairs_for, per_type_accuracy,
                               score_pairs, strict_accuracy)
 from nfetc.hierarchy import TypeForest
@@ -36,7 +36,7 @@ def manifest():
 
 
 def pair(gold, predicted):
-    return EvalPair(gold=frozenset(gold), predicted=frozenset(predicted))
+    return frozenset(gold), frozenset(predicted)
 
 
 # -- single-pair arithmetic -----------------------------------------------------
@@ -129,9 +129,9 @@ def test_agrees_with_counting_oracle():
 def test_pairs_for_expands_predictions(corpus, forest):
     athlete = forest.index("/person/athlete")
     pairs = pairs_for(corpus, [athlete] * len(corpus), forest)
-    assert all(p.predicted == {"/person", "/person/athlete"} for p in pairs)
-    assert pairs[0].gold == {"/person", "/person/athlete"}
-    assert pairs[3].gold == {"/person/coach"}  # gold stays as labeled
+    assert all(predicted == {"/person", "/person/athlete"} for _, predicted in pairs)
+    assert pairs[0][0] == {"/person", "/person/athlete"}
+    assert pairs[3][0] == {"/person/coach"}  # gold stays as labeled
 
 
 def test_pairs_for_guards(corpus, forest, tmp_path):

@@ -8,11 +8,11 @@ import pytest
 from gradcheck import STEP, TOLERANCE, fd_gradient, max_rel_error
 from nfetc.autodiff import lstm_sequence
 from nfetc.corpus import Corpus, MentionTriple
-from nfetc.embeddings import WordEmbeddings, position_rows
+from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig, l2_penalty, mean_nll
 from nfetc import model as model_module
-from nfetc.model import NfetcModel
+from nfetc.model import NfetcModel, position_rows
 from nfetc.optim import make_rng
 from nfetc.training import gradients, train
 from hparams import figer_hp

@@ -259,7 +259,7 @@ def test_train_rejects_word_vectors_beyond_float32(tmp_path):
     path.write_text(embedding_text(words, np.vstack([emb.matrix, [[1e39, 0, 0, 0]]])))
     WordEmbeddings.from_file(path)   # writes the cache
     hit = WordEmbeddings.from_file(path)
-    assert isinstance(hit.stored, checkpoint.Frozen) and hit.words == words
+    assert isinstance(hit.matrix, checkpoint.Frozen) and hit.words == words
     with pytest.raises(TrainingDiverged, match="word vectors outside the float32 range"):
         train(train_c, dev_c, hit, forest, small_hp(), config)
 
@@ -274,7 +274,7 @@ def test_a_cache_renamed_over_the_loaded_one_changes_nothing(tmp_path, when):
     path = tmp_path / "emb.txt"
     path.write_text(embedding_text(emb.words, emb.matrix))
     loaded = WordEmbeddings.from_file(path)
-    assert isinstance(loaded.stored, checkpoint.Frozen)
+    assert isinstance(loaded.matrix, checkpoint.Frozen)
     cache = f"{path}{CACHE_SUFFIX}"
     meta, tensors = checkpoint.load(cache)
     other = tensors["word_emb"] + 1.0
