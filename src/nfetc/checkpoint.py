@@ -21,11 +21,15 @@ own, whole for a trained tensor and the rows the caller asks for of a
 frozen one (``"trainable": false``). Nothing is mapped, so a file that
 shrinks under a reader is a ``CheckpointError``, never a SIGBUS.
 
-``open_frozen`` checks a file of one frozen tensor in such a load, keeping
-no row, and leaves the tensor in the file as a ``Frozen`` that holds the
-file open: a file renamed over it later changes nothing, and each later read
-(``Frozen.rows``, or ``save`` copying it into a new checkpoint) streams it
-again, so that a file that shrank meanwhile is a ``CheckpointError`` too.
+``open_frozen`` checks a file of one frozen tensor (and any trained ones)
+in such a load, keeping no row of the frozen one, and leaves it in the file
+as a ``Frozen`` that holds the file open for as long as it lives: a file
+renamed over it later changes nothing. Each later read checks again what it
+reads: ``Frozen.rows`` and ``save`` copying it into a new checkpoint stream
+the whole tensor again, and ``Frozen.take`` reads only the rows it is asked
+for, by position, checking that they are whole and finite. So a file that
+shrank meanwhile is a ``CheckpointError`` too, and so is one that a
+non-finite value was written into.
 """
 
 from __future__ import annotations
@@ -89,25 +93,29 @@ def load(path: str, rows=None) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, tensors
 
 
-def open_frozen(path: str) -> tuple[dict, "Frozen"]:
-    """The meta block of the checkpoint at ``path``, which must hold one
-    tensor, a frozen one, and that tensor left in the file. Every check of
-    ``load`` is made, the tensor's values read in one streamed pass that
-    keeps none of them; the returned ``Frozen`` holds the descriptor that
-    pass read through."""
+def open_frozen(path: str, check=lambda meta: None) -> tuple[dict, dict, "Frozen"]:
+    """The meta block, the trained tensors by name and the frozen tensor of
+    the checkpoint at ``path``, which must hold exactly one frozen tensor;
+    that one is left in the file. Every check of ``load`` is made,
+    ``check(meta)``, which may raise to refuse the meta, taking the place
+    of its ``rows``; the frozen tensor's values are read in one streamed
+    pass that keeps none of them, and the returned ``Frozen`` holds the
+    descriptor that pass read through."""
     def rows(meta):   # before any tensor byte is read
-        if [e["trainable"] for e in meta["params"]] != [False]:
+        check(meta)
+        if [e["trainable"] for e in meta["params"]].count(False) != 1:
             raise CheckpointError(f"{path}: holds other than one frozen tensor")
         return np.empty(0, dtype=np.intp)
 
     fd = os.open(path, os.O_RDONLY)
     try:
         with open(fd, "rb", closefd=False) as f:
-            meta, _, (frozen,) = _read(f, path, rows)
+            meta, tensors, (frozen,) = _read(f, path, rows)
     except BaseException:
         os.close(fd)
         raise
-    return meta, Frozen(fd, path, *frozen)
+    del tensors[frozen[0]]   # none of its rows
+    return meta, tensors, Frozen(fd, path, *frozen)
 
 
 def _read(f, path: str, rows):
@@ -204,10 +212,16 @@ def _blocks(f, path: str, name: str, shape: tuple, at: int):
         block = buf[:min(step, count - lo)]
         if f.readinto(block) != block.nbytes:
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
-        hi, low = block.max(initial=0.0), block.min(initial=0.0)   # NaN reaches both
-        if not (math.isfinite(hi) and math.isfinite(low)):
-            raise CheckpointError(f"{path}: non-finite values in {name!r}")
-        yield lo, block, max(hi, -low)
+        yield lo, block, _largest(block, path, name)
+
+
+def _largest(block: np.ndarray, path: str, name: str) -> float:
+    """The largest absolute value of ``block``, rows of tensor ``name``;
+    raises unless every value is finite."""
+    hi, low = block.max(initial=0.0), block.min(initial=0.0)   # NaN reaches both
+    if not (math.isfinite(hi) and math.isfinite(low)):
+        raise CheckpointError(f"{path}: non-finite values in {name!r}")
+    return max(hi, -low)
 
 
 class Frozen:
@@ -216,7 +230,7 @@ class Frozen:
     found finite and at most ``magnitude`` in absolute value. It owns the
     descriptor, closed when the object is collected. ``rows`` and
     ``write_to`` read the file afresh through ``_blocks``, checking every
-    value again."""
+    value again; ``take`` reads and checks only the rows it returns."""
 
     def __init__(self, fd: int, path: str, name: str, shape: tuple, at: int,
                  magnitude: float):
@@ -228,6 +242,21 @@ class Frozen:
         """Rows ``keep`` (sorted row numbers), read in one pass."""
         with open(self.fd, "rb", closefd=False) as f:
             return _stream(f, self.path, self.name, self.shape, self.at, keep)[0]
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` (sorted distinct row numbers) as a (len(rows),
+        width) array, read by position with one read per run of
+        consecutive rows; raises unless the file holds each row whole and
+        every value read is finite."""
+        width = math.prod(self.shape[1:])
+        out = np.empty((len(rows), width), dtype="<f8")
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()   # of each run
+        for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+            block = out[lo:hi]
+            if os.preadv(self.fd, [block], self.at + int(rows[lo]) * 8 * width) != block.nbytes:
+                raise CheckpointError(f"{self.path}: truncated tensor {self.name!r}")
+        _largest(out, self.path, self.name)
+        return out
 
     def write_to(self, out) -> None:
         """Copy the tensor's bytes to the open file ``out``."""

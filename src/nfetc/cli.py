@@ -134,22 +134,23 @@ def _require_path(cfg: dict, key: str, command: str) -> str:
     return path
 
 
-def _require_dirs(cfg: dict, keys) -> None:
+def _require_dirs(cfg: dict, keys, config: str | None) -> None:
     """Raise unless each output path ``keys`` name can be written: its
     directory exists, and it is no directory, no other output and no file
-    that an input key names (compared as resolved real paths)."""
+    that ``--config`` or an input key names (compared as resolved real paths)."""
     for key in keys:
         if (folder := os.path.dirname(cfg[key])) and not os.path.isdir(folder):
             raise CliError(2, f"no such directory: {folder} (for {key}={cfg[key]})")
-    taken = {os.path.realpath(_resolve(cfg[key])): key for key in
-             ("types", "refinement", "train", "test", "input", "embeddings", "checkpoint")
-             if cfg[key] and key not in keys}
+    taken = {os.path.realpath(config): f"--config {config}"} if config else {}
+    taken |= {os.path.realpath(_resolve(cfg[key])): f"{key}={cfg[key]}" for key in
+              ("types", "refinement", "train", "test", "input", "embeddings", "checkpoint")
+              if cfg[key] and key not in keys}
     for key in filter(cfg.get, keys):
         if os.path.isdir(cfg[key]):
             raise CliError(2, f"{key}={cfg[key]} is a directory")
         if (real := os.path.realpath(cfg[key])) in taken:
-            raise CliError(2, f"{key}={cfg[key]} would overwrite {taken[real]}={cfg[taken[real]]}")
-        taken[real] = key
+            raise CliError(2, f"{key}={cfg[key]} would overwrite {taken[real]}")
+        taken[real] = f"{key}={cfg[key]}"
 
 
 def _load_forest(cfg: dict, command: str):
@@ -376,7 +377,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args.profile, args.config, args.set)
         command, _, outputs = COMMANDS[args.command]
-        _require_dirs(cfg, outputs)   # before any input is read
+        _require_dirs(cfg, outputs, args.config)   # before any input is read
         return command(cfg)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

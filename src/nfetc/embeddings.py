@@ -9,9 +9,16 @@ The first load of a file stores what it parsed beside it, in
 Every load whose cache holds these bytes, the first one too once its write
 succeeds, checks the cache's matrix in one streamed pass and leaves it in
 the file, which the embeddings hold open as their ``matrix``. Nothing looks
-a word up in them, so they keep no word -> row index: ``subset`` reads the
+a word up in them, so they make no word -> row index: ``subset`` reads the
 rows of some words from the cache (``train`` asks for its corpora's), and
 ``save_checkpoint`` copies it whole, neither holding the matrix in memory.
+
+A checkpoint restored for an input's words (``nfetc eval`` and ``predict``)
+leaves its matrix in the file the same way, open for the whole command, so
+that a file renamed over it changes nothing; its embeddings hold the input's
+words and their rows in the file, and ``vectors`` reads only the rows each
+call gathers, checking them again, so that a file truncated meanwhile is an
+error. Predicting holds one chunk's rows, not the input's.
 """
 
 from __future__ import annotations
@@ -65,18 +72,21 @@ class WordEmbeddings:
     a float64 matrix is made read-only, so the caller's own array can no
     longer be written to. Pass a copy to keep a writable one.
 
-    ``matrix`` may also be a ``checkpoint.Frozen``: a matrix left in its
-    file, the parse cache, which ``subset`` and ``save_checkpoint`` read;
-    such embeddings, whose words ``_cached`` checks, look no word up. A
+    ``matrix`` may also be a ``checkpoint.Frozen``, a matrix left in its
+    file: the parse cache, which ``subset`` and ``save_checkpoint`` read, or
+    a checkpoint restored for the words of an input, whose file holds other
+    rows too. ``rows`` then gives each word's row in the file, sorted, and
+    such embeddings serve ``indices`` and ``vectors`` alone. A float64
     matrix may also hold only the rows of the words an input holds, as
-    ``subset`` returns it and ``nfetc eval`` and ``predict`` load it."""
+    ``subset`` returns it."""
 
-    def __init__(self, words: list[str], matrix: np.ndarray | checkpoint.Frozen):
+    def __init__(self, words: list[str], matrix: np.ndarray | checkpoint.Frozen,
+                 rows: np.ndarray | None = None):
         self.words = words
-        if isinstance(matrix, checkpoint.Frozen):   # looks no word up, so keeps no index
+        self.rows = rows
+        if isinstance(matrix, checkpoint.Frozen):
             self.magnitude = matrix.magnitude
         else:
-            self._index = dict(zip(words, range(len(words))))
             matrix = np.asarray(matrix, dtype=np.float64)
             matrix.flags.writeable = False
         self.matrix = matrix
@@ -141,14 +151,28 @@ class WordEmbeddings:
         """Vocabulary size; the perfbench tracer counts loaded words by it."""
         return len(self.words)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Each word's matrix row, made by the first lookup: embeddings left
+        in the parse cache look no word up, so they never make it."""
+        rows = range(len(self.words)) if self.rows is None else self.rows.tolist()
+        return dict(zip(self.words, rows))
+
     def indices(self, tokens) -> np.ndarray:
         """Matrix row of each token; -1 marks an out-of-vocabulary word."""
         return np.array([self._index.get(t, -1) for t in tokens], dtype=np.intp)
 
     def vectors(self, indices) -> np.ndarray:
         """Word vectors for an index array of any shape, the zero vector
-        where the index is -1."""
+        where the index is -1. A matrix left in its file is read only at
+        the distinct rows ``indices`` name, by ``Frozen.take``."""
         idx = np.asarray(indices, dtype=np.intp)
+        if isinstance(self.matrix, checkpoint.Frozen):
+            used, at = np.unique(idx, return_inverse=True)
+            known = used >= 0
+            table = np.zeros((len(used), self.dim))
+            table[known] = self.matrix.take(used[known])
+            return table[at.reshape(idx.shape)]
         out = self.matrix[np.maximum(idx, 0)]
         out[idx < 0] = 0.0
         return out
@@ -203,8 +227,8 @@ def _cached(cache, digest, parsed=None) -> WordEmbeddings | None:
     a parse just written there, asks for those; its checked words are kept
     in place of the cache's equal list."""
     try:
-        meta, frozen = checkpoint.open_frozen(cache)
-        if meta.get("source_sha256") != digest or frozen.name != "word_emb":
+        meta, tensors, frozen = checkpoint.open_frozen(cache)
+        if tensors or meta.get("source_sha256") != digest or frozen.name != "word_emb":
             return None
         if parsed is None:   # the words, the matrix's shape and that no word repeats
             check_vocabulary(meta.get("vocab"), frozen.shape)

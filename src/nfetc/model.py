@@ -42,12 +42,13 @@ if TYPE_CHECKING:
 GATES = 4  # input, forget, output, candidate blocks in the fused layout
 
 # Mentions per inference pass. A chunk's activations for every step (inputs,
-# gates and states, ~12 KiB per mention and token) are alive at once; at 32
-# mentions predicting stays within ~2 MiB of the peak memory of the per-bucket
-# pass it replaced on a 100k-word checkpoint, and is still faster than it.
-# On packed chunks, 64, 128 and 256 mentions were no faster and peaked 13, 36
-# and 80 MiB higher.
-PREDICT_CHUNK = 32
+# gates and states, ~12 KiB per mention and token) and the word rows it reads
+# from the checkpoint are alive at once; no word row is held for the whole
+# input. On a 100k-word checkpoint and 4,000 mentions (2-core host), `nfetc
+# predict` at 32, 64, 128 and 256 mentions peaked at 77, 89, 113 and 159 MiB,
+# and 128 ran ~25% faster than 32, as wider steps make the recurrent GEMMs and
+# the gate math cheaper per row.
+PREDICT_CHUNK = 128
 
 # Compute dtype of the LSTMs in training. At FIGER sizes numpy's float32 GEMM
 # ran at ~2x the float64 rate, a training step ~1.5x as fast, and parameter

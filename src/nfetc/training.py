@@ -296,19 +296,25 @@ def load_checkpoint(path: str, wanted=None) -> Restored:
     every row is kept. With it, once the file's structure and the stored
     settings are checked, before any tensor is read, ``wanted(forest, hp)``
     returns the set of words the model will look up (those of an input it
-    parses then, say), and only their rows are kept: the model predicts as
-    it would with the whole matrix."""
+    parses then, say). Then no row is kept: the matrix is left in the file,
+    held open by the embeddings, which hold only those words and their rows
+    in the file, and read the rows each step of the model gathers from
+    there. The model predicts as it would with the whole matrix."""
     stored, keep = None, None
 
-    def rows(meta):
+    def check(meta):
         nonlocal stored, keep
         stored = hp, _, forest = _stored(path, meta)
-        keep = None if wanted is None else kept_rows(meta["vocab"], wanted(forest, hp))
-        return keep
+        if wanted is not None:
+            keep = kept_rows(meta["vocab"], wanted(forest, hp))
 
-    meta, tensors = checkpoint.load(path, rows)
+    if wanted is None:
+        meta, tensors = checkpoint.load(path, check)   # ``check`` asks for every row
+        matrix = tensors["word_emb"]
+    else:
+        meta, tensors, matrix = checkpoint.open_frozen(path, check)
     words = meta["vocab"] if keep is None else [meta["vocab"][r] for r in keep.tolist()]
     hp, config, forest = stored
-    model = NfetcModel(hp, WordEmbeddings(words, tensors["word_emb"]), forest,
+    model = NfetcModel(hp, WordEmbeddings(words, matrix, keep), forest,
                        params=params_from_values(tensors))
     return Restored(model=model, hyperparams=hp, loss_config=config, forest=forest)

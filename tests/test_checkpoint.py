@@ -12,7 +12,7 @@ import pytest
 
 from ckptedit import padded_header, rewrite_meta, rewrite_params
 from nfetc import training as training_module
-from nfetc.checkpoint import MAGIC, READ_BYTES, CheckpointError, header, load, save
+from nfetc.checkpoint import MAGIC, READ_BYTES, CheckpointError, header, load, open_frozen, save
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
 from nfetc.hierarchy import TypeForest
@@ -340,6 +340,34 @@ def test_load_with_rows_keeps_those_rows_and_maps_nothing(tmp_path, monkeypatch)
     write_raw(path, path.read_bytes() + b"\0" * 8)
     with pytest.raises(CheckpointError, match="8 trailing bytes"):
         load(path, lambda meta: pytest.fail("rows asked"))
+
+
+def test_take_reads_each_run_of_rows_once_and_checks_it_again(tmp_path, monkeypatch):
+    # a frozen tensor left in its file gives the rows asked for, one read per
+    # run of consecutive rows, and each read checks again that its rows are
+    # whole and finite
+    big = np.arange(50 * 3, dtype=np.float64).reshape(50, 3)
+    path = tmp_path / "x.ckpt"
+    save(path, {"k": 1}, [("word_emb", False, big), ("w", True, np.ones(2))])
+    meta, tensors, frozen = open_frozen(str(path))
+    assert meta["k"] == 1 and list(tensors) == ["w"] and frozen.shape == (50, 3)
+    real, reads = os.preadv, []
+    monkeypatch.setattr(os, "preadv", lambda *args: reads.append(args[2]) or real(*args))
+    rows = np.array([0, 1, 2, 7, 9, 10, 49])
+    assert frozen.take(rows).tobytes() == big[rows].tobytes()
+    assert reads == [frozen.at + 24 * r for r in (0, 7, 9, 49)]
+    assert frozen.take(np.empty(0, dtype=np.intp)).shape == (0, 3)
+    with open(path, "r+b") as f:   # a NaN in row 9, written in place
+        f.seek(frozen.at + 24 * 9)
+        f.write(struct.pack("<d", float("nan")))
+    with pytest.raises(CheckpointError) as err:
+        frozen.take(rows)
+    assert str(err.value) == f"{path}: non-finite values in 'word_emb'"
+    assert frozen.take(np.array([8, 10])).tobytes() == big[[8, 10]].tobytes()
+    os.truncate(path, frozen.at + 24 * 49 + 8)   # row 49 cut short
+    with pytest.raises(CheckpointError) as err:
+        frozen.take(np.array([48, 49]))
+    assert str(err.value) == f"{path}: truncated tensor 'word_emb'"
 
 
 # "padded" names the aligned layout earlier writers padded the JSON block to,

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -26,7 +27,7 @@ from nfetc.embeddings import CACHE_SUFFIX, WordEmbeddings
 from nfetc.evaluation import pairs_for, per_type_accuracy, score_pairs
 from nfetc.hierarchy import TypeForest, apply_refinement, read_refinement
 from nfetc.loss import LossConfig, inference_adjust
-from nfetc.model import NfetcModel
+from nfetc.model import PREDICT_CHUNK, NfetcModel
 from nfetc.optim import make_rng
 from nfetc.training import HyperParams, load_checkpoint, save_checkpoint
 from hparams import figer_hp
@@ -556,6 +557,23 @@ def test_output_that_would_destroy_a_file_is_refused_before_any_input(
     assert err == (f"error: {key}={target} is a directory\n" if case == "directory"
                    else f"error: {key}={target} would overwrite {other}={target}\n")
     assert named() == before
+
+
+@pytest.mark.parametrize("command,key", [("stats", "report"), ("export-types", "output"),
+                                         ("train", "log")])
+def test_an_output_over_the_config_file_is_refused_before_any_input(
+        tmp_path, monkeypatch, command, key):
+    # the --config file is taken like an input's: an output naming it is
+    # refused with exit 2, and the file is left as it was
+    for name in ("run.cfg", "types.txt", "corpus.tsv", "refinement.tsv"):
+        (tmp_path / name).write_bytes((MINI / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    before = Path("run.cfg").read_bytes()
+    code, out, err = run_cli([command, "--config", "run.cfg", "--set", "input=corpus.tsv",
+                              "--set", f"{key}=run.cfg"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {key}=run.cfg would overwrite --config run.cfg\n"
+    assert Path("run.cfg").read_bytes() == before
 
 
 def test_train_multi_seed_aggregate(world, tmp_path):
@@ -1322,6 +1340,22 @@ def test_predict_peak_memory_stays_below_the_word_matrix(tmp_path):
     assert peak < matrix_bytes
 
 
+def test_predict_of_every_word_peaks_below_the_word_matrix(tmp_path):
+    # ``nfetc predict`` on a 40,000 x 300 word matrix (96 MB) and 8,000
+    # mentions that use every word: the rows are read from the checkpoint
+    # one chunk at a time, so the process never holds the input's rows
+    ckpt = tmp_path / "big.ckpt"
+    matrix_bytes = big_checkpoint(ckpt)   # window 2: five tokens a mention
+    source = tmp_path / "in.tsv"
+    source.write_text("".join(f"2 3\t{' '.join(f'w{j}' for j in range(i, i + 5))}\n"
+                              for i in range(0, 40000, 5)))
+    code, peak, err = peak_run(["predict", "--set", f"checkpoint={ckpt}", "--set", f"input={source}",
+                                "--set", f"output={tmp_path / 'out.tsv'}"])
+    assert code == 0, err
+    assert len((tmp_path / "out.tsv").read_text().splitlines()) == 8000
+    assert peak < matrix_bytes, peak
+
+
 def test_export_types_peak_memory_stays_below_the_word_matrix(tmp_path):
     # ``nfetc export-types`` on a 40,000 x 300 word matrix (96 MB): the
     # matrix is checked through the load's buffer and no row of it is kept
@@ -1382,6 +1416,77 @@ def test_a_cache_truncated_after_the_load_is_one_error_line(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", f"error: {cache}: truncated tensor 'word_emb'\n")
+
+
+@pytest.mark.parametrize("command,key", [("predict", "output"), ("eval", "report")])
+@pytest.mark.parametrize("change", ["truncated", "non-finite", "renamed-over"])
+def test_a_checkpoint_changed_after_the_load(trained, tmp_path, command, key, change):
+    # eval and predict read their word rows from the checkpoint after the
+    # load, through the descriptor the load read through, and check them
+    # again: a file truncated or given a NaN in place by then is one error
+    # line and no output, and a file renamed over it changes nothing. In a
+    # subprocess, so that a reader that mapped it, and died of SIGBUS,
+    # would not take the test run with it
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(Path(trained["checkpoint"]).read_bytes())
+    raw = ckpt.read_bytes()
+    length_end = raw.index(b"\n", len(MAGIC))   # the matrix follows the meta block
+    matrix_at = length_end + 1 + int(raw[len(MAGIC):length_end])
+    meta = checkpoint_load(ckpt)[0]
+    d_w = meta["params"][0]["shape"][1]
+    at = matrix_at + 8 * d_w * meta["vocab"].index("cat")   # a word of the input
+    edit = {"truncated": "os.truncate(path, 0)",
+            "non-finite": f"with open(path, 'r+b') as f: f.seek({at}); f.write(bytes.fromhex("
+                          f"'{np.array([np.nan], '<f8').tobytes().hex()}'))",
+            "renamed-over": "open(f'{path}.new', 'wb').close(); os.replace(f'{path}.new', path)",
+            }[change]
+    script = ("import os, sys\nfrom nfetc import cli\nload = cli.load_checkpoint\n"
+              "def load_then_change(path, wanted):\n    restored = load(path, wanted)\n"
+              f"    {edit}\n    return restored\n"
+              "cli.load_checkpoint = load_then_change\n"
+              "sys.exit(cli.main(sys.argv[1:]))")
+    out = tmp_path / "out.txt"
+    argv = [command, "--set", f"checkpoint={ckpt}", "--set", f"input={trained['test']}",
+            "--set", f"{key}={out}"]
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    if change == "renamed-over":
+        want = run_cli(argv[:-2] + ["--set", f"checkpoint={trained['checkpoint']}"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert out.read_text() == want[1] and want[0] == 0
+        return
+    message = "truncated tensor" if change == "truncated" else "non-finite values in"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: {ckpt}: {message} 'word_emb'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [1, PREDICT_CHUNK, PREDICT_CHUNK + 1])
+def test_rows_read_from_the_file_predict_as_the_whole_matrix(refined_synth, count):
+    # the restore for an input's words leaves the matrix in the file; its
+    # rows, read chunk by chunk, give the rows of the whole matrix bit for bit
+    ckpt, _ = refined_synth
+    whole = load_checkpoint(str(ckpt))
+    corpus = windowed(parse_corpus(SYNTH / "train.tsv", whole.forest, allow_unlabeled=True),
+                      whole.hyperparams.window)[:count]
+    filed = load_checkpoint(str(ckpt), lambda forest, hp: set().union(*(t.tokens for t in corpus)))
+    assert isinstance(filed.model.embeddings.matrix, checkpoint_module.Frozen)
+    assert len(filed.model.embeddings) < len(whole.model.embeddings)
+    assert (filed.model.predict_probs(corpus).tobytes()
+            == whole.model.predict_probs(corpus).tobytes())
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_predict_leaves_no_descriptor_open(trained):
+    # the checkpoint stays open for the command, and no longer
+    gc.collect()   # an earlier test's traceback may hold an open file in a cycle
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        code, out, err = run_cli(["predict", "--set", f"checkpoint={trained['checkpoint']}",
+                                  "--set", f"input={trained['test']}"])
+        assert (code, err) == (0, "") and out
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_no_command_maps_a_file(trained, tmp_path, monkeypatch):

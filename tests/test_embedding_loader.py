@@ -386,6 +386,13 @@ def saved(meta_edit=None, matrix=None):
     return corrupt
 
 
+def second_frozen_tensor(cache):
+    meta, tensors = checkpoint.load(str(cache))
+    meta.pop("params")
+    checkpoint.save(str(cache), meta, [("word_emb", False, tensors["word_emb"]),
+                                       ("extra", False, np.ones(2))])
+
+
 CORRUPTIONS = {
     "truncated": truncate,
     "garbage": garbage,
@@ -407,6 +414,7 @@ CORRUPTIONS = {
     "no-words-of-no-width": saved(lambda m: m.update(vocab=[]), lambda m: np.zeros((0, 0))),
     "second-tensor": lambda cache: rewrite_params(
         cache, cache, lambda values: values.update(extra=np.ones(2))),
+    "second-frozen-tensor": second_frozen_tensor,
 }
 
 
