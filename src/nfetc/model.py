@@ -45,7 +45,7 @@ GATES = 4  # input, forget, output, candidate blocks in the fused layout
 # gates and states, ~12 KiB per mention and token) and the word rows it reads
 # from the checkpoint are alive at once; no word row is held for the whole
 # input. On a 100k-word checkpoint and 4,000 mentions (2-core host), `nfetc
-# predict` at 32, 64, 128 and 256 mentions peaked at 77, 89, 113 and 159 MiB,
+# predict` at 32, 64, 128 and 256 mentions peaked at 76, 87, 112 and 161 MiB,
 # and 128 ran ~25% faster than 32, as wider steps make the recurrent GEMMs and
 # the gate math cheaper per row.
 PREDICT_CHUNK = 128
@@ -199,6 +199,11 @@ class NfetcModel:
         Dropout masks are drawn from ``rng`` in a fixed order: forward,
         backward and mention LSTM, input then output."""
         ctx_len, start, end, words, ext = self._indices(batch)
+        # every word row the batch reads, gathered once, the zero vector (-1)
+        # first; ``words`` and ``ext`` become row numbers of this table
+        used = np.union1d(words, -1)
+        table = self.embeddings.vectors(used)
+        words, ext = np.searchsorted(used, words), np.searchsorted(used, ext)
         dtype = TRAIN_DTYPE if train else np.float64
         pos_table = self.params["pos_table"]
         window = (pos_table.shape[0] - 2) // 2
@@ -206,20 +211,21 @@ class NfetcModel:
         # context BiLSTM over the real tokens: frozen words, trained positions
         seq, step, n_at = _packed(ctx_len)
         pos = position_rows(window, step, start[seq], end[seq])
-        x = [self.embeddings.vectors(words[seq, step]).astype(dtype, copy=False), pos_table[pos]]
+        x = [table[words[seq, step]].astype(dtype, copy=False), pos_table[pos]]
+        # mention encoders' inputs: the span average, and the extended mention
+        span = end - start
+        j = np.arange(ext.shape[1])
+        in_span = (j >= 1) & (j <= span[:, None])
+        r_a = table[np.where(in_span, ext, 0)].sum(axis=1) / span[:, None]
+        ext_len = span + 2
+        m_seq, m_step, m_at = _packed(ext_len)
+        xm = table[ext[m_seq, m_step]].astype(dtype, copy=False)
+        del table   # before the LSTMs' peak
+
         # each records dx for the position block
         fw, fw_back = self._encode("ctx_fw", x, n_at, False, train, rng, record=(1,))
         bw, bw_back = self._encode("ctx_bw", x, n_at, True, train, rng, record=(1,))
         del x   # each LSTM holds its own masked copy of the inputs
-
-        # mention encoders: the span average, and an LSTM over the extended mention
-        span = end - start
-        j = np.arange(ext.shape[1])
-        in_span = (j >= 1) & (j <= span[:, None])
-        r_a = self.embeddings.vectors(np.where(in_span, ext, -1)).sum(axis=1) / span[:, None]
-        ext_len = span + 2
-        m_seq, m_step, m_at = _packed(ext_len)
-        xm = self.embeddings.vectors(ext[m_seq, m_step]).astype(dtype, copy=False)
         hm, men_back = self._encode("men", [xm], m_at, False, train, rng)
         del xm
         last = np.empty(len(batch), dtype=np.intp)   # row of each mention's final state

@@ -1463,9 +1463,10 @@ def test_a_checkpoint_changed_after_the_load(trained, tmp_path, command, key, ch
 
 
 @pytest.mark.parametrize("count", [1, PREDICT_CHUNK, PREDICT_CHUNK + 1])
-def test_rows_read_from_the_file_predict_as_the_whole_matrix(refined_synth, count):
+def test_rows_read_from_the_file_predict_as_the_whole_matrix(refined_synth, count, monkeypatch):
     # the restore for an input's words leaves the matrix in the file; its
-    # rows, read chunk by chunk, give the rows of the whole matrix bit for bit
+    # rows, read chunk by chunk, one take per chunk, give the rows of the
+    # whole matrix bit for bit
     ckpt, _ = refined_synth
     whole = load_checkpoint(str(ckpt))
     corpus = windowed(parse_corpus(SYNTH / "train.tsv", whole.forest, allow_unlabeled=True),
@@ -1473,8 +1474,13 @@ def test_rows_read_from_the_file_predict_as_the_whole_matrix(refined_synth, coun
     filed = load_checkpoint(str(ckpt), lambda forest, hp: set().union(*(t.tokens for t in corpus)))
     assert isinstance(filed.model.embeddings.matrix, checkpoint_module.Frozen)
     assert len(filed.model.embeddings) < len(whole.model.embeddings)
+    takes = []
+    take = checkpoint_module.Frozen.take
+    monkeypatch.setattr(checkpoint_module.Frozen, "take",
+                        lambda self, rows: takes.append(rows) or take(self, rows))
     assert (filed.model.predict_probs(corpus).tobytes()
             == whole.model.predict_probs(corpus).tobytes())
+    assert len(takes) == -(-count // PREDICT_CHUNK)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
