@@ -45,7 +45,10 @@ def lstm_sequence(x: list, w_in: np.ndarray, w_rec: np.ndarray, bias: np.ndarray
     time-major: step t's R_t = n_at[t] rows follow step t-1's, and sequence
     k of the longest-first order is row k of every step it runs. ``x`` is a
     list of column blocks of these R = sum(n_at) rows, in ``w_in`` row
-    order, which may come in ``dtype`` already. Gate column blocks are input, forget, output, candidate.
+    order, which may come in ``dtype`` already; one block in ``dtype`` is
+    read in place unless it is masked, so two calls can share it and
+    neither writes to it. Gate column blocks are input, forget, output,
+    candidate.
     ``reverse`` runs each sequence from its own last step back to step 0.
     Returns the (R, d_s) states, in the same rows, and their backward.
 
@@ -76,7 +79,10 @@ def lstm_sequence(x: list, w_in: np.ndarray, w_rec: np.ndarray, bias: np.ndarray
     order = range(n_at.size - 1, -1, -1) if reverse else range(n_at.size)
     bounds = np.cumsum([0] + [a.shape[1] for a in x])
 
-    xr = _drop(np.concatenate(x, axis=1, dtype=dtype), mask_in)
+    if len(x) == 1 and mask_in is None:   # read in place: the caller may share it
+        xr = x[0].astype(dtype, copy=False)
+    else:
+        xr = _drop(np.concatenate(x, axis=1, dtype=dtype), mask_in)
     w_in_c, w_rec_c = w_in.astype(dtype, copy=False), w_rec.astype(dtype, copy=False)
     gates = xr @ w_in_c   # biased and activated in place below
     gates += bias.astype(dtype, copy=False)

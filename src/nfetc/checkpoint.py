@@ -34,6 +34,7 @@ non-finite value was written into.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -54,25 +55,16 @@ def header(blob: bytes) -> bytes:
     return MAGIC + b"%d\n" % len(blob) + blob
 
 
-def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> None:
-    """Write ``(name, trainable, array)`` tensors in order to a temporary file
-    beside ``path``, fsync it, then rename it over ``path``: the replacement
-    is atomic, so a reader finds the old file or the new one whole, and a
-    failed write leaves any old file intact. A ``Frozen`` may stand for an
-    array: its bytes are copied from its file. ``meta`` must not hold the
-    ``params`` key, which this adds."""
-    doc = dict(meta)
-    doc["params"] = [{"name": n, "trainable": trainable, "shape": list(a.shape)}
-                     for n, trainable, a in tensors]
+@contextlib.contextmanager
+def replacing(path: str, mode: str = "wb", **kwargs):
+    """A new file, open in ``mode`` beside ``path``, that is fsynced and
+    renamed over ``path`` once the block is done: the replacement is
+    atomic, so a reader finds the old file or the new one whole, and a
+    block that raises leaves any old file intact and no temporary file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as f:
-            f.write(header(json.dumps(doc).encode("utf-8")))
-            for _, _, a in tensors:
-                if isinstance(a, Frozen):
-                    a.write_to(f)
-                else:   # straight from the array's buffer, no copy
-                    f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
+        with open(tmp, mode, **kwargs) as f:
+            yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -80,6 +72,23 @@ def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> 
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> None:
+    """Write ``(name, trainable, array)`` tensors in order to ``path``
+    through ``replacing``, so a failed write leaves any old file intact. A
+    ``Frozen`` may stand for an array: its bytes are copied from its file.
+    ``meta`` must not hold the ``params`` key, which this adds."""
+    doc = dict(meta)
+    doc["params"] = [{"name": n, "trainable": trainable, "shape": list(a.shape)}
+                     for n, trainable, a in tensors]
+    with replacing(path) as f:
+        f.write(header(json.dumps(doc).encode("utf-8")))
+        for _, _, a in tensors:
+            if isinstance(a, Frozen):
+                a.write_to(f)
+            else:   # straight from the array's buffer, no copy
+                f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
 
 
 def load(path: str, rows=None) -> tuple[dict, dict[str, np.ndarray]]:

@@ -10,23 +10,40 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
+import io
+import itertools
 import os
 import sys
+import tempfile
+import zlib
 
 import numpy as np
 
-from .checkpoint import CheckpointError
-from .corpus import CorpusError, parse_corpus, stats, split_dev, windowed
+from .checkpoint import CheckpointError, replacing
+from .corpus import (Corpus, CorpusError, parse_corpus, read_mentions, stats, split_dev,
+                     window, windowed)
 from .embeddings import EmbeddingError, WordEmbeddings
-from .evaluation import pairs_for, per_type_accuracy, score_pairs
+from .evaluation import Tally, pairs_for
 from .hierarchy import ForestError, TypeForest, apply_refinement, read_refinement
 from .loss import LossConfig, inference_adjust
+from .model import PREDICT_CHUNK
 from .textfile import content_lines
 from .training import (HyperParams, TrainingDiverged, VARIANTS, load_checkpoint,
                        params_from_values, save_checkpoint, select_variant, train,
                        training_corpus)
 
 DATA_ROOT_VAR = "NFETC_DATA_ROOT"
+
+# Mentions per block of eval's and predict's second pass over their input:
+# a block's mentions, rows and lines are all of the input held at once. On a
+# 100k-word checkpoint (2-core host, in process), 1,024-mention blocks made
+# `nfetc predict` peak at 99 and 101 MiB for 4,000 and 10,000 mentions, with
+# ~24k minor faults per 4,000-mention call; holding the whole input peaked at
+# 112 and 123 MiB with ~44k. 128-mention blocks in file order peaked lower
+# (89 MiB in a prototype) but glibc returned and re-faulted the heap every
+# chunk: ~140k faults per call, each call ~10% slower.
+PREDICT_BLOCK = 8 * PREDICT_CHUNK
 
 # The one settings table, in --help order: each config key's type, its
 # FIGER and OntoNotes defaults, the HyperParams or LossConfig field it fills
@@ -186,14 +203,31 @@ def _hyperparams(cfg: dict) -> HyperParams:
     return HyperParams(**_fields(cfg, HyperParams), seed=_seeds(cfg)[0])
 
 
+@contextlib.contextmanager
+def _output(path: str, echo: bool = False):
+    """``write(text)`` for a command's output: to ``path``, and to stdout
+    when ``echo`` is set or there is no path. A path that is a regular file
+    or does not exist yet is written through ``replacing``, so a command
+    that fails or is cut leaves an earlier file whole; any other
+    (``/dev/null``, say) is written in place."""
+    sinks = [sys.stdout] if echo or not path else []
+    with contextlib.ExitStack() as stack:
+        if path:
+            in_place = os.path.exists(path) and not os.path.isfile(path)
+            sinks.append(stack.enter_context(
+                (open if in_place else replacing)(path, "w", encoding="utf-8")))
+
+        def write(text: str) -> None:
+            for sink in sinks:
+                sink.write(text)
+
+        yield write
+
+
 def _emit(text: str, path: str, echo: bool = False) -> None:
-    """Write a command's text to ``path``, and to stdout when ``echo`` is
-    set or there is no path."""
-    if echo or not path:
-        sys.stdout.write(text)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Write a command's text through ``_output``."""
+    with _output(path, echo) as write:
+        write(text)
 
 
 def _of(path: str, step, *args):
@@ -249,63 +283,133 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _restore_and_predict(cfg: dict, command: str, key: str, read):
-    """(restored checkpoint, windowed ``key`` corpus as ``read(path, forest)``
-    parses it, its probability rows as ``inference_adjust`` leaves them).
-    The checkpoint keeps only the word vectors of the corpus's words."""
-    corpus = None
+class _Tap(io.FileIO):
+    """Binary reads of descriptor ``fd``, which this leaves open, keeping the
+    zlib.crc32 and size of the bytes read in ``seen``, and writing them to
+    ``copy`` too when given."""
 
-    def wanted(forest, hp):
-        nonlocal corpus
-        corpus = windowed(read(_require_path(cfg, key, command), forest), hp.window)
-        return set().union(*(t.tokens for t in corpus))
+    def __init__(self, fd: int, copy=None):
+        super().__init__(fd, "rb", closefd=False)
+        self.copy, self.seen = copy, (0, 0)
 
-    restored = load_checkpoint(_require_path(cfg, "checkpoint", command), wanted)
-    probs = restored.model.predict_probs(corpus)
-    return restored, corpus, inference_adjust(probs, restored.forest, restored.loss_config)
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        if n:
+            data = memoryview(buffer)[:n]
+            self.seen = zlib.crc32(data, self.seen[0]), self.seen[1] + n
+            if self.copy is not None:
+                self.copy.write(data)
+        return n
+
+    def text(self):
+        """The bytes as text, decoded as ``numbered_lines`` opens a file."""
+        return io.TextIOWrapper(io.BufferedReader(self), encoding="utf-8",
+                                errors="surrogateescape")
+
+
+def _predict_blocks(cfg: dict, command: str, key: str, read, each, empty: str = ""):
+    """Restore the checkpoint for the ``key`` input, then call ``each(restored,
+    block, rows)`` on each block of up to ``PREDICT_BLOCK`` of its windowed
+    mentions, in order, with the probability rows ``inference_adjust``
+    leaves. ``read(path, forest, fh)`` yields the mentions of the input's
+    text stream ``fh``.
+
+    The input is read twice through one descriptor: first inside the load,
+    before any tensor byte is read, to check every line and gather the
+    words the model will look up, which the checkpoint keeps alone (an
+    input without mentions raises ``empty`` when given); then block by
+    block. A file renamed over the input meanwhile changes nothing. An input
+    that cannot seek (a pipe) is copied to an anonymous temporary file in
+    the first pass and read back from there. Bytes that differ in the second
+    pass raise "<path>: changed while it was read", after the blocks read."""
+    with contextlib.ExitStack() as stack:
+        path = again = seen = None
+
+        def wanted(forest, hp):
+            nonlocal path, again, seen
+            path = _require_path(cfg, key, command)
+            again = stack.enter_context(open(path, "rb", buffering=0))
+            copy = None if again.seekable() else stack.enter_context(tempfile.TemporaryFile())
+            tap, words, count = _Tap(again.fileno(), copy), set(), 0
+            with tap.text() as fh:
+                for mention in read(path, forest, fh):
+                    words.update(window(mention, hp.window).tokens)
+                    count += 1
+            if empty and not count:
+                raise CorpusError(f"{path}: {empty}")
+            again, seen = again if copy is None else copy, tap.seen
+            return words
+
+        restored = load_checkpoint(_require_path(cfg, "checkpoint", command), wanted)
+        again.seek(0)
+        tap = _Tap(again.fileno())
+        changed = CorpusError(f"{path}: changed while it was read")
+        with tap.text() as fh:
+            mentions = read(path, restored.forest, fh)
+            while True:
+                try:   # the first pass parsed every line
+                    block = list(itertools.islice(mentions, PREDICT_BLOCK))
+                except CorpusError:
+                    raise changed from None
+                if not block:
+                    break
+                block = windowed(Corpus(block), restored.hyperparams.window)
+                probs = restored.model.predict_probs(block)
+                each(restored, block,
+                     inference_adjust(probs, restored.forest, restored.loss_config))
+        if tap.seen != seen:
+            raise changed
 
 
 def cmd_eval(cfg: dict) -> int:
-    def read(path, forest):
-        mapping = None
-        if cfg["refinement"]:
-            if not cfg["types"]:
-                raise CliError(2, "nfetc eval: refinement needs the 'types' config key, "
-                                  "the forest the corpus labels are written in")
-            _, mapping = _load_forest(cfg, "eval")
-        corpus = parse_corpus(path, forest, mapping=mapping)
-        if not corpus:
-            raise CorpusError(f"{path}: no mentions to score")
-        return corpus
+    @functools.cache
+    def mapping():
+        if not cfg["refinement"]:
+            return None
+        if not cfg["types"]:
+            raise CliError(2, "nfetc eval: refinement needs the 'types' config key, "
+                              "the forest the corpus labels are written in")
+        return _load_forest(cfg, "eval")[1]
 
-    restored, corpus, probs = _restore_and_predict(
-        cfg, "eval", "input" if cfg["input"] else "test", read)
-    pairs = pairs_for(corpus, [int(i) for i in np.argmax(probs, axis=1)], restored.forest)
-    metrics = score_pairs(pairs)
+    tally = Tally()
+
+    def score(restored, block, probs):
+        predicted = [int(i) for i in np.argmax(probs, axis=1)]
+        tally.add(pairs_for(block, predicted, restored.forest), block)
+
+    _predict_blocks(cfg, "eval", "input" if cfg["input"] else "test",
+                    lambda path, forest, fh: read_mentions(path, forest, mapping=mapping(), fh=fh),
+                    score, empty="no mentions to score")
+    metrics = tally.metrics()
     out = metrics.as_text()
     if cfg["json"]:
         out += metrics.as_json() + "\n"
     if cfg["per_type"]:
-        for tname, acc in per_type_accuracy(corpus, pairs).items():
+        for tname, acc in tally.per_type().items():
             out += f"{tname}\t{acc:.4f}\n"
     _emit(out, cfg["report"], echo=True)
     return 0
 
 
-def cmd_predict(cfg: dict) -> int:
-    restored, _, probs = _restore_and_predict(
-        cfg, "predict", "input",
-        lambda path, forest: parse_corpus(path, forest, tag="input", allow_unlabeled=True))
-    forest = restored.forest
+def _ranked_lines(forest: TypeForest, probs: np.ndarray) -> str:
+    """``predict`` output of probability rows: per row the terminal
+    prediction, its path expansion and the top five ``path=prob`` pairs."""
     paths = [forest.path_of(i) for i in range(len(forest))]
     chains = [",".join(sorted(forest.expand_to_path(p), key=lambda q: (q.count("/"), q)))
               for p in paths]
     order = np.argsort(-probs, axis=1, kind="stable")[:, :5]
     top = np.take_along_axis(probs, order, axis=1).tolist()
-    lines = [f"{paths[ranked[0]]}\t{chains[ranked[0]]}\t"
-             + " ".join(f"{paths[i]}={p:.6f}" for i, p in zip(ranked, row)) + "\n"
-             for ranked, row in zip(order.tolist(), top)]
-    _emit("".join(lines), cfg["output"])
+    return "".join(f"{paths[ranked[0]]}\t{chains[ranked[0]]}\t"
+                   + " ".join(f"{paths[i]}={p:.6f}" for i, p in zip(ranked, row)) + "\n"
+                   for ranked, row in zip(order.tolist(), top))
+
+
+def cmd_predict(cfg: dict) -> int:
+    with _output(cfg["output"]) as write:
+        _predict_blocks(cfg, "predict", "input",
+                        lambda path, forest, fh: read_mentions(path, forest, allow_unlabeled=True,
+                                                               fh=fh),
+                        lambda restored, block, probs: write(_ranked_lines(restored.forest, probs)))
     return 0
 
 

@@ -75,11 +75,11 @@ def parse_line(line: str, forest: TypeForest, strings: dict[str, str],
         raise CorpusError(f"non-integer span {span!r}") from None
     tokens = token_field.split(" ")
     tokens = tuple(map(strings.setdefault, tokens, tokens))
-    if any(tok == "" for tok in tokens):
+    if "" in tokens:
         raise CorpusError("empty token (check for doubled spaces)")
     labels = label_field.split(" ") if label_field else []
     labels = tuple(map(strings.setdefault, labels, labels))
-    if any(lbl == "" for lbl in labels):
+    if "" in labels:
         raise CorpusError("empty label")
     if len(set(labels)) != len(labels):
         raise CorpusError("duplicate label")
@@ -94,24 +94,27 @@ def parse_line(line: str, forest: TypeForest, strings: dict[str, str],
                          frozenset(forest.terminal_set(labels)) if labels else frozenset())
 
 
-def parse_corpus(path, forest: TypeForest, tag: str = "raw",
-                 allow_unlabeled: bool = False,
-                 mapping: dict[str, str] | None = None) -> Corpus:
-    """Parse a corpus file, its labels read through ``mapping`` when given
-    (see ``parse_line``); errors name the file and the line."""
-    triples, strings = [], {}
-    for lineno, line in numbered_lines(path, CorpusError):
+def read_mentions(path, forest: TypeForest, allow_unlabeled: bool = False,
+                  mapping: dict[str, str] | None = None, fh=None):
+    """Each mention of corpus file ``path`` in file order, read from the text
+    stream ``fh`` when given (see ``numbered_lines``), its labels read
+    through ``mapping`` when given (see ``parse_line``); errors name the
+    file and the line."""
+    strings = {}
+    for lineno, line in numbered_lines(path, CorpusError, fh):
         if line.strip() == "":
             continue
         try:
-            triples.append(parse_line(line, forest, strings, allow_unlabeled, mapping))
+            yield parse_line(line, forest, strings, allow_unlabeled, mapping)
         except CorpusError as e:
             raise CorpusError(f"{path}:{lineno}: {e}") from None
-    # freed here rather than on return: with glibc's allocator, repeated
-    # `nfetc predict` calls in one process (100k-word checkpoint, 4,000
-    # mentions) otherwise peaked ~11 MiB higher
-    del strings
-    return Corpus(triples, tag=tag)
+
+
+def parse_corpus(path, forest: TypeForest, tag: str = "raw",
+                 allow_unlabeled: bool = False,
+                 mapping: dict[str, str] | None = None) -> Corpus:
+    """The mentions of a corpus file (see ``read_mentions``)."""
+    return Corpus(read_mentions(path, forest, allow_unlabeled, mapping), tag=tag)
 
 
 def window(triple: MentionTriple, c: int) -> MentionTriple:

@@ -1,8 +1,8 @@
 """Strict accuracy and loose macro / loose micro F1 over predicted
 type-paths versus gold label sets.
 
-The scorers take a nonempty list of (gold, predicted) pairs of nonempty
-frozensets, one per mention: a labeled corpus line needs a label, a
+A ``Tally`` scores (gold, predicted) pairs of nonempty frozensets, one per
+mention, and at least one: a labeled corpus line needs a label, a
 prediction expands to at least its own type, and ``nfetc eval`` rejects an
 input without mentions.
 """
@@ -10,6 +10,7 @@ input without mentions.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -20,32 +21,8 @@ from .hierarchy import TypeForest
 from .loss import LossConfig, inference_adjust
 
 
-def strict_accuracy(pairs: list[tuple]) -> float:
-    """Fraction of pairs whose sets match exactly."""
-    return sum(1 for gold, predicted in pairs if gold == predicted) / len(pairs)
-
-
 def _f1(p: float, r: float) -> float:
     return 0.0 if p + r == 0 else 2 * p * r / (p + r)
-
-
-def loose_macro_f1(pairs: list[tuple]) -> tuple[float, float, float]:
-    """Per-pair precision and recall averaged over pairs, then combined.
-
-    The F1 is the harmonic mean of the averaged precision and recall, the
-    convention the fine-grained typing literature inherits.
-    """
-    p = sum(len(gold & predicted) / len(predicted) for gold, predicted in pairs) / len(pairs)
-    r = sum(len(gold & predicted) / len(gold) for gold, predicted in pairs) / len(pairs)
-    return p, r, _f1(p, r)
-
-
-def loose_micro_f1(pairs: list[tuple]) -> tuple[float, float, float]:
-    """Precision and recall over globally pooled intersection counts."""
-    hit = sum(len(gold & predicted) for gold, predicted in pairs)
-    p = hit / sum(len(predicted) for _, predicted in pairs)
-    r = hit / sum(len(gold) for gold, _ in pairs)
-    return p, r, _f1(p, r)
 
 
 @dataclass(frozen=True)
@@ -65,11 +42,57 @@ class Metrics:
         return json.dumps(dataclasses.asdict(self))
 
 
+class Tally:
+    """The sums the metrics are formed from, which pairs are added to in
+    order, a block at a time if need be, with one ``+=`` each: the same
+    floats as one ``sum`` over all pairs on Python 3.11 (3.12's ``sum``
+    compensates its rounding).
+
+    Strict accuracy is the share of pairs whose sets match exactly. Loose
+    macro averages each pair's precision and recall over the pairs, loose
+    micro pools their intersection counts; either F1 is the harmonic mean
+    of its precision and recall, the convention the fine-grained typing
+    literature inherits."""
+
+    def __init__(self):
+        self.pairs = self.exact = self.common = self.predicted = self.gold = 0
+        self.precision = self.recall = 0.0   # per-pair sums, for the macro scores
+        self.by_terminal: dict[str, list[int]] = {}   # terminal -> [exact, pairs]
+
+    def add(self, pairs, mentions=None):
+        """Count each (gold, predicted) pair; given the mentions they score,
+        also under each of the mention's gold terminals."""
+        terminals = itertools.repeat(()) if mentions is None else (m.terminals for m in mentions)
+        for (gold, predicted), terms in zip(pairs, terminals):
+            common, exact = len(gold & predicted), gold == predicted
+            self.pairs += 1
+            self.exact += exact
+            self.precision += common / len(predicted)
+            self.recall += common / len(gold)
+            self.common += common
+            self.predicted += len(predicted)
+            self.gold += len(gold)
+            for term in terms:
+                counts = self.by_terminal.setdefault(term, [0, 0])
+                counts[0] += exact
+                counts[1] += 1
+
+    def metrics(self) -> Metrics:
+        mp, mr = self.precision / self.pairs, self.recall / self.pairs
+        up, ur = self.common / self.predicted, self.common / self.gold
+        return Metrics(strict=self.exact / self.pairs, macro_p=mp, macro_r=mr,
+                       macro_f1=_f1(mp, mr), micro_p=up, micro_r=ur, micro_f1=_f1(up, ur))
+
+    def per_type(self) -> dict[str, float]:
+        """Strict accuracy by gold terminal type, in type order
+        (multi-terminal mentions count toward each of their terminals)."""
+        return {t: exact / n for t, (exact, n) in sorted(self.by_terminal.items())}
+
+
 def score_pairs(pairs: list[tuple]) -> Metrics:
-    mp, mr, mf = loose_macro_f1(pairs)
-    up, ur, uf = loose_micro_f1(pairs)
-    return Metrics(strict=strict_accuracy(pairs), macro_p=mp, macro_r=mr,
-                   macro_f1=mf, micro_p=up, micro_r=ur, micro_f1=uf)
+    tally = Tally()
+    tally.add(pairs)
+    return tally.metrics()
 
 
 def pairs_for(corpus: Corpus, predictions: list[int], forest: TypeForest) -> list[tuple]:
@@ -84,13 +107,3 @@ def evaluate(model, corpus: Corpus, forest: TypeForest, config: LossConfig) -> M
     rows adjusted when the config asks for it) and score all three metrics."""
     probs = inference_adjust(model.predict_probs(corpus), forest, config)
     return score_pairs(pairs_for(corpus, [int(i) for i in np.argmax(probs, axis=1)], forest))
-
-
-def per_type_accuracy(corpus: Corpus, pairs: list[tuple]) -> dict[str, float]:
-    """Strict-match rate of the corpus's ``pairs`` grouped by gold terminal
-    type (multi-terminal mentions count toward each of their terminals)."""
-    hits: dict[str, list[int]] = {}
-    for triple, (gold, predicted) in zip(corpus, pairs):
-        for term in triple.terminals:
-            hits.setdefault(term, []).append(1 if gold == predicted else 0)
-    return {t: sum(v) / len(v) for t, v in sorted(hits.items())}

@@ -41,13 +41,16 @@ if TYPE_CHECKING:
 
 GATES = 4  # input, forget, output, candidate blocks in the fused layout
 
-# Mentions per inference pass. A chunk's activations for every step (inputs,
-# gates and states, ~12 KiB per mention and token) and the word rows it reads
-# from the checkpoint are alive at once; no word row is held for the whole
-# input. On a 100k-word checkpoint and 4,000 mentions (2-core host), `nfetc
-# predict` at 32, 64, 128 and 256 mentions peaked at 76, 87, 112 and 161 MiB,
-# and 128 ran ~25% faster than 32, as wider steps make the recurrent GEMMs and
-# the gate math cheaper per row.
+# Mentions per inference pass. A chunk's activations for every step (one
+# input array that both context LSTMs read, gates and states) and the word
+# rows it reads from the checkpoint are alive at
+# once; no word row is held for the whole input, and eval and predict hold
+# one block of chunks (``cli.PREDICT_BLOCK``), not the input. On a 100k-word
+# checkpoint and 4,000 mentions (2-core host), while predict still held its
+# input's rows and lines, `nfetc predict` at 32, 64, 128 and 256 mentions
+# peaked at 76, 87, 112 and 161 MiB, and 128 ran ~25% faster than 32, as
+# wider steps make the recurrent GEMMs and the gate math cheaper per row.
+# With blocks and the one input array it peaks at ~100 MiB at 128.
 PREDICT_CHUNK = 128
 
 # Compute dtype of the LSTMs in training. At FIGER sizes numpy's float32 GEMM
@@ -208,10 +211,13 @@ class NfetcModel:
         pos_table = self.params["pos_table"]
         window = (pos_table.shape[0] - 2) // 2
 
-        # context BiLSTM over the real tokens: frozen words, trained positions
+        # context BiLSTM over the real tokens: frozen words, trained positions;
+        # at inference one float64 array, which both LSTMs read in place
         seq, step, n_at = _packed(ctx_len)
         pos = position_rows(window, step, start[seq], end[seq])
         x = [table[words[seq, step]].astype(dtype, copy=False), pos_table[pos]]
+        if not train:
+            x = [np.concatenate(x, axis=1)]
         # mention encoders' inputs: the span average, and the extended mention
         span = end - start
         j = np.arange(ext.shape[1])
@@ -225,7 +231,7 @@ class NfetcModel:
         # each records dx for the position block
         fw, fw_back = self._encode("ctx_fw", x, n_at, False, train, rng, record=(1,))
         bw, bw_back = self._encode("ctx_bw", x, n_at, True, train, rng, record=(1,))
-        del x   # each LSTM holds its own masked copy of the inputs
+        del x   # in training each LSTM holds its own masked copy of the inputs
         hm, men_back = self._encode("men", [xm], m_at, False, train, rng)
         del xm
         last = np.empty(len(batch), dtype=np.intp)   # row of each mention's final state

@@ -2,6 +2,7 @@
 byte-order mark names the line. The types, refinement and config files
 allow ``#`` comments, which ``content_lines`` alone strips."""
 
+import contextlib
 import re
 
 ESCAPED_BYTE = re.compile("[\udc80-\udcff]")   # how surrogateescape reads a byte that is not UTF-8
@@ -9,11 +10,13 @@ BOM = "\ufeff"   # some editors start a UTF-8 file with it; it would join the fi
 BOM_MESSAGE = "starts with a byte-order mark; save it as UTF-8 without one"
 
 
-def numbered_lines(path, error):
-    """(line number, line) of text file ``path``; a byte that is not UTF-8 raises
+def numbered_lines(path, error, fh=None):
+    """(line number, line) of text file ``path``, read from ``fh`` when given,
+    a text stream that decodes as ``open`` here does; a byte that is not UTF-8 raises
     ``error("<path>:<line>: not valid UTF-8")`` once the lines before it are out,
     and a leading ``BOM`` raises ``error(f"<path>:1: {BOM_MESSAGE}")``."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with (open(path, encoding="utf-8", errors="surrogateescape") if fh is None
+          else contextlib.nullcontext(fh)) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 if lineno == 1 and line.startswith(BOM):

@@ -13,7 +13,8 @@ copies of the bundled fixtures, with ``OPENBLAS_NUM_THREADS=2`` and
   on its checkpoint;
 - ``stats`` with ``json`` on the synthetic world;
 - a two-seed ``NFETC-hier(r)`` run with dropout, followed by the same three
-  checkpoint readers;
+  checkpoint readers, and ``eval`` and ``predict`` on the synthetic corpus
+  six times over, longer than one block of their second pass;
 - the refined train, ``eval`` and ``stats`` of ``tests/fixtures/mini``
   (its ``run.cfg``, with the synthetic world's embeddings);
 - then, in a copy of the revision's work directory, the working tree's
@@ -54,14 +55,27 @@ MINI = ["--config", "mini/run.cfg", "--set", "types=mini/types.txt",
         "--set", "test=mini/corpus.tsv"]
 
 
-def readers(name: str) -> list[tuple[str, list[str]]]:
+# the synth corpus six times over, 1,200 lines: more than one block of
+# eval's and predict's second pass (``nfetc.cli.PREDICT_BLOCK``)
+LONG, LONG_TIMES = "synth/long.tsv", 6
+
+
+def readers(name: str, long: bool = False) -> list[tuple[str, list[str]]]:
     """The steps that read checkpoint ``<name>.ckpt``: they alone run again
-    on the revision's checkpoints."""
+    on the revision's checkpoints. With ``long``, eval and predict read
+    ``LONG`` too."""
     ckpt = ["--set", f"checkpoint={name}.ckpt", "--set", "input=synth/train.tsv"]
-    return [(f"eval {name}", ["eval", *ckpt, "--set", "per_type=true", "--set", "json=true",
-                              "--set", f"report={name}.eval"]),
-            (f"predict {name}", ["predict", *ckpt, "--set", f"output={name}.predict"]),
-            (f"export-types {name}", ["export-types", "--set", f"checkpoint={name}.ckpt"])]
+    steps = [(f"eval {name}", ["eval", *ckpt, "--set", "per_type=true", "--set", "json=true",
+                               "--set", f"report={name}.eval"]),
+             (f"predict {name}", ["predict", *ckpt, "--set", f"output={name}.predict"]),
+             (f"export-types {name}", ["export-types", "--set", f"checkpoint={name}.ckpt"])]
+    if long:
+        ckpt = ["--set", f"checkpoint={name}.ckpt", "--set", f"input={LONG}"]
+        steps += [(f"eval {name} long", ["eval", *ckpt, "--set", "per_type=true",
+                                         "--set", "json=true"]),
+                  (f"predict {name} long", ["predict", *ckpt,
+                                            "--set", f"output={name}.long.predict"])]
+    return steps
 
 
 def steps() -> tuple[list, list]:
@@ -80,8 +94,8 @@ def steps() -> tuple[list, list]:
         "--set", "pi=0.7", "--set", "po=0.9", "--set", "epochs=4", "--set", "lambda=0.001",
         "--set", "checkpoint=seeds.ckpt", "--set", "log=seeds.log",
         "--set", "report=seeds.report"]))
-    read += readers("seeds")
-    run += readers("seeds")
+    read += readers("seeds", long=True)
+    run += readers("seeds", long=True)
     run += [("train mini", ["train", *MINI, "--set", "embeddings=synth/embeddings.txt",
                             "--set", "dp=4", "--set", "ds=8", "--set", "checkpoint=mini.ckpt",
                             "--set", "log=mini.log", "--set", "report=mini.report"]),
@@ -155,6 +169,10 @@ def main(argv: list[str]) -> int:
             work = os.path.join(tmp, f"work-{side}")
             for fixture in ("synth", "mini"):
                 shutil.copytree(os.path.join(FIXTURES, fixture), os.path.join(work, fixture))
+            with open(os.path.join(FIXTURES, "synth", "train.tsv"), "rb") as fh:
+                lines = fh.read()
+            with open(os.path.join(work, LONG), "wb") as fh:
+                fh.write(lines * LONG_TIMES)
             results[side] = flat(execute(tree, work, run)), files(work)
         cross = os.path.join(tmp, "work-cross")
         shutil.copytree(os.path.join(tmp, "work-base"), cross)

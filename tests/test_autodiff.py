@@ -581,6 +581,26 @@ def test_lstm_sequence_takes_a_list_of_blocks():
     assert np.array_equal(split, whole)
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lstm_sequence_never_writes_its_input(masked, dtype):
+    # one block in the compute dtype is read in place, so the two context
+    # LSTMs can share it; a mask or a cast is applied to a copy. A read-only
+    # block gives what a writable copy gives, states and gradients alike
+    lengths = [3, 2, 2, 1]
+    x, w_in, w_rec, bias, weight = lstm_case(lengths)
+    _, masks = masked_case(x, lengths)
+    mask_in = masks[0] if masked else None
+    shared = x.astype(np.float64 if masked else dtype)
+    shared.setflags(write=False)
+    runs = [lstm_sequence([block], w_in, w_rec, bias, rows_at(lengths), False, mask_in,
+                          dtype=dtype, record=(0,))
+            for block in (shared, shared.copy())]
+    (out, backward), (want, want_backward) = runs
+    assert np.array_equal(out, want)
+    assert all(np.array_equal(a, b) for a, b in zip(backward(weight), want_backward(weight)))
+
+
 def test_lstm_sequence_records_only_when_asked():
     # inference keeps no backward; an empty record still gives the weights'
     # gradients, and no dx

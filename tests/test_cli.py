@@ -8,6 +8,7 @@ import mmap
 import os
 import re
 import shlex
+import stat
 import statistics
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from nfetc.checkpoint import load as checkpoint_load
 from nfetc.cli import main
 from nfetc.corpus import parse_corpus, windowed
 from nfetc.embeddings import CACHE_SUFFIX, WordEmbeddings
-from nfetc.evaluation import pairs_for, per_type_accuracy, score_pairs
+from nfetc.evaluation import Metrics, pairs_for
 from nfetc.hierarchy import TypeForest, apply_refinement, read_refinement
 from nfetc.loss import LossConfig, inference_adjust
 from nfetc.model import PREDICT_CHUNK, NfetcModel
@@ -1009,15 +1010,33 @@ def full_matrix_predict(ckpt, path) -> str:
     return "".join(lines)
 
 
+def scored_by_sum(corpus, pairs) -> str:
+    """``nfetc eval``'s metric, JSON and per-type lines for ``pairs``, each
+    metric one ``sum`` over all pairs, as eval formed them before it
+    scored block by block."""
+    n = len(pairs)
+    mp = sum(len(g & p) / len(p) for g, p in pairs) / n
+    mr = sum(len(g & p) / len(g) for g, p in pairs) / n
+    common = sum(len(g & p) for g, p in pairs)
+    up = common / sum(len(p) for _, p in pairs)
+    ur = common / sum(len(g) for g, _ in pairs)
+    f1 = [0.0 if a + b == 0 else 2 * a * b / (a + b) for a, b in ((mp, mr), (up, ur))]
+    metrics = Metrics(sum(1 for g, p in pairs if g == p) / n, mp, mr, f1[0], up, ur, f1[1])
+    hits = {}
+    for triple, (gold, predicted) in zip(corpus, pairs):
+        for term in triple.terminals:
+            hits.setdefault(term, []).append(1 if gold == predicted else 0)
+    return (metrics.as_text() + metrics.as_json() + "\n"
+            + "".join(f"{t}\t{sum(v) / len(v):.4f}\n" for t, v in sorted(hits.items())))
+
+
 def full_matrix_eval(ckpt, path, mapping=None) -> str:
     """What ``nfetc eval --set json=true --set per_type=true`` prints, from
     the whole word matrix."""
     restored, corpus, probs = full_matrix_run(
         ckpt, path, lambda p, forest: parse_corpus(p, forest, mapping=mapping))
     pairs = pairs_for(corpus, [int(i) for i in np.argmax(probs, axis=1)], restored.forest)
-    metrics = score_pairs(pairs)
-    return (metrics.as_text() + metrics.as_json() + "\n"
-            + "".join(f"{t}\t{a:.4f}\n" for t, a in per_type_accuracy(corpus, pairs).items()))
+    return scored_by_sum(corpus, pairs)
 
 
 @pytest.fixture(scope="module")
@@ -1356,6 +1375,35 @@ def test_predict_of_every_word_peaks_below_the_word_matrix(tmp_path):
     assert peak < matrix_bytes, peak
 
 
+def test_predict_peak_memory_does_not_grow_with_the_input(tmp_path):
+    # ``nfetc predict`` holds the words of its input and one block's
+    # mentions, rows and lines, so ten times the input peaks within 1.2x:
+    # 40,000 mentions against 4,000 on a small checkpoint (2,000 words of
+    # 20 values, 40 types). Holding the input's mentions, rows and lines
+    # until the end peaked 2.5x higher (41 against 103 MB)
+    rng = make_rng(5)
+    words = [f"w{i}" for i in range(2000)]
+    embeddings = WordEmbeddings(words, rng.uniform(-0.5, 0.5, size=(len(words), 20)))
+    forest = TypeForest([f"/t{i}" for i in range(20)] + [f"/t{i}/s" for i in range(20)])
+    hp = figer_hp(d_p=2, d_s=3, window=2)
+    ckpt = tmp_path / "small.ckpt"
+    save_checkpoint(str(ckpt), hp, LossConfig(), forest, embeddings,
+                    NfetcModel(hp, embeddings, forest, make_rng(0)).params)
+    lines = "".join(f"2 3\t{' '.join(words[(7 * i + j) % len(words)] for j in range(6))}\n"
+                    for i in range(4000))
+    peaks = []
+    for times in (1, 10):
+        source = tmp_path / f"in{times}.tsv"
+        source.write_text(lines * times)
+        code, peak, err = peak_run(["predict", "--set", f"checkpoint={ckpt}",
+                                    "--set", f"input={source}",
+                                    "--set", f"output={tmp_path / 'out.tsv'}"])
+        assert code == 0, err
+        assert len((tmp_path / "out.tsv").read_text().splitlines()) == 4000 * times
+        peaks.append(peak)
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
 def test_export_types_peak_memory_stays_below_the_word_matrix(tmp_path):
     # ``nfetc export-types`` on a 40,000 x 300 word matrix (96 MB): the
     # matrix is checked through the load's buffer and no row of it is kept
@@ -1528,3 +1576,161 @@ def test_no_command_maps_a_file(trained, tmp_path, monkeypatch):
         assert Path(run / Path(trained[name]).name).read_bytes() == Path(trained[name]).read_bytes()
     assert outputs(run / "model.ckpt", tmp_path / "got") == want
     assert all(code == 0 for code, _, _ in want[:3])
+
+
+# -- eval and predict read their input twice, the second time block by block ----------
+
+
+def repeated_synth(path, count) -> Path:
+    """The synth corpus's lines, repeated to ``count`` lines, at ``path``."""
+    lines = (SYNTH / "train.tsv").read_text().splitlines(True)
+    path.write_text("".join((lines * (count // len(lines) + 1))[:count]))
+    return path
+
+
+@pytest.mark.parametrize("count", [1, cli_module.PREDICT_BLOCK, cli_module.PREDICT_BLOCK + 1])
+def test_blocks_predict_and_score_what_the_whole_input_gives(refined_synth, tmp_path, count,
+                                                             monkeypatch):
+    # predict and eval run the model once per block of the input and print
+    # what the whole input's rows, formatted and scored in one piece, give
+    ckpt, refinement = refined_synth
+    source = repeated_synth(tmp_path / "in.tsv", count)
+    calls = []
+    real = NfetcModel.predict_probs
+    monkeypatch.setattr(NfetcModel, "predict_probs",
+                        lambda self, triples: calls.append(len(triples)) or real(self, triples))
+    code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}", "--set", f"input={source}"])
+    blocks = [min(cli_module.PREDICT_BLOCK, count - lo)
+              for lo in range(0, count, cli_module.PREDICT_BLOCK)]
+    assert (code, err, calls) == (0, "", blocks)
+    calls.clear()
+    code, scored, err = run_cli(["eval", "--set", f"checkpoint={ckpt}", "--set", f"test={source}",
+                                 "--set", f"types={SYNTH / 'types.txt'}",
+                                 "--set", f"refinement={refinement}",
+                                 "--set", "per_type=true", "--set", "json=true"])
+    assert (code, err, calls) == (0, "", blocks)
+    monkeypatch.undo()
+    assert out == full_matrix_predict(ckpt, source)
+    _, mapping = apply_refinement(TypeForest.from_file(SYNTH / "types.txt"),
+                                  read_refinement(refinement))
+    assert scored == full_matrix_eval(ckpt, source, mapping)
+
+
+def refined_argv(command, refined_synth) -> list[str]:
+    """``command`` on the refined synth checkpoint, with the forest and
+    refinement that eval reads the synth labels through."""
+    ckpt, refinement = refined_synth
+    return [command, "--set", f"checkpoint={ckpt}", "--set", f"types={SYNTH / 'types.txt'}",
+            "--set", f"refinement={refinement}"]
+
+
+def run_on_stdin(argv, text: str):
+    """(exit code, stdout, stderr) of ``nfetc <argv>`` in a subprocess
+    whose standard input is a pipe that ``text`` is written to."""
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "nfetc.cli", *argv], input=text,
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_a_pipe_gives_what_its_file_gives(refined_synth, tmp_path, command):
+    # a pipe cannot be read twice: its bytes are kept aside in the first pass
+    source = repeated_synth(tmp_path / "in.tsv", cli_module.PREDICT_BLOCK + 1)
+    argv = refined_argv(command, refined_synth) + ["--set", "per_type=true"]
+    want = run_cli(argv + ["--set", f"input={source}"])
+    assert want[0] == 0 and want[1]
+    assert run_on_stdin(argv + ["--set", "input=/dev/stdin"], source.read_text()) == want
+
+
+def changed_between_the_passes(monkeypatch, source: Path, edit):
+    """Make ``edit(source)`` run once the checkpoint is loaded, that is
+    between the input's first pass and its second."""
+    real = cli_module.load_checkpoint
+
+    def load_then_edit(path, wanted):
+        restored = real(path, wanted)
+        edit(source)
+        return restored
+
+    monkeypatch.setattr(cli_module, "load_checkpoint", load_then_edit)
+
+
+@pytest.mark.parametrize("command,key", [("predict", "output"), ("eval", "report")])
+@pytest.mark.parametrize("edit", [
+    lambda p: p.write_text(p.read_text() + "0 1\tcompany\t/org\n"),
+    lambda p: p.write_text(p.read_text().replace("company", "cpmpany", 1)),
+    lambda p: p.write_text(p.read_text()[:-40]),
+    lambda p: p.write_text("0 1\n" + p.read_text())], ids=["appended", "one-byte", "cut", "malformed"])
+def test_an_input_changed_between_the_passes_is_one_error_line(
+        refined_synth, tmp_path, monkeypatch, command, key, edit):
+    # the second pass reads bytes of another crc32 (or a line the first pass
+    # did not see): no output is written, and the last block's lines are not
+    # printed to a file
+    source = repeated_synth(tmp_path / "in.tsv", cli_module.PREDICT_BLOCK + 1)
+    changed_between_the_passes(monkeypatch, source, edit)
+    out = tmp_path / "out.txt"
+    code, printed, err = run_cli(refined_argv(command, refined_synth)
+                                 + ["--set", f"input={source}", "--set", f"{key}={out}"])
+    assert (code, printed, err) == (1, "", f"error: {source}: changed while it was read\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tsv"]
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_an_input_renamed_over_between_the_passes_changes_nothing(
+        refined_synth, tmp_path, monkeypatch, command):
+    # both passes read through the descriptor the first one opened
+    source = repeated_synth(tmp_path / "in.tsv", 300)
+    argv = refined_argv(command, refined_synth) + ["--set", f"input={source}"]
+    want = run_cli(argv)
+
+    def rename_over(path):
+        other = tmp_path / "other.tsv"
+        other.write_text("0 1\tcompany\t/org\n")
+        os.replace(other, path)
+
+    changed_between_the_passes(monkeypatch, source, rename_over)
+    assert run_cli(argv) == want and want[0] == 0
+
+
+@pytest.mark.parametrize("command,key", [
+    ("eval", "report"), ("stats", "report"), ("predict", "output"), ("export-types", "output"),
+    ("train", "report")])
+def test_a_failed_write_leaves_the_earlier_output_whole(trained, tmp_path, monkeypatch,
+                                                        command, key):
+    # every output is written beside its target and renamed over it once
+    # whole: a write that fails leaves the earlier file and no other
+    target = tmp_path / "out.txt"
+    target.write_text("an earlier good output\n")
+    files = {"input": trained["test"], **trained}
+    argv = [command] + (FAST if command == "train" else []) + [
+        x for name in INPUTS_OF[command] for x in ("--set", f"{name}={files[name]}")]
+
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    code, _, err = run_cli(argv + ["--set", f"{key}={target}"])
+    assert (code, err) == (1, "error: [Errno 28] No space left on device\n")
+    assert target.read_text() == "an earlier good output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    monkeypatch.undo()
+    code, out, err = run_cli(argv + ["--set", f"{key}={target}"])
+    assert (code, err) == (0, "")
+    written = target.read_text()
+    assert written and written != "an earlier good output\n"
+    assert out.endswith(written) if key == "report" else out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+@pytest.mark.parametrize("command,key", [("predict", "output"), ("eval", "report")])
+def test_an_output_that_is_no_regular_file_is_written_in_place(trained, monkeypatch,
+                                                                command, key):
+    # /dev/null is opened and written, never replaced
+    monkeypatch.setattr(cli_module, "replacing",
+                        lambda *a, **k: pytest.fail("a device was to be replaced"))
+    code, out, err = run_cli([command, "--set", f"checkpoint={trained['checkpoint']}",
+                              "--set", f"input={trained['test']}", "--set", f"{key}=/dev/null"])
+    assert (code, err) == (0, "")
+    assert out.startswith("strict=") if command == "eval" else out == ""
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)

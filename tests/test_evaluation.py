@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +9,7 @@ import pytest
 from nfetc import evaluation
 from nfetc.cli import main
 from nfetc.corpus import Corpus, CorpusError, MentionTriple, parse_corpus
-from nfetc.evaluation import (Metrics, evaluate, loose_macro_f1,
-                              loose_micro_f1, pairs_for, per_type_accuracy,
-                              score_pairs, strict_accuracy)
+from nfetc.evaluation import Metrics, Tally, evaluate, pairs_for, score_pairs
 from nfetc.hierarchy import TypeForest
 from nfetc.loss import LossConfig
 from nfetc.optim import make_rng
@@ -43,27 +43,22 @@ def pair(gold, predicted):
 
 
 def test_overly_general_prediction_worked_example():
-    pairs = [pair({"/person", "/person/athlete"}, {"/person"})]
-    p, r, f1 = loose_macro_f1(pairs)
-    assert (p, r) == (1.0, 0.5)
-    assert f1 == pytest.approx(2.0 / 3.0, abs=1e-15)
+    m = score_pairs([pair({"/person", "/person/athlete"}, {"/person"})])
+    assert (m.macro_p, m.macro_r) == (1.0, 0.5)
+    assert m.macro_f1 == pytest.approx(2.0 / 3.0, abs=1e-15)
     # one pair: pooled counts coincide with the per-pair average
-    assert loose_micro_f1(pairs) == (p, r, f1)
-    assert strict_accuracy(pairs) == 0.0
+    assert (m.micro_p, m.micro_r, m.micro_f1) == (m.macro_p, m.macro_r, m.macro_f1)
+    assert m.strict == 0.0
 
 
 def test_exact_match_scores_one():
-    pairs = [pair({"/a", "/a/b"}, {"/a", "/a/b"})]
-    assert strict_accuracy(pairs) == 1.0
-    assert loose_macro_f1(pairs) == (1.0, 1.0, 1.0)
-    assert loose_micro_f1(pairs) == (1.0, 1.0, 1.0)
+    m = score_pairs([pair({"/a", "/a/b"}, {"/a", "/a/b"})])
+    assert m == Metrics(*[1.0] * 7)
 
 
 def test_disjoint_sets_score_zero():
-    pairs = [pair({"/a"}, {"/b"})]
-    assert strict_accuracy(pairs) == 0.0
-    assert loose_macro_f1(pairs) == (0.0, 0.0, 0.0)
-    assert loose_micro_f1(pairs) == (0.0, 0.0, 0.0)
+    m = score_pairs([pair({"/a"}, {"/b"})])
+    assert m == Metrics(*[0.0] * 7)
 
 
 def test_pair_order_is_irrelevant():
@@ -92,18 +87,43 @@ def test_empty_sets_rejected(forest, tmp_path):
     assert all(t in forest.expand_to_path(t) for t in forest.types())
 
 
-@pytest.mark.parametrize("scorer", [strict_accuracy, loose_macro_f1, loose_micro_f1])
-def test_no_pairs_rejected(scorer, tmp_path, monkeypatch, capsys):
+def test_no_pairs_rejected(tmp_path, monkeypatch, capsys):
     # an eval input without mentions is rejected, naming the file, before any
-    # scorer sees an empty list of pairs
+    # pair is counted or any metric formed from no pairs
     calls = []
-    monkeypatch.setattr(evaluation, scorer.__name__, lambda pairs: calls.append(pairs))
+    monkeypatch.setattr(evaluation.Tally, "add", lambda self, *a: calls.append(a))
+    monkeypatch.setattr(evaluation.Tally, "metrics", lambda self: calls.append("metrics"))
     empty = tmp_path / "empty.tsv"
     empty.write_text("\n")
     code = main(["eval", "--set", f"checkpoint={CHECKPOINT}", "--set", f"input={empty}"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {empty}: no mentions to score\n"
     assert calls == []
+
+
+def test_a_tally_added_in_blocks_gives_one_sum_over_the_pairs():
+    # each sum is one += per pair in order, so blocks of any size give the
+    # floats of one in-order sum over all pairs (Python 3.11's ``sum`` adds
+    # so too; 3.12's compensates its rounding)
+    rng = make_rng(7)
+    universe = [f"/u{i}" for i in range(9)]
+    raw = [(frozenset(rng.choice(universe, size=int(rng.integers(1, 4)), replace=False).tolist()),
+            frozenset(rng.choice(universe, size=int(rng.integers(1, 4)), replace=False).tolist()))
+           for _ in range(1000)]
+    whole = score_pairs(raw)
+    for size in (1, 7, 999):
+        tally = Tally()
+        for lo in range(0, len(raw), size):
+            tally.add(raw[lo:lo + size])
+        assert tally.metrics() == whole
+    n = len(raw)
+    mp = functools.reduce(operator.add, (len(g & p) / len(p) for g, p in raw), 0.0) / n
+    mr = functools.reduce(operator.add, (len(g & p) / len(g) for g, p in raw), 0.0) / n
+    assert (whole.macro_p, whole.macro_r, whole.macro_f1) == (mp, mr, 2 * mp * mr / (mp + mr))
+    common = sum(len(g & p) for g, p in raw)
+    assert (whole.micro_p, whole.micro_r) == (common / sum(len(p) for _, p in raw),
+                                              common / sum(len(g) for g, _ in raw))
+    assert whole.strict == sum(g == p for g, p in raw) / n
 
 
 def test_agrees_with_counting_oracle():
@@ -156,7 +176,9 @@ def test_stub_predictor_matches_manifest(corpus, forest, manifest):
 
 def test_per_type_accuracy_groups_by_terminal(corpus, forest):
     athlete = forest.index("/person/athlete")
-    got = per_type_accuracy(corpus, pairs_for(corpus, [athlete] * len(corpus), forest))
+    tally = Tally()
+    tally.add(pairs_for(corpus, [athlete] * len(corpus), forest), corpus)
+    got = tally.per_type()
     assert got == {"/location": 0.0, "/organization": 0.0,
                    "/organization/company": 0.0,
                    "/person/athlete": 0.25, "/person/coach": 0.0}

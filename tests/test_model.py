@@ -392,6 +392,33 @@ def mini_batch():
     ]
 
 
+@pytest.mark.parametrize("train", [False, True])
+def test_both_context_lstms_read_one_input_array_at_inference(mini_batch, monkeypatch, train):
+    # at inference the context LSTMs take one float64 array, the same
+    # object, which neither writes to; in training each takes the word and
+    # position blocks and makes its own masked copy
+    model = make_model(p_i=0.5, p_o=0.5)
+    given = []
+    real = model_module.lstm_sequence
+
+    def recording(x, *args, **kwargs):
+        given.append(x)
+        before = [a.copy() for a in x]
+        out = real(x, *args, **kwargs)
+        assert all(np.array_equal(a, b) for a, b in zip(x, before))
+        return out
+
+    monkeypatch.setattr(model_module, "lstm_sequence", recording)
+    model.forward_bucket(mini_batch, train=train, rng=make_rng(1) if train else None)
+    fw, bw, _ = given
+    rows = sum(len(t.tokens) for t in mini_batch)
+    if train:
+        assert [a.shape for a in fw] == [(rows, D_W), (rows, 3)] and fw[0] is bw[0]
+    else:
+        assert len(fw) == 1 and fw[0] is bw[0]
+        assert fw[0].shape == (rows, D_W + 3) and fw[0].dtype == np.float64
+
+
 def test_position_rows_affect_output():
     model = make_model()
     before = one(model, T4).probs
