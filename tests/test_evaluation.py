@@ -87,9 +87,14 @@ def test_empty_sets_rejected(forest, tmp_path):
     assert all(t in forest.expand_to_path(t) for t in forest.types())
 
 
-def test_no_pairs_rejected(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("fields", [
+    pytest.param(("strict",), id="strict_accuracy"),
+    pytest.param(("macro_p", "macro_r", "macro_f1"), id="loose_macro_f1"),
+    pytest.param(("micro_p", "micro_r", "micro_f1"), id="loose_micro_f1"),
+])
+def test_no_pairs_rejected(fields, tmp_path, monkeypatch, capsys):
     # an eval input without mentions is rejected, naming the file, before any
-    # pair is counted or any metric formed from no pairs
+    # pair is counted or any of the metric's fields formed from no pairs
     calls = []
     monkeypatch.setattr(evaluation.Tally, "add", lambda self, *a: calls.append(a))
     monkeypatch.setattr(evaluation.Tally, "metrics", lambda self: calls.append("metrics"))
@@ -97,7 +102,9 @@ def test_no_pairs_rejected(tmp_path, monkeypatch, capsys):
     empty.write_text("\n")
     code = main(["eval", "--set", f"checkpoint={CHECKPOINT}", "--set", f"input={empty}"])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {empty}: no mentions to score\n"
+    out, err = capsys.readouterr()
+    assert err == f"error: {empty}: no mentions to score\n"
+    assert not any(f in out for f in fields)
     assert calls == []
 
 
