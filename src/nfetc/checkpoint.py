@@ -38,6 +38,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import weakref
 
 import numpy as np
@@ -60,12 +61,15 @@ def replacing(path: str, mode: str = "wb", **kwargs):
     """A new file, open in ``mode`` beside ``path``, that is fsynced and
     renamed over ``path`` once the block is done: the replacement is
     atomic, so a reader finds the old file or the new one whole, and a
-    block that raises leaves any old file intact and no temporary file."""
+    block that raises leaves any old file intact and no temporary file.
+    The new file keeps the permission bits of the file it replaces."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as f:
             yield f
             f.flush()
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(f.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:

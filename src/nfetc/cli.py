@@ -14,6 +14,7 @@ import functools
 import io
 import itertools
 import os
+import stat
 import sys
 import tempfile
 import zlib
@@ -206,16 +207,24 @@ def _hyperparams(cfg: dict) -> HyperParams:
 @contextlib.contextmanager
 def _output(path: str, echo: bool = False):
     """``write(text)`` for a command's output: to ``path``, and to stdout
-    when ``echo`` is set or there is no path. A path that is a regular file
-    or does not exist yet is written through ``replacing``, so a command
-    that fails or is cut leaves an earlier file whole; any other
-    (``/dev/null``, say) is written in place."""
+    when ``echo`` is set or there is no path. The file ``path`` names,
+    through any symlinks, is written through ``replacing`` when it does not
+    exist yet or is a regular file of one link that this user owns, so a
+    command that fails or is cut leaves an earlier file whole; any other
+    (``/dev/null``, a file with a second hard link, say) is written in
+    place, as its links and owner would not survive a rename."""
     sinks = [sys.stdout] if echo or not path else []
     with contextlib.ExitStack() as stack:
         if path:
-            in_place = os.path.exists(path) and not os.path.isfile(path)
+            target = os.path.realpath(path)
+            try:
+                st = os.stat(target)
+                in_place = not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                                and st.st_uid == os.geteuid())
+            except FileNotFoundError:
+                in_place = False
             sinks.append(stack.enter_context(
-                (open if in_place else replacing)(path, "w", encoding="utf-8")))
+                (open if in_place else replacing)(target, "w", encoding="utf-8")))
 
         def write(text: str) -> None:
             for sink in sinks:

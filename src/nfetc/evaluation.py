@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,30 @@ import numpy as np
 from .corpus import Corpus
 from .hierarchy import TypeForest
 from .loss import LossConfig, inference_adjust
+
+
+# From Python 3.12 on ``sum`` adds floats with Neumaier's compensation.
+COMPENSATED = sys.version_info >= (3, 12)
+
+
+class FloatSum:
+    """A running sum of floats that, added to term by term, ends at what
+    ``sum`` over the same terms in the same order gives on this
+    interpreter: one plain ``+`` per term before Python 3.12, Neumaier's
+    compensated sum (CPython's ``sum``) from 3.12 on."""
+
+    def __init__(self):
+        self.total = self.error = 0.0
+
+    def add(self, x: float) -> None:
+        t = self.total + x
+        if COMPENSATED:
+            big, small = (self.total, x) if abs(self.total) >= abs(x) else (x, self.total)
+            self.error += (big - t) + small
+        self.total = t
+
+    def value(self) -> float:
+        return self.total + self.error if self.error else self.total
 
 
 def _f1(p: float, r: float) -> float:
@@ -44,9 +69,8 @@ class Metrics:
 
 class Tally:
     """The sums the metrics are formed from, which pairs are added to in
-    order, a block at a time if need be, with one ``+=`` each: the same
-    floats as one ``sum`` over all pairs on Python 3.11 (3.12's ``sum``
-    compensates its rounding).
+    order, a block at a time if need be: the same floats as one ``sum``
+    over all pairs (``FloatSum``).
 
     Strict accuracy is the share of pairs whose sets match exactly. Loose
     macro averages each pair's precision and recall over the pairs, loose
@@ -56,7 +80,7 @@ class Tally:
 
     def __init__(self):
         self.pairs = self.exact = self.common = self.predicted = self.gold = 0
-        self.precision = self.recall = 0.0   # per-pair sums, for the macro scores
+        self.precision, self.recall = FloatSum(), FloatSum()   # per pair, for macro
         self.by_terminal: dict[str, list[int]] = {}   # terminal -> [exact, pairs]
 
     def add(self, pairs, mentions=None):
@@ -67,8 +91,8 @@ class Tally:
             common, exact = len(gold & predicted), gold == predicted
             self.pairs += 1
             self.exact += exact
-            self.precision += common / len(predicted)
-            self.recall += common / len(gold)
+            self.precision.add(common / len(predicted))
+            self.recall.add(common / len(gold))
             self.common += common
             self.predicted += len(predicted)
             self.gold += len(gold)
@@ -78,7 +102,7 @@ class Tally:
                 counts[1] += 1
 
     def metrics(self) -> Metrics:
-        mp, mr = self.precision / self.pairs, self.recall / self.pairs
+        mp, mr = self.precision.value() / self.pairs, self.recall.value() / self.pairs
         up, ur = self.common / self.predicted, self.common / self.gold
         return Metrics(strict=self.exact / self.pairs, macro_p=mp, macro_r=mr,
                        macro_f1=_f1(mp, mr), micro_p=up, micro_r=ur, micro_f1=_f1(up, ur))

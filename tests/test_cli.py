@@ -1722,6 +1722,50 @@ def test_a_failed_write_leaves_the_earlier_output_whole(trained, tmp_path, monke
     assert out.endswith(written) if key == "report" else out == ""
 
 
+@pytest.mark.parametrize("command,key", [("predict", "output"), ("eval", "report")])
+def test_an_output_through_a_symlink_replaces_the_file_it_names(trained, tmp_path, command, key):
+    # the link stays, and the file it names is replaced, keeping its mode
+    target = tmp_path / "real.txt"
+    target.write_text("an earlier good output\n")
+    target.chmod(0o640)
+    link = tmp_path / "latest.txt"
+    link.symlink_to("real.txt")
+    code, out, err = run_cli([command, "--set", f"checkpoint={trained['checkpoint']}",
+                              "--set", f"input={trained['test']}", "--set", f"{key}={link}"])
+    assert (code, err) == (0, "")
+    assert link.is_symlink() and os.readlink(link) == "real.txt"
+    written = target.read_text()
+    assert written and written != "an earlier good output\n"
+    assert out.endswith(written) if key == "report" else out == ""
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latest.txt", "real.txt"]
+
+
+@pytest.mark.parametrize("kind", ["hard link", "another owner"])
+def test_an_output_a_rename_would_change_is_written_in_place(trained, tmp_path, monkeypatch,
+                                                             kind):
+    # a rename would leave a second link with the old output, or give the
+    # file this user as its owner
+    target = tmp_path / "out.txt"
+    target.write_text("an earlier good output\n")
+    if kind == "hard link":
+        os.link(target, tmp_path / "other.txt")
+    elif os.geteuid() == 0:
+        os.chown(target, 4321, -1)
+    else:
+        pytest.skip("giving a file away needs root")
+    owner = target.stat().st_uid
+    monkeypatch.setattr(cli_module, "replacing",
+                        lambda *a, **k: pytest.fail("the file was to be replaced"))
+    code, _, err = run_cli(["predict", "--set", f"checkpoint={trained['checkpoint']}",
+                            "--set", f"input={trained['test']}", "--set", f"output={target}"])
+    assert (code, err) == (0, "")
+    assert target.read_text() != "an earlier good output\n"
+    assert target.stat().st_uid == owner
+    if kind == "hard link":
+        assert os.path.samefile(target, tmp_path / "other.txt")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
 @pytest.mark.parametrize("command,key", [("predict", "output"), ("eval", "report")])
 def test_an_output_that_is_no_regular_file_is_written_in_place(trained, monkeypatch,

@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +110,8 @@ def test_no_pairs_rejected(fields, tmp_path, monkeypatch, capsys):
 
 
 def test_a_tally_added_in_blocks_gives_one_sum_over_the_pairs():
-    # each sum is one += per pair in order, so blocks of any size give the
-    # floats of one in-order sum over all pairs (Python 3.11's ``sum`` adds
-    # so too; 3.12's compensates its rounding)
+    # each sum takes one term per pair in order, so blocks of any size give
+    # the floats of ``sum`` over all pairs on the interpreter that runs this
     rng = make_rng(7)
     universe = [f"/u{i}" for i in range(9)]
     raw = [(frozenset(rng.choice(universe, size=int(rng.integers(1, 4)), replace=False).tolist()),
@@ -124,13 +124,34 @@ def test_a_tally_added_in_blocks_gives_one_sum_over_the_pairs():
             tally.add(raw[lo:lo + size])
         assert tally.metrics() == whole
     n = len(raw)
-    mp = functools.reduce(operator.add, (len(g & p) / len(p) for g, p in raw), 0.0) / n
-    mr = functools.reduce(operator.add, (len(g & p) / len(g) for g, p in raw), 0.0) / n
+    mp = sum(len(g & p) / len(p) for g, p in raw) / n
+    mr = sum(len(g & p) / len(g) for g, p in raw) / n
     assert (whole.macro_p, whole.macro_r, whole.macro_f1) == (mp, mr, 2 * mp * mr / (mp + mr))
     common = sum(len(g & p) for g, p in raw)
     assert (whole.micro_p, whole.micro_r) == (common / sum(len(p) for _, p in raw),
                                               common / sum(len(g) for g, _ in raw))
     assert whole.strict == sum(g == p for g, p in raw) / n
+
+
+@pytest.mark.parametrize("compensated", [False, True])
+def test_a_float_sum_ends_where_sum_does(monkeypatch, compensated):
+    # plain adds before Python 3.12, Neumaier's compensation from 3.12 on
+    monkeypatch.setattr(evaluation, "COMPENSATED", compensated)
+    for terms, want in [([0.1] * 10, 1.0 if compensated else 0.9999999999999999),
+                        ([1.0, 1e100, 1.0, -1e100], 2.0 if compensated else 0.0),
+                        ([], 0.0)]:
+        total = evaluation.FloatSum()
+        for x in terms:
+            total.add(x)
+        assert total.value() == want
+    terms = make_rng(3).random(1000).tolist()
+    total = evaluation.FloatSum()
+    for x in terms:
+        total.add(x)
+    if compensated == (sys.version_info >= (3, 12)):   # this interpreter's sum
+        assert total.value() == sum(terms)
+    if not compensated:
+        assert total.value() == functools.reduce(operator.add, terms, 0.0)
 
 
 def test_agrees_with_counting_oracle():
