@@ -14,22 +14,22 @@ alike, since ``json.loads`` skips them.
 
 A load checks a file in three stages: first its structure (the header
 and every descriptor against the file's size, no tensor byte read), then
-what the caller's ``rows`` function checks of the meta, then the values.
+what the caller's ``check`` function checks of the meta, then the values.
 Each tensor is streamed, in file order: read in one pass through a buffer
 of at most ``READ_BYTES``, which checks every value, into an array of its
-own, whole for a trained tensor and the rows the caller asks for of a
-frozen one (``"trainable": false``). Nothing is mapped, so a file that
-shrinks under a reader is a ``CheckpointError``, never a SIGBUS.
+own. Nothing is mapped, so a file that shrinks under a reader is a
+``CheckpointError``, never a SIGBUS.
 
-``open_frozen`` checks a file of one frozen tensor (and any trained ones)
-in such a load, keeping no row of the frozen one, and leaves it in the file
-as a ``Frozen`` that holds the file open for as long as it lives: a file
-renamed over it later changes nothing. Each later read checks again what it
-reads: ``Frozen.rows`` and ``save`` copying it into a new checkpoint stream
-the whole tensor again, and ``Frozen.take`` reads only the rows it is asked
-for, by position, checking that they are whole and finite. So a file that
-shrank meanwhile is a ``CheckpointError`` too, and so is one that a
-non-finite value was written into.
+``open_frozen`` checks a file of one frozen tensor (``"trainable":
+false``, and any trained ones) in such a load, keeping no row of the frozen
+one, and leaves it in the file as a ``Frozen`` that holds the file open for
+as long as it lives: a file renamed over it later changes nothing. Each
+later read checks again what it reads: ``save`` copying it into a new
+checkpoint streams the whole tensor again, and ``Frozen.take`` reads only
+the rows it is asked for, by position, checking that they are whole, finite
+and no larger than the load found them. So a file that shrank meanwhile is
+a ``CheckpointError`` too, and so is one that a non-finite or larger value
+was written into.
 """
 
 from __future__ import annotations
@@ -95,45 +95,42 @@ def save(path: str, meta: dict, tensors: list[tuple[str, bool, np.ndarray]]) -> 
                 f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
 
 
-def load(path: str, rows=None) -> tuple[dict, dict[str, np.ndarray]]:
+def load(path: str, check=lambda meta: None) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta block (its ``params`` list holds the descriptors) and each
     tensor by name in file order, in its stored shape. Once the file's
-    structure is checked, before any tensor byte is read, ``rows(meta)``,
-    when given, returns the sorted row numbers to keep of each frozen
-    tensor, or None for all; it may raise to refuse the meta."""
+    structure is checked, before any tensor byte is read, ``check(meta)``
+    may raise to refuse the meta."""
     with open(path, "rb") as f:
-        meta, tensors, _ = _read(f, path, rows)
+        meta, tensors, _ = _read(f, path, check)
     return meta, tensors
 
 
 def open_frozen(path: str, check=lambda meta: None) -> tuple[dict, dict, "Frozen"]:
     """The meta block, the trained tensors by name and the frozen tensor of
     the checkpoint at ``path``, which must hold exactly one frozen tensor;
-    that one is left in the file. Every check of ``load`` is made,
-    ``check(meta)``, which may raise to refuse the meta, taking the place
-    of its ``rows``; the frozen tensor's values are read in one streamed
-    pass that keeps none of them, and the returned ``Frozen`` holds the
+    that one is left in the file. Every check of ``load`` is made, with
+    ``check``; the frozen tensor's values are read in one streamed pass
+    that keeps none of them, and the returned ``Frozen`` holds the
     descriptor that pass read through."""
-    def rows(meta):   # before any tensor byte is read
+    def one_frozen(meta):   # before any tensor byte is read
         check(meta)
         if [e["trainable"] for e in meta["params"]].count(False) != 1:
             raise CheckpointError(f"{path}: holds other than one frozen tensor")
-        return np.empty(0, dtype=np.intp)
 
     fd = os.open(path, os.O_RDONLY)
     try:
         with open(fd, "rb", closefd=False) as f:
-            meta, tensors, (frozen,) = _read(f, path, rows)
+            meta, tensors, (frozen,) = _read(f, path, one_frozen, leave_frozen=True)
     except BaseException:
         os.close(fd)
         raise
-    del tensors[frozen[0]]   # none of its rows
     return meta, tensors, Frozen(fd, path, *frozen)
 
 
-def _read(f, path: str, rows):
-    """``load`` of the open file ``f``, plus the (name, shape, offset,
-    largest absolute value) of each frozen tensor."""
+def _read(f, path: str, check, leave_frozen: bool = False):
+    """``load`` of the open file ``f``; with ``leave_frozen``, each frozen
+    tensor is checked and left out, and its (name, shape, offset, largest
+    absolute value) listed."""
     if f.read(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     line = f.readline()
@@ -182,34 +179,25 @@ def _read(f, path: str, rows):
         at += nbytes
     if trailing := size - at:
         raise CheckpointError(f"{path}: {trailing} trailing bytes")
-    keep = None if rows is None else rows(meta)
+    check(meta)
     tensors, frozen = {}, []
     for name, (trainable, shape, at) in layout.items():
-        tensors[name], top = _stream(f, path, name, shape, at, None if trainable else keep)
-        if not trainable:
+        if trainable or not leave_frozen:
+            tensors[name] = _stream(f, path, name, shape, at)
+        else:
+            top = max((most for _, _, most in _blocks(f, path, name, shape, at)), default=0.0)
             frozen.append((name, shape, at, top))
     return meta, tensors, frozen
 
 
-def _stream(f, path: str, name: str, shape: tuple, at: int,
-            keep: np.ndarray | None) -> tuple[np.ndarray, float]:
-    """Rows ``keep`` (sorted row numbers; None for the whole tensor) of the
-    tensor of ``shape`` at byte ``at`` of the open file ``f``, and the
-    largest absolute value of the whole tensor, in one pass of ``_blocks``."""
-    count = len(keep) if keep is not None else shape[0] if shape else 1
-    out = np.empty(shape if keep is None else (count,) + shape[1:], dtype="<f8")
-    rows = out.reshape(count, math.prod(shape[1:]))   # a view of ``out``, row by row
-    done, top = 0, 0.0   # the rows of ``keep`` copied so far, the largest value so far
-    for lo, block, most in _blocks(f, path, name, shape, at):
-        top = max(top, most)
-        if keep is None:
-            rows[lo:lo + len(block)] = block
-            continue
-        upto = int(np.searchsorted(keep, lo + len(block)))
-        if upto > done:   # mode "raise" would copy through a buffer
-            np.take(block, keep[done:upto] - lo, axis=0, out=rows[done:upto], mode="clip")
-            done = upto
-    return out, top
+def _stream(f, path: str, name: str, shape: tuple, at: int) -> np.ndarray:
+    """The tensor of ``shape`` at byte ``at`` of the open file ``f``, read
+    in one pass of ``_blocks``."""
+    out = np.empty(shape, dtype="<f8")
+    rows = out.reshape(shape[0] if shape else 1, math.prod(shape[1:]))   # a view of ``out``
+    for lo, block, _ in _blocks(f, path, name, shape, at):
+        rows[lo:lo + len(block)] = block
+    return out
 
 
 def _blocks(f, path: str, name: str, shape: tuple, at: int):
@@ -241,9 +229,9 @@ class Frozen:
     """A frozen tensor left in its file: ``shape`` float64 values at byte
     ``at`` of the file open as descriptor ``fd``, which ``open_frozen``
     found finite and at most ``magnitude`` in absolute value. It owns the
-    descriptor, closed when the object is collected. ``rows`` and
-    ``write_to`` read the file afresh through ``_blocks``, checking every
-    value again; ``take`` reads and checks only the rows it returns."""
+    descriptor, closed when the object is collected. ``write_to`` reads the
+    file afresh through ``_blocks``, checking every value again; ``take``
+    reads and checks only the rows it returns."""
 
     def __init__(self, fd: int, path: str, name: str, shape: tuple, at: int,
                  magnitude: float):
@@ -251,24 +239,22 @@ class Frozen:
         self.magnitude = magnitude
         weakref.finalize(self, os.close, fd)
 
-    def rows(self, keep: np.ndarray) -> np.ndarray:
-        """Rows ``keep`` (sorted row numbers), read in one pass."""
-        with open(self.fd, "rb", closefd=False) as f:
-            return _stream(f, self.path, self.name, self.shape, self.at, keep)[0]
-
-    def take(self, rows: np.ndarray) -> np.ndarray:
+    def take(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Rows ``rows`` (sorted distinct row numbers) as a (len(rows),
-        width) array, read by position with one read per run of
-        consecutive rows; raises unless the file holds each row whole and
-        every value read is finite."""
+        width) array, read into ``out`` when given, by position with one
+        read per run of consecutive rows; raises unless the file holds each
+        row whole and every value read is finite and at most ``magnitude``
+        in absolute value."""
         width = math.prod(self.shape[1:])
-        out = np.empty((len(rows), width), dtype="<f8")
-        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()   # of each run
-        for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+        out = np.empty((len(rows), width), dtype="<f8") if out is None else out
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)   # of each run
+        bounds = np.append(starts, len(rows)).tolist()
+        for lo, hi, at in zip(bounds, bounds[1:], (self.at + rows[starts] * 8 * width).tolist()):
             block = out[lo:hi]
-            if os.preadv(self.fd, [block], self.at + int(rows[lo]) * 8 * width) != block.nbytes:
+            if os.preadv(self.fd, [block], at) != block.nbytes:
                 raise CheckpointError(f"{self.path}: truncated tensor {self.name!r}")
-        _largest(out, self.path, self.name)
+        if _largest(out, self.path, self.name) > self.magnitude:
+            raise CheckpointError(f"{self.path}: values in {self.name!r} larger than at load")
         return out
 
     def write_to(self, out) -> None:

@@ -9,16 +9,19 @@ The first load of a file stores what it parsed beside it, in
 Every load whose cache holds these bytes, the first one too once its write
 succeeds, checks the cache's matrix in one streamed pass and leaves it in
 the file, which the embeddings hold open as their ``matrix``. Nothing looks
-a word up in them, so they make no word -> row index: ``subset`` reads the
-rows of some words from the cache (``train`` asks for its corpora's), and
-``save_checkpoint`` copies it whole, neither holding the matrix in memory.
+a word up in them, so they make no word -> row index; ``save_checkpoint``
+copies the matrix whole, without holding it in memory.
 
-A checkpoint restored for an input's words (``nfetc eval`` and ``predict``)
-leaves its matrix in the file the same way, open for the whole command, so
-that a file renamed over it changes nothing; its embeddings hold the input's
-words and their rows in the file, and ``vectors`` reads only the rows each
-call gathers, checking them again, so that a file truncated meanwhile is an
-error. Predicting holds one chunk's rows, not the input's.
+``subset`` gives the embeddings of some words (``train`` asks for its
+corpora's) as a view that copies no row: those words and their rows in the
+matrix it shares. A checkpoint restored for an input's words (``nfetc
+eval`` and ``predict``) gives such a view too, of its matrix left in the
+file the same way, open for the whole command, so that a file renamed over
+it changes nothing. ``vectors`` reads only the rows each call gathers, from
+the file when the matrix is there, checking them again, so that a file
+truncated meanwhile, or given in place a value larger than any it held at
+load, is an error. A training batch or a prediction chunk holds its own
+rows, not its corpus's.
 """
 
 from __future__ import annotations
@@ -51,14 +54,6 @@ def check_vocabulary(words, shape: tuple) -> None:
         raise EmbeddingError(f"matrix shape {shape} holds no word vectors")
 
 
-def kept_rows(vocab: list[str], words) -> np.ndarray:
-    """The sorted rows of ``vocab`` whose word is in the set ``words``, or
-    row 0 alone should there be none: a gather, even of unknown words only,
-    needs a row."""
-    keep = np.flatnonzero(np.fromiter(map(words.__contains__, vocab), bool, len(vocab)))
-    return keep if len(keep) else np.zeros(1, np.intp)
-
-
 CHUNK_LINES = 8192   # lines of the file parsed by one np.loadtxt call
 CACHE_SUFFIX = ".nfetc-cache"
 
@@ -73,12 +68,11 @@ class WordEmbeddings:
     longer be written to. Pass a copy to keep a writable one.
 
     ``matrix`` may also be a ``checkpoint.Frozen``, a matrix left in its
-    file: the parse cache, which ``subset`` and ``save_checkpoint`` read, or
-    a checkpoint restored for the words of an input, whose file holds other
-    rows too. ``rows`` then gives each word's row in the file, sorted, and
-    such embeddings serve ``indices`` and ``vectors`` alone. A float64
-    matrix may also hold only the rows of the words an input holds, as
-    ``subset`` returns it."""
+    file: the parse cache, or a checkpoint restored for the words of an
+    input. Either kind of matrix may hold other rows than the words': then
+    ``rows`` gives each word's row in it, sorted, as ``subset`` and a
+    restored checkpoint give them, and such a view serves ``indices`` and
+    ``vectors`` alone."""
 
     def __init__(self, words: list[str], matrix: np.ndarray | checkpoint.Frozen,
                  rows: np.ndarray | None = None):
@@ -135,16 +129,16 @@ class WordEmbeddings:
         return max(self.matrix.max(initial=0), -self.matrix.min(initial=0))
 
     def subset(self, words: set[str]) -> "WordEmbeddings":
-        """The embeddings of ``kept_rows(self.words, words)``, in vocabulary
-        order: every word of ``words`` finds the vector it finds here, or
-        zeros when it is unknown. A matrix left in its file is read in one
-        pass. The result is kept for the next call with the same set."""
+        """The embeddings of the words of ``words`` found here, in
+        vocabulary order, as a view of this matrix that copies no row: every
+        word of ``words`` finds the vector it finds here, or zeros when it
+        is unknown. The result is kept for the next call with the same set."""
         if self._subset is None or self._subset[0] != words:
-            keep = kept_rows(self.words, words)
+            keep = np.flatnonzero(np.fromiter(map(words.__contains__, self.words), bool,
+                                              len(self.words)))
             kept = [self.words[r] for r in keep.tolist()]
-            rows = (self.matrix.rows(keep) if isinstance(self.matrix, checkpoint.Frozen)
-                    else self.matrix[keep])
-            self._subset = (frozenset(words), WordEmbeddings(kept, rows))
+            rows = keep if self.rows is None else self.rows[keep]
+            self._subset = (frozenset(words), WordEmbeddings(kept, self.matrix, rows))
         return self._subset[1]
 
     def __len__(self) -> int:
@@ -162,19 +156,20 @@ class WordEmbeddings:
         """Matrix row of each token; -1 marks an out-of-vocabulary word."""
         return np.array([self._index.get(t, -1) for t in tokens], dtype=np.intp)
 
-    def vectors(self, indices) -> np.ndarray:
-        """Word vectors for an index array of any shape, the zero vector
-        where the index is -1. A matrix left in its file is read only at
-        the distinct rows ``indices`` name, by ``Frozen.take``."""
-        idx = np.asarray(indices, dtype=np.intp)
+    def vectors(self, rows) -> np.ndarray:
+        """The word vectors of ``rows``, sorted distinct matrix rows, as
+        ``NfetcModel.forward_bucket`` gathers them: a -1 among them, which
+        is then first, gives the zero vector. A matrix left in its file is
+        read only at these rows, by ``Frozen.take``, straight into the
+        result."""
+        rows = np.asarray(rows, dtype=np.intp)
+        zero = int(len(rows) > 0 and rows[0] < 0)
+        out = np.empty((len(rows), self.dim))
+        out[:zero] = 0.0
         if isinstance(self.matrix, checkpoint.Frozen):
-            used, at = np.unique(idx, return_inverse=True)
-            known = used >= 0
-            table = np.zeros((len(used), self.dim))
-            table[known] = self.matrix.take(used[known])
-            return table[at.reshape(idx.shape)]
-        out = self.matrix[np.maximum(idx, 0)]
-        out[idx < 0] = 0.0
+            self.matrix.take(rows[zero:], out[zero:])
+        else:
+            out[zero:] = self.matrix[rows[zero:]]
         return out
 
 

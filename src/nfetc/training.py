@@ -13,7 +13,7 @@ import numpy as np
 from . import checkpoint
 from .autodiff import ParamSet
 from .corpus import Corpus, build_filtered, windowed
-from .embeddings import WordEmbeddings, check_vocabulary, kept_rows
+from .embeddings import WordEmbeddings, check_vocabulary
 from .evaluation import Metrics, evaluate
 from .hierarchy import TypeForest
 from .loss import LossConfig, l2_penalty, mean_nll
@@ -110,9 +110,12 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
     and stops after ``hp.patience`` epochs without strict improvement. The
     whole run is a deterministic function of inputs and ``hp.seed``.
 
-    The model holds only the word vectors of the words its windowed
-    corpora contain (``embeddings.subset``); every vector is still checked
-    against the float32 range.
+    The model holds no word vector: it looks up only the words its windowed
+    corpora contain, in a view of the embeddings' matrix
+    (``embeddings.subset``), and each batch and dev pass reads the rows it
+    gathers, from the parse cache when the matrix is left there. Every
+    vector of the matrix is checked against the float32 range up front; a
+    row read later that is larger than the load found any is an error.
     """
     if len(train_corpus) == 0 or len(dev_corpus) == 0:
         raise ValueError("training and dev corpora must be nonempty")
@@ -130,7 +133,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
     epoch_log: list[EpochStats] = []
     best_strict = -1.0
     best_epoch = 0
-    best_values = model.params.copy_values()
+    best_values = None   # epoch 1 sets it: its strict accuracy is at least 0
     stale = 0
     n = len(train_w)
     for epoch in range(1, hp.epochs + 1):
@@ -171,10 +174,10 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, embeddings: WordEmbeddings,
             if stale >= hp.patience:
                 break
 
-    model.params.load_values(best_values)
     result = RunResult(epoch_log=epoch_log, best_epoch=best_epoch,
                        best_dev_strict=best_strict, best_values=best_values)
     if eval_corpus is not None:
+        model.params.load_values(best_values)
         result.final = evaluate(model, eval_w, forest, config)
     return result
 
@@ -297,24 +300,23 @@ def load_checkpoint(path: str, wanted=None) -> Restored:
     settings are checked, before any tensor is read, ``wanted(forest, hp)``
     returns the set of words the model will look up (those of an input it
     parses then, say). Then no row is kept: the matrix is left in the file,
-    held open by the embeddings, which hold only those words and their rows
-    in the file, and read the rows each step of the model gathers from
-    there. The model predicts as it would with the whole matrix."""
-    stored, keep = None, None
+    held open by the embeddings, a ``subset`` view of those words, which
+    read the rows each step of the model gathers from there. The model
+    predicts as it would with the whole matrix."""
+    stored, needed = None, None
 
     def check(meta):
-        nonlocal stored, keep
+        nonlocal stored, needed
         stored = hp, _, forest = _stored(path, meta)
         if wanted is not None:
-            keep = kept_rows(meta["vocab"], wanted(forest, hp))
+            needed = wanted(forest, hp)
 
     if wanted is None:
-        meta, tensors = checkpoint.load(path, check)   # ``check`` asks for every row
-        matrix = tensors["word_emb"]
+        meta, tensors = checkpoint.load(path, check)
+        embeddings = WordEmbeddings(meta["vocab"], tensors["word_emb"])
     else:
         meta, tensors, matrix = checkpoint.open_frozen(path, check)
-    words = meta["vocab"] if keep is None else [meta["vocab"][r] for r in keep.tolist()]
+        embeddings = WordEmbeddings(meta["vocab"], matrix).subset(needed)
     hp, config, forest = stored
-    model = NfetcModel(hp, WordEmbeddings(words, matrix, keep), forest,
-                       params=params_from_values(tensors))
+    model = NfetcModel(hp, embeddings, forest, params=params_from_values(tensors))
     return Restored(model=model, hyperparams=hp, loss_config=config, forest=forest)

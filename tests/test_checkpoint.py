@@ -313,11 +313,11 @@ def test_a_whole_load_holds_one_copy_and_one_buffer(tmp_path, monkeypatch):
     assert np.array_equal(loaded["word_emb"], big)
 
 
-def test_load_with_rows_keeps_those_rows_and_maps_nothing(tmp_path, monkeypatch):
+def test_open_frozen_checks_the_meta_once_keeps_no_row_and_maps_nothing(tmp_path, monkeypatch):
     # a frozen matrix of eight reads and a bit through the load's buffer: the
-    # load asks ``rows`` once, after the file's checks, keeps those rows
-    # (either side of each read's end among them) and holds little more
-    # than its buffer beside them
+    # load asks ``check`` once, after the file's checks, keeps no row of it
+    # and holds little more than its buffer; ``take`` then reads any rows,
+    # either side of each read's end among them, as the file holds them
     width = 64
     step = READ_BYTES // (8 * width)
     big = np.arange((8 * step + 5) * width, dtype=np.float64).reshape(-1, width)
@@ -328,18 +328,19 @@ def test_load_with_rows_keeps_those_rows_and_maps_nothing(tmp_path, monkeypatch)
     monkeypatch.setattr(mmap, "mmap", lambda *a, **k: pytest.fail("the load mapped the file"))
     tracemalloc.start()
     try:
-        meta, loaded = load(path, lambda meta: asked.append(meta["k"]) or keep)
+        meta, loaded, frozen = open_frozen(str(path), lambda meta: asked.append(meta["k"]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert asked == [1] and list(loaded) == ["word_emb", "w"]
-    assert np.array_equal(loaded["word_emb"], big[keep])
+    assert asked == [1] and list(loaded) == ["w"] and frozen.name == "word_emb"
+    assert np.array_equal(frozen.take(keep), big[keep])
     assert np.array_equal(loaded["w"], np.ones(3))
     assert peak < 2 * READ_BYTES < big.nbytes // 3
-    # a fault the file shows is reported before ``rows`` is asked
+    # a fault the file shows is reported before ``check`` is asked
     write_raw(path, path.read_bytes() + b"\0" * 8)
-    with pytest.raises(CheckpointError, match="8 trailing bytes"):
-        load(path, lambda meta: pytest.fail("rows asked"))
+    for read in (load, open_frozen):
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            read(str(path), lambda meta: pytest.fail("meta checked"))
 
 
 def test_take_reads_each_run_of_rows_once_and_checks_it_again(tmp_path, monkeypatch):
@@ -364,6 +365,16 @@ def test_take_reads_each_run_of_rows_once_and_checks_it_again(tmp_path, monkeypa
         frozen.take(rows)
     assert str(err.value) == f"{path}: non-finite values in 'word_emb'"
     assert frozen.take(np.array([8, 10])).tobytes() == big[[8, 10]].tobytes()
+    # a finite value larger than any the load found, written in place
+    assert frozen.magnitude == big.max()
+    with open(path, "r+b") as f:
+        f.seek(frozen.at + 24 * 10)
+        f.write(struct.pack("<d", -2 * big.max()))
+    with pytest.raises(CheckpointError) as err:
+        frozen.take(np.array([8, 10]))
+    assert str(err.value) == f"{path}: values in 'word_emb' larger than at load"
+    out = np.empty((1, 3))   # read straight into a caller's array
+    assert frozen.take(np.array([8]), out) is out and out.tobytes() == big[[8]].tobytes()
     os.truncate(path, frozen.at + 24 * 49 + 8)   # row 49 cut short
     with pytest.raises(CheckpointError) as err:
         frozen.take(np.array([48, 49]))

@@ -1296,13 +1296,13 @@ def test_no_tensor_byte_is_read_before_the_settings_and_the_input_are_checked(
         source.write_text("0 9\tJordan\t/a\n")
     ckpt = padded(src, tmp_path / "big.ckpt")
     names = [e["name"] for e in checkpoint_load(ckpt)[0]["params"]]
-    real, streamed = checkpoint_module._stream, []
+    real, streamed = checkpoint_module._blocks, []
 
     def counting(f, path, name, *args):
         streamed.append(name)
         return real(f, path, name, *args)
 
-    monkeypatch.setattr(checkpoint_module, "_stream", counting)
+    monkeypatch.setattr(checkpoint_module, "_blocks", counting)
     code, out, err = run_cli(["predict", "--set", f"checkpoint={ckpt}",
                               "--set", f"input={source}"])
     if fault == "none":
@@ -1525,7 +1525,7 @@ def test_rows_read_from_the_file_predict_as_the_whole_matrix(refined_synth, coun
     takes = []
     take = checkpoint_module.Frozen.take
     monkeypatch.setattr(checkpoint_module.Frozen, "take",
-                        lambda self, rows: takes.append(rows) or take(self, rows))
+                        lambda self, rows, out=None: takes.append(rows) or take(self, rows, out))
     assert (filed.model.predict_probs(corpus).tobytes()
             == whole.model.predict_probs(corpus).tobytes())
     assert len(takes) == -(-count // PREDICT_CHUNK)

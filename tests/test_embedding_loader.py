@@ -30,6 +30,7 @@ from nfetc.cli import main
 from nfetc.embeddings import CACHE_SUFFIX, EmbeddingError, WordEmbeddings
 from nfetc.optim import make_rng
 from oracles import reference_embeddings
+from wordvectors import matrix
 
 SYNTH = Path(__file__).parent / "fixtures" / "synth"
 
@@ -112,20 +113,15 @@ def random_file(path, seed: int, chunk: int) -> None:
     path.write_bytes(b"".join(data))
 
 
-def whole(emb: WordEmbeddings) -> WordEmbeddings:
-    """The embeddings of every word of ``emb``, read from the cache when a
-    load left its matrix there."""
-    return emb.subset(set(emb.words))
-
-
 def outcome(load, path):
     """(words, matrix bytes) of a load, or its error message."""
     try:
-        emb = whole(load(path))
+        emb = load(path)
     except EmbeddingError as e:
         return str(e)
-    assert emb.matrix.dtype == np.float64 and emb.matrix.flags.c_contiguous
-    return emb.words, emb.matrix.shape, emb.matrix.tobytes()
+    rows = matrix(emb)
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous
+    return emb.words, rows.shape, rows.tobytes()
 
 
 def test_seeded_files_load_as_the_reference_loads_them(tmp_path, monkeypatch):
@@ -217,9 +213,9 @@ def test_every_line_ending_fills_the_matrix(tmp_path, monkeypatch, newline):
     body = chunked(C, 3, 2 * C + 3, {})
     path = tmp_path / "v.txt"
     path.write_bytes(body.replace("\n", newline).encode("utf-8"))
-    emb = whole(WordEmbeddings.from_file(path))
-    assert emb.matrix.shape == (2 * C + 3, 3)
-    assert emb.matrix[-1].tolist() == [2 * C + 2.5] * 3
+    rows = matrix(WordEmbeddings.from_file(path))
+    assert rows.shape == (2 * C + 3, 3)
+    assert rows[-1].tolist() == [2 * C + 2.5] * 3
 
 
 def test_the_loader_peak_is_near_one_matrix(tmp_path, monkeypatch):
@@ -240,14 +236,14 @@ def test_the_loader_peak_is_near_one_matrix(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert isinstance(emb.matrix, checkpoint.Frozen)
-    emb = whole(emb)
-    assert emb.matrix.nbytes == n * dim * 8
+    rows = matrix(emb)
+    assert rows.nbytes == n * dim * 8
     # the parsed matrix is dropped for the cache it was written to, so what
     # is kept is the vocabulary alone, and the peak one matrix beyond it
     # plus what the loader holds
-    assert kept < emb.matrix.nbytes // 2
-    assert peak - kept - emb.matrix.nbytes < emb.matrix.nbytes // 4
-    assert np.array_equal(emb.matrix, ticks / 1e4)
+    assert kept < rows.nbytes // 2
+    assert peak - kept - rows.nbytes < rows.nbytes // 4
+    assert np.array_equal(rows, ticks / 1e4)
 
 
 @pytest.mark.parametrize("name", ["_digest", "_line_count"])
@@ -297,7 +293,7 @@ def counted_parse(monkeypatch) -> list:
 
 
 def same(emb, ref) -> bool:
-    return emb.words == ref.words and whole(emb).matrix.tobytes() == ref.matrix.tobytes()
+    return emb.words == ref.words and matrix(emb).tobytes() == ref.matrix.tobytes()
 
 
 @pytest.fixture
@@ -317,10 +313,12 @@ def test_a_hit_reads_the_matrix_without_parsing(vectors, monkeypatch):
     emb = WordEmbeddings.from_file(vectors)
     assert isinstance(emb.matrix, checkpoint.Frozen)
     assert same(emb, reference_embeddings(vectors))
-    rows = whole(emb)
-    assert rows.matrix.dtype == np.float64 and rows.matrix.flags.c_contiguous
-    assert not rows.matrix.flags.writeable
-    assert rows.indices(["w3", "nope"]).tolist() == [3, -1]
+    rows = matrix(emb)
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous
+    # a view of every word copies no row: it reads from the open cache
+    view = emb.subset(set(emb.words))
+    assert view.matrix is emb.matrix
+    assert view.indices(["w3", "nope"]).tolist() == [3, -1]
     meta, tensors = checkpoint.load(str(cache_of(vectors)))
     assert meta["source_sha256"] == hashlib.sha256(vectors.read_bytes()).hexdigest()
     assert meta["vocab"] == emb.words and list(tensors) == ["word_emb"]
@@ -342,7 +340,7 @@ def test_an_edit_of_the_same_size_and_mtime_is_parsed_again(vectors, monkeypatch
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
     calls = counted_parse(monkeypatch)
     emb = WordEmbeddings.from_file(vectors)
-    assert calls[0] > 0 and whole(emb).matrix[7, 0] == 8.5
+    assert calls[0] > 0 and matrix(emb)[7, 0] == 8.5
     assert same(emb, reference_embeddings(vectors))
 
 
@@ -495,7 +493,7 @@ def test_a_file_edited_during_the_parse_gets_no_cache(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]
     monkeypatch.setattr(embeddings_module, "_parse", real)
     emb = WordEmbeddings.from_file(path)
-    assert whole(emb).matrix[2, 0] == 9.5 and same(emb, reference_embeddings(path))
+    assert matrix(emb)[2, 0] == 9.5 and same(emb, reference_embeddings(path))
     meta, _ = checkpoint.load(str(cache_of(path)))
     assert meta["source_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 

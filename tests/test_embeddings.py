@@ -7,6 +7,7 @@ from nfetc.hierarchy import TypeForest
 from nfetc.model import NfetcModel, position_rows
 from nfetc.optim import make_rng
 from hparams import figer_hp
+from wordvectors import lookup
 
 
 def write_vectors(path, text):
@@ -41,7 +42,7 @@ def test_oov_is_zero_vector(tmp_path):
 
 def test_lookup_is_case_sensitive(tmp_path):
     emb = write_vectors(tmp_path / "v.txt", "Cat 1.0\ncat 2.0\n")
-    got = emb.vectors(emb.indices(["Cat", "cat", "CAT"]))
+    got = lookup(emb, emb.indices(["Cat", "cat", "CAT"]))
     assert got[0, 0] == 1.0
     assert got[1, 0] == 2.0
     assert np.array_equal(got[2], [0.0])
@@ -49,13 +50,29 @@ def test_lookup_is_case_sensitive(tmp_path):
 
 def test_lookup_many_stacks_rows(tmp_path):
     emb = write_vectors(tmp_path / "v.txt", "a 1.0 0.0\nb 0.0 1.0\n")
-    got = emb.vectors(emb.indices(["b", "zzz", "a"]))
+    got = lookup(emb, emb.indices(["b", "zzz", "a"]))
     assert got.shape == (3, 2)
     assert np.array_equal(got, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
     # any index shape: a (2, 2) grid of rows, padding -1 gives zeros
-    grid = emb.vectors(np.array([[1, -1], [0, 1]]))
+    grid = lookup(emb, np.array([[1, -1], [0, 1]]))
     assert grid.shape == (2, 2, 2)
     assert np.array_equal(grid[0], [[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "array"])
+def test_vectors_reads_sorted_distinct_rows_with_the_zero_vector_first(tmp_path, cached):
+    # a batch gathers its sorted distinct rows once, -1 (the zero vector)
+    # first; both kinds of matrix, of whole embeddings or a view of some
+    # words, read them alike
+    text = "a 1.0 0.0\nb 0.0 1.0\nc 2.0 2.0\n"
+    emb = (write_vectors(tmp_path / "v.txt", text) if cached
+           else WordEmbeddings(["a", "b", "c"], np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])))
+    view = emb.subset({"c", "a", "zzz"})
+    assert view.words == ["a", "c"] and view.matrix is emb.matrix
+    for got in (emb.vectors([-1, 0, 2]), view.vectors(view.indices(["zzz", "a", "c"]))):
+        assert np.array_equal(got, [[0.0, 0.0], [1.0, 0.0], [2.0, 2.0]])
+    assert np.array_equal(emb.vectors([1, 2]), [[0.0, 1.0], [2.0, 2.0]])
+    assert emb.vectors([-1]).tolist() == [[0.0, 0.0]] and emb.vectors([]).shape == (0, 2)
 
 
 @pytest.mark.parametrize("text,message", [

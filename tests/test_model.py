@@ -17,6 +17,7 @@ from nfetc.optim import make_rng
 from nfetc.training import gradients, train
 from hparams import figer_hp
 from oracles import Tensor, concat, tape_forward, tape_params
+from wordvectors import lookup
 
 VOCAB = ["the", "cat", "sat", "on", "mat", "dog", "ran", "big", "red", "fox"]
 D_W = 4
@@ -63,7 +64,7 @@ def context_rows(model: NfetcModel, t: MentionTriple) -> np.ndarray:
     p, emb = model.params, model.embeddings
     window = (p["pos_table"].shape[0] - 2) // 2
     positions = position_rows(window, np.arange(len(t.tokens)), t.start, t.end)
-    x = [emb.vectors(emb.indices(t.tokens)), p["pos_table"][positions]]
+    x = [lookup(emb, emb.indices(t.tokens)), p["pos_table"][positions]]
     fw, bw = (lstm_sequence(x, p[f"{d}.w_in"], p[f"{d}.w_rec"], p[f"{d}.bias"],
                             [1] * len(t.tokens), d == "ctx_bw")[0]
               for d in ("ctx_fw", "ctx_bw"))
@@ -227,7 +228,7 @@ def test_zero_weights_keep_mention_average():
     emb = make_embeddings()
     zero_params(model)
     trace = one(model, triple(["cat", "sat", "dog"], 0, 2))
-    want = emb.vectors(emb.indices(["cat", "sat"])).sum(axis=0) / 2.0
+    want = lookup(emb, emb.indices(["cat", "sat"])).sum(axis=0) / 2.0
     assert np.allclose(trace.r_a, want, atol=1e-15)
     assert np.allclose(trace.feature[3:3 + D_W], want, atol=1e-15)
 
@@ -304,7 +305,7 @@ def test_attention_weights_sum_to_one():
 def extended_mention(model, m):
     """Word vectors of the extended mention the mention LSTM reads."""
     ext = model._indices([m])[-1][0]
-    return model.embeddings.vectors(ext)
+    return lookup(model.embeddings, ext)
 
 
 def test_mention_inputs_pad_with_zero_at_edges():
@@ -315,12 +316,12 @@ def test_mention_inputs_pad_with_zero_at_edges():
     steps = extended_mention(model, at_start)
     assert len(steps) == 3  # one either side of the single-token span
     assert np.array_equal(steps[0], np.zeros(D_W))
-    assert np.array_equal(steps[1], emb.vectors(emb.indices(["cat"]))[0])
-    assert np.array_equal(steps[2], emb.vectors(emb.indices(["sat"]))[0])
+    assert np.array_equal(steps[1], lookup(emb, emb.indices(["cat"]))[0])
+    assert np.array_equal(steps[2], lookup(emb, emb.indices(["sat"]))[0])
 
     at_end = triple(["cat", "sat", "on"], 2, 3)
     steps = extended_mention(model, at_end)
-    assert np.array_equal(steps[0], emb.vectors(emb.indices(["sat"]))[0])
+    assert np.array_equal(steps[0], lookup(emb, emb.indices(["sat"]))[0])
     assert np.array_equal(steps[2], np.zeros(D_W))
 
 
@@ -331,7 +332,7 @@ def test_pad_token_is_out_of_vocabulary():
     ext = model._indices([triple(["zzz", "cat"], 0, 2)])[-1][0]
     assert ext.tolist() == [-1, -1, emb.indices(["cat"])[0], -1]
     assert emb.indices(["zzz"]).tolist() == [-1]
-    assert np.array_equal(emb.vectors(ext[[0, 1, 3]]), np.zeros((3, D_W)))
+    assert np.array_equal(lookup(emb, ext[[0, 1, 3]]), np.zeros((3, D_W)))
 
 
 # -- forward consistency -------------------------------------------------------
@@ -362,7 +363,7 @@ def test_feature_is_concatenation():
     # each block against its encoder run on its own
     emb, p = model.embeddings, model.params
     assert np.allclose(trace.r_c, trace.alpha @ trace.context, atol=1e-14)
-    assert np.array_equal(trace.r_a, emb.vectors(emb.indices(T4.tokens[1:2])).sum(axis=0))
+    assert np.array_equal(trace.r_a, lookup(emb, emb.indices(T4.tokens[1:2])).sum(axis=0))
     r_l = lstm_sequence([extended_mention(model, T4)], p["men.w_in"], p["men.w_rec"],
                         p["men.bias"], [1, 1, 1])[0][-1]
     assert np.array_equal(trace.r_l, r_l)

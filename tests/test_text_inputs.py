@@ -14,6 +14,7 @@ from nfetc.corpus import CorpusError, parse_corpus
 from nfetc.embeddings import CACHE_SUFFIX, EmbeddingError, WordEmbeddings
 from nfetc.hierarchy import ForestError, TypeForest, read_refinement
 from nfetc.textfile import BOM_MESSAGE, numbered_lines
+from wordvectors import matrix
 
 MINI = Path(__file__).parent / "fixtures" / "mini"
 FOREST = TypeForest.from_file(MINI / "types.txt")
@@ -25,7 +26,7 @@ def parsed_corpus(path):
 
 def parsed_embeddings(path):
     emb = WordEmbeddings.from_file(path)
-    return emb.words, emb.subset(set(emb.words)).matrix.tolist()
+    return emb.words, matrix(emb).tolist()
 
 
 # reader, its error type, and the k-th good line (k = 0, 1, ...) as text
@@ -152,7 +153,7 @@ def test_utf8_text_still_parses(tmp_path):
     path.write_bytes("café 1.0\nnaïve 2.0\n".encode("utf-8"))
     emb = WordEmbeddings.from_file(path)
     assert emb.words == ["café", "naïve"]
-    assert np.array_equal(emb.subset(set(emb.words)).matrix, [[1.0], [2.0]])
+    assert np.array_equal(matrix(emb), [[1.0], [2.0]])
 
 
 def run(argv, capsys):

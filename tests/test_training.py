@@ -22,6 +22,7 @@ from nfetc.training import (EpochStats, HyperParams, RunResult, TrainingDiverged
                             VARIANTS, load_checkpoint, params_from_values,
                             save_checkpoint, select_variant, train, training_corpus)
 from hparams import figer_hp
+from wordvectors import matrix
 
 VOCAB = ["the", "a", "big", "red", "cat", "dog", "mat",
          "sat", "ran", "on", "lay", "went"]
@@ -264,6 +265,93 @@ def test_train_rejects_word_vectors_beyond_float32(tmp_path):
         train(train_c, dev_c, hit, forest, small_hp(), config)
 
 
+def test_a_row_written_beyond_the_loaded_range_stops_train(tmp_path):
+    # the range check is made once, on the whole matrix at load; each batch
+    # then reads its rows from the open cache, and a row written larger in
+    # place meanwhile is an error, not a value the float32 LSTMs read as inf
+    train_c, dev_c, emb, forest = make_world()
+    _, config = select_variant("NFETC(f)")
+    path = tmp_path / "emb.txt"
+    path.write_text(embedding_text(emb.words, emb.matrix))
+    loaded = WordEmbeddings.from_file(path)
+    assert isinstance(loaded.matrix, checkpoint.Frozen)
+    cache = f"{path}{CACHE_SUFFIX}"
+    with open(cache, "r+b") as f:   # "cat", a word of every train batch
+        f.seek(loaded.matrix.at + 8 * loaded.dim * VOCAB.index("cat"))
+        f.write(np.array([1e39]).tobytes())
+    with pytest.raises(checkpoint.CheckpointError) as err:
+        train(train_c, dev_c, loaded, forest, small_hp(), config)
+    assert str(err.value) == f"{cache}: values in 'word_emb' larger than at load"
+
+
+def test_a_cached_and_an_in_memory_matrix_train_alike(tmp_path):
+    # the rows each batch reads from the open cache are the array's rows:
+    # the same epoch log, snapshot and final metrics, bit for bit
+    train_c, dev_c, emb, forest = make_world()
+    _, config = select_variant("NFETC-hier(r)", beta=0.4)
+    path = tmp_path / "emb.txt"
+    path.write_text(embedding_text(emb.words, emb.matrix))
+    loaded = WordEmbeddings.from_file(path)
+    assert isinstance(loaded.matrix, checkpoint.Frozen)
+    runs = [train(train_c, dev_c, e, forest, small_hp(p_i=0.7, p_o=0.9), config,
+                  eval_corpus=dev_c) for e in (loaded, emb)]
+    logs = ["".join(s.line() for s in r.epoch_log) for r in runs]
+    assert logs[0] == logs[1] and runs[0].epoch_log == runs[1].epoch_log
+    assert runs[0].final == runs[1].final
+    assert list(runs[0].best_values) == list(runs[1].best_values)
+    assert all(runs[0].best_values[n].tobytes() == runs[1].best_values[n].tobytes()
+               for n in runs[0].best_values)
+
+
+def test_a_cached_train_holds_no_row_of_its_corpora(tmp_path):
+    # a train whose corpora use each of 10,000 words of a matrix left in its
+    # file traces about what one using 41 does: it holds their index, not
+    # their rows (|used| x d x 8 bytes = 24 MB)
+    width, n, d = 20, 10000, 300   # 41-token sentences, the mention in the middle
+    words = [f"w{i}" for i in range(n)]
+    cache = tmp_path / "emb.ckpt"
+    checkpoint.save(str(cache), {}, [("word_emb", False, make_rng(12).uniform(-0.5, 0.5, (n, d)))])
+    forest = make_forest()
+
+    def corpus(vocab, count):
+        return Corpus([MentionTriple(tuple(vocab[(41 * i + k) % len(vocab)] for k in range(41)),
+                                     width, width + 1, ("/a",), frozenset(["/a"]))
+                       for i in range(count)])
+
+    _, config = select_variant("NFETC(f)")
+    hp = small_hp(window=width, batch=16, epochs=1)
+    peaks = []
+    for vocab in (words, words[:41]):
+        emb = WordEmbeddings(words, checkpoint.open_frozen(str(cache))[2])
+        tracemalloc.start()
+        try:
+            train(corpus(vocab, -(-n // 41)), corpus(vocab, 4), emb, forest, hp, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] - peaks[1] < n * d * 8 / 4, [f"{p / 2**20:.2f} MiB" for p in peaks]
+
+
+def test_train_copies_a_snapshot_per_improvement_and_restores_it_only_to_evaluate(monkeypatch):
+    # no snapshot before epoch 1, whose dev pass always sets the best; the
+    # best values go back into the model only for the final evaluation
+    train_c, dev_c, emb, forest = make_world()
+    _, config = select_variant("NFETC(f)")
+    calls = []
+    for name in ("copy_values", "load_values"):
+        real = getattr(training_module.ParamSet, name)
+        monkeypatch.setattr(training_module.ParamSet, name,
+                            lambda self, *a, n=name, f=real: calls.append(n) or f(self, *a))
+    for eval_corpus in (None, dev_c):
+        calls.clear()
+        result = train(train_c, dev_c, emb, forest, small_hp(epochs=3, patience=3), config,
+                       eval_corpus=eval_corpus)
+        strict = [s.dev_strict for s in result.epoch_log]
+        improved = sum(s > max(strict[:k], default=-1.0) for k, s in enumerate(strict))
+        assert calls == ["copy_values"] * improved + ["load_values"] * (eval_corpus is not None)
+        assert result.best_dev_strict == max(strict)
+
+
 @pytest.mark.parametrize("when", ["before-train", "before-save"])
 def test_a_cache_renamed_over_the_loaded_one_changes_nothing(tmp_path, when):
     # the loaded embeddings hold the cache they checked open: a cache of the
@@ -283,7 +371,7 @@ def test_a_cache_renamed_over_the_loaded_one_changes_nothing(tmp_path, when):
         checkpoint.save(cache, {k: meta[k] for k in ("source_sha256", "vocab")},
                         [("word_emb", False, other)])
         renamed = WordEmbeddings.from_file(path)
-        assert np.array_equal(renamed.subset(set(renamed.words)).matrix, other)
+        assert np.array_equal(matrix(renamed), other)
 
     if when == "before-train":
         rename_other()
