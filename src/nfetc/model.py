@@ -41,16 +41,17 @@ if TYPE_CHECKING:
 
 GATES = 4  # input, forget, output, candidate blocks in the fused layout
 
-# Mentions per inference pass. A chunk's activations for every step (one
-# input array that both context LSTMs read, gates and states) and the word
-# rows it reads from the checkpoint are alive at
-# once; no word row is held for the whole input, and eval and predict hold
-# one block of chunks (``cli.PREDICT_BLOCK``), not the input. On a 100k-word
-# checkpoint and 4,000 mentions (2-core host), while predict still held its
-# input's rows and lines, `nfetc predict` at 32, 64, 128 and 256 mentions
-# peaked at 76, 87, 112 and 161 MiB, and 128 ran ~25% faster than 32, as
-# wider steps make the recurrent GEMMs and the gate math cheaper per row.
-# With blocks and the one input array it peaks at ~100 MiB at 128.
+# Mentions per inference pass. A chunk's activations (one input array that
+# both context LSTMs read, every step's states, one group of steps' gates,
+# ``autodiff.GROUP_ROWS``) and the word rows it reads from the checkpoint are
+# alive at once; no word row is held for the whole input, and eval and predict
+# hold one block of chunks (``cli.PREDICT_BLOCK``), not the input. On a
+# 100k-word checkpoint and 4,000 mentions (2-core host), while predict still
+# held its input's rows and lines, `nfetc predict` at 32, 64, 128 and 256
+# mentions peaked at 76, 87, 112 and 161 MiB, and 128 ran ~25% faster than 32,
+# as wider steps make the recurrent GEMMs and the gate math cheaper per row.
+# With blocks and the one input array it peaked at ~104 MiB at 128, and with
+# one group of steps' gates, not the chunk's, at ~89.
 PREDICT_CHUNK = 128
 
 # Compute dtype of the LSTMs in training. At FIGER sizes numpy's float32 GEMM

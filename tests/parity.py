@@ -15,6 +15,12 @@ copies of the bundled fixtures, with ``OPENBLAS_NUM_THREADS=2`` and
 - a two-seed ``NFETC-hier(r)`` run with dropout, followed by the same three
   checkpoint readers, and ``eval`` and ``predict`` on the synthetic corpus
   six times over, longer than one block of their second pass;
+- a window-10 quick start, followed by the same readers, ``eval`` and
+  ``predict`` on generated lines of 25 to 45 tokens, whose 128-mention
+  chunks hold several groups of an inference input product
+  (``nfetc.autodiff.GROUP_ROWS``), and a step that prints the SHA-256 of
+  ``predict_probs`` on those lines, which the 6 printed decimals of
+  ``predict`` would not show a last-bit change of;
 - the refined train, ``eval`` and ``stats`` of ``tests/fixtures/mini``
   (its ``run.cfg``, with the synthetic world's embeddings);
 - then, in a copy of the revision's work directory, the working tree's
@@ -25,7 +31,7 @@ directories (checkpoints, logs, reports and embedding caches), are compared
 byte for byte. Prints one line per difference and exits 1 if there is one;
 otherwise prints one summary line and exits 0. Needs only local git and the
 standard library; not collected by pytest (the name does not start with
-``test_``). A run takes about 12 s on a 2-vCPU machine.
+``test_``). A run takes about 15 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -58,24 +64,54 @@ MINI = ["--config", "mini/run.cfg", "--set", "types=mini/types.txt",
 # the synth corpus six times over, 1,200 lines: more than one block of
 # eval's and predict's second pass (``nfetc.cli.PREDICT_BLOCK``)
 LONG, LONG_TIMES = "synth/long.tsv", 6
+# the synth corpus with 20 to 40 tokens of other lines around each line's own 5
+WIDE = "synth/wide.tsv"
+# argv of a step that prints the SHA-256 of the float64 ``predict_probs`` rows
+# of checkpoint argv[1] on the windowed input argv[2]
+DIGEST = ["-c", "import hashlib, sys\n"
+          "from nfetc.corpus import parse_corpus, windowed\n"
+          "from nfetc.training import load_checkpoint\n"
+          "r = load_checkpoint(sys.argv[1])\n"
+          "corpus = windowed(parse_corpus(sys.argv[2], r.forest), r.hyperparams.window)\n"
+          "print(hashlib.sha256(r.model.predict_probs(corpus).tobytes()).hexdigest())\n"]
 
 
-def readers(name: str, long: bool = False) -> list[tuple[str, list[str]]]:
+def readers(name: str, more: str | None = None) -> list[tuple[str, list[str]]]:
     """The steps that read checkpoint ``<name>.ckpt``: they alone run again
-    on the revision's checkpoints. With ``long``, eval and predict read
-    ``LONG`` too."""
+    on the revision's checkpoints. With ``more`` (``LONG`` or ``WIDE``),
+    eval and predict read that input too, and with ``WIDE`` the digest
+    step."""
     ckpt = ["--set", f"checkpoint={name}.ckpt", "--set", "input=synth/train.tsv"]
     steps = [(f"eval {name}", ["eval", *ckpt, "--set", "per_type=true", "--set", "json=true",
                                "--set", f"report={name}.eval"]),
              (f"predict {name}", ["predict", *ckpt, "--set", f"output={name}.predict"]),
              (f"export-types {name}", ["export-types", "--set", f"checkpoint={name}.ckpt"])]
-    if long:
-        ckpt = ["--set", f"checkpoint={name}.ckpt", "--set", f"input={LONG}"]
-        steps += [(f"eval {name} long", ["eval", *ckpt, "--set", "per_type=true",
-                                         "--set", "json=true"]),
-                  (f"predict {name} long", ["predict", *ckpt,
-                                            "--set", f"output={name}.long.predict"])]
+    if more:
+        tag = os.path.splitext(os.path.basename(more))[0]
+        ckpt = ["--set", f"checkpoint={name}.ckpt", "--set", f"input={more}"]
+        steps += [(f"eval {name} {tag}", ["eval", *ckpt, "--set", "per_type=true",
+                                          "--set", "json=true"]),
+                  (f"predict {name} {tag}", ["predict", *ckpt,
+                                             "--set", f"output={name}.{tag}.predict"])]
+    if more == WIDE:
+        steps.append((f"predict_probs digest {name}", [*DIGEST, f"{name}.ckpt", WIDE]))
     return steps
+
+
+def wide_lines(lines: list[bytes]) -> bytes:
+    """Each corpus line of ``lines`` with the tokens of the 4 to 8 lines after
+    it (cyclically) around its own, half before and half after, and its span
+    moved with them."""
+    fields = [line.split(b"\t") for line in lines]
+    out = []
+    for k, (span, tokens, labels) in enumerate(fields):
+        m = 4 + k % 5
+        around = [fields[(k + 1 + j) % len(fields)][1] for j in range(m)]
+        before = b" ".join(around[:m // 2]).split(b" ")
+        start, end = (int(v) + len(before) for v in span.split(b" "))
+        text = b" ".join([*around[:m // 2], tokens, *around[m // 2:]])
+        out.append(b"%d %d\t%s\t%s" % (start, end, text, labels))
+    return b"".join(out)
 
 
 def steps() -> tuple[list, list]:
@@ -94,8 +130,12 @@ def steps() -> tuple[list, list]:
         "--set", "pi=0.7", "--set", "po=0.9", "--set", "epochs=4", "--set", "lambda=0.001",
         "--set", "checkpoint=seeds.ckpt", "--set", "log=seeds.log",
         "--set", "report=seeds.report"]))
-    read += readers("seeds", long=True)
-    run += readers("seeds", long=True)
+    read += readers("seeds", LONG)
+    run += readers("seeds", LONG)
+    run.append(("train wide", ["train", *QUICK, "--set", "variant=NFETC-hier(r)",
+                               "--set", "window=10", "--set", "checkpoint=wide.ckpt"]))
+    read += readers("wide", WIDE)
+    run += readers("wide", WIDE)
     run += [("train mini", ["train", *MINI, "--set", "embeddings=synth/embeddings.txt",
                             "--set", "dp=4", "--set", "ds=8", "--set", "checkpoint=mini.ckpt",
                             "--set", "log=mini.log", "--set", "report=mini.report"]),
@@ -114,7 +154,8 @@ def execute(tree: str, work: str, todo) -> dict:
     env.pop("NFETC_DATA_ROOT", None)
     results = {}
     for name, argv in todo:
-        done = subprocess.run([sys.executable, "-m", "nfetc.cli", *argv], cwd=work, env=env,
+        command = argv if argv[0] == "-c" else ["-m", "nfetc.cli", *argv]
+        done = subprocess.run([sys.executable, *command], cwd=work, env=env,
                               capture_output=True)
         results[name] = (done.returncode, done.stdout, done.stderr)
     return results
@@ -173,6 +214,8 @@ def main(argv: list[str]) -> int:
                 lines = fh.read()
             with open(os.path.join(work, LONG), "wb") as fh:
                 fh.write(lines * LONG_TIMES)
+            with open(os.path.join(work, WIDE), "wb") as fh:
+                fh.write(wide_lines(lines.splitlines(keepends=True)))
             results[side] = flat(execute(tree, work, run)), files(work)
         cross = os.path.join(tmp, "work-cross")
         shutil.copytree(os.path.join(tmp, "work-base"), cross)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from ckptedit import rewrite_params
 from nfetc import model as model_module
-from nfetc.autodiff import ParamSet, lstm_sequence
+from nfetc.autodiff import GROUP_ROWS, ParamSet, lstm_sequence
 from nfetc.checkpoint import CheckpointError, load, save
 from nfetc.corpus import MentionTriple
 from nfetc.embeddings import WordEmbeddings
@@ -611,6 +612,45 @@ def test_lstm_sequence_records_only_when_asked():
     assert np.array_equal(out, recorded)
     grads = backward(weight)
     assert [g.shape for g in grads] == [w_in.shape, w_rec.shape, bias.shape]
+
+
+@pytest.mark.parametrize("d_in,d_s", [(20, 8), (385, 180)])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+@pytest.mark.parametrize("lengths", [list(range(10, 74)), list(range(1, 40))],
+                         ids=["groups", "one-group"])
+def test_lstm_sequence_inference_groups_match_the_recorded_forward_bit_for_bit(
+        lengths, reverse, d_in, d_s):
+    # inference projects x·W_in by groups of GROUP_ROWS rows or more, the
+    # recording path in one product. 2,656 rows make five groups in either
+    # direction, the steps of 3, 2 and 1 rows joining a larger one; 780 rows
+    # make one group
+    n_at = _packed(lengths)[2]
+    assert n_at[-3:].tolist() == [3, 2, 1]
+    assert n_at.sum() > 3 * GROUP_ROWS or n_at.sum() < 2 * GROUP_ROWS
+    x, w_in, w_rec, bias, _ = lstm_case([1] * int(n_at.sum()), d_in=d_in, d_s=d_s)
+    out, _ = lstm_sequence([x], w_in, w_rec, bias, n_at, reverse)
+    recorded, _ = lstm_sequence([x], w_in, w_rec, bias, n_at, reverse, record=())
+    assert np.array_equal(out, recorded)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lstm_sequence_inference_holds_one_group_of_gates(reverse):
+    # a batch's whole gate array would take R x 4d x 8 bytes; inference frees
+    # each group's block before it projects the next, so beside its output
+    # it holds under two groups' worth, plus the step temporaries
+    d_s = 64
+    n_at = _packed(list(range(10, 74)) * 2)[2]
+    rows = int(n_at.sum())
+    assert rows >= 8 * GROUP_ROWS
+    x, w_in, w_rec, bias, _ = lstm_case([1] * rows, d_in=40, d_s=d_s)
+    tracemalloc.start()
+    try:
+        out, _ = lstm_sequence([x], w_in, w_rec, bias, n_at, reverse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = 4 * d_s * 8
+    assert peak - out.nbytes < 2 * GROUP_ROWS * row + 4 * n_at[0] * row < rows * row / 3
 
 
 def test_lstm_sequence_node_keeps_no_constant_block():
